@@ -10,14 +10,14 @@ Two artifacts live here:
   makespans, the chunk cache's second-pass payoff, the sync stack's
   WAN-byte cut, and (informational) micro wall-clock timings. CI runs
   ``python bench_scorecard.py --smoke --json BENCH_scorecard.json --check``
-  and fails when any deterministic metric drifts beyond tolerance from
-  the committed ``BENCH_baseline.json``. Regenerate the baseline with
+  and fails when any deterministic metric differs from the committed
+  ``BENCH_baseline.json``. Regenerate the baseline with
   ``--smoke --write-baseline`` after an intentional perf change.
 
 The gated sections (figure3 / cache / sync / zero_copy) are simulator
 makespans, byte counts, and data-path read accounting — deterministic
-for a given seed, so the default 10 % tolerance only has to absorb
-float-summation jitter, not machine speed. The ``micro`` section is wall
+for a given seed, so they are gated at equality with the baseline's
+stored (3-decimal) values. The ``micro`` section is wall
 clock (including the thread- vs process-slave comparison) and therefore
 never gated. The ``service`` section is also wall clock, but carries its
 own hard bound inside the collector: the service-wrapped ``repro.run()``
@@ -61,6 +61,12 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_baseline.json")
 #: section's <2% overhead bound is asserted inside its collector — wall
 #: clock is gated at collection time, not against the baseline.)
 INFORMATIONAL = ("micro", "service")
+
+#: Recorded but not compared: the threaded runtime's float-summation
+#: order moves the compressed size a few bytes run to run (5494-5503
+#: observed against the baseline's 5498). ``sync.cut`` — the same
+#: quantity as a 2-decimal ratio — is stable and is the gate.
+UNGATED_KEYS = ("sync.wire_bytes",)
 
 
 @pytest.mark.benchmark(group="scorecard")
@@ -106,8 +112,8 @@ def collect_sync(*, units: int, iterations: int, seed: int) -> dict:
     """Iterative pagerank through delta+zlib: cumulative WAN-byte cut.
 
     Stealing is disabled so each cluster's reduction object covers a fixed
-    job set — the byte counts then only wobble with float-summation order,
-    well inside the comparison tolerance.
+    job set — the wire byte count then only wobbles with float-summation
+    order (see ``UNGATED_KEYS``); the dense count and the cut are exact.
     """
     bundle = make_bundle("pagerank", units, seed=seed)
     rb = bundle.schema.record_bytes
@@ -329,8 +335,8 @@ def flatten(doc: dict, prefix: str = "") -> dict:
     return out
 
 
-def compare(current: dict, baseline: dict, *, tolerance: float = 0.10) -> list[str]:
-    """Drift report: one line per metric outside tolerance; empty = pass.
+def compare(current: dict, baseline: dict) -> list[str]:
+    """Drift report: one line per gated metric that differs; empty = pass.
 
     Informational sections are skipped; the ``config`` section must match
     exactly (comparing a smoke snapshot against a full-scale baseline is a
@@ -346,22 +352,14 @@ def compare(current: dict, baseline: dict, *, tolerance: float = 0.10) -> list[s
     cur = flatten(current)
     for key, base_value in sorted(flatten(baseline).items()):
         section = key.split(".", 1)[0]
-        if section in INFORMATIONAL or section == "config":
+        if section in INFORMATIONAL or section == "config" or key in UNGATED_KEYS:
             continue
         value = cur.get(key)
         if value is None:
             problems.append(f"{key}: missing from current snapshot")
             continue
-        if not isinstance(base_value, (int, float)) or isinstance(base_value, bool):
-            if value != base_value:
-                problems.append(f"{key}: {value!r} != baseline {base_value!r}")
-            continue
-        drift = abs(value - base_value) / max(abs(base_value), 1e-9)
-        if drift > tolerance:
-            problems.append(
-                f"{key}: {value} vs baseline {base_value} "
-                f"({drift * 100:.1f}% drift > {tolerance * 100:.0f}%)"
-            )
+        if value != base_value:
+            problems.append(f"{key}: {value!r} != baseline {base_value!r}")
     return problems
 
 
@@ -385,11 +383,10 @@ def test_compare_passes_identical_snapshots():
     assert compare(doc, doc) == []
 
 
-def test_compare_flags_drift_beyond_tolerance():
-    base = {"config": {"smoke": True}, "sync": {"wire_bytes": 1000}}
-    worse = {"config": {"smoke": True}, "sync": {"wire_bytes": 1200}}
-    assert compare(worse, base, tolerance=0.10)
-    assert not compare(worse, base, tolerance=0.25)
+def test_compare_flags_any_drift():
+    base = {"config": {"smoke": True}, "figure3": {"env-local": 13.742}}
+    worse = {"config": {"smoke": True}, "figure3": {"env-local": 13.743}}
+    assert compare(worse, base) == ["figure3.env-local: 13.743 != baseline 13.742"]
 
 
 def test_compare_skips_informational_and_checks_config():
@@ -420,13 +417,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero when any gated metric drifts beyond tolerance",
+        help="exit non-zero when any gated metric differs from the baseline",
     )
     parser.add_argument(
         "--write-baseline", action="store_true",
         help="overwrite the baseline with this run's snapshot",
     )
-    parser.add_argument("--tolerance", type=float, default=0.10)
     parser.add_argument("--seed", type=int, default=2011)
     args = parser.parse_args(argv)
 
@@ -449,14 +445,13 @@ def main(argv=None) -> int:
             return 1
         with open(args.baseline, encoding="utf-8") as fh:
             baseline = json.load(fh)
-        problems = compare(snapshot, baseline, tolerance=args.tolerance)
+        problems = compare(snapshot, baseline)
         if problems:
             print(f"\nFAIL: {len(problems)} metric(s) drifted from baseline:")
             for line in problems:
                 print(f"  {line}")
             return 1
-        print(f"\nok: every gated metric within {args.tolerance * 100:.0f}% "
-              f"of the committed baseline")
+        print("\nok: every gated metric equals the committed baseline")
     return 0
 
 

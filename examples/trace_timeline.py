@@ -18,12 +18,12 @@ from __future__ import annotations
 import argparse
 
 from repro.bench.configs import env_config
+from repro.obs import EventLog, render_gantt, utilization
 from repro.sim.simulation import CloudBurstSimulation
-from repro.sim.trace import TraceRecorder, render_gantt, utilization
 
 
 def simulated_trace():
-    trace = TraceRecorder()
+    trace = EventLog()
     # Scale down to 1/20 of the paper's data so the chart stays readable
     # (the job structure — 960 chunks, 32 files — is unchanged).
     config = env_config("knn", "env-33/67", scale=0.05)

@@ -80,11 +80,6 @@ class SimCalibration:
         """Ablation helper: replace selected knobs."""
         return replace(self, **changes)
 
-    def control_rtt(self, same_site: bool) -> float:
-        """Round-trip time of one control exchange (request + reply)."""
-        one_way = self.lan_latency if same_site else self.wan_latency
-        return 2.0 * one_way
-
 
 PAPER_CALIBRATION = SimCalibration(
     # The slave-side ingest rate (NFS client / chunk pipeline), not the

@@ -16,10 +16,10 @@ from typing import Callable
 from ..core.job import Job
 from ..core.jobpool import JobPool
 from ..core.scheduler import HeadScheduler
+from ..obs import EventLog
 from .computemodel import ComputeModel
 from .engine import Environment, Event
 from .metrics import SlaveMetrics
-from .trace import TraceRecorder
 
 __all__ = ["SimMaster", "SimSlave", "FetchFn", "LeaseFn"]
 
@@ -51,7 +51,7 @@ class SimMaster:
         control_rtt: float,
         low_water: int,
         group_size: int,
-        trace: TraceRecorder | None = None,
+        trace: EventLog | None = None,
     ) -> None:
         self.env = env
         self.name = name
@@ -169,7 +169,7 @@ class SimSlave:
         compute: ComputeModel,
         *,
         retrieval_threads: int,
-        trace: TraceRecorder | None = None,
+        trace: EventLog | None = None,
         lease: LeaseFn | None = None,
     ) -> None:
         self.env = env

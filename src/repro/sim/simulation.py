@@ -1,22 +1,10 @@
-"""End-to-end cloud-bursting simulation.
+"""The paper's testbed: campus cluster + AWS, as a two-site configuration.
 
-:class:`CloudBurstSimulation` wires an :class:`~repro.config.ExperimentConfig`
-into the simulated substrate — storage paths, compute model, control
-latencies — instantiates one master plus one slave per active core at each
-site, runs the job pool dry, performs the two-level reduction, and returns
-a :class:`~repro.sim.metrics.SimReport`.
-
-Reduction phases (Section III-B):
-
-1. every slave folds its chunks into its own reduction object (implicit:
-   its cost is inside processing time);
-2. when a cluster's slaves all finish, the master tree-combines their
-   objects over the intra-cluster fabric;
-3. each master ships its combined object to the head — free for the head's
-   own site, a WAN push for the other (skipped entirely in single-cluster
-   runs, matching the paper's note that base environments avoid the
-   transfer);
-4. the head merges arriving objects serially.
+:class:`CloudBurstSimulation` takes an :class:`~repro.config.ExperimentConfig`
+and a :class:`~repro.sim.calibration.SimCalibration`, translates them into
+the :class:`~repro.sim.multisite.MultiSiteConfig` of the paper's setup
+(:func:`two_site_config`) and runs the one engine in
+:mod:`repro.sim.multisite` — there is no second run loop.
 
 The head node is hosted at the campus cluster in every configuration, as
 in the paper (env-cloud shows master<->head WAN delays in Section IV-B).
@@ -24,7 +12,6 @@ in the paper (env-cloud shows master<->head WAN delays in Section IV-B).
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -32,40 +19,78 @@ from ..apps.base import AppProfile, get_profile
 
 if TYPE_CHECKING:
     from ..cache import ChunkCache
+    from ..obs import EventLog
     from ..options import ScaleOptions
     from ..resilience.faults import FaultSpec
+from ..cluster.variability import VariabilityModel
 from ..config import CLOUD_SITE, LOCAL_SITE, ExperimentConfig
-from ..core.index import build_index
-from ..core.job import Job
-from ..core.scheduler import HeadScheduler
-from ..core.sync import SyncSpec, build_sync_plan, plan_roots
-from ..errors import SimulationError
+from ..core.sync import SyncSpec
 from .calibration import PAPER_CALIBRATION, SimCalibration
-from .computemodel import ComputeModel
-from .engine import Environment, Event
-from ..scale.simmodel import ClusterBurst
-from .linkmodel import FairShareLink
-from .metrics import ClusterReport, SimReport
-from .simnodes import SimMaster, SimSlave
-from .storagemodel import SimStore
-from .trace import TraceRecorder
+from .metrics import SimReport
+from .multisite import (
+    JITTER_SALT,
+    CrossPath,
+    MultiSiteConfig,
+    MultiSiteSimulation,
+    SiteSpec,
+)
 
-__all__ = ["CloudBurstSimulation", "simulate"]
-
-HEAD_SITE = LOCAL_SITE
+__all__ = ["CloudBurstSimulation", "simulate", "two_site_config"]
 
 
-class _SimSchedulerTrace:
-    """Adapter so the shared :class:`HeadScheduler` (which calls
-    ``trace.emit`` — wall-clock semantics) lands its steal events on the
-    simulated timeline at ``env.now``."""
+def two_site_config(
+    config: ExperimentConfig, calibration: SimCalibration, profile: AppProfile
+) -> MultiSiteConfig:
+    """The paper's campus + AWS testbed as an N-site configuration."""
+    cal = calibration
 
-    def __init__(self, log: "TraceRecorder", env: Environment) -> None:
-        self._log = log
-        self._env = env
+    def jitter(model: VariabilityModel, salt: int) -> VariabilityModel:
+        # The two-site model salts each site's jitter seed with its own
+        # constant; the engine salts every site with JITTER_SALT. XOR is
+        # its own inverse, so applying both here leaves exactly
+        # ``seed ^ (config.seed * salt)`` after the engine's pass.
+        return replace(
+            model,
+            seed=model.seed ^ (config.seed * salt) ^ (config.seed * JITTER_SALT),
+        )
 
-    def emit(self, kind: str, **fields) -> None:
-        self._log.record(self._env.now, kind, **fields)
+    return MultiSiteConfig(
+        name=config.name,
+        app=config.app,
+        dataset=config.dataset,
+        sites=(
+            SiteSpec(
+                name=LOCAL_SITE,
+                cores=config.compute.local_cores,
+                data_files=config.local_files,
+                storage=cal.disk_to_local,
+                variability=jitter(cal.local_variability, 2654435761),
+                intra_bandwidth=cal.intra_local_bandwidth,
+            ),
+            SiteSpec(
+                name=CLOUD_SITE,
+                cores=config.compute.cloud_cores,
+                data_files=config.cloud_files,
+                storage=cal.s3_to_cloud,
+                object_store=True,
+                compute_slowdown=profile.cloud_slowdown,
+                variability=jitter(cal.cloud_variability, 40503),
+                intra_bandwidth=cal.intra_cloud_bandwidth,
+            ),
+        ),
+        # The cloud -> campus WAN path also carries the reduction-object
+        # push to the head, at ``wan_robj_per_flow`` per stream.
+        cross_paths=(
+            CrossPath(src=LOCAL_SITE, dst=CLOUD_SITE, path=cal.disk_to_cloud),
+            CrossPath(src=CLOUD_SITE, dst=LOCAL_SITE, path=cal.s3_to_local),
+        ),
+        head_site=LOCAL_SITE,
+        tuning=config.tuning,
+        control_latency=cal.wan_latency,
+        lan_latency=cal.lan_latency,
+        robj_flow_rate=cal.wan_robj_per_flow,
+        seed=config.seed,
+    )
 
 
 class CloudBurstSimulation:
@@ -76,7 +101,7 @@ class CloudBurstSimulation:
         config: ExperimentConfig,
         calibration: SimCalibration = PAPER_CALIBRATION,
         profile: AppProfile | None = None,
-        trace: "TraceRecorder | None" = None,
+        trace: "EventLog | None" = None,
         static_assignment: bool = False,
         cache: "ChunkCache | None" = None,
         sync: SyncSpec | None = None,
@@ -86,556 +111,36 @@ class CloudBurstSimulation:
         self.config = config
         self.calibration = calibration
         self.profile = profile or get_profile(config.app)
+        # What each argument models is documented on the engine. The
+        # cloud is the burstable site; with no cloud cores there is no
+        # cluster to grow and a scale spec is a no-op.
+        self._engine = engine = MultiSiteSimulation(
+            two_site_config(config, calibration, self.profile),
+            profile=self.profile,
+            merge_seconds_per_byte=calibration.merge_seconds_per_byte,
+            trace=trace,
+            sync=sync,
+            scale=scale if config.compute.cloud_cores > 0 else None,
+            scale_site=CLOUD_SITE,
+            cache=cache,
+            faults=faults,
+            static_assignment=static_assignment,
+        )
         self.trace = trace
-        #: Ablation baseline: pre-partition the whole job pool across the
-        #: clusters round-robin instead of on-demand pooling. Disables
-        #: work stealing and rate-matching — the strategy Section III-B's
-        #: pooling design replaces.
         self.static_assignment = static_assignment
-        #: Optional modeled chunk cache (the same LRU the executable
-        #: runtime uses, keyed ``(file_id, chunk_index)`` with explicit
-        #: sizes): a cross-site fetch that hits costs no transfer time,
-        #: matching the runtime's behaviour so an iterative simulated run
-        #: and an executed one agree on which passes touch the network.
-        #: The caller owns it, so it persists across iterative passes.
         self.cache = cache
-        #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`),
-        #: modeled with the same :func:`build_sync_plan` the runtime
-        #: executes. A default spec is indistinguishable from ``None`` —
-        #: the original ship-and-merge path runs untouched. Encoded
-        #: uploads are charged ``robj_bytes * sim_ratio`` on the wire
-        #: (merge cost stays dense: decoding restores the full object).
-        self.sync = None if sync is None or sync.is_default else sync
-        #: Modeled storage faults (:class:`~repro.resilience.FaultSpec`):
-        #: ``latency`` faults add their fixed delay to a fetch, ``slow``
-        #: faults re-price the chunk at the degraded bandwidth — the same
-        #: perturbations the runtime's :class:`FaultInjector` applies to
-        #: real reads, so a seeded straggler appears in both substrates.
-        #: Transient/permanent *errors* are runtime-only (the simulator
-        #: models time, not retries) and are ignored here.
-        self.faults = None if faults is None or not (
-            faults.latency_rate or faults.slow_rate
-        ) else faults
-        #: Faults applied during the last :meth:`run` (also on the report).
-        self.faults_injected = 0
-        #: Elastic bursting (:mod:`repro.scale`): the cloud cluster gains
-        #: a :class:`~repro.scale.simmodel.ClusterBurst` — a provisioner
-        #: driving the same pure autoscaler the runtime uses, with
-        #: provision latency and seeded spot revocation modeled in
-        #: virtual time. Disabled specs build none of the machinery.
-        self.scale = scale if scale is not None and scale.enabled else None
-        #: Scaling accounting for the last :meth:`run` (the simulator's
-        #: counterpart of ``RunTelemetry.slaves_added`` and friends).
-        self.slaves_added = 0
-        self.slaves_revoked = 0
-        self.dollars_spent = 0.0
-
-    # -- wiring ---------------------------------------------------------------
-
-    def _build_stores(self, env: Environment) -> dict[tuple[str, str], SimStore]:
-        cal = self.calibration
-        return {
-            (LOCAL_SITE, LOCAL_SITE): SimStore(env, cal.disk_to_local),
-            (LOCAL_SITE, CLOUD_SITE): SimStore(env, cal.disk_to_cloud),
-            (CLOUD_SITE, CLOUD_SITE): SimStore(env, cal.s3_to_cloud),
-            (CLOUD_SITE, LOCAL_SITE): SimStore(env, cal.s3_to_local),
-        }
-
-    # -- execution ---------------------------------------------------------------
+        self.sync = engine.sync
+        self.faults = engine.faults
+        self.scale = engine.scale
 
     def run(self) -> SimReport:
-        config = self.config
-        env = Environment()
-        stores = self._build_stores(env)
-        # Thread the experiment seed into the jitter models so different
-        # seeds produce different (but reproducible) runs.
-        local_var = replace(
-            self.calibration.local_variability,
-            seed=self.calibration.local_variability.seed ^ (config.seed * 2654435761),
-        )
-        cloud_var = replace(
-            self.calibration.cloud_variability,
-            seed=self.calibration.cloud_variability.seed ^ (config.seed * 40503),
-        )
-        compute = ComputeModel(
-            profile=self.profile,
-            variability={LOCAL_SITE: local_var, CLOUD_SITE: cloud_var},
-            merge_seconds_per_byte=self.calibration.merge_seconds_per_byte,
-        )
+        return self._engine.run()
 
-        index = build_index(config.dataset, config.placement)
-        jobs = index.jobs()
-        scheduler = HeadScheduler(
-            jobs,
-            config.tuning,
-            seed=config.seed,
-            trace=(
-                _SimSchedulerTrace(self.trace, env)
-                if self.trace is not None
-                else None
-            ),
-        )
-
-        cache = self.cache
-        fault_spec = self.faults
-        # Per-run deterministic dice, independent of the compute-jitter
-        # streams (same seeding rule the runtime's FaultInjector uses).
-        fault_rng = (
-            random.Random(fault_spec.seed ^ (config.seed * 2654435761))
-            if fault_spec is not None
-            else None
-        )
-        self.faults_injected = 0
-        self.slaves_added = 0
-        self.slaves_revoked = 0
-        self.dollars_spent = 0.0
-
-        def _fault_delay(job: Job) -> float:
-            """Extra modeled seconds the fault layer charges this fetch."""
-            extra = 0.0
-            if fault_spec.latency_rate and fault_rng.random() < fault_spec.latency_rate:
-                extra += fault_spec.latency_seconds
-                self.faults_injected += 1
-                if self.trace is not None:
-                    self.trace.record(
-                        env.now, "fault_injected",
-                        job_id=job.job_id, file_id=job.file_id,
-                        detail=f"latency +{fault_spec.latency_seconds:g}s",
-                    )
-            if fault_spec.slow_rate and fault_rng.random() < fault_spec.slow_rate:
-                slow = job.nbytes / fault_spec.slow_bandwidth
-                extra += slow
-                self.faults_injected += 1
-                if self.trace is not None:
-                    self.trace.record(
-                        env.now, "fault_injected",
-                        job_id=job.job_id, file_id=job.file_id,
-                        detail=f"slow +{slow:.3f}s "
-                        f"@{fault_spec.slow_bandwidth:g}B/s",
-                    )
-            return extra
-
-        def fetch(job: Job, slave_site: str, threads: int) -> Event:
-            # Cross-site chunks go through the modeled node cache exactly
-            # like the runtime's DatasetReader: a hit is a local memory
-            # read (no transfer), a miss pays the network and is inserted.
-            if cache is not None and job.site != slave_site:
-                key = (job.file_id, job.chunk_index)
-                if cache.get(key) is not None:
-                    return env.timeout(0.0)
-                cache.put(key, True, job.nbytes)
-            store = stores[(job.site, slave_site)]
-            # Multi-threaded retrieval applies whenever the chunk comes off
-            # the object store (even "co-located" EC2 slaves GET over the
-            # network) or crosses sites; only a local disk read is a single
-            # sequential stream.
-            single_stream = job.site == LOCAL_SITE and slave_site == LOCAL_SITE
-
-            def start_transfer() -> Event:
-                return store.fetch(
-                    job.file_id,
-                    job.nbytes,
-                    chunk_index=job.chunk_index,
-                    connections=1 if single_stream else threads,
-                )
-
-            if fault_rng is None:
-                return start_transfer()
-            extra = _fault_delay(job)
-            if extra <= 0.0:
-                return start_transfer()
-
-            def perturbed():
-                # The fault delays the read itself: stall first, then start
-                # the (contended) transfer — matching the injector's
-                # position in front of the runtime's storage service.
-                yield env.timeout(extra)
-                yield start_transfer()
-
-            return env.process(perturbed(), name=f"fault:{job.job_id}")
-
-        # Dedicated WAN path for the reduction-object push (cloud -> head).
-        wan_robj = FairShareLink(
-            env,
-            bandwidth=self.calibration.s3_to_local.bandwidth,
-            latency=self.calibration.wan_latency,
-            per_flow_cap=self.calibration.wan_robj_per_flow,
-            name="wan-robj",
-        )
-
-        sites = config.compute.active_sites
-        multi_cluster = len(sites) > 1
-        robj_bytes = self.profile.robj_bytes
-
-        spec = self.sync
-        cluster_names = [f"{site}-cluster" for site in sites]
-        site_of = dict(zip(cluster_names, sites))
-        # ``active_sites`` puts the head's site first whenever it has
-        # cores, so the plan root is the head-site master (as in the
-        # runtime driver).
-        plan = (
-            build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
-            if spec is not None
-            else None
-        )
-        wire_bytes = robj_bytes * spec.sim_ratio if spec is not None else robj_bytes
-        upload_events = {name: env.event() for name in cluster_names}
-        upload_at: dict[str, float] = {}
-
-        masters: dict[str, SimMaster] = {}
-        slaves: dict[str, list[SimSlave]] = {}
-        combine_done: dict[str, float] = {}
-        robj_arrival: dict[str, float] = {}
-        merged_at: dict[str, float] = {}
-        processing_end: dict[str, float] = {}
-        head_busy_until = [0.0]  # serialize head-side merges
-
-        # Elastic bursting: the cloud cluster's provisioner samples these
-        # global gauges (the same raw vocabulary the runtime's probe
-        # feeds obs.live) and the shared pure controller decides.
-        burst: ClusterBurst | None = None
-        jobs_total = len(jobs)
-
-        def scale_probe() -> dict:
-            crews = [s for crew in slaves.values() for s in crew]
-            if burst is not None:
-                crews += burst.started
-            workers = len(crews)
-            waiting = sum(m.idle_slaves for m in masters.values())
-            return {
-                "jobs_total": jobs_total,
-                "jobs_done": sum(s.metrics.jobs for s in crews),
-                "pool_depth": sum(len(m.pool) for m in masters.values()),
-                "in_flight": sum(m.pool.in_flight for m in masters.values()),
-                "workers": workers,
-                "workers_busy": max(0, workers - waiting),
-            }
-
-        cluster_procs = []
-        worker_id = 0
-        for site in sites:
-            cores = config.compute.cores_at(site)
-            name = f"{site}-cluster"
-            scheduler.register_cluster(name, site)
-            # The pool's refill point scales with the slave count (capped)
-            # so several files stay in flight at once — a pool sized well
-            # below the slave count would serialize the whole cluster onto
-            # a single file's chunk run — while staying shallow enough that
-            # a slow cluster does not hoard jobs the other could steal.
-            master = SimMaster(
-                env,
-                name,
-                site,
-                scheduler,
-                control_rtt=self.calibration.control_rtt(site == HEAD_SITE),
-                low_water=max(config.tuning.pool_low_water, min(cores // 2, 8)),
-                group_size=config.tuning.job_group_size,
-                trace=self.trace,
-            )
-            masters[name] = master
-            crew = []
-            for _ in range(cores):
-                slave = SimSlave(
-                    env,
-                    worker_id,
-                    site,
-                    master,
-                    fetch,
-                    compute,
-                    retrieval_threads=config.tuning.retrieval_threads,
-                    trace=self.trace,
-                )
-                worker_id += 1
-                crew.append(slave)
-            slaves[name] = crew
-
-            if self.scale is not None and site == CLOUD_SITE:
-
-                def make_cloud_slave(wid, master=master):
-                    return SimSlave(
-                        env, wid, CLOUD_SITE, master, fetch, compute,
-                        retrieval_threads=config.tuning.retrieval_threads,
-                        trace=self.trace,
-                    )
-
-                burst = ClusterBurst(
-                    env, master, self.scale,
-                    initial=len(crew),
-                    make_slave=make_cloud_slave,
-                    next_worker_id=worker_id,
-                    probe=scale_probe,
-                    trace=self.trace,
-                )
-                worker_id = burst.next_worker_id
-                for slave in crew:
-                    burst.admit(slave)
-
-            intra_bw = (
-                self.calibration.intra_local_bandwidth
-                if site == LOCAL_SITE
-                else self.calibration.intra_cloud_bandwidth
-            )
-
-            def cluster_proc(
-                name=name, site=site, crew=crew, intra_bw=intra_bw,
-                burst_=burst if site == CLOUD_SITE else None,
-            ):
-                procs = [env.process(s.run(), name=f"slave:{s.worker_id}") for s in crew]
-                dynamics = burst_.launch() if burst_ is not None else []
-                yield env.all_of(procs)
-                if burst_ is not None:
-                    # The static crew drained, so the pool is dry: release
-                    # the never-provisioned gates, let provisioned slaves
-                    # exit at this same timestamp, and shut the ledger.
-                    burst_.close()
-                    yield env.all_of(dynamics)
-                    burst_.finalize(env.now)
-                members = crew if burst_ is None else crew + burst_.started
-                processing_end[name] = env.now
-                # Intra-cluster combine (tree merge of the slaves' objects).
-                yield env.timeout(
-                    compute.combine_seconds(robj_bytes, len(members), intra_bw)
-                )
-                combine_done[name] = env.now
-                if self.trace is not None:
-                    self.trace.record(env.now, "combine_done", cluster=name)
-                # Ship the combined object to the head.
-                if multi_cluster:
-                    if site == HEAD_SITE:
-                        yield env.timeout(
-                            self.calibration.lan_latency
-                            + robj_bytes / self.calibration.intra_local_bandwidth
-                        )
-                    else:
-                        yield wan_robj.transfer(robj_bytes)
-                robj_arrival[name] = env.now
-                if self.trace is not None:
-                    self.trace.record(env.now, "robj_sent", cluster=name)
-                # Head merges serially as objects arrive.
-                start = max(env.now, head_busy_until[0])
-                finish = start + compute.merge_seconds(robj_bytes)
-                head_busy_until[0] = finish
-                yield env.timeout(finish - env.now)
-                merged_at[name] = env.now
-                if self.trace is not None:
-                    self.trace.record(env.now, "merge_done", cluster=name)
-
-            def cluster_proc_sync(
-                name=name, site=site, crew=crew, intra_bw=intra_bw,
-                burst_=burst if site == CLOUD_SITE else None,
-            ):
-                procs = [env.process(s.run(), name=f"slave:{s.worker_id}") for s in crew]
-                dynamics = burst_.launch() if burst_ is not None else []
-                yield env.all_of(procs)
-                if burst_ is not None:
-                    burst_.close()
-                    yield env.all_of(dynamics)
-                    burst_.finalize(env.now)
-                members = crew if burst_ is None else crew + burst_.started
-                processing_end[name] = env.now
-                # Streaming flushes fold slave partials during compute, so
-                # only the final watermark's worth of merging remains once
-                # the last slave finishes; the barrier pays the full tree.
-                if spec.stream:
-                    yield env.timeout(compute.merge_seconds(robj_bytes))
-                else:
-                    yield env.timeout(
-                        compute.combine_seconds(robj_bytes, len(members), intra_bw)
-                    )
-                combine_done[name] = env.now
-                if self.trace is not None:
-                    self.trace.record(env.now, "combine_done", cluster=name)
-                node = plan[name]
-                if node.children:
-                    yield env.all_of([upload_events[c] for c in node.children])
-                    merge = compute.merge_seconds(robj_bytes)
-                    if spec.stream:
-                        # Fold each child on arrival: the master thread is
-                        # free while its slaves compute, so early arrivals
-                        # cost nothing at the barrier.
-                        busy = 0.0
-                        for child in sorted(
-                            node.children, key=upload_at.__getitem__
-                        ):
-                            busy = max(busy, upload_at[child]) + merge
-                            merged_at[child] = busy
-                            if self.trace is not None:
-                                self.trace.record(
-                                    busy, "merge_done", cluster=child
-                                )
-                    else:
-                        busy = env.now
-                        for child in node.children:
-                            busy += merge
-                            merged_at[child] = busy
-                            if self.trace is not None:
-                                self.trace.record(
-                                    busy, "merge_done", cluster=child
-                                )
-                    if busy > env.now:
-                        yield env.timeout(busy - env.now)
-                # Ship the (encoded) object up the aggregation plan.
-                if node.parent is not None:
-                    if site_of[node.parent] == site:
-                        yield env.timeout(
-                            self.calibration.lan_latency + wire_bytes / intra_bw
-                        )
-                    else:
-                        yield wan_robj.transfer(wire_bytes)
-                elif multi_cluster:
-                    # Plan root: the hop to the head (LAN for its own site).
-                    if site == HEAD_SITE:
-                        yield env.timeout(
-                            self.calibration.lan_latency
-                            + wire_bytes / self.calibration.intra_local_bandwidth
-                        )
-                    else:
-                        yield wan_robj.transfer(wire_bytes)
-                robj_arrival[name] = env.now
-                upload_at[name] = env.now
-                if self.trace is not None:
-                    self.trace.record(env.now, "robj_sent", cluster=name)
-                upload_events[name].succeed()
-                if node.parent is None and spec.stream:
-                    # Head merges arriving roots immediately, serialized.
-                    start = max(env.now, head_busy_until[0])
-                    finish = start + compute.merge_seconds(robj_bytes)
-                    head_busy_until[0] = finish
-                    yield env.timeout(finish - env.now)
-                    merged_at[name] = env.now
-                    if self.trace is not None:
-                        self.trace.record(env.now, "merge_done", cluster=name)
-
-            proc = cluster_proc_sync() if spec is not None else cluster_proc()
-            cluster_procs.append(env.process(proc, name=f"cluster:{name}"))
-
-        if spec is not None and not spec.stream:
-            # Barrier global reduction: the head waits for every plan root
-            # and merges them serially in plan order (as the runtime does).
-            roots = plan_roots(plan)
-
-            def head_barrier_proc():
-                yield env.all_of([upload_events[r] for r in roots])
-                finish = env.now
-                for root in roots:
-                    finish += compute.merge_seconds(robj_bytes)
-                    merged_at[root] = finish
-                    if self.trace is not None:
-                        self.trace.record(finish, "merge_done", cluster=root)
-                yield env.timeout(finish - env.now)
-
-            cluster_procs.append(
-                env.process(head_barrier_proc(), name="head:barrier")
-            )
-
-        if self.static_assignment:
-            # Deal the whole pool out round-robin before time starts, then
-            # close every master's intake.
-            names = list(masters)
-            turn = 0
-            while not scheduler.exhausted:
-                group = scheduler.request_jobs(names[turn % len(names)])
-                if group is None:
-                    break
-                masters[names[turn % len(names)]].preload(group)
-                turn += 1
-            for master in masters.values():
-                master.close_intake()
-
-        # The cache outlives the run in iterative use; report this pass's
-        # delta, mirroring the executable driver's accounting.
-        cache_before = (0, 0)
-        if cache is not None:
-            cache_before = (cache.stats.hits, cache.stats.misses)
-
-        done = env.all_of(cluster_procs)
-        env.run(done)
-        env.run()  # drain stragglers (acks in flight)
-
-        if burst is not None:
-            # Fold the dynamic slaves into the cloud crew so the report's
-            # jobs-processed invariant and per-cluster means account for
-            # every worker that actually ran, and copy the scaling ledger.
-            cloud_name = f"{CLOUD_SITE}-cluster"
-            slaves[cloud_name] = slaves[cloud_name] + burst.started
-            self.slaves_added = burst.slaves_added
-            self.slaves_revoked = burst.slaves_revoked
-            self.dollars_spent = burst.dollars_spent
-
-        report = self._report(
-            env, scheduler, masters, slaves,
-            processing_end, combine_done, robj_arrival, merged_at,
-        )
-        if cache is not None:
-            report.cache_hits = cache.stats.hits - cache_before[0]
-            report.cache_misses = cache.stats.misses - cache_before[1]
-        report.faults_injected = self.faults_injected
-        report.slaves_added = self.slaves_added
-        report.slaves_revoked = self.slaves_revoked
-        report.dollars_spent = self.dollars_spent
-        return report
-
-    # -- reporting ---------------------------------------------------------------
-
-    def _report(
-        self,
-        env: Environment,
-        scheduler: HeadScheduler,
-        masters: dict[str, SimMaster],
-        slaves: dict[str, list[SimSlave]],
-        processing_end: dict[str, float],
-        combine_done: dict[str, float],
-        robj_arrival: dict[str, float],
-        merged_at: dict[str, float],
-    ) -> SimReport:
-        if scheduler.jobs_remaining != 0:
-            raise SimulationError(
-                f"simulation ended with {scheduler.jobs_remaining} jobs unassigned"
-            )
-        makespan = max(merged_at.values())
-        last_processing_end = max(processing_end.values())
-        # Table II's "global reduction": the elapsed time combining the
-        # final object — the longest ship-and-merge span over clusters
-        # (dominated by the WAN push when the object is large).
-        global_reduction = max(
-            merged_at[name] - combine_done[name] for name in merged_at
-        )
-
-        clusters: dict[str, ClusterReport] = {}
-        for name, crew in slaves.items():
-            stats = scheduler.clusters[name]
-            jobs = sum(s.metrics.jobs for s in crew)
-            if jobs != stats.jobs_assigned:
-                raise SimulationError(
-                    f"{name}: processed {jobs} jobs but was assigned "
-                    f"{stats.jobs_assigned}"
-                )
-            mean_proc = sum(s.metrics.processing for s in crew) / len(crew)
-            mean_retr = sum(s.metrics.retrieval for s in crew) / len(crew)
-            clusters[name] = ClusterReport(
-                name=name,
-                site=masters[name].site,
-                cores=len(crew),
-                jobs_processed=jobs,
-                jobs_stolen=stats.jobs_stolen,
-                mean_processing=mean_proc,
-                mean_retrieval=mean_retr,
-                sync=makespan - mean_proc - mean_retr,
-                processing_end=processing_end[name],
-                combine_done=combine_done[name],
-                robj_arrival=robj_arrival[name],
-                idle=max(0.0, last_processing_end - processing_end[name]),
-            )
-        report = SimReport(
-            experiment=self.config.name,
-            app=self.config.app,
-            makespan=makespan,
-            global_reduction=global_reduction,
-            clusters=clusters,
-            events_processed=env.events_processed,
-        )
-        report.validate()
-        return report
+    # Accounting for the last :meth:`run` (also on the report).
+    faults_injected = property(lambda self: self._engine.faults_injected)
+    slaves_added = property(lambda self: self._engine.slaves_added)
+    slaves_revoked = property(lambda self: self._engine.slaves_revoked)
+    dollars_spent = property(lambda self: self._engine.dollars_spent)
 
 
 def simulate(

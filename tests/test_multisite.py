@@ -214,9 +214,9 @@ def test_head_at_remote_provider():
 
 
 def test_multisite_trace():
-    from repro.sim.trace import TraceRecorder, utilization
+    from repro.obs import EventLog, critical_path, utilization
 
-    trace = TraceRecorder()
+    trace = EventLog()
     report = MultiSiteSimulation(three_provider_config(), trace=trace).run()
     assert len(trace.of_kind("job_done")) == 24
     util = utilization(trace, report.makespan)
@@ -225,3 +225,60 @@ def test_multisite_trace():
         assert parts["retrieval"] + parts["processing"] + parts["idle"] == (
             pytest.approx(1.0, abs=1e-6)
         )
+    # The reduction tail and the scheduler's steals are on the timeline
+    # too, so the span analyses work on N-site runs.
+    for kind in ("combine_done", "robj_sent", "merge_done"):
+        assert sorted(e.cluster for e in trace.of_kind(kind)) == sorted(
+            report.clusters
+        )
+    assert trace.of_kind("steal")
+    segments = critical_path(trace, report.makespan)
+    assert segments[0].start == 0.0
+    assert segments[-1].end == report.makespan
+    for left, right in zip(segments, segments[1:]):
+        assert left.end == right.start
+
+
+def test_cached_second_pass_touches_no_network():
+    from repro.cache import ChunkCache
+
+    sim = MultiSiteSimulation(three_provider_config(), cache=ChunkCache(1 << 30))
+    cold, warm = sim.run(), sim.run()
+    assert cold.cache_hits == 0 and cold.cache_misses > 0
+    assert warm.cache_misses == 0 and warm.cache_hits == cold.cache_misses
+    assert warm.makespan < cold.makespan
+
+
+def test_faults_and_static_assignment_on_n_sites():
+    from repro.resilience.faults import FaultSpec
+
+    plain = MultiSiteSimulation(three_provider_config()).run()
+    sim = MultiSiteSimulation(
+        three_provider_config(),
+        faults=FaultSpec(latency_rate=0.5, latency_seconds=0.2),
+    )
+    faulty = sim.run()
+    assert faulty.faults_injected == sim.faults_injected > 0
+    assert faulty.makespan > plain.makespan
+    static = MultiSiteSimulation(
+        three_provider_config(), static_assignment=True
+    ).run()
+    assert static.total_jobs == 24
+    # Dealt round-robin up front: every cluster gets the same share.
+    assert {c.jobs_processed for c in static.clusters.values()} == {8}
+
+
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [
+        ("campus", "nowhere", "'nowhere' is not a site"),
+        ("nowhere", "aws", "'nowhere' is not a site"),
+        ("aws", "aws", "'aws' -> 'aws': same-site"),
+        ("campus", "aws", "duplicate cross path 'campus' -> 'aws'"),
+    ],
+)
+def test_cross_paths_validated_at_construction(src, dst, message):
+    base = three_provider_config()
+    bad = base.cross_paths + (CrossPath(src=src, dst=dst, path=wan("bad")),)
+    with pytest.raises(ConfigurationError, match=message):
+        three_provider_config(cross_paths=bad)

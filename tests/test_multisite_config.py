@@ -60,6 +60,22 @@ def test_loader_rejects_garbage():
         load_multisite_config('{"app": "knn"}')
 
 
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        (lambda doc: doc["sites"][0], "cores", "four"),
+        (lambda doc: doc["sites"][1], "compute_slowdown", "slow"),
+        (lambda doc: doc, "control_latency", "fast"),
+        (lambda doc: doc, "seed", "lucky"),
+    ],
+)
+def test_loader_rejects_non_numeric_fields(where, key, value):
+    doc = json.loads(json.dumps(DOC))
+    where(doc)[key] = value
+    with pytest.raises(ConfigurationError, match="malformed"):
+        load_multisite_config(json.dumps(doc))
+
+
 def test_loader_rejects_unknown_path_keys():
     doc = json.loads(json.dumps(DOC))
     doc["sites"][0]["storage"]["bandwidt"] = 1  # typo

@@ -1,0 +1,201 @@
+"""Golden net under the simulator: every report equal, field for field.
+
+``tests/data/sim_golden.json`` holds ``SimReport.to_dict()`` for the
+two-site matrix (knn/kmeans/pagerank x the five Figure-3 envs and the
+four Figure-4 rungs at scale 0.05 x three sync specs), autoscale and
+revocation runs on every env with cloud cores, a 2-pass cached run, a
+``FaultSpec`` latency+slow run, a ``static_assignment`` run, the traced
+event sequence of a small hybrid run, and the N-site bench configurations
+(``bench_multisite.two_provider_config``, ``bench_sync.shared_trunk_config``
+star and tree). The discrete-event simulator is seed-deterministic, so
+the comparison is ``==`` — not ``approx`` — down to ``events_processed``.
+
+The file was generated at the commit *before* the two-site simulator
+became a configuration of the N-site engine. Regenerate it only for a
+deliberate model change, and say so in the PR::
+
+    PYTHONPATH=src python tests/test_sim_golden.py --regen
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.apps.base import get_profile
+from repro.bench.configs import figure3_configs, figure4_configs
+from repro.cache import ChunkCache
+from repro.config import (
+    ComputeSpec,
+    DatasetSpec,
+    ExperimentConfig,
+    PlacementSpec,
+)
+from repro.core.sync import SyncSpec
+from repro.obs import EventLog
+from repro.options import ScaleOptions
+from repro.resilience.faults import FaultSpec
+from repro.sim.multisite import MultiSiteSimulation
+from repro.sim.simulation import CloudBurstSimulation
+from repro.units import MB
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = ROOT / "tests" / "data" / "sim_golden.json"
+SCALE = 0.05
+
+SYNC_SPECS = {
+    "default": None,
+    "tree+delta+zlib": SyncSpec(
+        topology="tree", encoding="delta", compress="zlib", sim_ratio=0.25
+    ),
+    "ring+stream+sparse": SyncSpec(
+        topology="ring", encoding="sparse", stream=True, sim_ratio=0.5
+    ),
+}
+
+
+def _envs(app: str) -> dict[str, ExperimentConfig]:
+    return {**figure3_configs(app, scale=SCALE), **figure4_configs(app, scale=SCALE)}
+
+
+def _bench_module(name: str):
+    """Import ``benchmarks/<name>.py``. Its ``from conftest import ...``
+    means the benchmarks' conftest, so ours steps aside for the import."""
+    ours = sys.modules.pop("conftest", None)
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
+        sys.modules.pop("conftest", None)
+        if ours is not None:
+            sys.modules["conftest"] = ours
+
+
+def _small_hybrid() -> ExperimentConfig:
+    """32 jobs, most of them in the cloud, so the trace has steals."""
+    return ExperimentConfig(
+        name="small-hybrid",
+        app="knn",
+        dataset=DatasetSpec(
+            total_bytes=8 * 4 * MB, num_files=8, chunk_bytes=1 * MB, record_bytes=4
+        ),
+        placement=PlacementSpec(local_fraction=0.25),
+        compute=ComputeSpec(local_cores=3, cloud_cores=2),
+    )
+
+
+def _traced(config: ExperimentConfig, **kwargs) -> list:
+    trace = EventLog()
+    CloudBurstSimulation(config, trace=trace, **kwargs).run()
+    return [[e.time, e.kind, e.worker, e.cluster] for e in trace.events]
+
+
+def _cached_passes() -> list:
+    sim = CloudBurstSimulation(
+        _envs("knn")["env-33/67"], cache=ChunkCache(1 << 34)
+    )
+    return [sim.run().to_dict() for _ in range(2)]
+
+
+def _shared_trunk(topology: str) -> dict:
+    config = _bench_module("bench_sync").shared_trunk_config()
+    profile = replace(get_profile("kmeans"), robj_bytes=64 * MB)
+    return MultiSiteSimulation(
+        config, profile=profile, sync=SyncSpec(topology=topology)
+    ).run().to_dict()
+
+
+def _cases() -> dict:
+    """Case name -> thunk producing the plain-data value to pin."""
+    cases: dict = {}
+    for app in ("knn", "kmeans", "pagerank"):
+        for env, config in _envs(app).items():
+            for label, spec in SYNC_SPECS.items():
+                cases[f"two-site/{app}/{env}/{label}"] = (
+                    lambda config=config, spec=spec: CloudBurstSimulation(
+                        config, sync=spec
+                    ).run().to_dict()
+                )
+    for env, config in _envs("kmeans").items():
+        cloud = config.compute.cloud_cores
+        if cloud == 0:
+            continue
+        scales = {
+            "deadline": ScaleOptions(
+                autoscale=True, deadline=100.0, max_slaves=cloud + 8, interval=0.5
+            ),
+            "budget+revoke": ScaleOptions(
+                autoscale=True, budget=0.05, max_slaves=cloud + 8, interval=0.5,
+                revocation="rate=0.05,seed=7,provision=1",
+            ),
+        }
+        for label, scale in scales.items():
+            cases[f"autoscale/{env}/{label}"] = (
+                lambda config=config, scale=scale: CloudBurstSimulation(
+                    config, scale=scale
+                ).run().to_dict()
+            )
+    hybrid = _envs("knn")["env-33/67"]
+    # A scale spec on a run with no cloud cores is a silent no-op.
+    cases["autoscale/env-local/no-cloud-cores"] = lambda: CloudBurstSimulation(
+        _envs("kmeans")["env-local"],
+        scale=ScaleOptions(autoscale=True, deadline=100.0),
+    ).run().to_dict()
+    cases["cached/2-pass"] = _cached_passes
+    cases["faults/latency+slow"] = lambda: CloudBurstSimulation(
+        hybrid,
+        faults=FaultSpec(
+            latency_rate=0.1, latency_seconds=0.5,
+            slow_rate=0.05, slow_bandwidth=1 * MB, seed=11,
+        ),
+    ).run().to_dict()
+    cases["static-assignment"] = lambda: CloudBurstSimulation(
+        hybrid, static_assignment=True
+    ).run().to_dict()
+    cases["trace/default"] = lambda: _traced(_small_hybrid())
+    cases["trace/ring+stream"] = lambda: _traced(
+        _small_hybrid(), sync=SyncSpec(topology="ring", stream=True)
+    )
+    cases["multisite/two-provider"] = lambda: MultiSiteSimulation(
+        _bench_module("bench_multisite").two_provider_config()
+    ).run().to_dict()
+    for topology in ("star", "tree"):
+        cases[f"multisite/shared-trunk/{topology}"] = (
+            lambda topology=topology: _shared_trunk(topology)
+        )
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_file_covers_exactly_these_cases(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name, golden):
+    # Through JSON so tuples/lists and int/float compare as stored.
+    assert json.loads(json.dumps(CASES[name]())) == golden[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit(__doc__)
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(
+        json.dumps({name: CASES[name]() for name in sorted(CASES)},
+                   indent=0, sort_keys=True) + "\n"
+    )
+    print(f"wrote {len(CASES)} cases to {GOLDEN_PATH}")

@@ -6,20 +6,15 @@ import pytest
 
 from repro.bench.configs import env_config
 from repro.errors import SimulationError
+from repro.obs import EventLog, render_gantt, utilization, worker_intervals
 from repro.sim.simulation import CloudBurstSimulation
-from repro.sim.trace import (
-    TraceRecorder,
-    render_gantt,
-    utilization,
-    worker_intervals,
-)
 
 SCALE = 0.03
 
 
 @pytest.fixture(scope="module")
 def traced_run():
-    trace = TraceRecorder()
+    trace = EventLog()
     config = env_config("knn", "env-50/50", scale=SCALE)
     report = CloudBurstSimulation(config, trace=trace).run()
     return trace, report
@@ -100,42 +95,42 @@ def test_render_gantt(traced_run):
 
 
 def test_trace_validation():
-    trace = TraceRecorder()
+    trace = EventLog()
     with pytest.raises(SimulationError):
         trace.record(0.0, "not-a-kind")
     # Malformed interval streams are rejected.
-    bad = TraceRecorder()
+    bad = EventLog()
     bad.record(1.0, "fetch_end", worker=0)
     with pytest.raises(SimulationError, match="without a start"):
         worker_intervals(bad, 0)
-    bad2 = TraceRecorder()
+    bad2 = EventLog()
     bad2.record(0.0, "fetch_start", worker=0)
     bad2.record(1.0, "compute_start", worker=0)
     with pytest.raises(SimulationError, match="still open"):
         worker_intervals(bad2, 0)
-    bad3 = TraceRecorder()
+    bad3 = EventLog()
     bad3.record(0.0, "fetch_start", worker=0)
     with pytest.raises(SimulationError, match="mid-retrieval"):
         worker_intervals(bad3, 0)
     with pytest.raises(SimulationError):
-        utilization(TraceRecorder(), 0.0)
+        utilization(EventLog(), 0.0)
     with pytest.raises(SimulationError):
-        render_gantt(TraceRecorder(), 1.0, width=0)
+        render_gantt(EventLog(), 1.0, width=0)
 
 
 def test_empty_trace_has_no_workers_or_intervals():
-    empty = TraceRecorder()
+    empty = EventLog()
     assert empty.workers() == []
     assert worker_intervals(empty, 0) == []
     # A worker absent from the trace simply has no intervals.
-    lone = TraceRecorder()
+    lone = EventLog()
     lone.record(0.0, "fetch_start", worker=3)
     lone.record(0.5, "fetch_end", worker=3)
     assert worker_intervals(lone, 7) == []
 
 
 def test_render_gantt_width_one():
-    trace = TraceRecorder()
+    trace = EventLog()
     trace.record(0.0, "fetch_start", worker=0)
     trace.record(0.4, "fetch_end", worker=0)
     trace.record(0.4, "compute_start", worker=0)
@@ -150,7 +145,7 @@ def test_render_gantt_width_one():
 def test_worker_intervals_sorts_out_of_order_events():
     # Threaded emission can append events out of timestamp order; the
     # pairing must sort by time first instead of rejecting the stream.
-    trace = TraceRecorder()
+    trace = EventLog()
     trace.record(0.4, "compute_start", worker=0)
     trace.record(0.1, "fetch_start", worker=0)
     trace.record(0.9, "compute_end", worker=0)
@@ -164,7 +159,7 @@ def test_worker_intervals_sorts_out_of_order_events():
 
 def test_utilization_with_zero_interval_worker():
     # A worker whose start and end coincide is fully idle, not an error.
-    trace = TraceRecorder()
+    trace = EventLog()
     trace.record(0.5, "fetch_start", worker=0)
     trace.record(0.5, "fetch_end", worker=0)
     trace.record(0.0, "fetch_start", worker=1)
@@ -178,6 +173,6 @@ def test_utilization_with_zero_interval_worker():
 def test_disabled_trace_changes_nothing():
     config = env_config("knn", "env-50/50", scale=SCALE)
     plain = CloudBurstSimulation(config).run()
-    traced = CloudBurstSimulation(config, trace=TraceRecorder()).run()
+    traced = CloudBurstSimulation(config, trace=EventLog()).run()
     assert plain.makespan == traced.makespan
     assert plain.events_processed == traced.events_processed
