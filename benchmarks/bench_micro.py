@@ -11,24 +11,17 @@ many rounds, so regressions in the data path show up directly:
 * fair-share link flow churn (the simulator's hottest model);
 * record decode over a zero-copy view (the read path's hot primitive).
 
-Run as a script, this file is the slave-substrate bench: it executes the
-same CPU-bound run on ``slave_mode="thread"`` and ``"process"`` and
-reports the throughputs side by side, asserting the data path stayed
-copy-free (``bytes_copied == 0``) in both. CI runs ``--smoke`` in each
-mode; the full run additionally demands the GIL-free substrate deliver a
->= 3x speedup when the machine actually has the cores for it.
+The slave substrates are compared at real size by
+``bench_compute_path.py`` and ``benchmarks/e2e``; a kilobyte-sized run
+here measured fork cost, not the substrate.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-
 import numpy as np
 import pytest
 
-import repro
-from repro.config import ComputeSpec, MiddlewareTuning, PlacementSpec
+from repro.config import MiddlewareTuning, PlacementSpec
 from repro.core.index import build_index
 from repro.core.reduction import ArrayReduction, TopKReduction
 from repro.core.scheduler import HeadScheduler
@@ -141,94 +134,3 @@ def test_micro_decode_view(benchmark):
     decoded = benchmark(lambda: VALUE_SCHEMA.decode(blob))
     assert decoded.shape == (131_072, 1)
     assert not decoded.flags.writeable
-
-
-# -- substrate bench (script entrypoint) -------------------------------------
-
-
-def _run_once(app: str, spec: DatasetSpec, *, slave_mode: str, workers: int,
-              seed: int):
-    """One single-site run: every read same-site, so the whole data path
-    must be served as views (bytes_copied == 0)."""
-    config = repro.RunConfig(
-        mode="runtime",
-        slave_mode=slave_mode,
-        placement=PlacementSpec(1.0),
-        compute=ComputeSpec(local_cores=workers, cloud_cores=0),
-        tuning=MiddlewareTuning(allow_stealing=False),
-        seed=seed,
-    )
-    result = repro.run(app, spec, config)
-    t = result.telemetry
-    assert t.bytes_copied == 0, (
-        f"{slave_mode} run copied {t.bytes_copied} B on the hot read loop"
-    )
-    assert t.zero_copy_reads == t.total_jobs
-    return result
-
-
-def run_substrate_bench(
-    *, smoke: bool, workers: int, units: int, slave_mode: str, seed: int
-) -> dict:
-    """Thread vs process slaves on a CPU-bound app; returns the timings."""
-    app = "kmeans"
-    units = 4096 if smoke else units
-    rb = repro.make_bundle(app, units).schema.record_bytes
-    spec = DatasetSpec(
-        total_bytes=units * rb,
-        num_files=4,
-        chunk_bytes=(units // 16) * rb,
-        record_bytes=rb,
-    )
-    modes = ("thread", "process") if slave_mode == "both" else (slave_mode,)
-    serial = repro.run(app, spec, repro.RunConfig(mode="serial", seed=seed))
-    timings: dict = {"app": app, "units": units, "workers": workers}
-    for mode in modes:
-        result = _run_once(app, spec, slave_mode=mode, workers=workers,
-                           seed=seed)
-        np.testing.assert_allclose(
-            np.asarray(serial.value), np.asarray(result.value),
-            rtol=1e-12, atol=1e-15,
-        )
-        wall = result.telemetry.wall_seconds
-        timings[mode] = wall
-        print(f"{mode:>8}: {wall:8.3f}s  "
-              f"{units / wall:12.0f} units/s  "
-              f"zero-copy reads {result.telemetry.zero_copy_reads}, "
-              f"copied {result.telemetry.bytes_copied} B")
-    if "thread" in timings and "process" in timings:
-        speedup = timings["thread"] / timings["process"]
-        timings["speedup"] = speedup
-        print(f"process-slave speedup: {speedup:.2f}x "
-              f"({workers} workers, {os.cpu_count()} cores)")
-        if not smoke and (os.cpu_count() or 1) >= workers:
-            # Only a real multi-core box can cash the GIL-free win in.
-            assert speedup >= 3.0, (
-                f"expected >= 3x from process slaves at {workers} workers, "
-                f"got {speedup:.2f}x"
-            )
-    return timings
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="thread- vs process-slave substrate bench"
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized workload, correctness-only")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--units", type=int, default=65536,
-                        help="data units for the full (non-smoke) run")
-    parser.add_argument("--slave-mode", default="both",
-                        choices=("thread", "process", "both"))
-    parser.add_argument("--seed", type=int, default=2011)
-    args = parser.parse_args(argv)
-    run_substrate_bench(
-        smoke=args.smoke, workers=args.workers, units=args.units,
-        slave_mode=args.slave_mode, seed=args.seed,
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -258,9 +258,8 @@ def collect_service(*, units: int, seed: int) -> dict:
     }
 
 
-def collect_micro(*, seed: int) -> dict:
+def collect_micro() -> dict:
     """Wall-clock micro timings — informational, never gated."""
-    from bench_micro import run_substrate_bench
     from bench_obs import drive_scheduler
 
     from repro.obs import EventLog
@@ -278,15 +277,9 @@ def collect_micro(*, seed: int) -> dict:
         )
         for _ in range(reps)
     )
-    substrate = run_substrate_bench(
-        smoke=True, workers=2, units=4096, slave_mode="both", seed=seed
-    )
     return {
         "scheduler_960_jobs_ms": round(scheduler_s * 1e3, 3),
         "emit_us": round(emit_s / emit_n * 1e6, 3),
-        "thread_slaves_ms": round(substrate["thread"] * 1e3, 3),
-        "process_slaves_ms": round(substrate["process"] * 1e3, 3),
-        "process_speedup": round(substrate["speedup"], 3),
     }
 
 
@@ -317,7 +310,7 @@ def collect_snapshot(*, smoke: bool, seed: int) -> dict:
         ),
         "zero_copy": collect_zero_copy(units=zero_copy_units, seed=seed),
         "service": collect_service(units=service_units, seed=seed),
-        "micro": collect_micro(seed=seed),
+        "micro": collect_micro(),
     }
 
 

@@ -45,11 +45,17 @@ class KMeansApp(GeneralizedReductionApp):
     name = "kmeans"
 
     def __init__(self, centroids: np.ndarray) -> None:
-        self.centroids = np.asarray(centroids, dtype=np.float32)
-        if self.centroids.ndim != 2:
+        centroids = np.asarray(centroids, dtype=np.float32)
+        if centroids.ndim != 2:
             raise ValueError("centroids must be a (k, d) array")
-        self.k, self.dims = self.centroids.shape
+        self.k, self.dims = centroids.shape
         self._schema = point_schema(self.dims)
+        self._bind(centroids)
+
+    def _bind(self, centroids: np.ndarray) -> None:
+        self.centroids = centroids
+        # |c|^2 changes only when the centroids do, not once per group.
+        self._c_norm = np.einsum("ij,ij->i", centroids, centroids)
 
     def create_reduction_object(self) -> StructReduction:
         return StructReduction(
@@ -64,14 +70,24 @@ class KMeansApp(GeneralizedReductionApp):
         pts = np.asarray(units, dtype=np.float32)
         # Pairwise squared distances via the expansion |p|^2 - 2 p.c + |c|^2;
         # the |p|^2 term is constant per point and drops out of the argmin.
-        cross = pts @ self.centroids.T  # (n, k)
-        c_norm = np.einsum("ij,ij->i", self.centroids, self.centroids)
-        assign = np.argmin(c_norm[None, :] - 2.0 * cross, axis=1)
+        # ``cross`` is this call's own (n, k) temporary, so the distances
+        # are formed in it; ``units`` itself is read-only and never written.
+        cross = pts @ self.centroids.T
+        cross *= -2.0
+        cross += self._c_norm
+        assign = cross.argmin(axis=1)
         sums = robj["sums"]
         counts = robj["counts"]
         assert isinstance(sums, ArrayReduction) and isinstance(counts, ArrayReduction)
-        np.add.at(sums.data, assign, pts.astype(np.float64))
-        np.add.at(counts.data, assign, 1)
+        # One bincount per dimension adds a cluster's points in index order
+        # in float64 — the order a 2-D ``np.add.at`` scatter would use, four
+        # to six times cheaper — so a group reduced into a fresh object is
+        # bit-identical to the scatter (tests/test_kmeans_kernel.py).
+        for j in range(self.dims):
+            sums.data[:, j] += np.bincount(
+                assign, weights=pts[:, j], minlength=self.k
+            )
+        counts.data += np.bincount(assign, minlength=self.k)
 
     def finalize(self, robj: ReductionObject) -> np.ndarray:
         return self.next_centroids(robj)
@@ -93,7 +109,7 @@ class KMeansApp(GeneralizedReductionApp):
             raise ValueError(
                 f"centroid shape changed: {self.centroids.shape} -> {centroids.shape}"
             )
-        self.centroids = centroids
+        self._bind(centroids)
 
     def decode_chunk(self, raw: bytes) -> np.ndarray:
         return self._schema.decode(raw)

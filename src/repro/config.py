@@ -31,6 +31,7 @@ __all__ = [
     "ComputeSpec",
     "MiddlewareTuning",
     "ExperimentConfig",
+    "DEFAULT_UNITS_PER_GROUP",
 ]
 
 #: Canonical site names. The paper has exactly two sites: the campus
@@ -210,6 +211,21 @@ class ComputeSpec:
         return f"({self.local_cores},{self.cloud_cores})"
 
 
+#: Data units in one ``local_reduction`` call — the only place the default
+#: is written. Section III-B sizes "groups of data units" to the core's
+#: cache so that the processing bar is spent in the kernel and not in
+#: calling it. Applied to the kernel's working set rather than to its input
+#: alone, the rule reads in bytes: a kmeans group of ``n`` 16-byte points
+#: is 16 n B of input (a view, never copied) plus 40 n B of temporaries
+#: (the ``n x k`` float32 distance block at k=8, and ``n`` int64
+#: assignments), so 32768 units are 512 KiB + 1.25 MiB — inside a 2 MiB
+#: per-core L2 — and 65536 are not. The committed sweep
+#: (``benchmarks/bench_compute_path.py``, docs/PERFORMANCE.md "Compute
+#: path") agrees: passes get faster up to 32768 and are flat beyond it,
+#: while peak RSS keeps growing.
+DEFAULT_UNITS_PER_GROUP = 32768
+
+
 @dataclass(frozen=True)
 class MiddlewareTuning:
     """Tunable middleware parameters.
@@ -222,7 +238,8 @@ class MiddlewareTuning:
     * ``retrieval_threads`` — connections each slave opens for remote
       chunk retrieval (Section III-B: "multiple retrieval threads");
     * ``units_per_group`` — data units handed to one local-reduction call
-      (sized to the processing unit's cache);
+      (sized so the kernel's working set fits the core's cache; see
+      :data:`DEFAULT_UNITS_PER_GROUP`);
     * ``consecutive_assignment`` / ``min_contention_stealing`` — ablation
       switches for the two head-scheduler heuristics;
     * ``allow_stealing`` — switch off remote-job assignment entirely
@@ -234,7 +251,7 @@ class MiddlewareTuning:
     job_group_size: int = 8
     pool_low_water: int = 2
     retrieval_threads: int = 4
-    units_per_group: int = 4096
+    units_per_group: int = DEFAULT_UNITS_PER_GROUP
     consecutive_assignment: bool = True
     min_contention_stealing: bool = True
     allow_stealing: bool = True

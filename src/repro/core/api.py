@@ -28,6 +28,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from ..config import DEFAULT_UNITS_PER_GROUP
 from ..errors import ReductionError
 from .reduction import ReductionObject, merge_all
 
@@ -94,7 +95,7 @@ def run_serial(
     app: GeneralizedReductionApp,
     chunks: Iterable[bytes],
     *,
-    units_per_group: int = 4096,
+    units_per_group: int = DEFAULT_UNITS_PER_GROUP,
 ) -> Any:
     """Run an application serially over raw chunks — the correctness oracle.
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
 
+from ..config import DEFAULT_UNITS_PER_GROUP
 from ..errors import ReductionError
 from .api import GeneralizedReductionApp
 
@@ -68,7 +69,7 @@ def run_threaded(
     *,
     threads: int = 4,
     strategy: ShmemStrategy = ShmemStrategy.FULL_REPLICATION,
-    units_per_group: int = 4096,
+    units_per_group: int = DEFAULT_UNITS_PER_GROUP,
 ) -> tuple[Any, ShmemStats]:
     """Process ``chunks`` with ``threads`` workers under a strategy.
 

@@ -1,7 +1,7 @@
 """Data-organization substrate: record schemas, synthetic generators, and
 the files -> chunks -> units machinery of Section III-B."""
 
-from .chunks import ChunkSlice, groups_in_chunk, iter_chunk_slices, iter_group_slices
+from .chunks import ChunkSlice, iter_chunk_slices
 from .dataset import BlockFn, DatasetReader, build_dataset
 from .generators import (
     gaussian_points,
@@ -22,9 +22,7 @@ from .records import (
 
 __all__ = [
     "ChunkSlice",
-    "groups_in_chunk",
     "iter_chunk_slices",
-    "iter_group_slices",
     "BlockFn",
     "DatasetReader",
     "build_dataset",

@@ -1,9 +1,10 @@
-"""Chunk and unit-group arithmetic.
+"""Chunk arithmetic and the zero-copy view primitive.
 
 The three-granularity organization (Section III-B) needs two partitions to
-be exact: a file is a whole number of chunks, and a chunk's units are
-covered exactly once by its cache-sized unit groups. The helpers here do
-that arithmetic in one place; property tests pin the exact-cover invariants.
+be exact: a file is a whole number of chunks (here), and a chunk's units
+are covered exactly once by its cache-sized unit groups
+(:meth:`repro.core.api.GeneralizedReductionApp.unit_groups`, the only
+splitter). Property tests pin both exact-cover invariants.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ __all__ = [
     "ChunkSlice",
     "readonly_view",
     "iter_chunk_slices",
-    "iter_group_slices",
-    "groups_in_chunk",
 ]
 
 
@@ -61,25 +60,3 @@ def iter_chunk_slices(file_bytes: int, chunk_bytes: int) -> Iterator[ChunkSlice]
         )
     for index in range(file_bytes // chunk_bytes):
         yield ChunkSlice(index=index, offset=index * chunk_bytes, nbytes=chunk_bytes)
-
-
-def iter_group_slices(num_units: int, units_per_group: int) -> Iterator[slice]:
-    """Yield ``slice`` objects covering ``num_units`` in cache-sized groups.
-
-    The final group may be short; every unit is covered exactly once.
-    """
-    if num_units < 0:
-        raise DataFormatError("unit count cannot be negative")
-    if units_per_group <= 0:
-        raise DataFormatError("units_per_group must be positive")
-    for start in range(0, num_units, units_per_group):
-        yield slice(start, min(start + units_per_group, num_units))
-
-
-def groups_in_chunk(num_units: int, units_per_group: int) -> int:
-    """Number of local-reduction invocations one chunk produces."""
-    if units_per_group <= 0:
-        raise DataFormatError("units_per_group must be positive")
-    if num_units < 0:
-        raise DataFormatError("unit count cannot be negative")
-    return -(-num_units // units_per_group)

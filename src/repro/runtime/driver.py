@@ -39,6 +39,7 @@ from ..resilience.retry import RetryPolicy
 from ..scale import Autoscaler, SpotRevoker
 from ..storage.base import StorageService
 from ..core.shmem import ShmemStrategy
+from .corebudget import slave_cores
 from .head import HeadNode, HeadSync
 from .master import MasterNode, MasterSync
 from .messages import SlaveAttach, SlaveDetach
@@ -154,6 +155,13 @@ class CloudBurstingRuntime:
         self.process_start_method = process_start_method
 
     def run(self) -> RuntimeResult:
+        # One core's worth of BLAS threads per slave while the slaves
+        # compute, the previous size back on any exit. Thread slaves compute
+        # in this process; forked process slaves inherit the cap with it.
+        with slave_cores(self.compute.total_cores):
+            return self._run()
+
+    def _run(self) -> RuntimeResult:
         started = time.perf_counter()
         # Injector counters are cumulative across passes (run_iterative
         # reuses the stores); report this run's delta.

@@ -37,10 +37,12 @@ import traceback
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing import shared_memory
 
+from ..config import DEFAULT_UNITS_PER_GROUP
 from ..core.api import GeneralizedReductionApp
 from ..core.reduction import ReductionObject, from_bytes
 from ..core.shmem import ShmemStrategy
 from ..errors import ConfigurationError, RuntimeProtocolError
+from .corebudget import cap_blas_threads
 
 __all__ = ["ProcessSlave", "ProcessSlavePool", "default_start_method"]
 
@@ -61,6 +63,7 @@ def _worker_main(
     app_blob: bytes,
     units_per_group: int,
     replicated: bool,
+    workers: int,
 ) -> None:
     """Worker-process loop: serve reduce/flush requests until told to exit.
 
@@ -69,6 +72,9 @@ def _worker_main(
     traceback)`` reply and ends the worker — the proxy surfaces it as a
     slave failure and the master re-executes the in-flight job elsewhere.
     """
+    # This process is one of ``workers`` slaves on the node: take one
+    # slave's share of its cores before the kernel's first BLAS call.
+    cap_blas_threads(workers)
     # Attaching registers the segment with the resource tracker again,
     # but workers share the parent's tracker (its registry is a set), so
     # the pool's own unlink-at-close remains the single cleanup point.
@@ -144,6 +150,7 @@ class ProcessSlave:
         units_per_group: int,
         strategy: ShmemStrategy,
         timeout: float,
+        workers: int,
     ) -> None:
         self.slave_id = slave_id
         self.timeout = timeout
@@ -168,6 +175,7 @@ class ProcessSlave:
                 app_blob,
                 units_per_group,
                 self._replicated,
+                workers,
             ),
             name=f"slave-proc:{slave_id}",
             daemon=True,
@@ -256,7 +264,7 @@ class ProcessSlavePool:
         workers: int,
         *,
         max_chunk_bytes: int,
-        units_per_group: int = 4096,
+        units_per_group: int = DEFAULT_UNITS_PER_GROUP,
         strategy: ShmemStrategy | str = ShmemStrategy.FULL_REPLICATION,
         start_method: str | None = None,
         timeout: float = 600.0,
@@ -288,6 +296,7 @@ class ProcessSlavePool:
                         units_per_group=units_per_group,
                         strategy=strategy,
                         timeout=timeout,
+                        workers=workers,
                     )
                 )
         except BaseException:

@@ -29,6 +29,7 @@ import threading
 from typing import Callable
 
 from ..cache import Prefetcher
+from ..config import DEFAULT_UNITS_PER_GROUP
 from ..core.api import GeneralizedReductionApp
 from ..core.job import Job
 from ..data.dataset import DatasetReader
@@ -59,7 +60,7 @@ class SlaveWorker:
         reader: DatasetReader,
         master_inbox: Mailbox,
         *,
-        units_per_group: int = 4096,
+        units_per_group: int = DEFAULT_UNITS_PER_GROUP,
         fault_hook: FaultHook | None = None,
         trace: EventLog | None = None,
         metrics: MetricsRegistry | None = None,

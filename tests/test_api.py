@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.api import GeneralizedReductionApp, run_serial
 from repro.core.reduction import ScalarReduction
@@ -49,6 +51,16 @@ def test_unit_groups_rejects_bad_size():
     app = SummingApp()
     with pytest.raises(ReductionError):
         list(app.unit_groups(np.zeros(3), 0))
+
+
+@given(units=st.integers(0, 500), per_group=st.integers(1, 64))
+def test_group_cover_property(units, per_group):
+    """Every unit lands in exactly one group, in order, none oversized."""
+    data = np.arange(units)
+    groups = list(SummingApp().unit_groups(data, per_group))
+    assert len(groups) == -(-units // per_group)
+    assert all(0 < len(g) <= per_group for g in groups)
+    assert [u for g in groups for u in g.tolist()] == data.tolist()
 
 
 def test_group_size_does_not_change_result():

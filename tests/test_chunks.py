@@ -1,4 +1,8 @@
-"""Tests for chunk/unit-group arithmetic (exact-cover invariants)."""
+"""Tests for chunk arithmetic (exact-cover invariants).
+
+The unit-group cover property lives with the one splitter,
+``GeneralizedReductionApp.unit_groups``, in ``tests/test_api.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.data.chunks import (
-    groups_in_chunk,
-    iter_chunk_slices,
-    iter_group_slices,
-)
+from repro.data.chunks import iter_chunk_slices
 from repro.errors import DataFormatError
 
 
@@ -28,22 +28,6 @@ def test_chunk_slices_reject_ragged():
         list(iter_chunk_slices(0, 10))
 
 
-def test_group_slices_last_short():
-    groups = list(iter_group_slices(10, 4))
-    assert groups == [slice(0, 4), slice(4, 8), slice(8, 10)]
-    assert list(iter_group_slices(0, 4)) == []
-
-
-def test_groups_in_chunk():
-    assert groups_in_chunk(10, 4) == 3
-    assert groups_in_chunk(8, 4) == 2
-    assert groups_in_chunk(0, 4) == 0
-    with pytest.raises(DataFormatError):
-        groups_in_chunk(10, 0)
-    with pytest.raises(DataFormatError):
-        groups_in_chunk(-1, 4)
-
-
 @given(chunks=st.integers(1, 50), chunk_bytes=st.integers(1, 1000))
 def test_chunk_cover_property(chunks, chunk_bytes):
     file_bytes = chunks * chunk_bytes
@@ -54,15 +38,3 @@ def test_chunk_cover_property(chunks, chunk_bytes):
         assert s.offset == covered
         covered += s.nbytes
     assert covered == file_bytes
-
-
-@given(units=st.integers(0, 500), per_group=st.integers(1, 64))
-def test_group_cover_property(units, per_group):
-    slices = list(iter_group_slices(units, per_group))
-    assert len(slices) == groups_in_chunk(units, per_group)
-    covered = 0
-    for s in slices:
-        assert s.start == covered
-        assert s.stop - s.start <= per_group
-        covered = s.stop
-    assert covered == units
