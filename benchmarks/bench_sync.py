@@ -19,17 +19,28 @@ artifacts pin what the sync stack buys back:
 * **Default overhead** — the dense/star/barrier default constructs zero
   sync machinery (the driver normalizes it to the legacy path); paired
   timing against ``sync=None`` must stay within 2 %.
+* **Codec table** — what ``wire.encode`` chooses between at the
+  ``benchmarks/e2e`` ``pagerank_sync`` object size (2 Mi edges, 262,144
+  pages; the half-cluster object the cloud master ships and the
+  full-cluster one the head-site master ships, passes 1-4): per
+  candidate its body bytes, the sampled estimate, the size and time of
+  compressing it in full, and which one the encoder picked. The
+  estimate must rank the candidates as full compression does, and one
+  encode must compress exactly one whole body.
 
 Run directly with ``--smoke`` for a quick CI-sized pass of the first two
-artifacts (same assertions); ``--out report.json`` writes the WAN-bytes
-accounting as a machine-readable artifact.
+artifacts and a quarter-size codec table (same assertions); ``--out
+report.json`` writes the WAN-bytes accounting as a machine-readable
+artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import time
 import timeit
+from contextlib import contextmanager
 from dataclasses import replace
 
 from conftest import print_block
@@ -45,6 +56,7 @@ from repro.config import (
     MiddlewareTuning,
     PlacementSpec,
 )
+from repro.core import wire
 from repro.core.sync import SyncSpec
 from repro.data.dataset import build_dataset
 from repro.network.topology import Link
@@ -293,6 +305,133 @@ def test_default_sync_spec_overhead_under_two_percent():
     )
 
 
+# -- codec table: estimate, then compress one --------------------------------
+
+E2E_UNITS, E2E_PAGES = 2_097_152, 262_144
+
+
+def pagerank_objects(units: int, n_pages: int, passes: int):
+    """The rank accumulators a two-cluster tree ships on each power
+    iteration: the cloud master's half and the head-site master's full."""
+    bundle = make_bundle("pagerank", units, n_pages=n_pages)
+    app, edges = bundle.app, bundle.block_fn(0, units, 0)
+    for _ in range(passes):
+        half = app.create_reduction_object()
+        app.local_reduction(half, edges[: units // 2])
+        full = app.create_reduction_object()
+        app.local_reduction(full, edges[units // 2 :])
+        full.merge(half)
+        yield {"half": half, "full": full}
+        app.update(app.finalize(full))
+
+
+@contextmanager
+def counted_compress():
+    """Record the length of every body handed to ``wire._compress``."""
+    fed: list[int] = []
+    real = wire._compress
+
+    def counting(body, compress):
+        fed.append(len(body))
+        return real(body, compress)
+
+    wire._compress = counting
+    try:
+        yield fed
+    finally:
+        wire._compress = real
+
+
+def _ms(fn):
+    started = time.perf_counter()
+    out = fn()
+    return out, (time.perf_counter() - started) * 1e3
+
+
+def run_codec_table(units: int, n_pages: int, passes: int = 4):
+    """One entry per encode on a ``delta+zlib`` channel, with one row per
+    candidate body inside it."""
+    encodes = []
+    baselines: dict[str, bytes | None] = {"half": None, "full": None}
+    for i, objects in enumerate(pagerank_objects(units, n_pages, passes), 1):
+        for label, robj in objects.items():
+            baseline = baselines[label]
+            with counted_compress() as fed:
+                encoded, encode_ms = _ms(lambda: wire.encode(
+                    robj, encoding="delta", compress="zlib", baseline=baseline
+                ))
+            bodies = wire._bodies(robj, encoded.dense, "delta", baseline)
+            candidates = []
+            for name, body in bodies.items():
+                (estimate, _), estimate_ms = _ms(
+                    lambda: wire._estimate(body, "zlib")
+                )
+                packed, compress_ms = _ms(lambda: wire._compress(body, "zlib"))
+                candidates.append({
+                    "candidate": name, "body_bytes": len(body),
+                    "estimate_bytes": estimate, "estimate_ms": estimate_ms,
+                    "actual_bytes": len(packed[0]), "compress_ms": compress_ms,
+                })
+            body_sizes = {len(body) for body in bodies.values()}
+            encodes.append({
+                "pass": i, "object": label, "chosen": encoded.encoding,
+                "encode_ms": encode_ms, "wire_bytes": len(encoded.blob),
+                "whole_bodies_compressed": sum(n in body_sizes for n in fed),
+                "compressor_bytes": sum(fed),
+                "candidates": candidates,
+            })
+            baselines[label] = encoded.dense
+    return encodes
+
+
+def render_codec_table(encodes) -> str:
+    table = render_table(
+        ("pass", "object", "candidate", "body B", "estimate B", "est ms",
+         "actual B", "full ms", "chosen"),
+        [
+            (e["pass"], e["object"], c["candidate"], f"{c['body_bytes']:,}",
+             f"{c['estimate_bytes']:,}", f"{c['estimate_ms']:.1f}",
+             f"{c['actual_bytes']:,}", f"{c['compress_ms']:.1f}",
+             f"<- {e['encode_ms']:.1f} ms"
+             if c["candidate"] == e["chosen"] else "")
+            for e in encodes for c in e["candidates"]
+        ],
+    )
+    return table + "\n(chosen: the whole wire.encode call, every candidate built)"
+
+
+def check_codec_table(encodes) -> dict:
+    budget = wire._SAMPLE_BLOCKS * wire._SAMPLE_BLOCK
+    for e in encodes:
+        key = (e["pass"], e["object"])
+        by_estimate = sorted(e["candidates"], key=lambda c: c["estimate_bytes"])
+        by_actual = sorted(e["candidates"], key=lambda c: c["actual_bytes"])
+        assert by_estimate == by_actual, (
+            f"estimate misranks the candidates of {key}"
+        )
+        smallest = by_actual[0]
+        assert e["chosen"] == smallest["candidate"], key
+        assert e["whole_bodies_compressed"] == 1, key
+        assert e["compressor_bytes"] <= (
+            smallest["body_bytes"] + len(e["candidates"]) * budget
+        ), key
+    return {
+        "encodes": len(encodes),
+        "wire_bytes": sum(e["wire_bytes"] for e in encodes),
+        "encode_ms": sum(e["encode_ms"] for e in encodes),
+        "compress_all_ms": sum(
+            c["compress_ms"] for e in encodes for c in e["candidates"]
+        ),
+    }
+
+
+def test_codec_estimate_ranks_like_full_compression():
+    encodes = run_codec_table(E2E_UNITS // 4, E2E_PAGES // 4, passes=3)
+    print_block("codec candidates, quarter-size pagerank object\n"
+                + render_codec_table(encodes))
+    check_codec_table(encodes)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -317,12 +456,24 @@ def main(argv=None) -> int:
     topologies = check_topologies(reports)
     print("ok: tree and ring beat star on the shared head-ingress trunk")
 
+    scale = 4 if args.smoke else 1
+    encodes = run_codec_table(E2E_UNITS // scale, E2E_PAGES // scale)
+    print(render_codec_table(encodes))
+    codec = check_codec_table(encodes)
+    print(
+        f"ok: {codec['encodes']} encodes in {codec['encode_ms']:.0f} ms, one "
+        f"whole body compressed each (compressing every candidate: "
+        f"{codec['compress_all_ms']:.0f} ms)"
+    )
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(
                 {
                     "iterative_pagerank": iterative,
                     "multisite_makespans": topologies,
+                    "codec": codec,
+                    "codec_table": encodes,
                 },
                 fh, indent=2,
             )

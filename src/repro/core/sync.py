@@ -194,6 +194,12 @@ class SyncCodec:
     across iterative passes (the runtime driver owns one codec for the
     whole run), which is exactly what makes pass-N PageRank uploads tiny:
     the object barely changed since pass N-1.
+
+    A channel has one sender thread and one receiver thread, so its
+    baseline cannot change under a running call: the lock covers only the
+    baseline read and the baseline + stats store, and the encode or
+    decode itself (zlib releases the GIL) runs outside it — two masters'
+    uploads overlap instead of queueing.
     """
 
     def __init__(self, spec: SyncSpec) -> None:
@@ -206,12 +212,13 @@ class SyncCodec:
     def encode(self, channel: str, robj: ReductionObject) -> wire.EncodedObject:
         with self._lock:
             baseline = self._encode_baselines.get(channel)
-            encoded = wire.encode(
-                robj,
-                encoding=self.spec.encoding,
-                compress=self.spec.compress,
-                baseline=baseline,
-            )
+        encoded = wire.encode(
+            robj,
+            encoding=self.spec.encoding,
+            compress=self.spec.compress,
+            baseline=baseline,
+        )
+        with self._lock:
             self._encode_baselines[channel] = encoded.dense
             self.stats.uploads += 1
             self.stats.wire_bytes += len(encoded.blob)
@@ -219,11 +226,12 @@ class SyncCodec:
             self.stats.encodings[encoded.encoding] = (
                 self.stats.encodings.get(encoded.encoding, 0) + 1
             )
-            return encoded
+        return encoded
 
     def decode(self, channel: str, blob: bytes) -> ReductionObject:
         with self._lock:
             baseline = self._decode_baselines.get(channel)
-            decoded = wire.decode(blob, baseline=baseline)
+        decoded = wire.decode(blob, baseline=baseline)
+        with self._lock:
             self._decode_baselines[channel] = decoded.dense
-            return decoded.robj
+        return decoded.robj

@@ -19,12 +19,22 @@ Encodings
     arithmetic — then byte-shuffled (Blosc-style) so the near-zero high
     bytes of a converging workload form long runs the compressor eats.
     Non-array objects fall back to an XOR of the dense blobs;
-  * **auto** — per object, pick whichever candidate is smallest.
+  * **auto** — per object, pick whichever candidate is smallest by
+    estimate. ``delta`` and ``auto`` share one candidate set — delta
+    (once the channel has a baseline), sparse, dense — so a first upload
+    or a mostly-identity object is never stuck with dense.
+
+**Compress once.** Building a candidate body costs a millisecond or two
+at 2 MiB; compressing one costs tens. So the candidates are ranked by
+the compressed size of a fixed strided sample of each body, and only the
+winner is compressed in full. A body small enough to compress whole is
+its own exact estimate and is not compressed again.
 
 Compression (zlib always; lz4 only when the host already ships it — this
 repo never installs dependencies) is applied transparently and dropped
-per-object when it does not shrink the body, so every knob setting is
-safe: the wire blob is never materially larger than dense.
+per-object when it does not shrink the body, and a non-dense winner that
+is not smaller than the dense serialization is dropped for dense, so
+every knob setting is safe: the wire body is never larger than dense.
 
 **Bit-exactness.** Delta decoding must reproduce the sender's object
 *bit for bit*, otherwise encoder and decoder baselines drift and later
@@ -71,7 +81,7 @@ __all__ = [
     "lz4_available",
 ]
 
-#: Encoding knob values (``auto`` picks the smallest candidate per object).
+#: Encoding knob values (``auto`` picks the smallest-by-estimate candidate).
 ENCODINGS = ("dense", "sparse", "delta", "auto")
 
 #: Compression knob values.
@@ -88,6 +98,13 @@ _COMP_NAMES = {v: k for k, v in _COMP_IDS.items()}
 
 #: Bodies smaller than this are never worth compressing.
 _MIN_COMPRESS = 64
+
+#: A size estimate compresses this many evenly strided blocks of a body.
+_SAMPLE_BLOCKS = 16
+_SAMPLE_BLOCK = 8192
+#: Up to twice the sample, sampling and then compressing the winner costs
+#: more than compressing the body whole, once, and keeping the result.
+_WHOLE_BODY = 2 * _SAMPLE_BLOCKS * _SAMPLE_BLOCK
 
 
 def lz4_available() -> bool:
@@ -159,6 +176,12 @@ def _unshuffle(raw: bytes, itemsize: int) -> np.ndarray:
 
 def _bits(arr: np.ndarray, lane: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(arr).reshape(-1).view(lane)
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return np.bitwise_xor(
+        np.frombuffer(a, dtype=np.uint8), np.frombuffer(b, dtype=np.uint8)
+    ).tobytes()
 
 
 # -- sparse encoding ---------------------------------------------------------
@@ -268,15 +291,19 @@ def _delta_tree(cur: ReductionObject, base: ReductionObject):
     base_dense = base.to_bytes()
     if len(cur_dense) != len(base_dense):
         raise _Unsupported
-    xored = np.bitwise_xor(
-        np.frombuffer(cur_dense, dtype=np.uint8),
-        np.frombuffer(base_dense, dtype=np.uint8),
-    )
-    return ("xor", xored.tobytes())
+    return ("xor", _xor(cur_dense, base_dense))
 
 
-def _delta_body(cur: ReductionObject, base: ReductionObject) -> bytes:
-    return pickle.dumps(_delta_tree(cur, base), protocol=pickle.HIGHEST_PROTOCOL)
+def _delta_body(cur: ReductionObject, dense: bytes, baseline: bytes) -> bytes:
+    if isinstance(cur, (ArrayReduction, StructReduction)):
+        tree = _delta_tree(cur, from_bytes(baseline))
+    elif len(dense) == len(baseline):
+        # Whole-blob XOR against the baseline *bytes*: reversible
+        # without ever re-serializing the baseline object.
+        tree = ("xor", _xor(dense, baseline))
+    else:
+        raise _Unsupported
+    return pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _delta_restore(tree, base: ReductionObject) -> ReductionObject:
@@ -316,11 +343,7 @@ def _delta_restore(tree, base: ReductionObject) -> ReductionObject:
                 raise ReductionError(
                     "delta payload does not match the channel baseline"
                 )
-            dense = np.bitwise_xor(
-                np.frombuffer(tree[1], dtype=np.uint8),
-                np.frombuffer(base_dense, dtype=np.uint8),
-            ).tobytes()
-            return from_bytes(dense)
+            return from_bytes(_xor(tree[1], base_dense))
     except ReductionError:
         raise
     except Exception as exc:
@@ -368,7 +391,45 @@ def _decompress(body: bytes, compression: str) -> bytes:
         raise
     except Exception as exc:
         raise ReductionError(f"corrupt compressed payload: {exc}") from exc
-    raise ReductionError(f"unknown compression id in wire header")
+    raise ReductionError(f"unknown compression {compression!r} in wire header")
+
+
+def _estimate(body: bytes, compress: str) -> tuple[int, tuple[bytes, str] | None]:
+    """Predicted compressed size of ``body`` from a strided sample of it.
+
+    A body of at most ``_WHOLE_BODY`` bytes is compressed whole: the size
+    is then exact and the packed ``(body, compression)`` is returned for
+    reuse, so the winner is never compressed a second time.
+    """
+    if compress == "none" or len(body) <= _WHOLE_BODY:
+        packed = _compress(body, compress)
+        return len(packed[0]), packed
+    stride = (len(body) - _SAMPLE_BLOCK) // (_SAMPLE_BLOCKS - 1)
+    view = memoryview(body)
+    sample = b"".join(
+        view[at : at + _SAMPLE_BLOCK]
+        for at in range(0, stride * _SAMPLE_BLOCKS, stride)
+    )
+    return len(_compress(sample, compress)[0]) * len(body) // len(sample), None
+
+
+def _bodies(
+    robj: ReductionObject, dense: bytes, encoding: str, baseline: bytes | None
+) -> dict[str, bytes]:
+    """The uncompressed candidate bodies ``encoding`` allows, dense first."""
+    bodies = {"dense": dense}
+    adaptive = encoding in ("delta", "auto")
+    if adaptive and baseline is not None:
+        try:
+            bodies["delta"] = _delta_body(robj, dense, baseline)
+        except _Unsupported:
+            pass
+    if adaptive or encoding == "sparse":
+        try:
+            bodies["sparse"] = _sparse_body(robj)
+        except _Unsupported:
+            pass
+    return bodies
 
 
 # -- public API --------------------------------------------------------------
@@ -387,52 +448,33 @@ def encode(
     on this channel (see :class:`~repro.core.sync.SyncCodec`, which
     manages baselines per sender). Requested encodings that cannot apply
     — delta without a baseline, sparse over a dense array — silently fall
-    back to the cheapest representable form; the header records what was
-    actually used, so decoding needs no out-of-band agreement.
+    back to the cheapest representable form (``delta`` and ``auto`` both
+    choose among delta, sparse and dense); the header records what was
+    actually used, so decoding needs no out-of-band agreement. At most
+    one body larger than the estimate sample is compressed per call.
     """
     if encoding not in ENCODINGS:
         raise ReductionError(f"unknown wire encoding {encoding!r}")
     if compress not in COMPRESSIONS:
         raise ReductionError(f"unknown compression {compress!r}")
     dense = robj.to_bytes()
-    candidates: list[tuple[str, bytes]] = []
-    want_delta = encoding in ("delta", "auto") and baseline is not None
-    want_sparse = encoding == "sparse" or (
-        encoding == "auto" and not want_delta
-    )
-    if want_delta:
-        try:
-            if isinstance(robj, (ArrayReduction, StructReduction)):
-                delta = _delta_body(robj, from_bytes(baseline))
-            elif len(dense) == len(baseline):
-                # Whole-blob XOR against the baseline *bytes*: reversible
-                # without ever re-serializing the baseline object.
-                xored = np.bitwise_xor(
-                    np.frombuffer(dense, dtype=np.uint8),
-                    np.frombuffer(baseline, dtype=np.uint8),
-                ).tobytes()
-                delta = pickle.dumps(
-                    ("xor", xored), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            else:
-                raise _Unsupported
-            candidates.append(("delta", delta))
-        except _Unsupported:
-            pass
-    if want_sparse:
-        try:
-            candidates.append(("sparse", _sparse_body(robj)))
-        except _Unsupported:
-            pass
-    # Candidates are judged by their *final* wire size: a delta of a
+    bodies = _bodies(robj, dense, encoding, baseline)
+    # Candidates are judged by their *compressed* size: a delta of a
     # near-identical object is as long as dense uncompressed (XOR keeps
-    # the length) but collapses to almost nothing once compressed, so
-    # comparing pre-compression sizes would never pick it.
-    chosen, (body, used_compress) = "dense", _compress(dense, compress)
-    for name, candidate in candidates:
-        packed, packed_compress = _compress(candidate, compress)
-        if len(packed) < len(body):
-            chosen, body, used_compress = name, packed, packed_compress
+    # the length) but collapses to almost nothing once compressed.
+    estimates = {
+        name: _estimate(body, compress) for name, body in bodies.items()
+    }
+    # min() keeps the first of equals and dense comes first: a tie ships dense.
+    chosen = min(estimates, key=lambda name: estimates[name][0])
+    body, used_compress = estimates[chosen][1] or _compress(
+        bodies[chosen], compress
+    )
+    if chosen != "dense" and len(body) >= len(dense):
+        # Never grow — the exact check behind the estimate. Dense goes as
+        # it stands, so no encode compresses two large bodies.
+        chosen = "dense"
+        body, used_compress = estimates["dense"][1] or (dense, "none")
     blob = _HEADER.pack(
         _MAGIC, _VERSION, _ENC_IDS[chosen], _COMP_IDS[used_compress]
     ) + body
@@ -456,7 +498,7 @@ def decode(blob: bytes, *, baseline: bytes | None = None) -> DecodedObject:
         )
     if len(blob) < _HEADER.size:
         raise ReductionError("truncated wire header")
-    magic, version, enc_id, comp_id = _HEADER.unpack_from(blob)
+    _, version, enc_id, comp_id = _HEADER.unpack_from(blob)
     if version != _VERSION:
         raise ReductionError(f"unsupported wire version {version}")
     encoding = _ENC_NAMES.get(enc_id)
@@ -479,15 +521,11 @@ def decode(blob: bytes, *, baseline: bytes | None = None) -> DecodedObject:
             )
         tree = _load_tree(body)
         if tree[0] == "xor":
-            base_dense = baseline
-            if len(tree[1]) != len(base_dense):
+            if len(tree[1]) != len(baseline):
                 raise ReductionError(
                     "delta payload does not match the channel baseline"
                 )
-            dense = np.bitwise_xor(
-                np.frombuffer(tree[1], dtype=np.uint8),
-                np.frombuffer(base_dense, dtype=np.uint8),
-            ).tobytes()
+            dense = _xor(tree[1], baseline)
             robj = _from_dense(dense)
         else:
             robj = _delta_restore(tree, from_bytes(baseline))

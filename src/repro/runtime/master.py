@@ -10,6 +10,7 @@ the head.
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -146,8 +147,6 @@ class MasterNode:
         return True
 
     def _serve(self) -> None:
-        import time
-
         head_exhausted = False
         waiting: deque[SlaveJobRequest] = deque()
         robjs: list[SlaveReduction] = []
@@ -363,7 +362,9 @@ class MasterNode:
                 ReductionUpload(cluster=self.name, blob=combined.to_bytes())
             )
         else:
+            started = time.perf_counter()
             encoded = sync.codec.encode(self.name, combined)
+            encode_ms = (time.perf_counter() - started) * 1e3
             self.sync_wire_bytes += len(encoded.blob)
             self.sync_dense_bytes += len(encoded.dense)
             if self.trace is not None:
@@ -371,7 +372,8 @@ class MasterNode:
                     "sync_upload", cluster=self.name,
                     detail=(
                         f"{encoded.encoding}+{encoded.compression} "
-                        f"{len(encoded.blob)}/{len(encoded.dense)}B"
+                        f"{len(encoded.blob)}/{len(encoded.dense)}B "
+                        f"{encode_ms:.1f}ms"
                     ),
                 )
             sync.parent_inbox.post(

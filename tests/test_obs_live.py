@@ -185,7 +185,7 @@ def traced_run_log() -> EventLog:
     log.record(1.2, "compute_start", worker=0, job_id=1, cluster="a")
     log.record(1.8, "compute_end", worker=0, job_id=1, cluster="a")
     log.record(1.8, "job_done", worker=0, job_id=1, cluster="a")
-    log.record(2.0, "sync_upload", cluster="a", detail="robj 128/512B zlib")
+    log.record(2.0, "sync_upload", cluster="a", detail="sparse+zlib 128/512B 0.4ms")
     return log
 
 

@@ -5,10 +5,16 @@ topology story (tree beats star on a shared head-ingress trunk).
 
 from __future__ import annotations
 
+import re
+import sys
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import make_bundle
 from repro.apps.base import get_profile
@@ -21,9 +27,15 @@ from repro.config import (
     MiddlewareTuning,
     PlacementSpec,
 )
+from repro.core import wire
 from repro.core.api import run_serial
 from repro.core.index import build_index
-from repro.core.reduction import DictReduction, ScalarReduction, from_bytes
+from repro.core.reduction import (
+    ArrayReduction,
+    DictReduction,
+    ScalarReduction,
+    from_bytes,
+)
 from repro.core.scheduler import HeadScheduler
 from repro.core.sync import (
     SyncCodec,
@@ -36,6 +48,7 @@ from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import ConfigurationError, RuntimeProtocolError, WorkerFailure
 from repro.network.topology import Link
 from repro.network.transfer import sync_aggregation_time, transfer_time
+from repro.obs.events import EventLog
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.runtime.head import HeadNode, HeadSync
 from repro.runtime.messages import ReductionUpload
@@ -151,6 +164,124 @@ def test_codec_tracks_bytes_saved_per_channel():
     assert stats.encodings.get("delta", 0) >= 2
 
 
+def test_two_channels_encode_and_decode_concurrently(monkeypatch):
+    """The codec lock guards baselines and stats, not the codec work: two
+    channels' encodes (and an encode beside a decode) are inside
+    ``wire`` at the same moment. Each patched call waits for a partner
+    at a two-party barrier, which times out if the calls are serialized."""
+    meet = threading.Barrier(2, timeout=5.0)
+    real_encode, real_decode = wire.encode, wire.decode
+
+    def encode(*args, **kwargs):
+        meet.wait()
+        return real_encode(*args, **kwargs)
+
+    def decode(*args, **kwargs):
+        meet.wait()
+        return real_decode(*args, **kwargs)
+
+    codec = SyncCodec(SyncSpec(encoding="delta", compress="zlib"))
+    robj = ArrayReduction(64, data=np.arange(64.0))
+    blob = codec.encode("c", robj).blob  # unpatched: nothing to meet yet
+    monkeypatch.setattr(wire, "encode", encode)
+    monkeypatch.setattr(wire, "decode", decode)
+    errors: list[BaseException] = []
+
+    def guarded(fn, *args):
+        try:
+            fn(*args)
+        except BaseException as exc:  # BrokenBarrierError on a timeout
+            errors.append(exc)
+
+    for calls in (
+        [(codec.encode, "a", robj), (codec.encode, "b", robj)],
+        [(codec.encode, "a", robj), (codec.decode, "c", blob)],
+    ):
+        threads = [threading.Thread(target=guarded, args=call) for call in calls]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert not errors, errors
+    assert codec.stats.uploads == 4
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    chains=st.lists(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=8, max_size=8),
+            min_size=1, max_size=4,
+        ),
+        min_size=2, max_size=4,
+    ),
+)
+def test_codec_state_is_exact_under_interleaved_channels(chains):
+    """One sender/receiver thread per channel, all channels at once on a
+    shortened switch interval: the shared stats equal the sum of what
+    each channel produces alone, and both baseline stores end on each
+    channel's last object."""
+    spec = SyncSpec(encoding="auto", compress="zlib")
+    objects = {
+        f"ch{i}": [
+            ArrayReduction(8, data=np.array(values, dtype=np.float64))
+            for values in chain
+        ]
+        for i, chain in enumerate(chains)
+    }
+    expected = Counter()
+    encodings = Counter()
+    for name, chain in objects.items():
+        alone = SyncCodec(spec)
+        for robj in chain:
+            alone.encode(name, robj)
+        expected.update(
+            uploads=alone.stats.uploads,
+            wire_bytes=alone.stats.wire_bytes,
+            dense_bytes=alone.stats.dense_bytes,
+        )
+        encodings.update(alone.stats.encodings)
+
+    codec = SyncCodec(spec)
+    start = threading.Barrier(len(objects), timeout=5.0)
+    failures: list[BaseException] = []
+
+    def channel(name, chain):
+        try:
+            start.wait()
+            for robj in chain:
+                blob = codec.encode(name, robj).blob
+                assert codec.decode(name, blob).to_bytes() == robj.to_bytes()
+        except BaseException as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=channel, args=item)
+            for item in objects.items()
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures
+    stats = codec.stats
+    assert stats.uploads == expected["uploads"]
+    assert stats.wire_bytes == expected["wire_bytes"]
+    assert stats.dense_bytes == expected["dense_bytes"]
+    assert stats.encodings == dict(encodings)
+    for name, chain in objects.items():
+        last = chain[-1].to_bytes()
+        assert codec._encode_baselines[name] == last
+        assert codec._decode_baselines[name] == last
+
+
 # -- head timing via the injectable clock ------------------------------------
 
 
@@ -242,13 +373,16 @@ def materialize(app_key="histogram", total_units=2048, **params):
     return bundle, index, stores
 
 
-def run_once(bundle, index, stores, sync=None, fault_hook=None, cores=(1, 1)):
+def run_once(
+    bundle, index, stores, sync=None, fault_hook=None, cores=(1, 1), trace=None
+):
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores,
         ComputeSpec(local_cores=cores[0], cloud_cores=cores[1]),
         tuning=MiddlewareTuning(units_per_group=100),
         sync=sync,
         fault_hook=fault_hook,
+        trace=trace,
     )
     return runtime.run()
 
@@ -268,6 +402,26 @@ def test_runtime_sync_telemetry_accounts_for_wire_savings():
     assert t.sync_bytes_sent > 0
     assert t.sync_bytes_saved > 0  # zlib easily beats pickled dicts
     assert t.sync_partial_merges == 0  # barrier mode: no partial flushes
+
+
+def test_sync_upload_trace_says_what_the_encode_cost():
+    bundle, index, stores = materialize("wordcount", vocabulary=64)
+    log = EventLog()
+    result = run_once(
+        bundle, index, stores,
+        sync=SyncSpec(encoding="auto", compress="zlib"), trace=log,
+    )
+    details = [e.detail for e in log.snapshot() if e.kind == "sync_upload"]
+    assert len(details) == result.telemetry.sync_uploads == 2
+    shape = re.compile(
+        r"(dense|sparse|delta)\+(none|zlib) (\d+)/\d+B \d+\.\dms"
+    )
+    sent = 0
+    for detail in details:
+        m = shape.fullmatch(detail)
+        assert m, detail
+        sent += int(m.group(3))
+    assert sent == result.telemetry.sync_bytes_sent
 
 
 def test_runtime_streaming_flushes_partials():

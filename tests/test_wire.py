@@ -6,7 +6,11 @@ every ReductionObject subclass under every encoding x compression
 combination — including delta chains, where both ends of a channel must
 track the same baseline — and any truncated or corrupted payload is
 rejected with :class:`~repro.errors.ReductionError`, never a stray
-pickle/struct/zlib exception.
+pickle/struct/zlib exception. The encoder picks its candidate from size
+*estimates* and compresses one body: the choice properties pin that the
+pick is the true minimum wherever the estimate is exact and within 1.15x
+of it elsewhere, that the wire body never outgrows dense, and how many
+bytes reach the compressor.
 """
 
 from __future__ import annotations
@@ -264,3 +268,220 @@ def test_unsupported_wire_version_is_rejected():
     blob[2] = 99  # version byte
     with pytest.raises(ReductionError, match="version"):
         wire.decode(bytes(blob))
+
+
+# -- estimate, then compress one ---------------------------------------------
+
+#: Array lengths (8-byte lanes): every body under the whole-body
+#: threshold, where the choice is exact, or the dense body well over it.
+SIZES = st.one_of(st.integers(1, 4096), st.integers(40_000, 90_000))
+
+
+def _mostly_identity(rng, n, steps):
+    filled = max(1, int(n * rng.uniform(0.001, 0.05)))
+    support = rng.choice(n, size=filled, replace=False)
+    values = rng.random(support.size)
+    for _ in range(steps):
+        data = np.zeros(n)
+        data[support] = values
+        yield data
+        values = values * (1 + 1e-3 * rng.random(support.size))
+
+
+def _dense_random(rng, n, steps):
+    for _ in range(steps):
+        yield rng.random(n)
+
+
+def _converging(rng, n, steps):
+    base = rng.random(n)
+    for step in range(steps):
+        yield base + step * 1e-12
+
+
+ARRAY_KINDS = {
+    "identity": _mostly_identity,
+    "random": _dense_random,
+    "converging": _converging,
+}
+
+
+@st.composite
+def array_chains(draw, sizes=SIZES, steps=3):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(sorted(ARRAY_KINDS)))
+    n = draw(sizes)
+    return [
+        ArrayReduction(n, data=data) for data in ARRAY_KINDS[kind](rng, n, steps)
+    ]
+
+
+@st.composite
+def struct_chains(draw, sizes=SIZES, steps=3):
+    """Structs mixing a mostly-identity array, a converging dense one
+    and a scalar (the XOR path inside a struct delta)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(sizes)
+    parts = zip(
+        _mostly_identity(rng, n, steps),
+        ARRAY_KINDS[draw(st.sampled_from(["random", "converging"]))](rng, n, steps),
+    )
+    return [
+        StructReduction({
+            "ranks": ArrayReduction(n, data=sparse),
+            "mass": ArrayReduction(n, data=full),
+            "count": ScalarReduction("sum", float(i)),
+        })
+        for i, (sparse, full) in enumerate(parts)
+    ]
+
+
+def object_chains(sizes=SIZES):
+    return st.one_of(
+        array_chains(sizes),
+        struct_chains(sizes),
+        st.lists(dict_reductions(), min_size=3, max_size=3),
+        st.lists(topk_reductions(), min_size=3, max_size=3),
+    )
+
+
+def check_chain(chain, encoding, compress):
+    """Send ``chain`` down one channel; both ends keep their own
+    baseline."""
+    sent, received = None, None
+    for robj in chain:
+        bodies = wire._bodies(robj, robj.to_bytes(), encoding, sent)
+        best = min(len(wire._compress(b, compress)[0]) for b in bodies.values())
+        encoded = wire.encode(
+            robj, encoding=encoding, compress=compress, baseline=sent
+        )
+        decoded = wire.decode(encoded.blob, baseline=received)
+        assert decoded.robj.to_bytes() == robj.to_bytes()
+        assert decoded.dense == encoded.dense == robj.to_bytes()
+        size = len(encoded.blob) - wire._HEADER.size
+        assert size <= len(encoded.dense)
+        exact = compress == "none" or all(
+            len(b) <= wire._WHOLE_BODY for b in bodies.values()
+        )
+        assert size == best if exact else size <= 1.15 * best, (
+            encoded.encoding, size, best
+        )
+        sent, received = encoded.dense, decoded.dense
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    chain=object_chains(),
+    encoding=st.sampled_from(wire.ENCODINGS),
+    compress=st.sampled_from(COMPRESSIONS),
+)
+def test_choice_round_trips_never_grows_and_stays_near_the_minimum(
+    chain, encoding, compress
+):
+    check_chain(chain, encoding, compress)
+
+
+@pytest.mark.parametrize("n", [4096, 262_144])
+@pytest.mark.parametrize("compress", COMPRESSIONS)
+def test_delta_falls_back_to_sparse_on_a_first_upload(n, compress):
+    """``delta`` and ``auto`` share candidates: with no baseline yet a
+    mostly-identity array goes sparse, not dense."""
+    data = np.zeros(n)
+    data[:: max(n // 100, 1)] = 1.5
+    robj = ArrayReduction(n, data=data)
+    encoded = wire.encode(robj, encoding="delta", compress=compress)
+    assert encoded.encoding == "sparse"
+    auto = wire.encode(robj, encoding="auto", compress=compress)
+    assert auto.blob == encoded.blob
+
+
+def test_one_encode_compresses_one_large_body(monkeypatch):
+    """A 2 MiB object with all three candidates: what reaches the
+    compressor is the winner plus one sample per candidate, not the sum
+    of the bodies."""
+    rng = np.random.default_rng(3)
+    n = 262_144
+    data = np.zeros(n)
+    data[rng.choice(n, size=n // 24, replace=False)] = rng.random(n // 24)
+    first = ArrayReduction(n, data=data)
+    second = ArrayReduction(n, data=data * (1 + 1e-3))
+    fed: list[int] = []
+    real = wire._compress
+
+    def counting(body, compress):
+        fed.append(len(body))
+        return real(body, compress)
+
+    monkeypatch.setattr(wire, "_compress", counting)
+    baseline = first.to_bytes()
+    bodies = wire._bodies(second, second.to_bytes(), "delta", baseline)
+    assert sorted(bodies) == ["delta", "dense", "sparse"]
+    encoded = wire.encode(
+        second, encoding="delta", compress="zlib", baseline=baseline
+    )
+    budget = wire._SAMPLE_BLOCKS * wire._SAMPLE_BLOCK
+    assert sum(fed) <= len(bodies[encoded.encoding]) + 3 * budget
+    assert sum(fed) < sum(map(len, bodies.values())) / 4
+    assert sum(size > wire._WHOLE_BODY for size in fed) <= 1
+    decoded = wire.decode(encoded.blob, baseline=baseline)
+    assert decoded.robj.to_bytes() == second.to_bytes()
+
+
+#: Blobs written by ``wire.encode`` at the commit before the encoder
+#: started estimating (wire version 1): a sparse first upload and two
+#: lane deltas on one channel, a dense array, and an XOR delta of a dict
+#: against its dense first upload.
+PARENT_ARRAY_CHAIN = [
+    "5257010101789c6b609deac000011a3dcc894545537a988b4b7381a44d9ac5146f83"
+    "d629ce02cc500582501a280461fcb087d04c07a6944cd1030066330f05",
+    "5257010201789c6b609ddacfc800063dcc894545539c1aa0dc5100070de8f0c30f06"
+    "1e0e1e012111310929193905452545155535750d4d2d6d1d5d3d7d03034343232363"
+    "6313135353333373730b0b7b7b07060764d0e080174c699ba2070079da200e",
+    "5257010201789c6b609ddacfc800063dcc894545539c1a80dc1933ce00411a1418a3"
+    "01490c2028c801042c50c08406183100c328c00ba6b44dd10300942b13c8",
+]
+PARENT_DENSE = (
+    "5257010001789ce3636060702c2a4aac0c4a4d294d2ec9cccf93038a34b04c156680"
+    "801ee6e2d2dc293dcc36691653bc255aa7b44fd16340011feca10c0708c501a505a0"
+    "b408949680d232505a014a2b41691528ad06a535a0b41694d681d27a50da004a1b42"
+    "6923286d0ca54da0b429943683d2e60e0084191822"
+)
+PARENT_DICT_CHAIN = [
+    "52570100000d00000044696374526564756374696f6e80059519000000000000008c"
+    "0373756d947d94288c0161944b018c0162944b027586942e",
+    "5257010201789c6b609deac800013dcc15f945539c4d1948048c20624adb143d0020"
+    "b1062d",
+]
+
+
+def test_blobs_from_the_previous_encoder_still_decode():
+    first = np.zeros(48)
+    first[[3, 17]] = [1.5, -2.25]
+    second = np.arange(48.0) * 0.5 + 1
+    baseline, seen = None, []
+    for blob, data in zip(
+        PARENT_ARRAY_CHAIN, [first, second, second + 1e-12]
+    ):
+        decoded = wire.decode(bytes.fromhex(blob), baseline=baseline)
+        assert decoded.dense == ArrayReduction(48, data=data).to_bytes()
+        baseline = decoded.dense
+        seen.append(decoded.encoding)
+    assert seen == ["sparse", "delta", "delta"]
+
+    dense = wire.decode(bytes.fromhex(PARENT_DENSE))
+    assert (dense.encoding, dense.compression) == ("dense", "zlib")
+    assert dense.dense == ArrayReduction(24, data=np.arange(24.0)).to_bytes()
+
+    baseline = None
+    for blob, items in zip(
+        PARENT_DICT_CHAIN, [{"a": 1, "b": 2}, {"a": 1, "b": 3}]
+    ):
+        decoded = wire.decode(bytes.fromhex(blob), baseline=baseline)
+        assert decoded.robj.items == items
+        baseline = decoded.dense
+    assert decoded.encoding == "delta"
+
+
+def test_unknown_compression_names_the_offender():
+    with pytest.raises(ReductionError, match="'zstd'"):
+        wire._decompress(b"", "zstd")
