@@ -11,7 +11,7 @@ Two acceptance bounds and one characterization:
 * **Disabled overhead** — attaching a cache that never engages (every
   read is site-local, so the reader's ``remote`` check short-circuits
   before any cache code runs) must cost < 2 % extra wall time against a
-  cache-free reader. With ``cache_bytes=0`` the facade constructs none
+  cache-free reader. With ``cache.bytes=0`` the facade constructs none
   of the machinery at all, so this bounds the worst case.
 
 Run directly with ``--smoke`` for a quick CI-sized pass of the iterative

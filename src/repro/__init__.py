@@ -29,7 +29,11 @@ Quickstart — one facade for every engine::
 runtime depending on ``RunConfig.mode``; the older per-engine
 entrypoints (:func:`run_serial`, :func:`simulate`,
 :class:`CloudBurstingRuntime`) remain as thin stable shims over the same
-machinery. See ``examples/quickstart.py`` and ``docs/RESILIENCE.md``.
+machinery. Every run option beyond the core fields lives in one of the
+five families of :mod:`repro.options`
+(``RunConfig(cache=CacheOptions(bytes=1 << 26))``, read back as
+``config.cache.bytes``). See ``examples/quickstart.py`` and
+``docs/RESILIENCE.md``.
 """
 
 from .apps import AppBundle, AppProfile, available_apps, make_bundle

@@ -478,21 +478,19 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 
 def _resolve_resilience(args: argparse.Namespace):
-    """Map the shared fault/retry flags to ``(FaultSpec | None, RetryPolicy | None)``."""
-    from .resilience import FaultSpec, RetryPolicy
+    """Map the shared fault/retry flags to a ``ResilienceOptions``."""
+    from .options import ResilienceOptions
+    from .resilience import RetryPolicy
 
-    spec = FaultSpec.parse(args.faults) if args.faults else None
-    if spec is not None and not spec.active:
-        spec = None
     policy = None
-    if args.retries is not None or args.hedge_after is not None or spec is not None:
+    if args.retries is not None or args.hedge_after is not None:
         kwargs = {}
         if args.retries is not None:
             kwargs["max_attempts"] = args.retries
         if args.hedge_after is not None:
             kwargs["hedge_after"] = args.hedge_after
         policy = RetryPolicy(**kwargs)
-    return spec, policy
+    return ResilienceOptions(faults=args.faults or None, retry=policy)
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
@@ -502,12 +500,10 @@ def _cmd_run(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .apps import make_bundle
-    from .cache import ChunkCache
     from .config import CLOUD_SITE, ComputeSpec, LOCAL_SITE
     from .core.index import DataIndex
-    from .core.sync import SyncSpec
-    from .resilience import FaultInjector
-    from .runtime.driver import CloudBurstingRuntime
+    from .facade import RunConfig, execute_runtime
+    from .options import CacheOptions, ScaleOptions, SyncOptions
     from .storage.localfs import LocalStorage
 
     root = Path(args.dataset)
@@ -523,60 +519,29 @@ def _cmd_run(args: argparse.Namespace) -> None:
         LOCAL_SITE: LocalStorage(root / "local"),
         CLOUD_SITE: LocalStorage(root / "cloud"),
     }
-    spec, policy = _resolve_resilience(args)
-    if spec is not None:
-        stores = {site: FaultInjector(s, spec) for site, s in stores.items()}
-    if args.iterations < 1:
-        raise ConfigurationError("--iterations must be at least 1")
-    if args.cache_bytes < 0:
-        raise ConfigurationError("--cache-bytes must be non-negative")
-    cache = ChunkCache(args.cache_bytes) if args.cache_bytes > 0 else None
-    sync = SyncSpec(
-        topology=args.sync_topology,
-        encoding=args.sync_encoding,
-        compress=args.sync_compress,
-        stream=args.sync_stream,
-        watermark=args.sync_watermark,
-    )
     scale = _resolve_scale(args)
-    runtime = CloudBurstingRuntime(
-        bundle.app, index, stores,
-        ComputeSpec(local_cores=args.local_cores, cloud_cores=args.cloud_cores),
-        retry_policy=policy,
-        cache=cache,
-        prefetch=args.prefetch,
-        sync=sync,
+    config = RunConfig(
+        mode="runtime",
+        compute=ComputeSpec(
+            local_cores=args.local_cores, cloud_cores=args.cloud_cores
+        ),
         slave_mode=args.slave_mode,
-        scale=scale,
+        iterations=args.iterations,
+        cache=CacheOptions(bytes=args.cache_bytes, prefetch=args.prefetch),
+        sync=SyncOptions(
+            encoding=args.sync_encoding,
+            compress=args.sync_compress,
+            topology=args.sync_topology,
+            stream=args.sync_stream,
+            watermark=args.sync_watermark,
+        ),
+        resilience=_resolve_resilience(args),
+        scale=scale or ScaleOptions(),
     )
-    if args.iterations > 1 and not hasattr(bundle.app, "update"):
-        raise ConfigurationError(
-            f"app {meta['app']!r} has no update() hook; --iterations needs "
-            f"an iterative app (kmeans, pagerank)"
-        )
-    wall = 0.0
-    prefetches = 0
-    sync_sent = sync_saved = sync_partials = 0
-    zero_copy = copied = 0
-    added = revoked = 0
-    dollars = 0.0
-    for i in range(args.iterations):
-        result = runtime.run()
-        wall += result.telemetry.wall_seconds
-        prefetches += result.telemetry.prefetches
-        sync_sent += result.telemetry.sync_bytes_sent
-        sync_saved += result.telemetry.sync_bytes_saved
-        sync_partials += result.telemetry.sync_partial_merges
-        zero_copy += result.telemetry.zero_copy_reads
-        copied += result.telemetry.bytes_copied
-        added += result.telemetry.slaves_added
-        revoked += result.telemetry.slaves_revoked
-        dollars += result.telemetry.dollars_spent
-        if args.iterations > 1:
-            bundle.app.update(result.value)  # same contract as run_iterative
-    value = result.value
-    print(f"app: {meta['app']}  wall: {wall:.3f}s"
-          + (f"  passes: {args.iterations}" if args.iterations > 1 else ""))
+    result = execute_runtime(bundle, index, stores, config)
+    value, t = result.value, result.telemetry
+    print(f"app: {meta['app']}  wall: {result.wall_seconds:.3f}s"
+          + (f"  passes: {result.passes}" if args.iterations > 1 else ""))
     if isinstance(value, np.ndarray):
         print(f"result: ndarray shape={value.shape} "
               f"head={np.asarray(value).ravel()[:4]}")
@@ -586,36 +551,33 @@ def _cmd_run(args: argparse.Namespace) -> None:
     else:
         seq = list(value)[:4] if hasattr(value, "__iter__") else value
         print(f"result: {seq}")
-    for name, cluster in result.telemetry.clusters.items():
+    for name, cluster in t.clusters.items():
         print(f"{name}: {cluster.jobs} jobs ({cluster.stolen} stolen)")
-    t = result.telemetry
     print(
-        f"data path ({args.slave_mode} slaves): {zero_copy} zero-copy reads, "
-        f"{copied} bytes copied"
+        f"data path ({args.slave_mode} slaves): {t.zero_copy_reads} zero-copy "
+        f"reads, {t.bytes_copied} bytes copied"
     )
-    if cache is not None or args.prefetch:
-        s = cache.stats if cache is not None else None
-        parts = []
-        if s is not None:
-            parts.append(
-                f"cache: {s.hits} hits / {s.misses} misses, "
-                f"{s.bytes_saved} bytes saved, {s.evictions} evictions"
-            )
-        if args.prefetch:
-            parts.append(f"prefetches: {prefetches}")
-        print("  ".join(parts))
-    if not sync.is_default:
-        saved_pct = (
-            100.0 * sync_saved / (sync_sent + sync_saved)
-            if sync_sent + sync_saved else 0.0
+    parts = []
+    if config.cache.bytes > 0:
+        parts.append(
+            f"cache: {t.cache_hits} hits / {t.cache_misses} misses, "
+            f"{t.bytes_saved} bytes saved, {t.cache_evictions} evictions"
         )
+    if config.cache.prefetch:
+        parts.append(f"prefetches: {t.prefetches}")
+    if parts:
+        print("  ".join(parts))
+    sync = config.sync
+    if not sync.is_default:
+        dense = t.sync_bytes_sent + t.sync_bytes_saved
+        saved_pct = 100.0 * t.sync_bytes_saved / dense if dense else 0.0
         print(
             f"sync: {sync.topology}/{sync.encoding}/{sync.compress} "
-            f"sent {sync_sent} wire bytes, saved {sync_saved} "
+            f"sent {t.sync_bytes_sent} wire bytes, saved {t.sync_bytes_saved} "
             f"({saved_pct:.1f}% off dense), "
-            f"{sync_partials} streamed partial merges"
+            f"{t.sync_partial_merges} streamed partial merges"
         )
-    if spec is not None or policy is not None:
+    if config.effective_retry is not None:
         print(
             f"resilience: {t.faults_injected} faults injected, "
             f"{t.retries} retries, {t.hedges} hedges "
@@ -630,8 +592,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
             targets.append(f"budget ${args.budget:.2f}")
         label = f" ({', '.join(targets)})" if targets else ""
         print(
-            f"scaling{label}: {added} slaves added, {revoked} revoked, "
-            f"${dollars:.4f} cloud spend"
+            f"scaling{label}: {t.slaves_added} slaves added, "
+            f"{t.slaves_revoked} revoked, ${t.dollars_spent:.4f} cloud spend"
         )
 
 
@@ -676,48 +638,47 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     _export_trace(trace, args)
 
 
-def _trace_runtime(args: argparse.Namespace) -> None:
-    from .apps import make_bundle
-    from .config import (
-        CLOUD_SITE,
-        ComputeSpec,
-        DatasetSpec,
-        LOCAL_SITE,
-        PlacementSpec,
-    )
-    from .data.dataset import build_dataset
-    from .obs import EventLog, MetricsRegistry, render_report
-    from .runtime.driver import CloudBurstingRuntime
-    from .storage.objectstore import ObjectStore
+def _memory_dataset(units: int, record_bytes: int):
+    """The "4 files x 4 chunks" in-memory ``DatasetSpec`` that `trace
+    --runtime`, `watch` and `submit` run over."""
+    from .config import DatasetSpec
 
     files, chunks_per_file = 4, 4
     chunks = files * chunks_per_file
-    if args.units % chunks != 0:
+    if units % chunks != 0:
         raise ConfigurationError(f"--units must be divisible by {chunks}")
-    bundle = make_bundle(args.app, args.units, seed=args.seed)
-    rb = bundle.schema.record_bytes
-    spec = DatasetSpec(
-        total_bytes=args.units * rb,
+    return DatasetSpec(
+        total_bytes=units * record_bytes,
         num_files=files,
-        chunk_bytes=(args.units // chunks) * rb,
-        record_bytes=rb,
+        chunk_bytes=(units // chunks) * record_bytes,
+        record_bytes=record_bytes,
     )
-    stores = {LOCAL_SITE: ObjectStore(), CLOUD_SITE: ObjectStore()}
-    index = build_dataset(
-        spec, PlacementSpec(args.local_fraction), bundle.schema,
-        bundle.block_fn, stores,
-    )
+
+
+def _trace_runtime(args: argparse.Namespace) -> None:
+    from .apps import make_bundle
+    from .config import ComputeSpec, PlacementSpec
+    from .facade import RunConfig, run_direct
+    from .obs import EventLog, MetricsRegistry, render_report
+
+    bundle = make_bundle(args.app, args.units, seed=args.seed)
+    spec = _memory_dataset(args.units, bundle.schema.record_bytes)
     trace = EventLog()
-    runtime = CloudBurstingRuntime(
-        bundle.app, index, stores,
-        ComputeSpec(local_cores=args.local_cores, cloud_cores=args.cloud_cores),
-        trace=trace, metrics=MetricsRegistry(), seed=args.seed,
+    config = RunConfig(
+        mode="runtime",
+        placement=PlacementSpec(args.local_fraction),
+        compute=ComputeSpec(
+            local_cores=args.local_cores, cloud_cores=args.cloud_cores
+        ),
+        seed=args.seed,
+        trace=trace,
+        metrics=MetricsRegistry(),
     )
-    result = runtime.run()
+    telemetry = run_direct(bundle, spec, config).telemetry
     print(f"{args.app} (real runtime, {args.units} units, "
           f"{args.local_cores}+{args.cloud_cores} cores): "
-          f"wall {result.telemetry.wall_seconds:.3f}s, "
-          f"{result.telemetry.total_stolen} jobs stolen\n")
+          f"wall {telemetry.wall_seconds:.3f}s, "
+          f"{telemetry.total_stolen} jobs stolen\n")
     print(render_report(
         trace, width=args.width, show_critical_path=args.critical_path
     ))
@@ -752,25 +713,15 @@ def _sample_line(sample) -> str:
 
 def _cmd_watch(args: argparse.Namespace) -> None:
     from .apps import make_bundle
-    from .config import ComputeSpec, DatasetSpec, PlacementSpec
+    from .config import ComputeSpec, PlacementSpec
     from .facade import RunConfig
     from .facade import run as run_app
-    from .options import MonitorOptions
+    from .options import MonitorOptions, ScaleOptions
 
-    files, chunks_per_file = 4, 4
-    chunks = files * chunks_per_file
-    if args.units % chunks != 0:
-        raise ConfigurationError(f"--units must be divisible by {chunks}")
     if args.interval <= 0:
         raise ConfigurationError("--interval must be positive")
     bundle = make_bundle(args.app, args.units, seed=args.seed)
-    rb = bundle.schema.record_bytes
-    spec = DatasetSpec(
-        total_bytes=args.units * rb,
-        num_files=files,
-        chunk_bytes=(args.units // chunks) * rb,
-        record_bytes=rb,
-    )
+    spec = _memory_dataset(args.units, bundle.schema.record_bytes)
     print(f"{args.app} (real runtime, {args.units} units, "
           f"{args.local_cores}+{args.cloud_cores} cores, "
           f"sampling every {args.interval}s)")
@@ -789,7 +740,7 @@ def _cmd_watch(args: argparse.Namespace) -> None:
             interval=args.interval,
             on_sample=lambda sample: print(_sample_line(sample), flush=True),
         ),
-        **({"scale": scale} if scale is not None else {}),
+        scale=scale or ScaleOptions(),
     )
     result = run_app(bundle, spec, config)
     t = result.telemetry
@@ -800,22 +751,6 @@ def _cmd_watch(args: argparse.Namespace) -> None:
         print(f"scaling: {t.slaves_added} slaves added, "
               f"{t.slaves_revoked} revoked, "
               f"${t.dollars_spent:.4f} cloud spend")
-
-
-def _submit_dataset(args: argparse.Namespace, record_bytes: int):
-    """Shared in-memory dataset spec for `submit` (same shape as watch)."""
-    from .config import DatasetSpec
-
-    files, chunks_per_file = 4, 4
-    chunks = files * chunks_per_file
-    if args.units % chunks != 0:
-        raise ConfigurationError(f"--units must be divisible by {chunks}")
-    return DatasetSpec(
-        total_bytes=args.units * record_bytes,
-        num_files=files,
-        chunk_bytes=(args.units // chunks) * record_bytes,
-        record_bytes=record_bytes,
-    )
 
 
 def _cmd_submit(args: argparse.Namespace) -> None:
@@ -860,8 +795,8 @@ def _cmd_submit(args: argparse.Namespace) -> None:
                 seed=args.seed,
                 name=f"{tenant}/{app_key}",
             )
-            dataset = _submit_dataset(
-                args, get_profile(app_key).record_bytes
+            dataset = _memory_dataset(
+                args.units, get_profile(app_key).record_bytes
             )
             handle = service.submit(
                 app_key, dataset, config,

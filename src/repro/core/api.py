@@ -24,15 +24,15 @@ checks it for every bundled application.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..config import DEFAULT_UNITS_PER_GROUP
-from ..errors import ReductionError
+from ..errors import ConfigurationError, ReductionError
 from .reduction import ReductionObject, merge_all
 
-__all__ = ["GeneralizedReductionApp", "run_serial"]
+__all__ = ["GeneralizedReductionApp", "run_serial", "iterate_passes"]
 
 
 class GeneralizedReductionApp(abc.ABC):
@@ -116,3 +116,40 @@ def run_serial(
             app.local_reduction(robj, group)
     final = app.global_reduction([robj])
     return app.finalize(final)
+
+
+def iterate_passes(
+    run_pass: Callable[[], Any],
+    update: Callable[[Any], None],
+    *,
+    iterations: int,
+    tolerance: float | None = None,
+    distance: Callable[[Any, Any], float] | None = None,
+) -> tuple[Any, int]:
+    """The pass loop of an iterative run, for every engine.
+
+    Calls ``run_pass()`` up to ``iterations`` times, feeding each result
+    back through ``update``; stops early once ``distance(previous,
+    current) <= tolerance`` (the default distance is the max absolute
+    difference of array results). Returns ``(final_result, passes_run)``.
+    """
+    if iterations <= 0:
+        raise ConfigurationError("iterations must be positive")
+    if distance is None:
+        def distance(a: Any, b: Any) -> float:
+            return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+    previous: Any = None
+    result: Any = None
+    passes = 0
+    for _ in range(iterations):
+        result = run_pass()
+        passes += 1
+        if (
+            tolerance is not None
+            and previous is not None
+            and distance(previous, result) <= tolerance
+        ):
+            break
+        previous = result
+        update(result)
+    return result, passes

@@ -16,12 +16,12 @@ its own setup ritual. :func:`run` collapses them behind one call:
 ``mode`` selects the engine; everything else (placement, compute split,
 tuning, fault injection, retry policy, observability hooks) lives on
 :class:`RunConfig` and means the same thing in every mode that supports
-it. The knobs are grouped into nested option families
-(:class:`~repro.options.CacheOptions`, :class:`~repro.options.SyncOptions`,
-:class:`~repro.options.MonitorOptions`,
-:class:`~repro.options.ResilienceOptions`); every legacy flat kwarg still
-works through a deprecation shim, and the flat attribute reads
-(``config.cache_bytes`` and friends) remain first-class.
+it. The knobs are grouped into the option families of
+:mod:`repro.options` (:class:`~repro.options.CacheOptions`,
+:class:`~repro.options.SyncOptions`, :class:`~repro.options.MonitorOptions`,
+:class:`~repro.options.ResilienceOptions`,
+:class:`~repro.options.ScaleOptions`) — ``config.cache.bytes``,
+``config.sync.encoding`` — and that is their only spelling.
 
 :func:`run` itself is now a thin wrapper over the multi-run
 :class:`repro.service.JobService` — ``submit(...).result()`` on a
@@ -35,11 +35,8 @@ equivalence-pinned legacy path (``tests/test_run_facade.py``,
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
-
-import numpy as np
 
 from .apps import AppBundle, make_bundle
 from .cache import ChunkCache
@@ -52,7 +49,8 @@ from .config import (
     MiddlewareTuning,
     PlacementSpec,
 )
-from .core.api import run_serial
+from .core.api import iterate_passes, run_serial
+from .core.index import DataIndex
 from .core.sync import SyncSpec
 from .data.dataset import DatasetReader, build_dataset
 from .errors import ConfigurationError
@@ -68,7 +66,7 @@ from .options import (
 )
 from .resilience.faults import FaultInjector, FaultSpec
 from .resilience.retry import RetryPolicy
-from .runtime.driver import SLAVE_MODES, CloudBurstingRuntime, RuntimeResult
+from .runtime.driver import SLAVE_MODES, CloudBurstingRuntime
 from .runtime.telemetry import RunTelemetry
 from .sim.metrics import SimReport
 from .sim.simulation import CloudBurstSimulation
@@ -81,60 +79,7 @@ __all__ = ["RunConfig", "RunResult", "run", "run_direct"]
 MODES = ("serial", "simulate", "runtime")
 
 
-class _Unset:
-    """Sentinel distinguishing "flat kwarg not passed" from any real value."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-#: nested field name -> option class, in declaration order.
-_OPTION_FAMILIES = {
-    "cache": CacheOptions,
-    "sync": SyncOptions,
-    "monitor": MonitorOptions,
-    "resilience": ResilienceOptions,
-    "scale": ScaleOptions,
-}
-
-
-def _merge_options(name: str, cls: type, nested: Any, given: dict[str, Any]):
-    """Reconcile a nested option spec with explicitly-passed flat kwargs.
-
-    ``given`` maps nested attribute names to the flat values the caller
-    passed. Flat-only construction warns and builds the spec; nested-only
-    passes through; both together are accepted silently when they agree
-    and refused when they disagree (silently preferring either one would
-    hide a bug in the caller).
-    """
-    if not given:
-        return nested if nested is not None else cls()
-    flat_names = ", ".join(sorted(cls.FLAT[attr] for attr in given))
-    if nested is None:
-        warnings.warn(
-            f"flat RunConfig kwarg(s) {flat_names} are deprecated; pass "
-            f"{name}={cls.__name__}(...) instead (see docs/API.md for the "
-            f"flat-to-nested migration table)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return cls(**given)
-    for attr, value in given.items():
-        if cls is ResilienceOptions and attr == "faults" and isinstance(value, str):
-            value = FaultSpec.parse(value)
-        current = getattr(nested, attr)
-        if current != value:
-            raise ConfigurationError(
-                f"RunConfig got both {name}={cls.__name__}(...) and the flat "
-                f"kwarg {cls.FLAT[attr]}={value!r}, and they disagree "
-                f"({name}.{attr} is {current!r}); drop the flat kwarg"
-            )
-    return nested
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RunConfig:
     """Everything about *how* to execute, independent of the app and data.
 
@@ -186,14 +131,6 @@ class RunConfig:
     ``app_params`` is forwarded to the application factory when the app is
     given as a registry key (e.g. ``{"k": 8}`` for knn).
 
-    Every pre-redesign flat kwarg (``cache_bytes``, ``prefetch``,
-    ``sync_*``, ``monitor_interval``, ``monitor_capacity``, ``on_sample``,
-    ``faults``, ``retry``, ``join_timeout``) still constructs, emitting a
-    ``DeprecationWarning``, and every flat attribute *read* stays
-    first-class and warning-free — ``config.cache_bytes`` mirrors
-    ``config.cache.bytes`` forever. Passing a nested spec together with a
-    *disagreeing* flat kwarg is a :class:`ConfigurationError`.
-
     Construction validates each field; :meth:`validate` additionally
     cross-checks the combination for knobs that silently do nothing
     together (``service.submit`` runs it by default).
@@ -219,127 +156,7 @@ class RunConfig:
     resilience: ResilienceOptions = field(default_factory=ResilienceOptions)
     scale: ScaleOptions = field(default_factory=ScaleOptions)
 
-    # Flat read-path mirrors of the nested specs. Excluded from init
-    # (the custom __init__ below reconciles flat kwargs into the nested
-    # specs first), from comparison and from repr — two configs are equal
-    # iff their core + nested fields are, and dataclasses.replace() only
-    # round-trips core + nested fields (replacing a mirror raises; replace
-    # the nested spec instead).
-    faults: FaultSpec | None = field(init=False, repr=False, compare=False)
-    retry: RetryPolicy | None = field(init=False, repr=False, compare=False)
-    join_timeout: float = field(init=False, repr=False, compare=False)
-    cache_bytes: int = field(init=False, repr=False, compare=False)
-    prefetch: bool = field(init=False, repr=False, compare=False)
-    sync_encoding: str = field(init=False, repr=False, compare=False)
-    sync_compress: str = field(init=False, repr=False, compare=False)
-    sync_topology: str = field(init=False, repr=False, compare=False)
-    sync_stream: bool = field(init=False, repr=False, compare=False)
-    sync_watermark: int = field(init=False, repr=False, compare=False)
-    sync_fanout: int = field(init=False, repr=False, compare=False)
-    sync_ratio: float = field(init=False, repr=False, compare=False)
-    monitor_interval: float = field(init=False, repr=False, compare=False)
-    monitor_capacity: int = field(init=False, repr=False, compare=False)
-    on_sample: Callable[[RunSample], None] | None = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __init__(
-        self,
-        mode: str = "runtime",
-        placement: PlacementSpec | None = None,
-        compute: ComputeSpec | None = None,
-        tuning: MiddlewareTuning | None = None,
-        seed: int = 2011,
-        name: str = "adhoc",
-        faults: Any = _UNSET,
-        retry: Any = _UNSET,
-        join_timeout: Any = _UNSET,
-        trace: EventLog | None = None,
-        metrics: MetricsRegistry | None = None,
-        app_params: Mapping[str, Any] | None = None,
-        cache_bytes: Any = _UNSET,
-        prefetch: Any = _UNSET,
-        slave_mode: str = "thread",
-        iterations: int = 1,
-        converge: float | None = None,
-        sync_encoding: Any = _UNSET,
-        sync_compress: Any = _UNSET,
-        sync_topology: Any = _UNSET,
-        sync_stream: Any = _UNSET,
-        sync_watermark: Any = _UNSET,
-        sync_fanout: Any = _UNSET,
-        sync_ratio: Any = _UNSET,
-        monitor_interval: Any = _UNSET,
-        monitor_capacity: Any = _UNSET,
-        on_sample: Any = _UNSET,
-        cache: CacheOptions | None = None,
-        sync: SyncOptions | None = None,
-        monitor: MonitorOptions | None = None,
-        resilience: ResilienceOptions | None = None,
-        scale: ScaleOptions | None = None,
-    ) -> None:
-        set_ = lambda k, v: object.__setattr__(self, k, v)  # noqa: E731
-        set_("mode", mode)
-        set_("placement", placement if placement is not None else PlacementSpec(0.5))
-        set_(
-            "compute",
-            compute
-            if compute is not None
-            else ComputeSpec(local_cores=2, cloud_cores=2),
-        )
-        set_("tuning", tuning if tuning is not None else MiddlewareTuning())
-        set_("seed", seed)
-        set_("name", name)
-        set_("trace", trace)
-        set_("metrics", metrics)
-        set_("app_params", app_params if app_params is not None else {})
-        set_("slave_mode", slave_mode)
-        set_("iterations", iterations)
-        set_("converge", converge)
-        flats = {
-            "cache": {"bytes": cache_bytes, "prefetch": prefetch},
-            "sync": {
-                "encoding": sync_encoding,
-                "compress": sync_compress,
-                "topology": sync_topology,
-                "stream": sync_stream,
-                "watermark": sync_watermark,
-                "fanout": sync_fanout,
-                "ratio": sync_ratio,
-            },
-            "monitor": {
-                "interval": monitor_interval,
-                "capacity": monitor_capacity,
-                "on_sample": on_sample,
-            },
-            "resilience": {
-                "faults": faults,
-                "retry": retry,
-                "join_timeout": join_timeout,
-            },
-            # ScaleOptions postdates the flat-kwarg era: nested-only.
-            "scale": {},
-        }
-        nested = {
-            "cache": cache,
-            "sync": sync,
-            "monitor": monitor,
-            "resilience": resilience,
-            "scale": scale,
-        }
-        for spec_name, cls in _OPTION_FAMILIES.items():
-            given = {
-                attr: value
-                for attr, value in flats[spec_name].items()
-                if value is not _UNSET
-            }
-            spec = _merge_options(spec_name, cls, nested[spec_name], given)
-            set_(spec_name, spec)
-            for attr, flat_name in cls.FLAT.items():
-                set_(flat_name, getattr(spec, attr))
-        self._check()
-
-    def _check(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown run mode {self.mode!r}; expected one of {MODES}"
@@ -360,7 +177,8 @@ class RunConfig:
         ):
             raise ConfigurationError(
                 "simulate-mode monitoring reconstructs samples from the "
-                "event log; pass trace=EventLog() alongside monitor_interval"
+                "event log; pass trace=EventLog() alongside "
+                "monitor=MonitorOptions(interval=...)"
             )
 
     def validate(self) -> "RunConfig":
@@ -376,27 +194,27 @@ class RunConfig:
         problems: list[str] = []
         if self.cache.prefetch and self.mode != "runtime":
             problems.append(
-                f"prefetch=True does nothing in {self.mode!r} mode — only the "
-                f"runtime overlaps fetch with reduction; drop it or use "
+                f"cache.prefetch=True does nothing in {self.mode!r} mode — only "
+                f"the runtime overlaps fetch with reduction; drop it or use "
                 f"mode='runtime'"
             )
         if self.cache.prefetch and self.cache.bytes == 0:
             problems.append(
-                "prefetch=True with cache_bytes=0 builds no cache to prefetch "
-                "into; set cache=CacheOptions(bytes=..., prefetch=True) or "
-                "drop prefetch"
+                "cache.prefetch=True with cache.bytes=0 builds no cache to "
+                "prefetch into; set cache=CacheOptions(bytes=..., prefetch=True) "
+                "or drop prefetch"
             )
         if not self.sync.is_default and self.mode == "serial":
             problems.append(
-                "sync_* knobs configure the distributed global reduction; "
+                "sync options configure the distributed global reduction; "
                 "serial mode has no masters to aggregate through and ignores "
                 "them — drop the sync options or use mode='runtime'/'simulate'"
             )
         if self.sync.ratio != 1.0 and self.mode == "runtime":
             problems.append(
-                "sync_ratio models encoded-upload bytes in the simulator "
+                "sync.ratio models encoded-upload bytes in the simulator "
                 "only; the runtime measures real encoded bytes — drop "
-                "sync_ratio or use mode='simulate'"
+                "SyncOptions(ratio=...) or use mode='simulate'"
             )
         if (
             self.sync.stream
@@ -405,14 +223,14 @@ class RunConfig:
             and self.sync.compress == "none"
         ):
             problems.append(
-                "sync_stream=True with every other sync knob at the "
+                "sync.stream=True with every other sync knob at the "
                 "star/dense defaults streams partials through the legacy "
                 "all-to-head trunk; pair it with sync=SyncOptions(stream=True,"
                 " topology='tree') or an encoding/compress choice, or drop it"
             )
         if self.monitor.enabled and self.mode == "serial":
             problems.append(
-                "monitor_interval > 0 in serial mode takes no samples — "
+                "monitor.interval > 0 in serial mode takes no samples — "
                 "there is no cluster to watch; drop the monitor options or "
                 "use mode='runtime'/'simulate'"
             )
@@ -459,17 +277,11 @@ class RunConfig:
             )
         return self
 
-    def make_cache(
-        self, *, with_hooks: bool = True
-    ) -> ChunkCache | None:
+    def make_cache(self) -> ChunkCache | None:
         """Build the configured chunk cache, or ``None`` when disabled."""
         if self.cache.bytes <= 0:
             return None
-        if with_hooks:
-            return ChunkCache(
-                self.cache.bytes, trace=self.trace, metrics=self.metrics
-            )
-        return ChunkCache(self.cache.bytes)
+        return ChunkCache(self.cache.bytes, trace=self.trace, metrics=self.metrics)
 
     @property
     def fault_spec(self) -> FaultSpec | None:
@@ -509,7 +321,7 @@ class RunResult:
     ``passes`` counts the passes actually run (< ``config.iterations``
     when ``converge`` stopped the run early). ``samples`` is the run's
     health timeline — :class:`~repro.obs.live.RunSample` snapshots taken
-    every ``config.monitor_interval`` seconds — empty unless monitoring
+    every ``config.monitor.interval`` seconds — empty unless monitoring
     was enabled (runtime samples live, simulate reconstructs from the
     trace, serial never samples).
     """
@@ -535,69 +347,52 @@ def _resolve_bundle(
 
 def _build_stores(
     bundle: AppBundle, dataset: DatasetSpec, config: RunConfig
-):
-    """Materialize the dataset into fresh in-memory stores.
-
-    Returns ``(index, stores)`` with every store wrapped in a
-    :class:`FaultInjector` when the config carries an active fault spec
-    (the bytes are written through the clean stores first — faults only
-    ever hit the read path).
-    """
-    base: dict[str, StorageService] = {
+) -> tuple[DataIndex, dict[str, StorageService]]:
+    """Materialize the dataset into fresh in-memory stores."""
+    stores: dict[str, StorageService] = {
         LOCAL_SITE: ObjectStore(),
         CLOUD_SITE: ObjectStore(),
     }
     index = build_dataset(
-        dataset, config.placement, bundle.schema, bundle.block_fn, base
+        dataset, config.placement, bundle.schema, bundle.block_fn, stores
     )
-    spec = config.fault_spec
-    if spec is None:
-        return index, base
-    stores = {
-        site: FaultInjector(store, spec, trace=config.trace)
-        for site, store in base.items()
-    }
     return index, stores
 
 
-def _default_distance(a: Any, b: Any) -> float:
-    """Max absolute difference — the convergence metric for array results."""
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+def _inject_faults(
+    stores: Mapping[str, StorageService], config: RunConfig
+) -> Mapping[str, StorageService]:
+    """Wrap every store in a :class:`FaultInjector` when the config carries
+    an active fault spec (faults only ever hit the read path, so the
+    dataset is written through the clean stores first)."""
+    spec = config.fault_spec
+    if spec is None:
+        return stores
+    return {
+        site: FaultInjector(store, spec, trace=config.trace)
+        for site, store in stores.items()
+    }
 
 
-def _update_hook(bundle: AppBundle, config: RunConfig) -> Callable[[Any], None]:
-    """The app's between-pass ``update`` hook; required once iterating."""
-    hook = getattr(bundle.app, "update", None)
-    if hook is None:
+def _iterate(
+    bundle: AppBundle, config: RunConfig, run_pass: Callable[[], Any]
+) -> tuple[Any, int]:
+    """Run ``config.iterations`` passes of ``run_pass`` through the shared
+    loop, feeding results back through the app's ``update`` hook (required
+    once iterating). Returns ``(final_value, passes_run)``."""
+    if config.iterations == 1:
+        # A single pass feeds nothing back and leaves the app as it was.
+        return run_pass(), 1
+    update = getattr(bundle.app, "update", None)
+    if update is None:
         raise ConfigurationError(
             f"app {bundle.profile.key!r} has no update() hook; iterative "
             f"execution (iterations={config.iterations}) needs one to feed "
             f"each pass's result back (kmeans and pagerank define it)"
         )
-    return hook
-
-
-def _iterate(
-    config: RunConfig, run_pass: Callable[[], Any], update: Callable[[Any], None]
-) -> tuple[Any, int]:
-    """Shared pass loop: run, converge-check, feed back. Returns
-    ``(final_value, passes_run)`` — same contract as
-    :func:`repro.runtime.driver.run_iterative`."""
-    previous: Any = None
-    value: Any = None
-    passes = 0
-    for _ in range(config.iterations):
-        value = run_pass()
-        passes += 1
-        if (
-            config.converge is not None
-            and previous is not None
-            and _default_distance(previous, value) <= config.converge
-        ):
-            break
-        previous = value
-        update(value)
-    return value, passes
+    return iterate_passes(
+        run_pass, update, iterations=config.iterations, tolerance=config.converge
+    )
 
 
 def _run_serial(
@@ -605,6 +400,7 @@ def _run_serial(
 ) -> RunResult:
     bundle = _resolve_bundle(app, dataset, config)
     index, stores = _build_stores(bundle, dataset, config)
+    stores = _inject_faults(stores, config)
     cache = config.make_cache()
     reader = DatasetReader(
         index,
@@ -620,8 +416,6 @@ def _run_serial(
     # chunks then count as remote and get cached like the runtime's local
     # cluster would cache them.
     from_site = LOCAL_SITE if cache is not None else None
-    iterating = config.iterations > 1
-    update = _update_hook(bundle, config) if iterating else (lambda value: None)
 
     def run_pass() -> Any:
         return run_serial(
@@ -631,7 +425,7 @@ def _run_serial(
         )
 
     started = time.perf_counter()
-    value, passes = _iterate(config, run_pass, update)
+    value, passes = _iterate(bundle, config, run_pass)
     wall = time.perf_counter() - started
     telemetry = RunTelemetry(wall_seconds=wall)
     resilience = reader.resilience
@@ -711,12 +505,13 @@ def _run_simulate(
     report.slaves_revoked = revoked
     report.dollars_spent = dollars
     samples: list[RunSample] = []
-    if config.monitor_interval > 0 and config.trace is not None:
+    monitor = config.monitor
+    if monitor.enabled and config.trace is not None:
         # Virtual time: "live" sampling is a post-hoc replay of the trace.
-        samples = samples_from_log(config.trace, config.monitor_interval)
-        if config.on_sample is not None:
+        samples = samples_from_log(config.trace, monitor.interval)
+        if monitor.on_sample is not None:
             for sample in samples:
-                config.on_sample(sample)
+                monitor.on_sample(sample)
     return RunResult(
         value=None,
         mode="simulate",
@@ -732,66 +527,56 @@ def _run_runtime(
 ) -> RunResult:
     bundle = _resolve_bundle(app, dataset, config)
     index, stores = _build_stores(bundle, dataset, config)
+    return execute_runtime(bundle, index, stores, config)
+
+
+def execute_runtime(
+    bundle: AppBundle,
+    index: DataIndex,
+    stores: Mapping[str, StorageService],
+    config: RunConfig,
+) -> RunResult:
+    """Execute ``config`` on the threaded runtime over an already
+    materialized dataset — the half of runtime mode that ``repro run``
+    shares (its dataset lives on disk, not in fresh in-memory stores)."""
     monitor: RunMonitor | None = None
-    if config.monitor_interval > 0:
+    if config.monitor.enabled:
         monitor = RunMonitor(
-            config.monitor_interval, capacity=config.monitor_capacity
+            config.monitor.interval, capacity=config.monitor.capacity
         )
-        if config.on_sample is not None:
-            monitor.subscribe(config.on_sample)
+        if config.monitor.on_sample is not None:
+            monitor.subscribe(config.monitor.on_sample)
     runtime = CloudBurstingRuntime(
         bundle.app,
         index,
-        stores,
+        _inject_faults(stores, config),
         config.compute,
         tuning=config.tuning,
         seed=config.seed,
         trace=config.trace,
         metrics=config.metrics,
-        join_timeout=config.join_timeout,
+        join_timeout=config.resilience.join_timeout,
         retry_policy=config.effective_retry,
         cache=config.make_cache(),
-        prefetch=config.prefetch,
+        prefetch=config.cache.prefetch,
         sync=config.sync_spec,
         monitor=monitor,
         slave_mode=config.slave_mode,
         scale=config.scale,
     )
-    iterating = config.iterations > 1
-    update = _update_hook(bundle, config) if iterating else (lambda value: None)
-
-    # Each pass produces its own telemetry; fold the additive counters into
-    # the final pass's record so the result reports whole-run totals.
-    _ADDITIVE = (
-        "retries", "hedges", "hedge_wins", "timeouts", "circuit_opens",
-        "faults_injected", "slaves_failed", "jobs_reexecuted",
-        "cache_hits", "cache_misses", "cache_evictions", "bytes_saved",
-        "prefetches", "sync_uploads", "sync_bytes_sent", "sync_bytes_saved",
-        "sync_partial_merges", "zero_copy_reads", "bytes_copied",
-        "slaves_added", "slaves_revoked", "dollars_spent",
-    )
-    totals = {name: 0 for name in _ADDITIVE}
-    total_wall = 0.0
-    last: RuntimeResult | None = None
+    per_pass: list[RunTelemetry] = []
 
     def run_pass() -> Any:
-        nonlocal total_wall, last
-        last = runtime.run()
-        total_wall += last.telemetry.wall_seconds
-        for name in _ADDITIVE:
-            totals[name] += getattr(last.telemetry, name)
-        return last.value
+        result = runtime.run()
+        per_pass.append(result.telemetry)
+        return result.value
 
-    value, passes = _iterate(config, run_pass, update)
-    assert last is not None
-    telemetry = last.telemetry
-    telemetry.wall_seconds = total_wall
-    for name in _ADDITIVE:
-        setattr(telemetry, name, totals[name])
+    value, passes = _iterate(bundle, config, run_pass)
+    telemetry = RunTelemetry.fold(per_pass)
     return RunResult(
         value=value,
         mode="runtime",
-        wall_seconds=total_wall,
+        wall_seconds=telemetry.wall_seconds,
         telemetry=telemetry,
         passes=passes,
         samples=monitor.samples() if monitor is not None else [],

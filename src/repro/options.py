@@ -1,37 +1,32 @@
-"""Structured option families for :class:`repro.RunConfig`.
+"""The option families of :class:`repro.RunConfig` — the one place a
+run's options are spelled.
 
-``RunConfig`` grew past twenty flat knobs. This module groups them into
-four coherent, individually-validated spec dataclasses:
+Five individually-validated spec dataclasses group the knobs:
 
-* :class:`CacheOptions` — the chunk cache + prefetch pipeline
-  (``cache_bytes``/``prefetch``);
-* :class:`SyncOptions` — the global-reduction WAN levers
-  (``sync_encoding``/``sync_compress``/``sync_topology``/``sync_stream``/
-  ``sync_watermark``/``sync_fanout``/``sync_ratio``);
-* :class:`MonitorOptions` — live run-health sampling
-  (``monitor_interval``/``monitor_capacity``/``on_sample``);
+* :class:`CacheOptions` — the chunk cache + prefetch pipeline;
+* :class:`SyncOptions` — the global-reduction WAN levers (wire encoding,
+  compression, aggregation topology, streaming partial merges);
+* :class:`MonitorOptions` — live run-health sampling;
 * :class:`ResilienceOptions` — fault injection, retry policy and the
-  join deadline (``faults``/``retry``/``join_timeout``).
+  join deadline;
+* :class:`ScaleOptions` — the autoscaler and the spot-revocation model.
 
-New code writes::
+A run is configured, and read back, through them::
 
-    RunConfig(
+    config = RunConfig(
         cache=CacheOptions(bytes=1 << 26, prefetch=True),
         sync=SyncOptions(encoding="delta", compress="zlib", topology="tree"),
         monitor=MonitorOptions(interval=0.5, on_sample=print),
         resilience=ResilienceOptions(faults="transient=0.1,seed=7"),
     )
+    config.cache.bytes, config.sync.topology
 
-Every legacy flat kwarg keeps working through back-compat shims on
-``RunConfig`` that emit :class:`DeprecationWarning`; flat and nested
-construction are pinned equivalent in ``tests/test_options.py``. The
-flat attribute *reads* (``config.cache_bytes`` and friends) remain
-first-class and never warn — only flat construction is deprecated.
+``dataclasses.replace(config, sync=SyncOptions(...))`` swaps a family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .core.sync import SyncSpec
@@ -64,21 +59,16 @@ class CacheOptions:
 
     def __post_init__(self) -> None:
         if self.bytes < 0:
-            raise ConfigurationError("cache_bytes cannot be negative")
-
-    #: nested attribute -> legacy flat RunConfig kwarg.
-    FLAT = {"bytes": "cache_bytes", "prefetch": "prefetch"}
+            raise ConfigurationError("cache.bytes cannot be negative")
 
 
 @dataclass(frozen=True)
 class SyncOptions:
     """Global-reduction sync configuration (:mod:`repro.core.sync`).
 
-    The attribute names mirror the legacy flat knobs without their
-    ``sync_`` prefix; :meth:`to_spec` converts to the
-    :class:`~repro.core.sync.SyncSpec` both substrates execute. The
-    defaults reproduce the paper's star/dense/barrier path with zero
-    sync machinery.
+    :meth:`to_spec` converts to the :class:`~repro.core.sync.SyncSpec`
+    both substrates execute. The defaults reproduce the paper's
+    star/dense/barrier path with zero sync machinery.
     """
 
     encoding: str = "dense"
@@ -110,16 +100,6 @@ class SyncOptions:
         """True when the legacy zero-machinery path would run."""
         return self.to_spec().is_default
 
-    FLAT = {
-        "encoding": "sync_encoding",
-        "compress": "sync_compress",
-        "topology": "sync_topology",
-        "stream": "sync_stream",
-        "watermark": "sync_watermark",
-        "fanout": "sync_fanout",
-        "ratio": "sync_ratio",
-    }
-
 
 @dataclass(frozen=True)
 class MonitorOptions:
@@ -137,23 +117,17 @@ class MonitorOptions:
 
     def __post_init__(self) -> None:
         if self.interval < 0:
-            raise ConfigurationError("monitor_interval cannot be negative")
+            raise ConfigurationError("monitor.interval cannot be negative")
         if self.capacity <= 0:
-            raise ConfigurationError("monitor_capacity must be positive")
+            raise ConfigurationError("monitor.capacity must be positive")
         if self.on_sample is not None and self.interval <= 0:
             raise ConfigurationError(
-                "on_sample needs monitor_interval > 0 to ever be called"
+                "monitor.on_sample needs monitor.interval > 0 to ever be called"
             )
 
     @property
     def enabled(self) -> bool:
         return self.interval > 0
-
-    FLAT = {
-        "interval": "monitor_interval",
-        "capacity": "monitor_capacity",
-        "on_sample": "on_sample",
-    }
 
 
 @dataclass(frozen=True)
@@ -176,13 +150,7 @@ class ResilienceOptions:
         if isinstance(self.faults, str):
             object.__setattr__(self, "faults", FaultSpec.parse(self.faults))
         if self.join_timeout <= 0:
-            raise ConfigurationError("join_timeout must be positive")
-
-    FLAT = {
-        "faults": "faults",
-        "retry": "retry",
-        "join_timeout": "join_timeout",
-    }
+            raise ConfigurationError("resilience.join_timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -244,6 +212,3 @@ class ScaleOptions:
         if isinstance(spec, RevocationSpec) and spec.active:
             return spec
         return None
-
-    #: No legacy flat kwargs: ScaleOptions postdates the flat era.
-    FLAT = {}

@@ -18,11 +18,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from ..cache import ChunkCache
 from ..config import CLOUD_SITE, ComputeSpec, MiddlewareTuning
-from ..core.api import GeneralizedReductionApp
+from ..core.api import GeneralizedReductionApp, iterate_passes
 from ..core.index import DataIndex
 from ..core.reduction import from_bytes
 from ..core.scheduler import HeadScheduler
@@ -612,25 +610,10 @@ def run_iterative(
     cur) <= tolerance`` (with the default distance being the max absolute
     difference of array results). Returns ``(final_result, passes_run)``.
     """
-    if iterations <= 0:
-        raise ConfigurationError("iterations must be positive")
-
-    def default_distance(a: Any, b: Any) -> float:
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-    dist = distance or default_distance
-    previous: Any = None
-    result: Any = None
-    passes = 0
-    for _ in range(iterations):
-        result = runtime.run().value
-        passes += 1
-        if (
-            tolerance is not None
-            and previous is not None
-            and dist(previous, result) <= tolerance
-        ):
-            break
-        previous = result
-        update(result)
-    return result, passes
+    return iterate_passes(
+        lambda: runtime.run().value,
+        update,
+        iterations=iterations,
+        tolerance=tolerance,
+        distance=distance,
+    )

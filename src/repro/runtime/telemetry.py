@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, Sequence
 
 from ..errors import DataFormatError
 
@@ -148,39 +148,35 @@ class RunTelemetry:
     def total_stolen(self) -> int:
         return sum(c.stolen for c in self.clusters.values())
 
+    @classmethod
+    def _numeric_fields(cls) -> list[tuple[str, type]]:
+        """``(name, int | float)`` for every counter and timing — the one
+        walk the fold and the (de)serializers share, so a counter added to
+        the dataclass is summed, written and read back."""
+        casts = {"int": int, "float": float}
+        return [(f.name, casts[f.type]) for f in fields(cls) if f.type in casts]
+
+    @classmethod
+    def fold(cls, passes: Sequence["RunTelemetry"]) -> "RunTelemetry":
+        """Whole-run record of a multi-pass run: every numeric field summed
+        over ``passes``; clusters, metrics snapshot and span digest are the
+        last pass's."""
+        sums = {
+            name: sum(getattr(t, name) for t in passes)
+            for name, _ in cls._numeric_fields()
+        }
+        return replace(passes[-1], **sums)
+
     # -- serialization (mirrors SimReport's, so examples and benches can
     # persist runtime measurements the same way they persist sim reports) --
 
     def to_dict(self) -> dict:
         """Plain-data form for persistence or downstream tooling."""
-        return {
-            "wall_seconds": self.wall_seconds,
-            "slaves_failed": self.slaves_failed,
-            "jobs_reexecuted": self.jobs_reexecuted,
-            "slaves_added": self.slaves_added,
-            "slaves_revoked": self.slaves_revoked,
-            "dollars_spent": self.dollars_spent,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "timeouts": self.timeouts,
-            "circuit_opens": self.circuit_opens,
-            "faults_injected": self.faults_injected,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "bytes_saved": self.bytes_saved,
-            "prefetches": self.prefetches,
-            "sync_uploads": self.sync_uploads,
-            "sync_bytes_sent": self.sync_bytes_sent,
-            "sync_bytes_saved": self.sync_bytes_saved,
-            "sync_partial_merges": self.sync_partial_merges,
-            "zero_copy_reads": self.zero_copy_reads,
-            "bytes_copied": self.bytes_copied,
-            "clusters": {name: asdict(c) for name, c in self.clusters.items()},
-            "metrics": self.metrics,
-            "spans": self.spans,
-        }
+        doc = {name: getattr(self, name) for name, _ in self._numeric_fields()}
+        doc["clusters"] = {name: asdict(c) for name, c in self.clusters.items()}
+        doc["metrics"] = self.metrics
+        doc["spans"] = self.spans
+        return doc
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -188,37 +184,22 @@ class RunTelemetry:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunTelemetry":
         try:
+            # Absent counters keep their defaults; an absent wall_seconds
+            # has none and fails the constructor below.
+            numbers = {
+                name: cast(doc[name])
+                for name, cast in cls._numeric_fields()
+                if name in doc
+            }
             clusters = {
-                name: ClusterTelemetry(**fields)
-                for name, fields in doc["clusters"].items()
+                name: ClusterTelemetry(**entry)
+                for name, entry in doc["clusters"].items()
             }
             return cls(
-                wall_seconds=float(doc["wall_seconds"]),
                 clusters=clusters,
-                slaves_failed=int(doc.get("slaves_failed", 0)),
-                jobs_reexecuted=int(doc.get("jobs_reexecuted", 0)),
-                slaves_added=int(doc.get("slaves_added", 0)),
-                slaves_revoked=int(doc.get("slaves_revoked", 0)),
-                dollars_spent=float(doc.get("dollars_spent", 0.0)),
-                retries=int(doc.get("retries", 0)),
-                hedges=int(doc.get("hedges", 0)),
-                hedge_wins=int(doc.get("hedge_wins", 0)),
-                timeouts=int(doc.get("timeouts", 0)),
-                circuit_opens=int(doc.get("circuit_opens", 0)),
-                faults_injected=int(doc.get("faults_injected", 0)),
-                cache_hits=int(doc.get("cache_hits", 0)),
-                cache_misses=int(doc.get("cache_misses", 0)),
-                cache_evictions=int(doc.get("cache_evictions", 0)),
-                bytes_saved=int(doc.get("bytes_saved", 0)),
-                prefetches=int(doc.get("prefetches", 0)),
-                sync_uploads=int(doc.get("sync_uploads", 0)),
-                sync_bytes_sent=int(doc.get("sync_bytes_sent", 0)),
-                sync_bytes_saved=int(doc.get("sync_bytes_saved", 0)),
-                sync_partial_merges=int(doc.get("sync_partial_merges", 0)),
-                zero_copy_reads=int(doc.get("zero_copy_reads", 0)),
-                bytes_copied=int(doc.get("bytes_copied", 0)),
                 metrics=doc.get("metrics"),
                 spans=doc.get("spans"),
+                **numbers,
             )
         except (KeyError, TypeError) as exc:
             raise DataFormatError(f"malformed telemetry document: {exc}") from exc

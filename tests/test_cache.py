@@ -399,7 +399,7 @@ def test_facade_iterative_second_pass_fetches_zero_remote_bytes():
     )
     registry = MetricsRegistry()
     config = repro.RunConfig(
-        mode="serial", cache_bytes=1 << 22, iterations=3,
+        mode="serial", cache=repro.CacheOptions(bytes=1 << 22), iterations=3,
         metrics=registry, app_params={"k": 4},
     )
     result = repro.run("kmeans", dataset, config)
@@ -429,7 +429,7 @@ def test_facade_converge_stops_early():
 
 def test_facade_rejects_bad_cache_and_iteration_knobs():
     with pytest.raises(ConfigurationError):
-        repro.RunConfig(cache_bytes=-1)
+        repro.RunConfig(cache=repro.CacheOptions(bytes=-1))
     with pytest.raises(ConfigurationError):
         repro.RunConfig(iterations=0)
     with pytest.raises(ConfigurationError):

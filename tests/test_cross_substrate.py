@@ -195,7 +195,8 @@ def _baseline(app: str):
 @pytest.mark.parametrize("app", GOLDEN_APPS)
 def test_golden_matrix_runtime_matches_serial(app, cache_bytes, prefetch):
     config = repro.RunConfig(
-        mode="runtime", cache_bytes=cache_bytes, prefetch=prefetch
+        mode="runtime",
+        cache=repro.CacheOptions(bytes=cache_bytes, prefetch=prefetch),
     )
     result = repro.run(app, _golden_dataset(app), config)
     _assert_same_value(_baseline(app), result.value)
@@ -210,8 +211,8 @@ def test_golden_matrix_runtime_matches_serial(app, cache_bytes, prefetch):
 @pytest.mark.parametrize("app", GOLDEN_APPS)
 @pytest.mark.parametrize("cache_bytes", [0, 1 << 30])
 def test_golden_matrix_simulator_stays_consistent(app, cache_bytes):
-    config = repro.RunConfig(mode="simulate", cache_bytes=cache_bytes,
-                             iterations=2)
+    config = repro.RunConfig(mode="simulate", iterations=2,
+                             cache=repro.CacheOptions(bytes=cache_bytes))
     result = repro.run(app, _golden_dataset(app), config)
     report = result.sim_report
     report.validate()
@@ -242,11 +243,13 @@ SYNC_MATRIX = tuple(
 def test_golden_matrix_sync_matches_serial(app, encoding, topology, stream):
     config = repro.RunConfig(
         mode="runtime",
-        sync_encoding=encoding,
-        sync_topology=topology,
-        sync_stream=stream,
-        sync_compress="zlib" if stream else "none",
-        sync_watermark=2,
+        sync=repro.SyncOptions(
+            encoding=encoding,
+            topology=topology,
+            stream=stream,
+            compress="zlib" if stream else "none",
+            watermark=2,
+        ),
     )
     result = repro.run(app, _golden_dataset(app), config)
     _assert_same_value(_baseline(app), result.value)
@@ -272,8 +275,9 @@ def test_golden_matrix_iterative_pagerank_delta():
     runtime = repro.run(
         "pagerank", dataset,
         repro.RunConfig(mode="runtime", iterations=3,
-                        sync_encoding="delta", sync_compress="zlib",
-                        sync_topology="tree", sync_stream=True),
+                        sync=repro.SyncOptions(
+                            encoding="delta", compress="zlib",
+                            topology="tree", stream=True)),
     )
     assert serial.passes == runtime.passes == 3
     _assert_same_value(serial.value, runtime.value)
@@ -320,7 +324,7 @@ def test_golden_matrix_process_sync_stream():
     watermark; the merged result still matches the oracle."""
     config = repro.RunConfig(
         mode="runtime", slave_mode="process",
-        sync_stream=True, sync_watermark=2, sync_encoding="sparse",
+        sync=repro.SyncOptions(stream=True, watermark=2, encoding="sparse"),
     )
     result = repro.run("histogram", _golden_dataset("histogram"), config)
     _assert_same_value(_baseline("histogram"), result.value)
@@ -332,7 +336,7 @@ def test_golden_matrix_process_cache_prefetch():
     proxy thread still owns the fetch; only compute moved out)."""
     config = repro.RunConfig(
         mode="runtime", slave_mode="process",
-        cache_bytes=1 << 22, prefetch=True,
+        cache=repro.CacheOptions(bytes=1 << 22, prefetch=True),
     )
     result = repro.run("moments", _golden_dataset("moments"), config)
     _assert_same_value(_baseline("moments"), result.value)
@@ -375,8 +379,8 @@ def test_golden_matrix_zero_copy_serial_cached():
     dataset = _golden_dataset("kmeans")
     result = repro.run(
         "kmeans", dataset,
-        repro.RunConfig(mode="serial", iterations=2, cache_bytes=1 << 22,
-                        app_params={"k": 4}),
+        repro.RunConfig(mode="serial", iterations=2, app_params={"k": 4},
+                        cache=repro.CacheOptions(bytes=1 << 22)),
     )
     t = result.telemetry
     # 16 chunks/pass x 2 passes, all served as views; the 8 cloud chunks
@@ -398,7 +402,8 @@ def test_golden_matrix_iterative_kmeans(cache_bytes, prefetch):
     runtime = repro.run(
         "kmeans", dataset,
         repro.RunConfig(mode="runtime", iterations=3, app_params={"k": 4},
-                        cache_bytes=cache_bytes, prefetch=prefetch),
+                        cache=repro.CacheOptions(
+                            bytes=cache_bytes, prefetch=prefetch)),
     )
     assert serial.passes == runtime.passes == 3
     _assert_same_value(serial.value, runtime.value)

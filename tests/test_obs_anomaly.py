@@ -104,7 +104,8 @@ def test_injected_latency_fault_flagged_in_simulator():
         "wordcount",
         DATASET,
         repro.RunConfig(
-            mode="simulate", trace=trace, faults="latency=0.1:25.0,seed=3"
+            mode="simulate", trace=trace,
+            resilience=repro.ResilienceOptions(faults="latency=0.1:25.0,seed=3"),
         ),
     )
     assert result.sim_report.faults_injected > 0
@@ -121,7 +122,8 @@ def test_injected_latency_fault_flagged_in_runtime():
         "wordcount",
         DATASET,
         repro.RunConfig(
-            mode="runtime", trace=trace, faults="latency=0.12:0.4,seed=5"
+            mode="runtime", trace=trace,
+            resilience=repro.ResilienceOptions(faults="latency=0.12:0.4,seed=5"),
         ),
     )
     assert result.telemetry.faults_injected > 0

@@ -237,14 +237,16 @@ DATASET = DatasetSpec(
 
 
 def test_facade_monitor_knob_validation():
-    with pytest.raises(ConfigurationError, match="monitor_interval"):
-        repro.RunConfig(monitor_interval=-1.0)
-    with pytest.raises(ConfigurationError, match="monitor_capacity"):
-        repro.RunConfig(monitor_capacity=0)
+    with pytest.raises(ConfigurationError, match=r"monitor\.interval"):
+        repro.MonitorOptions(interval=-1.0)
+    with pytest.raises(ConfigurationError, match=r"monitor\.capacity"):
+        repro.MonitorOptions(capacity=0)
     with pytest.raises(ConfigurationError, match="on_sample"):
-        repro.RunConfig(on_sample=lambda s: None)
+        repro.MonitorOptions(on_sample=lambda s: None)
     with pytest.raises(ConfigurationError, match="trace"):
-        repro.RunConfig(mode="simulate", monitor_interval=1.0)
+        repro.RunConfig(
+            mode="simulate", monitor=repro.MonitorOptions(interval=1.0)
+        )
 
 
 def test_facade_runtime_monitoring():
@@ -253,7 +255,8 @@ def test_facade_runtime_monitoring():
         "wordcount",
         DATASET,
         repro.RunConfig(
-            mode="runtime", monitor_interval=0.02, on_sample=seen.append
+            mode="runtime",
+            monitor=repro.MonitorOptions(interval=0.02, on_sample=seen.append),
         ),
     )
     assert result.samples, "runtime monitor took no samples"
@@ -273,8 +276,7 @@ def test_facade_simulate_monitoring_replays_the_trace():
         repro.RunConfig(
             mode="simulate",
             trace=trace,
-            monitor_interval=1.0,
-            on_sample=seen.append,
+            monitor=repro.MonitorOptions(interval=1.0, on_sample=seen.append),
         ),
     )
     assert result.samples and seen == result.samples
@@ -285,7 +287,9 @@ def test_facade_simulate_monitoring_replays_the_trace():
     runtime_keys = set(
         repro.run(
             "wordcount", DATASET,
-            repro.RunConfig(mode="runtime", monitor_interval=0.02),
+            repro.RunConfig(
+                mode="runtime", monitor=repro.MonitorOptions(interval=0.02)
+            ),
         ).samples[-1].to_dict()
     )
     assert set(final.to_dict()) == runtime_keys

@@ -1,28 +1,22 @@
-"""Nested option specs: flat/nested equivalence, deprecation, conflicts.
+"""The option families are RunConfig's only spelling.
 
-The RunConfig redesign groups 20+ flat knobs into four nested spec
-dataclasses. The contract these tests pin:
+The contract these tests pin:
 
-* flat construction still works but emits ``DeprecationWarning``;
-* flat and nested construction yield *equal* configs (and identical
-  runs — see the execution equivalence test at the bottom);
-* nested construction is silent;
-* flat + nested together: silent when they agree, ``ConfigurationError``
-  when they disagree;
-* flat attribute reads (``config.cache_bytes``) never warn and always
-  mirror the nested spec;
-* ``dataclasses.replace`` works on core + nested fields.
+* nested construction is silent and validated per spec;
+* ``dataclasses.replace`` swaps a family, ``==``/``repr`` are the plain
+  dataclass ones;
+* the 15 flat kwargs of the earlier API are gone — a ``TypeError`` to
+  construct with, an ``AttributeError`` to read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import warnings
 
-import numpy as np
 import pytest
 
-import repro
 from repro import (
     CacheOptions,
     MonitorOptions,
@@ -30,28 +24,8 @@ from repro import (
     RunConfig,
     SyncOptions,
 )
-from repro.config import DatasetSpec
 from repro.errors import ConfigurationError
 from repro.resilience import FaultSpec, RetryPolicy
-
-#: Every legacy flat kwarg with a non-default value, and the nested spec
-#: construction that must be equivalent.
-FLAT_KWARGS = dict(
-    cache_bytes=1 << 20,
-    prefetch=True,
-    sync_encoding="delta",
-    sync_compress="zlib",
-    sync_topology="tree",
-    sync_stream=True,
-    sync_watermark=4,
-    sync_fanout=3,
-    sync_ratio=0.5,
-    monitor_interval=0.25,
-    monitor_capacity=64,
-    faults="transient=0.1,seed=7",
-    retry=RetryPolicy(max_attempts=2),
-    join_timeout=30.0,
-)
 
 NESTED_KWARGS = dict(
     cache=CacheOptions(bytes=1 << 20, prefetch=True),
@@ -68,87 +42,46 @@ NESTED_KWARGS = dict(
 )
 
 
-def flat_config() -> RunConfig:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return RunConfig(**FLAT_KWARGS)
-
-
-def test_flat_construction_warns_once_per_family():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        RunConfig(**FLAT_KWARGS)
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 4  # one per option family
-    messages = "\n".join(str(w.message) for w in dep)
-    for family in ("CacheOptions", "SyncOptions", "MonitorOptions",
-                   "ResilienceOptions"):
-        assert family in messages
-    # The warning names the offending flat kwargs.
-    assert "cache_bytes" in messages and "sync_encoding" in messages
-
-
 def test_nested_construction_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         RunConfig(**NESTED_KWARGS)
 
 
-def test_flat_and_nested_configs_are_equal():
-    assert flat_config() == RunConfig(**NESTED_KWARGS)
-
-
-def test_flat_reads_mirror_nested_spec_without_warning():
-    config = RunConfig(**NESTED_KWARGS)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert config.cache_bytes == 1 << 20
-        assert config.prefetch is True
-        assert config.sync_encoding == "delta"
-        assert config.sync_compress == "zlib"
-        assert config.sync_topology == "tree"
-        assert config.sync_stream is True
-        assert config.sync_watermark == 4
-        assert config.sync_fanout == 3
-        assert config.sync_ratio == 0.5
-        assert config.monitor_interval == 0.25
-        assert config.monitor_capacity == 64
-        assert config.on_sample is None
-        assert config.join_timeout == 30.0
-        assert isinstance(config.faults, FaultSpec)
-        assert config.retry == RetryPolicy(max_attempts=2)
-
-
-def test_agreeing_flat_and_nested_accepted_silently():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        config = RunConfig(
-            cache=CacheOptions(bytes=512), cache_bytes=512,
-            resilience=ResilienceOptions(faults="transient=0.2,seed=3"),
-            faults="transient=0.2,seed=3",
-        )
-    assert config.cache.bytes == 512
-
-
-@pytest.mark.parametrize(
-    "nested, flat",
-    [
-        ({"cache": CacheOptions(bytes=1)}, {"cache_bytes": 2}),
-        ({"sync": SyncOptions(encoding="delta")}, {"sync_encoding": "sparse"}),
-        ({"monitor": MonitorOptions(capacity=9)}, {"monitor_capacity": 8}),
-        (
-            {"resilience": ResilienceOptions(join_timeout=5.0)},
-            {"join_timeout": 6.0},
-        ),
-        (
-            {"resilience": ResilienceOptions(faults="transient=0.1,seed=1")},
-            {"faults": "transient=0.2,seed=1"},
-        ),
-    ],
+#: The flat kwargs the nested specs replaced, each with a legal value.
+REMOVED_FLAT_KWARGS = dict(
+    cache_bytes=1 << 20,
+    prefetch=True,
+    sync_encoding="delta",
+    sync_compress="zlib",
+    sync_topology="tree",
+    sync_stream=True,
+    sync_watermark=4,
+    sync_fanout=3,
+    sync_ratio=0.5,
+    monitor_interval=0.25,
+    monitor_capacity=64,
+    on_sample=print,
+    faults="transient=0.1,seed=7",
+    retry=RetryPolicy(max_attempts=2),
+    join_timeout=30.0,
 )
-def test_disagreeing_flat_and_nested_raises(nested, flat):
-    with pytest.raises(ConfigurationError, match="disagree"):
-        RunConfig(**nested, **flat)
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_FLAT_KWARGS))
+def test_flat_spelling_is_gone(name):
+    with pytest.raises(TypeError, match=name):
+        RunConfig(**{name: REMOVED_FLAT_KWARGS[name]})
+    with pytest.raises(AttributeError):
+        getattr(RunConfig(), name)
+
+
+def test_signature_is_the_seventeen_real_fields():
+    assert list(inspect.signature(RunConfig).parameters) == [
+        "mode", "placement", "compute", "tuning", "seed", "name", "trace",
+        "metrics", "app_params", "slave_mode", "iterations", "converge",
+        "cache", "sync", "monitor", "resilience", "scale",
+    ]
 
 
 def test_replace_round_trips_nested_fields():
@@ -156,7 +89,7 @@ def test_replace_round_trips_nested_fields():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         swapped = dataclasses.replace(config, cache=CacheOptions(bytes=7))
-    assert swapped.cache_bytes == 7
+    assert swapped.cache.bytes == 7
     assert swapped.sync == config.sync
     assert swapped.monitor == config.monitor
     assert swapped.resilience == config.resilience
@@ -169,22 +102,19 @@ def test_repr_and_eq_ignore_flat_mirrors():
     text = repr(config)
     assert "cache=CacheOptions" in text
     assert "cache_bytes" not in text
+    assert config == RunConfig(cache=CacheOptions(bytes=3))
+    assert config != RunConfig(cache=CacheOptions(bytes=4))
 
 
 def test_spec_level_validation_still_fires():
-    with pytest.raises(ConfigurationError, match="cache_bytes"):
+    with pytest.raises(ConfigurationError, match=r"cache\.bytes"):
         CacheOptions(bytes=-1)
-    with pytest.raises(ConfigurationError, match="monitor_interval"):
+    with pytest.raises(ConfigurationError, match=r"monitor\.interval"):
         MonitorOptions(interval=-0.5)
     with pytest.raises(ConfigurationError, match="watermark"):
         SyncOptions(watermark=0)
     with pytest.raises(ConfigurationError, match="join_timeout"):
         ResilienceOptions(join_timeout=0.0)
-    # ...and through the flat shims too.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(ConfigurationError, match="cache_bytes"):
-            RunConfig(cache_bytes=-1)
 
 
 def test_resilience_parses_string_faults():
@@ -198,32 +128,3 @@ def test_sync_options_to_spec_and_default_detection():
     assert not SyncOptions(encoding="delta").is_default
     spec = SyncOptions(topology="tree", ratio=0.5).to_spec()
     assert spec.topology == "tree" and spec.sim_ratio == 0.5
-
-
-DATASET = DatasetSpec(
-    total_bytes=4096 * 8, num_files=4, chunk_bytes=2048, record_bytes=8
-)
-
-
-@pytest.mark.parametrize("mode", ["serial", "runtime"])
-def test_flat_and_nested_configs_run_identically(mode):
-    """The redesign's contract: same knobs, same bits out."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        flat = RunConfig(
-            mode=mode, seed=7,
-            cache_bytes=1 << 22,
-            sync_encoding="delta", sync_compress="zlib",
-            faults="transient=0.1,seed=3",
-        )
-    nested = RunConfig(
-        mode=mode, seed=7,
-        cache=CacheOptions(bytes=1 << 22),
-        sync=SyncOptions(encoding="delta", compress="zlib"),
-        resilience=ResilienceOptions(faults="transient=0.1,seed=3"),
-    )
-    assert flat == nested
-    a = repro.run("histogram", DATASET, flat)
-    b = repro.run("histogram", DATASET, nested)
-    np.testing.assert_array_equal(np.asarray(a.value), np.asarray(b.value))
-    assert a.passes == b.passes

@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import RunConfig, run
+from repro import ResilienceOptions, RunConfig, run
 from repro.config import (
     CLOUD_SITE,
     LOCAL_SITE,
@@ -132,9 +132,11 @@ def test_facade_chaos_run_via_env_rate():
         "histogram", DATASET,
         RunConfig(
             mode="runtime", seed=2011,
-            faults=FaultSpec(transient_rate=FAULT_RATE, seed=29),
-            retry=RetryPolicy(max_attempts=8, base_backoff=0.001,
-                              max_backoff=0.01),
+            resilience=ResilienceOptions(
+                faults=FaultSpec(transient_rate=FAULT_RATE, seed=29),
+                retry=RetryPolicy(max_attempts=8, base_backoff=0.001,
+                                  max_backoff=0.01),
+            ),
         ),
     )
     np.testing.assert_array_equal(chaotic.value, clean.value)
@@ -151,26 +153,33 @@ def test_crash_recovery_telemetry_matches_injected_failures():
     bundle, index, stores = materialize(bins=32)
     oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
 
-    victim_jobs = []
-    fired = threading.Event()
+    # The victim is whichever slave first starts a third job: 16 jobs on
+    # four slaves hand some slave three however the scheduler interleaves.
+    started: dict[int, list[int]] = {}
+    victim: list[int] = []
+    lock = threading.Lock()
 
-    def crash_after_two(slave_id: int, job) -> None:
-        if slave_id != 1 or fired.is_set():
-            return
-        victim_jobs.append(job.job_id)
-        if len(victim_jobs) > 2:
-            fired.set()
-            raise WorkerFailure("injected crash")
+    def crash_on_third_job(slave_id: int, job) -> None:
+        with lock:
+            if victim:
+                return
+            jobs = started.setdefault(slave_id, [])
+            jobs.append(job.job_id)
+            if len(jobs) < 3:
+                return
+            victim.append(slave_id)
+        raise WorkerFailure("injected crash")
 
     trace = EventLog()
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores,
         ComputeSpec(local_cores=2, cloud_cores=2),
         tuning=MiddlewareTuning(units_per_group=100),
-        fault_hook=crash_after_two, trace=trace, join_timeout=60.0,
+        fault_hook=crash_on_third_job, trace=trace, join_timeout=60.0,
     )
     result = runtime.run()
-    assert fired.is_set()
+    assert victim
+    victim_jobs = started[victim[0]]
     np.testing.assert_array_equal(result.value, oracle)
 
     telemetry = result.telemetry

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import RunConfig, RunResult, run
+from repro import ResilienceOptions, RunConfig, RunResult, run
 from repro.apps import make_bundle
 from repro.config import (
     CLOUD_SITE,
@@ -136,7 +136,10 @@ def test_facade_faulted_run_is_bit_identical_to_clean_run():
     clean = run("histogram", dataset, RunConfig(mode="runtime"))
     faulted = run(
         "histogram", dataset,
-        RunConfig(mode="runtime", faults="transient=0.15,seed=5"),
+        RunConfig(
+            mode="runtime",
+            resilience=ResilienceOptions(faults="transient=0.15,seed=5"),
+        ),
     )
     assert_values_equal(faulted.value, clean.value)
     assert faulted.telemetry.faults_injected > 0
@@ -148,17 +151,20 @@ def test_run_config_validation_and_parsing():
     with pytest.raises(ConfigurationError):
         RunConfig(mode="warp")
     with pytest.raises(ConfigurationError):
-        RunConfig(join_timeout=0.0)
-    config = RunConfig(faults="transient=0.2,seed=9")
-    assert isinstance(config.faults, FaultSpec)
-    assert config.fault_spec is config.faults
+        ResilienceOptions(join_timeout=0.0)
+    config = RunConfig(resilience=ResilienceOptions(faults="transient=0.2,seed=9"))
+    assert isinstance(config.resilience.faults, FaultSpec)
+    assert config.fault_spec is config.resilience.faults
     # Faults imply a default retry policy; explicit policies win.
     assert config.effective_retry == RetryPolicy()
     custom = RetryPolicy(max_attempts=9)
-    assert RunConfig(retry=custom).effective_retry is custom
+    assert (
+        RunConfig(resilience=ResilienceOptions(retry=custom)).effective_retry
+        is custom
+    )
     assert RunConfig().effective_retry is None
     # An all-zero spec is treated as no faults at all.
-    inert = RunConfig(faults=FaultSpec())
+    inert = RunConfig(resilience=ResilienceOptions(faults=FaultSpec()))
     assert inert.fault_spec is None and inert.effective_retry is None
 
 

@@ -38,7 +38,7 @@ def test_validate_default_config_is_clean():
 
 def test_prefetch_without_cache_conflicts():
     config = RunConfig(cache=CacheOptions(prefetch=True))
-    with pytest.raises(ConfigurationError, match="prefetch.*cache_bytes=0"):
+    with pytest.raises(ConfigurationError, match=r"prefetch.*cache\.bytes=0"):
         config.validate()
 
 
@@ -60,14 +60,14 @@ def test_sim_only_sync_ratio_in_runtime_conflicts():
     config = RunConfig(
         mode="runtime", sync=SyncOptions(topology="tree", ratio=0.5)
     )
-    with pytest.raises(ConfigurationError, match="sync_ratio.*simulator"):
+    with pytest.raises(ConfigurationError, match=r"sync\.ratio.*simulator"):
         config.validate()
 
 
 def test_stream_with_star_dense_defaults_conflicts():
     config = RunConfig(mode="runtime", sync=SyncOptions(stream=True))
     with pytest.raises(
-        ConfigurationError, match="sync_stream.*star/dense"
+        ConfigurationError, match=r"sync\.stream.*star/dense"
     ):
         config.validate()
 
@@ -75,7 +75,7 @@ def test_stream_with_star_dense_defaults_conflicts():
 def test_monitor_in_serial_mode_conflicts():
     config = RunConfig(mode="serial", monitor=MonitorOptions(interval=1.0))
     with pytest.raises(
-        ConfigurationError, match="monitor_interval.*no samples"
+        ConfigurationError, match=r"monitor\.interval.*no samples"
     ):
         config.validate()
 

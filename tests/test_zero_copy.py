@@ -195,7 +195,10 @@ def test_retry_path_counts_copies():
     )
     result = repro.run(
         "histogram", spec,
-        repro.RunConfig(mode="serial", retry=RetryPolicy()),
+        repro.RunConfig(
+            mode="serial",
+            resilience=repro.ResilienceOptions(retry=RetryPolicy()),
+        ),
     )
     t = result.telemetry
     assert t.zero_copy_reads == 0
