@@ -1,6 +1,6 @@
 """Benchmarks of the chunk cache + prefetch pipeline.
 
-Two acceptance bounds and one characterization:
+Three acceptance bounds and one characterization:
 
 * **Iterative payoff** — a remote-heavy kmeans (every chunk on the cloud,
   every core local, injected per-read latency standing in for the WAN)
@@ -13,21 +13,31 @@ Two acceptance bounds and one characterization:
   before any cache code runs) must cost < 2 % extra wall time against a
   cache-free reader. With ``cache.bytes=0`` the facade constructs none
   of the machinery at all, so this bounds the worst case.
+* **Prefetch window** — one :class:`~repro.cache.Prefetcher` on a
+  :class:`~repro.clock.FakeClock` (deterministic: fetches and compute
+  are virtual sleeps), fixed windows 1 / 2 / 4 / 8 against the
+  self-sized one at fetch-to-compute ratios of about 0, 1 and 10. The
+  self-sized window must finish within 15 % of the best fixed one at
+  every ratio and stay at 1 when fetches cost nothing. This table is
+  the evidence for ``MAX_WINDOW_JOBS`` / ``WINDOW_BYTES`` in
+  :mod:`repro.cache.prefetch`, and where a change to them is judged.
 
 Run directly with ``--smoke`` for a quick CI-sized pass of the iterative
-table (same assertions, smaller dataset).
+table (same assertions, smaller dataset) and the window table.
 """
 
 from __future__ import annotations
 
 import argparse
+import queue
 import time
 import timeit
 
 from conftest import print_block
 
 from repro.apps import make_bundle
-from repro.cache import ChunkCache
+from repro.cache import ChunkCache, Prefetcher
+from repro.clock import FakeClock
 from repro.config import (
     CLOUD_SITE,
     LOCAL_SITE,
@@ -191,6 +201,90 @@ def test_disabled_cache_overhead_under_two_percent():
     )
 
 
+# -- the prefetch window ------------------------------------------------------
+
+WINDOW_JOBS = 96
+COMPUTE_S = 1.0
+#: Fetch seconds per compute second: a warm/local pass, a balanced one,
+#: and the shaped-WAN cold pass of ``benchmarks/e2e`` (23 ms over 2.3 ms).
+RATIOS = (0.001, 1.0, 10.0)
+FIXED_WINDOWS = (1, 2, 4, 8)
+_NOTHING: "queue.SimpleQueue[None]" = queue.SimpleQueue()
+
+
+def window_makespan(ratio: float, fixed: int | None) -> tuple[float, int]:
+    """Virtual seconds for one owner to take and compute ``WINDOW_JOBS``
+    jobs through a prefetcher whose window is ``fixed`` (or self-sized),
+    and the widest window it used."""
+    kind = Prefetcher if fixed is None else type(
+        "FixedWindow", (Prefetcher,), {"window": fixed}
+    )
+    jobs = iter(range(WINDOW_JOBS))
+    widest = 0
+    with FakeClock() as clock:
+
+        def fetch(job: int) -> bytes:
+            clock.sleep(ratio * COMPUTE_S)
+            return b"chunk"
+
+        prefetcher = kind(lambda: next(jobs, None), fetch, clock=clock)
+        try:
+            while prefetcher.take(timeout=1e6)[0] is not None:
+                widest = max(widest, prefetcher.window)
+                try:
+                    # Compute: time passes only once every stage is parked.
+                    clock.wait(_NOTHING, COMPUTE_S)
+                except queue.Empty:
+                    pass
+        finally:
+            prefetcher.close()
+        return clock.monotonic(), widest
+
+
+def window_table() -> list[dict]:
+    rows = []
+    for ratio in RATIOS:
+        fixed = {w: window_makespan(ratio, w)[0] for w in FIXED_WINDOWS}
+        sized, widest = window_makespan(ratio, None)
+        rows.append(
+            {"ratio": ratio, "fixed": fixed, "self": sized, "widest": widest}
+        )
+    return rows
+
+
+def render_window_rows(rows) -> str:
+    out = [
+        f"prefetch window: virtual seconds for {WINDOW_JOBS} jobs of "
+        f"{COMPUTE_S:g} s compute",
+        f"{'fetch/compute':>14} "
+        + " ".join(f"{'W=' + str(w):>8}" for w in FIXED_WINDOWS)
+        + f" {'self-sized':>11} {'(widest)':>9} {'vs best':>8}",
+    ]
+    for r in rows:
+        best = min(r["fixed"].values())
+        out.append(
+            f"{r['ratio']:>14g} "
+            + " ".join(f"{r['fixed'][w]:>8.1f}" for w in FIXED_WINDOWS)
+            + f" {r['self']:>11.1f} {r['widest']:>9} "
+            f"{(r['self'] / best - 1) * 100:>+7.1f}%"
+        )
+    return "\n".join(out)
+
+
+def check_window_rows(rows) -> None:
+    for r in rows:
+        best = min(r["fixed"].values())
+        assert r["self"] <= 1.15 * best, r
+    # A fetch that costs nothing never widens the window.
+    assert rows[0]["widest"] == 1, rows[0]
+
+
+def test_self_sized_window_tracks_best_fixed_window():
+    rows = window_table()
+    print_block(render_window_rows(rows))
+    check_window_rows(rows)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -204,6 +298,10 @@ def main(argv=None) -> int:
     print(render_rows(rows))
     check_rows(rows)
     print("ok: iterations >= 2 fetched zero remote bytes and were faster")
+    windows = window_table()
+    print(render_window_rows(windows))
+    check_window_rows(windows)
+    print("ok: self-sized window within 15% of the best fixed window")
     return 0
 
 

@@ -15,20 +15,25 @@ The contract a clock provides:
   virtual clock knows which threads it is coordinating;
 * ``wait(q, timeout)`` — a ``queue`` rendezvous: return the next item or
   raise :class:`queue.Empty` once ``timeout`` has elapsed *on this clock*.
+  Any thread may call it; ``q`` needs ``get``, ``get_nowait`` and
+  ``empty``.
 
 :class:`FakeClock` implements virtual time with one rule: the thread
 driving the test owns the clock, and virtual time only advances when every
-spawned worker is parked in :meth:`FakeClock.sleep`. A worker that is
+spawned worker is parked — in :meth:`FakeClock.sleep`, or in
+:meth:`FakeClock.wait` on a queue that is empty. A worker that is
 actually computing gets real scheduler time (a tiny poll, liveness only —
 no assertion ever depends on it); a worker parked at a virtual deadline is
 woken exactly when the owner's ``wait``/``sleep``/``advance`` moves the
-clock past it. That makes straggler races deterministic: the straggling
-request *cannot* deliver before the hedge threshold, because its wake-up
-time is a number, not a scheduler coincidence.
+clock past it, and one parked on a queue counts as running again the
+moment an item is put there. That makes straggler races deterministic:
+the straggling request *cannot* deliver before the hedge threshold,
+because its wake-up time is a number, not a scheduler coincidence.
 """
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -80,6 +85,8 @@ class FakeClock:
         self._workers: set[threading.Thread] = set()
         #: Worker thread -> virtual deadline it is parked until.
         self._sleepers: dict[threading.Thread, float] = {}
+        #: Worker thread -> the queue it is parked on in :meth:`wait`.
+        self._waiting: dict[threading.Thread, Any] = {}
         self._closed = False
         #: Real-time yield between liveness polls while a worker computes.
         self._poll = poll
@@ -127,6 +134,8 @@ class FakeClock:
 
     def wait(self, q: "queue.SimpleQueue[Any]", timeout: float | None) -> Any:
         deadline = None if timeout is None else self.monotonic() + timeout
+        if threading.current_thread() in self._workers:
+            return self._worker_wait(q, deadline)
         while True:
             try:
                 return q.get_nowait()
@@ -138,10 +147,15 @@ class FakeClock:
                 # still ahead; one just woken (deadline reached but not yet
                 # resumed) is treated as busy so we give it real time to
                 # deliver before judging the queue empty again.
-                parked = [d for t, d in self._sleepers.items() if d > self._now]
+                parked = [
+                    d for t, d in self._sleepers.items()
+                    if d > self._now and not self._has_mail(t)
+                ]
                 busy = len(self._workers) - len(parked)
                 if busy == 0:
-                    wake = min(parked, default=None)
+                    wake = min(
+                        (d for d in parked if d != math.inf), default=None
+                    )
                     if deadline is not None and (wake is None or wake >= deadline):
                         self._advance_locked(deadline)
                         raise queue.Empty
@@ -155,6 +169,36 @@ class FakeClock:
                         )
             if not advanced:
                 time.sleep(self._poll)
+
+    def _has_mail(self, worker: threading.Thread) -> bool:
+        q = self._waiting.get(worker)
+        return q is not None and not q.empty()
+
+    def _worker_wait(self, q: Any, deadline: float | None) -> Any:
+        """A worker's ``wait``: parked for as long as ``q`` stays empty.
+
+        Workers never move the clock; they poll ``q`` in real time (a
+        liveness poll, like the owner's) until an item arrives, their
+        virtual deadline passes, or the clock is closed.
+        """
+        me = threading.current_thread()
+        with self._cond:
+            self._waiting[me] = q
+            self._sleepers[me] = math.inf if deadline is None else deadline
+            self._cond.notify_all()
+            try:
+                while True:
+                    try:
+                        return q.get_nowait()
+                    except queue.Empty:
+                        pass
+                    if self._closed or self._now >= self._sleepers[me]:
+                        raise queue.Empty
+                    self._cond.wait(self._poll)
+            finally:
+                del self._waiting[me]
+                del self._sleepers[me]
+                self._cond.notify_all()
 
     # -- test helpers -------------------------------------------------------
 

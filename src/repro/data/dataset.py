@@ -28,7 +28,7 @@ from ..obs.metrics import MetricsRegistry
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.retry import ResilienceStats, RetryPolicy
 from ..storage.base import StorageService
-from ..storage.retrieval import ChunkRetriever
+from ..storage.retrieval import ChunkRetriever, retrieval_pool
 from .chunks import readonly_view
 from .records import RecordSchema
 
@@ -129,6 +129,14 @@ class DatasetReader:
     remote chunk once per node instead of once per pass. Local reads
     bypass the cache — the bytes are already a sequential disk read away.
     With ``cache=None`` (the default) the only cost is one ``None`` check.
+
+    Parallel fetches share one standing
+    :func:`~repro.storage.retrieval.retrieval_pool`, built on the first
+    remote fetch (a warm or site-local pass never builds it) and joined by
+    :meth:`close`. Threads that fetch through the reader bracket their
+    work with :meth:`retain` / :meth:`release`, and the last one out
+    closes; the reader's owner calls :meth:`close` itself once the run is
+    over, whatever became of them.
     """
 
     index: DataIndex
@@ -145,6 +153,8 @@ class DatasetReader:
         self.resilience = ResilienceStats()
         self._breakers: dict[str, CircuitBreaker] = {}
         self._retrievers: dict[tuple[str, int], ChunkRetriever] = {}
+        self._pool = None
+        self._users = 0
         self._lock = threading.Lock()
         #: Cross-site chunk fetches served (cache hits excluded) — a cheap
         #: always-on gauge the live run monitor probes.
@@ -187,6 +197,8 @@ class DatasetReader:
                             trace=self.trace,
                         )
                         self._breakers[site] = breaker
+                if threads > 1 and self._pool is None:
+                    self._pool = retrieval_pool()
                 retriever = ChunkRetriever(
                     store,
                     threads=threads,
@@ -195,9 +207,43 @@ class DatasetReader:
                     stats=self.resilience,
                     trace=self.trace,
                     metrics=self.metrics,
+                    pool=self._pool,
                 )
                 self._retrievers[(site, threads)] = retriever
             return retriever
+
+    def retain(self) -> None:
+        """Count one more thread about to fetch through this reader."""
+        with self._lock:
+            self._users += 1
+
+    def release(self) -> None:
+        """Undo one :meth:`retain`; the last thread out joins the pool.
+
+        That way the pool's threads are gone before the masters and the
+        head finish. Threads that exit last hand their malloc arenas to
+        the first threads of the next pass — the head and the masters —
+        and a pass-by-pass swap of which arenas hold the large reduction
+        objects reads as 40 MB more peak RSS on a 2 MiB-object workload.
+        """
+        with self._lock:
+            self._users -= 1
+            pool = self._take_pool() if self._users == 0 else None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def close(self) -> None:
+        """Join the retrieval pool; the reader is done fetching."""
+        with self._lock:
+            pool = self._take_pool()
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def _take_pool(self):
+        """Detach the pool (and the retrievers holding it); needs ``_lock``."""
+        pool, self._pool = self._pool, None
+        self._retrievers.clear()
+        return pool
 
     def _count_zero_copy(self) -> None:
         with self._lock:
@@ -235,7 +281,8 @@ class DatasetReader:
                 self._count_zero_copy()
                 return readonly_view(cached)
         if remote:
-            self.remote_fetches += 1
+            with self._lock:
+                self.remote_fetches += 1
             if self.trace is not None:
                 self.trace.emit(
                     "remote_fetch", job_id=job.job_id, file_id=job.file_id,

@@ -42,21 +42,57 @@ _PAIRS = {
     "fetch_start": ("fetch_end", "retrieval"),
     "compute_start": ("compute_end", "processing"),
 }
-_END_FOR = {"retrieval": "fetch_end", "processing": "compute_end"}
+_ENDS = {end: activity for end, activity in _PAIRS.values()}
+
+
+def _blocker(activity: str, job_id: int, open_keys) -> str | None:
+    """The open activity that forbids starting ``activity`` for ``job_id``.
+
+    A worker computes one job at a time, and a job's own fetch and compute
+    never overlap. Fetches of *other* jobs may overlap anything: a
+    prefetching slave keeps several on the wire while it computes.
+    """
+    if (activity, job_id) in open_keys:
+        return activity
+    if activity == "processing":
+        if ("retrieval", job_id) in open_keys:
+            return "retrieval"
+        if any(a == "processing" for a, _ in open_keys):
+            return "processing"
+    elif ("processing", job_id) in open_keys:
+        return "processing"
+    return None
+
+
+def _next_placeable(group, open_keys) -> int | None:
+    for n, e in enumerate(group):
+        if e.kind in _ENDS and (_ENDS[e.kind], e.job_id) in open_keys:
+            return n
+    startable = [
+        n for n, e in enumerate(group)
+        if e.kind in _PAIRS
+        and _blocker(_PAIRS[e.kind][1], e.job_id, open_keys) is None
+    ]
+    for n in startable:
+        want = (_PAIRS[group[n].kind][0], group[n].job_id)
+        if any((e.kind, e.job_id) == want for e in group):
+            return n
+    return startable[0] if startable else None
 
 
 def _ordered(events, worker):
     """Sort a worker's events by time, resolving equal-timestamp ties.
 
-    Within one instant a realizable schedule puts the end that closes the
-    currently open interval first, then any zero-width start/end pairs,
-    then the start left open past the instant. Events a tie group cannot
-    place (an end with nothing open, a start while one is open) are kept
-    in recorded order so the pairing scan reports them.
+    Within one instant a realizable schedule puts the ends that close
+    open intervals first, then any zero-width start/end pairs, then the
+    starts left open past the instant (intervals are keyed by activity
+    and job id; see :func:`_blocker` for which may overlap). Events a tie
+    group cannot place (an end with nothing open, a start that is
+    blocked) are kept in recorded order so the pairing scan reports them.
     """
     events = sorted(events, key=lambda e: e.time)
     out = []
-    open_activity = None
+    open_keys: set[tuple[str, int]] = set()
     i = 0
     while i < len(events):
         j = i
@@ -64,22 +100,60 @@ def _ordered(events, worker):
             j += 1
         group = events[i:j]
         while group:
-            if open_activity is not None:
-                want = _END_FOR[open_activity]
-                k = next((n for n, e in enumerate(group) if e.kind == want), None)
-                if k is None:
-                    break
-                out.append(group.pop(k))
-                open_activity = None
+            k = _next_placeable(group, open_keys)
+            if k is None:
+                break
+            event = group.pop(k)
+            out.append(event)
+            if event.kind in _PAIRS:
+                open_keys.add((_PAIRS[event.kind][1], event.job_id))
             else:
-                k = next((n for n, e in enumerate(group) if e.kind in _PAIRS), None)
-                if k is None:
-                    break
-                event = group.pop(k)
-                out.append(event)
-                open_activity = _PAIRS[event.kind][1]
+                open_keys.discard((_ENDS[event.kind], event.job_id))
         out.extend(group)
         i = j
+    return out
+
+
+def _pairs(trace: EventLog, worker: int):
+    """A worker's ``(start event, end event, activity)`` triples.
+
+    Starts and ends are paired by job id, in the order the ends occur.
+    Raises :class:`TraceError` on a malformed stream: an end without its
+    start, a start :func:`_blocker` forbids (a second compute while one
+    is open, a job computing while its own fetch is), or a start the
+    trace never closes.
+    """
+    open_events: dict[tuple[str, int], object] = {}
+    out = []
+    for event in _ordered(trace.for_worker(worker), worker):
+        if event.kind in _PAIRS:
+            activity = _PAIRS[event.kind][1]
+            blocker = _blocker(activity, event.job_id, open_events)
+            if blocker is not None:
+                raise TraceError(
+                    f"worker {worker}: {event.kind} at {event.time} while "
+                    f"{blocker} still open"
+                )
+            open_events[(activity, event.job_id)] = event
+        elif event.kind in _ENDS:
+            activity = _ENDS[event.kind]
+            start = open_events.pop((activity, event.job_id), None)
+            if start is None:
+                other = next(
+                    (a for a, job in open_events if job == event.job_id), None
+                )
+                if other is not None:
+                    raise TraceError(
+                        f"worker {worker}: {event.kind} closes a {other} "
+                        f"interval"
+                    )
+                raise TraceError(
+                    f"worker {worker}: {event.kind} without a start"
+                )
+            out.append((start, event, activity))
+    if open_events:
+        activity = next(iter(open_events))[0]
+        raise TraceError(f"worker {worker}: trace ends mid-{activity}")
     return out
 
 
@@ -89,37 +163,20 @@ def worker_intervals(trace: EventLog, worker: int) -> list[Interval]:
     Events are sorted by timestamp first (see :func:`_ordered`): the
     threaded runtime appends to the shared log in per-worker wall-clock
     order, but a stream read back from disk or merged from several logs
-    need not arrive ordered. Raises :class:`TraceError` on malformed
-    traces (an end without a start, or overlapping activities) — these
+    need not arrive ordered. Start and end are paired by job id, so the
+    retrieval intervals of a prefetching slave may overlap its processing
+    and each other; intervals come back sorted by start. Raises
+    :class:`TraceError` on malformed traces (see :func:`_pairs`) — these
     checks double as an internal consistency check on both substrates'
     slave loops.
     """
-    intervals: list[Interval] = []
-    open_start: tuple[float, str] | None = None
-    for event in _ordered(trace.for_worker(worker), worker):
-        if event.kind in _PAIRS:
-            if open_start is not None:
-                raise TraceError(
-                    f"worker {worker}: {event.kind} at {event.time} while "
-                    f"{open_start[1]} still open"
-                )
-            open_start = (event.time, _PAIRS[event.kind][1])
-        elif event.kind in ("fetch_end", "compute_end"):
-            if open_start is None:
-                raise TraceError(
-                    f"worker {worker}: {event.kind} without a start"
-                )
-            start, activity = open_start
-            expected_end = "fetch_end" if activity == "retrieval" else "compute_end"
-            if event.kind != expected_end:
-                raise TraceError(
-                    f"worker {worker}: {event.kind} closes a {activity} interval"
-                )
-            intervals.append(Interval(start=start, end=event.time, activity=activity))
-            open_start = None
-    if open_start is not None:
-        raise TraceError(f"worker {worker}: trace ends mid-{open_start[1]}")
-    return intervals
+    return sorted(
+        (
+            Interval(start=start.time, end=end.time, activity=activity)
+            for start, end, activity in _pairs(trace, worker)
+        ),
+        key=lambda iv: (iv.start, iv.end),
+    )
 
 
 def utilization(trace: EventLog, makespan: float) -> dict[int, dict[str, float]]:

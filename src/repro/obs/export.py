@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from ..errors import TraceError
-from .analysis import render_gantt, utilization, worker_intervals
+from .analysis import _ENDS, _PAIRS, _pairs, render_gantt, utilization
 from .anomaly import detect_stragglers, render_stragglers
 from .events import KINDS, EventLog, TraceEvent
 from .spans import PHASES, build_spans, critical_path, phase_totals, render_critical_path
@@ -169,39 +169,28 @@ def to_perfetto(log: EventLog, *, process_name: str = "repro-run") -> dict:
         family_tid[family] = tid
         trace_events.extend(_thread_meta(pid, tid, family, tid))
 
-    # Complete slices: pair each worker's start/end events, keeping job ids.
-    pairs = {
-        "fetch_start": ("fetch_end", "retrieval"),
-        "compute_start": ("compute_end", "processing"),
-    }
+    # Complete slices: each worker's start/end events paired by job id.
     for worker in snapshot.workers():
-        worker_intervals(snapshot, worker)  # validates pairing/overlap
-        open_event: TraceEvent | None = None
-        for event in sorted(snapshot.for_worker(worker), key=lambda e: e.time):
-            if event.kind in pairs:
-                open_event = event
-            elif event.kind in ("fetch_end", "compute_end"):
-                assert open_event is not None  # worker_intervals validated
-                trace_events.append(
-                    {
-                        "ph": "X",
-                        "pid": pid,
-                        "tid": worker_tid[worker],
-                        "ts": open_event.time * _US,
-                        "dur": (event.time - open_event.time) * _US,
-                        "name": pairs[open_event.kind][1],
-                        "cat": "worker",
-                        "args": {
-                            "job_id": event.job_id,
-                            "file_id": event.file_id,
-                        },
-                    }
-                )
-                open_event = None
+        for start, end, activity in _pairs(snapshot, worker):
+            trace_events.append(
+                {
+                    "ph": "X",
+                    "pid": pid,
+                    "tid": worker_tid[worker],
+                    "ts": start.time * _US,
+                    "dur": (end.time - start.time) * _US,
+                    "name": activity,
+                    "cat": "worker",
+                    "args": {
+                        "job_id": end.job_id,
+                        "file_id": end.file_id,
+                    },
+                }
+            )
 
     # Instant events on the owning track.
     for event in events:
-        if event.kind in pairs or event.kind in ("fetch_end", "compute_end"):
+        if event.kind in _PAIRS or event.kind in _ENDS:
             continue
         if event.worker >= 0 and event.kind not in _HEAD_KINDS:
             tid = worker_tid[event.worker]

@@ -25,10 +25,14 @@ same app produce spans with identical phase names.
 * :func:`span_summary` — the plain-data form carried on
   :class:`~repro.runtime.telemetry.RunTelemetry`.
 
-Jobs processed through the prefetch pipeline have no ``fetch_start`` /
-``fetch_end`` events (retrieval is hidden behind compute by design); such
-cycles reconstruct with a zero-width fetch phase anchored at
-``compute_start``.
+A job's fetch is paired with its compute by job id. On a prefetching
+slave the fetch events come from the prefetcher's stage threads, so a
+job's fetch can begin — and end — while the worker still computes an
+earlier job: the span keeps the fetch's own times, and its ``phases``
+show the part of it the worker actually waited for (from
+``queued_from`` on), which is what keeps them tiling the lifetime. A
+cycle whose stream carries no fetch events at all reconstructs with a
+zero-width fetch phase anchored at ``compute_start``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 from ..errors import TraceError
 from .analysis import _ordered
-from .events import EventLog
+from .events import EventLog, TraceEvent
 
 __all__ = [
     "PHASES",
@@ -78,7 +82,8 @@ class JobSpan:
     previous cycle's ``compute_end``, or 0.0 for the first cycle) — the
     span's phases tile ``[queued_from, compute_end]`` exactly, so they
     are non-overlapping, cover the lifetime, and sum to the end-to-end
-    latency.
+    latency. ``fetch_start``/``fetch_end`` are this job's own fetch
+    events; a prefetched fetch may precede ``queued_from``.
     """
 
     job_id: int
@@ -104,10 +109,13 @@ class JobSpan:
                 Phase("stall", anchor, anchor),
             )
         else:
-            anchor = self.fetch_start
+            # Only the part of a prefetched fetch past ``queued_from`` is
+            # on this worker's timeline; the rest hid behind earlier jobs.
+            anchor = max(self.fetch_start, self.queued_from)
+            fetched = max(self.fetch_end, anchor)
             mid = (
-                Phase("fetch", self.fetch_start, self.fetch_end),
-                Phase("stall", self.fetch_end, self.compute_start),
+                Phase("fetch", anchor, fetched),
+                Phase("stall", fetched, self.compute_start),
             )
         return (
             Phase("queued", self.queued_from, anchor),
@@ -122,9 +130,11 @@ class JobSpan:
 
     @property
     def execution(self) -> float:
-        """Fetch through compute (the straggler detector's signal)."""
-        start = self.fetch_start if self.fetch_start is not None else self.compute_start
-        return self.compute_end - start
+        """Fetch through compute (the straggler detector's signal), less
+        any wait of an already-prefetched chunk behind earlier jobs."""
+        if self.fetch_start is None:
+            return self.compute_end - self.compute_start
+        return self.compute_end - max(self.fetch_start, self.queued_from)
 
 
 @dataclass(frozen=True)
@@ -148,45 +158,42 @@ def _worker_cycles(log: EventLog, worker: int) -> list[JobSpan]:
     events = [e for e in log.for_worker(worker) if e.kind in _CYCLE_KINDS]
     spans: list[JobSpan] = []
     queued_from = 0.0
-    fetch_start = fetch_end = None
+    fetching: dict[int, TraceEvent] = {}
+    fetched: dict[int, tuple[TraceEvent, float]] = {}
     compute_start = None
-    file_id = -1
-    cluster = ""
     for event in _ordered(events, worker):
         if event.kind == "fetch_start":
-            fetch_start = event.time
-            file_id = event.file_id
-            cluster = event.cluster
+            fetching[event.job_id] = event
         elif event.kind == "fetch_end":
-            fetch_end = event.time
+            start = fetching.pop(event.job_id, None)
+            if start is not None:
+                fetched[event.job_id] = (start, event.time)
         elif event.kind == "compute_start":
-            compute_start = event.time
-            if fetch_start is None:  # prefetch pipeline: fetch is hidden
-                file_id = event.file_id
-                cluster = event.cluster
+            compute_start = event
         elif event.kind == "compute_end":
             if compute_start is None:
                 raise TraceError(
                     f"worker {worker}: compute_end at {event.time} "
                     "without a compute_start"
                 )
+            fetch, fetch_end = fetched.pop(event.job_id, (None, None))
+            # Without fetch events the compute_start carries the file.
+            origin = fetch if fetch is not None else compute_start
             spans.append(
                 JobSpan(
                     job_id=event.job_id,
-                    file_id=file_id,
+                    file_id=origin.file_id,
                     worker=worker,
-                    cluster=cluster or event.cluster,
+                    cluster=origin.cluster or event.cluster,
                     queued_from=queued_from,
-                    fetch_start=fetch_start,
+                    fetch_start=fetch.time if fetch is not None else None,
                     fetch_end=fetch_end,
-                    compute_start=compute_start,
+                    compute_start=compute_start.time,
                     compute_end=event.time,
                 )
             )
             queued_from = event.time
-            fetch_start = fetch_end = compute_start = None
-            file_id = -1
-            cluster = ""
+            compute_start = None
     return spans
 
 

@@ -115,9 +115,9 @@ class CloudBurstingRuntime:
         #: so it persists across iterative passes (``run()`` builds a
         #: fresh reader each pass, but the cache survives).
         self.cache = cache
-        #: Overlap each slave's next fetch with its current reduction via
-        #: a :class:`~repro.cache.Prefetcher`. Off by default: the slave
-        #: loop is the original strictly-sequential one.
+        #: Overlap each slave's next fetches with its current reduction via
+        #: a :class:`~repro.cache.Prefetcher` window. Off by default: the
+        #: slave loop is the original strictly-sequential one.
         self.prefetch = prefetch
         #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`).
         #: A default spec is indistinguishable from ``None``: the original
@@ -492,6 +492,8 @@ class CloudBurstingRuntime:
         finally:
             if pool is not None:
                 pool.close()
+            # The reader lives for this run only; so do its pool's threads.
+            reader.close()
 
         wall = time.perf_counter() - started
         telemetry = RunTelemetry(wall_seconds=wall)

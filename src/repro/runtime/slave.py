@@ -7,11 +7,13 @@ groups, report completion; when the master answers ``None`` the slave hands
 over its private reduction object and exits. This is the executable
 counterpart of :class:`repro.sim.simnodes.SimSlave`.
 
-With ``prefetch=True`` the job acquisition and chunk fetch move to a
-:class:`~repro.cache.Prefetcher` pipeline stage: while this thread runs
-the reduction over job *N*, the prefetcher is already asking the master
-for job *N+1* and pulling its bytes, so retrieval overlaps compute. The
-default path constructs none of that machinery.
+With ``prefetch=True`` job acquisition and chunk fetch move to the stage
+threads of a :class:`~repro.cache.Prefetcher`: while this thread runs the
+reduction over job *N*, up to *W* later jobs are already acquired from
+the master and on the wire, *W* sized by the prefetcher from the fetch
+and compute times it observes (1 when fetches are no slower than
+compute). Jobs reach this thread in the order the master handed them
+out. The default path constructs none of that machinery.
 
 With a ``process_slave`` (see :mod:`repro.runtime.procpool`) this thread
 becomes a proxy: it still owns the whole master conversation and the
@@ -29,6 +31,7 @@ import threading
 from typing import Callable
 
 from ..cache import Prefetcher
+from ..clock import SYSTEM_CLOCK
 from ..config import DEFAULT_UNITS_PER_GROUP
 from ..core.api import GeneralizedReductionApp
 from ..core.job import Job
@@ -68,6 +71,7 @@ class SlaveWorker:
         prefetch: bool = False,
         sync_watermark: int = 0,
         process_slave=None,
+        clock=SYSTEM_CLOCK,
     ) -> None:
         self.slave_id = slave_id
         self.cluster = cluster
@@ -78,9 +82,12 @@ class SlaveWorker:
         self.units_per_group = units_per_group
         self.fault_hook = fault_hook
         self.trace = trace
-        #: Double-buffer job acquisition + fetch behind compute.
+        #: Acquire and fetch the next jobs behind compute.
         self.prefetch = prefetch
         self.prefetches = 0
+        #: Time source of the prefetch window's estimates and waits.
+        self.clock = clock
+        self._prefetcher: Prefetcher | None = None
         #: Streaming partial merges: after this many completed jobs the
         #: slave flushes its reduction object to the master and starts a
         #: fresh one, so global reduction overlaps the compute tail.
@@ -112,6 +119,7 @@ class SlaveWorker:
         self._failure: BaseException | None = None
 
     def start(self) -> None:
+        self.reader.retain()
         self._thread = threading.Thread(
             target=self._run, name=f"slave:{self.cluster}:{self.slave_id}", daemon=True
         )
@@ -156,6 +164,15 @@ class SlaveWorker:
             self.master_inbox.post(
                 SlaveFailed(slave_id=self.slave_id, in_flight=current[0])
             )
+        finally:
+            # Only now: a stage blocked on the master's reply can be
+            # joined once the master knows this slave is dead (it answers
+            # a dead slave's parked request ``None``) or the run is over.
+            prefetcher, self._prefetcher = self._prefetcher, None
+            if prefetcher is not None:
+                self.prefetches = prefetcher.prefetches
+                prefetcher.close()
+            self.reader.release()
 
     def _work(self, current: list) -> None:
         self._robj = self.app.create_reduction_object()
@@ -237,54 +254,48 @@ class SlaveWorker:
             current[0] = None
 
     def _work_pipelined(self, current: list) -> None:
-        """Two-stage pipeline: the prefetcher acquires and fetches job
-        *N+1* while this thread reduces job *N*.
+        """The prefetcher acquires and fetches the next jobs while this
+        thread reduces the current one.
 
-        The next request is issued *before* computing the current job,
-        never before reporting it done — the master parks a request on an
-        empty pool until the in-flight count drains, and our own
-        ``SlaveJobDone`` is what drains it, so the pipeline always
-        terminates (the parked final request is answered ``None``).
+        A stage asks for a job before this thread has reported the ones it
+        holds done, so near the end of a run its request parks on the
+        master's empty pool until the in-flight count drains — and our
+        own ``SlaveJobDone`` messages are what drain it, so the pipeline
+        always terminates (the parked request is answered ``None``).
         """
         telemetry = self.telemetry
-        prefetcher = Prefetcher(
+        prefetcher = self._prefetcher = Prefetcher(
             self._acquire, self._fetch_for_prefetch,
             cluster=self.cluster, worker=self.slave_id,
-            trace=self.trace, metrics=self._metrics,
+            trace=self.trace, metrics=self._metrics, clock=self.clock,
         )
-        try:
-            prefetcher.request()
-            while True:
-                before_fetch = telemetry.retrieval.total
-                # The stopwatch sees only the *blocked* wait: bytes
-                # fetched while we were computing cost nothing here.
-                with telemetry.retrieval:
-                    job, raw = prefetcher.take(timeout=self.take_timeout)
-                if job is None:
-                    break
-                current[0] = job
-                if self.fault_hook is not None:
-                    self.fault_hook(self.slave_id, job)
-                prefetcher.request()
-                if self._fetch_hist is not None:
-                    self._fetch_hist.observe(
-                        telemetry.retrieval.total - before_fetch
-                    )
-                self._process(job, raw)
-                current[0] = None
-        finally:
-            self.prefetches = prefetcher.prefetches
-            prefetcher.close()
+        while True:
+            before_fetch = telemetry.retrieval.total
+            # The stopwatch sees only the *blocked* wait: bytes fetched
+            # while we were computing cost nothing here.
+            with telemetry.retrieval:
+                job, raw = prefetcher.take(timeout=self.take_timeout)
+            if job is None:
+                break
+            current[0] = job
+            if self.fault_hook is not None:
+                self.fault_hook(self.slave_id, job)
+            if self._fetch_hist is not None:
+                self._fetch_hist.observe(
+                    telemetry.retrieval.total - before_fetch
+                )
+            self._process(job, raw)
+            current[0] = None
 
     def _acquire(self) -> Job | None:
-        """Prefetcher stage 1: ask the master for the next job (blocking)."""
+        """Prefetcher stage: ask the master for the next job (blocking)."""
         self.master_inbox.post(
             SlaveJobRequest(slave_id=self.slave_id, reply_to=self.reply)
         )
         return self.reply.take(timeout=self.take_timeout).job
 
     def _fetch_for_prefetch(self, job: Job) -> bytes:
-        """Prefetcher stage 2: pull the chunk's bytes (cache first)."""
+        """Prefetcher stage: pull the chunk's bytes (cache first)."""
         return self.reader.read_job(job, from_site=self.site)
 
     def _process(self, job: Job, raw: bytes) -> None:

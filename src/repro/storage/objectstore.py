@@ -4,20 +4,21 @@ The paper stores the cloud-resident fraction of every dataset in Amazon S3
 and retrieves it over ranged GETs from multiple connections. This module is
 the functional stand-in: a keyed blob store with range reads, GET/PUT
 request counters, and an optional traffic shaper that enforces a
-per-request latency and a per-connection bandwidth cap in *wall-clock*
-time. The shaper is off by default (tests run at memory speed) and exists
-so the examples can demonstrate why multi-connection retrieval matters;
-the *performance model* of S3 used by the evaluation lives in
-:mod:`repro.sim.storagemodel`.
+per-request latency and a per-connection bandwidth cap by sleeping on the
+store's clock (wall-clock time unless a test injects a
+:class:`~repro.clock.FakeClock`). The shaper is off by default (tests run
+at memory speed) and exists so the examples can demonstrate why
+multi-connection retrieval matters; the *performance model* of S3 used by
+the evaluation lives in :mod:`repro.sim.storagemodel`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..clock import SYSTEM_CLOCK
 from ..errors import ObjectNotFoundError
 from .base import StorageService, validate_range
 
@@ -26,7 +27,7 @@ __all__ = ["TrafficShaper", "RequestStats", "ObjectStore"]
 
 @dataclass(frozen=True)
 class TrafficShaper:
-    """Wall-clock shaping applied to each GET.
+    """Shaping applied to each GET, slept on the store's clock.
 
     ``request_latency`` models the per-request round trip; ``bandwidth``
     caps the throughput of one connection in bytes/second. Zero disables a
@@ -67,10 +68,14 @@ class RequestStats:
 class ObjectStore(StorageService):
     """In-memory, thread-safe keyed blob store with range GETs."""
 
-    def __init__(self, shaper: TrafficShaper | None = None) -> None:
+    def __init__(
+        self, shaper: TrafficShaper | None = None, *, clock=SYSTEM_CLOCK
+    ) -> None:
         self._blobs: dict[str, bytes] = {}
         self._lock = threading.Lock()
         self.shaper = shaper
+        #: Where the shaper's delay is slept.
+        self.clock = clock
         self.stats = RequestStats()
 
     def put(self, key: str, data: bytes) -> None:
@@ -89,7 +94,7 @@ class ObjectStore(StorageService):
         if self.shaper is not None:
             delay = self.shaper.delay_for(actual)
             if delay > 0:
-                time.sleep(delay)
+                self.clock.sleep(delay)
         self.stats.record_get(actual)
         return blob, actual
 

@@ -6,7 +6,10 @@ range is split into ``threads`` sub-ranges fetched concurrently and
 reassembled in order. For a shaped object store whose per-connection
 bandwidth is the bottleneck, aggregate throughput scales with the number of
 connections until the site link saturates — the behaviour the paper
-exploits (and which `bench_ablation_retrieval` sweeps).
+exploits (and which `bench_ablation_retrieval` sweeps). The sub-range reads
+run on a standing pool (:func:`retrieval_pool`) that outlives the fetch:
+with several chunk fetches in flight per slave, starting and joining a
+thread per sub-range per chunk costs more than the reads it overlaps.
 
 On top of the parallel split sits the resilience ladder
 (:mod:`repro.resilience`, ``docs/RESILIENCE.md``): each sub-range is
@@ -26,7 +29,7 @@ import queue
 import random
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..clock import SYSTEM_CLOCK
@@ -37,7 +40,31 @@ from ..resilience.circuit import CircuitBreaker
 from ..resilience.retry import ResilienceStats, RetryPolicy, retry_call
 from .base import StorageService
 
-__all__ = ["RangePlan", "plan_ranges", "ChunkRetriever"]
+__all__ = [
+    "RangePlan",
+    "plan_ranges",
+    "ChunkRetriever",
+    "POOL_THREADS",
+    "POOL_THREAD_PREFIX",
+    "retrieval_pool",
+]
+
+#: Sub-range reads one pool keeps on the wire at once — a node's connection
+#: budget. Two slaves with a full prefetch window of 4-way fetches want 48
+#: beside the range each fetching thread reads itself; the rest queue.
+#: (Shaped-WAN cold pass at 16 / 32 / 48 / 64 threads: 182 / 127 / 119 /
+#: 123 ms — past 32 the extra connections buy under 10 %.)
+POOL_THREADS = 32
+
+#: Name prefix of the pool's threads (hygiene checks look for it).
+POOL_THREAD_PREFIX = "retrieval"
+
+
+def retrieval_pool() -> ThreadPoolExecutor:
+    """A bounded pool for sub-range reads; threads start as work arrives."""
+    return ThreadPoolExecutor(
+        max_workers=POOL_THREADS, thread_name_prefix=POOL_THREAD_PREFIX
+    )
 
 
 @dataclass(frozen=True)
@@ -75,11 +102,17 @@ def plan_ranges(offset: int, nbytes: int, parts: int) -> list[RangePlan]:
 class ChunkRetriever:
     """Fetches chunk byte ranges from a storage service, possibly in parallel.
 
-    A retriever is cheap to construct per slave; it owns a thread pool only
-    while in use (context-managed by the caller or per-call). With a
-    ``policy`` it becomes resilient: sub-ranges are retried, hedged, and
-    the whole fetch degrades to single-stream while ``breaker`` is open.
-    ``stats``/``trace``/``metrics`` record what the machinery did.
+    The thread calling :meth:`fetch` reads the first sub-range itself and
+    hands the others to ``pool`` — the :func:`retrieval_pool` of whoever
+    shares this retriever between slaves (the
+    :class:`~repro.data.dataset.DatasetReader`), which also shuts it down.
+    Fetching threads are never pool threads, so a saturated pool only
+    queues sub-ranges; it cannot deadlock a fetch against its own parts.
+    A parallel retriever given no pool makes its own, which :meth:`close`
+    joins. With a ``policy`` it becomes resilient:
+    sub-ranges are retried, hedged, and the whole fetch degrades to
+    single-stream while ``breaker`` is open. ``stats``/``trace``/``metrics``
+    record what the machinery did.
     """
 
     def __init__(
@@ -94,11 +127,16 @@ class ChunkRetriever:
         metrics: MetricsRegistry | None = None,
         seed: int = 2011,
         clock=None,
+        pool: Executor | None = None,
     ) -> None:
         if threads <= 0:
             raise StorageError("retrieval thread count must be positive")
         self.store = store
         self.threads = threads
+        self._own_pool = (
+            retrieval_pool() if pool is None and threads > 1 else None
+        )
+        self._pool = pool if pool is not None else self._own_pool
         self.policy = policy
         self.breaker = breaker
         self.stats = stats if stats is not None else ResilienceStats()
@@ -132,21 +170,27 @@ class ChunkRetriever:
             return b""
         if self.policy is None and len(plans) == 1:
             return self.store.read_range(key, plans[0].offset, plans[0].length)
-        if len(plans) == 1:
+        futures = [
+            self._pool.submit(self._fetch_range, key, p, job_id, file_id)
+            for p in plans[1:]
+        ]
+        try:
             parts = [self._fetch_range(key, plans[0], job_id, file_id)]
-        else:
-            with ThreadPoolExecutor(max_workers=len(plans)) as pool:
-                futures = [
-                    pool.submit(self._fetch_range, key, p, job_id, file_id)
-                    for p in plans
-                ]
-                parts = [f.result() for f in futures]
+            parts += [f.result() for f in futures]
+        finally:
+            for future in futures:
+                future.cancel()  # a queued read nobody will assemble
         blob = b"".join(parts)
         if len(blob) != nbytes:
             raise StorageError(
                 f"short read on {key!r}: wanted {nbytes} bytes, got {len(blob)}"
             )
         return blob
+
+    def close(self) -> None:
+        """Join the pool this retriever made for itself, if it made one."""
+        if self._own_pool is not None:
+            self._own_pool.shutdown(wait=True)
 
     # -- per-sub-range machinery -------------------------------------------
 

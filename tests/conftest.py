@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.config import CLOUD_SITE, LOCAL_SITE, DatasetSpec, PlacementSpec
 from repro.storage.objectstore import ObjectStore
+from repro.storage.retrieval import POOL_THREAD_PREFIX
+
+#: Name prefixes of every thread the middleware starts: none may outlive
+#: the run (or the service) that started it.
+MIDDLEWARE_THREADS = (
+    "head", "master:", "slave:", "service-worker", "prefetch:",
+    POOL_THREAD_PREFIX,
+)
+
+
+def middleware_threads() -> list[str]:
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t.name.startswith(MIDDLEWARE_THREADS)
+    ]
 
 
 @pytest.fixture

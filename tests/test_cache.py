@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import queue
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,8 +39,12 @@ from repro.errors import (
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.driver import CloudBurstingRuntime
+from repro.runtime.messages import SlaveJobReply, SlaveJobRequest
 from repro.runtime.telemetry import RunTelemetry
+from repro.runtime.transport import Mailbox
 from repro.storage.objectstore import ObjectStore
+
+from conftest import middleware_threads
 
 
 # -- ChunkCache unit behavior ------------------------------------------------
@@ -196,6 +201,31 @@ def test_fake_clock_wait_refuses_to_block_forever():
     assert clock.monotonic() == pytest.approx(5.0)
 
 
+def test_fake_clock_worker_wait_parks_until_mail_arrives():
+    """A worker waiting on an empty queue is parked (time may pass it by);
+    one with mail waiting counts as running until it has taken it."""
+    with FakeClock() as clock:
+        mail: queue.SimpleQueue = queue.SimpleQueue()
+        out: queue.SimpleQueue = queue.SimpleQueue()
+
+        def worker() -> None:
+            item = clock.wait(mail, None)
+            clock.sleep(5.0)
+            out.put((item, clock.monotonic()))
+            try:
+                clock.wait(mail, 2.0)
+            except queue.Empty:
+                out.put(("timed out", clock.monotonic()))
+
+        clock.spawn(worker)
+        # Nothing can happen before the mail does: the wait times out.
+        with pytest.raises(queue.Empty):
+            clock.wait(out, 10.0)
+        mail.put("go")
+        assert clock.wait(out, 100.0) == ("go", pytest.approx(15.0))
+        assert clock.wait(out, 100.0) == ("timed out", pytest.approx(17.0))
+
+
 def test_system_clock_wait_maps_to_queue_get():
     clock = SystemClock()
     q: queue.Queue = queue.Queue()
@@ -217,11 +247,8 @@ def test_prefetcher_pipelines_acquire_and_fetch():
 
     pf = Prefetcher(lambda: next(jobs), fetch)
     try:
-        pf.request()
         assert pf.take(timeout=5.0) == (1, b"\x01")
-        pf.request()
         assert pf.take(timeout=5.0) == (2, b"\x02")
-        pf.request()
         assert pf.take(timeout=5.0) == (None, None)
         assert fetched == [1, 2]
         assert pf.prefetches == 2
@@ -235,7 +262,6 @@ def test_prefetcher_propagates_fetch_errors():
 
     pf = Prefetcher(lambda: 7, fetch)
     try:
-        pf.request()
         with pytest.raises(OSError, match="disk gone"):
             pf.take(timeout=5.0)
     finally:
@@ -248,19 +274,24 @@ def test_prefetcher_propagates_acquire_errors():
 
     pf = Prefetcher(acquire, lambda job: b"")
     try:
-        pf.request()
         with pytest.raises(RuntimeProtocolError, match="master vanished"):
             pf.take(timeout=5.0)
     finally:
         pf.close()
 
 
-def test_prefetcher_take_times_out_without_request():
-    pf = Prefetcher(lambda: None, lambda job: b"")
+def test_prefetcher_take_times_out_while_acquire_blocks():
+    answered = threading.Event()
+
+    def acquire() -> None:
+        answered.wait(5.0)  # a request parked at the master
+
+    pf = Prefetcher(acquire, lambda job: b"")
     try:
         with pytest.raises(RuntimeProtocolError):
             pf.take(timeout=0.05)
     finally:
+        answered.set()
         pf.close()
 
 
@@ -345,7 +376,11 @@ def test_runtime_prefetch_survives_slave_crash():
     fired = threading.Event()
 
     def hook(slave_id: int, job) -> None:
-        if slave_id == 1 and not fired.is_set():
+        if slave_id != 1:
+            # Held at their first job (two jobs each at most), the others
+            # cannot drain the pool before slave 1 has had one to die on.
+            assert fired.wait(30.0)
+        elif not fired.is_set():
             fired.set()
             raise WorkerFailure("injected crash mid-pipeline")
 
@@ -364,6 +399,110 @@ def test_runtime_prefetch_survives_slave_crash():
     np.testing.assert_array_equal(result.value, oracle)
     assert result.telemetry.slaves_failed == 1
     assert result.telemetry.jobs_reexecuted >= 1
+
+
+def test_runtime_prefetch_crash_reexecutes_every_prefetched_job():
+    """A slave dies holding a window of prefetched jobs and with one more
+    request parked at the master: the master's ledger re-executes all of
+    them, the parked request is answered ``None``, and every stage thread
+    is joined."""
+    bundle, index, stores = materialize(bins=16)
+    total = len(index.jobs())
+    posts = threading.Condition()
+    requests = {0: 0, 1: 0}
+    handed: dict[int, list[int]] = {0: [], 1: []}
+    refused = {0: 0, 1: 0}
+    crashed = threading.Event()
+    real_post = Mailbox.post
+
+    def spy(mailbox: Mailbox, message) -> None:
+        with posts:
+            if isinstance(message, SlaveJobRequest):
+                requests[message.slave_id] += 1
+            elif isinstance(message, SlaveJobReply):
+                slave_id = int(mailbox.name.rsplit(":", 1)[1])
+                if message.job is None:
+                    refused[slave_id] += 1
+                else:
+                    handed[slave_id].append(message.job.job_id)
+            posts.notify_all()
+        real_post(mailbox, message)
+
+    def hook(slave_id: int, job) -> None:
+        if slave_id == 0:
+            # Hold slave 0 at its first job so it cannot drain the pool.
+            assert crashed.wait(30.0)
+        elif not crashed.is_set():
+            with posts:
+                # Every job is handed out, and one more request from this
+                # slave is already on its way to the master's empty pool.
+                assert posts.wait_for(
+                    lambda: len(handed[0]) + len(handed[1]) == total
+                    and requests[1] == len(handed[1]) + 1,
+                    timeout=30.0,
+                )
+            crashed.set()
+            raise WorkerFailure("injected crash with a full window")
+
+    trace = EventLog()
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=0),
+        tuning=MiddlewareTuning(units_per_group=100),
+        fault_hook=hook, prefetch=True, trace=trace, join_timeout=60.0,
+    )
+    # In-memory fetches are faster than compute, so the window would stay
+    # at 1: pin slave 1's wide open (and slave 0's shut) for the scenario.
+    window = property(lambda self: total if self.worker == 1 else 1)
+    with mock.patch.object(Prefetcher, "window", window), \
+            mock.patch.object(Mailbox, "post", spy):
+        result = runtime.run()
+
+    oracle = run_serial(
+        bundle.app, DatasetReader(index, stores).read_all_chunks()
+    )
+    np.testing.assert_array_equal(result.value, oracle)
+    assert result.telemetry.slaves_failed == 1
+    # The job in hand plus at least three prefetched ones, all re-executed.
+    assert len(handed[1]) >= 4
+    assert result.telemetry.jobs_reexecuted == len(handed[1])
+    assert sorted(e.job_id for e in trace.of_kind("job_reexecuted")) == sorted(
+        handed[1]
+    )
+    assert refused[1] >= 1  # the parked request was cancelled, not served
+    assert middleware_threads() == []
+
+
+@pytest.mark.parametrize("outcome", ["clean", "crashed slave", "raised"])
+def test_runtime_run_leaves_no_prefetch_or_retrieval_threads(outcome):
+    # All data remote, four retrieval threads: the run builds both the
+    # prefetch stages and the reader's standing retrieval pool.
+    bundle, index, stores = materialize(bins=16, local_fraction=0.0)
+    fired = threading.Event()
+
+    def hook(slave_id: int, job) -> None:
+        if outcome == "clean":
+            return
+        if slave_id != 1:
+            assert fired.wait(30.0)  # leave slave 1 a job to fail on
+        elif not fired.is_set():
+            fired.set()
+            if outcome == "raised":
+                raise ValueError("a bug in the kernel")
+            raise WorkerFailure("injected crash")
+
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=0),
+        tuning=MiddlewareTuning(units_per_group=100),
+        fault_hook=hook, prefetch=True, join_timeout=60.0,
+    )
+    if outcome == "raised":
+        with pytest.raises(ValueError, match="a bug in the kernel"):
+            runtime.run()
+    else:
+        result = runtime.run()
+        assert result.telemetry.prefetches > 0
+    assert stores[CLOUD_SITE].stats.gets >= 4 * len(index.jobs())
+    assert middleware_threads() == []
 
 
 def test_runtime_cache_and_prefetch_together_preserve_result():

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import json
 import threading
+from unittest import mock
 
 import pytest
 
+import repro
 from repro.apps import make_bundle
+from repro.cache import Prefetcher
 from repro.config import (
     CLOUD_SITE,
     LOCAL_SITE,
@@ -29,6 +32,7 @@ from repro.errors import RuntimeTimeoutError, WorkerFailure
 from repro.obs import (
     EventLog,
     MetricsRegistry,
+    build_spans,
     read_jsonl,
     render_gantt,
     render_report,
@@ -129,6 +133,104 @@ def test_traced_run_validates_and_exports(app_key, params, tmp_path):
     # The text report renders from the same stream.
     report = render_report(back)
     assert "mean worker idle fraction" in report
+
+
+def assert_prefetch_trace_consumers(log: EventLog, spans_digest: dict) -> None:
+    """Every trace consumer accepts a prefetching run, and each job's
+    fetch phase is its own: paired by job id, start before end."""
+    jobs = len(log.of_kind("compute_end"))
+    assert spans_digest["jobs"] == jobs
+    assert sum(spans_digest["critical_path_seconds"].values()) == pytest.approx(
+        spans_digest["makespan"]
+    )
+    chart = render_gantt(log, log.makespan(), width=40)
+    assert len(chart.splitlines()) == 1 + len(log.workers())
+    slices = [e for e in to_perfetto(log)["traceEvents"] if e["ph"] == "X"]
+    assert len(slices) == 2 * jobs and all(s["dur"] >= 0 for s in slices)
+    fetches = {
+        kind: {(e.worker, e.job_id): e.time for e in log.of_kind(kind)}
+        for kind in ("fetch_start", "fetch_end")
+    }
+    spans = build_spans(log)
+    assert len(spans) == jobs
+    for span in spans:
+        key = (span.worker, span.job_id)
+        assert span.fetch_start == fetches["fetch_start"][key]
+        assert span.fetch_end == fetches["fetch_end"][key]
+        assert span.fetch_start <= span.fetch_end <= span.compute_start
+        phases = span.phases
+        assert phases[0].start == span.queued_from
+        for left, right in zip(phases, phases[1:]):
+            assert left.start <= left.end == right.start
+        assert sum(p.duration for p in phases) == pytest.approx(span.latency)
+
+
+def test_traced_prefetch_run_through_the_facade():
+    """`RunConfig(trace=…, cache=CacheOptions(prefetch=True))`: the next
+    job's fetch overlaps the current job's compute on every worker."""
+    log = EventLog()
+    result = repro.run_direct(
+        "kmeans",
+        DatasetSpec(
+            total_bytes=TOTAL_UNITS * 16, num_files=FILES,
+            chunk_bytes=UNITS_PER_CHUNK * 16, record_bytes=16,
+        ),
+        repro.RunConfig(
+            mode="runtime", trace=log,
+            cache=repro.CacheOptions(bytes=1 << 22, prefetch=True),
+        ),
+    )
+    assert_prefetch_trace_consumers(log, result.telemetry.spans)
+
+
+class SignallingLog(EventLog):
+    """An event log a test can wait on instead of polling."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.recorded = threading.Condition()
+
+    def record(self, time: float, kind: str, **fields) -> None:
+        super().record(time, kind, **fields)
+        with self.recorded:
+            self.recorded.notify_all()
+
+
+def test_traced_prefetch_run_with_several_fetches_in_flight():
+    bundle, index, stores = materialize("kmeans", dims=2, k=4)
+    log = SignallingLog()
+
+    def hold_until_window_fetched(slave_id: int, job) -> None:
+        # In-memory fetches are quick; keep both workers from computing
+        # until each has four jobs fetched, three of them ahead (neither
+        # can then drain the pool before the other has its four).
+        with log.recorded:
+            assert log.recorded.wait_for(
+                lambda: all(
+                    sum(e.kind == "fetch_end" for e in log.for_worker(w)) >= 4
+                    for w in (0, 1)
+                ),
+                timeout=30.0,
+            )
+
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores,
+        ComputeSpec(local_cores=2, cloud_cores=0),
+        tuning=MiddlewareTuning(units_per_group=100),
+        trace=log, prefetch=True, fault_hook=hold_until_window_fetched,
+    )
+    with mock.patch.object(Prefetcher, "window", property(lambda self: 4)):
+        result = runtime.run()
+    assert_prefetch_trace_consumers(log, result.telemetry.spans)
+    for worker in log.workers():
+        hidden = [
+            span for span in build_spans(log)
+            if span.worker == worker and span.fetch_end <= span.queued_from
+        ]
+        # Fetched before the worker was free for them: nothing of the
+        # fetch is left on the worker's own timeline.
+        assert len(hidden) >= 3
+        assert all(span.phases[1].duration == 0.0 for span in hidden)
 
 
 def test_tracing_disabled_result_identical():

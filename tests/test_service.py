@@ -7,7 +7,6 @@ on a :class:`~repro.clock.FakeClock` so nothing sleeps for real.
 
 from __future__ import annotations
 
-import threading
 import warnings
 
 import numpy as np
@@ -30,6 +29,8 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 from repro.facade import RunResult
+
+from conftest import middleware_threads
 
 DATASET = DatasetSpec(
     total_bytes=2048 * 4, num_files=4, chunk_bytes=512, record_bytes=4
@@ -305,14 +306,6 @@ def test_stream_on_unmonitored_run_yields_nothing():
 # -- drain / shutdown hygiene -------------------------------------------------
 
 
-def _middleware_threads() -> list[str]:
-    return [
-        t.name
-        for t in threading.enumerate()
-        if t.name.startswith(("head", "master:", "slave:", "service-worker"))
-    ]
-
-
 def test_drain_completes_backlog_and_leaves_no_orphan_threads():
     service = JobService(workers=2, name="hygiene")
     handles = [
@@ -323,7 +316,7 @@ def test_drain_completes_backlog_and_leaves_no_orphan_threads():
     for handle in handles:
         assert handle.status().state is RunState.DONE
     service.shutdown()
-    leftover = _middleware_threads()
+    leftover = middleware_threads()
     assert not leftover, f"orphaned threads after shutdown: {leftover}"
 
 
@@ -362,7 +355,7 @@ def test_runtime_runs_through_threaded_service_match_direct():
                 np.asarray(handle.result(timeout=60).value),
                 np.asarray(direct.value),
             )
-    assert not _middleware_threads()
+    assert not middleware_threads()
 
 
 def test_stats_snapshot_shape():

@@ -25,6 +25,8 @@ from repro import FakeClock, JobService, RunState, TenantSpec
 from repro.errors import AdmissionError, RunCancelledError
 from repro.facade import RunResult
 
+from conftest import middleware_threads
+
 DATASET = None  # stub executors ignore the dataset entirely
 
 
@@ -204,16 +206,6 @@ def test_cancel_idempotent_and_cancelled_runs_never_execute(ops):
 # -- drain hygiene -----------------------------------------------------------
 
 
-def _service_threads() -> list[str]:
-    return [
-        t.name
-        for t in threading.enumerate()
-        if t.name.startswith(
-            ("head", "master:", "slave:", "service-worker")
-        )
-    ]
-
-
 @settings(deadline=None, max_examples=15)
 @given(
     workers=st.integers(0, 3),
@@ -239,7 +231,7 @@ def test_drain_leaves_no_orphans_and_all_runs_terminal(
         for i in range(runs)
     ]
     service.shutdown(cancel_pending=cancel_pending)
-    leftover = _service_threads()
+    leftover = middleware_threads()
     clock.close()
 
     assert not leftover, f"threads survived shutdown: {leftover}"
