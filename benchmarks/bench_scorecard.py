@@ -7,8 +7,8 @@ Two artifacts live here:
   the paper makes; fails if any claim fails.
 * **Perf-regression snapshot** (``main``) — collects the repo's headline
   performance numbers into one machine-readable document: figure-3
-  makespans, the chunk cache's second-pass payoff, the sync stack's
-  WAN-byte cut, and (informational) micro wall-clock timings. CI runs
+  makespans, the chunk cache's second-pass payoff and the sync stack's
+  WAN-byte cut. CI runs
   ``python bench_scorecard.py --smoke --json BENCH_scorecard.json --check``
   and fails when any deterministic metric differs from the committed
   ``BENCH_baseline.json``. Regenerate the baseline with
@@ -17,11 +17,10 @@ Two artifacts live here:
 The gated sections (figure3 / cache / sync / zero_copy) are simulator
 makespans, byte counts, and data-path read accounting — deterministic
 for a given seed, so they are gated at equality with the baseline's
-stored (3-decimal) values. The ``micro`` section is wall
-clock (including the thread- vs process-slave comparison) and therefore
-never gated. The ``service`` section is also wall clock, but carries its
-own hard bound inside the collector: the service-wrapped ``repro.run()``
-must stay within 2 % of ``run_direct``.
+stored (3-decimal) values. The ``service`` section is wall clock and
+therefore never compared against the baseline, but carries its own hard
+bound inside the collector: the service-wrapped ``repro.run()`` must stay
+within 2 % of ``run_direct``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_baseline.json")
 #: artifact, never compared against the baseline. (The ``service``
 #: section's <2% overhead bound is asserted inside its collector — wall
 #: clock is gated at collection time, not against the baseline.)
-INFORMATIONAL = ("micro", "service")
+INFORMATIONAL = ("service",)
 
 #: Recorded but not compared: the threaded runtime's float-summation
 #: order moves the compressed size a few bytes run to run (5494-5503
@@ -258,31 +257,6 @@ def collect_service(*, units: int, seed: int) -> dict:
     }
 
 
-def collect_micro() -> dict:
-    """Wall-clock micro timings — informational, never gated."""
-    from bench_obs import drive_scheduler
-
-    from repro.obs import EventLog
-
-    reps = 5
-    scheduler_s = min(
-        timeit.timeit(drive_scheduler, number=1) for _ in range(reps)
-    )
-    log = EventLog()
-    log.start()
-    emit_n = 20_000
-    emit_s = min(
-        timeit.timeit(
-            lambda: log.emit("job_done", worker=0, job_id=1), number=emit_n
-        )
-        for _ in range(reps)
-    )
-    return {
-        "scheduler_960_jobs_ms": round(scheduler_s * 1e3, 3),
-        "emit_us": round(emit_s / emit_n * 1e6, 3),
-    }
-
-
 def collect_snapshot(*, smoke: bool, seed: int) -> dict:
     """The full perf snapshot. ``smoke`` shrinks every workload; the
     committed baseline is a smoke snapshot, so CI compares like for like
@@ -310,7 +284,6 @@ def collect_snapshot(*, smoke: bool, seed: int) -> dict:
         ),
         "zero_copy": collect_zero_copy(units=zero_copy_units, seed=seed),
         "service": collect_service(units=service_units, seed=seed),
-        "micro": collect_micro(),
     }
 
 
@@ -383,10 +356,10 @@ def test_compare_flags_any_drift():
 
 
 def test_compare_skips_informational_and_checks_config():
-    base = {"config": {"smoke": True}, "micro": {"emit_us": 1.0}}
-    fast = {"config": {"smoke": True}, "micro": {"emit_us": 99.0}}
+    base = {"config": {"smoke": True}, "service": {"direct_ms": 1.0}}
+    fast = {"config": {"smoke": True}, "service": {"direct_ms": 99.0}}
     assert compare(fast, base) == []
-    full = {"config": {"smoke": False}, "micro": {"emit_us": 1.0}}
+    full = {"config": {"smoke": False}, "service": {"direct_ms": 1.0}}
     assert compare(full, base)  # config mismatch is always a failure
 
 

@@ -8,7 +8,9 @@ The package provides:
   assignment, work stealing) — :mod:`repro.core`, :mod:`repro.runtime`;
 * every substrate the paper depends on, built from scratch: data
   organization (:mod:`repro.data`), storage services (:mod:`repro.storage`),
-  network and cluster models (:mod:`repro.network`, :mod:`repro.cluster`);
+  the closed-form link model the simulator is checked against
+  (:mod:`repro.network`) and the EC2 variability model
+  (:mod:`repro.cluster`);
 * a **discrete-event simulator** standing in for the paper's
   campus-cluster + EC2/S3 testbed (:mod:`repro.sim`);
 * the three evaluation applications plus extras (:mod:`repro.apps`),
@@ -30,9 +32,10 @@ runtime depending on ``RunConfig.mode``; the older per-engine
 entrypoints (:func:`run_serial`, :func:`simulate`,
 :class:`CloudBurstingRuntime`) remain as thin stable shims over the same
 machinery. Every run option beyond the core fields lives in one of the
-five families of :mod:`repro.options`
+four families of :mod:`repro.options`
 (``RunConfig(cache=CacheOptions(bytes=1 << 26))``, read back as
-``config.cache.bytes``). See ``examples/quickstart.py`` and
+``config.cache.bytes``) or, for the global reduction, in
+``RunConfig.sync`` (a :class:`SyncSpec`). See ``examples/quickstart.py`` and
 ``docs/RESILIENCE.md``.
 """
 
@@ -64,7 +67,6 @@ from .options import (
     MonitorOptions,
     ResilienceOptions,
     ScaleOptions,
-    SyncOptions,
 )
 from .resilience import (
     CircuitBreaker,
@@ -72,7 +74,7 @@ from .resilience import (
     FaultSpec,
     RetryPolicy,
 )
-from .runtime import CloudBurstingRuntime, run_centralized, run_iterative
+from .runtime import CloudBurstingRuntime, run_iterative
 from .scale import Autoscaler, RevocationSpec, ScaleDecision
 from .service import JobService, RunHandle, RunState, RunStatus, TenantSpec
 from .sim import PAPER_CALIBRATION, SimCalibration, SimReport, simulate
@@ -111,7 +113,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "CacheOptions",
-    "SyncOptions",
     "MonitorOptions",
     "ResilienceOptions",
     "ScaleOptions",
@@ -129,7 +130,6 @@ __all__ = [
     "RetryPolicy",
     "ReproError",
     "CloudBurstingRuntime",
-    "run_centralized",
     "run_iterative",
     "PAPER_CALIBRATION",
     "SimCalibration",

@@ -502,8 +502,9 @@ def _cmd_run(args: argparse.Namespace) -> None:
     from .apps import make_bundle
     from .config import CLOUD_SITE, ComputeSpec, LOCAL_SITE
     from .core.index import DataIndex
+    from .core.sync import SyncSpec
     from .facade import RunConfig, execute_runtime
-    from .options import CacheOptions, ScaleOptions, SyncOptions
+    from .options import CacheOptions, ScaleOptions
     from .storage.localfs import LocalStorage
 
     root = Path(args.dataset)
@@ -525,10 +526,11 @@ def _cmd_run(args: argparse.Namespace) -> None:
         compute=ComputeSpec(
             local_cores=args.local_cores, cloud_cores=args.cloud_cores
         ),
+        seed=args.seed,
         slave_mode=args.slave_mode,
         iterations=args.iterations,
         cache=CacheOptions(bytes=args.cache_bytes, prefetch=args.prefetch),
-        sync=SyncOptions(
+        sync=SyncSpec(
             encoding=args.sync_encoding,
             compress=args.sync_compress,
             topology=args.sync_topology,

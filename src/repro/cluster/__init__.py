@@ -1,17 +1,8 @@
-"""Compute substrate: node and cluster descriptions plus the EC2
-performance-variability model."""
+"""Compute substrate: the EC2 performance-variability model."""
 
-from .cluster import ClusterSpec, cloud_cluster, local_cluster
-from .node import EC2_M1_LARGE, LOCAL_XEON, NodeSpec
 from .variability import EC2_VARIABILITY, LOCAL_VARIABILITY, VariabilityModel
 
 __all__ = [
-    "ClusterSpec",
-    "cloud_cluster",
-    "local_cluster",
-    "EC2_M1_LARGE",
-    "LOCAL_XEON",
-    "NodeSpec",
     "EC2_VARIABILITY",
     "LOCAL_VARIABILITY",
     "VariabilityModel",

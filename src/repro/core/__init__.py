@@ -3,7 +3,7 @@ head-node scheduling policy shared by the executable runtime and the
 discrete-event simulator."""
 
 from .api import GeneralizedReductionApp, run_serial
-from .combiners import available_combiners, get_combiner, register_combiner
+from .combiners import get_combiner, register_combiner
 from .index import DataIndex, FileEntry, build_index
 from .job import Job, JobGroup
 from .jobpool import JobPool
@@ -23,7 +23,6 @@ from .shmem import ShmemStats, ShmemStrategy, run_threaded
 __all__ = [
     "GeneralizedReductionApp",
     "run_serial",
-    "available_combiners",
     "get_combiner",
     "register_combiner",
     "DataIndex",

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from ..errors import ReductionError
 
-__all__ = ["get_combiner", "register_combiner", "available_combiners"]
+__all__ = ["get_combiner", "register_combiner"]
 
 Combiner = Callable[[Any, Any], Any]
 
@@ -47,11 +47,6 @@ def get_combiner(name: str) -> Combiner:
         raise ReductionError(
             f"unknown combiner {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-
-
-def available_combiners() -> tuple[str, ...]:
-    """Names of all registered combiners, sorted."""
-    return tuple(sorted(_REGISTRY))
 
 
 # --- built-ins ------------------------------------------------------------

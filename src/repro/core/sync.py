@@ -36,7 +36,6 @@ __all__ = [
     "SyncNode",
     "build_sync_plan",
     "plan_roots",
-    "plan_depth",
     "SyncCodec",
 ]
 
@@ -154,19 +153,6 @@ def build_sync_plan(
 def plan_roots(plan: dict[str, SyncNode]) -> list[str]:
     """Clusters that upload directly to the head, in plan order."""
     return [name for name, node in plan.items() if node.parent is None]
-
-
-def plan_depth(plan: dict[str, SyncNode]) -> int:
-    """Longest chain of uploads (1 for star: a single hop to the head)."""
-    depth: dict[str, int] = {}
-
-    def walk(name: str) -> int:
-        if name not in depth:
-            parent = plan[name].parent
-            depth[name] = 1 if parent is None else walk(parent) + 1
-        return depth[name]
-
-    return max(walk(name) for name in plan)
 
 
 @dataclass

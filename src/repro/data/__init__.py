@@ -1,14 +1,12 @@
 """Data-organization substrate: record schemas, synthetic generators, and
 the files -> chunks -> units machinery of Section III-B."""
 
-from .chunks import ChunkSlice, iter_chunk_slices
 from .dataset import BlockFn, DatasetReader, build_dataset
 from .generators import (
     gaussian_points,
     labeled_gaussian_points,
     mixture_values,
     powerlaw_edges,
-    stream_blocks,
     zipf_tokens,
 )
 from .records import (
@@ -21,8 +19,6 @@ from .records import (
 )
 
 __all__ = [
-    "ChunkSlice",
-    "iter_chunk_slices",
     "BlockFn",
     "DatasetReader",
     "build_dataset",
@@ -30,7 +26,6 @@ __all__ = [
     "labeled_gaussian_points",
     "mixture_values",
     "powerlaw_edges",
-    "stream_blocks",
     "zipf_tokens",
     "EDGE_SCHEMA",
     "TOKEN_SCHEMA",

@@ -17,8 +17,6 @@ can be streamed straight into the storage layer.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..errors import DataFormatError
@@ -29,7 +27,6 @@ __all__ = [
     "powerlaw_edges",
     "zipf_tokens",
     "mixture_values",
-    "stream_blocks",
 ]
 
 
@@ -152,29 +149,3 @@ def mixture_values(
         rng.normal(0.75, 0.05, size=n),
     )
     return vals.reshape(-1, 1)
-
-
-def stream_blocks(
-    total_units: int,
-    block_units: int,
-    make_block,
-) -> Iterator[np.ndarray]:
-    """Drive a block generator: calls ``make_block(start, count, block_index)``.
-
-    Yields arrays totalling exactly ``total_units`` units without ever
-    materializing the full dataset — how the dataset writer streams
-    many-GB files.
-    """
-    _check_positive(total_units=total_units, block_units=block_units)
-    start = 0
-    index = 0
-    while start < total_units:
-        count = min(block_units, total_units - start)
-        block = make_block(start, count, index)
-        if len(block) != count:
-            raise DataFormatError(
-                f"block generator returned {len(block)} units, expected {count}"
-            )
-        yield block
-        start += count
-        index += 1

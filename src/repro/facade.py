@@ -18,9 +18,10 @@ tuning, fault injection, retry policy, observability hooks) lives on
 :class:`RunConfig` and means the same thing in every mode that supports
 it. The knobs are grouped into the option families of
 :mod:`repro.options` (:class:`~repro.options.CacheOptions`,
-:class:`~repro.options.SyncOptions`, :class:`~repro.options.MonitorOptions`,
+:class:`~repro.options.MonitorOptions`,
 :class:`~repro.options.ResilienceOptions`,
-:class:`~repro.options.ScaleOptions`) — ``config.cache.bytes``,
+:class:`~repro.options.ScaleOptions`) and the sync path's own
+:class:`~repro.core.sync.SyncSpec` — ``config.cache.bytes``,
 ``config.sync.encoding`` — and that is their only spelling.
 
 :func:`run` itself is now a thin wrapper over the multi-run
@@ -62,7 +63,6 @@ from .options import (
     MonitorOptions,
     ResilienceOptions,
     ScaleOptions,
-    SyncOptions,
 )
 from .resilience.faults import FaultInjector, FaultSpec
 from .resilience.retry import RetryPolicy
@@ -103,7 +103,7 @@ class RunConfig:
     * ``cache`` — a :class:`~repro.options.CacheOptions`: the per-node
       :class:`~repro.cache.ChunkCache` byte budget and the prefetch
       pipeline (runtime mode only for prefetch);
-    * ``sync`` — a :class:`~repro.options.SyncOptions`: the
+    * ``sync`` — a :class:`~repro.core.sync.SyncSpec`: the
       global-reduction WAN levers (:mod:`repro.core.sync`) — wire
       encoding/compression, aggregation topology, streaming partial
       merges, and the simulator's encoded-bytes ratio. The defaults
@@ -151,7 +151,7 @@ class RunConfig:
     iterations: int = 1
     converge: float | None = None
     cache: CacheOptions = field(default_factory=CacheOptions)
-    sync: SyncOptions = field(default_factory=SyncOptions)
+    sync: SyncSpec = field(default_factory=SyncSpec)
     monitor: MonitorOptions = field(default_factory=MonitorOptions)
     resilience: ResilienceOptions = field(default_factory=ResilienceOptions)
     scale: ScaleOptions = field(default_factory=ScaleOptions)
@@ -210,11 +210,11 @@ class RunConfig:
                 "serial mode has no masters to aggregate through and ignores "
                 "them — drop the sync options or use mode='runtime'/'simulate'"
             )
-        if self.sync.ratio != 1.0 and self.mode == "runtime":
+        if self.sync.sim_ratio != 1.0 and self.mode == "runtime":
             problems.append(
-                "sync.ratio models encoded-upload bytes in the simulator "
+                "sync.sim_ratio models encoded-upload bytes in the simulator "
                 "only; the runtime measures real encoded bytes — drop "
-                "SyncOptions(ratio=...) or use mode='simulate'"
+                "SyncSpec(sim_ratio=...) or use mode='simulate'"
             )
         if (
             self.sync.stream
@@ -225,7 +225,7 @@ class RunConfig:
             problems.append(
                 "sync.stream=True with every other sync knob at the "
                 "star/dense defaults streams partials through the legacy "
-                "all-to-head trunk; pair it with sync=SyncOptions(stream=True,"
+                "all-to-head trunk; pair it with sync=SyncSpec(stream=True,"
                 " topology='tree') or an encoding/compress choice, or drop it"
             )
         if self.monitor.enabled and self.mode == "serial":
@@ -295,8 +295,7 @@ class RunConfig:
     def sync_spec(self) -> SyncSpec | None:
         """The configured sync plan, or ``None`` when every knob is at the
         legacy star/dense/barrier default (no sync machinery is built)."""
-        spec = self.sync.to_spec()
-        return None if spec.is_default else spec
+        return None if self.sync.is_default else self.sync
 
     @property
     def effective_retry(self) -> RetryPolicy | None:
@@ -474,9 +473,6 @@ def _run_simulate(
     # (pass 2 of a cached run pays no cross-site transfers). There is no
     # value to feed back, so no update() hook is involved.
     cache = config.make_cache()
-    report: SimReport | None = None
-    total_makespan = 0.0
-    hits = misses = faults = 0
     sim = CloudBurstSimulation(
         experiment,
         profile=profile,
@@ -486,24 +482,7 @@ def _run_simulate(
         faults=config.fault_spec,
         scale=config.scale,
     )
-    added = revoked = 0
-    dollars = 0.0
-    for _ in range(config.iterations):
-        report = sim.run()
-        total_makespan += report.makespan
-        hits += report.cache_hits
-        misses += report.cache_misses
-        faults += report.faults_injected
-        added += report.slaves_added
-        revoked += report.slaves_revoked
-        dollars += report.dollars_spent
-    assert report is not None
-    report.cache_hits = hits
-    report.cache_misses = misses
-    report.faults_injected = faults
-    report.slaves_added = added
-    report.slaves_revoked = revoked
-    report.dollars_spent = dollars
+    reports = [sim.run() for _ in range(config.iterations)]
     samples: list[RunSample] = []
     monitor = config.monitor
     if monitor.enabled and config.trace is not None:
@@ -515,8 +494,8 @@ def _run_simulate(
     return RunResult(
         value=None,
         mode="simulate",
-        wall_seconds=total_makespan,
-        sim_report=report,
+        wall_seconds=sum(report.makespan for report in reports),
+        sim_report=SimReport.fold(reports),
         passes=config.iterations,
         samples=samples,
     )

@@ -1,8 +1,7 @@
-"""Network substrate: topology description and transfer cost models."""
+"""Network substrate: link description and transfer cost models."""
 
-from .topology import Link, Topology
+from .topology import Link
 from .transfer import (
-    message_time,
     parallel_transfer_time,
     sync_aggregation_time,
     transfer_time,
@@ -10,8 +9,6 @@ from .transfer import (
 
 __all__ = [
     "Link",
-    "Topology",
-    "message_time",
     "parallel_transfer_time",
     "sync_aggregation_time",
     "transfer_time",

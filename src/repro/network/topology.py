@@ -1,4 +1,4 @@
-"""Network topology: sites and the links between them.
+"""Network links between the sites.
 
 Two sites exist in the paper's deployment — the campus cluster and AWS —
 with three link classes that matter to the middleware:
@@ -17,11 +17,11 @@ slaves open multiple retrieval threads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
-__all__ = ["Link", "Topology"]
+__all__ = ["Link"]
 
 
 @dataclass(frozen=True)
@@ -52,38 +52,3 @@ class Link:
         if self.per_flow_cap is not None:
             share = min(share, self.per_flow_cap)
         return share
-
-
-@dataclass
-class Topology:
-    """Directed link table keyed by ``(src, dst)`` endpoint names."""
-
-    links: dict[tuple[str, str], Link] = field(default_factory=dict)
-
-    def add(self, link: Link) -> None:
-        key = (link.src, link.dst)
-        if key in self.links:
-            raise ConfigurationError(f"duplicate link {key}")
-        self.links[key] = link
-
-    def add_symmetric(self, link: Link) -> None:
-        """Add the link and its mirror (same parameters both ways)."""
-        self.add(link)
-        self.add(
-            Link(
-                src=link.dst,
-                dst=link.src,
-                bandwidth=link.bandwidth,
-                latency=link.latency,
-                per_flow_cap=link.per_flow_cap,
-            )
-        )
-
-    def link(self, src: str, dst: str) -> Link:
-        try:
-            return self.links[(src, dst)]
-        except KeyError:
-            raise ConfigurationError(f"no link {src!r} -> {dst!r} in topology") from None
-
-    def has_link(self, src: str, dst: str) -> bool:
-        return (src, dst) in self.links

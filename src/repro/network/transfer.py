@@ -16,7 +16,6 @@ from .topology import Link
 
 __all__ = [
     "transfer_time",
-    "message_time",
     "parallel_transfer_time",
     "sync_aggregation_time",
 ]
@@ -28,11 +27,6 @@ def transfer_time(link: Link, nbytes: int, *, concurrent_flows: int = 1) -> floa
         raise ConfigurationError("cannot transfer a negative byte count")
     rate = link.flow_rate(concurrent_flows)
     return link.latency + nbytes / rate
-
-
-def message_time(link: Link, nbytes: int = 1024) -> float:
-    """Time for a small control message (job request/assignment, ack)."""
-    return transfer_time(link, nbytes)
 
 
 def parallel_transfer_time(link: Link, nbytes: int, connections: int) -> float:

@@ -12,12 +12,10 @@ from .analysis import Interval, render_gantt, utilization, worker_intervals
 from .anomaly import (
     Straggler,
     StragglerReport,
-    annotate,
     detect_stragglers,
     render_stragglers,
 )
 from .events import (
-    ANALYSIS_KINDS,
     KINDS,
     RUNTIME_KINDS,
     SIM_KINDS,
@@ -56,7 +54,6 @@ __all__ = [
     "KINDS",
     "SIM_KINDS",
     "RUNTIME_KINDS",
-    "ANALYSIS_KINDS",
     "TraceEvent",
     "EventLog",
     "Interval",
@@ -89,6 +86,5 @@ __all__ = [
     "Straggler",
     "StragglerReport",
     "detect_stragglers",
-    "annotate",
     "render_stragglers",
 ]

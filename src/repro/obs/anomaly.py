@@ -14,9 +14,7 @@ estimate under normality, and the relative floor keeps a zero-variance
 fleet (the simulator with variability off) from flagging everything on
 nanometer deviations.
 
-:func:`detect_stragglers` returns a :class:`StragglerReport`;
-:func:`annotate` additionally records a ``straggler_detected`` event per
-flagged job back into the log, so exported traces carry the verdicts.
+:func:`detect_stragglers` returns a :class:`StragglerReport`.
 Both substrates feed the same detector — a latency fault injected
 through the PR-2 fault layer is flagged identically in the simulator and
 the threaded runtime.
@@ -33,7 +31,6 @@ __all__ = [
     "Straggler",
     "StragglerReport",
     "detect_stragglers",
-    "annotate",
     "render_stragglers",
 ]
 
@@ -146,32 +143,6 @@ def detect_stragglers(
         flagged=flagged,
         stragglers=stragglers,
     )
-
-
-def annotate(
-    log: EventLog, *, k: float = 3.0, rel_floor: float = 0.05
-) -> StragglerReport:
-    """Detect stragglers and record the verdicts into the log.
-
-    One ``straggler_detected`` event per flagged job, stamped at the
-    job's ``compute_end`` (when the anomaly became observable), so JSONL
-    and Perfetto exports carry the detector's output.
-    """
-    report = detect_stragglers(log, k=k, rel_floor=rel_floor)
-    for span in report.flagged:
-        log.record(
-            span.compute_end,
-            "straggler_detected",
-            cluster=span.cluster,
-            worker=span.worker,
-            job_id=span.job_id,
-            detail=(
-                f"execution {span.execution:.3f}s > "
-                f"threshold {report.threshold:.3f}s "
-                f"(median {report.median:.3f}s, k={report.k:g})"
-            ),
-        )
-    return report
 
 
 def render_stragglers(report: StragglerReport) -> str:

@@ -32,7 +32,6 @@ __all__ = [
     "KINDS",
     "SIM_KINDS",
     "RUNTIME_KINDS",
-    "ANALYSIS_KINDS",
     "TraceEvent",
     "EventLog",
 ]
@@ -76,13 +75,8 @@ RUNTIME_KINDS = (
     "revocation",  # a spot instance vanished; recovery will re-execute
 )
 
-#: Kinds produced post-hoc by the analysis layer (never by a node).
-ANALYSIS_KINDS = (
-    "straggler_detected",  # the anomaly detector flagged an outlier worker
-)
-
 #: The full shared vocabulary.
-KINDS = SIM_KINDS + RUNTIME_KINDS + ANALYSIS_KINDS
+KINDS = SIM_KINDS + RUNTIME_KINDS
 
 _KIND_SET = frozenset(KINDS)
 

@@ -1,27 +1,29 @@
 """The option families of :class:`repro.RunConfig` — the one place a
 run's options are spelled.
 
-Five individually-validated spec dataclasses group the knobs:
+Four individually-validated spec dataclasses group the knobs:
 
 * :class:`CacheOptions` — the chunk cache + prefetch pipeline;
-* :class:`SyncOptions` — the global-reduction WAN levers (wire encoding,
-  compression, aggregation topology, streaming partial merges);
 * :class:`MonitorOptions` — live run-health sampling;
 * :class:`ResilienceOptions` — fault injection, retry policy and the
   join deadline;
 * :class:`ScaleOptions` — the autoscaler and the spot-revocation model.
 
+The global-reduction WAN levers (wire encoding, compression, aggregation
+topology, streaming partial merges) are ``RunConfig.sync``, the
+:class:`~repro.core.sync.SyncSpec` both substrates execute.
+
 A run is configured, and read back, through them::
 
     config = RunConfig(
         cache=CacheOptions(bytes=1 << 26, prefetch=True),
-        sync=SyncOptions(encoding="delta", compress="zlib", topology="tree"),
+        sync=SyncSpec(encoding="delta", compress="zlib", topology="tree"),
         monitor=MonitorOptions(interval=0.5, on_sample=print),
         resilience=ResilienceOptions(faults="transient=0.1,seed=7"),
     )
     config.cache.bytes, config.sync.topology
 
-``dataclasses.replace(config, sync=SyncOptions(...))`` swaps a family.
+``dataclasses.replace(config, cache=CacheOptions(...))`` swaps a family.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core.sync import SyncSpec
 from .errors import ConfigurationError
 from .resilience.faults import FaultSpec
 from .resilience.retry import RetryPolicy
@@ -37,7 +38,6 @@ from .scale.revocation import RevocationSpec
 
 __all__ = [
     "CacheOptions",
-    "SyncOptions",
     "MonitorOptions",
     "ResilienceOptions",
     "ScaleOptions",
@@ -60,45 +60,6 @@ class CacheOptions:
     def __post_init__(self) -> None:
         if self.bytes < 0:
             raise ConfigurationError("cache.bytes cannot be negative")
-
-
-@dataclass(frozen=True)
-class SyncOptions:
-    """Global-reduction sync configuration (:mod:`repro.core.sync`).
-
-    :meth:`to_spec` converts to the :class:`~repro.core.sync.SyncSpec`
-    both substrates execute. The defaults reproduce the paper's
-    star/dense/barrier path with zero sync machinery.
-    """
-
-    encoding: str = "dense"
-    compress: str = "none"
-    topology: str = "star"
-    stream: bool = False
-    watermark: int = 8
-    fanout: int = 2
-    ratio: float = 1.0
-
-    def __post_init__(self) -> None:
-        # Building the spec validates every knob with the same messages
-        # the runtime would raise; the result is cheap to rebuild.
-        self.to_spec()
-
-    def to_spec(self) -> SyncSpec:
-        return SyncSpec(
-            topology=self.topology,
-            encoding=self.encoding,
-            compress=self.compress,
-            stream=self.stream,
-            watermark=self.watermark,
-            fanout=self.fanout,
-            sim_ratio=self.ratio,
-        )
-
-    @property
-    def is_default(self) -> bool:
-        """True when the legacy zero-machinery path would run."""
-        return self.to_spec().is_default
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ real bytes. Used by the integration tests (distributed result == serial
 oracle) and the examples.
 """
 
-from .centralized import centralized_runtime, run_centralized
 from .driver import SLAVE_MODES, CloudBurstingRuntime, RuntimeResult, run_iterative
 from .head import HeadNode
 from .master import MasterNode
@@ -15,8 +14,6 @@ from .telemetry import ClusterTelemetry, RunTelemetry, SlaveTelemetry, Stopwatch
 from .transport import Mailbox
 
 __all__ = [
-    "centralized_runtime",
-    "run_centralized",
     "CloudBurstingRuntime",
     "RuntimeResult",
     "run_iterative",

@@ -13,7 +13,6 @@ from .engine import AllOf, AnyOf, Environment, Event, Process, Timeout
 from .linkmodel import FairShareLink, FlowStats
 from .metrics import ClusterReport, SimReport, SlaveMetrics
 from .multisite import CrossPath, MultiSiteConfig, MultiSiteSimulation, SiteSpec
-from .resources import Resource, Store
 from .simnodes import SimMaster, SimSlave
 from .simulation import CloudBurstSimulation, simulate
 from .storagemodel import SimStore, StorePath
@@ -37,8 +36,6 @@ __all__ = [
     "MultiSiteConfig",
     "MultiSiteSimulation",
     "SiteSpec",
-    "Resource",
-    "Store",
     "SimMaster",
     "SimSlave",
     "CloudBurstSimulation",

@@ -19,11 +19,14 @@ Accounting follows the paper's Figure 3 / Tables I-II decomposition:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
+from typing import Sequence
 
 from ..errors import SimulationError
 
 __all__ = ["SlaveMetrics", "ClusterReport", "SimReport"]
+
+_CASTS = {"int": int, "float": float}
 
 
 @dataclass
@@ -115,22 +118,30 @@ class SimReport:
             raise SimulationError("baseline makespan must be positive")
         return (self.makespan - baseline.makespan) / baseline.makespan
 
+    @classmethod
+    def _scalar_fields(cls) -> list[Field]:
+        """Every field but ``clusters``: the one walk :meth:`fold` and the
+        serializers share, so a counter added to the dataclass is summed,
+        written and read back."""
+        return [f for f in fields(cls) if f.name != "clusters"]
+
+    @classmethod
+    def fold(cls, passes: Sequence["SimReport"]) -> "SimReport":
+        """Whole-run report of a multi-pass run: every counter (a numeric
+        field with a default) summed over ``passes``; what describes one
+        pass — makespan, global reduction, clusters — is the last pass's."""
+        sums = {
+            f.name: sum(getattr(report, f.name) for report in passes)
+            for f in cls._scalar_fields()
+            if f.type in _CASTS and f.default is not MISSING
+        }
+        return replace(passes[-1], **sums)
+
     def to_dict(self) -> dict:
         """Plain-data form for persistence or downstream tooling."""
-        return {
-            "experiment": self.experiment,
-            "app": self.app,
-            "makespan": self.makespan,
-            "global_reduction": self.global_reduction,
-            "events_processed": self.events_processed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "faults_injected": self.faults_injected,
-            "slaves_added": self.slaves_added,
-            "slaves_revoked": self.slaves_revoked,
-            "dollars_spent": self.dollars_spent,
-            "clusters": {name: asdict(c) for name, c in self.clusters.items()},
-        }
+        doc = {f.name: getattr(self, f.name) for f in self._scalar_fields()}
+        doc["clusters"] = {name: asdict(c) for name, c in self.clusters.items()}
+        return doc
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -142,20 +153,14 @@ class SimReport:
                 name: ClusterReport(**fields)
                 for name, fields in doc["clusters"].items()
             }
-            return cls(
-                experiment=doc["experiment"],
-                app=doc["app"],
-                makespan=float(doc["makespan"]),
-                global_reduction=float(doc["global_reduction"]),
-                clusters=clusters,
-                events_processed=int(doc.get("events_processed", 0)),
-                cache_hits=int(doc.get("cache_hits", 0)),
-                cache_misses=int(doc.get("cache_misses", 0)),
-                faults_injected=int(doc.get("faults_injected", 0)),
-                slaves_added=int(doc.get("slaves_added", 0)),
-                slaves_revoked=int(doc.get("slaves_revoked", 0)),
-                dollars_spent=float(doc.get("dollars_spent", 0.0)),
-            )
+            # Absent counters keep their defaults; a field without one is
+            # required and its absence is a KeyError.
+            scalars = {
+                f.name: _CASTS.get(f.type, lambda value: value)(doc[f.name])
+                for f in cls._scalar_fields()
+                if f.default is MISSING or f.name in doc
+            }
+            return cls(clusters=clusters, **scalars)
         except (KeyError, TypeError) as exc:
             raise SimulationError(f"malformed report document: {exc}") from exc
 

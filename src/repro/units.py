@@ -55,16 +55,6 @@ def fmt_seconds(t: float) -> str:
     return f"{t:.1f}"
 
 
-def fmt_rate(bytes_per_second: float) -> str:
-    """Render a bandwidth, e.g. ``'850.0 MB/s'``."""
-    return fmt_bytes(bytes_per_second) + "/s"
-
-
-def fmt_percent(fraction: float) -> str:
-    """Render a fraction as a percentage with one decimal: ``0.1555 -> '15.6%'``."""
-    return f"{fraction * 100.0:.1f}%"
-
-
 def parse_size(text: str) -> int:
     """Parse a human size string (``'120GB'``, ``'128 MB'``, ``'42'``) to bytes.
 

@@ -84,3 +84,19 @@ def test_option_family_flags_reach_the_runtime(tmp_path, capsys, flags, accounti
     assert _line(lines, "result:") == _line(plain, "result:")
     if "--prefetch" in flags:
         assert "prefetches: " in _line(lines, "cache:")
+
+
+def test_global_seed_reaches_the_run_config(tmp_path, capsys, monkeypatch):
+    from repro import facade
+
+    seen = []
+    execute = facade.execute_runtime
+
+    def spy(bundle, index, stores, config):
+        seen.append(config.seed)
+        return execute(bundle, index, stores, config)
+
+    monkeypatch.setattr(facade, "execute_runtime", spy)
+    dataset = _generate(tmp_path / "ds", capsys)
+    assert main(["--seed", "7", "run", dataset]) == 0
+    assert seen == [7]

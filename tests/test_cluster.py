@@ -1,64 +1,13 @@
-"""Tests for node/cluster specs and the EC2 variability model."""
+"""Tests for the EC2 variability model."""
 
 from __future__ import annotations
 
-import math
 import statistics
 
 import pytest
 
-from repro.cluster.cluster import ClusterSpec, cloud_cluster, local_cluster
-from repro.cluster.node import EC2_M1_LARGE, LOCAL_XEON, NodeSpec
 from repro.cluster.variability import VariabilityModel
-from repro.config import CLOUD_SITE, LOCAL_SITE
 from repro.errors import ConfigurationError
-from repro.units import GB, MB
-
-
-def test_paper_node_specs():
-    assert LOCAL_XEON.cores == 8
-    assert LOCAL_XEON.memory_bytes == 6 * GB
-    assert EC2_M1_LARGE.cores == 2
-    assert EC2_M1_LARGE.memory_bytes == 7 * GB + 512 * MB
-
-
-def test_node_validation():
-    with pytest.raises(ConfigurationError):
-        NodeSpec("x", cores=0, memory_bytes=1, cache_bytes=1)
-    with pytest.raises(ConfigurationError):
-        NodeSpec("x", cores=1, memory_bytes=0, cache_bytes=1)
-    with pytest.raises(ConfigurationError):
-        NodeSpec("x", cores=1, memory_bytes=1, cache_bytes=1, core_speed=0)
-
-
-def test_chunk_and_group_sizing():
-    # Chunk bounded by per-core share of memory.
-    assert LOCAL_XEON.max_chunk_bytes(0.5) == int(6 * GB * 0.5 / 8)
-    with pytest.raises(ConfigurationError):
-        LOCAL_XEON.max_chunk_bytes(0.0)
-    # Unit group bounded by cache.
-    assert LOCAL_XEON.units_per_group(record_bytes=16) == (4 * MB // 2) // 16
-    with pytest.raises(ConfigurationError):
-        LOCAL_XEON.units_per_group(record_bytes=0)
-
-
-def test_cluster_builders_round_up_nodes():
-    campus = local_cluster(active_cores=20)
-    assert campus.site == LOCAL_SITE
-    assert campus.num_nodes == 3  # ceil(20/8)
-    assert campus.active_cores == 20
-    assert campus.slave_count() == 20
-    ec2 = cloud_cluster(active_cores=22)
-    assert ec2.site == CLOUD_SITE
-    assert ec2.num_nodes == 11  # ceil(22/2)
-    assert ec2.total_cores == 22
-
-
-def test_cluster_validation():
-    with pytest.raises(ConfigurationError):
-        ClusterSpec("x", LOCAL_SITE, LOCAL_XEON, num_nodes=1, active_cores=9)
-    with pytest.raises(ConfigurationError):
-        ClusterSpec("x", LOCAL_SITE, LOCAL_XEON, num_nodes=0, active_cores=1)
 
 
 def test_variability_deterministic_per_worker():

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.combiners import available_combiners, get_combiner, register_combiner
+from repro.core.combiners import get_combiner, register_combiner
 from repro.errors import ReductionError
 
 
 def test_builtins_registered():
-    names = available_combiners()
     for expected in ("sum", "min", "max", "concat", "count", "mean_pair"):
-        assert expected in names
+        assert callable(get_combiner(expected))
 
 
 def test_get_unknown_raises():

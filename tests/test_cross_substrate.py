@@ -243,7 +243,7 @@ SYNC_MATRIX = tuple(
 def test_golden_matrix_sync_matches_serial(app, encoding, topology, stream):
     config = repro.RunConfig(
         mode="runtime",
-        sync=repro.SyncOptions(
+        sync=repro.SyncSpec(
             encoding=encoding,
             topology=topology,
             stream=stream,
@@ -275,7 +275,7 @@ def test_golden_matrix_iterative_pagerank_delta():
     runtime = repro.run(
         "pagerank", dataset,
         repro.RunConfig(mode="runtime", iterations=3,
-                        sync=repro.SyncOptions(
+                        sync=repro.SyncSpec(
                             encoding="delta", compress="zlib",
                             topology="tree", stream=True)),
     )
@@ -324,7 +324,7 @@ def test_golden_matrix_process_sync_stream():
     watermark; the merged result still matches the oracle."""
     config = repro.RunConfig(
         mode="runtime", slave_mode="process",
-        sync=repro.SyncOptions(stream=True, watermark=2, encoding="sparse"),
+        sync=repro.SyncSpec(stream=True, watermark=2, encoding="sparse"),
     )
     result = repro.run("histogram", _golden_dataset("histogram"), config)
     _assert_same_value(_baseline("histogram"), result.value)

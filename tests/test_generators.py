@@ -10,7 +10,6 @@ from repro.data.generators import (
     labeled_gaussian_points,
     mixture_values,
     powerlaw_edges,
-    stream_blocks,
     zipf_tokens,
 )
 from repro.errors import DataFormatError
@@ -65,24 +64,3 @@ def test_generator_validation():
         zipf_tokens(10, 0)
     with pytest.raises(DataFormatError):
         mixture_values(-1)
-
-
-def test_stream_blocks_exact_cover():
-    calls = []
-
-    def make(start, count, index):
-        calls.append((start, count, index))
-        return np.arange(start, start + count)
-
-    blocks = list(stream_blocks(10, 4, make))
-    assert [len(b) for b in blocks] == [4, 4, 2]
-    assert np.concatenate(blocks).tolist() == list(range(10))
-    assert calls == [(0, 4, 0), (4, 4, 1), (8, 2, 2)]
-
-
-def test_stream_blocks_rejects_wrong_count():
-    def bad(start, count, index):
-        return np.zeros(count + 1)
-
-    with pytest.raises(DataFormatError):
-        list(stream_blocks(4, 2, bad))

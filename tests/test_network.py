@@ -1,12 +1,12 @@
-"""Tests for the network substrate (topology + closed-form transfers)."""
+"""Tests for the network substrate (links + closed-form transfers)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.topology import Link, Topology
-from repro.network.transfer import message_time, parallel_transfer_time, transfer_time
+from repro.network.topology import Link
+from repro.network.transfer import parallel_transfer_time, transfer_time
 
 
 def wan():
@@ -39,10 +39,6 @@ def test_transfer_time():
         transfer_time(link, -1)
 
 
-def test_message_time_is_latency_dominated():
-    assert message_time(wan()) == pytest.approx(0.1 + 1024 / 10.0 / 1)
-
-
 def test_parallel_transfer_scaling():
     link = wan()
     one = parallel_transfer_time(link, 1000, 1)
@@ -56,20 +52,3 @@ def test_parallel_transfer_scaling():
     with pytest.raises(ConfigurationError):
         parallel_transfer_time(link, 10, 0)
 
-
-def test_topology_add_and_lookup():
-    topo = Topology()
-    topo.add(wan())
-    assert topo.has_link("s3", "campus")
-    assert not topo.has_link("campus", "s3")
-    assert topo.link("s3", "campus").bandwidth == 100.0
-    with pytest.raises(ConfigurationError):
-        topo.add(wan())
-    with pytest.raises(ConfigurationError):
-        topo.link("x", "y")
-
-
-def test_topology_symmetric():
-    topo = Topology()
-    topo.add_symmetric(wan())
-    assert topo.link("campus", "s3").per_flow_cap == 10.0

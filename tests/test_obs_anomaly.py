@@ -10,7 +10,6 @@ import repro
 from repro.config import DatasetSpec
 from repro.obs import (
     EventLog,
-    annotate,
     detect_stragglers,
     render_stragglers,
 )
@@ -70,17 +69,6 @@ def test_mad_scales_the_threshold():
     assert report.mad > 0.0
     assert report.threshold > report.median + 3.0 * 0.05 * report.median
     assert report.stragglers == ()
-
-
-def test_annotate_records_verdict_events():
-    log = exec_log([1.0] * 7 + [3.0])
-    report = annotate(log)
-    events = log.of_kind("straggler_detected")
-    assert len(events) == len(report.flagged) == 1
-    event = events[0]
-    assert event.worker == 7 and event.job_id == 7
-    assert event.time == pytest.approx(3.0)  # stamped at compute_end
-    assert "threshold" in event.detail and "median" in event.detail
 
 
 def test_render_stragglers_all_clear_and_flagged():

@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import SimulationError, TraceError
 from repro.obs import (
-    ANALYSIS_KINDS,
     KINDS,
     RUNTIME_KINDS,
     SIM_KINDS,
@@ -17,12 +16,11 @@ from repro.obs import (
 )
 
 
-def test_vocabulary_is_sim_plus_runtime_plus_analysis():
-    assert KINDS == SIM_KINDS + RUNTIME_KINDS + ANALYSIS_KINDS
+def test_vocabulary_is_sim_plus_runtime():
+    assert KINDS == SIM_KINDS + RUNTIME_KINDS
     assert "fetch_start" in SIM_KINDS
     for kind in ("steal", "slave_failed", "job_reexecuted", "remote_fetch"):
         assert kind in RUNTIME_KINDS
-    assert "straggler_detected" in ANALYSIS_KINDS
 
 
 def test_record_and_queries():

@@ -6,7 +6,8 @@ The contract these tests pin:
 * ``dataclasses.replace`` swaps a family, ``==``/``repr`` are the plain
   dataclass ones;
 * the 15 flat kwargs of the earlier API are gone — a ``TypeError`` to
-  construct with, an ``AttributeError`` to read.
+  construct with, an ``AttributeError`` to read;
+* the sync family is :class:`repro.SyncSpec` itself, with no mirror class.
 """
 
 from __future__ import annotations
@@ -17,21 +18,22 @@ import warnings
 
 import pytest
 
+import repro
 from repro import (
     CacheOptions,
     MonitorOptions,
     ResilienceOptions,
     RunConfig,
-    SyncOptions,
+    SyncSpec,
 )
 from repro.errors import ConfigurationError
 from repro.resilience import FaultSpec, RetryPolicy
 
 NESTED_KWARGS = dict(
     cache=CacheOptions(bytes=1 << 20, prefetch=True),
-    sync=SyncOptions(
+    sync=SyncSpec(
         encoding="delta", compress="zlib", topology="tree",
-        stream=True, watermark=4, fanout=3, ratio=0.5,
+        stream=True, watermark=4, fanout=3, sim_ratio=0.5,
     ),
     monitor=MonitorOptions(interval=0.25, capacity=64),
     resilience=ResilienceOptions(
@@ -112,7 +114,7 @@ def test_spec_level_validation_still_fires():
     with pytest.raises(ConfigurationError, match=r"monitor\.interval"):
         MonitorOptions(interval=-0.5)
     with pytest.raises(ConfigurationError, match="watermark"):
-        SyncOptions(watermark=0)
+        SyncSpec(watermark=0)
     with pytest.raises(ConfigurationError, match="join_timeout"):
         ResilienceOptions(join_timeout=0.0)
 
@@ -123,8 +125,13 @@ def test_resilience_parses_string_faults():
     assert spec.faults.transient_rate == 0.25
 
 
-def test_sync_options_to_spec_and_default_detection():
-    assert SyncOptions().is_default
-    assert not SyncOptions(encoding="delta").is_default
-    spec = SyncOptions(topology="tree", ratio=0.5).to_spec()
-    assert spec.topology == "tree" and spec.sim_ratio == 0.5
+def test_sync_family_is_the_sync_spec_itself():
+    assert RunConfig().sync == SyncSpec()
+    assert RunConfig().sync_spec is None
+    spec = SyncSpec(topology="tree", sim_ratio=0.5)
+    assert RunConfig(sync=spec).sync_spec is spec
+    # Four option classes; none of them mirrors SyncSpec.
+    families = ["CacheOptions", "MonitorOptions", "ResilienceOptions", "ScaleOptions"]
+    assert sorted(repro.options.__all__) == families
+    for module in (repro, repro.options):
+        assert [n for n in dir(module) if n.endswith("Options")] == families

@@ -1,0 +1,162 @@
+"""Every module under ``src/repro`` is load-bearing.
+
+A module is *reached* when a reached file under ``src/``, or any file
+under ``benchmarks/`` or ``examples/``, imports it or calls a name it
+defines. A package ``__init__.py`` re-exporting a name does not reach
+the module that defines it, and neither does a test: ``__init__`` files
+are read only to resolve ``from repro.pkg import Name`` (or
+``repro.pkg.Name``) to the module that really defines ``Name``. What the
+scan cannot see — an entry point, a reference implementation tests
+compare against, a module reached through a string-keyed registry — is
+listed in ``EXEMPT`` with its reason.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: Modules the import scan cannot reach, each with the reason it stays.
+EXEMPT = {
+    "repro.__main__": "entry point of `python -m repro`",
+    "repro.baselines.serial": "oracle: the per-app reference every substrate is compared to",
+    "repro.apps.histogram": "registered through repro.apps, run by key",
+    "repro.apps.kmeans": "registered through repro.apps, run by key",
+    "repro.apps.knn": "registered through repro.apps, run by key",
+    "repro.apps.moments": "registered through repro.apps, run by key",
+    "repro.apps.pagerank": "registered through repro.apps, run by key",
+    "repro.apps.wordcount": "registered through repro.apps, run by key",
+}
+
+
+class _Scan:
+    def __init__(self) -> None:
+        # Parsed source of every module under src/, and which are packages.
+        self.trees: dict[str, ast.Module] = {}
+        self.packages: set[str] = set()
+        for path in sorted(SRC.rglob("*.py")):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+                self.packages.add(".".join(parts))
+            self.trees[".".join(parts)] = ast.parse(
+                path.read_text(), filename=str(path)
+            )
+        # package -> {exported name: (module it was imported from, name there)}
+        self.exports = {
+            pkg: self._import_table(pkg, self.trees[pkg]) for pkg in self.packages
+        }
+
+    def _absolute(self, importer: str, node: ast.ImportFrom) -> str:
+        if not node.level:
+            return node.module or ""
+        base = importer.split(".")
+        if importer not in self.packages:
+            base = base[:-1]
+        base = base[: len(base) - (node.level - 1)]
+        return ".".join(base + ([node.module] if node.module else []))
+
+    def _import_table(self, importer: str, tree: ast.Module) -> dict[str, tuple[str, str]]:
+        table: dict[str, tuple[str, str]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = self._absolute(importer, node)
+                for alias in node.names:
+                    table[alias.asname or alias.name] = (source, alias.name)
+        return table
+
+    def resolve(self, module: str, name: str) -> str | None:
+        """The module under ``src/`` that ``module.name`` names or is
+        defined in (``module`` itself for an empty ``name``); ``None``
+        when it is outside ``src/`` or defined in an ``__init__``."""
+        seen = set()
+        while (module, name) not in seen:
+            seen.add((module, name))
+            if f"{module}.{name}" in self.trees:
+                module, name = f"{module}.{name}", ""
+            if module not in self.packages or not name:
+                break
+            if name not in self.exports[module]:
+                break  # defined in the __init__ itself
+            module, name = self.exports[module][name]
+        if module in self.packages and name:
+            return None
+        return module if module in self.trees else None
+
+    def uses(self, importer: str, tree: ast.Module) -> set[str]:
+        """Modules under ``src/`` that ``tree`` imports or calls into."""
+        found: set[str] = set()
+        bound: dict[str, str] = {}  # local name -> module it is bound to
+
+        def reach(module: str, name: str = "") -> None:
+            target = self.resolve(module, name)
+            if target is not None:
+                found.add(target)
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    reach(alias.name)
+                    top = alias.name.split(".")[0]
+                    bound[alias.asname or top] = alias.name if alias.asname else top
+            elif isinstance(node, ast.ImportFrom):
+                source = self._absolute(importer, node)
+                reach(source)
+                for alias in node.names:
+                    reach(source, alias.name)
+                    if f"{source}.{alias.name}" in self.trees:
+                        bound[alias.asname or alias.name] = f"{source}.{alias.name}"
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if not chain or not isinstance(node, ast.Name) or node.id not in bound:
+                continue
+            module = bound[node.id]
+            for attr in reversed(chain):
+                if f"{module}.{attr}" in self.trees:
+                    module = f"{module}.{attr}"
+                    reach(module)
+                else:
+                    reach(module, attr)
+                    break
+        return found
+
+    def reached(self) -> set[str]:
+        frontier: set[str] = set()
+        for folder in ("benchmarks", "examples"):
+            for path in sorted((ROOT / folder).rglob("*.py")):
+                frontier |= self.uses("", ast.parse(path.read_text(), filename=str(path)))
+        frontier |= EXEMPT.keys() & self.trees.keys()
+        reached: set[str] = set()
+        while frontier:
+            module = frontier.pop()
+            if module in reached:
+                continue
+            reached.add(module)
+            if module not in self.packages:  # an __init__ re-export reaches nothing
+                frontier |= self.uses(module, self.trees[module]) - reached
+        return reached
+
+
+def test_every_module_is_reached():
+    scan = _Scan()
+    modules = set(scan.trees) - scan.packages
+    orphans = sorted(modules - scan.reached())
+    assert not orphans, (
+        "modules no run, bench or oracle reaches (delete them, or add an "
+        f"exemption with its reason): {orphans}"
+    )
+
+
+def test_exempted_modules_still_exist():
+    missing = sorted(
+        name for name in EXEMPT
+        if not (SRC / name.replace(".", "/")).with_suffix(".py").is_file()
+    )
+    assert not missing, f"exempted modules that no longer exist: {missing}"
+    assert all(reason.strip() for reason in EXEMPT.values())

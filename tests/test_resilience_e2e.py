@@ -214,10 +214,22 @@ def test_spot_revocation_sweep_is_bit_identical_and_accounted():
     oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
 
     trace = EventLog()
+    revoked = threading.Event()
+
+    def hold_local_until_a_revocation(slave_id: int, job) -> None:
+        # Slaves 0-1 are local. Held at their first job they cannot drain
+        # the pool before a cloud slave has reached its seeded ordinal;
+        # the surviving cloud slave releases them at its next job.
+        if slave_id < 2:
+            assert revoked.wait(30.0)
+        elif trace.of_kind("revocation"):
+            revoked.set()
+
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores,
         ComputeSpec(local_cores=2, cloud_cores=2),
         scale=ScaleOptions(revocation=f"rate={REVOKE_RATE},seed=11"),
+        fault_hook=hold_local_until_a_revocation if REVOKE_RATE > 0 else None,
         trace=trace, join_timeout=60.0,
     )
     result = runtime.run()

@@ -15,7 +15,7 @@ from repro import (
     MonitorOptions,
     ResilienceOptions,
     RunConfig,
-    SyncOptions,
+    SyncSpec,
 )
 from repro.errors import ConfigurationError
 from repro.resilience import RetryPolicy
@@ -25,7 +25,7 @@ def test_validate_returns_self_on_a_clean_config():
     config = RunConfig(
         mode="runtime",
         cache=CacheOptions(bytes=1 << 20, prefetch=True),
-        sync=SyncOptions(encoding="delta", topology="tree", stream=True),
+        sync=SyncSpec(encoding="delta", topology="tree", stream=True),
         monitor=MonitorOptions(interval=0.5),
     )
     assert config.validate() is config
@@ -51,21 +51,21 @@ def test_prefetch_outside_runtime_conflicts():
 
 
 def test_sync_in_serial_mode_conflicts():
-    config = RunConfig(mode="serial", sync=SyncOptions(encoding="delta"))
+    config = RunConfig(mode="serial", sync=SyncSpec(encoding="delta"))
     with pytest.raises(ConfigurationError, match="serial mode has no masters"):
         config.validate()
 
 
 def test_sim_only_sync_ratio_in_runtime_conflicts():
     config = RunConfig(
-        mode="runtime", sync=SyncOptions(topology="tree", ratio=0.5)
+        mode="runtime", sync=SyncSpec(topology="tree", sim_ratio=0.5)
     )
-    with pytest.raises(ConfigurationError, match=r"sync\.ratio.*simulator"):
+    with pytest.raises(ConfigurationError, match=r"sync\.sim_ratio.*simulator"):
         config.validate()
 
 
 def test_stream_with_star_dense_defaults_conflicts():
-    config = RunConfig(mode="runtime", sync=SyncOptions(stream=True))
+    config = RunConfig(mode="runtime", sync=SyncSpec(stream=True))
     with pytest.raises(
         ConfigurationError, match=r"sync\.stream.*star/dense"
     ):

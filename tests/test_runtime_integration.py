@@ -29,7 +29,6 @@ from repro.config import (
 )
 from repro.core.api import run_serial
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.runtime.centralized import run_centralized
 from repro.runtime.driver import CloudBurstingRuntime, run_iterative
 from repro.storage.objectstore import ObjectStore
 
@@ -130,12 +129,14 @@ def test_skewed_placement_forces_stealing():
 def test_centralized_baseline_matches_hybrid():
     bundle, spec, index, stores = materialize("histogram", bins=16)
     hybrid = run_hybrid(bundle, index, stores)
-    # Rebuild all-local and run the centralized baseline helper.
-    bundle2 = make_bundle("histogram", TOTAL_UNITS, bins=16)
-    store = ObjectStore()
-    build_dataset(spec, PlacementSpec(1.0), bundle2.schema, bundle2.block_fn,
-                  {LOCAL_SITE: store})
-    central = run_centralized(bundle2.app, spec, store, cores=2)
+    # The centralized baseline is the same middleware with one cluster:
+    # all the data local, no cloud cores.
+    bundle2, _, index2, stores2 = materialize(
+        "histogram", local_fraction=1.0, bins=16
+    )
+    central = CloudBurstingRuntime(
+        bundle2.app, index2, stores2, ComputeSpec(local_cores=2, cloud_cores=0)
+    ).run()
     np.testing.assert_array_equal(hybrid.value, central.value)
 
 

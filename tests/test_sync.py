@@ -41,7 +41,6 @@ from repro.core.sync import (
     SyncCodec,
     SyncSpec,
     build_sync_plan,
-    plan_depth,
     plan_roots,
 )
 from repro.data.dataset import DatasetReader, build_dataset
@@ -72,7 +71,6 @@ from conftest import small_spec
 def test_star_plan_everyone_uploads_to_head():
     plan = build_sync_plan(["a", "b", "c", "d"], "star")
     assert plan_roots(plan) == ["a", "b", "c", "d"]
-    assert plan_depth(plan) == 1
     assert all(node.children == () for node in plan.values())
 
 
@@ -83,7 +81,6 @@ def test_tree_plan_uses_heap_indexing():
     assert plan["c0"].children == ("c1", "c2")
     assert plan["c1"].children == ("c3", "c4")
     assert plan["c2"].children == ("c5", "c6")
-    assert plan_depth(plan) == 3
     # A parent always precedes its children in cluster order, so the
     # runtime can build masters in index order and wire parent inboxes.
     order = {name: i for i, name in enumerate(names)}
@@ -95,20 +92,18 @@ def test_tree_plan_uses_heap_indexing():
 def test_tree_plan_respects_fanout():
     plan = build_sync_plan([f"c{i}" for i in range(5)], "tree", fanout=4)
     assert plan["c0"].children == ("c1", "c2", "c3", "c4")
-    assert plan_depth(plan) == 2
 
 
 def test_ring_plan_is_a_chain():
     plan = build_sync_plan(["a", "b", "c"], "ring")
     assert plan["c"].parent == "b" and plan["b"].parent == "a"
     assert plan["a"].parent is None
-    assert plan_depth(plan) == 3
 
 
 def test_single_cluster_plans_degenerate_to_star():
     for topology in ("star", "tree", "ring"):
         plan = build_sync_plan(["only"], topology)
-        assert plan_roots(plan) == ["only"] and plan_depth(plan) == 1
+        assert plan_roots(plan) == ["only"]
 
 
 def test_plan_rejects_bad_inputs():

@@ -7,6 +7,8 @@ it.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -68,9 +70,22 @@ def test_step2_dataset_built_with_checksums(tutorial_dataset):
 
 def test_step3_run_with_bursting(tutorial_dataset):
     spec, index, stores = tutorial_dataset
+    stolen = threading.Event()
+
+    def hold_cloud_until_local_steals(slave_id: int, job) -> None:
+        # Slaves 0-1 are the local cluster's. The cloud slaves wait at
+        # their first job (their master holds one group of 8 of the 24
+        # cloud jobs), so the head still has cloud jobs to hand out when
+        # the local cluster has exhausted its own 8.
+        if slave_id >= 2:
+            assert stolen.wait(30.0)
+        elif job.site == CLOUD_SITE:
+            stolen.set()
+
     runtime = CloudBurstingRuntime(
         AboveThreshold(0.5), index, stores,
         ComputeSpec(local_cores=2, cloud_cores=2),
+        fault_hook=hold_cloud_until_local_steals, join_timeout=60.0,
     )
     result = runtime.run()
     # Cross-check against a direct NumPy pass.

@@ -12,8 +12,6 @@ from repro.units import (
     MB,
     TB,
     fmt_bytes,
-    fmt_percent,
-    fmt_rate,
     fmt_seconds,
     parse_size,
 )
@@ -47,11 +45,6 @@ def test_fmt_seconds_matches_paper_precision():
     assert fmt_seconds(96.067) == "96.1"
     assert fmt_seconds(9.9994) == "9.999"
     assert fmt_seconds(-3.5) == "-3.500"
-
-
-def test_fmt_rate_and_percent():
-    assert fmt_rate(550 * MB) == "550.0 MB/s"
-    assert fmt_percent(0.1555) == "15.6%"
 
 
 @pytest.mark.parametrize(
