@@ -67,7 +67,7 @@ from .options import (
 from .resilience.faults import FaultInjector, FaultSpec
 from .resilience.retry import RetryPolicy
 from .runtime.driver import SLAVE_MODES, CloudBurstingRuntime
-from .runtime.telemetry import RunTelemetry
+from .runtime.telemetry import RunTelemetry, read_ledger
 from .sim.metrics import SimReport
 from .sim.simulation import CloudBurstSimulation
 from .storage.base import StorageService
@@ -292,12 +292,6 @@ class RunConfig:
         return spec
 
     @property
-    def sync_spec(self) -> SyncSpec | None:
-        """The configured sync plan, or ``None`` when every knob is at the
-        legacy star/dense/barrier default (no sync machinery is built)."""
-        return None if self.sync.is_default else self.sync
-
-    @property
     def effective_retry(self) -> RetryPolicy | None:
         """The retry policy actually applied: the configured one, or the
         default policy when faults are active and none was given."""
@@ -426,25 +420,10 @@ def _run_serial(
     started = time.perf_counter()
     value, passes = _iterate(bundle, config, run_pass)
     wall = time.perf_counter() - started
-    telemetry = RunTelemetry(wall_seconds=wall)
-    resilience = reader.resilience
-    telemetry.retries = resilience.retries
-    telemetry.hedges = resilience.hedges
-    telemetry.hedge_wins = resilience.hedge_wins
-    telemetry.timeouts = resilience.timeouts
-    telemetry.faults_injected = sum(
-        store.counters.total
-        for store in stores.values()
-        if isinstance(store, FaultInjector)
+    # One reader, fresh stores and cache: the cumulative ledger is the run.
+    telemetry = RunTelemetry(
+        wall_seconds=wall, **read_ledger(reader, stores, cache)
     )
-    if cache is not None:
-        stats = cache.stats
-        telemetry.cache_hits = stats.hits
-        telemetry.cache_misses = stats.misses
-        telemetry.cache_evictions = stats.evictions
-        telemetry.bytes_saved = stats.bytes_saved
-    telemetry.zero_copy_reads = reader.zero_copy_reads
-    telemetry.bytes_copied = reader.bytes_copied
     return RunResult(
         value=value,
         mode="serial",
@@ -478,7 +457,7 @@ def _run_simulate(
         profile=profile,
         trace=config.trace,
         cache=cache,
-        sync=config.sync_spec,
+        sync=config.sync,
         faults=config.fault_spec,
         scale=config.scale,
     )
@@ -538,7 +517,7 @@ def execute_runtime(
         retry_policy=config.effective_retry,
         cache=config.make_cache(),
         prefetch=config.cache.prefetch,
-        sync=config.sync_spec,
+        sync=config.sync,
         monitor=monitor,
         slave_mode=config.slave_mode,
         scale=config.scale,

@@ -34,6 +34,7 @@ from typing import Any, Callable
 from .errors import ConfigurationError
 from .resilience.faults import FaultSpec
 from .resilience.retry import RetryPolicy
+from .scale.controller import Autoscaler
 from .scale.revocation import RevocationSpec
 
 __all__ = [
@@ -173,3 +174,25 @@ class ScaleOptions:
         if isinstance(spec, RevocationSpec) and spec.active:
             return spec
         return None
+
+    def make_autoscaler(self) -> Autoscaler:
+        """The controller these targets configure (runtime and simulator)."""
+        return Autoscaler(
+            min_slaves=self.min_slaves,
+            max_slaves=self.max_slaves,
+            deadline=self.deadline,
+            budget=self.budget,
+            dollars_per_slave_hour=self.dollars_per_slave_hour,
+            damping=self.damping,
+        )
+
+    def id_headroom(self, initial: int) -> int:
+        """Slave ids a scale-up may claim beyond an ``initial`` crew.
+        Revocations free fleet slots but never slave ids (a dead id stays
+        dead to the master), so revocable fleets get ``max_slaves`` more."""
+        if not self.autoscale:
+            return 0
+        headroom = max(0, self.max_slaves - initial)
+        if self.revocation_spec is not None:
+            headroom += self.max_slaves
+        return headroom

@@ -32,23 +32,32 @@ from ..obs.live import RunMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import span_summary
 from ..options import ScaleOptions
-from ..resilience.faults import FaultInjector
 from ..resilience.retry import RetryPolicy
-from ..scale import Autoscaler, SpotRevoker
+from ..scale import SpotRevoker
+from ..scale.burst import RuntimeBurst
 from ..storage.base import StorageService
-from ..core.shmem import ShmemStrategy
 from .corebudget import slave_cores
 from .head import HeadNode, HeadSync
 from .master import MasterNode, MasterSync
-from .messages import SlaveAttach, SlaveDetach
 from .procpool import ProcessSlavePool
 from .slave import SlaveWorker
-from .telemetry import ClusterTelemetry, RunTelemetry
+from .telemetry import ClusterTelemetry, RunTelemetry, read_ledger
 
 __all__ = ["RuntimeResult", "CloudBurstingRuntime", "run_iterative", "SLAVE_MODES"]
 
 #: The slave substrates the runtime can execute on.
 SLAVE_MODES = ("thread", "process")
+
+#: :class:`RunTelemetry` counters a metrics registry mirrors under the
+#: same names (the sync ones only when a sync plan is active).
+_MIRRORED = (
+    "slaves_failed", "slaves_revoked", "slaves_added", "jobs_reexecuted",
+    "retries", "hedges", "circuit_opens", "faults_injected",
+    "zero_copy_reads", "bytes_copied",
+)
+_MIRRORED_SYNC = (
+    "sync_uploads", "sync_bytes_sent", "sync_bytes_saved", "sync_partial_merges",
+)
 
 
 @dataclass
@@ -61,7 +70,12 @@ class RuntimeResult:
 
 
 class CloudBurstingRuntime:
-    """Executable middleware over in-process clusters."""
+    """Executable middleware over in-process clusters.
+
+    The constructor owns what outlives a pass — stores, cache, the sync
+    codec and its delta baselines, the monitor; what ``run()`` builds
+    (head, masters, slaves, reader, worker pool) dies with the pass.
+    """
 
     def __init__(
         self,
@@ -83,8 +97,6 @@ class CloudBurstingRuntime:
         monitor: RunMonitor | None = None,
         scale: ScaleOptions | None = None,
         slave_mode: str = "thread",
-        process_strategy: ShmemStrategy | str = ShmemStrategy.FULL_REPLICATION,
-        process_start_method: str | None = None,
     ) -> None:
         if compute.total_cores <= 0:
             raise ConfigurationError("need at least one core")
@@ -146,11 +158,6 @@ class CloudBurstingRuntime:
         #: local reduction in worker processes fed over shared memory —
         #: GIL-free compute). The control plane is identical either way.
         self.slave_mode = slave_mode
-        #: Reduction-object sharing discipline for process slaves
-        #: (:class:`~repro.core.shmem.ShmemStrategy`): full replication
-        #: (default) or chunk merge. Ignored in thread mode.
-        self.process_strategy = ShmemStrategy(process_strategy)
-        self.process_start_method = process_start_method
 
     def run(self) -> RuntimeResult:
         # One core's worth of BLAS threads per slave while the slaves
@@ -160,17 +167,13 @@ class CloudBurstingRuntime:
             return self._run()
 
     def _run(self) -> RuntimeResult:
+        """One pass: build -> start -> join -> collect."""
         started = time.perf_counter()
-        # Injector counters are cumulative across passes (run_iterative
-        # reuses the stores); report this run's delta.
-        faults_before = sum(
-            store.counters.total
-            for store in self.stores.values()
-            if isinstance(store, FaultInjector)
-        )
         trace = self.trace
         if trace is not None:
             trace.start()  # idempotent: iterative passes share one origin
+
+        # -- build -----------------------------------------------------------
         scheduler = HeadScheduler(
             self.index.jobs(), self.tuning, seed=self.seed, trace=trace
         )
@@ -181,16 +184,15 @@ class CloudBurstingRuntime:
 
         spec = self.sync
         codec = self._sync_codec
-        plan = (
-            build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
-            if spec is not None
-            else None
-        )
-        head_sync = None
-        if spec is not None and plan is not None and codec is not None:
+        syncing = spec is not None  # then the codec and the plan exist too
+        plan = head_sync = None
+        watermark = 0
+        if syncing:
+            plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
             head_sync = HeadSync(
                 codec=codec, roots=tuple(plan_roots(plan)), stream=spec.stream
             )
+            watermark = spec.watermark if spec.stream else 0
         head = HeadNode(
             scheduler, cluster_names, trace=trace, take_timeout=self.join_timeout,
             sync=head_sync,
@@ -204,43 +206,21 @@ class CloudBurstingRuntime:
             metrics=self.metrics,
             cache=self.cache,
         )
-        # Cache counters are cumulative across iterative passes (the cache
-        # outlives this run); report this pass's delta, like the injector.
-        cache_before = (0, 0, 0, 0)
-        if self.cache is not None:
-            s = self.cache.stats
-            cache_before = (s.hits, s.misses, s.evictions, s.bytes_saved)
-        # Codec accounting is likewise cumulative (baselines and stats
-        # persist so deltas stay small across passes); report the delta.
-        sync_before = (0, 0, 0)
-        if codec is not None:
-            st = codec.stats
-            sync_before = (st.uploads, st.wire_bytes, st.dense_bytes)
+        # Injectors, cache and codec count across passes (run_iterative
+        # reuses them); the pass reports the ledger's movement.
+        before = read_ledger(reader, self.stores, self.cache, codec)
 
-        # -- elastic bursting wiring ----------------------------------------
-        scale = self.scale
-        cloud_cluster = f"{CLOUD_SITE}-cluster" if CLOUD_SITE in sites else None
-        autoscaling = (
-            scale is not None and scale.autoscale and cloud_cluster is not None
+        # Elastic bursting acts on the cloud cluster; without one it is off.
+        scale = self.scale if CLOUD_SITE in sites else None
+        autoscaling = scale is not None and scale.autoscale
+        rev_spec = scale.revocation_spec if scale is not None else None
+        revoker = SpotRevoker(rev_spec, trace=trace) if rev_spec is not None else None
+        dynamic_headroom = (
+            scale.id_headroom(self.compute.cores_at(CLOUD_SITE)) if autoscaling else 0
         )
-        revoker: SpotRevoker | None = None
-        if scale is not None and cloud_cluster is not None:
-            rev_spec = scale.revocation_spec
-            if rev_spec is not None:
-                revoker = SpotRevoker(rev_spec, trace=trace)
-        initial_cloud = self.compute.cores_at(CLOUD_SITE) if cloud_cluster else 0
-        # Dynamic slaves a scale-up may attach beyond the initial crew.
-        # Revocations free fleet slots but never slave ids (a dead id
-        # stays dead to the master), so revocable runs get id headroom.
-        dynamic_headroom = 0
-        if autoscaling:
-            dynamic_headroom = max(0, scale.max_slaves - initial_cloud)
-            if revoker is not None:
-                dynamic_headroom += scale.max_slaves
 
         def cloud_fault_hook(slave_id: int, job) -> None:
-            if revoker is not None:
-                revoker.hook(slave_id, job)
+            revoker.hook(slave_id, job)
             if self.fault_hook is not None:
                 self.fault_hook(slave_id, job)
 
@@ -257,19 +237,39 @@ class CloudBurstingRuntime:
                 + dynamic_headroom,
                 max_chunk_bytes=max(e.chunk_bytes for e in self.index.files),
                 units_per_group=self.tuning.units_per_group,
-                strategy=self.process_strategy,
-                start_method=self.process_start_method,
                 timeout=self.join_timeout,
+            )
+
+        def make_slave(slave_id: int, cluster: str, site: str, inbox) -> SlaveWorker:
+            """The static crew and every autoscaled slave are built here."""
+            revocable = revoker is not None and site == CLOUD_SITE
+            if revocable:
+                revoker.admit(slave_id)
+            return SlaveWorker(
+                slave_id,
+                cluster,
+                site,
+                self.app,
+                reader,
+                inbox,
+                units_per_group=self.tuning.units_per_group,
+                fault_hook=cloud_fault_hook if revocable else self.fault_hook,
+                trace=trace,
+                metrics=self.metrics,
+                take_timeout=self.join_timeout,
+                prefetch=self.prefetch,
+                sync_watermark=watermark,
+                process_slave=pool.slaves[slave_id] if pool is not None else None,
             )
 
         masters: list[MasterNode] = []
         masters_by_name: dict[str, MasterNode] = {}
         slaves: list[SlaveWorker] = []
-        slave_id = 0
+        slaves_lock = threading.Lock()
         for name, site in zip(cluster_names, sites):
             cores = self.compute.cores_at(site)
             master_sync = None
-            if spec is not None and plan is not None and codec is not None:
+            if syncing:
                 node = plan[name]
                 # Heap indexing guarantees a parent's index precedes its
                 # children's, so the parent master already exists here.
@@ -291,168 +291,36 @@ class CloudBurstingRuntime:
             masters.append(master)
             masters_by_name[name] = master
             for _ in range(cores):
-                if revoker is not None and site == CLOUD_SITE:
-                    revoker.admit(slave_id)
-                slaves.append(
-                    SlaveWorker(
-                        slave_id,
-                        name,
-                        site,
-                        self.app,
-                        reader,
-                        master.inbox,
-                        units_per_group=self.tuning.units_per_group,
-                        fault_hook=(
-                            cloud_fault_hook
-                            if revoker is not None and site == CLOUD_SITE
-                            else self.fault_hook
-                        ),
-                        trace=trace,
-                        metrics=self.metrics,
-                        take_timeout=self.join_timeout,
-                        prefetch=self.prefetch,
-                        sync_watermark=(
-                            spec.watermark if spec is not None and spec.stream else 0
-                        ),
-                        process_slave=(
-                            pool.slaves[slave_id] if pool is not None else None
-                        ),
-                    )
-                )
-                slave_id += 1
+                slaves.append(make_slave(len(slaves), name, site, master.inbox))
 
         monitor = self.monitor
-        if monitor is None and autoscaling:
-            # The controller needs a sample stream; build a private one.
-            monitor = RunMonitor(scale.interval)
-        slaves_lock = threading.Lock()
-        if monitor is not None:
-            jobs_total = len(self.index.jobs())
-            cache = self.cache
-
-            def probe() -> dict:
-                pool_depth = sum(len(m.pool) for m in masters)
-                in_flight = sum(m.pool.in_flight for m in masters)
-                with slaves_lock:
-                    crew = tuple(slaves)
-                workers = (
-                    sum(1 for s in crew if s.is_alive())
-                    if autoscaling
-                    else len(crew)
-                )
-                gauges = {
-                    "jobs_total": jobs_total,
-                    "jobs_done": sum(m.pool.jobs_done for m in masters),
-                    "pool_depth": pool_depth,
-                    "in_flight": in_flight,
-                    "steals": sum(
-                        c.jobs_stolen for c in scheduler.clusters.values()
-                    ),
-                    "workers": workers,
-                    # A taken-but-unfinished job occupies a worker; the
-                    # pool's in-flight count is the cheap busy gauge.
-                    "workers_busy": min(in_flight, workers),
-                    "remote_fetches": reader.remote_fetches,
-                }
-                if cache is not None:
-                    gauges["cache_hits"] = cache.stats.hits
-                    gauges["cache_misses"] = cache.stats.misses
-                if codec is not None:
-                    gauges["sync_bytes_sent"] = codec.stats.wire_bytes
-                return gauges
-
-            monitor.bind(probe)
-
-        controller: Autoscaler | None = None
-        scale_state = {"added": 0, "removed": 0, "next_id": slave_id,
-                       "applying": True}
-        if autoscaling and monitor is not None:
-            controller = Autoscaler(
-                min_slaves=scale.min_slaves,
-                max_slaves=scale.max_slaves,
-                deadline=scale.deadline,
-                budget=scale.budget,
-                dollars_per_slave_hour=scale.dollars_per_slave_hour,
-                damping=scale.damping,
+        burst: RuntimeBurst | None = None
+        if autoscaling:
+            # The controller needs a sample stream; build a private one
+            # when the caller gave none.
+            monitor = monitor or RunMonitor(scale.interval)
+            cloud_master = masters_by_name[f"{CLOUD_SITE}-cluster"]
+            burst = RuntimeBurst(
+                scale,
+                cloud_master,
+                lambda sid: make_slave(
+                    sid, cloud_master.name, CLOUD_SITE, cloud_master.inbox
+                ),
+                slaves,
+                slaves_lock,
+                id_limit=len(pool.slaves) if pool is not None else None,
+                revoker=revoker,
             )
-            cloud_master = masters_by_name[cloud_cluster]
-            watermark = spec.watermark if spec is not None and spec.stream else 0
-
-            def build_dynamic_slave(sid: int) -> SlaveWorker:
-                return SlaveWorker(
-                    sid,
-                    cloud_cluster,
-                    CLOUD_SITE,
-                    self.app,
-                    reader,
-                    cloud_master.inbox,
-                    units_per_group=self.tuning.units_per_group,
-                    fault_hook=(
-                        cloud_fault_hook
-                        if revoker is not None
-                        else self.fault_hook
-                    ),
-                    trace=trace,
-                    metrics=self.metrics,
-                    take_timeout=self.join_timeout,
-                    prefetch=self.prefetch,
-                    sync_watermark=watermark,
-                    process_slave=(
-                        pool.slaves[sid] if pool is not None else None
-                    ),
+            monitor.subscribe(burst.on_sample)
+        if monitor is not None:
+            monitor.bind(
+                self._probe(
+                    scheduler, masters, slaves, slaves_lock, reader,
+                    count_alive=autoscaling,
                 )
+            )
 
-            def on_sample(sample) -> None:
-                revoked = (
-                    revoker.revoked
-                    if revoker is not None
-                    else cloud_master.slaves_revoked
-                )
-                fleet = max(
-                    0,
-                    initial_cloud
-                    + scale_state["added"]
-                    - scale_state["removed"]
-                    - revoked,
-                )
-                decision = controller.observe(sample, fleet)
-                if not scale_state["applying"]:
-                    # The run is tearing down: keep accruing dollars for
-                    # the closing sample, stop changing the fleet.
-                    return
-                if decision.action == "add":
-                    workers = []
-                    for _ in range(decision.count):
-                        sid = scale_state["next_id"]
-                        if pool is not None and sid >= len(pool.slaves):
-                            break  # process slots exhausted; skip the add
-                        scale_state["next_id"] = sid + 1
-                        worker = build_dynamic_slave(sid)
-                        if revoker is not None:
-                            revoker.admit(sid)
-                        workers.append(worker)
-                    if workers:
-                        with slaves_lock:
-                            slaves.extend(workers)
-                        scale_state["added"] += len(workers)
-                        cloud_master.inbox.post(
-                            SlaveAttach(workers=tuple(workers))
-                        )
-                        if trace is not None:
-                            trace.emit(
-                                "scale_up", cluster=cloud_cluster,
-                                detail=f"+{len(workers)}: {decision.reason}",
-                            )
-                elif decision.action == "remove":
-                    count = min(decision.count, max(0, fleet - 1))
-                    if count > 0:
-                        scale_state["removed"] += count
-                        cloud_master.inbox.post(SlaveDetach(count=count))
-                        # The master traces one scale_down per slave it
-                        # actually retires (its floor may defer some).
-
-            monitor.subscribe(on_sample)
-
+        # -- start -----------------------------------------------------------
         head.start()
         for master in masters:
             master.start()
@@ -461,6 +329,7 @@ class CloudBurstingRuntime:
         if monitor is not None:
             monitor.start()
 
+        # -- join ------------------------------------------------------------
         try:
             try:
                 result = head.join(timeout=self.join_timeout)
@@ -477,9 +346,12 @@ class CloudBurstingRuntime:
                     f"message keeps the reduction from converging"
                 ) from None
             finally:
-                scale_state["applying"] = False
+                if burst is not None:
+                    burst.applying = False
                 if monitor is not None:
-                    monitor.stop()
+                    monitor.stop()  # takes the closing sample
+                    if burst is not None:
+                        monitor.unsubscribe(burst.on_sample)
             for master in masters:
                 master.join(timeout=self.join_timeout)
             with slaves_lock:
@@ -495,8 +367,13 @@ class CloudBurstingRuntime:
             # The reader lives for this run only; so do its pool's threads.
             reader.close()
 
+        # -- collect ---------------------------------------------------------
         wall = time.perf_counter() - started
-        telemetry = RunTelemetry(wall_seconds=wall)
+        after = read_ledger(reader, self.stores, self.cache, codec)
+        telemetry = RunTelemetry(
+            wall_seconds=wall,
+            **{name: after[name] - before[name] for name in after},
+        )
         for master, site in zip(masters, sites):
             name = master.name
             crew = [
@@ -511,91 +388,82 @@ class CloudBurstingRuntime:
             telemetry.slaves_revoked += master.slaves_revoked
             telemetry.slaves_added += master.slaves_added
             telemetry.jobs_reexecuted += master.jobs_reexecuted
-        if controller is not None:
-            telemetry.dollars_spent = controller.dollars_spent
+        if burst is not None:
+            telemetry.dollars_spent = burst.controller.dollars_spent
+        telemetry.prefetches = sum(s.prefetches for s in slaves)
+        telemetry.sync_partial_merges = sum(m.sync_partials for m in masters)
 
-        telemetry.bytes_copied = reader.bytes_copied
-        telemetry.zero_copy_reads = reader.zero_copy_reads
         if trace is not None:
             # A one-line data-path digest on the timeline, so a trace read
             # back from disk (`repro report`) can render the section.
             trace.emit(
                 "data_path",
                 detail=(
-                    f"{reader.zero_copy_reads} zero-copy reads, "
-                    f"{reader.bytes_copied}B copied"
+                    f"{telemetry.zero_copy_reads} zero-copy reads, "
+                    f"{telemetry.bytes_copied}B copied"
                 ),
             )
-        resilience = reader.resilience
-        telemetry.retries = resilience.retries
-        telemetry.hedges = resilience.hedges
-        telemetry.hedge_wins = resilience.hedge_wins
-        telemetry.timeouts = resilience.timeouts
-        telemetry.circuit_opens = sum(
-            b.opens for b in reader.breakers().values()
-        )
-        telemetry.faults_injected = (
-            sum(
-                store.counters.total
-                for store in self.stores.values()
-                if isinstance(store, FaultInjector)
-            )
-            - faults_before
-        )
-        if self.cache is not None:
-            s = self.cache.stats
-            telemetry.cache_hits = s.hits - cache_before[0]
-            telemetry.cache_misses = s.misses - cache_before[1]
-            telemetry.cache_evictions = s.evictions - cache_before[2]
-            telemetry.bytes_saved = s.bytes_saved - cache_before[3]
-        if self.prefetch:
-            telemetry.prefetches = sum(s.prefetches for s in slaves)
-        if codec is not None:
-            st = codec.stats
-            telemetry.sync_uploads = st.uploads - sync_before[0]
-            telemetry.sync_bytes_sent = st.wire_bytes - sync_before[1]
-            telemetry.sync_bytes_saved = (
-                st.dense_bytes - sync_before[2]
-            ) - telemetry.sync_bytes_sent
-            telemetry.sync_partial_merges = sum(m.sync_partials for m in masters)
-
-        if trace is not None:
             # The causal-span digest (per-phase totals + critical path).
             telemetry.spans = span_summary(trace)
 
         if self.metrics is not None:
-            registry = self.metrics
-            registry.counter("jobs_stolen").inc(telemetry.total_stolen)
-            registry.counter("slaves_failed").inc(telemetry.slaves_failed)
-            registry.counter("slaves_revoked").inc(telemetry.slaves_revoked)
-            registry.counter("slaves_added").inc(telemetry.slaves_added)
-            registry.counter("jobs_reexecuted").inc(telemetry.jobs_reexecuted)
-            registry.counter("groups_assigned").inc(
-                sum(c.groups_assigned for c in scheduler.clusters.values())
-            )
-            registry.counter("retries").inc(telemetry.retries)
-            registry.counter("hedges").inc(telemetry.hedges)
-            registry.counter("circuit_opens").inc(telemetry.circuit_opens)
-            registry.counter("faults_injected").inc(telemetry.faults_injected)
-            registry.counter("zero_copy_reads").inc(telemetry.zero_copy_reads)
-            registry.counter("bytes_copied").inc(telemetry.bytes_copied)
-            if codec is not None:
-                registry.counter("sync_uploads").inc(telemetry.sync_uploads)
-                registry.counter("sync_bytes_sent").inc(telemetry.sync_bytes_sent)
-                registry.counter("sync_bytes_saved").inc(telemetry.sync_bytes_saved)
-                registry.counter("sync_partial_merges").inc(
-                    telemetry.sync_partial_merges
-                )
-            registry.gauge("workers").set(len(slaves))
-            registry.gauge("clusters").set(len(masters))
-            telemetry.metrics = registry.snapshot()
+            telemetry.metrics = self._mirror(telemetry, scheduler, len(slaves))
 
-        final_robj = from_bytes(result.blob)
         return RuntimeResult(
-            value=self.app.finalize(final_robj),
+            value=self.app.finalize(from_bytes(result.blob)),
             telemetry=telemetry,
             global_reduction_seconds=head.global_reduction_seconds,
         )
+
+    def _probe(
+        self, scheduler, masters, slaves, slaves_lock, reader, *, count_alive: bool
+    ) -> Callable[[], dict]:
+        """The gauges a :class:`RunMonitor` samples off one pass's nodes."""
+        jobs_total = len(self.index.jobs())
+        cache = self.cache
+        codec = self._sync_codec
+
+        def probe() -> dict:
+            pool_depth = sum(len(m.pool) for m in masters)
+            in_flight = sum(m.pool.in_flight for m in masters)
+            with slaves_lock:
+                crew = tuple(slaves)
+            workers = (
+                sum(1 for s in crew if s.is_alive()) if count_alive else len(crew)
+            )
+            gauges = {
+                "jobs_total": jobs_total,
+                "jobs_done": sum(m.pool.jobs_done for m in masters),
+                "pool_depth": pool_depth,
+                "in_flight": in_flight,
+                "steals": sum(c.jobs_stolen for c in scheduler.clusters.values()),
+                "workers": workers,
+                # A taken-but-unfinished job occupies a worker; the
+                # pool's in-flight count is the cheap busy gauge.
+                "workers_busy": min(in_flight, workers),
+                "remote_fetches": reader.remote_fetches,
+            }
+            if cache is not None:
+                gauges["cache_hits"] = cache.stats.hits
+                gauges["cache_misses"] = cache.stats.misses
+            if codec is not None:
+                gauges["sync_bytes_sent"] = codec.stats.wire_bytes
+            return gauges
+
+        return probe
+
+    def _mirror(self, telemetry: RunTelemetry, scheduler, workers: int) -> dict:
+        """Fold one pass into the metrics registry; returns its snapshot."""
+        registry = self.metrics
+        registry.counter("jobs_stolen").inc(telemetry.total_stolen)
+        registry.counter("groups_assigned").inc(
+            sum(c.groups_assigned for c in scheduler.clusters.values())
+        )
+        for name in _MIRRORED + (_MIRRORED_SYNC if self.sync is not None else ()):
+            registry.counter(name).inc(getattr(telemetry, name))
+        registry.gauge("workers").set(workers)
+        registry.gauge("clusters").set(len(telemetry.clusters))
+        return registry.snapshot()
 
 
 def run_iterative(

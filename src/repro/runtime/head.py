@@ -43,7 +43,6 @@ class HeadNode:
         scheduler: HeadScheduler,
         expected_clusters: list[str],
         *,
-        mailbox: Mailbox | None = None,
         trace: EventLog | None = None,
         take_timeout: float = 60.0,
         clock=None,
@@ -60,7 +59,7 @@ class HeadNode:
         self.sync = sync
         #: Mailbox-receive timeout, threaded from the driver's ``join_timeout``.
         self.take_timeout = take_timeout
-        self.inbox = mailbox or Mailbox("head")
+        self.inbox = Mailbox("head")
         self.result: HeadResult | None = None
         self.global_reduction_seconds = 0.0
         self._thread: threading.Thread | None = None

@@ -91,9 +91,6 @@ class MasterNode:
         self.jobs_reexecuted = 0
         self.sync = sync
         self.sync_partials = 0
-        self.sync_child_uploads = 0
-        self.sync_wire_bytes = 0
-        self.sync_dense_bytes = 0
         self._thread: threading.Thread | None = None
         self._failure: BaseException | None = None
 
@@ -308,7 +305,6 @@ class MasterNode:
                         f"from {message.cluster!r}"
                     )
                 children_seen += 1
-                self.sync_child_uploads += 1
                 decoded = sync.codec.decode(message.cluster, message.blob)
                 child_origins.extend(message.covered)
                 if stream:
@@ -365,8 +361,6 @@ class MasterNode:
             started = time.perf_counter()
             encoded = sync.codec.encode(self.name, combined)
             encode_ms = (time.perf_counter() - started) * 1e3
-            self.sync_wire_bytes += len(encoded.blob)
-            self.sync_dense_bytes += len(encoded.dense)
             if self.trace is not None:
                 self.trace.emit(
                     "sync_upload", cluster=self.name,

@@ -17,14 +17,11 @@ The hand-off is engineered around the zero-copy data path:
   staging write on the proxy side, then a read-only ``np.frombuffer``
   view on the worker side (no pickling, no pipe copies of data);
 * the reduction object crosses back through its existing
-  ``to_bytes()``/``from_bytes()`` envelope, under one of the
-  :class:`~repro.core.shmem.ShmemStrategy` sharing disciplines:
-  **full replication** (each worker accumulates privately and ships the
-  partial on flush — the FREERIDE default) or **chunk merge** (the
-  worker returns a per-chunk scratch object and the proxy folds it into
-  a main-process accumulator). Full locking needs a single object under
-  one lock, which separate address spaces cannot share; asking for it
-  raises.
+  ``to_bytes()``/``from_bytes()`` envelope under one sharing
+  discipline, **full replication** (the FREERIDE default): each worker
+  accumulates privately and ships the partial on flush. (The locking
+  disciplines of :class:`~repro.core.shmem.ShmemStrategy` need one
+  object in one address space; they belong to ``run_threaded``.)
 
 The master merges the proxies' reduction objects exactly as it merges
 threaded slaves' — the substrate is invisible above the slave.
@@ -40,7 +37,6 @@ from multiprocessing import shared_memory
 from ..config import DEFAULT_UNITS_PER_GROUP
 from ..core.api import GeneralizedReductionApp
 from ..core.reduction import ReductionObject, from_bytes
-from ..core.shmem import ShmemStrategy
 from ..errors import ConfigurationError, RuntimeProtocolError
 from .corebudget import cap_blas_threads
 
@@ -62,7 +58,6 @@ def _worker_main(
     shm_name: str,
     app_blob: bytes,
     units_per_group: int,
-    replicated: bool,
     workers: int,
 ) -> None:
     """Worker-process loop: serve reduce/flush requests until told to exit.
@@ -81,19 +76,16 @@ def _worker_main(
     shm = shared_memory.SharedMemory(name=shm_name)
     app: GeneralizedReductionApp = pickle.loads(app_blob)
     buf = memoryview(shm.buf)
-    robj = app.create_reduction_object() if replicated else None
+    robj = app.create_reduction_object()
 
     def serve_reduce(nbytes: int) -> tuple:
         # A read-only view straight over shared memory: the decode is
         # zero-copy across the process boundary, and a kernel mutating
         # its units raises here exactly as it would in a thread.
         units = app.decode_chunk(buf[:nbytes].toreadonly())
-        target = robj if replicated else app.create_reduction_object()
         for group in app.unit_groups(units, units_per_group):
-            app.local_reduction(target, group)
-        if replicated:
-            return ("ok", None)
-        return ("robj", target.to_bytes())
+            app.local_reduction(robj, group)
+        return ("ok", None)
 
     try:
         while True:
@@ -143,22 +135,16 @@ class ProcessSlave:
         self,
         ctx,
         slave_id: int,
-        app: GeneralizedReductionApp,
         app_blob: bytes,
         *,
         capacity: int,
         units_per_group: int,
-        strategy: ShmemStrategy,
         timeout: float,
         workers: int,
     ) -> None:
         self.slave_id = slave_id
         self.timeout = timeout
-        self.strategy = strategy
-        self._app = app
         self._capacity = capacity
-        self._replicated = strategy is ShmemStrategy.FULL_REPLICATION
-        self._acc: ReductionObject | None = None  # chunk-merge accumulator
         #: Bytes staged into shared memory — the one intentional copy of
         #: the process hand-off (the read path itself stays zero-copy).
         self.shm_bytes = 0
@@ -174,7 +160,6 @@ class ProcessSlave:
                 self._shm.name,
                 app_blob,
                 units_per_group,
-                self._replicated,
                 workers,
             ),
             name=f"slave-proc:{slave_id}",
@@ -213,24 +198,14 @@ class ProcessSlave:
         self._shm.buf[:nbytes] = raw
         self.shm_bytes += nbytes
         self._conn.send(("reduce", nbytes))
-        kind, payload = self._recv()
+        self._recv()
         self.chunks_reduced += 1
-        if kind == "robj":  # chunk-merge: fold the scratch object here
-            scratch = from_bytes(payload)
-            if self._acc is None:
-                self._acc = scratch
-            else:
-                self._acc.merge(scratch)
 
     def take(self) -> ReductionObject:
         """The partial accumulated since the last ``take`` (resets it)."""
-        if self._replicated:
-            self._conn.send(("flush", None))
-            _, payload = self._recv()
-            return from_bytes(payload)
-        acc = self._acc
-        self._acc = None
-        return acc if acc is not None else self._app.create_reduction_object()
+        self._conn.send(("flush", None))
+        _, payload = self._recv()
+        return from_bytes(payload)
 
     def close(self) -> None:
         """Stop the worker and release the shared-memory segment."""
@@ -255,7 +230,7 @@ class ProcessSlavePool:
 
     Construct *before* starting any runtime thread (forking a threaded
     process is where the dragons live); the driver does exactly that.
-    ``slaves[i]`` plugs into ``SlaveWorker(process_slave=...)``.
+    ``slaves[i]`` is the ``process_slave`` of the ``SlaveWorker`` with id ``i``.
     """
 
     def __init__(
@@ -265,7 +240,6 @@ class ProcessSlavePool:
         *,
         max_chunk_bytes: int,
         units_per_group: int = DEFAULT_UNITS_PER_GROUP,
-        strategy: ShmemStrategy | str = ShmemStrategy.FULL_REPLICATION,
         start_method: str | None = None,
         timeout: float = 600.0,
     ) -> None:
@@ -273,14 +247,6 @@ class ProcessSlavePool:
             raise ConfigurationError("process pool needs at least one worker")
         if max_chunk_bytes <= 0:
             raise ConfigurationError("max_chunk_bytes must be positive")
-        strategy = ShmemStrategy(strategy)
-        if strategy is ShmemStrategy.FULL_LOCKING:
-            raise ConfigurationError(
-                "full-locking shares one reduction object under one lock; "
-                "worker processes have separate address spaces — use "
-                "full-replication or chunk-merge"
-            )
-        self.strategy = strategy
         ctx = get_context(start_method or default_start_method())
         app_blob = pickle.dumps(app)
         self.slaves: list[ProcessSlave] = []
@@ -290,11 +256,9 @@ class ProcessSlavePool:
                     ProcessSlave(
                         ctx,
                         slave_id,
-                        app,
                         app_blob,
                         capacity=max_chunk_bytes,
                         units_per_group=units_per_group,
-                        strategy=strategy,
                         timeout=timeout,
                         workers=workers,
                     )

@@ -93,7 +93,6 @@ class SlaveWorker:
         #: fresh one, so global reduction overlaps the compute tail.
         #: ``0`` (the default) keeps the original hand-over-at-exit path.
         self.sync_watermark = sync_watermark
-        self.sync_flushes = 0
         #: Optional :class:`~repro.runtime.procpool.ProcessSlave`: when
         #: set, this thread proxies decode + local reduction to a worker
         #: process instead of running them under the GIL.
@@ -212,7 +211,6 @@ class SlaveWorker:
                 job_ids=tuple(self._flushed_jobs),
             )
         )
-        self.sync_flushes += 1
         if self.trace is not None:
             self.trace.emit(
                 "sync_partial", cluster=self.cluster, worker=self.slave_id,

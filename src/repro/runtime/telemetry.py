@@ -9,14 +9,21 @@ prediction (that is the simulator's job).
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Sequence
 
 from ..errors import DataFormatError
+from ..obs.record import PassRecord
+from ..resilience.faults import FaultInjector
 
-__all__ = ["Stopwatch", "SlaveTelemetry", "ClusterTelemetry", "RunTelemetry"]
+__all__ = [
+    "Stopwatch",
+    "SlaveTelemetry",
+    "ClusterTelemetry",
+    "RunTelemetry",
+    "read_ledger",
+]
 
 
 class Stopwatch:
@@ -81,13 +88,17 @@ class ClusterTelemetry:
 
 
 @dataclass
-class RunTelemetry:
+class RunTelemetry(PassRecord):
     """Whole-run accounting returned alongside the application result.
 
     ``metrics`` is the :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
     taken at the end of the run when the driver was given a registry —
-    plain data, so it serializes with the rest.
+    plain data, so it serializes with the rest (the serializers are
+    :class:`~repro.obs.record.PassRecord`'s, shared with ``SimReport``).
     """
+
+    _cluster_cls = ClusterTelemetry
+    _error = DataFormatError
 
     wall_seconds: float
     clusters: dict[str, ClusterTelemetry] = field(default_factory=dict)
@@ -149,65 +160,49 @@ class RunTelemetry:
         return sum(c.stolen for c in self.clusters.values())
 
     @classmethod
-    def _numeric_fields(cls) -> list[tuple[str, type]]:
-        """``(name, int | float)`` for every counter and timing — the one
-        walk the fold and the (de)serializers share, so a counter added to
-        the dataclass is summed, written and read back."""
-        casts = {"int": int, "float": float}
-        return [(f.name, casts[f.type]) for f in fields(cls) if f.type in casts]
-
-    @classmethod
     def fold(cls, passes: Sequence["RunTelemetry"]) -> "RunTelemetry":
-        """Whole-run record of a multi-pass run: every numeric field summed
-        over ``passes``; clusters, metrics snapshot and span digest are the
-        last pass's."""
-        sums = {
-            name: sum(getattr(t, name) for t in passes)
-            for name, _ in cls._numeric_fields()
-        }
-        return replace(passes[-1], **sums)
+        """Whole-run record: every counter summed, and the wall clock (a
+        numeric field without a default) with them."""
+        wall = sum(t.wall_seconds for t in passes)
+        return replace(super().fold(passes), wall_seconds=wall)
 
-    # -- serialization (mirrors SimReport's, so examples and benches can
-    # persist runtime measurements the same way they persist sim reports) --
 
-    def to_dict(self) -> dict:
-        """Plain-data form for persistence or downstream tooling."""
-        doc = {name: getattr(self, name) for name, _ in self._numeric_fields()}
-        doc["clusters"] = {name: asdict(c) for name, c in self.clusters.items()}
-        doc["metrics"] = self.metrics
-        doc["spans"] = self.spans
-        return doc
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunTelemetry":
-        try:
-            # Absent counters keep their defaults; an absent wall_seconds
-            # has none and fails the constructor below.
-            numbers = {
-                name: cast(doc[name])
-                for name, cast in cls._numeric_fields()
-                if name in doc
-            }
-            clusters = {
-                name: ClusterTelemetry(**entry)
-                for name, entry in doc["clusters"].items()
-            }
-            return cls(
-                clusters=clusters,
-                metrics=doc.get("metrics"),
-                spans=doc.get("spans"),
-                **numbers,
-            )
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(f"malformed telemetry document: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunTelemetry":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"telemetry is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+def read_ledger(
+    reader, stores: Mapping[str, object], cache=None, codec=None
+) -> dict[str, int]:
+    """The components' *cumulative* counters, keyed by the
+    :class:`RunTelemetry` field each one fills — the one place a counter
+    is copied out of a component. Serial mode reports a whole run from
+    it; the driver reads it before and after a pass and reports the
+    difference, because injectors, cache and codec outlive a pass."""
+    resilience = reader.resilience
+    ledger = {
+        "retries": resilience.retries,
+        "hedges": resilience.hedges,
+        "hedge_wins": resilience.hedge_wins,
+        "timeouts": resilience.timeouts,
+        "circuit_opens": sum(b.opens for b in reader.breakers().values()),
+        "faults_injected": sum(
+            store.counters.total
+            for store in stores.values()
+            if isinstance(store, FaultInjector)
+        ),
+        "zero_copy_reads": reader.zero_copy_reads,
+        "bytes_copied": reader.bytes_copied,
+    }
+    if cache is not None:
+        stats = cache.stats
+        ledger.update(
+            cache_hits=stats.hits,
+            cache_misses=stats.misses,
+            cache_evictions=stats.evictions,
+            bytes_saved=stats.bytes_saved,
+        )
+    if codec is not None:
+        stats = codec.stats
+        ledger.update(
+            sync_uploads=stats.uploads,
+            sync_bytes_sent=stats.wire_bytes,
+            sync_bytes_saved=stats.dense_bytes - stats.wire_bytes,
+        )
+    return ledger

@@ -1,18 +1,16 @@
 """Queue transport between runtime components.
 
 Every node owns a :class:`Mailbox`. The executable runtime runs all nodes
-as threads in one process, so a mailbox is a thin wrapper over
-:class:`queue.Queue` that adds message counting and an optional wall-clock
-delay injector (used by examples to make the WAN visible; tests and normal
-runs leave it off). Replacing this module with real sockets is the
-intended extension point for a multi-process deployment.
+as threads in one process, so a mailbox is a :class:`queue.Queue` with a
+name and two message counters — ``post`` never sleeps. Replacing this
+module with real sockets is the intended extension point for a
+multi-process deployment.
 """
 
 from __future__ import annotations
 
 import queue
-import time
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import RuntimeProtocolError
 
@@ -22,26 +20,14 @@ __all__ = ["Mailbox"]
 class Mailbox:
     """A named FIFO message endpoint."""
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        delay: float = 0.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if delay < 0:
-            raise RuntimeProtocolError(f"mailbox {name!r}: negative delay")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.delay = delay
         self._queue: "queue.Queue[Any]" = queue.Queue()
-        self._clock = clock
         self.sent = 0
         self.received = 0
 
     def post(self, message: Any) -> None:
-        """Deliver a message (after the configured delay, if any)."""
-        if self.delay > 0:
-            time.sleep(self.delay)
+        """Deliver a message."""
         self.sent += 1
         self._queue.put(message)
 

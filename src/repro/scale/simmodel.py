@@ -1,7 +1,7 @@
 """Elastic bursting inside the discrete-event simulators.
 
-:class:`ClusterBurst` is the simulated counterpart of the runtime
-driver's autoscale wiring: it owns one cluster's dynamic cloud fleet,
+:class:`ClusterBurst` is the simulated counterpart of the runtime's
+:class:`~repro.scale.burst.RuntimeBurst`: it owns one cluster's dynamic cloud fleet,
 drives the *same* pure :class:`~repro.scale.Autoscaler` the threaded
 runtime uses (fed :class:`~repro.obs.live.RunSample` snapshots derived
 by the same ``obs.live`` arithmetic), and models the two pieces of
@@ -68,16 +68,7 @@ class ClusterBurst:
         self.trace = trace
         self.revocation: RevocationSpec | None = scale.revocation_spec
         self.controller: Autoscaler | None = (
-            Autoscaler(
-                min_slaves=scale.min_slaves,
-                max_slaves=scale.max_slaves,
-                deadline=scale.deadline,
-                budget=scale.budget,
-                dollars_per_slave_hour=scale.dollars_per_slave_hour,
-                damping=scale.damping,
-            )
-            if scale.autoscale
-            else None
+            scale.make_autoscaler() if scale.autoscale else None
         )
         self.slaves_added = 0
         self.slaves_removed = 0
@@ -90,14 +81,9 @@ class ClusterBurst:
         self._gone: set[int] = set()
         self._cancelled: set[int] = set()
         self._closed = env.event()
-        # Pre-build the dynamic fleet. Dead slave ids are never reused
-        # (matching the runtime), so active revocation needs headroom
-        # beyond the plain max_slaves - initial gap.
-        headroom = 0
-        if self.controller is not None:
-            headroom = max(0, scale.max_slaves - initial)
-            if self.revocation is not None:
-                headroom += scale.max_slaves
+        # Pre-build the dynamic fleet: one slave per id a scale-up may
+        # ever claim (dead ids are never reused, matching the runtime).
+        headroom = scale.id_headroom(initial)
         self._spare: list[tuple] = []  # (slave, gate), provisioned FIFO
         for i in range(headroom):
             slave = make_slave(next_worker_id + i)

@@ -18,15 +18,12 @@ Accounting follows the paper's Figure 3 / Tables I-II decomposition:
 
 from __future__ import annotations
 
-import json
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 from ..errors import SimulationError
+from ..obs.record import PassRecord
 
 __all__ = ["SlaveMetrics", "ClusterReport", "SimReport"]
-
-_CASTS = {"int": int, "float": float}
 
 
 @dataclass
@@ -68,8 +65,15 @@ class ClusterReport:
 
 
 @dataclass
-class SimReport:
-    """Full result of one simulated experiment."""
+class SimReport(PassRecord):
+    """Full result of one simulated experiment.
+
+    Its fold (``makespan``/``global_reduction``/clusters are the last
+    pass's) and serializers are :class:`~repro.obs.record.PassRecord`'s.
+    """
+
+    _cluster_cls = ClusterReport
+    _error = SimulationError
 
     experiment: str
     app: str
@@ -117,60 +121,6 @@ class SimReport:
         if baseline.makespan <= 0:
             raise SimulationError("baseline makespan must be positive")
         return (self.makespan - baseline.makespan) / baseline.makespan
-
-    @classmethod
-    def _scalar_fields(cls) -> list[Field]:
-        """Every field but ``clusters``: the one walk :meth:`fold` and the
-        serializers share, so a counter added to the dataclass is summed,
-        written and read back."""
-        return [f for f in fields(cls) if f.name != "clusters"]
-
-    @classmethod
-    def fold(cls, passes: Sequence["SimReport"]) -> "SimReport":
-        """Whole-run report of a multi-pass run: every counter (a numeric
-        field with a default) summed over ``passes``; what describes one
-        pass — makespan, global reduction, clusters — is the last pass's."""
-        sums = {
-            f.name: sum(getattr(report, f.name) for report in passes)
-            for f in cls._scalar_fields()
-            if f.type in _CASTS and f.default is not MISSING
-        }
-        return replace(passes[-1], **sums)
-
-    def to_dict(self) -> dict:
-        """Plain-data form for persistence or downstream tooling."""
-        doc = {f.name: getattr(self, f.name) for f in self._scalar_fields()}
-        doc["clusters"] = {name: asdict(c) for name, c in self.clusters.items()}
-        return doc
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SimReport":
-        try:
-            clusters = {
-                name: ClusterReport(**fields)
-                for name, fields in doc["clusters"].items()
-            }
-            # Absent counters keep their defaults; a field without one is
-            # required and its absence is a KeyError.
-            scalars = {
-                f.name: _CASTS.get(f.type, lambda value: value)(doc[f.name])
-                for f in cls._scalar_fields()
-                if f.default is MISSING or f.name in doc
-            }
-            return cls(clusters=clusters, **scalars)
-        except (KeyError, TypeError) as exc:
-            raise SimulationError(f"malformed report document: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimReport":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SimulationError(f"report is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
 
     def validate(self) -> None:
         """Internal-consistency checks (integration tests call this).

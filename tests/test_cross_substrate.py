@@ -254,7 +254,7 @@ def test_golden_matrix_sync_matches_serial(app, encoding, topology, stream):
     result = repro.run(app, _golden_dataset(app), config)
     _assert_same_value(_baseline(app), result.value)
     t = result.telemetry
-    if config.sync_spec is None:
+    if config.sync.is_default:
         # The default spec constructs no sync machinery at all.
         assert t.sync_uploads == 0 and t.sync_partial_merges == 0
     else:
@@ -296,27 +296,6 @@ def test_golden_matrix_process_matches_serial(app):
     config = repro.RunConfig(mode="runtime", slave_mode="process")
     result = repro.run(app, _golden_dataset(app), config)
     _assert_same_value(_baseline(app), result.value)
-
-
-def test_golden_matrix_process_chunk_merge():
-    """The chunk-merge sharing discipline (worker returns a scratch robj
-    per chunk, the proxy folds it in-process) gives the same answer."""
-    from repro.apps import make_bundle
-    from repro.data.dataset import build_dataset
-    from repro.runtime.driver import CloudBurstingRuntime
-    from repro.storage.objectstore import ObjectStore
-
-    dataset = _golden_dataset("wordcount")
-    bundle = make_bundle("wordcount", 1024)
-    stores = {"local": ObjectStore(), "cloud": ObjectStore()}
-    index = build_dataset(
-        dataset, PlacementSpec(0.5), bundle.schema, bundle.block_fn, stores
-    )
-    result = CloudBurstingRuntime(
-        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
-        slave_mode="process", process_strategy="chunk-merge",
-    ).run()
-    _assert_same_value(_baseline("wordcount"), result.value)
 
 
 def test_golden_matrix_process_sync_stream():

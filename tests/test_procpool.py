@@ -2,10 +2,9 @@
 
 The cross-substrate golden matrix proves process slaves agree with the
 oracle through the whole runtime; these tests pin the pool's own
-contract: both sharing strategies reduce correctly, the spawn start
-method works (workers are importable, apps picklable), worker errors
-surface as protocol failures, capacity is enforced, and full locking is
-rejected up front.
+contract: the pool reduces correctly, the spawn start method works
+(workers are importable, apps picklable), worker errors surface as
+protocol failures, and capacity is enforced.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.shmem import ShmemStrategy
 from repro.errors import ConfigurationError, RuntimeProtocolError
 from repro.runtime import ProcessSlavePool
 from repro.runtime.procpool import default_start_method
@@ -37,17 +35,12 @@ def _reduce_all(pool, chunks):
     return partials
 
 
-@pytest.mark.parametrize(
-    "strategy", [ShmemStrategy.FULL_REPLICATION, ShmemStrategy.CHUNK_MERGE]
-)
-def test_pool_reduces_like_serial(strategy):
+def test_pool_reduces_like_serial():
     bundle, chunks, chunk_bytes = _chunks()
     from repro.core.api import run_serial
 
     expected = run_serial(bundle.app, chunks)
-    with ProcessSlavePool(
-        bundle.app, 2, max_chunk_bytes=chunk_bytes, strategy=strategy
-    ) as pool:
+    with ProcessSlavePool(bundle.app, 2, max_chunk_bytes=chunk_bytes) as pool:
         partials = _reduce_all(pool, chunks)
         value = bundle.app.finalize(bundle.app.global_reduction(partials))
         assert pool.chunks_reduced == len(chunks)
@@ -87,15 +80,6 @@ def test_pool_spawn_start_method():
         partials = _reduce_all(pool, chunks)
         value = bundle.app.finalize(bundle.app.global_reduction(partials))
     np.testing.assert_allclose(np.asarray(expected), np.asarray(value))
-
-
-def test_pool_rejects_full_locking():
-    bundle, _, chunk_bytes = _chunks(units=64, n_chunks=2)
-    with pytest.raises(ConfigurationError, match="full-locking"):
-        ProcessSlavePool(
-            bundle.app, 1, max_chunk_bytes=chunk_bytes,
-            strategy=ShmemStrategy.FULL_LOCKING,
-        )
 
 
 def test_pool_validates_sizes():

@@ -9,11 +9,17 @@ are read only to resolve ``from repro.pkg import Name`` (or
 scan cannot see — an entry point, a reference implementation tests
 compare against, a module reached through a string-keyed registry — is
 listed in ``EXEMPT`` with its reason.
+
+The same rule holds one level down for the classes a pass is built
+from: a defaulted constructor parameter is an option only if some call
+under ``src/``, ``benchmarks/`` or ``examples/`` passes it; the ones
+that exist so a test can substitute a fake are named in ``SEAMS``.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -143,8 +149,13 @@ class _Scan:
         return reached
 
 
+@functools.cache
+def _scan() -> _Scan:
+    return _Scan()
+
+
 def test_every_module_is_reached():
-    scan = _Scan()
+    scan = _scan()
     modules = set(scan.trees) - scan.packages
     orphans = sorted(modules - scan.reached())
     assert not orphans, (
@@ -160,3 +171,81 @@ def test_exempted_modules_still_exist():
     )
     assert not missing, f"exempted modules that no longer exist: {missing}"
     assert all(reason.strip() for reason in EXEMPT.values())
+
+
+# -- the same rule one level down: run-path constructor options ----------------
+
+#: The classes a pass is assembled from.
+RUN_PATH = (
+    "CloudBurstingRuntime", "SlaveWorker", "MasterNode", "HeadNode",
+    "Mailbox", "ProcessSlavePool", "ProcessSlave",
+)
+
+#: Defaulted parameters no run, bench or example sets, each with the
+#: reason it stays: it lets a test substitute a fake or inject a failure,
+#: or a platform needs it.
+SEAMS = {
+    "CloudBurstingRuntime.fault_hook": "injected slave crash",
+    "SlaveWorker.clock": "FakeClock drives the prefetch window in virtual time",
+    "HeadNode.clock": "FakeClock pins the global-reduction stopwatch",
+    "ProcessSlavePool.start_method": "spawn-only platforms (no fork)",
+}
+
+
+def _constructors(scan: _Scan) -> dict[str, ast.arguments]:
+    """``{class: its __init__ arguments}`` for the run-path classes."""
+    return {
+        node.name: init.args
+        for tree in scan.trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in RUN_PATH
+        for init in node.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+    }
+
+
+def _defaulted(args: ast.arguments) -> set[str]:
+    positional = args.posonlyargs + args.args
+    return {a.arg for a in positional[len(positional) - len(args.defaults):]} | {
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    }
+
+
+def _passed(scan: _Scan, constructors: dict[str, ast.arguments]) -> dict[str, set[str]]:
+    """``{class: parameters some call outside tests passes}`` — by keyword,
+    or by position against the class's ``__init__`` signature."""
+    trees = list(scan.trees.values())
+    for folder in ("benchmarks", "examples"):
+        trees += [ast.parse(p.read_text()) for p in sorted((ROOT / folder).rglob("*.py"))]
+    passed: dict[str, set[str]] = {name: set() for name in constructors}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in passed:
+                args = constructors[name]
+                by_position = [a.arg for a in args.posonlyargs + args.args][1:]
+                passed[name] |= {k.arg for k in node.keywords if k.arg}
+                passed[name] |= set(by_position[: len(node.args)])
+    return passed
+
+
+def test_every_run_path_option_is_set_by_a_run_or_is_a_named_seam():
+    scan = _scan()
+    constructors = _constructors(scan)
+    assert set(constructors) == set(RUN_PATH)
+    passed = _passed(scan, constructors)
+    options = {
+        f"{cls}.{param}": param in passed[cls]
+        for cls, args in constructors.items()
+        for param in _defaulted(args)
+    }
+    unset = sorted(o for o, is_set in options.items() if not is_set and o not in SEAMS)
+    assert not unset, (
+        "constructor options only a test (or nobody) sets — delete them with "
+        f"the path they select, or name the seam in SEAMS: {unset}"
+    )
+    stale = sorted(SEAMS.keys() - options.keys())
+    assert not stale, f"SEAMS entries naming parameters that no longer exist: {stale}"
+    assert all(reason.strip() for reason in SEAMS.values())

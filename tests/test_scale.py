@@ -27,6 +27,7 @@ from repro.core.api import run_serial
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import ConfigurationError, SpotRevocation
 from repro.obs.events import EventLog
+from repro.obs.live import RunMonitor
 from repro.options import ScaleOptions
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.scale import Autoscaler, RevocationSpec, ScaleDecision, SpotRevoker
@@ -309,9 +310,13 @@ def test_autoscale_run_is_bit_identical_and_attaches_slaves():
     )
     trace = EventLog()
     bundle, index, stores, runtime = _scaled_runtime(scale, trace=trace)
+    monitor = runtime.monitor = RunMonitor(scale.interval)  # the caller's own
     oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
     result = runtime.run()
     np.testing.assert_array_equal(result.value, oracle)
+    # The pass's controller left with the pass: a monitor that outlives it
+    # does not keep feeding (or keeping alive) a finished fleet.
+    assert monitor._subscribers == []
     t = result.telemetry
     assert t.slaves_added == len(trace.of_kind("provision"))
     assert t.dollars_spent >= 0.0

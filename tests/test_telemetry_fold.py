@@ -1,16 +1,27 @@
 """RunTelemetry's and SimReport's whole-run fold and their serializers
 share one walk over the dataclass's fields; these tests walk the same
-fields, so a counter added later is covered without being named here."""
+fields, so a counter added later is covered without being named here.
+The last section pins the counter ledger: what a run reports is what its
+components counted, per pass and in every mode."""
 
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cache import ChunkCache
+from repro.config import ComputeSpec, DatasetSpec, PlacementSpec
+from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import SimulationError
+from repro.resilience.retry import RetryPolicy
+from repro.runtime.driver import CloudBurstingRuntime
 from repro.runtime.telemetry import ClusterTelemetry, RunTelemetry
 from repro.sim.metrics import ClusterReport, SimReport
+from repro.storage.objectstore import ObjectStore
 
 NUMERIC = [
     f for f in dataclasses.fields(RunTelemetry) if f.type in ("int", "float")
@@ -121,3 +132,91 @@ def test_every_sim_report_field_survives_a_json_round_trip():
         partial = {k: v for k, v in required.items() if k != name}
         with pytest.raises(SimulationError, match="malformed"):
             SimReport.from_dict(partial)
+
+
+# -- the ledger: a run reports what its components counted --------------------
+
+
+def _dataset(app: str, units: int, chunks: int) -> DatasetSpec:
+    rb = repro.make_bundle(app, units).schema.record_bytes
+    return DatasetSpec(
+        total_bytes=units * rb, num_files=4,
+        chunk_bytes=(units // chunks) * rb, record_bytes=rb,
+    )
+
+
+@pytest.mark.parametrize("mode", ["serial", "runtime"])
+def test_faulty_run_reports_what_its_reader_and_injectors_hold(mode, monkeypatch):
+    readers, injected = [], []
+
+    def spy_reader(*args, **kwargs):
+        readers.append(DatasetReader(*args, **kwargs))
+        return readers[-1]
+
+    def spy_inject(stores, config, inject=repro.facade._inject_faults):
+        injected.append(inject(stores, config))
+        return injected[-1]
+
+    monkeypatch.setattr("repro.facade.DatasetReader", spy_reader)
+    monkeypatch.setattr("repro.runtime.driver.DatasetReader", spy_reader)
+    monkeypatch.setattr("repro.facade._inject_faults", spy_inject)
+    config = repro.RunConfig(
+        mode=mode,
+        resilience=repro.ResilienceOptions(
+            faults="transient=0.6,seed=7",
+            retry=RetryPolicy(max_attempts=40, base_backoff=0, max_backoff=0),
+        ),
+    )
+    t = repro.run_direct("wordcount", _dataset("wordcount", 2048, 32), config).telemetry
+    (reader,), (stores,) = readers, injected
+    assert t.faults_injected == sum(s.counters.total for s in stores.values()) > 0
+    assert t.retries == reader.resilience.retries > 0
+    assert t.circuit_opens == sum(b.opens for b in reader.breakers().values()) > 0
+
+
+def test_per_pass_telemetry_sums_to_the_cumulative_counters():
+    bundle = repro.make_bundle("pagerank", 1024)
+    stores = {"local": ObjectStore(), "cloud": ObjectStore()}
+    index = build_dataset(
+        _dataset("pagerank", 1024, 16), PlacementSpec(1.0),  # every read is remote
+        bundle.schema, bundle.block_fn, stores,
+    )
+    cache = ChunkCache(1 << 24)
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=0, cloud_cores=2),
+        cache=cache,
+        sync=repro.SyncSpec(encoding="delta", compress="zlib"),
+    )
+    first, second = runtime.run().telemetry, runtime.run().telemetry
+    codec = runtime._sync_codec.stats
+    cumulative = {
+        "cache_hits": cache.stats.hits,
+        "cache_misses": cache.stats.misses,
+        "cache_evictions": cache.stats.evictions,
+        "bytes_saved": cache.stats.bytes_saved,
+        "sync_uploads": codec.uploads,
+        "sync_bytes_sent": codec.wire_bytes,
+        "sync_bytes_saved": codec.dense_bytes - codec.wire_bytes,
+    }
+    for name, total in cumulative.items():
+        assert getattr(first, name) + getattr(second, name) == total, name
+    # Pass 2 reports its own movement, not the running total.
+    assert (first.cache_misses, first.cache_hits) == (16, 0)
+    assert (second.cache_misses, second.cache_hits) == (0, 16)
+    assert 0 < second.sync_bytes_sent < codec.wire_bytes
+
+
+def test_no_ledger_counter_is_assigned_by_hand_under_src():
+    by_hand = re.compile(
+        r"telemetry\.(retries|hedges|hedge_wins|timeouts|circuit_opens|"
+        r"faults_injected|cache_\w+|bytes_saved|zero_copy_reads|bytes_copied|"
+        r"sync_uploads|sync_bytes_\w+) *="
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    hits = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if by_hand.search(line)
+    ]
+    assert not hits, f"counters copied outside read_ledger: {hits}"

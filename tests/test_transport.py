@@ -25,11 +25,6 @@ def test_take_timeout():
         box.take(timeout=0.01)
 
 
-def test_negative_delay_rejected():
-    with pytest.raises(RuntimeProtocolError):
-        Mailbox("t", delay=-1)
-
-
 def test_cross_thread_delivery():
     box = Mailbox("t")
     results = []
