@@ -21,10 +21,16 @@ reseeds the jitter models.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Sequence
+from dataclasses import MISSING
+from pathlib import Path
+from typing import Any, NamedTuple, Sequence
 
-from .apps import available_apps
+import numpy as np
+
+from . import facade, obs
+from .apps import available_apps, make_bundle
 from .apps.base import get_profile
 from .bench.configs import ENV_NAMES, env_config, figure3_configs
 from .bench.cost import price_run
@@ -33,6 +39,9 @@ from .bench.experiments import (
     mean_hybrid_slowdown,
     run_figure3,
     run_figure4,
+    run_iterative_projection,
+    run_skew_sweep,
+    run_stealing_ablation,
 )
 from .bench.reporting import (
     render_figure3,
@@ -41,8 +50,21 @@ from .bench.reporting import (
     render_table1,
     render_table2,
 )
+from .bench.validate import evaluate_claims, render_scorecard
+from .config import CLOUD_SITE, LOCAL_SITE, ComputeSpec, DatasetSpec, PlacementSpec
+from .core.index import DataIndex
+from .core.sync import TOPOLOGIES, SyncSpec
+from .core.wire import COMPRESSIONS, ENCODINGS
+from .data.dataset import build_dataset
 from .errors import ConfigurationError, ReproError
-from .sim.simulation import simulate
+from .facade import RunConfig
+from .options import CacheOptions, MonitorOptions, ResilienceOptions, ScaleOptions
+from .resilience import RetryPolicy
+from .runtime.driver import SLAVE_MODES
+from .service import JobService, ServiceJournal, TenantSpec
+from .sim.multisite import MultiSiteSimulation, load_multisite_config
+from .sim.simulation import CloudBurstSimulation, simulate
+from .storage.localfs import LocalStorage
 from .units import fmt_seconds
 
 __all__ = ["main", "build_parser"]
@@ -99,32 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute an app over a generated dataset (real runtime)"
     )
     p.add_argument("dataset", help="directory produced by `generate`")
-    p.add_argument("--local-cores", type=int, default=2)
-    p.add_argument("--cloud-cores", type=int, default=2)
-    p.add_argument(
-        "--cache-bytes", type=int, default=0, metavar="N",
-        help="chunk-cache byte budget for cross-site reads (0 = no cache; "
-        "iterative passes then refetch nothing already seen)",
-    )
-    p.add_argument(
-        "--prefetch", action="store_true",
-        help="overlap each slave's next chunk fetch with its current "
-        "reduction (double-buffered pipeline)",
-    )
-    p.add_argument(
-        "--slave-mode", default="thread", choices=("thread", "process"),
-        help="slave substrate: 'thread' (in-process, default) or 'process' "
-        "(decode + local reduction in worker processes over shared memory "
-        "— GIL-free compute for CPU-bound apps)",
-    )
-    p.add_argument(
-        "--iterations", type=int, default=1, metavar="N",
-        help="run N passes, feeding each result back through the app's "
-        "update() hook (kmeans, pagerank)",
-    )
-    _add_sync_args(p)
-    _add_fault_args(p)
-    _add_scale_args(p)
+    _add_run_flags(p, "compute", "cache", "slave_mode", "iterations", "sync",
+                   "resilience", "scale")
 
     p = sub.add_parser(
         "trace",
@@ -137,12 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runtime", action="store_true",
                    help="trace a real CloudBurstingRuntime run instead of "
                    "the simulator")
-    p.add_argument("--units", type=int, default=2048,
-                   help="data units for the --runtime dataset")
-    p.add_argument("--local-cores", type=int, default=2)
-    p.add_argument("--cloud-cores", type=int, default=2)
-    p.add_argument("--local-fraction", type=float, default=0.5,
-                   help="fraction of --runtime data stored locally")
+    _add_run_flags(p, "compute", "placement", units=2048)
     p.add_argument("--width", type=int, default=72)
     p.add_argument("--critical-path", action="store_true",
                    help="print the causal critical path through the makespan")
@@ -167,17 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         "health feed (pool depth, utilization, cache, ETA)",
     )
     p.add_argument("app")
-    p.add_argument("--units", type=int, default=8192,
-                   help="data units for the in-memory dataset")
-    p.add_argument("--local-cores", type=int, default=2)
-    p.add_argument("--cloud-cores", type=int, default=2)
-    p.add_argument("--local-fraction", type=float, default=0.5,
-                   help="fraction of data stored locally")
     p.add_argument("--interval", type=float, default=0.2, metavar="SECONDS",
                    help="sampling interval for the health feed")
-    p.add_argument("--iterations", type=int, default=1, metavar="N",
-                   help="run N passes (iterative apps only)")
-    _add_scale_args(p)
+    _add_run_flags(p, "compute", "placement", "iterations", "scale", units=8192)
 
     p = sub.add_parser(
         "submit",
@@ -191,11 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="app registry keys; prefix with 'tenant:' to submit under a "
         "named tenant (e.g. analytics:kmeans adhoc:wordcount)",
     )
-    p.add_argument("--units", type=int, default=4096,
-                   help="data units for the shared in-memory dataset")
-    p.add_argument("--local-cores", type=int, default=2)
-    p.add_argument("--cloud-cores", type=int, default=2)
-    p.add_argument("--local-fraction", type=float, default=0.5)
+    _add_run_flags(p, "compute", "placement", units=4096)
     p.add_argument(
         "--weight", action="append", default=[], metavar="TENANT=W",
         help="fair-share weight for a tenant (repeatable; default 1)",
@@ -248,105 +229,159 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_sync_args(p: argparse.ArgumentParser) -> None:
-    """Global-reduction sync knobs (wire encoding + aggregation topology)."""
-    from .core.sync import TOPOLOGIES
-    from .core.wire import COMPRESSIONS, ENCODINGS
+class _Flag(NamedTuple):
+    """One run flag and the ``RunConfig`` field it sets. The argparse
+    default, the type and ``store_true`` come from that field."""
 
-    p.add_argument(
-        "--sync-encoding", default="dense", choices=ENCODINGS,
-        help="reduction-object wire encoding (delta needs --iterations > 1 "
-        "to pay off; auto picks the cheapest per upload)",
-    )
-    p.add_argument(
-        "--sync-compress", default="none", choices=COMPRESSIONS,
-        help="compress reduction-object uploads on the wire",
-    )
-    p.add_argument(
-        "--sync-topology", default="star", choices=TOPOLOGIES,
-        help="aggregation shape for cluster uploads (star = everyone to the "
-        "head; tree/ring relay through other masters)",
-    )
-    p.add_argument(
-        "--sync-stream", action="store_true",
-        help="merge partial reduction objects as they arrive instead of "
-        "behind the end-of-pass barrier",
-    )
-    p.add_argument(
-        "--sync-watermark", type=int, default=8, metavar="N",
-        help="with --sync-stream, slaves flush a partial every N jobs",
-    )
+    flag: str
+    path: str | None  # dotted, from RunConfig; None: not a config field
+    help: str | None = None
+    metavar: str | None = None
+    type: type | None = None  # for fields whose default is None
+    choices: tuple[str, ...] | None = None  # the tuple the spec validates against
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
 
 
-def _add_scale_args(p: argparse.ArgumentParser) -> None:
-    """Elastic-bursting knobs shared by commands that execute the runtime."""
-    p.add_argument(
-        "--autoscale", action="store_true",
-        help="grow/shrink the cloud slave fleet mid-run to hit --deadline "
-        "and --budget (see docs/SCALING.md)",
-    )
-    p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="with --autoscale, target wall-clock deadline the controller "
-        "scales toward",
-    )
-    p.add_argument(
-        "--budget", type=float, default=None, metavar="DOLLARS",
-        help="with --autoscale, hard cloud-spend ceiling the controller "
-        "never exceeds",
-    )
-    p.add_argument(
-        "--min-slaves", type=int, default=1, metavar="N",
-        help="autoscaler floor for the cloud fleet (default 1)",
-    )
-    p.add_argument(
-        "--max-slaves", type=int, default=8, metavar="N",
-        help="autoscaler ceiling for the cloud fleet (default 8)",
-    )
-    p.add_argument(
-        "--revoke", metavar="SPEC",
-        help="spot-revocation spec for cloud slaves, e.g. "
-        "'rate=0.05,seed=7,provision=0.1' (results stay bit-identical; "
-        "see docs/SCALING.md for the grammar)",
-    )
+#: Every flag of the commands that execute the runtime (`run`, `trace
+#: --runtime`, `watch`, `submit`), in --help order. A command installs the
+#: families it supports with :func:`_add_run_flags`; :func:`_run_config`
+#: carries them to the ``RunConfig`` by ``path``.
+_RUN_FLAGS = (
+    # Sizes the in-memory dataset; each command passes its own default.
+    _Flag("--units", None, "data units for the in-memory dataset", type=int),
+    _Flag("--local-cores", "compute.local_cores"),
+    _Flag("--cloud-cores", "compute.cloud_cores"),
+    _Flag("--local-fraction", "placement.local_fraction",
+          "fraction of data stored locally"),
+    _Flag("--cache-bytes", "cache.bytes",
+          "chunk-cache byte budget for cross-site reads (0 = no cache; "
+          "iterative passes then refetch nothing already seen)", "N"),
+    _Flag("--prefetch", "cache.prefetch",
+          "overlap each slave's next chunk fetch with its current "
+          "reduction (double-buffered pipeline)"),
+    _Flag("--slave-mode", "slave_mode",
+          "slave substrate: 'thread' (in-process, default) or 'process' "
+          "(decode + local reduction in worker processes over shared memory "
+          "— GIL-free compute for CPU-bound apps)", choices=SLAVE_MODES),
+    _Flag("--iterations", "iterations",
+          "run N passes, feeding each result back through the app's "
+          "update() hook (kmeans, pagerank)", "N"),
+    # Global-reduction sync knobs (wire encoding + aggregation topology).
+    _Flag("--sync-encoding", "sync.encoding",
+          "reduction-object wire encoding (delta needs --iterations > 1 "
+          "to pay off; auto picks the cheapest per upload)", choices=ENCODINGS),
+    _Flag("--sync-compress", "sync.compress",
+          "compress reduction-object uploads on the wire",
+          choices=COMPRESSIONS),
+    _Flag("--sync-topology", "sync.topology",
+          "aggregation shape for cluster uploads (star = everyone to the "
+          "head; tree/ring relay through other masters)", choices=TOPOLOGIES),
+    _Flag("--sync-stream", "sync.stream",
+          "merge partial reduction objects as they arrive instead of "
+          "behind the end-of-pass barrier"),
+    _Flag("--sync-watermark", "sync.watermark",
+          "with --sync-stream, slaves flush a partial every N jobs", "N"),
+    # Resilience knobs.
+    _Flag("--faults", "resilience.faults",
+          "fault-injection spec, e.g. 'transient=0.1,latency=0.05:0.02,"
+          "seed=7' (see docs/RESILIENCE.md for the grammar)", "SPEC", str),
+    _Flag("--retries", "resilience.retry.max_attempts",
+          "max storage attempts per sub-range (default: 4 when --faults "
+          "is given, else no retry layer)", "N", int),
+    _Flag("--hedge-after", "resilience.retry.hedge_after",
+          "race a duplicate request against any sub-range read slower "
+          "than this (off by default)", "SECONDS", float),
+    # Elastic-bursting knobs.
+    _Flag("--autoscale", "scale.autoscale",
+          "grow/shrink the cloud slave fleet mid-run to hit --deadline "
+          "and --budget (see docs/SCALING.md)"),
+    _Flag("--deadline", "scale.deadline",
+          "with --autoscale, target wall-clock deadline the controller "
+          "scales toward", "SECONDS", float),
+    _Flag("--budget", "scale.budget",
+          "with --autoscale, hard cloud-spend ceiling the controller "
+          "never exceeds", "DOLLARS", float),
+    _Flag("--min-slaves", "scale.min_slaves",
+          "autoscaler floor for the cloud fleet (default 1)", "N"),
+    _Flag("--max-slaves", "scale.max_slaves",
+          "autoscaler ceiling for the cloud fleet (default 8)", "N"),
+    _Flag("--revoke", "scale.revocation",
+          "spot-revocation spec for cloud slaves, e.g. "
+          "'rate=0.05,seed=7,provision=0.1' (results stay bit-identical; "
+          "see docs/SCALING.md for the grammar)", "SPEC", str),
+)
 
 
-def _resolve_scale(args: argparse.Namespace):
-    """Map the shared scaling flags to ``ScaleOptions | None``."""
-    from .options import ScaleOptions
+def _field_default(path: str) -> Any:
+    """What a default ``RunConfig`` holds at a dotted path (``None`` below
+    a family that is absent by default, as ``resilience.retry`` is)."""
+    head, *rest = path.split(".")
+    field = RunConfig.__dataclass_fields__[head]
+    value = field.default_factory() if field.default is MISSING else field.default
+    for name in rest:
+        value = None if value is None else getattr(value, name)
+    return value
 
-    if not args.autoscale and not args.revoke:
-        if args.deadline is not None or args.budget is not None:
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser, *families: str, **own: Any
+) -> None:
+    """Install the :data:`_RUN_FLAGS` rows under the named ``RunConfig``
+    fields, and those `own` gives a default of the command's own."""
+    for row in _RUN_FLAGS:
+        if row.dest in own:
+            default = own[row.dest]
+        elif row.path and row.path.partition(".")[0] in families:
+            default = _field_default(row.path)
+        else:
+            continue
+        if isinstance(default, bool):
+            parser.add_argument(row.flag, action="store_true", help=row.help)
+        else:
+            parser.add_argument(
+                row.flag, type=row.type or type(default), default=default,
+                metavar=row.metavar, choices=row.choices, help=row.help,
+            )
+
+
+def _run_config(args: argparse.Namespace, **extra: Any) -> RunConfig:
+    """The ``RunConfig`` a runtime command's flags spell (`extra` carries
+    what is not a flag: hooks, the run name). A flag the command does not
+    have reads as its field's default."""
+
+    def fields(family: str) -> dict[str, Any]:
+        found = {}
+        for row in _RUN_FLAGS:
+            parent, _, name = (row.path or "").rpartition(".")
+            if name and parent == family:
+                found[name] = getattr(args, row.dest, _field_default(row.path))
+        return found
+
+    scale = fields("scale")
+    if not scale["autoscale"] and not scale["revocation"]:
+        if scale["deadline"] is not None or scale["budget"] is not None:
             raise ConfigurationError(
                 "--deadline/--budget are autoscaler targets; add --autoscale"
             )
-        return None
-    return ScaleOptions(
-        autoscale=args.autoscale,
-        deadline=args.deadline,
-        budget=args.budget,
-        min_slaves=args.min_slaves,
-        max_slaves=args.max_slaves,
-        revocation=args.revoke,
-    )
-
-
-def _add_fault_args(p: argparse.ArgumentParser) -> None:
-    """Resilience knobs shared by commands that execute the real runtime."""
-    p.add_argument(
-        "--faults", metavar="SPEC",
-        help="fault-injection spec, e.g. 'transient=0.1,latency=0.05:0.02,"
-        "seed=7' (see docs/RESILIENCE.md for the grammar)",
-    )
-    p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="max storage attempts per sub-range (default: 4 when --faults "
-        "is given, else no retry layer)",
-    )
-    p.add_argument(
-        "--hedge-after", type=float, default=None, metavar="SECONDS",
-        help="race a duplicate request against any sub-range read slower "
-        "than this (off by default)",
+        scale = {}
+    # No retry layer unless asked for; an unset knob keeps the policy's own.
+    retry = {k: v for k, v in fields("resilience.retry").items() if v is not None}
+    return RunConfig(
+        mode="runtime",
+        placement=PlacementSpec(**fields("placement")),
+        compute=ComputeSpec(**fields("compute")),
+        seed=args.seed,
+        cache=CacheOptions(**fields("cache")),
+        sync=SyncSpec(**fields("sync")),
+        resilience=ResilienceOptions(
+            **fields("resilience"), retry=RetryPolicy(**retry) if retry else None
+        ),
+        scale=ScaleOptions(**scale),
+        **fields(""),
+        **extra,
     )
 
 
@@ -359,6 +394,19 @@ def _cmd_apps(args: argparse.Namespace) -> None:
     print(render_table(("app", "record B", "robj B", "description"), rows))
 
 
+def _cluster_table(report, label: str, idle: bool = False) -> str:
+    """A simulator report's per-cluster breakdown, optionally with the
+    idle-time column."""
+    rows = [
+        (c.site, c.cores, c.jobs_processed, c.jobs_stolen,
+         fmt_seconds(c.mean_processing), fmt_seconds(c.mean_retrieval),
+         fmt_seconds(c.sync), *([fmt_seconds(c.idle)] if idle else []))
+        for c in report.clusters.values()
+    ]
+    headers = (label, "cores", "jobs", "stolen", "proc", "retr", "sync")
+    return render_table(headers + (("idle",) if idle else ()), rows)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
     config = env_config(args.app, args.env, scale=args.scale, seed=args.seed)
     report = simulate(config)
@@ -368,16 +416,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     print(config.describe())
     print(f"makespan: {fmt_seconds(report.makespan)} s")
     print(f"global reduction: {fmt_seconds(report.global_reduction)} s")
-    rows = [
-        (c.site, c.cores, c.jobs_processed, c.jobs_stolen,
-         fmt_seconds(c.mean_processing), fmt_seconds(c.mean_retrieval),
-         fmt_seconds(c.sync), fmt_seconds(c.idle))
-        for c in report.clusters.values()
-    ]
-    print(render_table(
-        ("cluster", "cores", "jobs", "stolen", "proc", "retr", "sync", "idle"),
-        rows,
-    ))
+    print(_cluster_table(report, "cluster", idle=True))
 
 
 def _cmd_figure3(args: argparse.Namespace) -> None:
@@ -390,15 +429,18 @@ def _cmd_figure4(args: argparse.Namespace) -> None:
     print(render_figure4(run))
 
 
-def _cmd_table1(args: argparse.Namespace) -> None:
-    runs = {app: run_figure3(app, scale=args.scale, seed=args.seed)
+def _paper_runs(args: argparse.Namespace) -> dict:
+    """The Figure 3 sweep of every paper app, which both tables read."""
+    return {app: run_figure3(app, scale=args.scale, seed=args.seed)
             for app in PAPER_APPS}
-    print(render_table1(runs))
+
+
+def _cmd_table1(args: argparse.Namespace) -> None:
+    print(render_table1(_paper_runs(args)))
 
 
 def _cmd_table2(args: argparse.Namespace) -> None:
-    runs = {app: run_figure3(app, scale=args.scale, seed=args.seed)
-            for app in PAPER_APPS}
+    runs = _paper_runs(args)
     print(render_table2(runs))
     mean = mean_hybrid_slowdown(runs) * 100
     print(f"\nAverage hybrid slowdown: {mean:.2f}% (paper: 15.55%)")
@@ -421,8 +463,6 @@ def _cmd_cost(args: argparse.Namespace) -> None:
 
 
 def _cmd_scorecard(args: argparse.Namespace) -> None:
-    from .bench.validate import evaluate_claims, render_scorecard
-
     claims = evaluate_claims(scale=args.scale, seed=args.seed)
     print(render_scorecard(claims))
 
@@ -430,28 +470,27 @@ def _cmd_scorecard(args: argparse.Namespace) -> None:
 _DATASET_META = "dataset.json"
 
 
-def _cmd_generate(args: argparse.Namespace) -> None:
-    import json
-    from pathlib import Path
-
-    from .apps import make_bundle
-    from .config import CLOUD_SITE, DatasetSpec, LOCAL_SITE, PlacementSpec
-    from .data.dataset import build_dataset
-    from .storage.localfs import LocalStorage
-
-    bundle = make_bundle(args.app, args.units, seed=args.seed)
-    record = bundle.schema.record_bytes
-    chunks = args.files * args.chunks_per_file
+def _dataset(app: str, args: argparse.Namespace, files=4, chunks_per_file=4):
+    """`app`'s bundle and the ``DatasetSpec`` of ``--units`` records in
+    `files` x `chunks_per_file` chunks (4 x 4 for the in-memory datasets
+    `trace --runtime`, `watch` and `submit` run over)."""
+    chunks = files * chunks_per_file
     if args.units % chunks != 0:
         raise ConfigurationError(
             f"--units must be divisible by files*chunks ({chunks})"
         )
-    spec = DatasetSpec(
+    bundle = make_bundle(app, args.units, seed=args.seed)
+    record = bundle.schema.record_bytes
+    return bundle, DatasetSpec(
         total_bytes=args.units * record,
-        num_files=args.files,
+        num_files=files,
         chunk_bytes=(args.units // chunks) * record,
         record_bytes=record,
     )
+
+
+def _cmd_generate(args: argparse.Namespace) -> None:
+    bundle, spec = _dataset(args.app, args, args.files, args.chunks_per_file)
     out = Path(args.out)
     stores = {
         LOCAL_SITE: LocalStorage(out / "local"),
@@ -477,42 +516,14 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     print(f"index: {out / 'index.json'}")
 
 
-def _resolve_resilience(args: argparse.Namespace):
-    """Map the shared fault/retry flags to a ``ResilienceOptions``."""
-    from .options import ResilienceOptions
-    from .resilience import RetryPolicy
-
-    policy = None
-    if args.retries is not None or args.hedge_after is not None:
-        kwargs = {}
-        if args.retries is not None:
-            kwargs["max_attempts"] = args.retries
-        if args.hedge_after is not None:
-            kwargs["hedge_after"] = args.hedge_after
-        policy = RetryPolicy(**kwargs)
-    return ResilienceOptions(faults=args.faults or None, retry=policy)
-
-
 def _cmd_run(args: argparse.Namespace) -> None:
-    import json
-    from pathlib import Path
-
-    import numpy as np
-
-    from .apps import make_bundle
-    from .config import CLOUD_SITE, ComputeSpec, LOCAL_SITE
-    from .core.index import DataIndex
-    from .core.sync import SyncSpec
-    from .facade import RunConfig, execute_runtime
-    from .options import CacheOptions, ScaleOptions
-    from .storage.localfs import LocalStorage
-
     root = Path(args.dataset)
     meta_path = root / _DATASET_META
     if not meta_path.is_file():
         raise ConfigurationError(
             f"{root} does not look like a generated dataset (no {_DATASET_META})"
         )
+    config = _run_config(args)
     meta = json.loads(meta_path.read_text())
     bundle = make_bundle(meta["app"], meta["units"], seed=meta["seed"])
     index = DataIndex.load(root / "index.json")
@@ -520,30 +531,10 @@ def _cmd_run(args: argparse.Namespace) -> None:
         LOCAL_SITE: LocalStorage(root / "local"),
         CLOUD_SITE: LocalStorage(root / "cloud"),
     }
-    scale = _resolve_scale(args)
-    config = RunConfig(
-        mode="runtime",
-        compute=ComputeSpec(
-            local_cores=args.local_cores, cloud_cores=args.cloud_cores
-        ),
-        seed=args.seed,
-        slave_mode=args.slave_mode,
-        iterations=args.iterations,
-        cache=CacheOptions(bytes=args.cache_bytes, prefetch=args.prefetch),
-        sync=SyncSpec(
-            encoding=args.sync_encoding,
-            compress=args.sync_compress,
-            topology=args.sync_topology,
-            stream=args.sync_stream,
-            watermark=args.sync_watermark,
-        ),
-        resilience=_resolve_resilience(args),
-        scale=scale or ScaleOptions(),
-    )
-    result = execute_runtime(bundle, index, stores, config)
+    result = facade.execute_runtime(bundle, index, stores, config)
     value, t = result.value, result.telemetry
     print(f"app: {meta['app']}  wall: {result.wall_seconds:.3f}s"
-          + (f"  passes: {result.passes}" if args.iterations > 1 else ""))
+          + (f"  passes: {result.passes}" if config.iterations > 1 else ""))
     if isinstance(value, np.ndarray):
         print(f"result: ndarray shape={value.shape} "
               f"head={np.asarray(value).ravel()[:4]}")
@@ -556,9 +547,16 @@ def _cmd_run(args: argparse.Namespace) -> None:
     for name, cluster in t.clusters.items():
         print(f"{name}: {cluster.jobs} jobs ({cluster.stolen} stolen)")
     print(
-        f"data path ({args.slave_mode} slaves): {t.zero_copy_reads} zero-copy "
+        f"data path ({config.slave_mode} slaves): {t.zero_copy_reads} zero-copy "
         f"reads, {t.bytes_copied} bytes copied"
     )
+    _print_accounting(result, config)
+
+
+def _print_accounting(result, config: RunConfig) -> None:
+    """One line per option family `config` switched on, from the run's
+    telemetry; every count is a whole-run total."""
+    t = result.telemetry
     parts = []
     if config.cache.bytes > 0:
         parts.append(
@@ -586,12 +584,13 @@ def _cmd_run(args: argparse.Namespace) -> None:
             f"({t.hedge_wins} won), {t.timeouts} timeouts, "
             f"{t.circuit_opens} circuit opens"
         )
-    if scale is not None:
+    scale = config.scale
+    if scale.autoscale or scale.revocation is not None:
         targets = []
-        if args.deadline is not None:
-            targets.append(f"deadline {args.deadline}s")
-        if args.budget is not None:
-            targets.append(f"budget ${args.budget:.2f}")
+        if scale.deadline is not None:
+            targets.append(f"deadline {scale.deadline}s")
+        if scale.budget is not None:
+            targets.append(f"budget ${scale.budget:.2f}")
         label = f" ({', '.join(targets)})" if targets else ""
         print(
             f"scaling{label}: {t.slaves_added} slaves added, "
@@ -600,20 +599,16 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 
 def _export_trace(trace, args: argparse.Namespace) -> None:
-    from .obs import write_jsonl, write_perfetto
-
     if getattr(args, "out", None):
-        count = write_jsonl(trace, args.out)
+        count = obs.write_jsonl(trace, args.out)
         print(f"\nwrote {count} events to {args.out}")
-    if getattr(args, "perfetto", None):
-        count = write_perfetto(trace, args.perfetto)
+    if args.perfetto:
+        count = obs.write_perfetto(trace, args.perfetto)
         print(f"\nwrote {count} trace events to {args.perfetto} "
               f"(open in https://ui.perfetto.dev)")
 
 
 def _cmd_trace(args: argparse.Namespace) -> None:
-    from .obs import EventLog, render_gantt, utilization
-
     if args.runtime:
         _trace_runtime(args)
         return
@@ -621,83 +616,42 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         raise ConfigurationError(
             "trace needs an environment (or --runtime for a real run)"
         )
-    from .sim.simulation import CloudBurstSimulation
-
-    trace = EventLog()
+    trace = obs.EventLog()
     config = env_config(args.app, args.env, scale=args.scale, seed=args.seed)
     report = CloudBurstSimulation(config, trace=trace).run()
     print(f"{config.describe()}\nmakespan {fmt_seconds(report.makespan)} s, "
           f"{len(trace)} trace events\n")
-    print(render_gantt(trace, report.makespan, width=args.width))
-    util = utilization(trace, report.makespan)
+    print(obs.render_gantt(trace, report.makespan, width=args.width))
+    util = obs.utilization(trace, report.makespan)
     mean_idle = sum(u["idle"] for u in util.values()) / len(util)
     print(f"\nmean worker idle fraction: {mean_idle * 100:.1f}%")
     if args.critical_path:
-        from .obs import critical_path, render_critical_path
-
         print()
-        print(render_critical_path(critical_path(trace, report.makespan)))
+        print(obs.render_critical_path(obs.critical_path(trace, report.makespan)))
     _export_trace(trace, args)
 
 
-def _memory_dataset(units: int, record_bytes: int):
-    """The "4 files x 4 chunks" in-memory ``DatasetSpec`` that `trace
-    --runtime`, `watch` and `submit` run over."""
-    from .config import DatasetSpec
-
-    files, chunks_per_file = 4, 4
-    chunks = files * chunks_per_file
-    if units % chunks != 0:
-        raise ConfigurationError(f"--units must be divisible by {chunks}")
-    return DatasetSpec(
-        total_bytes=units * record_bytes,
-        num_files=files,
-        chunk_bytes=(units // chunks) * record_bytes,
-        record_bytes=record_bytes,
-    )
-
-
 def _trace_runtime(args: argparse.Namespace) -> None:
-    from .apps import make_bundle
-    from .config import ComputeSpec, PlacementSpec
-    from .facade import RunConfig, run_direct
-    from .obs import EventLog, MetricsRegistry, render_report
-
-    bundle = make_bundle(args.app, args.units, seed=args.seed)
-    spec = _memory_dataset(args.units, bundle.schema.record_bytes)
-    trace = EventLog()
-    config = RunConfig(
-        mode="runtime",
-        placement=PlacementSpec(args.local_fraction),
-        compute=ComputeSpec(
-            local_cores=args.local_cores, cloud_cores=args.cloud_cores
-        ),
-        seed=args.seed,
-        trace=trace,
-        metrics=MetricsRegistry(),
-    )
-    telemetry = run_direct(bundle, spec, config).telemetry
+    trace = obs.EventLog()
+    config = _run_config(args, trace=trace, metrics=obs.MetricsRegistry())
+    bundle, spec = _dataset(args.app, args)
+    telemetry = facade.run_direct(bundle, spec, config).telemetry
     print(f"{args.app} (real runtime, {args.units} units, "
           f"{args.local_cores}+{args.cloud_cores} cores): "
           f"wall {telemetry.wall_seconds:.3f}s, "
           f"{telemetry.total_stolen} jobs stolen\n")
-    print(render_report(
+    print(obs.render_report(
         trace, width=args.width, show_critical_path=args.critical_path
     ))
     _export_trace(trace, args)
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
-    from .obs import read_jsonl, render_report, write_perfetto
-
-    trace = read_jsonl(args.trace)
-    print(render_report(
+    trace = obs.read_jsonl(args.trace)
+    print(obs.render_report(
         trace, width=args.width, show_critical_path=args.critical_path
     ))
-    if args.perfetto:
-        count = write_perfetto(trace, args.perfetto)
-        print(f"\nwrote {count} trace events to {args.perfetto} "
-              f"(open in https://ui.perfetto.dev)")
+    _export_trace(trace, args)
 
 
 def _sample_line(sample) -> str:
@@ -714,53 +668,27 @@ def _sample_line(sample) -> str:
 
 
 def _cmd_watch(args: argparse.Namespace) -> None:
-    from .apps import make_bundle
-    from .config import ComputeSpec, PlacementSpec
-    from .facade import RunConfig
-    from .facade import run as run_app
-    from .options import MonitorOptions, ScaleOptions
-
     if args.interval <= 0:
         raise ConfigurationError("--interval must be positive")
-    bundle = make_bundle(args.app, args.units, seed=args.seed)
-    spec = _memory_dataset(args.units, bundle.schema.record_bytes)
+    config = _run_config(args, monitor=MonitorOptions(
+        interval=args.interval,
+        on_sample=lambda sample: print(_sample_line(sample), flush=True),
+    ))
+    bundle, spec = _dataset(args.app, args)
     print(f"{args.app} (real runtime, {args.units} units, "
           f"{args.local_cores}+{args.cloud_cores} cores, "
           f"sampling every {args.interval}s)")
     print(f"{'time':>8}  {'prog':>5}  {'done':>11}  pool       run  "
           f"wkr      steal      util         cache        eta")
-    scale = _resolve_scale(args)
-    config = RunConfig(
-        mode="runtime",
-        placement=PlacementSpec(args.local_fraction),
-        compute=ComputeSpec(
-            local_cores=args.local_cores, cloud_cores=args.cloud_cores
-        ),
-        seed=args.seed,
-        iterations=args.iterations,
-        monitor=MonitorOptions(
-            interval=args.interval,
-            on_sample=lambda sample: print(_sample_line(sample), flush=True),
-        ),
-        scale=scale or ScaleOptions(),
-    )
-    result = run_app(bundle, spec, config)
+    result = facade.run_direct(bundle, spec, config)
     t = result.telemetry
     print(f"\ndone: wall {t.wall_seconds:.3f}s, {t.total_jobs} jobs "
           f"({t.total_stolen} stolen), {len(result.samples)} samples"
           + (f", {result.passes} passes" if result.passes > 1 else ""))
-    if scale is not None:
-        print(f"scaling: {t.slaves_added} slaves added, "
-              f"{t.slaves_revoked} revoked, "
-              f"${t.dollars_spent:.4f} cloud spend")
+    _print_accounting(result, config)
 
 
 def _cmd_submit(args: argparse.Namespace) -> None:
-    from .apps.base import get_profile
-    from .config import ComputeSpec, PlacementSpec
-    from .facade import RunConfig
-    from .service import JobService, TenantSpec
-
     weights: dict[str, float] = {}
     for item in args.weight:
         name, sep, value = item.partition("=")
@@ -775,31 +703,21 @@ def _cmd_submit(args: argparse.Namespace) -> None:
                 f"--weight {item!r}: {value!r} is not a number"
             ) from None
 
-    submissions = []  # (tenant, app_key)
+    submissions = []  # (tenant, app_key, dataset, config)
     for entry in args.apps:
         tenant, sep, app_key = entry.partition(":")
         if not sep:
             tenant, app_key = "default", entry
-        submissions.append((tenant, app_key))
+        _, dataset = _dataset(app_key, args)
+        config = _run_config(args, name=f"{tenant}/{app_key}")
+        submissions.append((tenant, app_key, dataset, config))
 
     with JobService(workers=args.workers, journal=args.journal) as service:
-        for tenant in {t for t, _ in submissions} | set(weights):
+        # First appearance decides registration (and so reporting) order.
+        for tenant in dict.fromkeys([t for t, *_ in submissions] + list(weights)):
             service.register(TenantSpec(tenant, weight=weights.get(tenant, 1.0)))
         handles = []
-        for tenant, app_key in submissions:
-            config = RunConfig(
-                mode="runtime",
-                placement=PlacementSpec(args.local_fraction),
-                compute=ComputeSpec(
-                    local_cores=args.local_cores,
-                    cloud_cores=args.cloud_cores,
-                ),
-                seed=args.seed,
-                name=f"{tenant}/{app_key}",
-            )
-            dataset = _memory_dataset(
-                args.units, get_profile(app_key).record_bytes
-            )
+        for tenant, app_key, dataset, config in submissions:
             handle = service.submit(
                 app_key, dataset, config,
                 tenant=tenant, priority=args.priority,
@@ -830,8 +748,6 @@ def _cmd_submit(args: argparse.Namespace) -> None:
 
 
 def _cmd_status(args: argparse.Namespace) -> None:
-    from .service import ServiceJournal
-
     journal = ServiceJournal(args.journal)
     runs = journal.runs()
     if args.run_id is not None:
@@ -859,8 +775,6 @@ def _cmd_status(args: argparse.Namespace) -> None:
 
 
 def _cmd_cancel(args: argparse.Namespace) -> None:
-    from .service import ServiceJournal
-
     journal = ServiceJournal(args.journal)
     runs = journal.runs()
     run = runs.get(args.run_id)
@@ -873,10 +787,6 @@ def _cmd_cancel(args: argparse.Namespace) -> None:
 
 
 def _cmd_multisite(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from .sim.multisite import MultiSiteSimulation, load_multisite_config
-
     config = load_multisite_config(Path(args.config).read_text())
     report = MultiSiteSimulation(config).run()
     if args.json:
@@ -886,20 +796,10 @@ def _cmd_multisite(args: argparse.Namespace) -> None:
           f"head={config.head}")
     print(f"makespan {fmt_seconds(report.makespan)} s, "
           f"global reduction {fmt_seconds(report.global_reduction)} s")
-    rows = [
-        (c.site, c.cores, c.jobs_processed, c.jobs_stolen,
-         fmt_seconds(c.mean_processing), fmt_seconds(c.mean_retrieval),
-         fmt_seconds(c.sync))
-        for c in report.clusters.values()
-    ]
-    print(render_table(
-        ("site", "cores", "jobs", "stolen", "proc", "retr", "sync"), rows
-    ))
+    print(_cluster_table(report, "site"))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    from .bench.experiments import run_skew_sweep
-
     sweep = run_skew_sweep(args.app, scale=args.scale, seed=args.seed)
     rows = []
     for fraction, report in sweep.items():
@@ -916,8 +816,6 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_stealing(args: argparse.Namespace) -> None:
-    from .bench.experiments import run_stealing_ablation
-
     results = run_stealing_ablation(args.app, scale=args.scale, seed=args.seed)
     rows = []
     for env, (with_steal, without) in results.items():
@@ -933,8 +831,6 @@ def _cmd_stealing(args: argparse.Namespace) -> None:
 
 
 def _cmd_iterative(args: argparse.Namespace) -> None:
-    from .bench.experiments import run_iterative_projection
-
     result = run_iterative_projection(
         args.app, args.env, args.iterations, scale=args.scale, seed=args.seed
     )
@@ -948,37 +844,14 @@ def _cmd_iterative(args: argparse.Namespace) -> None:
     print(render_table(("quantity", "value"), rows))
 
 
-_COMMANDS = {
-    "apps": _cmd_apps,
-    "scorecard": _cmd_scorecard,
-    "generate": _cmd_generate,
-    "run": _cmd_run,
-    "trace": _cmd_trace,
-    "report": _cmd_report,
-    "watch": _cmd_watch,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
-    "cancel": _cmd_cancel,
-    "multisite": _cmd_multisite,
-    "sweep": _cmd_sweep,
-    "stealing": _cmd_stealing,
-    "iterative": _cmd_iterative,
-    "simulate": _cmd_simulate,
-    "figure3": _cmd_figure3,
-    "figure4": _cmd_figure4,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "cost": _cmd_cost,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
-    except ReproError as exc:
+        globals()[f"_cmd_{args.command}"](args)
+    except (ReproError, OSError) as exc:
+        # OSError: an input file that is missing or cannot be read.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

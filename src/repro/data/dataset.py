@@ -145,8 +145,6 @@ class DatasetReader:
     trace: EventLog | None = None
     retry: RetryPolicy | None = None
     metrics: MetricsRegistry | None = None
-    breaker_failure_threshold: int = 8
-    breaker_recovery_successes: int = 32
     cache: "ChunkCache | None" = None
 
     def __post_init__(self) -> None:
@@ -190,12 +188,7 @@ class DatasetReader:
                 if self.retry is not None:
                     breaker = self._breakers.get(site)
                     if breaker is None:
-                        breaker = CircuitBreaker(
-                            self.breaker_failure_threshold,
-                            self.breaker_recovery_successes,
-                            name=site,
-                            trace=self.trace,
-                        )
+                        breaker = CircuitBreaker(name=site, trace=self.trace)
                         self._breakers[site] = breaker
                 if threads > 1 and self._pool is None:
                     self._pool = retrieval_pool()

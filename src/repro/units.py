@@ -13,11 +13,6 @@ MB: int = 1024 * KB
 GB: int = 1024 * MB
 TB: int = 1024 * GB
 
-#: One million — convenient for element counts quoted in the paper
-#: (e.g. "32.1 x 10^9 processed elements").
-MILLION: int = 10**6
-BILLION: int = 10**9
-
 _SIZE_STEPS = ((TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB"))
 
 

@@ -145,3 +145,68 @@ def test_report_rejects_bad_trace_file(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert "bad trace line" in err
+
+
+def test_run_flags_mirror_the_dataclasses():
+    """Each row of the run-flag table names a real dataclass field, its
+    argparse default is what ``RunConfig()`` holds there (``None`` below a
+    family that is absent by default: ``--retries`` with no
+    ``RetryPolicy``), and its choices are the validating tuple itself."""
+    import argparse
+    import dataclasses
+    import typing
+
+    from repro import RunConfig, cli
+    from repro.core.sync import TOPOLOGIES
+    from repro.core.wire import COMPRESSIONS, ENCODINGS
+    from repro.runtime.driver import SLAVE_MODES
+
+    validated = {
+        "slave_mode": SLAVE_MODES, "sync.encoding": ENCODINGS,
+        "sync.compress": COMPRESSIONS, "sync.topology": TOPOLOGIES,
+    }
+    parser = argparse.ArgumentParser()
+    families = [field.name for field in dataclasses.fields(RunConfig)]
+    cli._add_run_flags(parser, *families, units=1)
+    actions = parser._option_string_actions
+    assert len({row.flag for row in cli._RUN_FLAGS}) == len(cli._RUN_FLAGS)
+    for row in cli._RUN_FLAGS:
+        action = actions[row.flag]
+        if row.path is None:
+            assert row.flag == "--units"  # sizes the dataset, not the run
+            continue
+        cls, default = RunConfig, RunConfig()
+        for name in row.path.split("."):
+            assert cls is not None, row
+            assert name in {field.name for field in dataclasses.fields(cls)}, row
+            default = getattr(default, name, None)
+            hint = typing.get_type_hints(cls)[name]
+            cls = next(
+                (c for c in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(c)),
+                None,
+            )
+        assert action.default == default, row
+        assert isinstance(action, argparse._StoreTrueAction) == (default is False), row
+        assert action.choices is validated.get(row.path), row
+    assert validated.keys() <= {row.path for row in cli._RUN_FLAGS}
+
+
+def test_api_doc_lists_every_command():
+    """docs/API.md "CLI" names each subcommand, and each has a handler."""
+    import argparse
+    from pathlib import Path
+
+    from repro import cli
+
+    (subcommands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    doc = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
+    section = doc.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("{", 1)[1].split("}", 1)[0].replace("\n", " ")
+    assert sorted(name.strip() for name in listed.split(",")) == sorted(
+        subcommands.choices
+    )
+    for name in subcommands.choices:
+        assert callable(getattr(cli, f"_cmd_{name}")), name

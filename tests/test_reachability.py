@@ -178,7 +178,7 @@ def test_exempted_modules_still_exist():
 #: The classes a pass is assembled from.
 RUN_PATH = (
     "CloudBurstingRuntime", "SlaveWorker", "MasterNode", "HeadNode",
-    "Mailbox", "ProcessSlavePool", "ProcessSlave",
+    "Mailbox", "ProcessSlavePool", "ProcessSlave", "DatasetReader",
 )
 
 #: Defaulted parameters no run, bench or example sets, each with the
@@ -192,16 +192,32 @@ SEAMS = {
 }
 
 
+def _dataclass_init(node: ast.ClassDef) -> ast.arguments:
+    """The ``__init__`` ``@dataclass`` generates: the annotated fields in
+    order, those assigned a value defaulted."""
+    fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    return ast.arguments(
+        posonlyargs=[],
+        args=[ast.arg("self")] + [ast.arg(f.target.id) for f in fields],
+        kwonlyargs=[],
+        kw_defaults=[],
+        defaults=[f.value for f in fields if f.value is not None],
+    )
+
+
 def _constructors(scan: _Scan) -> dict[str, ast.arguments]:
-    """``{class: its __init__ arguments}`` for the run-path classes."""
-    return {
-        node.name: init.args
-        for tree in scan.trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name in RUN_PATH
-        for init in node.body
-        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
-    }
+    """``{class: its __init__ arguments}`` for the run-path classes (a
+    dataclass's fields are its constructor options)."""
+    found = {}
+    for tree in scan.trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in RUN_PATH:
+                inits = [
+                    stmt.args for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+                ]
+                found[node.name] = inits[0] if inits else _dataclass_init(node)
+    return found
 
 
 def _defaulted(args: ast.arguments) -> set[str]:
