@@ -27,9 +27,15 @@ artifacts pin what the sync stack buys back:
   compressing it in full, and which one the encoder picked. The
   estimate must rank the candidates as full compression does, and one
   encode must compress exactly one whole body.
+* **Warm channel** — the same objects over six passes through one
+  channel, encoded with and without the channel's candidate memory: per
+  upload the candidates built, the encode ms and the choice. Delta loses
+  to sparse by 3-4x on this object, so the remembering channel sits it
+  out on 3 of 5 warm uploads; the blobs must be equal and a sat-out
+  upload must build no delta body.
 
 Run directly with ``--smoke`` for a quick CI-sized pass of the first two
-artifacts and a quarter-size codec table (same assertions); ``--out
+artifacts and quarter-size codec and warm-channel tables (same assertions); ``--out
 report.json`` writes the WAN-bytes accounting as a machine-readable
 artifact.
 """
@@ -326,20 +332,21 @@ def pagerank_objects(units: int, n_pages: int, passes: int):
 
 
 @contextmanager
-def counted_compress():
-    """Record the length of every body handed to ``wire._compress``."""
-    fed: list[int] = []
-    real = wire._compress
+def watching(name: str, keep):
+    """Record ``keep(args, result)`` for every call of ``wire.<name>``."""
+    seen: list = []
+    real = getattr(wire, name)
 
-    def counting(body, compress):
-        fed.append(len(body))
-        return real(body, compress)
+    def watched(*args):
+        result = real(*args)
+        seen.append(keep(args, result))
+        return result
 
-    wire._compress = counting
+    setattr(wire, name, watched)
     try:
-        yield fed
+        yield seen
     finally:
-        wire._compress = real
+        setattr(wire, name, real)
 
 
 def _ms(fn):
@@ -356,7 +363,7 @@ def run_codec_table(units: int, n_pages: int, passes: int = 4):
     for i, objects in enumerate(pagerank_objects(units, n_pages, passes), 1):
         for label, robj in objects.items():
             baseline = baselines[label]
-            with counted_compress() as fed:
+            with watching("_compress", lambda args, _: len(args[0])) as fed:
                 encoded, encode_ms = _ms(lambda: wire.encode(
                     robj, encoding="delta", compress="zlib", baseline=baseline
                 ))
@@ -397,7 +404,10 @@ def render_codec_table(encodes) -> str:
             for e in encodes for c in e["candidates"]
         ],
     )
-    return table + "\n(chosen: the whole wire.encode call, every candidate built)"
+    return table + (
+        "\n(chosen: one wire.encode call with no channel memory, every "
+        "candidate built; the warm-channel table shows what a channel skips)"
+    )
 
 
 def check_codec_table(encodes) -> dict:
@@ -425,11 +435,93 @@ def check_codec_table(encodes) -> dict:
     }
 
 
+# -- warm channel: build only what can win ----------------------------------
+
+
+def run_warm_channel(units: int, n_pages: int, passes: int = 6, reps: int = 3):
+    """Each upload of a ``delta+zlib`` channel encoded with and without the
+    channel's candidate memory, from the same baseline: per side the
+    candidates built, the delta bodies built, the fastest of ``reps``
+    encodes in ms and the blob."""
+    uploads = []
+    baselines: dict[str, bytes | None] = {"half": None, "full": None}
+    losses: dict[str, wire.Losses] = {"half": {}, "full": {}}
+    for i, objects in enumerate(pagerank_objects(units, n_pages, passes), 1):
+        for label, robj in objects.items():
+            row = {"pass": i, "object": label}
+            for side, memory in (("off", {}), ("on", losses[label])):
+                with (
+                    watching("_bodies", lambda a, bodies: tuple(bodies)) as built,
+                    watching("_delta_body", lambda a, body: 1) as deltas,
+                ):
+                    timed = [
+                        _ms(lambda: wire.encode(
+                            robj, encoding="delta", compress="zlib",
+                            baseline=baselines[label], losses=memory,
+                        ))
+                        for _ in range(reps)
+                    ]
+                encoded = timed[0][0]
+                row[side] = {
+                    "built": built[0], "delta_bodies": len(deltas) // reps,
+                    "encode_ms": min(ms for _, ms in timed),
+                    "chosen": encoded.encoding, "blob": encoded.blob,
+                }
+            # The memory-on side ran last: carry its state to the next upload.
+            baselines[label] = encoded.dense
+            losses[label] = encoded.losses
+            uploads.append(row)
+    return uploads
+
+
+def render_warm_channel(uploads) -> str:
+    def side(entry):
+        return ("+".join(entry["built"]), f"{entry['encode_ms']:.1f}",
+                entry["chosen"])
+
+    table = render_table(
+        ("pass", "object", "memory off: built", "ms", "chosen",
+         "memory on: built", "ms", "chosen"),
+        [(u["pass"], u["object"], *side(u["off"]), *side(u["on"]))
+         for u in uploads],
+    )
+    off = sum(u["off"]["encode_ms"] for u in uploads)
+    on = sum(u["on"]["encode_ms"] for u in uploads)
+    return table + (
+        f"\n(ms: the fastest of repeated encodes; all uploads {off:.1f} ms "
+        f"without memory, {on:.1f} ms with it)"
+    )
+
+
+def check_warm_channel(uploads) -> dict:
+    skipped = 0
+    for u in uploads:
+        key = (u["pass"], u["object"])
+        assert u["on"]["blob"] == u["off"]["blob"], key
+        if "delta" not in u["on"]["built"] and "delta" in u["off"]["built"]:
+            skipped += 1
+            assert u["on"]["delta_bodies"] == 0, key
+    assert skipped, "the channel never sat delta out"
+    return {
+        "uploads": len(uploads),
+        "delta_skipped": skipped,
+        "encode_ms_off": sum(u["off"]["encode_ms"] for u in uploads),
+        "encode_ms_on": sum(u["on"]["encode_ms"] for u in uploads),
+    }
+
+
 def test_codec_estimate_ranks_like_full_compression():
     encodes = run_codec_table(E2E_UNITS // 4, E2E_PAGES // 4, passes=3)
     print_block("codec candidates, quarter-size pagerank object\n"
                 + render_codec_table(encodes))
     check_codec_table(encodes)
+
+
+def test_warm_channel_builds_only_what_can_win():
+    uploads = run_warm_channel(E2E_UNITS // 4, E2E_PAGES // 4)
+    print_block("warm delta+zlib channel, quarter-size pagerank object\n"
+                + render_warm_channel(uploads))
+    check_warm_channel(uploads)
 
 
 def main(argv=None) -> int:
@@ -466,6 +558,14 @@ def main(argv=None) -> int:
         f"{codec['compress_all_ms']:.0f} ms)"
     )
 
+    uploads = run_warm_channel(E2E_UNITS // scale, E2E_PAGES // scale)
+    print(render_warm_channel(uploads))
+    warm = check_warm_channel(uploads)
+    print(
+        f"ok: equal blobs on all {warm['uploads']} uploads; delta sat out "
+        f"{warm['delta_skipped']} and built no body there"
+    )
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(
@@ -474,6 +574,7 @@ def main(argv=None) -> int:
                     "multisite_makespans": topologies,
                     "codec": codec,
                     "codec_table": encodes,
+                    "warm_channel": warm,
                 },
                 fh, indent=2,
             )

@@ -181,9 +181,13 @@ class SyncCodec:
     whole run), which is exactly what makes pass-N PageRank uploads tiny:
     the object barely changed since pass N-1.
 
+    The encoder keeps each channel's candidate memory beside its baseline
+    (``wire.encode``'s ``losses``), so an upload does not build what lost
+    widely on the channel's last ones.
+
     A channel has one sender thread and one receiver thread, so its
-    baseline cannot change under a running call: the lock covers only the
-    baseline read and the baseline + stats store, and the encode or
+    state cannot change under a running call: the lock covers only the
+    state read and the state + stats store, and the encode or
     decode itself (zlib releases the GIL) runs outside it — two masters'
     uploads overlap instead of queueing.
     """
@@ -193,19 +197,23 @@ class SyncCodec:
         self.stats = SyncStats()
         self._lock = threading.Lock()
         self._encode_baselines: dict[str, bytes] = {}
+        self._encode_losses: dict[str, wire.Losses] = {}
         self._decode_baselines: dict[str, bytes] = {}
 
     def encode(self, channel: str, robj: ReductionObject) -> wire.EncodedObject:
         with self._lock:
             baseline = self._encode_baselines.get(channel)
+            losses = self._encode_losses.get(channel)
         encoded = wire.encode(
             robj,
             encoding=self.spec.encoding,
             compress=self.spec.compress,
             baseline=baseline,
+            losses=losses,
         )
         with self._lock:
             self._encode_baselines[channel] = encoded.dense
+            self._encode_losses[channel] = encoded.losses
             self.stats.uploads += 1
             self.stats.wire_bytes += len(encoded.blob)
             self.stats.dense_bytes += len(encoded.dense)

@@ -24,11 +24,14 @@ Encodings
     (once the channel has a baseline), sparse, dense — so a first upload
     or a mostly-identity object is never stuck with dense.
 
-**Compress once.** Building a candidate body costs a millisecond or two
-at 2 MiB; compressing one costs tens. So the candidates are ranked by
-the compressed size of a fixed strided sample of each body, and only the
-winner is compressed in full. A body small enough to compress whole is
-its own exact estimate and is not compressed again.
+**Build only what can win.** Building a candidate body costs a
+millisecond or two at 2 MiB; compressing one costs tens. So the
+candidates are ranked by the compressed size of a fixed strided sample
+of each body, and only the winner is compressed in full (a body small
+enough to compress whole is its own exact estimate). A channel also
+remembers what lost: a candidate estimated at twice the shipped body or
+more is not built on the channel's next 1, 2, 4, ... (at most 8)
+uploads. Dense always is: its bytes are the channel baseline anyway.
 
 Compression (zlib always; lz4 only when the host already ships it — this
 repo never installs dependencies) is applied transparently and dropped
@@ -53,6 +56,7 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +110,21 @@ _SAMPLE_BLOCK = 8192
 #: more than compressing the body whole, once, and keeping the result.
 _WHOLE_BODY = 2 * _SAMPLE_BLOCKS * _SAMPLE_BLOCK
 
+#: A candidate whose estimate is at least this many times the body that
+#: shipped lost widely. On the 2 MiB pagerank accumulator delta estimates
+#: 3.0-4.0x the sparse winner on every upload; on a converging 20-pass
+#: pagerank delta wins about half the uploads and loses the rest by
+#: 1.0-2.9x, so a narrower margin would bench it just before it wins.
+_WIDE_LOSS = 2
+#: A wide loser sits out 1, 2, 4, ... of its channel's next uploads,
+#: doubling per consecutive wide loss up to this many, so one that starts
+#: to win is estimated again within 8 uploads (on that 20-pass run the
+#: sat-out uploads cost 1.6-2.9 % more wire bytes).
+_MAX_SKIP = 8
+
+#: A channel's candidate memory: name -> (uploads still sat out, last sit-out).
+Losses = Mapping[str, tuple[int, int]]
+
 
 def lz4_available() -> bool:
     """Whether the optional lz4 codec is importable on this host."""
@@ -127,13 +146,16 @@ class EncodedObject:
 
     ``dense`` is the object's plain serialization — callers keep it as
     the channel baseline for the next delta, and compare ``len(blob)``
-    against ``len(dense)`` for bytes-saved accounting.
+    against ``len(dense)`` for bytes-saved accounting. ``losses`` is the
+    channel's candidate memory after this upload, kept beside it and
+    passed back on the next.
     """
 
     blob: bytes
     dense: bytes
     encoding: str  # the encoding actually used (after fallbacks)
     compression: str
+    losses: Losses
 
 
 @dataclass(frozen=True)
@@ -413,18 +435,39 @@ def _estimate(body: bytes, compress: str) -> tuple[int, tuple[bytes, str] | None
     return len(_compress(sample, compress)[0]) * len(body) // len(sample), None
 
 
+def _remember(
+    losses: Losses, estimates: Mapping[str, int], shipped: int
+) -> dict[str, tuple[int, int]]:
+    """The channel's losses after an upload that estimated ``estimates``
+    and shipped ``shipped`` body bytes: a candidate sitting out counts one
+    upload down; an estimated wide loser sits out 1, or twice its last
+    sit-out (at most ``_MAX_SKIP``); any other candidate is forgotten."""
+    after = {name: (max(left - 1, 0), span) for name, (left, span) in losses.items()}
+    for name, size in estimates.items():
+        if name == "dense":
+            continue
+        if size >= _WIDE_LOSS * shipped:
+            span = min(2 * after.get(name, (0, 0))[1] or 1, _MAX_SKIP)
+            after[name] = (span, span)
+        else:
+            after.pop(name, None)
+    return after
+
+
 def _bodies(
-    robj: ReductionObject, dense: bytes, encoding: str, baseline: bytes | None
+    robj: ReductionObject, dense: bytes, encoding: str, baseline: bytes | None,
+    skip: frozenset[str] = frozenset(),
 ) -> dict[str, bytes]:
-    """The uncompressed candidate bodies ``encoding`` allows, dense first."""
+    """The uncompressed candidate bodies ``encoding`` allows, dense first,
+    less those in ``skip``."""
     bodies = {"dense": dense}
     adaptive = encoding in ("delta", "auto")
-    if adaptive and baseline is not None:
+    if adaptive and baseline is not None and "delta" not in skip:
         try:
             bodies["delta"] = _delta_body(robj, dense, baseline)
         except _Unsupported:
             pass
-    if adaptive or encoding == "sparse":
+    if (adaptive or encoding == "sparse") and "sparse" not in skip:
         try:
             bodies["sparse"] = _sparse_body(robj)
         except _Unsupported:
@@ -441,12 +484,14 @@ def encode(
     encoding: str = "dense",
     compress: str = "none",
     baseline: bytes | None = None,
+    losses: Losses | None = None,
 ) -> EncodedObject:
     """Encode ``robj`` for the wire.
 
     ``baseline`` is the *dense* serialization of the previous object sent
-    on this channel (see :class:`~repro.core.sync.SyncCodec`, which
-    manages baselines per sender). Requested encodings that cannot apply
+    on this channel and ``losses`` the channel's candidate memory from
+    that upload (see :class:`~repro.core.sync.SyncCodec`, which keeps
+    both per sender). Requested encodings that cannot apply
     — delta without a baseline, sparse over a dense array — silently fall
     back to the cheapest representable form (``delta`` and ``auto`` both
     choose among delta, sparse and dense); the header records what was
@@ -457,8 +502,10 @@ def encode(
         raise ReductionError(f"unknown wire encoding {encoding!r}")
     if compress not in COMPRESSIONS:
         raise ReductionError(f"unknown compression {compress!r}")
+    losses = losses or {}
     dense = robj.to_bytes()
-    bodies = _bodies(robj, dense, encoding, baseline)
+    sitting_out = frozenset(name for name, (left, _) in losses.items() if left)
+    bodies = _bodies(robj, dense, encoding, baseline, sitting_out)
     # Candidates are judged by their *compressed* size: a delta of a
     # near-identical object is as long as dense uncompressed (XOR keeps
     # the length) but collapses to almost nothing once compressed.
@@ -478,8 +525,10 @@ def encode(
     blob = _HEADER.pack(
         _MAGIC, _VERSION, _ENC_IDS[chosen], _COMP_IDS[used_compress]
     ) + body
+    sizes = {name: estimate for name, (estimate, _) in estimates.items()}
     return EncodedObject(
-        blob=blob, dense=dense, encoding=chosen, compression=used_compress
+        blob=blob, dense=dense, encoding=chosen, compression=used_compress,
+        losses=_remember(losses, sizes, len(body)),
     )
 
 

@@ -22,7 +22,6 @@ from ..cache import ChunkCache
 from ..config import CLOUD_SITE, ComputeSpec, MiddlewareTuning
 from ..core.api import GeneralizedReductionApp, iterate_passes
 from ..core.index import DataIndex
-from ..core.reduction import from_bytes
 from ..core.scheduler import HeadScheduler
 from ..core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
 from ..data.dataset import DatasetReader
@@ -410,7 +409,7 @@ class CloudBurstingRuntime:
             telemetry.metrics = self._mirror(telemetry, scheduler, len(slaves))
 
         return RuntimeResult(
-            value=self.app.finalize(from_bytes(result.blob)),
+            value=self.app.finalize(result.robj),
             telemetry=telemetry,
             global_reduction_seconds=head.global_reduction_seconds,
         )

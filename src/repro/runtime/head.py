@@ -162,5 +162,5 @@ class HeadNode:
             self.global_reduction_seconds = clock.monotonic() - started
         assert merged is not None
         self.result = HeadResult(
-            blob=merged.to_bytes(), clusters_reported=tuple(self.expected)
+            robj=merged, clusters_reported=tuple(self.expected)
         )

@@ -16,6 +16,7 @@ from queue import Queue
 from typing import Any
 
 from ..core.job import Job, JobGroup
+from ..core.reduction import ReductionObject
 
 __all__ = [
     "JobRequest",
@@ -177,7 +178,8 @@ class SlaveReduction:
 
 @dataclass(frozen=True)
 class HeadResult:
-    """Final merged reduction object (serialized) plus run accounting."""
+    """The final merged reduction object — handed over live, as the head
+    and the driver share a process — plus run accounting."""
 
-    blob: bytes
+    robj: ReductionObject
     clusters_reported: tuple[str, ...]

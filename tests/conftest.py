@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,24 @@ MIDDLEWARE_THREADS = (
     "head", "master:", "slave:", "service-worker", "prefetch:",
     POOL_THREAD_PREFIX,
 )
+
+
+#: ``benchmarks/`` of this checkout.
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def bench_module(name: str):
+    """Import ``benchmarks/<name>.py``. Its ``from conftest import ...``
+    means the benchmarks' conftest, so ours steps aside for the import."""
+    ours = sys.modules.pop("conftest", None)
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+        sys.modules.pop("conftest", None)
+        if ours is not None:
+            sys.modules["conftest"] = ours
 
 
 def middleware_threads() -> list[str]:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import LOCAL_SITE, MiddlewareTuning, PlacementSpec
 from repro.core.index import build_index
-from repro.core.reduction import ScalarReduction, from_bytes
+from repro.core.reduction import ScalarReduction
 from repro.core.scheduler import HeadScheduler
 from repro.errors import RuntimeProtocolError
 from repro.runtime.head import HeadNode
@@ -43,7 +43,7 @@ def test_head_serves_requests_and_merges():
     robj = ScalarReduction("sum", 5.0)
     head.inbox.post(ReductionUpload(cluster="local-cluster", blob=robj.to_bytes()))
     result = head.join(timeout=5.0)
-    assert from_bytes(result.blob).value() == 5.0
+    assert result.robj.value() == 5.0
     assert result.clusters_reported == ("local-cluster",)
 
 
@@ -104,7 +104,7 @@ def test_master_end_to_end_protocol():
     master.join(timeout=5.0)
     result = head.join(timeout=5.0)
     assert sorted(done_jobs) == [0, 1, 2, 3]
-    assert from_bytes(result.blob).value() == 4.0  # one unit per job
+    assert result.robj.value() == 4.0  # one unit per job
 
 
 def test_master_validation():

@@ -20,6 +20,8 @@ subsystem's contract (docs/SCALING.md):
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from repro.config import (
 from repro.apps import make_bundle
 from repro.core.api import run_serial
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.obs import RunMonitor
+from repro.obs import EventLog, RunMonitor
 from repro.obs.live import _derive
 from repro.options import ScaleOptions
 from repro.runtime.driver import CloudBurstingRuntime
@@ -366,13 +368,30 @@ def test_revocation_sweep_bit_identical_across_substrates(rate, slave_mode):
 
     def one_run():
         b, ix, s = _materialize()
+        trace = EventLog()
+        revoked = threading.Event()
+        stuck: list[int] = []
+
+        def hold_local_until_a_revocation(slave_id: int, job) -> None:
+            # Slaves 0-1 are local. Held at their first job they cannot
+            # drain the pool before a cloud slave reaches its seeded
+            # ordinal; the surviving cloud slave releases them.
+            if slave_id < 2:
+                if not revoked.wait(30.0):
+                    stuck.append(slave_id)
+            elif trace.of_kind("revocation"):
+                revoked.set()
+
         runtime = CloudBurstingRuntime(
             b.app, ix, s,
             ComputeSpec(local_cores=2, cloud_cores=2),
             scale=ScaleOptions(revocation=f"rate={rate},seed=11"),
             slave_mode=slave_mode, seed=2011, join_timeout=60.0,
+            fault_hook=hold_local_until_a_revocation if rate > 0 else None,
+            trace=trace,
         )
         result = runtime.run()
+        assert not stuck, f"no revocation released local slaves {stuck}"
         return result
 
     first = one_run()
@@ -382,7 +401,8 @@ def test_revocation_sweep_bit_identical_across_substrates(rate, slave_mode):
         return
     second = one_run()
     np.testing.assert_array_equal(second.value, oracle)
-    # 128 jobs guarantee a cloud slave reaches its seeded ordinal on any
-    # interleaving; the keep-one floor then pins the count at exactly one.
+    # With the local slaves held, the cloud slaves work through the 128
+    # jobs until one reaches its seeded ordinal; the keep-one floor then
+    # pins the count at exactly one.
     assert first.telemetry.slaves_revoked == 1
     assert second.telemetry.slaves_revoked == 1

@@ -19,7 +19,6 @@ deliberate model change, and say so in the PR::
 
 from __future__ import annotations
 
-import importlib
 import json
 import sys
 from dataclasses import replace
@@ -44,6 +43,8 @@ from repro.sim.multisite import MultiSiteSimulation
 from repro.sim.simulation import CloudBurstSimulation
 from repro.units import MB
 
+from conftest import bench_module
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "data" / "sim_golden.json"
 SCALE = 0.05
@@ -61,20 +62,6 @@ SYNC_SPECS = {
 
 def _envs(app: str) -> dict[str, ExperimentConfig]:
     return {**figure3_configs(app, scale=SCALE), **figure4_configs(app, scale=SCALE)}
-
-
-def _bench_module(name: str):
-    """Import ``benchmarks/<name>.py``. Its ``from conftest import ...``
-    means the benchmarks' conftest, so ours steps aside for the import."""
-    ours = sys.modules.pop("conftest", None)
-    sys.path.insert(0, str(ROOT / "benchmarks"))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(ROOT / "benchmarks"))
-        sys.modules.pop("conftest", None)
-        if ours is not None:
-            sys.modules["conftest"] = ours
 
 
 def _small_hybrid() -> ExperimentConfig:
@@ -104,7 +91,7 @@ def _cached_passes() -> list:
 
 
 def _shared_trunk(topology: str) -> dict:
-    config = _bench_module("bench_sync").shared_trunk_config()
+    config = bench_module("bench_sync").shared_trunk_config()
     profile = replace(get_profile("kmeans"), robj_bytes=64 * MB)
     return MultiSiteSimulation(
         config, profile=profile, sync=SyncSpec(topology=topology)
@@ -163,7 +150,7 @@ def _cases() -> dict:
         _small_hybrid(), sync=SyncSpec(topology="ring", stream=True)
     )
     cases["multisite/two-provider"] = lambda: MultiSiteSimulation(
-        _bench_module("bench_multisite").two_provider_config()
+        bench_module("bench_multisite").two_provider_config()
     ).run().to_dict()
     for topology in ("star", "tree"):
         cases[f"multisite/shared-trunk/{topology}"] = (

@@ -62,7 +62,7 @@ from repro.sim.storagemodel import StorePath
 from repro.storage.objectstore import ObjectStore
 from repro.units import MB
 
-from conftest import small_spec
+from conftest import bench_module, small_spec
 
 
 # -- plan shapes -------------------------------------------------------------
@@ -277,6 +277,177 @@ def test_codec_state_is_exact_under_interleaved_channels(chains):
         assert codec._decode_baselines[name] == last
 
 
+# -- candidate memory --------------------------------------------------------
+
+DELTA_ZLIB = SyncSpec(encoding="delta", compress="zlib", topology="tree")
+
+
+@pytest.fixture(scope="module")
+def bench_sync():
+    return bench_module("bench_sync")
+
+
+def memoryless(uploads):
+    """``(encoding, blob)`` per ``(channel, robj)`` upload with every
+    candidate built on every upload: only baselines carried over."""
+    baselines, out = {}, []
+    for channel, robj in uploads:
+        encoded = wire.encode(
+            robj, encoding="delta", compress="zlib",
+            baseline=baselines.get(channel),
+        )
+        baselines[channel] = encoded.dense
+        out.append((encoded.encoding, encoded.blob))
+    return out
+
+
+def remembering(uploads, monkeypatch):
+    """The same uploads through one :class:`SyncCodec`: per upload its
+    ``(encoding, blob)``, the candidates the channel sat out and whether a
+    delta body was built."""
+    built = []
+    real = wire._delta_body
+
+    def delta_body(*args):
+        built.append(True)
+        return real(*args)
+
+    monkeypatch.setattr(wire, "_delta_body", delta_body)
+    codec = SyncCodec(DELTA_ZLIB)
+    out = []
+    for channel, robj in uploads:
+        losses = codec._encode_losses.get(channel, {})
+        sat_out = {name for name, (left, _) in losses.items() if left}
+        built.clear()
+        encoded = codec.encode(channel, robj)
+        out.append(((encoded.encoding, encoded.blob), sat_out, bool(built)))
+    return out
+
+
+def pagerank_uploads(bench_sync, passes=6):
+    """The e2e-sized accumulators a two-cluster tree ships per pass."""
+    return [
+        (label, robj)
+        for objects in bench_sync.pagerank_objects(
+            bench_sync.E2E_UNITS, bench_sync.E2E_PAGES, passes
+        )
+        for label, robj in objects.items()
+    ]
+
+
+def iterative_uploads(bench_sync, monkeypatch):
+    """Every object the 20-pass iterative bench uploads, in order."""
+    seen = []
+    real = SyncCodec.encode
+
+    def encode(self, channel, robj):
+        seen.append((channel, from_bytes(robj.to_bytes())))
+        return real(self, channel, robj)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SyncCodec, "encode", encode)
+        bench_sync.run_iterative(65536, 20)
+    return seen
+
+
+def test_memory_skips_a_delta_that_cannot_win(bench_sync, monkeypatch):
+    """On the e2e pagerank object sparse beats delta by 3x or more on
+    every upload. Remembering that ships the same bytes and builds the
+    delta body only on the uploads that re-probe it: a channel's 2nd and
+    4th of six (sat out 1, then 2)."""
+    uploads = pagerank_uploads(bench_sync)
+    before = memoryless(uploads)
+    assert {encoding for encoding, _ in before} == {"sparse"}
+    for channel in ("half", "full"):
+        sent = [robj for name, robj in uploads if name == channel]
+        for previous, robj in zip(sent, sent[1:]):
+            dense = robj.to_bytes()
+            delta = wire._delta_body(robj, dense, previous.to_bytes())
+            sparse = wire._sparse_body(robj)
+            assert (
+                wire._estimate(delta, "zlib")[0]
+                >= 3 * wire._estimate(sparse, "zlib")[0]
+            )
+
+    after = remembering(uploads, monkeypatch)
+    assert [sent for sent, _, _ in after] == before
+    for channel in ("half", "full"):
+        mine = [row for (name, _), row in zip(uploads, after) if name == channel]
+        assert [n for n, (_, _, built) in enumerate(mine, 1) if built] == [2, 4]
+        assert [n for n, (_, out, _) in enumerate(mine, 1) if out] == [3, 5, 6]
+
+
+def test_memory_keeps_a_delta_that_alternates(bench_sync, monkeypatch):
+    """On a converging 20-pass pagerank delta wins about half the uploads
+    and loses the others, mostly within 2x — a rule that benched it after
+    any loss would ship dense where delta was about to win. With the
+    margin, every upload that sat nothing out chooses as before."""
+    uploads = iterative_uploads(bench_sync, monkeypatch)
+    assert len(uploads) == 40
+    before = memoryless(uploads)
+    encodings = Counter(encoding for encoding, _ in before)
+    assert encodings["delta"] >= 15 and encodings["dense"] >= 10
+    per_channel: dict[str, list[str]] = {}
+    for (channel, _), (encoding, _) in zip(uploads, before):
+        per_channel.setdefault(channel, []).append(encoding)
+    assert any(
+        a != "delta" and b == "delta"
+        for chosen in per_channel.values()
+        for a, b in zip(chosen, chosen[1:])
+    ), "delta never won right after losing on a channel"
+
+    after = remembering(uploads, monkeypatch)
+    for (encoding, blob), (sent, sat_out, _) in zip(before, after):
+        if not sat_out:
+            assert sent == (encoding, blob)
+    assert sum(len(blob) for (_, blob), _, _ in after) <= 1.1 * sum(
+        len(blob) for _, blob in before
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    uploads=st.lists(
+        st.fixed_dictionaries({
+            "delta": st.integers(1, 400), "sparse": st.integers(1, 400),
+        }),
+        max_size=60,
+    ),
+    shipped=st.integers(1, 200),
+)
+def test_a_benched_candidate_is_estimated_again_within_the_cap(
+    uploads, shipped
+):
+    """Whatever the estimates, a wide loser sits out 1, 2, 4, ... uploads
+    (doubling per consecutive wide loss, capped at ``_MAX_SKIP``) and a
+    candidate within the margin is built next time — so no candidate
+    goes unestimated for more than ``_MAX_SKIP`` uploads in a row, which
+    bounds the bytes a wrong skip can cost."""
+    losses: dict = {}
+    streak = {"delta": 0, "sparse": 0}
+    unestimated = {"delta": 0, "sparse": 0}
+    for sizes in uploads:
+        estimated = {
+            name: size for name, size in sizes.items()
+            if not losses.get(name, (0, 0))[0]
+        }
+        losses = wire._remember(losses, {"dense": shipped, **estimated}, shipped)
+        assert "dense" not in losses
+        for name in sizes:
+            if name not in estimated:
+                unestimated[name] += 1
+                assert unestimated[name] <= wire._MAX_SKIP
+                continue
+            unestimated[name] = 0
+            if estimated[name] >= wire._WIDE_LOSS * shipped:
+                streak[name] += 1
+                span = min(2 ** (streak[name] - 1), wire._MAX_SKIP)
+                assert losses[name] == (span, span)
+            else:
+                streak[name] = 0
+                assert name not in losses
+
+
 # -- head timing via the injectable clock ------------------------------------
 
 
@@ -310,7 +481,7 @@ def test_head_barrier_timing_is_clock_driven():
     head._serve()  # drive on this thread: timing must come from the clock
     # One started/finished pair around the whole barrier merge: 1 tick.
     assert head.global_reduction_seconds == 1.0
-    assert from_bytes(head.result.blob).value() == 2.0
+    assert head.result.robj.value() == 2.0
 
 
 def test_head_stream_timing_accumulates_per_upload():
@@ -324,7 +495,7 @@ def test_head_stream_timing_accumulates_per_upload():
     head._serve()
     # One started/finished pair per streamed merge: 2 ticks in total.
     assert head.global_reduction_seconds == 2.0
-    assert from_bytes(head.result.blob).value() == 4.0
+    assert head.result.robj.value() == 4.0
 
 
 def test_head_rejects_incomplete_coverage():
@@ -346,7 +517,7 @@ def test_head_accepts_relayed_coverage():
         ReductionUpload(cluster="a", blob=blob, origins=("a", "b", "c"))
     )
     head._serve()
-    assert from_bytes(head.result.blob).value() == 6.0
+    assert head.result.robj.value() == 6.0
 
 
 # -- runtime equivalence and streaming fault tolerance -----------------------
