@@ -743,6 +743,7 @@ def _cmd_submit(args: argparse.Namespace) -> None:
         name: t["dispatched"] for name, t in stats["tenants"].items()
     }
     print(f"\ndispatched per tenant: {dispatch}")
+    print(f"datasets built: {stats['datasets']['builds']} for {len(handles)} runs")
     if args.journal:
         print(f"journal: {args.journal} (try `repro status {args.journal}`)")
 

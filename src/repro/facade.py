@@ -53,6 +53,7 @@ from .config import (
 from .core.api import iterate_passes, run_serial
 from .core.index import DataIndex
 from .core.sync import SyncSpec
+from .data import resident
 from .data.dataset import DatasetReader, build_dataset
 from .errors import ConfigurationError
 from .obs.events import EventLog
@@ -339,17 +340,32 @@ def _resolve_bundle(
 
 
 def _build_stores(
-    bundle: AppBundle, dataset: DatasetSpec, config: RunConfig
+    app: str | AppBundle,
+    bundle: AppBundle,
+    dataset: DatasetSpec,
+    config: RunConfig,
 ) -> tuple[DataIndex, dict[str, StorageService]]:
-    """Materialize the dataset into fresh in-memory stores."""
-    stores: dict[str, StorageService] = {
-        LOCAL_SITE: ObjectStore(),
-        CLOUD_SITE: ObjectStore(),
-    }
-    index = build_dataset(
-        dataset, config.placement, bundle.schema, bundle.block_fn, stores
-    )
-    return index, stores
+    """Materialize the dataset into in-memory stores: fresh ones, or, inside
+    a :class:`~repro.service.JobService`, the ones its resident pool already
+    holds for the same bytes (a registry key, its params and seed fix them;
+    a pre-built bundle is opaque and always builds)."""
+
+    def build() -> tuple[DataIndex, dict[str, StorageService]]:
+        stores: dict[str, StorageService] = {
+            LOCAL_SITE: ObjectStore(),
+            CLOUD_SITE: ObjectStore(),
+        }
+        index = build_dataset(
+            dataset, config.placement, bundle.schema, bundle.block_fn, stores
+        )
+        return index, stores
+
+    pool = resident.current()
+    if pool is None or not isinstance(app, str):
+        return build()
+    key = (app, dataset, config.placement, config.seed,
+           tuple(sorted(config.app_params.items())))
+    return pool.get(key, build, dataset.total_bytes)
 
 
 def _inject_faults(
@@ -392,7 +408,7 @@ def _run_serial(
     app: str | AppBundle, dataset: DatasetSpec, config: RunConfig
 ) -> RunResult:
     bundle = _resolve_bundle(app, dataset, config)
-    index, stores = _build_stores(bundle, dataset, config)
+    index, stores = _build_stores(app, bundle, dataset, config)
     stores = _inject_faults(stores, config)
     cache = config.make_cache()
     reader = DatasetReader(
@@ -420,7 +436,7 @@ def _run_serial(
     started = time.perf_counter()
     value, passes = _iterate(bundle, config, run_pass)
     wall = time.perf_counter() - started
-    # One reader, fresh stores and cache: the cumulative ledger is the run.
+    # One reader, fresh injectors and cache: the cumulative ledger is the run.
     telemetry = RunTelemetry(
         wall_seconds=wall, **read_ledger(reader, stores, cache)
     )
@@ -484,7 +500,7 @@ def _run_runtime(
     app: str | AppBundle, dataset: DatasetSpec, config: RunConfig
 ) -> RunResult:
     bundle = _resolve_bundle(app, dataset, config)
-    index, stores = _build_stores(bundle, dataset, config)
+    index, stores = _build_stores(app, bundle, dataset, config)
     return execute_runtime(bundle, index, stores, config)
 
 

@@ -41,6 +41,7 @@ from typing import Any, Callable, Mapping
 from ..clock import SYSTEM_CLOCK, SystemClock
 from ..config import DatasetSpec
 from ..core.jobpool import FairShareQueue
+from ..data.resident import ResidentDatasets
 from ..errors import AdmissionError, ServiceError
 from ..facade import RunConfig, RunResult, run_direct
 from ..obs.live import RunSample
@@ -146,7 +147,10 @@ class JobService:
       virtual time;
     * ``executor`` — what actually runs a submission; defaults to
       :func:`repro.facade.run_direct` (tests inject stubs to model
-      long-running work without real compute);
+      long-running work without real compute). It runs with the
+      service's resident datasets installed, so a run that reaches the
+      facade's dataset build over bytes an earlier run built reuses them
+      (:mod:`repro.data.resident`; ``stats()["datasets"]``);
     * ``journal`` — optional path for a JSON state file: every
       transition is persisted and cross-process cancel requests
       (``repro cancel``) are honored at dispatch time.
@@ -193,6 +197,9 @@ class JobService:
         self._draining = False
         self._stopped = False
         self._journal = ServiceJournal(journal) if journal else None
+        #: Datasets built by earlier runs, handed to later runs over the
+        #: same bytes instead of being rebuilt (:mod:`repro.data.resident`).
+        self._datasets = ResidentDatasets()
         self._threads: list[threading.Thread] = []
         self._workers = workers
         for i in range(workers):
@@ -330,6 +337,7 @@ class JobService:
                 self._nudge()
                 thread.join(timeout=0.01)
         self._threads.clear()
+        self._datasets.clear()
         with self._lock:
             self._journal_sync()
 
@@ -365,6 +373,7 @@ class JobService:
                 "draining": self._draining,
                 "stopped": self._stopped,
                 "tenants": per_tenant,
+                "datasets": self._datasets.stats(),
             }
 
     def handle(self, run_id: str) -> RunHandle:
@@ -408,7 +417,10 @@ class JobService:
     def _execute(self, run: _Run) -> None:
         """Run one submission through the executor (no locks held)."""
         try:
-            result = self._executor(run.app, run.dataset, self._exec_config(run))
+            with self._datasets.active():
+                result = self._executor(
+                    run.app, run.dataset, self._exec_config(run)
+                )
         except Exception as exc:  # noqa: BLE001 - report, don't kill worker
             with self._cond:
                 run.error = exc

@@ -65,6 +65,8 @@ def test_submit_tenant_order_ignores_the_hash_seed():
         "dispatched per tenant: {'zeta': 1, 'alpha': 1, 'mid': 1, 'extra': 0}"
         in first
     )
+    # Three runs of one app over one dataset: the service builds it once.
+    assert "datasets built: 1 for 3 runs" in first
 
 
 def test_submit_sizes_the_dataset_from_the_bundle_schema(capsys):

@@ -88,6 +88,7 @@ def test_submit_prints_table_dispatch_and_journal_hint(capsys, tmp_path):
         )
     dispatched = _line(lines, "dispatched per tenant:")
     assert "'a': 1" in dispatched and "'b': 1" in dispatched
+    assert _line(lines, "datasets built:") == "datasets built: 2 for 2 runs"
     assert lines[-1] == f"journal: {journal} (try `repro status {journal}`)"
 
 
