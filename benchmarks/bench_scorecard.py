@@ -19,8 +19,8 @@ makespans, byte counts, and data-path read accounting — deterministic
 for a given seed, so they are gated at equality with the baseline's
 stored (3-decimal) values. The ``service`` section is wall clock and
 therefore never compared against the baseline, but carries its own hard
-bound inside the collector: the service-wrapped ``repro.run()`` must stay
-within 2 % of ``run_direct``.
+bound inside the collector: a ``JobService`` submission's ceremony must
+stay within 2 % of a ``repro.run()``.
 """
 
 from __future__ import annotations
@@ -192,21 +192,18 @@ def collect_zero_copy(*, units: int, seed: int) -> dict:
 def collect_service(*, units: int, seed: int) -> dict:
     """Single-tenant service overhead — wall clock, gated at collection.
 
-    ``repro.run()`` is now ``JobService.submit(...).result()`` on an
-    inline service; its admission/queue/handle machinery must be noise
+    A :class:`~repro.service.JobService` executes each submission through
+    ``repro.run``; its admission/queue/handle machinery must be noise
     next to a real run. The gate isolates the two terms so machine
     jitter in the multi-millisecond engine run cannot mask (or fake) a
     regression in the microsecond-scale ceremony:
 
-    * ``ceremony_ms`` — the full wrapped path with a no-op executor:
-      service construction, admission, fair-share dispatch, handle
-      resolution, drain, shutdown. Exactly what ``run()`` adds.
-    * ``direct_ms`` — a real serial histogram run.
+    * ``ceremony_us`` — one submission to an inline service with a no-op
+      executor: service construction, admission, fair-share dispatch,
+      handle resolution, drain, shutdown. Exactly what the service adds.
+    * ``direct_ms`` — a real serial histogram run through ``repro.run``.
 
-    The hard bound asserts ceremony < 2 % of the real run. Paired
-    direct-vs-wrapped wall timings are recorded alongside for the
-    artifact (informational — at ~2 % the pairing is dominated by
-    scheduler noise on a shared CI box).
+    The hard bound asserts ceremony < 2 % of the real run.
     """
     import repro
     from repro.service import JobService
@@ -218,31 +215,20 @@ def collect_service(*, units: int, seed: int) -> dict:
         record_bytes=8,
     )
     config = repro.RunConfig(mode="serial", seed=seed)
-    direct = lambda: repro.run_direct("histogram", spec, config)  # noqa: E731
-    wrapped = lambda: repro.run("histogram", spec, config)  # noqa: E731
+    direct = lambda: repro.run("histogram", spec, config)  # noqa: E731
 
     def ceremony():
         with JobService(workers=0, executor=lambda *a: None) as service:
-            service.submit("histogram", spec, config, validate=False).result()
+            service.submit("histogram", spec, config).result()
 
     for _ in range(3):  # warm caches before any timed pass
         direct()
-        wrapped()
 
     reps = 7
     t_ceremony = min(
         timeit.timeit(ceremony, number=20) / 20 for _ in range(reps)
     )
-    direct_times, wrapped_times = [], []
-    for i in range(reps):
-        pair = [("direct", direct), ("wrapped", wrapped)]
-        if i % 2:
-            pair.reverse()
-        for label, fn in pair:
-            t = timeit.timeit(fn, number=3) / 3
-            (direct_times if label == "direct" else wrapped_times).append(t)
-    t_direct = min(direct_times)
-    t_wrapped = min(wrapped_times)
+    t_direct = min(timeit.timeit(direct, number=3) / 3 for _ in range(reps))
     overhead = t_ceremony / t_direct
     assert overhead < 0.02, (
         f"service ceremony costs {overhead * 100:.2f}% of a direct run "
@@ -252,7 +238,6 @@ def collect_service(*, units: int, seed: int) -> dict:
     return {
         "ceremony_us": round(t_ceremony * 1e6, 2),
         "direct_ms": round(t_direct * 1e3, 3),
-        "wrapped_ms": round(t_wrapped * 1e3, 3),
         "overhead_pct": round(overhead * 100, 3),
     }
 

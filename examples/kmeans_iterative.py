@@ -3,9 +3,10 @@
 
 The paper evaluates one Lloyd iteration (the middleware's unit of
 execution); real clustering runs iterate to convergence. This example
-drives the executable runtime through the iterative driver: each pass is
-a full cloud-bursting execution (head/master/slave, work stealing, global
-reduction), and the resulting centroids feed the next pass.
+drives the executable runtime through the shared pass loop
+(``iterate_passes``): each pass is a full cloud-bursting execution
+(head/master/slave, work stealing, global reduction), and the resulting
+centroids feed the next pass.
 
 Run:  python examples/kmeans_iterative.py
 """
@@ -22,8 +23,8 @@ from repro import (
     DatasetSpec,
     PlacementSpec,
     make_bundle,
-    run_iterative,
 )
+from repro.core.api import iterate_passes
 from repro.data.dataset import build_dataset
 from repro.storage.objectstore import ObjectStore
 
@@ -61,8 +62,8 @@ def main() -> None:
         history.append(np.asarray(centroids).copy())
         bundle.app.update(centroids)
 
-    final, passes = run_iterative(
-        runtime, update, iterations=40, tolerance=1e-4
+    final, passes = iterate_passes(
+        lambda: runtime.run().value, update, iterations=40, tolerance=1e-4
     )
     print(f"Converged after {passes} cloud-bursting passes.")
     print("Final centroids:")

@@ -28,10 +28,10 @@ Quickstart — one facade for every engine::
     print(result.value, result.telemetry.retries)
 
 :func:`repro.run` drives the serial oracle, the simulator, or the real
-runtime depending on ``RunConfig.mode``; the older per-engine
-entrypoints (:func:`run_serial`, :func:`simulate`,
-:class:`CloudBurstingRuntime`) remain as thin stable shims over the same
-machinery. Every run option beyond the core fields lives in one of the
+runtime depending on ``RunConfig.mode``, on the caller's thread; a
+:class:`JobService` runs many submissions through it. :func:`simulate`
+and :class:`CloudBurstingRuntime` are the per-engine entrypoints under
+it. Every run option beyond the core fields lives in one of the
 four families of :mod:`repro.options`
 (``RunConfig(cache=CacheOptions(bytes=1 << 26))``, read back as
 ``config.cache.bytes``) or, for the global reduction, in
@@ -39,101 +39,44 @@ four families of :mod:`repro.options`
 ``docs/RESILIENCE.md``.
 """
 
-from .apps import AppBundle, AppProfile, available_apps, make_bundle
-from .cache import CacheStats, ChunkCache, Prefetcher
-from .clock import SYSTEM_CLOCK, FakeClock, SystemClock
-from .bench import (
-    env_config,
-    figure3_configs,
-    figure4_configs,
-    run_figure3,
-    run_figure4,
-)
-from .config import (
-    CLOUD_SITE,
-    LOCAL_SITE,
-    ComputeSpec,
-    DatasetSpec,
-    ExperimentConfig,
-    MiddlewareTuning,
-    PlacementSpec,
-)
-from .core import GeneralizedReductionApp, ReductionObject, run_serial
+from .apps.base import make_bundle
+from .bench.configs import env_config
+from .clock import FakeClock
+from .config import CLOUD_SITE, LOCAL_SITE, ComputeSpec, DatasetSpec, PlacementSpec
+from .core.api import GeneralizedReductionApp
 from .core.sync import SyncSpec
-from .errors import ReproError
-from .facade import RunConfig, RunResult, run, run_direct
-from .options import (
-    CacheOptions,
-    MonitorOptions,
-    ResilienceOptions,
-    ScaleOptions,
-)
-from .resilience import (
-    CircuitBreaker,
-    FaultInjector,
-    FaultSpec,
-    RetryPolicy,
-)
-from .runtime import CloudBurstingRuntime, run_iterative
-from .scale import Autoscaler, RevocationSpec, ScaleDecision
-from .service import JobService, RunHandle, RunState, RunStatus, TenantSpec
-from .sim import PAPER_CALIBRATION, SimCalibration, SimReport, simulate
+from .facade import RunConfig, RunResult, run
+from .options import CacheOptions, MonitorOptions, ResilienceOptions
+from .resilience.faults import FaultSpec
+from .runtime.driver import CloudBurstingRuntime
+from .service.core import JobService, TenantSpec
+from .service.handles import RunState
+from .sim.simulation import simulate
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AppBundle",
-    "AppProfile",
-    "available_apps",
     "make_bundle",
-    "CacheStats",
-    "ChunkCache",
-    "Prefetcher",
-    "FakeClock",
-    "SystemClock",
-    "SYSTEM_CLOCK",
     "env_config",
-    "figure3_configs",
-    "figure4_configs",
-    "run_figure3",
-    "run_figure4",
+    "FakeClock",
     "CLOUD_SITE",
     "LOCAL_SITE",
     "ComputeSpec",
     "DatasetSpec",
-    "ExperimentConfig",
-    "MiddlewareTuning",
     "PlacementSpec",
     "GeneralizedReductionApp",
-    "ReductionObject",
     "SyncSpec",
-    "run_serial",
     "run",
-    "run_direct",
     "RunConfig",
     "RunResult",
     "CacheOptions",
     "MonitorOptions",
     "ResilienceOptions",
-    "ScaleOptions",
-    "Autoscaler",
-    "ScaleDecision",
-    "RevocationSpec",
+    "FaultSpec",
+    "CloudBurstingRuntime",
     "JobService",
     "TenantSpec",
-    "RunHandle",
     "RunState",
-    "RunStatus",
-    "CircuitBreaker",
-    "FaultInjector",
-    "FaultSpec",
-    "RetryPolicy",
-    "ReproError",
-    "CloudBurstingRuntime",
-    "run_iterative",
-    "PAPER_CALIBRATION",
-    "SimCalibration",
-    "SimReport",
     "simulate",
     "__version__",
 ]

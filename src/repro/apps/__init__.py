@@ -4,42 +4,10 @@ Importing this package registers all bundled applications:
 the paper's three (knn, kmeans, pagerank) plus wordcount and histogram.
 """
 
-from .base import (
-    AppBundle,
-    AppProfile,
-    available_apps,
-    get_app_factory,
-    get_profile,
-    make_bundle,
-    register_app,
-)
-from .histogram import HISTOGRAM_PROFILE, HistogramApp
-from .kmeans import KMEANS_PROFILE, KMeansApp
-from .knn import KNN_PROFILE, KnnApp
-from .moments import MOMENTS_PROFILE, MomentsApp
-from .pagerank import PAGERANK_PROFILE, PageRankApp
-from .wordcount import WORDCOUNT_PROFILE, WordCountApp
+# Importing each app module registers it under its key.
+from . import histogram, kmeans, knn, moments, pagerank, wordcount  # noqa: F401
+from .base import AppBundle, available_apps, get_app_factory, make_bundle
 
-__all__ = [
-    "AppBundle",
-    "AppProfile",
-    "available_apps",
-    "get_app_factory",
-    "get_profile",
-    "make_bundle",
-    "register_app",
-    "HISTOGRAM_PROFILE",
-    "HistogramApp",
-    "KMEANS_PROFILE",
-    "KMeansApp",
-    "KNN_PROFILE",
-    "KnnApp",
-    "MOMENTS_PROFILE",
-    "MomentsApp",
-    "PAGERANK_PROFILE",
-    "PageRankApp",
-    "WORDCOUNT_PROFILE",
-    "WordCountApp",
-]
+__all__ = ["AppBundle", "available_apps", "get_app_factory", "make_bundle"]
 
 PAPER_APPS = ("knn", "kmeans", "pagerank")

@@ -1,28 +1,2 @@
 """Baselines: serial correctness oracles and the Map-Reduce comparison
 engine from Section III-A's API discussion."""
-
-from .mapreduce import (
-    MapReduceEngine,
-    MapReduceStats,
-    mr_histogram,
-    mr_wordcount,
-)
-from .serial import (
-    histogram_reference,
-    kmeans_reference,
-    knn_reference,
-    pagerank_reference,
-    wordcount_reference,
-)
-
-__all__ = [
-    "MapReduceEngine",
-    "MapReduceStats",
-    "mr_histogram",
-    "mr_wordcount",
-    "histogram_reference",
-    "kmeans_reference",
-    "knn_reference",
-    "pagerank_reference",
-    "wordcount_reference",
-]

@@ -1,61 +1,2 @@
 """Benchmark harness: the paper's configurations, experiment runners, and
 paper-vs-measured reporting."""
-
-from .configs import (
-    ENV_NAMES,
-    HYBRID_ENVS,
-    SCALABILITY_LADDER,
-    env_config,
-    figure3_configs,
-    figure4_configs,
-    paper_dataset,
-)
-from .experiments import (
-    Figure3Run,
-    Figure4Run,
-    mean_hybrid_slowdown,
-    run_figure3,
-    run_figure4,
-    run_retrieval_ablation,
-    run_robj_ablation,
-    run_scheduling_ablation,
-    table1_rows,
-    table2_rows,
-)
-from .paper_values import FIGURE4_SPEEDUPS, HEADLINE, TABLE1, TABLE2
-from .reporting import (
-    render_figure3,
-    render_figure4,
-    render_table,
-    render_table1,
-    render_table2,
-)
-
-__all__ = [
-    "ENV_NAMES",
-    "HYBRID_ENVS",
-    "SCALABILITY_LADDER",
-    "env_config",
-    "figure3_configs",
-    "figure4_configs",
-    "paper_dataset",
-    "Figure3Run",
-    "Figure4Run",
-    "mean_hybrid_slowdown",
-    "run_figure3",
-    "run_figure4",
-    "run_retrieval_ablation",
-    "run_robj_ablation",
-    "run_scheduling_ablation",
-    "table1_rows",
-    "table2_rows",
-    "FIGURE4_SPEEDUPS",
-    "HEADLINE",
-    "TABLE1",
-    "TABLE2",
-    "render_figure3",
-    "render_figure4",
-    "render_table",
-    "render_table1",
-    "render_table2",
-]

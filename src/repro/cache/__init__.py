@@ -20,7 +20,7 @@ constructs none of this machinery unless asked, mirroring the
 ``policy=None`` fast path in :class:`~repro.storage.retrieval.ChunkRetriever`.
 """
 
-from .chunkcache import CacheStats, ChunkCache
+from .chunkcache import ChunkCache
 from .prefetch import Prefetcher
 
-__all__ = ["CacheStats", "ChunkCache", "Prefetcher"]
+__all__ = ["ChunkCache", "Prefetcher"]

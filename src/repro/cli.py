@@ -112,10 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("app")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--units", type=int, default=65536, help="total data units")
+    _add_run_flags(p, "placement", units=65536)
     p.add_argument("--files", type=int, default=8)
     p.add_argument("--chunks-per-file", type=int, default=4)
-    p.add_argument("--local-fraction", type=float, default=0.5)
 
     p = sub.add_parser(
         "run", help="execute an app over a generated dataset (real runtime)"
@@ -246,12 +245,14 @@ class _Flag(NamedTuple):
 
 
 #: Every flag of the commands that execute the runtime (`run`, `trace
-#: --runtime`, `watch`, `submit`), in --help order. A command installs the
+#: --runtime`, `watch`, `submit`), in --help order; `generate` takes its
+#: dataset's size and placement from here too. A command installs the
 #: families it supports with :func:`_add_run_flags`; :func:`_run_config`
 #: carries them to the ``RunConfig`` by ``path``.
 _RUN_FLAGS = (
-    # Sizes the in-memory dataset; each command passes its own default.
-    _Flag("--units", None, "data units for the in-memory dataset", type=int),
+    # Sizes the dataset (in memory, or on disk for `generate`); each
+    # command passes its own default.
+    _Flag("--units", None, "total data units in the dataset", type=int),
     _Flag("--local-cores", "compute.local_cores"),
     _Flag("--cloud-cores", "compute.cloud_cores"),
     _Flag("--local-fraction", "placement.local_fraction",
@@ -260,8 +261,8 @@ _RUN_FLAGS = (
           "chunk-cache byte budget for cross-site reads (0 = no cache; "
           "iterative passes then refetch nothing already seen)", "N"),
     _Flag("--prefetch", "cache.prefetch",
-          "overlap each slave's next chunk fetch with its current "
-          "reduction (double-buffered pipeline)"),
+          "overlap each slave's next chunk fetches with its current "
+          "reduction (a self-sizing window of 1-8 jobs)"),
     _Flag("--slave-mode", "slave_mode",
           "slave substrate: 'thread' (in-process, default) or 'process' "
           "(decode + local reduction in worker processes over shared memory "
@@ -635,7 +636,7 @@ def _trace_runtime(args: argparse.Namespace) -> None:
     trace = obs.EventLog()
     config = _run_config(args, trace=trace, metrics=obs.MetricsRegistry())
     bundle, spec = _dataset(args.app, args)
-    telemetry = facade.run_direct(bundle, spec, config).telemetry
+    telemetry = facade.run(bundle, spec, config).telemetry
     print(f"{args.app} (real runtime, {args.units} units, "
           f"{args.local_cores}+{args.cloud_cores} cores): "
           f"wall {telemetry.wall_seconds:.3f}s, "
@@ -680,7 +681,7 @@ def _cmd_watch(args: argparse.Namespace) -> None:
           f"sampling every {args.interval}s)")
     print(f"{'time':>8}  {'prog':>5}  {'done':>11}  pool       run  "
           f"wkr      steal      util         cache        eta")
-    result = facade.run_direct(bundle, spec, config)
+    result = facade.run(bundle, spec, config)
     t = result.telemetry
     print(f"\ndone: wall {t.wall_seconds:.3f}s, {t.total_jobs} jobs "
           f"({t.total_stolen} stolen), {len(result.samples)} samples"

@@ -74,10 +74,11 @@ class RuntimeProtocolError(ReproError):
 
 
 class RuntimeTimeoutError(RuntimeProtocolError):
-    """A runtime component did not finish within its join timeout.
+    """A runtime component did not finish within its join timeout, or a
+    mailbox received nothing within its deadline.
 
-    Raised by the driver with a message naming the timeout and which
-    masters/slaves were still alive — a hung run should say who hung.
+    The driver re-raises either with a message naming the timeout and
+    which masters/slaves were still alive — a hung run should say who hung.
     """
 
 

@@ -24,13 +24,8 @@ it. The knobs are grouped into the option families of
 :class:`~repro.core.sync.SyncSpec` — ``config.cache.bytes``,
 ``config.sync.encoding`` — and that is their only spelling.
 
-:func:`run` itself is now a thin wrapper over the multi-run
-:class:`repro.service.JobService` — ``submit(...).result()`` on a
-single-use inline service — so the single-run door and the multi-tenant
-door exercise the same admission/scheduling path.
-:func:`run_direct` keeps the pre-service dispatch alive as the
-equivalence-pinned legacy path (``tests/test_run_facade.py``,
-``tests/test_service.py``).
+:func:`run` executes on the caller's thread. A
+:class:`repro.service.JobService` runs many submissions through it.
 """
 
 from __future__ import annotations
@@ -74,7 +69,7 @@ from .sim.simulation import CloudBurstSimulation
 from .storage.base import StorageService
 from .storage.objectstore import ObjectStore
 
-__all__ = ["RunConfig", "RunResult", "run", "run_direct"]
+__all__ = ["RunConfig", "RunResult", "run"]
 
 #: The engines :func:`run` can drive.
 MODES = ("serial", "simulate", "runtime")
@@ -134,7 +129,7 @@ class RunConfig:
 
     Construction validates each field; :meth:`validate` additionally
     cross-checks the combination for knobs that silently do nothing
-    together (``service.submit`` runs it by default).
+    together (:meth:`repro.service.JobService.submit` always runs it).
     """
 
     mode: str = "runtime"
@@ -189,7 +184,7 @@ class RunConfig:
         budgets, unknown modes); this catches configurations where every
         knob is legal but the combination silently does nothing or would
         only fail deep inside an engine. :meth:`repro.service.JobService.submit`
-        calls it by default; :func:`run` stays permissive for back-compat.
+        always calls it; :func:`run` does not.
         Returns ``self`` so it chains: ``run(app, data, config.validate())``.
         """
         problems: list[str] = []
@@ -564,23 +559,6 @@ _ENGINES = {
 }
 
 
-def run_direct(
-    app: str | AppBundle,
-    dataset: DatasetSpec,
-    config: RunConfig | None = None,
-) -> RunResult:
-    """Execute ``app`` over ``dataset`` on the caller's thread, no service.
-
-    This is the pre-service dispatch: pick the engine ``config.mode``
-    names and run it, nothing else. :func:`run` routes through a
-    single-use :class:`~repro.service.JobService` and is pinned
-    equivalent; the service's own workers execute submissions through
-    this function.
-    """
-    config = config or RunConfig()
-    return _ENGINES[config.mode](app, dataset, config)
-
-
 def run(
     app: str | AppBundle,
     dataset: DatasetSpec,
@@ -594,16 +572,14 @@ def run(
     (deterministically from ``config.seed``), simulate mode only models
     it. With no config, a 50/50 placement runtime run on 2+2 cores.
 
-    Since the service redesign this is sugar for ``submit(...).result()``
-    on a single-use inline :class:`~repro.service.JobService` — one front
-    door, one admission path, whether you run one job or a thousand.
-    ``validate=False`` on the submission keeps the legacy permissiveness
-    (knobs other modes ignore stay ignored rather than failing fast);
-    call ``config.validate()`` yourself or use a real service for the
-    strict path.
+    The run executes on the caller's thread. ``config`` is taken as given:
+    knobs another mode ignores stay ignored; call ``config.validate()``
+    for the strict check :meth:`repro.service.JobService.submit` runs.
+    A service's workers execute each submission through this function.
     """
-    from .service import JobService  # local import: service imports facade
+    config = config or RunConfig()
+    return _ENGINES[config.mode](app, dataset, config)
 
-    with JobService(workers=0) as service:
-        handle = service.submit(app, dataset, config, validate=False)
-        return handle.result()
+
+#: The name ``benchmarks/e2e/workloads.py`` imports; the same function.
+run_direct = run

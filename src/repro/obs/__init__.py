@@ -8,20 +8,9 @@ See ``docs/OBSERVABILITY.md`` for the event schema and the export
 formats.
 """
 
-from .analysis import Interval, render_gantt, utilization, worker_intervals
-from .anomaly import (
-    Straggler,
-    StragglerReport,
-    detect_stragglers,
-    render_stragglers,
-)
-from .events import (
-    KINDS,
-    RUNTIME_KINDS,
-    SIM_KINDS,
-    EventLog,
-    TraceEvent,
-)
+from .analysis import render_gantt, utilization, worker_intervals
+from .anomaly import detect_stragglers, render_stragglers
+from .events import KINDS, RUNTIME_KINDS, SIM_KINDS, EventLog, TraceEvent
 from .export import (
     event_to_dict,
     read_jsonl,
@@ -31,18 +20,9 @@ from .export import (
     write_perfetto,
 )
 from .live import RunMonitor, RunSample, samples_from_log
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 from .spans import (
     PHASES,
-    CriticalSegment,
-    JobSpan,
-    Phase,
     build_spans,
     critical_path,
     phase_totals,
@@ -56,7 +36,6 @@ __all__ = [
     "RUNTIME_KINDS",
     "TraceEvent",
     "EventLog",
-    "Interval",
     "worker_intervals",
     "utilization",
     "render_gantt",
@@ -67,14 +46,9 @@ __all__ = [
     "write_perfetto",
     "render_report",
     "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "PHASES",
-    "Phase",
-    "JobSpan",
-    "CriticalSegment",
     "build_spans",
     "phase_totals",
     "critical_path",
@@ -83,8 +57,6 @@ __all__ = [
     "RunSample",
     "RunMonitor",
     "samples_from_log",
-    "Straggler",
-    "StragglerReport",
     "detect_stragglers",
     "render_stragglers",
 ]

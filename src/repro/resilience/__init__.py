@@ -21,12 +21,11 @@ back to the middleware's slave-failure re-execution.
 """
 
 from .circuit import CircuitBreaker
-from .faults import FaultCounters, FaultInjector, FaultSpec
+from .faults import FaultInjector, FaultSpec
 from .retry import ResilienceStats, RetryBudgetExceeded, RetryPolicy, retry_call
 
 __all__ = [
     "CircuitBreaker",
-    "FaultCounters",
     "FaultInjector",
     "FaultSpec",
     "ResilienceStats",

@@ -5,10 +5,6 @@ over real data in the storage layer, runs an application to completion, and
 returns the final result with telemetry. It is the functional twin of
 :class:`repro.sim.simulation.CloudBurstSimulation`: same index, same
 scheduler, same protocol — real bytes instead of modeled costs.
-
-:func:`run_iterative` drives iterative applications (kmeans to
-convergence, pagerank power iterations) by re-running the single-pass
-runtime and feeding each result back through the app's ``update`` hook.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from typing import Any, Callable, Mapping
 
 from ..cache import ChunkCache
 from ..config import CLOUD_SITE, ComputeSpec, MiddlewareTuning
-from ..core.api import GeneralizedReductionApp, iterate_passes
+from ..core.api import GeneralizedReductionApp
 from ..core.index import DataIndex
 from ..core.scheduler import HeadScheduler
 from ..core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
@@ -42,7 +38,7 @@ from .procpool import ProcessSlavePool
 from .slave import SlaveWorker
 from .telemetry import ClusterTelemetry, RunTelemetry, read_ledger
 
-__all__ = ["RuntimeResult", "CloudBurstingRuntime", "run_iterative", "SLAVE_MODES"]
+__all__ = ["RuntimeResult", "CloudBurstingRuntime", "SLAVE_MODES"]
 
 #: The slave substrates the runtime can execute on.
 SLAVE_MODES = ("thread", "process")
@@ -205,7 +201,7 @@ class CloudBurstingRuntime:
             metrics=self.metrics,
             cache=self.cache,
         )
-        # Injectors, cache and codec count across passes (run_iterative
+        # Injectors, cache and codec count across passes (an iterative run
         # reuses them); the pass reports the ledger's movement.
         before = read_ledger(reader, self.stores, self.cache, codec)
 
@@ -336,13 +332,17 @@ class CloudBurstingRuntime:
                 alive_masters = [m.name for m in masters if m.is_alive()]
                 with slaves_lock:
                     crew = tuple(slaves)
-                alive_slaves = [s.slave_id for s in crew if s.is_alive()]
+                # A master whose own mailbox deadline passed is gone; its
+                # hung slave still names the cluster.
+                alive_slaves = [
+                    f"{s.slave_id} ({s.cluster})" for s in crew if s.is_alive()
+                ]
                 raise RuntimeTimeoutError(
                     f"run did not complete within {self.join_timeout:g}s: the "
                     f"head node is still waiting; masters still alive: "
-                    f"{alive_masters or 'none'}; slaves still alive: "
-                    f"{alive_slaves or 'none'} — a hung slave or a lost "
-                    f"message keeps the reduction from converging"
+                    f"{', '.join(alive_masters) or 'none'}; slaves still alive: "
+                    f"{', '.join(alive_slaves) or 'none'} — a hung slave or a "
+                    f"lost message keeps the reduction from converging"
                 ) from None
             finally:
                 if burst is not None:
@@ -463,26 +463,3 @@ class CloudBurstingRuntime:
         registry.gauge("workers").set(workers)
         registry.gauge("clusters").set(len(telemetry.clusters))
         return registry.snapshot()
-
-
-def run_iterative(
-    runtime: CloudBurstingRuntime,
-    update: Callable[[Any], None],
-    *,
-    iterations: int = 10,
-    tolerance: float | None = None,
-    distance: Callable[[Any, Any], float] | None = None,
-) -> tuple[Any, int]:
-    """Run the app repeatedly, feeding results back via ``update``.
-
-    Stops after ``iterations`` passes, or earlier when ``distance(prev,
-    cur) <= tolerance`` (with the default distance being the max absolute
-    difference of array results). Returns ``(final_result, passes_run)``.
-    """
-    return iterate_passes(
-        lambda: runtime.run().value,
-        update,
-        iterations=iterations,
-        tolerance=tolerance,
-        distance=distance,
-    )

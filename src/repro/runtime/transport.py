@@ -12,7 +12,7 @@ from __future__ import annotations
 import queue
 from typing import Any
 
-from ..errors import RuntimeProtocolError
+from ..errors import RuntimeTimeoutError
 
 __all__ = ["Mailbox"]
 
@@ -32,11 +32,11 @@ class Mailbox:
         self._queue.put(message)
 
     def take(self, timeout: float | None = None) -> Any:
-        """Blocking receive; raises :class:`RuntimeProtocolError` on timeout."""
+        """Blocking receive; raises :class:`RuntimeTimeoutError` on timeout."""
         try:
             message = self._queue.get(timeout=timeout)
         except queue.Empty:
-            raise RuntimeProtocolError(
+            raise RuntimeTimeoutError(
                 f"mailbox {self.name!r}: no message within {timeout}s"
             ) from None
         self.received += 1

@@ -26,20 +26,11 @@ time through :mod:`repro.clock`, so the whole lifecycle — submit,
 dispatch, drain, shutdown — runs deterministically in virtual time under
 a :class:`~repro.clock.FakeClock` in tests.
 
-The single-run facade :func:`repro.run` is sugar for
-``JobService(workers=0).submit(...).result()`` and is equivalence-pinned
-against the direct engine dispatch (:func:`repro.facade.run_direct`).
+Each submission executes through the single-run engine dispatch,
+:func:`repro.run`.
 """
 
 from .core import JobService, TenantSpec
-from .handles import RunHandle, RunState, RunStatus
 from .journal import ServiceJournal
 
-__all__ = [
-    "JobService",
-    "TenantSpec",
-    "RunHandle",
-    "RunState",
-    "RunStatus",
-    "ServiceJournal",
-]
+__all__ = ["JobService", "TenantSpec", "ServiceJournal"]

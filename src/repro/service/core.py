@@ -15,8 +15,7 @@ Two execution shapes share one scheduler:
 * ``workers=0`` (inline) — nothing executes until someone waits:
   ``handle.result()``, :meth:`JobService.drain` and
   :meth:`JobService.shutdown` drive queued runs on the calling thread in
-  fair-share order. Fully deterministic; this is what the single-run
-  :func:`repro.run` facade rides.
+  fair-share order. Fully deterministic.
 * ``workers=N`` (threaded) — N dispatcher threads (spawned through the
   injected :mod:`repro.clock`, so tests drive them in virtual time)
   pull from the queue and execute concurrently; each run's head/master/
@@ -38,12 +37,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from .. import facade
 from ..clock import SYSTEM_CLOCK, SystemClock
 from ..config import DatasetSpec
 from ..core.jobpool import FairShareQueue
 from ..data.resident import ResidentDatasets
 from ..errors import AdmissionError, ServiceError
-from ..facade import RunConfig, RunResult, run_direct
+from ..facade import RunConfig, RunResult
 from ..obs.live import RunSample
 from ..options import MonitorOptions
 from .handles import RunHandle, RunState, RunStatus
@@ -146,7 +146,7 @@ class JobService:
       pass a :class:`~repro.clock.FakeClock` to drive everything in
       virtual time;
     * ``executor`` — what actually runs a submission; defaults to
-      :func:`repro.facade.run_direct` (tests inject stubs to model
+      :func:`repro.run` (tests inject stubs to model
       long-running work without real compute). It runs with the
       service's resident datasets installed, so a run that reaches the
       facade's dataset build over bytes an earlier run built reuses them
@@ -173,7 +173,7 @@ class JobService:
         *,
         capacity: int | None = None,
         clock: Any = SYSTEM_CLOCK,
-        executor: Executor = run_direct,
+        executor: Executor = facade.run,
         journal: str | None = None,
         name: str = "repro-service",
     ) -> None:
@@ -232,20 +232,16 @@ class JobService:
         *,
         tenant: str = "default",
         priority: int = 0,
-        validate: bool = True,
     ) -> RunHandle:
         """Admit one run; returns its handle immediately.
 
         ``priority`` orders runs *within* the tenant (higher first);
-        fairness across tenants is by registered weight. ``validate``
-        runs :meth:`RunConfig.validate` up front so a conflicting config
-        is the submitter's exception, not a worker-side failure ten
-        minutes later (the legacy-permissive :func:`repro.run` wrapper
-        passes ``False``).
+        fairness across tenants is by registered weight. The config is
+        checked with :meth:`RunConfig.validate` up front, so a conflicting
+        config is the submitter's exception, not a worker-side failure ten
+        minutes later.
         """
-        config = config or RunConfig()
-        if validate:
-            config.validate()
+        config = (config or RunConfig()).validate()
         with self._cond:
             if self._stopped or self._draining:
                 raise ServiceError(
@@ -340,10 +336,6 @@ class JobService:
         self._datasets.clear()
         with self._lock:
             self._journal_sync()
-
-    def close(self) -> None:
-        """Alias for :meth:`shutdown` (drains first)."""
-        self.shutdown()
 
     def __enter__(self) -> "JobService":
         return self

@@ -1,19 +1,6 @@
 """Storage substrate: the campus storage node (filesystem-backed) and the
 S3-like object store, behind one byte-range interface."""
 
-from .base import StorageService, validate_range
-from .localfs import LocalStorage
-from .objectstore import ObjectStore, RequestStats, TrafficShaper
-from .retrieval import ChunkRetriever, RangePlan, plan_ranges
+from .objectstore import ObjectStore
 
-__all__ = [
-    "StorageService",
-    "validate_range",
-    "LocalStorage",
-    "ObjectStore",
-    "RequestStats",
-    "TrafficShaper",
-    "ChunkRetriever",
-    "RangePlan",
-    "plan_ranges",
-]
+__all__ = ["ObjectStore"]

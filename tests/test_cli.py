@@ -210,3 +210,17 @@ def test_api_doc_lists_every_command():
     )
     for name in subcommands.choices:
         assert callable(getattr(cli, f"_cmd_{name}")), name
+
+
+def test_api_doc_opens_with_the_public_names():
+    """docs/API.md opens with exactly the names ``repro.__all__`` exports."""
+    from pathlib import Path
+
+    import repro
+
+    doc = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
+    opening = doc.split("\n## ", 1)[0]
+    listed = opening.split("{", 1)[1].split("}", 1)[0].replace("\n", " ")
+    assert sorted(name.strip() for name in listed.split(",")) == sorted(
+        repro.__all__
+    )

@@ -149,7 +149,7 @@ def test_overlapping_service_runs_nest_and_unwind_in_either_order(pool, first_ou
     with JobService(workers=2, executor=executor) as service:
         handles = {}
         for name in ("a", "b"):
-            handles[name] = service.submit(name, None, validate=False)
+            handles[name] = service.submit(name, None)
             assert inside[name].wait(WAIT)
         assert pool.threads == CORES // 4
         release[first_out].set()

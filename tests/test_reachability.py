@@ -10,6 +10,11 @@ scan cannot see — an entry point, a reference implementation tests
 compare against, a module reached through a string-keyed registry — is
 listed in ``EXEMPT`` with its reason.
 
+Names follow the same rule: a package exports a name only when some
+file under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``
+imports it through that package (``from repro.pkg import Name`` or
+``repro.pkg.Name``); another ``__init__`` re-exporting it does not count.
+
 The same rule holds one level down for the classes a pass is built
 from: a defaulted constructor parameter is an option only if some call
 under ``src/``, ``benchmarks/`` or ``examples/`` passes it; the ones
@@ -92,27 +97,23 @@ class _Scan:
             return None
         return module if module in self.trees else None
 
-    def uses(self, importer: str, tree: ast.Module) -> set[str]:
-        """Modules under ``src/`` that ``tree`` imports or calls into."""
-        found: set[str] = set()
+    def references(self, importer: str, tree: ast.Module) -> set[tuple[str, str]]:
+        """Every ``(module, name)`` that ``tree`` imports or calls into, as
+        spelled: ``from repro.pkg import Name`` and ``repro.pkg.Name`` are
+        ``("repro.pkg", "Name")``; a module itself is ``(module, "")``."""
+        found: set[tuple[str, str]] = set()
         bound: dict[str, str] = {}  # local name -> module it is bound to
-
-        def reach(module: str, name: str = "") -> None:
-            target = self.resolve(module, name)
-            if target is not None:
-                found.add(target)
-
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    reach(alias.name)
+                    found.add((alias.name, ""))
                     top = alias.name.split(".")[0]
                     bound[alias.asname or top] = alias.name if alias.asname else top
             elif isinstance(node, ast.ImportFrom):
                 source = self._absolute(importer, node)
-                reach(source)
+                found.add((source, ""))
                 for alias in node.names:
-                    reach(source, alias.name)
+                    found.add((source, alias.name))
                     if f"{source}.{alias.name}" in self.trees:
                         bound[alias.asname or alias.name] = f"{source}.{alias.name}"
         for node in ast.walk(tree):
@@ -126,11 +127,16 @@ class _Scan:
             for attr in reversed(chain):
                 if f"{module}.{attr}" in self.trees:
                     module = f"{module}.{attr}"
-                    reach(module)
+                    found.add((module, ""))
                 else:
-                    reach(module, attr)
+                    found.add((module, attr))
                     break
         return found
+
+    def uses(self, importer: str, tree: ast.Module) -> set[str]:
+        """Modules under ``src/`` that ``tree`` imports or calls into."""
+        targets = {self.resolve(*ref) for ref in self.references(importer, tree)}
+        return targets - {None}
 
     def reached(self) -> set[str]:
         frontier: set[str] = set()
@@ -147,6 +153,38 @@ class _Scan:
             if module not in self.packages:  # an __init__ re-export reaches nothing
                 frontier |= self.uses(module, self.trees[module]) - reached
         return reached
+
+    def exported(self, package: str) -> set[str]:
+        """The names ``package``'s ``__init__`` hands out: its ``__all__``
+        and every name it imports (a bare submodule import is not a name)."""
+        names = {
+            name
+            for name, (source, original) in self.exports[package].items()
+            if f"{source}.{original}" not in self.trees
+        }
+        for node in self.trees[package].body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                names |= set(ast.literal_eval(node.value))
+        return names
+
+    def through_packages(self) -> set[tuple[str, str]]:
+        """``(package, name)`` for every name a file under ``src/``,
+        ``tests/``, ``benchmarks/`` or ``examples/`` reaches through the
+        package path; an ``__init__`` re-exporting it does not count."""
+        trees = [(m, tree) for m, tree in self.trees.items() if m not in self.packages]
+        for folder in ("tests", "benchmarks", "examples"):
+            trees += [
+                ("", ast.parse(path.read_text(), filename=str(path)))
+                for path in sorted((ROOT / folder).rglob("*.py"))
+            ]
+        return {
+            (module, name)
+            for importer, tree in trees
+            for module, name in self.references(importer, tree)
+            if module in self.packages and name
+        }
 
 
 @functools.cache
@@ -171,6 +209,26 @@ def test_exempted_modules_still_exist():
     )
     assert not missing, f"exempted modules that no longer exist: {missing}"
     assert all(reason.strip() for reason in EXEMPT.values())
+
+
+# -- the same rule for names: a package exports what is reached through it ----
+
+
+def test_every_export_is_reached_through_its_package():
+    scan = _scan()
+    reached = scan.through_packages()
+    unreached = sorted(
+        f"{package}.{name}"
+        for package in scan.packages
+        for name in scan.exported(package)
+        # ``__version__`` is the conventional place users look, never imported.
+        if (package, name) not in reached and name != "__version__"
+    )
+    assert not unreached, (
+        "names a package exports that nothing imports through it (drop the "
+        "re-export; importers use the defining module): "
+        f"{unreached}"
+    )
 
 
 # -- the same rule one level down: run-path constructor options ----------------

@@ -27,7 +27,6 @@ from repro import (
 from repro.apps import make_bundle
 from repro.data import resident
 from repro.data.resident import ResidentDatasets, current
-from repro.facade import run_direct
 
 from conftest import middleware_threads, small_spec
 
@@ -72,7 +71,7 @@ def assert_same(a, b, *, rtol: float = 0.0) -> None:
 @pytest.mark.parametrize("app", ["histogram", "wordcount", "kmeans"])
 @pytest.mark.parametrize("config", [SERIAL, RUNTIME], ids=["serial", "runtime"])
 def test_service_runs_equal_direct_runs(app, config):
-    direct = run_direct(app, spec(app), config)
+    direct = repro.run(app, spec(app), config)
     with JobService() as service:
         handles = [service.submit(app, spec(app), config) for _ in range(3)]
         for handle in handles:
@@ -88,7 +87,7 @@ def test_concurrent_runs_on_one_resident_dataset_keep_their_own_ledger():
             faults=FaultSpec(transient_rate=0.2, seed=3)
         ),
     )
-    solo = run_direct("histogram", spec("histogram"), config).telemetry
+    solo = repro.run("histogram", spec("histogram"), config).telemetry
     assert solo.faults_injected and solo.retries and solo.cache_misses
     with JobService(workers=2) as service:
         handles = [
@@ -107,8 +106,8 @@ def test_iterative_runs_on_resident_data_do_not_share_app_state():
     """kmeans recenters its app between passes; a resident dataset must
     not carry one run's centers into the next."""
     iterative = RunConfig(mode="runtime", seed=5, iterations=3)
-    single = run_direct("kmeans", spec("kmeans"), RUNTIME).value
-    triple = run_direct("kmeans", spec("kmeans"), iterative).value
+    single = repro.run("kmeans", spec("kmeans"), RUNTIME).value
+    triple = repro.run("kmeans", spec("kmeans"), iterative).value
     with JobService() as service:
         for config, expected in [
             (RUNTIME, single), (iterative, triple),
@@ -161,9 +160,8 @@ def test_prebuilt_bundles_and_direct_runs_build_every_time(builds):
             service.submit(bundle, spec("histogram"), SERIAL).result()
     assert len(builds) == 2
     for _ in range(2):
-        run_direct("histogram", spec("histogram"), SERIAL)
         repro.run("histogram", spec("histogram"), SERIAL)
-    assert len(builds) == 6
+    assert len(builds) == 4
     assert current() is None
 
 

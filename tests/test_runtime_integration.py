@@ -27,9 +27,9 @@ from repro.config import (
     MiddlewareTuning,
     PlacementSpec,
 )
-from repro.core.api import run_serial
+from repro.core.api import iterate_passes, run_serial
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.runtime.driver import CloudBurstingRuntime, run_iterative
+from repro.runtime.driver import CloudBurstingRuntime
 from repro.storage.objectstore import ObjectStore
 
 TOTAL_UNITS = 2048
@@ -156,8 +156,9 @@ def test_iterative_kmeans_converges():
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2)
     )
-    result, passes = run_iterative(
-        runtime, bundle.app.update, iterations=30, tolerance=1e-3
+    result, passes = iterate_passes(
+        lambda: runtime.run().value, bundle.app.update, iterations=30,
+        tolerance=1e-3,
     )
     assert passes < 30  # converged before the cap
     # Fixed point: one more iteration barely moves the centroids.
@@ -171,8 +172,9 @@ def test_iterative_pagerank_converges_to_stationary():
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2)
     )
-    result, passes = run_iterative(
-        runtime, bundle.app.update, iterations=60, tolerance=1e-10
+    result, passes = iterate_passes(
+        lambda: runtime.run().value, bundle.app.update, iterations=60,
+        tolerance=1e-10,
     )
     units = all_units(bundle, index, stores)
     reference = pagerank_reference(units, bundle.app.n_pages, iterations=passes)

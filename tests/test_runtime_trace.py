@@ -27,6 +27,7 @@ from repro.config import (
     MiddlewareTuning,
     PlacementSpec,
 )
+from repro.core.api import iterate_passes
 from repro.data.dataset import build_dataset
 from repro.errors import RuntimeTimeoutError, WorkerFailure
 from repro.obs import (
@@ -41,7 +42,8 @@ from repro.obs import (
     worker_intervals,
     write_jsonl,
 )
-from repro.runtime.driver import CloudBurstingRuntime, run_iterative
+from repro.runtime.driver import CloudBurstingRuntime
+from repro.runtime.head import HeadNode
 from repro.runtime.telemetry import RunTelemetry
 from repro.storage.objectstore import ObjectStore
 
@@ -169,7 +171,7 @@ def test_traced_prefetch_run_through_the_facade():
     """`RunConfig(trace=…, cache=CacheOptions(prefetch=True))`: the next
     job's fetch overlaps the current job's compute on every worker."""
     log = EventLog()
-    result = repro.run_direct(
+    result = repro.run(
         "kmeans",
         DatasetSpec(
             total_bytes=TOTAL_UNITS * 16, num_files=FILES,
@@ -290,7 +292,7 @@ def test_iterative_passes_share_one_timeline():
         bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
         trace=log,
     )
-    run_iterative(runtime, bundle.app.update, iterations=2)
+    iterate_passes(lambda: runtime.run().value, bundle.app.update, iterations=2)
     # Two passes, one continuous (monotone-origin) event stream.
     assert len(log.of_kind("fetch_start")) == 2 * NUM_JOBS
     assert len(log.of_kind("merge_done")) == 4
@@ -337,6 +339,42 @@ def test_join_timeout_names_alive_components():
     assert "masters still alive" in message and "slaves still alive" in message
     assert "local-cluster" in message  # the hung slave's master is named
     block.set()  # unblock the daemon thread so the interpreter exits cleanly
+
+
+def test_join_timeout_is_named_after_every_mailbox_deadline_fired(monkeypatch):
+    """The head's and the masters' own mailbox deadlines pass before the
+    driver looks: the run still ends in the driver's named timeout, and
+    the hung slave still names its cluster though its master is gone."""
+    bundle, index, stores = materialize("wordcount", vocabulary=16)
+    block = threading.Event()  # never set during the run: one slave hangs
+
+    def fault_hook(slave_id, job):
+        if slave_id == 0:
+            block.wait()
+
+    join = HeadNode.join
+
+    def join_after_deadlines(self, timeout=None):
+        masters = [t for t in threading.enumerate() if t.name.startswith("master:")]
+        for thread in (self._thread, *masters):
+            thread.join(10)
+            assert not thread.is_alive(), thread.name
+        return join(self, timeout)
+
+    monkeypatch.setattr(HeadNode, "join", join_after_deadlines)
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
+        fault_hook=fault_hook, join_timeout=0.5,
+    )
+    try:
+        with pytest.raises(RuntimeTimeoutError) as info:
+            runtime.run()
+    finally:
+        block.set()
+    message = str(info.value)
+    assert "run did not complete within 0.5s" in message
+    assert "masters still alive: none" in message
+    assert "0 (local-cluster)" in message
 
 
 def test_join_timeout_must_be_positive():

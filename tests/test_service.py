@@ -1,6 +1,6 @@
 """JobService: submit/handle lifecycle, admission, fairness, drain.
 
-Real-execution tests use tiny datasets through :func:`repro.run_direct`
+Real-execution tests use tiny datasets through :func:`repro.run`
 (the default executor); scheduling-behavior tests inject stub executors
 on a :class:`~repro.clock.FakeClock` so nothing sleeps for real.
 """
@@ -48,12 +48,17 @@ def virtual_executor(clock: FakeClock, seconds: float = 1.0):
     return execute
 
 
-# -- the facade wrapper -------------------------------------------------------
+# -- the single-run door ------------------------------------------------------
 
 
 def test_run_is_equivalent_to_run_direct():
-    via_service = repro.run("wordcount", DATASET, SERIAL)
-    direct = repro.run_direct("wordcount", DATASET, SERIAL)
+    # One function under both names; a service submission returns what it does.
+    from repro.facade import run_direct
+
+    assert repro.run is run_direct
+    direct = repro.run("wordcount", DATASET, SERIAL)
+    with JobService() as service:
+        via_service = service.submit("wordcount", DATASET, SERIAL).result()
     assert via_service.value == direct.value
     assert via_service.mode == direct.mode == "serial"
 
@@ -63,14 +68,16 @@ def test_run_reraises_engine_errors_like_run_direct():
 
     bad = RunConfig(mode="serial", iterations=3)  # wordcount has no update()
     with pytest.raises(ConfigurationError, match="update"):
-        repro.run_direct("wordcount", DATASET, bad)
-    with pytest.raises(ConfigurationError, match="update"):
         repro.run("wordcount", DATASET, bad)
+    with JobService() as service:
+        handle = service.submit("wordcount", DATASET, bad)
+        with pytest.raises(ConfigurationError, match="update"):
+            handle.result()
 
 
 def test_run_stays_permissive_where_submit_validates():
-    # prefetch-with-no-cache is a validate() conflict, but the legacy
-    # facade accepted (and ignored) it — run() must keep doing so.
+    # prefetch-with-no-cache is a validate() conflict: run() accepts (and
+    # ignores) it, JobService.submit refuses it.
     permissive = RunConfig(
         mode="serial", cache=repro.CacheOptions(prefetch=True)
     )
@@ -80,10 +87,6 @@ def test_run_stays_permissive_where_submit_validates():
 
         with pytest.raises(ConfigurationError, match="prefetch"):
             service.submit("wordcount", DATASET, permissive)
-        handle = service.submit(
-            "wordcount", DATASET, permissive, validate=False
-        )
-        assert handle.result().value
 
 
 # -- inline lifecycle ---------------------------------------------------------
@@ -330,7 +333,7 @@ def test_shutdown_cancel_pending_spares_nothing_queued():
 
 
 def test_runtime_runs_through_threaded_service_match_direct():
-    direct = repro.run_direct(
+    direct = repro.run(
         "histogram",
         DatasetSpec(
             total_bytes=2048 * 8, num_files=4, chunk_bytes=1024,

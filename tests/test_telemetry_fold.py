@@ -167,7 +167,7 @@ def test_faulty_run_reports_what_its_reader_and_injectors_hold(mode, monkeypatch
             retry=RetryPolicy(max_attempts=40, base_backoff=0, max_backoff=0),
         ),
     )
-    t = repro.run_direct("wordcount", _dataset("wordcount", 2048, 32), config).telemetry
+    t = repro.run("wordcount", _dataset("wordcount", 2048, 32), config).telemetry
     (reader,), (stores,) = readers, injected
     assert t.faults_injected == sum(s.counters.total for s in stores.values()) > 0
     assert t.retries == reader.resilience.retries > 0
