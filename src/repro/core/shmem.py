@@ -20,12 +20,10 @@ trade is visible exactly as FREERIDE reported: replication wins on time,
 locking wins on memory, and the gap widens with thread count and object
 size.
 
-The same strategies govern the GIL-free process substrate
-(:mod:`repro.runtime.procpool`): full replication and chunk merge carry
-over directly (each worker *process* plays the role of a thread, with
-the reduction object crossing back through its bytes envelope), while
-full locking — one object under one in-process lock — has no meaning
-across address spaces and is rejected there.
+The GIL-free process substrate (:mod:`repro.runtime.procpool`) uses
+full replication only: each worker *process* holds its own reduction
+object, which crosses back to its slave thread through its bytes
+envelope.
 """
 
 from __future__ import annotations

@@ -71,7 +71,6 @@ class ClusterBurst:
             scale.make_autoscaler() if scale.autoscale else None
         )
         self.slaves_added = 0
-        self.slaves_removed = 0
         self.slaves_revoked = 0
         #: Dynamic slaves that actually joined the run (for reporting).
         self.started: list = []
@@ -129,7 +128,6 @@ class ClusterBurst:
         if worker_id in self._retiring:
             self._retiring.discard(worker_id)
             self._gone.add(worker_id)
-            self.slaves_removed += 1
             if self.trace is not None:
                 self.trace.record(
                     self.env.now, "scale_down", cluster=self.master.name,

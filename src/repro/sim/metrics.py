@@ -34,7 +34,6 @@ class SlaveMetrics:
     processing: float = 0.0
     retrieval: float = 0.0
     jobs: int = 0
-    finish_time: float = 0.0
 
     @property
     def busy(self) -> float:

@@ -64,7 +64,6 @@ class SimMaster:
         self._waiters: deque[Event] = deque()
         self._fetching = False
         self._no_more = False
-        self.head_exchanges = 0
 
     # -- static-assignment mode (ablation baseline) ----------------------------
 
@@ -135,7 +134,6 @@ class SimMaster:
 
     def _fetch(self):
         yield self.env.timeout(self.control_rtt)
-        self.head_exchanges += 1
         group = self.scheduler.request_jobs(self.name, self.group_size)
         if group is None:
             self._no_more = True
@@ -234,4 +232,3 @@ class SimSlave:
                     worker=self.worker_id, job_id=job.job_id,
                 )
             self.master.job_done(job)
-        metrics.finish_time = self.env.now
