@@ -80,7 +80,7 @@ def test_two_cloud_providers(benchmark):
         rounds=1, iterations=1,
     )
     rows = [
-        (c.site, c.cores, c.jobs_processed, c.jobs_stolen,
+        (c.site, c.slaves, c.jobs_processed, c.jobs_stolen,
          f"{c.mean_processing:.1f}", f"{c.mean_retrieval:.1f}",
          f"{c.sync:.1f}")
         for c in report.clusters.values()
@@ -89,7 +89,7 @@ def test_two_cloud_providers(benchmark):
         f"Two-provider bursting (knn, 120 GB): makespan {report.makespan:.1f} s, "
         f"global reduction {report.global_reduction:.3f} s\n"
         + render_table(
-            ("site", "cores", "jobs", "stolen", "proc", "retr", "sync"), rows
+            ("site", "slaves", "jobs", "stolen", "proc", "retr", "sync"), rows
         )
     )
     # Every job processed exactly once across the three sites.

@@ -8,7 +8,11 @@ measured at testbed scale: centralized-local is fastest, and the hybrid's
 penalty grows as data skews toward the remote store.
 
 Wall-clock assertions are deliberately loose (2x bands) — this is a shape
-check, not a timing benchmark.
+check, not a timing benchmark. The per-cluster decomposition (processing,
+retrieval, sync, idle) is asserted on relations that hold by construction
+or by a wide margin: every pass validates, idle never exceeds sync, the
+hybrid cluster that finished processing first is the one that idled, and
+centralized-local spends the smallest share of its time retrieving.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_bundle
+from repro.cli import _cluster_table
 from repro.config import (
     CLOUD_SITE,
     LOCAL_SITE,
@@ -26,6 +31,7 @@ from repro.config import (
 )
 from repro.data.dataset import build_dataset
 from repro.runtime.driver import CloudBurstingRuntime
+from repro.runtime.telemetry import RunTelemetry
 from repro.storage.objectstore import ObjectStore, TrafficShaper
 
 from conftest import print_block
@@ -39,7 +45,9 @@ CHUNKS_PER_FILE = 4
 WAN_SHAPER = TrafficShaper(request_latency=0.040, bandwidth=2 * 1024 * 1024)
 
 
-def run_env(local_fraction: float, local_cores: int, cloud_cores: int) -> float:
+def run_env(
+    local_fraction: float, local_cores: int, cloud_cores: int
+) -> RunTelemetry:
     bundle = make_bundle("histogram", TOTAL_UNITS, bins=64)
     rb = bundle.schema.record_bytes
     spec = DatasetSpec(
@@ -63,7 +71,13 @@ def run_env(local_fraction: float, local_cores: int, cloud_cores: int) -> float:
     )
     result = runtime.run()
     assert result.value.sum() == TOTAL_UNITS  # every unit counted once
-    return result.telemetry.wall_seconds
+    return result.telemetry
+
+
+def retrieval_share(telemetry: RunTelemetry) -> float:
+    """Summed mean retrieval over summed bar heights, across clusters."""
+    clusters = telemetry.clusters.values()
+    return sum(c.mean_retrieval for c in clusters) / sum(c.total for c in clusters)
 
 
 @pytest.mark.benchmark(group="runtime-shape")
@@ -75,11 +89,26 @@ def test_runtime_reproduces_hybrid_ordering(benchmark):
             "env-25/75": run_env(0.25, 2, 2),
         }
 
-    walls = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    walls = {env: t.wall_seconds for env, t in runs.items()}
     print_block(
         "Executable runtime, shaped stores (seconds of wall time):\n"
-        + "\n".join(f"  {env:10s} {t:.3f}s" for env, t in walls.items())
+        + "\n".join(
+            f"{env} {t.wall_seconds:.3f}s, retrieval share "
+            f"{retrieval_share(t):.0%}\n{_cluster_table(t, 'cluster', idle=True)}"
+            for env, t in runs.items()
+        )
     )
+    for env, t in runs.items():
+        t.validate()
+        assert all(c.idle <= c.sync for c in t.clusters.values()), env
+        if len(t.clusters) == 2:
+            # Whoever ran out of jobs first waited for the other.
+            first = min(t.clusters.values(), key=lambda c: c.processing_end)
+            assert first.idle == max(c.idle for c in t.clusters.values()), env
+    # An unshaped local store: the least time spent retrieving.
+    assert retrieval_share(runs["env-local"]) < retrieval_share(runs["env-50/50"])
+    assert retrieval_share(runs["env-local"]) < retrieval_share(runs["env-25/75"])
     # Centralized local (unshaped store) beats both hybrids, whose slaves
     # pay real shaped latency for remote chunks.
     assert walls["env-local"] < walls["env-50/50"]

@@ -98,7 +98,8 @@ def main() -> None:
     assert abs(a - TRUE_A) < 0.02 and abs(b - TRUE_B) < 0.02
     print()
     for name, cluster in result.telemetry.clusters.items():
-        print(f"{name}: {cluster.jobs} chunks processed, {cluster.stolen} stolen")
+        print(f"{name}: {cluster.jobs_processed} chunks processed, "
+              f"{cluster.jobs_stolen} stolen")
     print("(the app never mentioned sites, chunks, or transfers)")
 
 

@@ -62,7 +62,7 @@ def run_executable_runtime() -> None:
     print("  ...")
     for name, cluster in result.telemetry.clusters.items():
         print(
-            f"{name}: {cluster.jobs} jobs ({cluster.stolen} stolen), "
+            f"{name}: {cluster.jobs_processed} jobs ({cluster.jobs_stolen} stolen), "
             f"processing {cluster.mean_processing * 1000:.1f} ms/slave, "
             f"retrieval {cluster.mean_retrieval * 1000:.1f} ms/slave"
         )

@@ -64,11 +64,11 @@ def main() -> None:
     print(f"global reduction (two ~300 MB objects over the WAN): "
           f"{report.global_reduction:.1f} s")
     print()
-    print(f"{'site':>12s} {'cores':>5s} {'jobs':>5s} {'stolen':>6s} "
+    print(f"{'site':>12s} {'slaves':>6s} {'jobs':>5s} {'stolen':>6s} "
           f"{'proc':>7s} {'retr':>7s} {'sync':>7s}")
     for cluster in report.clusters.values():
         print(
-            f"{cluster.site:>12s} {cluster.cores:5d} "
+            f"{cluster.site:>12s} {cluster.slaves:6d} "
             f"{cluster.jobs_processed:5d} {cluster.jobs_stolen:6d} "
             f"{cluster.mean_processing:6.1f}s {cluster.mean_retrieval:6.1f}s "
             f"{cluster.sync:6.1f}s"

@@ -52,7 +52,7 @@ def render_bar(label: str, parts: dict[str, float], unit_per_char: float) -> str
 def render_figure3(run: Figure3Run) -> str:
     """Figure 3 for one app: per-env, per-cluster time decomposition."""
     headers = (
-        "env", "cluster", "cores",
+        "env", "cluster", "slaves",
         "processing", "retrieval", "sync", "total",
         "slowdown", "ratio",
     )
@@ -65,7 +65,7 @@ def render_figure3(run: Figure3Run) -> str:
                 (
                     env,
                     cluster.site,
-                    cluster.cores,
+                    cluster.slaves,
                     fmt_seconds(cluster.mean_processing),
                     fmt_seconds(cluster.mean_retrieval),
                     fmt_seconds(cluster.sync),

@@ -396,15 +396,15 @@ def _cmd_apps(args: argparse.Namespace) -> None:
 
 
 def _cluster_table(report, label: str, idle: bool = False) -> str:
-    """A simulator report's per-cluster breakdown, optionally with the
-    idle-time column."""
+    """A report's per-cluster breakdown (either engine's), each row keyed by
+    ``label`` — the cluster's name or its site — optionally with idle time."""
     rows = [
-        (c.site, c.cores, c.jobs_processed, c.jobs_stolen,
-         fmt_seconds(c.mean_processing), fmt_seconds(c.mean_retrieval),
+        (c.name if label == "cluster" else c.site, c.slaves, c.jobs_processed,
+         c.jobs_stolen, fmt_seconds(c.mean_processing), fmt_seconds(c.mean_retrieval),
          fmt_seconds(c.sync), *([fmt_seconds(c.idle)] if idle else []))
         for c in report.clusters.values()
     ]
-    headers = (label, "cores", "jobs", "stolen", "proc", "retr", "sync")
+    headers = (label, "slaves", "jobs", "stolen", "proc", "retr", "sync")
     return render_table(headers + (("idle",) if idle else ()), rows)
 
 
@@ -545,8 +545,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     else:
         seq = list(value)[:4] if hasattr(value, "__iter__") else value
         print(f"result: {seq}")
-    for name, cluster in t.clusters.items():
-        print(f"{name}: {cluster.jobs} jobs ({cluster.stolen} stolen)")
+    print(_cluster_table(t, "cluster", idle=True))
     print(
         f"data path ({config.slave_mode} slaves): {t.zero_copy_reads} zero-copy "
         f"reads, {t.bytes_copied} bytes copied"

@@ -41,8 +41,6 @@ class JobPool:
         self._outstanding: dict[int, int] = {}  # group_id -> unfinished jobs
         self._seen_jobs: set[int] = set()
         self._inflight: set[int] = set()  # job ids taken but not done
-        self.jobs_added = 0
-        self.jobs_taken = 0
         self.jobs_done = 0
 
     # -- filling -----------------------------------------------------------
@@ -64,7 +62,6 @@ class JobPool:
             self._group_of[job.job_id] = group.group_id
             self._queue.append(job)
         self._outstanding[group.group_id] = len(group.jobs)
-        self.jobs_added += len(group.jobs)
 
     #: Group id used for re-executed jobs whose original group already
     #: completed; recovery groups are master-local and never acknowledged
@@ -96,7 +93,6 @@ class JobPool:
         """Hand out the next job, or ``None`` when the pool is empty."""
         if not self._queue:
             return None
-        self.jobs_taken += 1
         job = self._queue.popleft()
         self._inflight.add(job.job_id)
         return job

@@ -112,9 +112,6 @@ class HeadScheduler:
     def exhausted(self) -> bool:
         return self.jobs_remaining == 0
 
-    def pending_in_file(self, file_id: int) -> int:
-        return len(self._pending.get(file_id, ()))
-
     def readers_of(self, file_id: int) -> int:
         return self._readers.get(file_id, 0)
 

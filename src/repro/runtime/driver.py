@@ -25,6 +25,7 @@ from ..errors import ConfigurationError, RuntimeTimeoutError
 from ..obs.events import EventLog
 from ..obs.live import RunMonitor
 from ..obs.metrics import MetricsRegistry
+from ..obs.record import ClusterReport
 from ..obs.spans import span_summary
 from ..options import ScaleOptions
 from ..resilience.retry import RetryPolicy
@@ -36,7 +37,7 @@ from .head import HeadNode, HeadSync
 from .master import MasterNode, MasterSync
 from .procpool import ProcessSlavePool
 from .slave import SlaveWorker
-from .telemetry import ClusterTelemetry, RunTelemetry, read_ledger
+from .telemetry import RunTelemetry, read_ledger
 
 __all__ = ["RuntimeResult", "CloudBurstingRuntime", "SLAVE_MODES"]
 
@@ -373,15 +374,26 @@ class CloudBurstingRuntime:
             wall_seconds=wall,
             **{name: after[name] - before[name] for name in after},
         )
+        # Stamps are perf_counter readings, like the slaves' stopwatches. A
+        # cluster uploads to the head or, in a tree, to its parent master.
+        arrivals = dict(head.arrivals)
+        for master in masters:
+            arrivals.update(master.arrivals)
+        last_end = max(m.processing_end for m in masters) - started
         for master, site in zip(masters, sites):
             name = master.name
             crew = [
-                s.telemetry
+                (s.telemetry.processing.total, s.telemetry.retrieval.total,
+                 s.telemetry.jobs)
                 for s in slaves
                 if s.cluster == name and s._thread is not None
             ]
-            telemetry.clusters[name] = ClusterTelemetry.aggregate(
-                name, site, crew, stolen=scheduler.clusters[name].jobs_stolen
+            telemetry.clusters[name] = ClusterReport.from_crew(
+                name, site, crew, jobs_stolen=scheduler.clusters[name].jobs_stolen,
+                span=wall, last_end=last_end,
+                processing_end=master.processing_end - started,
+                combine_done=master.combine_done - started,
+                robj_arrival=arrivals[name] - started,
             )
             telemetry.slaves_failed += master.slaves_failed
             telemetry.slaves_revoked += master.slaves_revoked
@@ -391,6 +403,7 @@ class CloudBurstingRuntime:
             telemetry.dollars_spent = burst.controller.dollars_spent
         telemetry.prefetches = sum(s.prefetches for s in slaves)
         telemetry.sync_partial_merges = sum(m.sync_partials for m in masters)
+        telemetry.validate()
 
         if trace is not None:
             # A one-line data-path digest on the timeline, so a trace read

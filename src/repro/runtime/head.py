@@ -10,6 +10,7 @@ publish the final object.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 
 from ..clock import SYSTEM_CLOCK
@@ -62,6 +63,9 @@ class HeadNode:
         self.inbox = Mailbox("head")
         self.result: HeadResult | None = None
         self.global_reduction_seconds = 0.0
+        #: ``time.perf_counter()`` at which each directly uploading
+        #: cluster's object was taken off the inbox; read after ``join``.
+        self.arrivals: dict[str, float] = {}
         self._thread: threading.Thread | None = None
         self._failure: BaseException | None = None
 
@@ -116,6 +120,7 @@ class HeadNode:
                         detail=f"group {message.group_id}",
                     )
             elif isinstance(message, ReductionUpload):
+                self.arrivals[message.cluster] = time.perf_counter()
                 if message.cluster in uploads:
                     raise RuntimeProtocolError(
                         f"cluster {message.cluster!r} uploaded twice"

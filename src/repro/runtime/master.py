@@ -84,7 +84,11 @@ class MasterNode:
         self._head_reply = Mailbox(f"master:{name}:head-reply")
         low_water = max(self.tuning.pool_low_water, min(num_slaves // 2, 8))
         self.pool = JobPool(low_water=low_water)
-        self.combine_seconds = 0.0
+        #: perf_counter stamps for the cluster's report: last slave's final
+        #: hand-over or failure taken, combine finished, child uploads taken.
+        self.processing_end = 0.0
+        self.combine_done = 0.0
+        self.arrivals: dict[str, float] = {}
         self.slaves_failed = 0
         self.slaves_revoked = 0
         self.slaves_added = 0
@@ -237,6 +241,7 @@ class MasterNode:
                     )
                 serve_waiting()  # a drained pool may have just become final
             elif isinstance(message, SlaveFailed):
+                self.processing_end = time.perf_counter()
                 expected_robjs -= 1
                 active_slaves -= 1
                 if message.revoked:
@@ -284,12 +289,10 @@ class MasterNode:
                     ]
                 if message.partial:
                     self.sync_partials += 1
-                    started = time.perf_counter()
                     if stream_acc is None:
                         stream_acc = message.robj
                     else:
                         stream_acc.merge(message.robj)
-                    self.combine_seconds += time.perf_counter() - started
                     if self.trace is not None:
                         self.trace.emit(
                             "sync_merge", cluster=self.name,
@@ -297,6 +300,7 @@ class MasterNode:
                             detail=f"partial of {len(message.job_ids)} jobs",
                         )
                 else:
+                    self.processing_end = time.perf_counter()
                     robjs.append(message)
             elif isinstance(message, ReductionUpload):
                 if sync is None or message.cluster not in sync.children:
@@ -304,16 +308,15 @@ class MasterNode:
                         f"master {self.name!r} received an unexpected upload "
                         f"from {message.cluster!r}"
                     )
+                self.arrivals[message.cluster] = time.perf_counter()
                 children_seen += 1
                 decoded = sync.codec.decode(message.cluster, message.blob)
                 child_origins.extend(message.covered)
                 if stream:
-                    started = time.perf_counter()
                     if stream_acc is None:
                         stream_acc = decoded
                     else:
                         stream_acc.merge(decoded)
-                    self.combine_seconds += time.perf_counter() - started
                 else:
                     child_robjs[message.cluster] = decoded
                 if self.trace is not None:
@@ -343,14 +346,13 @@ class MasterNode:
                 )
         # Intra-cluster combine (plus any tree/ring child contributions),
         # then upload to the parent aggregation point.
-        started = time.perf_counter()
         parts: list[ReductionObject] = sorted_robjs(robjs)
         if stream_acc is not None:
             parts = [stream_acc, *parts]
         if sync is not None and not stream:
             parts += [child_robjs[name] for name in sync.children]
         combined = merge_all(parts)
-        self.combine_seconds += time.perf_counter() - started
+        self.combine_done = time.perf_counter()
         if self.trace is not None:
             self.trace.emit("combine_done", cluster=self.name)
         if sync is None:

@@ -1,10 +1,12 @@
 """Wall-clock telemetry for the executable runtime.
 
-Mirrors the simulator's metric decomposition at functional scale: per-slave
-processing and retrieval seconds, per-cluster aggregation, and run totals.
-These numbers are *measurements* of the in-process run — useful for the
-examples and the API-overhead comparisons — not the paper's testbed
-prediction (that is the simulator's job).
+The runtime fills the paper's per-cluster split — processing, retrieval,
+sync and idle (Figure 3, Table II) — in the same
+:class:`~repro.obs.record.ClusterReport` the simulator reports, from
+per-slave stopwatches and the masters' and receivers' stamps on the same
+clock, plus run totals. These numbers are *measurements* of the
+in-process run, not the paper's testbed prediction (that is the
+simulator's job).
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from ..errors import DataFormatError
-from ..obs.record import PassRecord
+from ..obs.record import ClusterReport, PassRecord
 from ..resilience.faults import FaultInjector
 
 __all__ = [
     "Stopwatch",
     "SlaveTelemetry",
-    "ClusterTelemetry",
     "RunTelemetry",
     "read_ledger",
 ]
@@ -60,34 +61,6 @@ class SlaveTelemetry:
 
 
 @dataclass
-class ClusterTelemetry:
-    """Aggregated per-cluster view."""
-
-    cluster: str
-    site: str
-    slaves: int
-    jobs: int
-    stolen: int
-    mean_processing: float
-    mean_retrieval: float
-
-    @staticmethod
-    def aggregate(
-        cluster: str, site: str, slaves: list[SlaveTelemetry], stolen: int
-    ) -> "ClusterTelemetry":
-        n = max(1, len(slaves))
-        return ClusterTelemetry(
-            cluster=cluster,
-            site=site,
-            slaves=len(slaves),
-            jobs=sum(s.jobs for s in slaves),
-            stolen=stolen,
-            mean_processing=sum(s.processing.total for s in slaves) / n,
-            mean_retrieval=sum(s.retrieval.total for s in slaves) / n,
-        )
-
-
-@dataclass
 class RunTelemetry(PassRecord):
     """Whole-run accounting returned alongside the application result.
 
@@ -97,11 +70,11 @@ class RunTelemetry(PassRecord):
     :class:`~repro.obs.record.PassRecord`'s, shared with ``SimReport``).
     """
 
-    _cluster_cls = ClusterTelemetry
+    _span = "wall_seconds"
     _error = DataFormatError
 
     wall_seconds: float
-    clusters: dict[str, ClusterTelemetry] = field(default_factory=dict)
+    clusters: dict[str, ClusterReport] = field(default_factory=dict)
     slaves_failed: int = 0
     jobs_reexecuted: int = 0
     #: Elastic-bursting accounting (see :mod:`repro.scale`): slaves the
@@ -150,14 +123,6 @@ class RunTelemetry(PassRecord):
     #: time totals and the critical path through the makespan. Filled by
     #: the driver when the run was traced; ``None`` otherwise.
     spans: dict | None = None
-
-    @property
-    def total_jobs(self) -> int:
-        return sum(c.jobs for c in self.clusters.values())
-
-    @property
-    def total_stolen(self) -> int:
-        return sum(c.stolen for c in self.clusters.values())
 
     @classmethod
     def fold(cls, passes: Sequence["RunTelemetry"]) -> "RunTelemetry":

@@ -124,9 +124,6 @@ class FairShareLink:
     def active_flows(self) -> int:
         return len(self._flows)
 
-    def flows_in_group(self, group: Hashable) -> int:
-        return sum(1 for f in self._flows.values() if f.group == group)
-
     # -- internals ------------------------------------------------------------
 
     def _admit(self, flow: _Flow) -> None:

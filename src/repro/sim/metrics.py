@@ -4,12 +4,11 @@ Accounting follows the paper's Figure 3 / Tables I-II decomposition:
 
 * per slave: **processing** time (local reduction compute) and **data
   retrieval** time (chunk fetch waits), accumulated as the slave works;
-* per cluster: means of those over slaves, plus **sync** = everything
-  else up to the end of the run (intra-cluster barrier, reduction-object
-  combine and movement, and waiting for the other cluster — exactly the
-  components Section IV-B enumerates as sync);
-* **idle time** (Table II): how long a cluster that exhausted the job
-  supply waited for the other to finish processing;
+* per cluster: :class:`~repro.obs.record.ClusterReport`, the record the
+  executable runtime fills too — means of those over slaves, **sync**
+  (everything else up to the end of the run: intra-cluster barrier,
+  combine, object movement, waiting for the other clusters — the
+  components Section IV-B enumerates) and Table II's **idle** time;
 * **global reduction** (Table II): from the moment the last cluster
   finished its intra-cluster combine to the head's final merge — dominated
   by the WAN push of the reduction object when that object is large;
@@ -21,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
-from ..obs.record import PassRecord
+from ..obs.record import ClusterReport, PassRecord
 
-__all__ = ["SlaveMetrics", "ClusterReport", "SimReport"]
+__all__ = ["SlaveMetrics", "SimReport"]
 
 
 @dataclass
@@ -41,29 +40,6 @@ class SlaveMetrics:
 
 
 @dataclass
-class ClusterReport:
-    """One cluster's results — one stacked bar of Figure 3/4."""
-
-    name: str
-    site: str
-    cores: int
-    jobs_processed: int
-    jobs_stolen: int
-    mean_processing: float
-    mean_retrieval: float
-    sync: float
-    processing_end: float  # when the last slave finished its last job
-    combine_done: float  # when the intra-cluster combine finished
-    robj_arrival: float  # when this cluster's robj reached the head
-    idle: float  # Table II idle: waiting for the other cluster
-
-    @property
-    def total(self) -> float:
-        """Bar height: processing + retrieval + sync."""
-        return self.mean_processing + self.mean_retrieval + self.sync
-
-
-@dataclass
 class SimReport(PassRecord):
     """Full result of one simulated experiment.
 
@@ -71,7 +47,7 @@ class SimReport(PassRecord):
     pass's) and serializers are :class:`~repro.obs.record.PassRecord`'s.
     """
 
-    _cluster_cls = ClusterReport
+    _span = "makespan"
     _error = SimulationError
 
     experiment: str
@@ -95,22 +71,6 @@ class SimReport(PassRecord):
     slaves_revoked: int = 0
     dollars_spent: float = 0.0
 
-    def cluster(self, name: str) -> ClusterReport:
-        try:
-            return self.clusters[name]
-        except KeyError:
-            raise SimulationError(
-                f"no cluster {name!r} in report (have {sorted(self.clusters)})"
-            ) from None
-
-    @property
-    def total_jobs(self) -> int:
-        return sum(c.jobs_processed for c in self.clusters.values())
-
-    @property
-    def total_stolen(self) -> int:
-        return sum(c.jobs_stolen for c in self.clusters.values())
-
     def slowdown_vs(self, baseline: "SimReport") -> float:
         """Table II 'total slowdown' in seconds against env-local."""
         return self.makespan - baseline.makespan
@@ -122,28 +82,7 @@ class SimReport(PassRecord):
         return (self.makespan - baseline.makespan) / baseline.makespan
 
     def validate(self) -> None:
-        """Internal-consistency checks (integration tests call this).
-
-        * makespan covers every cluster's activity;
-        * sync is non-negative and bar totals equal the makespan (see
-          metrics module docstring for the accounting convention);
-        * per-category times are non-negative.
-        """
-        for cluster in self.clusters.values():
-            if cluster.mean_processing < -1e-9 or cluster.mean_retrieval < -1e-9:
-                raise SimulationError(f"negative time category in {cluster.name}")
-            if cluster.sync < -1e-6:
-                raise SimulationError(
-                    f"negative sync in {cluster.name}: {cluster.sync}"
-                )
-            if cluster.processing_end - 1e-6 > self.makespan:
-                raise SimulationError(
-                    f"{cluster.name} finished after the makespan"
-                )
-            if abs(cluster.total - self.makespan) > max(1e-6, 1e-9 * self.makespan):
-                raise SimulationError(
-                    f"{cluster.name}: bar total {cluster.total} != makespan "
-                    f"{self.makespan}"
-                )
+        """:meth:`PassRecord.validate`, and a non-negative global reduction."""
+        super().validate()
         if self.global_reduction < -1e-9:
             raise SimulationError("negative global reduction time")

@@ -54,12 +54,13 @@ from ..core.scheduler import HeadScheduler
 from ..core.sync import SyncSpec, build_sync_plan, plan_roots
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
+from ..obs.record import ClusterReport
 from ..scale.simmodel import ClusterBurst
 from ..units import MB
 from .computemodel import ComputeModel
 from .engine import Environment, Event
 from .linkmodel import FairShareLink
-from .metrics import ClusterReport, SimReport
+from .metrics import SimReport
 from .simnodes import SimMaster, SimSlave
 from .storagemodel import SimStore, StorePath
 
@@ -766,28 +767,19 @@ class MultiSiteSimulation:
         clusters: dict[str, ClusterReport] = {}
         for name, crew in slaves.items():
             stats = scheduler.clusters[name]
-            jobs_processed = sum(s.metrics.jobs for s in crew)
-            if jobs_processed != stats.jobs_assigned:
+            cluster = clusters[name] = ClusterReport.from_crew(
+                name, masters[name].site,
+                [(s.metrics.processing, s.metrics.retrieval, s.metrics.jobs)
+                 for s in crew],
+                jobs_stolen=stats.jobs_stolen, span=makespan,
+                last_end=last_processing, processing_end=processing_end[name],
+                combine_done=combine_done[name], robj_arrival=robj_arrival[name],
+            )
+            if cluster.jobs_processed != stats.jobs_assigned:
                 raise SimulationError(
-                    f"{name}: processed {jobs_processed} jobs but was "
+                    f"{name}: processed {cluster.jobs_processed} jobs but was "
                     f"assigned {stats.jobs_assigned}"
                 )
-            mean_proc = sum(s.metrics.processing for s in crew) / len(crew)
-            mean_retr = sum(s.metrics.retrieval for s in crew) / len(crew)
-            clusters[name] = ClusterReport(
-                name=name,
-                site=masters[name].site,
-                cores=len(crew),
-                jobs_processed=jobs_processed,
-                jobs_stolen=stats.jobs_stolen,
-                mean_processing=mean_proc,
-                mean_retrieval=mean_retr,
-                sync=makespan - mean_proc - mean_retr,
-                processing_end=processing_end[name],
-                combine_done=combine_done[name],
-                robj_arrival=robj_arrival[name],
-                idle=max(0.0, last_processing - processing_end[name]),
-            )
         report = SimReport(
             experiment=config.name,
             app=config.app,

@@ -127,7 +127,3 @@ class SimStore:
             yield self.env.all_of(flows)
 
         return self.env.process(_go(), name=f"fetch:{self.path.name}:f{file_id}")
-
-    @property
-    def readers_now(self) -> int:
-        return self.link.active_flows

@@ -188,7 +188,7 @@ def test_telemetry_structure():
     assert set(result.telemetry.clusters) == {"local-cluster", "cloud-cluster"}
     for cluster in result.telemetry.clusters.values():
         assert cluster.slaves == 2
-        assert cluster.jobs >= 0
+        assert cluster.jobs_processed >= 0
         assert cluster.mean_processing >= 0
         assert cluster.mean_retrieval >= 0
     assert result.telemetry.wall_seconds > 0

@@ -17,10 +17,11 @@ from repro.cache import ChunkCache
 from repro.config import ComputeSpec, DatasetSpec, PlacementSpec
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import SimulationError
+from repro.obs.record import ClusterReport
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.runtime.telemetry import ClusterTelemetry, RunTelemetry
-from repro.sim.metrics import ClusterReport, SimReport
+from repro.runtime.telemetry import RunTelemetry
+from repro.sim.metrics import SimReport
 from repro.storage.objectstore import ObjectStore
 
 NUMERIC = [
@@ -36,7 +37,11 @@ def _pass(n: int) -> RunTelemetry:
         for i, f in enumerate(NUMERIC)
     }
     return RunTelemetry(
-        clusters={f"c{n}": ClusterTelemetry(f"c{n}", "local", 2, n, 0, 0.1, 0.2)},
+        clusters={
+            f"c{n}": ClusterReport(
+                f"c{n}", "local", 2, n, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.0
+            )
+        },
         metrics={"pass": n},
         spans={"critical_path": [n]},
         **numbers,

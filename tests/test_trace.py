@@ -79,8 +79,8 @@ def test_utilization_matches_report_means(traced_run):
         sum(p["processing"] for p in util.values()) / len(util) * report.makespan
     )
     mean_proc_report = sum(
-        c.mean_processing * c.cores for c in report.clusters.values()
-    ) / sum(c.cores for c in report.clusters.values())
+        c.mean_processing * c.slaves for c in report.clusters.values()
+    ) / sum(c.slaves for c in report.clusters.values())
     assert mean_proc_trace == pytest.approx(mean_proc_report, rel=1e-6)
 
 

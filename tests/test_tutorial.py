@@ -96,7 +96,7 @@ def test_step3_run_with_bursting(tutorial_dataset):
     assert result.value == float((decoded > 0.5).sum())
     # Local cluster (25% of data, 50% of cores) must have stolen.
     local = result.telemetry.clusters["local-cluster"]
-    assert local.stolen > 0
+    assert local.jobs_stolen > 0
 
 
 def test_step4_simulate_at_testbed_scale():
