@@ -272,14 +272,14 @@ _RUN_FLAGS = (
           "update() hook (kmeans, pagerank)", "N"),
     # Global-reduction sync knobs (wire encoding + aggregation topology).
     _Flag("--sync-encoding", "sync.encoding",
-          "reduction-object wire encoding (delta needs --iterations > 1 "
-          "to pay off; auto picks the cheapest per upload)", choices=ENCODINGS),
+          "reduction-object wire encoding (delta ships the smallest of its "
+          "diff, sparse and dense; diffs need --iterations > 1)", choices=ENCODINGS),
     _Flag("--sync-compress", "sync.compress",
           "compress reduction-object uploads on the wire",
           choices=COMPRESSIONS),
     _Flag("--sync-topology", "sync.topology",
           "aggregation shape for cluster uploads (star = everyone to the "
-          "head; tree/ring relay through other masters)", choices=TOPOLOGIES),
+          "head; tree relays through other masters)", choices=TOPOLOGIES),
     _Flag("--sync-stream", "sync.stream",
           "merge partial reduction objects as they arrive instead of "
           "behind the end-of-pass barrier"),

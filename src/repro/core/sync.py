@@ -9,8 +9,8 @@ configured through one :class:`SyncSpec`:
   (every master uploads straight to the head). ``tree`` aggregates
   through intermediate masters with a configurable fanout, so a shared
   head-ingress trunk carries ~log(n) sequentialized objects instead of
-  n concurrent ones. ``ring`` is the fanout-1 chain: each master merges
-  its predecessor's object before forwarding one combined object;
+  n concurrent ones. ``fanout=1`` makes the tree a chain: each master
+  merges its predecessor's object before forwarding one combined object;
 * **streaming** — slaves flush partial reduction objects every
   ``watermark`` jobs so masters (and the head) merge while slow slaves
   finish, instead of idling behind the barrier. Flushed jobs are
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Aggregation layouts across masters.
-TOPOLOGIES = ("star", "tree", "ring")
+TOPOLOGIES = ("star", "tree")
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class SyncSpec:
 
     @property
     def is_default(self) -> bool:
-        """True when every knob matches the legacy star/dense/barrier
-        path — callers then build none of the sync machinery at all."""
+        """True when every knob matches the paper's star/dense/barrier
+        layout (the simulator then models no sync machinery)."""
         return (
             self.topology == "star"
             and self.encoding == "dense"
@@ -118,10 +118,10 @@ def build_sync_plan(
     """Lay the clusters out as an aggregation graph.
 
     The first cluster in ``clusters`` must be the one co-located with the
-    head (the runtime and both simulators order them that way), so in
-    tree and ring layouts the final WAN-free hop to the head is made by
-    the head-site master. ``tree`` uses heap indexing (the parent of node
-    ``i`` is ``(i-1)//fanout``); ``ring`` is the fanout-1 chain.
+    head (the runtime and both simulators order them that way), so in a
+    tree the final WAN-free hop to the head is made by the head-site
+    master. ``tree`` uses heap indexing (the parent of node ``i`` is
+    ``(i-1)//fanout``); ``fanout=1`` is a chain.
     """
     if not clusters:
         raise ConfigurationError("sync plan needs at least one cluster")
@@ -132,14 +132,13 @@ def build_sync_plan(
     names = list(clusters)
     if topology == "star" or len(names) == 1:
         return {name: SyncNode(name=name, parent=None) for name in names}
-    step = 1 if topology == "ring" else fanout
     parents: dict[str, str | None] = {}
     children: dict[str, list[str]] = {name: [] for name in names}
     for i, name in enumerate(names):
         if i == 0:
             parents[name] = None
         else:
-            parent = names[(i - 1) // step]
+            parent = names[(i - 1) // fanout]
             parents[name] = parent
             children[parent].append(name)
     return {

@@ -18,11 +18,10 @@ Encodings
     subtraction on the raw bit lanes — exactly reversible, unlike float
     arithmetic — then byte-shuffled (Blosc-style) so the near-zero high
     bytes of a converging workload form long runs the compressor eats.
-    Non-array objects fall back to an XOR of the dense blobs;
-  * **auto** — per object, pick whichever candidate is smallest by
-    estimate. ``delta`` and ``auto`` share one candidate set — delta
-    (once the channel has a baseline), sparse, dense — so a first upload
-    or a mostly-identity object is never stuck with dense.
+    Non-array objects fall back to an XOR of the dense blobs. Per
+    object, ``delta`` ships whichever of delta (once the channel has a
+    baseline), sparse and dense is smallest by estimate, so a first
+    upload or a mostly-identity object is never stuck with dense.
 
 **Build only what can win.** Building a candidate body costs a
 millisecond or two at 2 MiB; compressing one costs tens. So the
@@ -81,12 +80,11 @@ __all__ = [
     "DecodedObject",
     "encode",
     "decode",
-    "is_wire_blob",
     "lz4_available",
 ]
 
-#: Encoding knob values (``auto`` picks the smallest-by-estimate candidate).
-ENCODINGS = ("dense", "sparse", "delta", "auto")
+#: Encoding knob values (``delta`` picks the smallest-by-estimate candidate).
+ENCODINGS = ("dense", "sparse", "delta")
 
 #: Compression knob values.
 COMPRESSIONS = ("none", "zlib", "lz4")
@@ -129,11 +127,6 @@ Losses = Mapping[str, tuple[int, int]]
 def lz4_available() -> bool:
     """Whether the optional lz4 codec is importable on this host."""
     return _lz4 is not None
-
-
-def is_wire_blob(blob: bytes) -> bool:
-    """Distinguish a wire blob from a legacy ``to_bytes`` envelope."""
-    return blob[:2] == _MAGIC
 
 
 class _Unsupported(Exception):
@@ -461,7 +454,7 @@ def _bodies(
     """The uncompressed candidate bodies ``encoding`` allows, dense first,
     less those in ``skip``."""
     bodies = {"dense": dense}
-    adaptive = encoding in ("delta", "auto")
+    adaptive = encoding == "delta"
     if adaptive and baseline is not None and "delta" not in skip:
         try:
             bodies["delta"] = _delta_body(robj, dense, baseline)
@@ -493,8 +486,8 @@ def encode(
     that upload (see :class:`~repro.core.sync.SyncCodec`, which keeps
     both per sender). Requested encodings that cannot apply
     — delta without a baseline, sparse over a dense array — silently fall
-    back to the cheapest representable form (``delta`` and ``auto`` both
-    choose among delta, sparse and dense); the header records what was
+    back to the cheapest representable form (``delta`` chooses among
+    delta, sparse and dense); the header records what was
     actually used, so decoding needs no out-of-band agreement. At most
     one body larger than the estimate sample is compressed per call.
     """
@@ -535,19 +528,15 @@ def encode(
 def decode(blob: bytes, *, baseline: bytes | None = None) -> DecodedObject:
     """Decode a wire blob produced by :func:`encode`.
 
-    Accepts legacy plain ``to_bytes`` envelopes too (no wire header), so
-    mixed-version peers interoperate. ``baseline`` must be the dense
-    bytes of the previous object decoded on this channel whenever the
-    header says delta.
+    A blob without the ``RW`` header is rejected. ``baseline`` must be
+    the dense bytes of the previous object decoded on this channel
+    whenever the header says delta.
     """
-    if not is_wire_blob(blob):
-        robj = _from_dense(blob)
-        return DecodedObject(
-            robj=robj, dense=blob, encoding="dense", compression="none"
-        )
     if len(blob) < _HEADER.size:
         raise ReductionError("truncated wire header")
-    _, version, enc_id, comp_id = _HEADER.unpack_from(blob)
+    magic, version, enc_id, comp_id = _HEADER.unpack_from(blob)
+    if magic != _MAGIC:
+        raise ReductionError("not a wire blob: missing the RW header")
     if version != _VERSION:
         raise ReductionError(f"unsupported wire version {version}")
     encoding = _ENC_NAMES.get(enc_id)

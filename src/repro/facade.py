@@ -220,7 +220,7 @@ class RunConfig:
         ):
             problems.append(
                 "sync.stream=True with every other sync knob at the "
-                "star/dense defaults streams partials through the legacy "
+                "star/dense defaults streams partials through the paper's "
                 "all-to-head trunk; pair it with sync=SyncSpec(stream=True,"
                 " topology='tree') or an encoding/compress choice, or drop it"
             )

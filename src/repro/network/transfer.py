@@ -63,9 +63,9 @@ def sync_aggregation_time(
     concurrently (sharing the link fairly), then each receiving parent
     merges its arrivals serially at ``merge_seconds`` apiece. Under
     ``star`` this degenerates to one n-way shared transfer plus n head
-    merges; under ``ring`` to n sequential single-flow hops; ``tree``
-    sits in between, trading a ~log(n) hop chain for never putting more
-    than a level's worth of flows on the trunk at once.
+    merges; under a ``fanout=1`` tree to n sequential single-flow hops;
+    a wider ``tree`` sits in between, trading a ~log(n) hop chain for
+    never putting more than a level's worth of flows on the trunk at once.
 
     This deliberately ignores compute overlap and site asymmetry — it is
     the steady-state bound the dynamic simulator is pinned against, and

@@ -45,14 +45,12 @@ __all__ = ["RuntimeResult", "CloudBurstingRuntime", "SLAVE_MODES"]
 SLAVE_MODES = ("thread", "process")
 
 #: :class:`RunTelemetry` counters a metrics registry mirrors under the
-#: same names (the sync ones only when a sync plan is active).
+#: same names.
 _MIRRORED = (
     "slaves_failed", "slaves_revoked", "slaves_added", "jobs_reexecuted",
     "retries", "hedges", "circuit_opens", "faults_injected",
     "zero_copy_reads", "bytes_copied",
-)
-_MIRRORED_SYNC = (
-    "sync_uploads", "sync_bytes_sent", "sync_bytes_saved", "sync_partial_merges",
+    "sync_uploads", "sync_bytes_sent", "sync_partial_merges",
 )
 
 
@@ -127,14 +125,13 @@ class CloudBurstingRuntime:
         #: a :class:`~repro.cache.Prefetcher` window. Off by default: the
         #: slave loop is the original strictly-sequential one.
         self.prefetch = prefetch
-        #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`).
-        #: A default spec is indistinguishable from ``None``: the original
-        #: star/dense/barrier path runs with zero sync machinery. The
-        #: codec (and its delta baselines) is owned here so it persists
-        #: across iterative passes — that persistence is what makes
-        #: pass-N delta uploads tiny.
-        self.sync = None if sync is None or sync.is_default else sync
-        self._sync_codec = SyncCodec(self.sync) if self.sync is not None else None
+        #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`);
+        #: ``None`` is the default spec, the paper's star/dense/barrier
+        #: layout. Every upload goes through the codec, which is owned here
+        #: so its delta baselines persist across iterative passes — that
+        #: persistence is what makes pass-N delta uploads tiny.
+        self.sync = sync or SyncSpec()
+        self._sync_codec = SyncCodec(self.sync)
         #: Optional live run-health sampler (:class:`~repro.obs.live.
         #: RunMonitor`). ``run()`` binds it to a probe over this run's
         #: masters/scheduler/cache/codec and starts/stops it around the
@@ -180,18 +177,14 @@ class CloudBurstingRuntime:
 
         spec = self.sync
         codec = self._sync_codec
-        syncing = spec is not None  # then the codec and the plan exist too
-        plan = head_sync = None
-        watermark = 0
-        if syncing:
-            plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
-            head_sync = HeadSync(
-                codec=codec, roots=tuple(plan_roots(plan)), stream=spec.stream
-            )
-            watermark = spec.watermark if spec.stream else 0
+        plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
+        head_sync = HeadSync(
+            codec=codec, roots=tuple(plan_roots(plan)), stream=spec.stream
+        )
+        watermark = spec.watermark if spec.stream else 0
         head = HeadNode(
-            scheduler, cluster_names, trace=trace, take_timeout=self.join_timeout,
-            sync=head_sync,
+            scheduler, cluster_names, sync=head_sync, trace=trace,
+            take_timeout=self.join_timeout,
         )
         reader = DatasetReader(
             self.index,
@@ -264,25 +257,23 @@ class CloudBurstingRuntime:
         slaves_lock = threading.Lock()
         for name, site in zip(cluster_names, sites):
             cores = self.compute.cores_at(site)
-            master_sync = None
-            if syncing:
-                node = plan[name]
-                # Heap indexing guarantees a parent's index precedes its
-                # children's, so the parent master already exists here.
-                parent_inbox = (
-                    head.inbox
-                    if node.parent is None
-                    else masters_by_name[node.parent].inbox
-                )
-                master_sync = MasterSync(
-                    codec=codec,
-                    parent_inbox=parent_inbox,
-                    children=node.children,
-                    stream=spec.stream,
-                )
+            node = plan[name]
+            # Heap indexing guarantees a parent's index precedes its
+            # children's, so the parent master already exists here.
+            parent_inbox = (
+                head.inbox
+                if node.parent is None
+                else masters_by_name[node.parent].inbox
+            )
+            master_sync = MasterSync(
+                codec=codec,
+                parent_inbox=parent_inbox,
+                children=node.children,
+                stream=spec.stream,
+            )
             master = MasterNode(
-                name, site, head.inbox, cores, self.tuning, trace=trace,
-                take_timeout=self.join_timeout, sync=master_sync,
+                name, site, head.inbox, cores, self.tuning, sync=master_sync,
+                trace=trace, take_timeout=self.join_timeout,
             )
             masters.append(master)
             masters_by_name[name] = master
@@ -376,9 +367,9 @@ class CloudBurstingRuntime:
         )
         # Stamps are perf_counter readings, like the slaves' stopwatches. A
         # cluster uploads to the head or, in a tree, to its parent master.
-        arrivals = dict(head.arrivals)
+        arrivals = dict(head.receipts.arrivals)
         for master in masters:
-            arrivals.update(master.arrivals)
+            arrivals.update(master.receipts.arrivals)
         last_end = max(m.processing_end for m in masters) - started
         for master, site in zip(masters, sites):
             name = master.name
@@ -454,12 +445,11 @@ class CloudBurstingRuntime:
                 # pool's in-flight count is the cheap busy gauge.
                 "workers_busy": min(in_flight, workers),
                 "remote_fetches": reader.remote_fetches,
+                "sync_bytes_sent": codec.stats.wire_bytes,
             }
             if cache is not None:
                 gauges["cache_hits"] = cache.stats.hits
                 gauges["cache_misses"] = cache.stats.misses
-            if codec is not None:
-                gauges["sync_bytes_sent"] = codec.stats.wire_bytes
             return gauges
 
         return probe
@@ -471,8 +461,10 @@ class CloudBurstingRuntime:
         registry.counter("groups_assigned").inc(
             sum(c.groups_assigned for c in scheduler.clusters.values())
         )
-        for name in _MIRRORED + (_MIRRORED_SYNC if self.sync is not None else ()):
+        for name in _MIRRORED:
             registry.counter(name).inc(getattr(telemetry, name))
+        # Dense uploads save minus a wire header: a signed gauge, not a counter.
+        registry.gauge("sync_bytes_saved").add(telemetry.sync_bytes_saved)
         registry.gauge("workers").set(workers)
         registry.gauge("clusters").set(len(telemetry.clusters))
         return registry.snapshot()

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..clock import SYSTEM_CLOCK
-from ..core.reduction import ReductionObject, from_bytes
+from ..core.reduction import ReductionObject
 from ..core.scheduler import HeadScheduler
 from ..core.sync import SyncCodec
 from ..errors import RuntimeProtocolError, RuntimeTimeoutError
@@ -22,18 +22,48 @@ from ..obs.events import EventLog
 from .messages import GroupComplete, HeadResult, JobReply, JobRequest, ReductionUpload
 from .transport import Mailbox
 
-__all__ = ["HeadSync", "HeadNode"]
+__all__ = ["HeadSync", "UploadReceipts", "HeadNode"]
 
 
 @dataclass(frozen=True)
 class HeadSync:
     """The head's slice of the sync plan: which clusters upload directly
-    (the plan roots — all of them under star, fewer under tree/ring) and
+    (the plan roots — all of them under star, fewer under tree) and
     whether to merge on arrival (``stream``) or behind the barrier."""
 
     codec: SyncCodec
     roots: tuple[str, ...]
     stream: bool = False
+
+
+@dataclass
+class UploadReceipts:
+    """How ``node`` takes one :class:`ReductionUpload` from each of
+    ``senders`` — the head from the plan roots, a master from its
+    children: check the sender, stamp the arrival, record the clusters
+    the upload covers, decode. Merging stays with the node."""
+
+    node: str
+    senders: tuple[str, ...]
+    codec: SyncCodec
+    #: ``time.perf_counter()`` at which each sender's upload was taken.
+    arrivals: dict[str, float] = field(default_factory=dict)
+    #: Every cluster the taken uploads cover, in arrival order.
+    origins: list[str] = field(default_factory=list)
+
+    @property
+    def pending(self) -> bool:
+        return len(self.arrivals) < len(self.senders)
+
+    def take(self, message: ReductionUpload) -> ReductionObject:
+        cluster = message.cluster
+        if cluster in self.arrivals:
+            raise RuntimeProtocolError(f"{self.node}: {cluster!r} uploaded twice")
+        if cluster not in self.senders:
+            raise RuntimeProtocolError(f"{self.node}: unknown cluster {cluster!r}")
+        self.arrivals[cluster] = time.perf_counter()
+        self.origins.extend(message.origins)
+        return self.codec.decode(cluster, message.blob)
 
 
 class HeadNode:
@@ -44,10 +74,10 @@ class HeadNode:
         scheduler: HeadScheduler,
         expected_clusters: list[str],
         *,
+        sync: HeadSync,
         trace: EventLog | None = None,
         take_timeout: float = 60.0,
         clock=None,
-        sync: HeadSync | None = None,
     ) -> None:
         if not expected_clusters:
             raise RuntimeProtocolError("head needs at least one cluster")
@@ -63,9 +93,8 @@ class HeadNode:
         self.inbox = Mailbox("head")
         self.result: HeadResult | None = None
         self.global_reduction_seconds = 0.0
-        #: ``time.perf_counter()`` at which each directly uploading
-        #: cluster's object was taken off the inbox; read after ``join``.
-        self.arrivals: dict[str, float] = {}
+        #: The plan roots' uploads (arrival stamps are read after ``join``).
+        self.receipts = UploadReceipts("head", sync.roots, sync.codec)
         self._thread: threading.Thread | None = None
         self._failure: BaseException | None = None
 
@@ -98,16 +127,14 @@ class HeadNode:
             self._failure = exc
 
     def _serve(self) -> None:
-        sync = self.sync
-        stream = sync is not None and sync.stream
-        # Under tree/ring aggregation only the plan roots reach the head;
-        # their uploads carry ``origins`` proving descendant coverage.
-        uploaders = list(sync.roots) if sync is not None else self.expected
+        stream = self.sync.stream
+        # Under tree aggregation only the plan roots reach the head; their
+        # uploads carry ``origins`` proving descendant coverage.
+        receipts = self.receipts
         clock = self.clock
         uploads: dict[str, ReductionObject] = {}
-        covered: set[str] = set()
         merged: ReductionObject | None = None
-        while len(uploads) < len(uploaders):
+        while receipts.pending:
             message = self.inbox.take(timeout=self.take_timeout)
             if isinstance(message, JobRequest):
                 group = self.scheduler.request_jobs(message.cluster, message.max_jobs)
@@ -120,20 +147,7 @@ class HeadNode:
                         detail=f"group {message.group_id}",
                     )
             elif isinstance(message, ReductionUpload):
-                self.arrivals[message.cluster] = time.perf_counter()
-                if message.cluster in uploads:
-                    raise RuntimeProtocolError(
-                        f"cluster {message.cluster!r} uploaded twice"
-                    )
-                if message.cluster not in uploaders:
-                    raise RuntimeProtocolError(
-                        f"upload from unknown cluster {message.cluster!r}"
-                    )
-                if sync is not None:
-                    robj = sync.codec.decode(message.cluster, message.blob)
-                else:
-                    robj = from_bytes(message.blob)
-                covered.update(message.covered)
+                robj = receipts.take(message)
                 uploads[message.cluster] = robj
                 if stream:
                     started = clock.monotonic()
@@ -147,6 +161,7 @@ class HeadNode:
                 raise RuntimeProtocolError(
                     f"head received unexpected message {type(message).__name__}"
                 )
+        covered = set(receipts.origins)
         if covered != set(self.expected):
             missing = sorted(set(self.expected) - covered)
             extra = sorted(covered - set(self.expected))
@@ -157,7 +172,7 @@ class HeadNode:
         if merged is None:
             # Barrier: merge in plan order for determinism.
             started = clock.monotonic()
-            for cluster in uploaders:
+            for cluster in receipts.senders:
                 robj = uploads[cluster]
                 if merged is None:
                     merged = robj.clone_empty()

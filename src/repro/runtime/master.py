@@ -32,6 +32,7 @@ from .messages import (
     SlaveJobDone,
     SlaveReduction,
 )
+from .head import UploadReceipts
 from .transport import Mailbox
 
 __all__ = ["MasterSync", "MasterNode"]
@@ -42,7 +43,7 @@ class MasterSync:
     """This master's slice of the global-reduction sync plan.
 
     ``parent_inbox`` is where the combined object goes — another master's
-    inbox in tree/ring layouts, the head's for plan roots. ``children``
+    inbox in a tree layout, the head's for plan roots. ``children``
     are the clusters whose :class:`ReductionUpload` this master must fold
     in before shipping its own. ``stream`` turns on merge-on-arrival for
     slave partials and child uploads instead of the barrier.
@@ -65,9 +66,9 @@ class MasterNode:
         num_slaves: int,
         tuning: MiddlewareTuning | None = None,
         *,
+        sync: MasterSync,
         trace: EventLog | None = None,
         take_timeout: float = 60.0,
-        sync: MasterSync | None = None,
     ) -> None:
         if num_slaves <= 0:
             raise RuntimeProtocolError("a cluster needs at least one slave")
@@ -85,15 +86,15 @@ class MasterNode:
         low_water = max(self.tuning.pool_low_water, min(num_slaves // 2, 8))
         self.pool = JobPool(low_water=low_water)
         #: perf_counter stamps for the cluster's report: last slave's final
-        #: hand-over or failure taken, combine finished, child uploads taken.
+        #: hand-over or failure taken, combine finished.
         self.processing_end = 0.0
         self.combine_done = 0.0
-        self.arrivals: dict[str, float] = {}
         self.slaves_failed = 0
         self.slaves_revoked = 0
         self.slaves_added = 0
         self.jobs_reexecuted = 0
         self.sync = sync
+        self.receipts = UploadReceipts(f"master {name!r}", sync.children, sync.codec)
         self.sync_partials = 0
         self._thread: threading.Thread | None = None
         self._failure: BaseException | None = None
@@ -153,15 +154,13 @@ class MasterNode:
         robjs: list[SlaveReduction] = []
         expected_robjs = self.num_slaves
         sync = self.sync
-        stream = sync is not None and sync.stream
-        expected_children = len(sync.children) if sync is not None else 0
+        stream = sync.stream
+        receipts = self.receipts
         # Streamed slave partials (and, in stream mode, child uploads)
         # are folded on arrival into one accumulator; barrier-mode child
         # uploads are held and merged in plan order for determinism.
         stream_acc: ReductionObject | None = None
         child_robjs: dict[str, ReductionObject] = {}
-        child_origins: list[str] = []
-        children_seen = 0
         # Slaves reported dead. A prefetching slave can have a job request
         # in flight when it crashes; answering it with a job would strand
         # that job forever (nobody will process it), so requests from dead
@@ -209,7 +208,7 @@ class MasterNode:
                 jobs_by_slave.setdefault(request.slave_id, []).append(job)
                 request.reply_to.post(SlaveJobReply(job))
 
-        while len(robjs) < expected_robjs or children_seen < expected_children:
+        while len(robjs) < expected_robjs or receipts.pending:
             message = self.inbox.take(timeout=self.take_timeout)
             if isinstance(message, SlaveJobRequest):
                 if message.slave_id in dead or message.slave_id in retired:
@@ -303,15 +302,7 @@ class MasterNode:
                     self.processing_end = time.perf_counter()
                     robjs.append(message)
             elif isinstance(message, ReductionUpload):
-                if sync is None or message.cluster not in sync.children:
-                    raise RuntimeProtocolError(
-                        f"master {self.name!r} received an unexpected upload "
-                        f"from {message.cluster!r}"
-                    )
-                self.arrivals[message.cluster] = time.perf_counter()
-                children_seen += 1
-                decoded = sync.codec.decode(message.cluster, message.blob)
-                child_origins.extend(message.covered)
+                decoded = receipts.take(message)
                 if stream:
                     if stream_acc is None:
                         stream_acc = decoded
@@ -344,41 +335,36 @@ class MasterNode:
                 raise RuntimeProtocolError(
                     f"master {self.name!r} received {type(message).__name__}"
                 )
-        # Intra-cluster combine (plus any tree/ring child contributions),
-        # then upload to the parent aggregation point.
+        # Intra-cluster combine (plus any tree child contributions), then
+        # upload to the parent aggregation point.
         parts: list[ReductionObject] = sorted_robjs(robjs)
         if stream_acc is not None:
             parts = [stream_acc, *parts]
-        if sync is not None and not stream:
+        if not stream:
             parts += [child_robjs[name] for name in sync.children]
         combined = merge_all(parts)
         self.combine_done = time.perf_counter()
         if self.trace is not None:
             self.trace.emit("combine_done", cluster=self.name)
-        if sync is None:
-            self.head_inbox.post(
-                ReductionUpload(cluster=self.name, blob=combined.to_bytes())
+        started = time.perf_counter()
+        encoded = sync.codec.encode(self.name, combined)
+        encode_ms = (time.perf_counter() - started) * 1e3
+        if self.trace is not None:
+            self.trace.emit(
+                "sync_upload", cluster=self.name,
+                detail=(
+                    f"{encoded.encoding}+{encoded.compression} "
+                    f"{len(encoded.blob)}/{len(encoded.dense)}B "
+                    f"{encode_ms:.1f}ms"
+                ),
             )
-        else:
-            started = time.perf_counter()
-            encoded = sync.codec.encode(self.name, combined)
-            encode_ms = (time.perf_counter() - started) * 1e3
-            if self.trace is not None:
-                self.trace.emit(
-                    "sync_upload", cluster=self.name,
-                    detail=(
-                        f"{encoded.encoding}+{encoded.compression} "
-                        f"{len(encoded.blob)}/{len(encoded.dense)}B "
-                        f"{encode_ms:.1f}ms"
-                    ),
-                )
-            sync.parent_inbox.post(
-                ReductionUpload(
-                    cluster=self.name,
-                    blob=encoded.blob,
-                    origins=(self.name, *child_origins),
-                )
+        sync.parent_inbox.post(
+            ReductionUpload(
+                cluster=self.name,
+                blob=encoded.blob,
+                origins=(self.name, *receipts.origins),
             )
+        )
         if self.trace is not None:
             self.trace.emit("robj_sent", cluster=self.name)
 

@@ -63,23 +63,17 @@ class GroupComplete:
 
 @dataclass(frozen=True)
 class ReductionUpload:
-    """A master ships its cluster's combined reduction object (serialized).
+    """A master ships its cluster's combined reduction object, encoded by
+    the run's :class:`~repro.core.sync.SyncCodec` (:mod:`repro.core.wire`).
 
-    With a sync topology configured the upload may travel to a *parent
-    master* instead of the head, carrying the merged contribution of
-    ``origins`` (this cluster plus every descendant already folded in) as
-    a wire-encoded blob (:mod:`repro.core.wire`). Legacy senders leave
-    ``origins`` empty, meaning just ``cluster``, and ``blob`` is a plain
-    ``to_bytes`` envelope.
+    The upload goes to the head or, under ``tree``, to a *parent master*,
+    and carries the merged contribution of ``origins``: this cluster plus
+    every descendant already folded in.
     """
 
     cluster: str
     blob: bytes
-    origins: tuple[str, ...] = ()
-
-    @property
-    def covered(self) -> tuple[str, ...]:
-        return self.origins or (self.cluster,)
+    origins: tuple[str, ...]
 
 
 # -- slave <-> master ------------------------------------------------------------

@@ -102,10 +102,10 @@ class RunTelemetry(PassRecord):
     bytes_saved: int = 0
     prefetches: int = 0
     #: Global-reduction sync accounting (see :mod:`repro.core.sync`):
-    #: filled by the driver when a :class:`~repro.core.sync.SyncSpec` is
-    #: active. ``sync_bytes_saved`` is dense-minus-wire across every
-    #: upload this run; ``sync_partial_merges`` counts streamed slave
-    #: flushes folded before the barrier.
+    #: filled by the driver on every pass (serial mode ships nothing).
+    #: ``sync_bytes_saved`` is dense-minus-wire across every upload this
+    #: run; ``sync_partial_merges`` counts streamed slave flushes folded
+    #: before the barrier.
     sync_uploads: int = 0
     sync_bytes_sent: int = 0
     sync_bytes_saved: int = 0

@@ -77,12 +77,12 @@ def test_run_with_sync_flags_prints_accounting(tmp_path, capsys):
     capsys.readouterr()
     code = main([
         "run", str(out),
-        "--sync-topology", "tree", "--sync-encoding", "auto",
+        "--sync-topology", "tree", "--sync-encoding", "delta",
         "--sync-compress", "zlib", "--sync-stream", "--sync-watermark", "2",
     ])
     assert code == 0
     text = capsys.readouterr().out
-    assert "sync: tree/auto/zlib" in text
+    assert "sync: tree/delta/zlib" in text
     assert "wire bytes" in text and "off dense" in text
 
     # The same run without sync flags matches result-for-result.

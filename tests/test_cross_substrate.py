@@ -21,6 +21,7 @@ from repro.config import (
     MiddlewareTuning,
     PlacementSpec,
 )
+from repro.core import wire
 from repro.network.topology import Link
 from repro.network.transfer import parallel_transfer_time, transfer_time
 from repro.sim.engine import Environment
@@ -225,8 +226,10 @@ def test_golden_matrix_simulator_stays_consistent(app, cache_bytes):
 
 #: Every sync_encoding x sync_topology x streaming combination. The
 #: dense/star/barrier corner (with compress "none") is the default spec —
-#: it runs the legacy path with zero sync machinery, and the matrix pins
-#: that it still matches the oracle and reports no sync accounting.
+#: the paper's layout, through the same codec and plan as every other
+#: corner; the matrix pins that it matches the oracle and ships dense.
+#: The ids keep their historical names: ``ring`` runs as a fanout-1 tree
+#: and ``auto`` as ``delta``.
 SYNC_MATRIX = tuple(
     pytest.param(
         encoding, topology, stream,
@@ -244,8 +247,9 @@ def test_golden_matrix_sync_matches_serial(app, encoding, topology, stream):
     config = repro.RunConfig(
         mode="runtime",
         sync=repro.SyncSpec(
-            encoding=encoding,
-            topology=topology,
+            encoding="delta" if encoding == "auto" else encoding,
+            topology="tree" if topology == "ring" else topology,
+            fanout=1 if topology == "ring" else 2,
             stream=stream,
             compress="zlib" if stream else "none",
             watermark=2,
@@ -255,8 +259,11 @@ def test_golden_matrix_sync_matches_serial(app, encoding, topology, stream):
     _assert_same_value(_baseline(app), result.value)
     t = result.telemetry
     if config.sync.is_default:
-        # The default spec constructs no sync machinery at all.
-        assert t.sync_uploads == 0 and t.sync_partial_merges == 0
+        # Each upload is the object's own serialization plus the wire
+        # header: nothing saved, one header spent.
+        assert t.sync_uploads >= 1
+        assert t.sync_bytes_saved == -wire._HEADER.size * t.sync_uploads
+        assert t.sync_partial_merges == 0
     else:
         assert t.sync_uploads >= 1
         assert t.sync_bytes_sent > 0

@@ -9,9 +9,10 @@ from repro.config import LOCAL_SITE, MiddlewareTuning, PlacementSpec
 from repro.core.index import build_index
 from repro.core.reduction import ScalarReduction
 from repro.core.scheduler import HeadScheduler
+from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan
 from repro.errors import RuntimeProtocolError
-from repro.runtime.head import HeadNode
-from repro.runtime.master import MasterNode
+from repro.runtime.head import HeadNode, HeadSync
+from repro.runtime.master import MasterNode, MasterSync
 from repro.runtime.messages import (
     JobRequest,
     ReductionUpload,
@@ -24,13 +25,25 @@ from repro.runtime.transport import Mailbox
 from conftest import small_spec
 
 
+#: One default-spec codec: dense uploads carry no channel state.
+CODEC = SyncCodec(SyncSpec())
+
+
 def make_head(files=2, chunks=2, clusters=("local-cluster",)):
     spec = small_spec(record_bytes=4, files=files, chunks_per_file=chunks)
     index = build_index(spec, PlacementSpec(local_fraction=1.0))
     scheduler = HeadScheduler(index.jobs(), MiddlewareTuning())
     for name in clusters:
         scheduler.register_cluster(name, LOCAL_SITE)
-    return HeadNode(scheduler, list(clusters))
+    return HeadNode(
+        scheduler, list(clusters), sync=HeadSync(codec=CODEC, roots=tuple(clusters))
+    )
+
+
+def upload(cluster, robj, origins=None):
+    """``robj`` as ``cluster``'s master ships it."""
+    blob = CODEC.encode(cluster, robj).blob
+    return ReductionUpload(cluster=cluster, blob=blob, origins=origins or (cluster,))
 
 
 def test_head_serves_requests_and_merges():
@@ -40,8 +53,7 @@ def test_head_serves_requests_and_merges():
     head.inbox.post(JobRequest(cluster="local-cluster", reply_to=reply, max_jobs=4))
     group = reply.take(timeout=2.0).group
     assert group is not None and len(group) == 4
-    robj = ScalarReduction("sum", 5.0)
-    head.inbox.post(ReductionUpload(cluster="local-cluster", blob=robj.to_bytes()))
+    head.inbox.post(upload("local-cluster", ScalarReduction("sum", 5.0)))
     result = head.join(timeout=5.0)
     assert result.robj.value() == 5.0
     assert result.clusters_reported == ("local-cluster",)
@@ -50,9 +62,8 @@ def test_head_serves_requests_and_merges():
 def test_head_rejects_duplicate_upload():
     head = make_head(clusters=("a", "b"))
     head.start()
-    blob = ScalarReduction("sum", 1.0).to_bytes()
-    head.inbox.post(ReductionUpload(cluster="a", blob=blob))
-    head.inbox.post(ReductionUpload(cluster="a", blob=blob))
+    head.inbox.post(upload("a", ScalarReduction("sum", 1.0)))
+    head.inbox.post(upload("a", ScalarReduction("sum", 1.0)))
     with pytest.raises(RuntimeProtocolError, match="twice"):
         head.join(timeout=5.0)
 
@@ -60,7 +71,7 @@ def test_head_rejects_duplicate_upload():
 def test_head_rejects_unknown_cluster_and_message():
     head = make_head()
     head.start()
-    head.inbox.post(ReductionUpload(cluster="stranger", blob=b""))
+    head.inbox.post(ReductionUpload(cluster="stranger", blob=b"", origins=()))
     with pytest.raises(RuntimeProtocolError, match="unknown cluster"):
         head.join(timeout=5.0)
 
@@ -83,7 +94,10 @@ def test_master_end_to_end_protocol():
     """Drive a master with two fake slaves against a real head."""
     head = make_head(files=2, chunks=2, clusters=("local-cluster",))
     head.start()
-    master = MasterNode("local-cluster", LOCAL_SITE, head.inbox, num_slaves=2)
+    master = MasterNode(
+        "local-cluster", LOCAL_SITE, head.inbox, num_slaves=2,
+        sync=MasterSync(codec=CODEC, parent_inbox=head.inbox),
+    )
     master.start()
 
     replies = [Mailbox("s0"), Mailbox("s1")]
@@ -109,8 +123,28 @@ def test_master_end_to_end_protocol():
 
 def test_master_validation():
     head = make_head()
+    sync = MasterSync(codec=CODEC, parent_inbox=head.inbox)
     with pytest.raises(RuntimeProtocolError):
-        MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=0)
-    master = MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=1)
+        MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=0, sync=sync)
+    master = MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=1, sync=sync)
     with pytest.raises(RuntimeProtocolError):
         master.join()
+
+
+def test_tree_master_rejects_a_second_upload_from_one_child():
+    """A tree master takes one upload per child, as the head takes one
+    per root: a repeat names its sender instead of being merged twice."""
+    plan = build_sync_plan(["a", "b", "c"], "tree")
+    head_inbox = Mailbox("head")
+    master = MasterNode(
+        "a", LOCAL_SITE, head_inbox, num_slaves=1, take_timeout=1.0,
+        sync=MasterSync(
+            codec=CODEC, parent_inbox=head_inbox, children=plan["a"].children
+        ),
+    )
+    assert master.sync.children == ("b", "c")
+    master.inbox.post(upload("b", ScalarReduction("sum", 1.0)))
+    master.inbox.post(upload("b", ScalarReduction("sum", 1.0)))
+    master.inbox.post(SlaveReduction(slave_id=0, robj=ScalarReduction("sum", 0.0)))
+    with pytest.raises(RuntimeProtocolError, match="'b' uploaded twice"):
+        master._serve()  # drive on this thread

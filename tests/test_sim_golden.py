@@ -54,8 +54,9 @@ SYNC_SPECS = {
     "tree+delta+zlib": SyncSpec(
         topology="tree", encoding="delta", compress="zlib", sim_ratio=0.25
     ),
+    # A fanout-1 tree is a chain; the key keeps its old name.
     "ring+stream+sparse": SyncSpec(
-        topology="ring", encoding="sparse", stream=True, sim_ratio=0.5
+        topology="tree", fanout=1, encoding="sparse", stream=True, sim_ratio=0.5
     ),
 }
 
@@ -147,7 +148,7 @@ def _cases() -> dict:
     ).run().to_dict()
     cases["trace/default"] = lambda: _traced(_small_hybrid())
     cases["trace/ring+stream"] = lambda: _traced(
-        _small_hybrid(), sync=SyncSpec(topology="ring", stream=True)
+        _small_hybrid(), sync=SyncSpec(topology="tree", fanout=1, stream=True)
     )
     cases["multisite/two-provider"] = lambda: MultiSiteSimulation(
         bench_module("bench_multisite").two_provider_config()

@@ -65,6 +65,14 @@ from repro.units import MB
 from conftest import bench_module, small_spec
 
 
+def layout(topology: str) -> dict:
+    """Plan keywords for a topology as these tests name it: ``ring`` is
+    the fanout-1 tree."""
+    if topology == "ring":
+        return {"topology": "tree", "fanout": 1}
+    return {"topology": topology}
+
+
 # -- plan shapes -------------------------------------------------------------
 
 
@@ -95,14 +103,14 @@ def test_tree_plan_respects_fanout():
 
 
 def test_ring_plan_is_a_chain():
-    plan = build_sync_plan(["a", "b", "c"], "ring")
+    plan = build_sync_plan(["a", "b", "c"], "tree", fanout=1)
     assert plan["c"].parent == "b" and plan["b"].parent == "a"
     assert plan["a"].parent is None
 
 
 def test_single_cluster_plans_degenerate_to_star():
     for topology in ("star", "tree", "ring"):
-        plan = build_sync_plan(["only"], topology)
+        plan = build_sync_plan(["only"], **layout(topology))
         assert plan_roots(plan) == ["only"]
 
 
@@ -119,10 +127,14 @@ def test_plan_rejects_bad_inputs():
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigurationError, match="topology"):
-        SyncSpec(topology="mesh")
-    with pytest.raises(ConfigurationError, match="encoding"):
-        SyncSpec(encoding="huffman")
+    # A chain is a fanout-1 tree and ``delta`` picks the cheapest body:
+    # there is no ``ring`` or ``auto``.
+    for topology in ("mesh", "ring"):
+        with pytest.raises(ConfigurationError, match="topology"):
+            SyncSpec(topology=topology)
+    for encoding in ("huffman", "auto"):
+        with pytest.raises(ConfigurationError, match="encoding"):
+            SyncSpec(encoding=encoding)
     with pytest.raises(ConfigurationError, match="compression"):
         SyncSpec(compress="zstd")
     with pytest.raises(ConfigurationError, match="watermark"):
@@ -137,7 +149,7 @@ def test_spec_is_default_ignores_sim_only_knobs():
     assert SyncSpec().is_default
     assert SyncSpec(watermark=3, fanout=5, sim_ratio=0.5).is_default
     assert not SyncSpec(topology="tree").is_default
-    assert not SyncSpec(encoding="auto").is_default
+    assert not SyncSpec(encoding="delta").is_default
     assert not SyncSpec(compress="zlib").is_default
     assert not SyncSpec(stream=True).is_default
 
@@ -217,7 +229,7 @@ def test_codec_state_is_exact_under_interleaved_channels(chains):
     shortened switch interval: the shared stats equal the sum of what
     each channel produces alone, and both baseline stores end on each
     channel's last object."""
-    spec = SyncSpec(encoding="auto", compress="zlib")
+    spec = SyncSpec(encoding="delta", compress="zlib")
     objects = {
         f"ch{i}": [
             ArrayReduction(8, data=np.array(values, dtype=np.float64))
@@ -471,13 +483,19 @@ def make_head(clusters, **kwargs):
     return HeadNode(scheduler, list(clusters), **kwargs)
 
 
+def upload(codec, cluster, robj, origins=None):
+    """``robj`` as ``cluster``'s master ships it through ``codec``."""
+    blob = codec.encode(cluster, robj).blob
+    return ReductionUpload(cluster=cluster, blob=blob, origins=origins or (cluster,))
+
+
 def test_head_barrier_timing_is_clock_driven():
     clock = TickClock()
-    head = make_head(("a", "b"), clock=clock)
+    codec = SyncCodec(SyncSpec())
+    sync = HeadSync(codec=codec, roots=("a", "b"))
+    head = make_head(("a", "b"), clock=clock, sync=sync)
     for name in ("a", "b"):
-        head.inbox.post(
-            ReductionUpload(cluster=name, blob=ScalarReduction("sum", 1.0).to_bytes())
-        )
+        head.inbox.post(upload(codec, name, ScalarReduction("sum", 1.0)))
     head._serve()  # drive on this thread: timing must come from the clock
     # One started/finished pair around the whole barrier merge: 1 tick.
     assert head.global_reduction_seconds == 1.0
@@ -490,8 +508,7 @@ def test_head_stream_timing_accumulates_per_upload():
     sync = HeadSync(codec=codec, roots=("a", "b"), stream=True)
     head = make_head(("a", "b"), clock=clock, sync=sync)
     for name in ("a", "b"):
-        blob = codec.encode(name, ScalarReduction("sum", 2.0)).blob
-        head.inbox.post(ReductionUpload(cluster=name, blob=blob))
+        head.inbox.post(upload(codec, name, ScalarReduction("sum", 2.0)))
     head._serve()
     # One started/finished pair per streamed merge: 2 ticks in total.
     assert head.global_reduction_seconds == 2.0
@@ -502,19 +519,19 @@ def test_head_rejects_incomplete_coverage():
     codec = SyncCodec(SyncSpec(topology="tree"))
     sync = HeadSync(codec=codec, roots=("a",))
     head = make_head(("a", "b", "c"), sync=sync)
-    blob = codec.encode("a", ScalarReduction("sum", 1.0)).blob
-    head.inbox.post(ReductionUpload(cluster="a", blob=blob, origins=("a", "b")))
+    head.inbox.post(
+        upload(codec, "a", ScalarReduction("sum", 1.0), origins=("a", "b"))
+    )
     with pytest.raises(RuntimeProtocolError, match="coverage"):
         head._serve()  # "c" never showed up in any origins
 
 
 def test_head_accepts_relayed_coverage():
-    codec = SyncCodec(SyncSpec(topology="ring"))
+    codec = SyncCodec(SyncSpec(topology="tree", fanout=1))
     sync = HeadSync(codec=codec, roots=("a",))
     head = make_head(("a", "b", "c"), sync=sync)
-    blob = codec.encode("a", ScalarReduction("sum", 6.0)).blob
     head.inbox.post(
-        ReductionUpload(cluster="a", blob=blob, origins=("a", "b", "c"))
+        upload(codec, "a", ScalarReduction("sum", 6.0), origins=("a", "b", "c"))
     )
     head._serve()
     assert head.result.robj.value() == 6.0
@@ -560,7 +577,7 @@ def test_runtime_sync_telemetry_accounts_for_wire_savings():
     )
     result = run_once(
         bundle, index, stores,
-        sync=SyncSpec(encoding="auto", compress="zlib"),
+        sync=SyncSpec(encoding="delta", compress="zlib"),
     )
     assert result.value == oracle
     t = result.telemetry
@@ -575,7 +592,7 @@ def test_sync_upload_trace_says_what_the_encode_cost():
     log = EventLog()
     result = run_once(
         bundle, index, stores,
-        sync=SyncSpec(encoding="auto", compress="zlib"), trace=log,
+        sync=SyncSpec(encoding="delta", compress="zlib"), trace=log,
     )
     details = [e.detail for e in log.snapshot() if e.kind == "sync_upload"]
     assert len(details) == result.telemetry.sync_uploads == 2
@@ -664,7 +681,7 @@ def test_sim_default_spec_is_byte_identical_to_legacy():
 def test_sim_topologies_keep_invariants(topology):
     config = env_config("pagerank", "env-50/50", scale=0.05)
     report = CloudBurstSimulation(
-        config, sync=SyncSpec(topology=topology, stream=True)
+        config, sync=SyncSpec(**layout(topology), stream=True)
     ).run()
     report.validate()
     assert report.total_jobs == CloudBurstSimulation(config).run().total_jobs
@@ -672,9 +689,10 @@ def test_sim_topologies_keep_invariants(topology):
 
 def test_sim_ratio_cuts_modeled_sync_time():
     config = env_config("pagerank", "env-50/50", scale=0.05)
-    dense = CloudBurstSimulation(config, sync=SyncSpec(topology="ring")).run()
+    chain = layout("ring")
+    dense = CloudBurstSimulation(config, sync=SyncSpec(**chain)).run()
     thin = CloudBurstSimulation(
-        config, sync=SyncSpec(topology="ring", sim_ratio=0.01)
+        config, sync=SyncSpec(**chain, sim_ratio=0.01)
     ).run()
     assert thin.makespan < dense.makespan
 
@@ -732,7 +750,7 @@ def test_multisite_tree_beats_star_on_shared_ingress():
     profile = _big_robj_profile()
     results = {
         topo: MultiSiteSimulation(
-            config, profile=profile, sync=SyncSpec(topology=topo)
+            config, profile=profile, sync=SyncSpec(**layout(topo))
         ).run()
         for topo in ("star", "tree", "ring")
     }
@@ -781,16 +799,16 @@ def test_sync_aggregation_time_closed_forms():
         link, 1000, 4, merge_seconds=2.0, topology="star"
     )
     assert star == pytest.approx(transfer_time(link, 1000, concurrent_flows=4) + 8.0)
-    # Ring: n serial single-flow hops, one merge each.
+    # A chain (fanout-1 tree): n serial single-flow hops, one merge each.
     ring = sync_aggregation_time(
-        link, 1000, 4, merge_seconds=2.0, topology="ring"
+        link, 1000, 4, merge_seconds=2.0, **layout("ring")
     )
     assert ring == pytest.approx(4 * (one + 2.0))
     # Tree sits between the two extremes on a capped trunk.
     capped = Link("sites", "head", bandwidth=100.0, latency=0.5,
                   per_flow_cap=50.0)
     times = {
-        topo: sync_aggregation_time(capped, 10_000, 8, topology=topo)
+        topo: sync_aggregation_time(capped, 10_000, 8, **layout(topo))
         for topo in ("star", "tree", "ring")
     }
     assert times["star"] <= times["tree"] <= times["ring"]

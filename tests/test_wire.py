@@ -113,7 +113,7 @@ def reduction_objects():
 )
 def test_round_trip_without_baseline(robj, encoding, compress):
     encoded = wire.encode(robj, encoding=encoding, compress=compress)
-    assert wire.is_wire_blob(encoded.blob)
+    assert encoded.blob[:2] == b"RW"
     decoded = wire.decode(encoded.blob)
     assert decoded.robj.to_bytes() == robj.to_bytes()
     assert decoded.dense == encoded.dense
@@ -181,18 +181,18 @@ def test_auto_picks_the_smallest_candidate():
     data = np.zeros(4096)
     data[1] = 1.0
     robj = ArrayReduction(4096, data=data)
-    auto = wire.encode(robj, encoding="auto")
+    picked = wire.encode(robj, encoding="delta")
     explicit = min(
         (wire.encode(robj, encoding=e) for e in ("dense", "sparse")),
         key=lambda enc: len(enc.blob),
     )
-    assert len(auto.blob) <= len(explicit.blob)
+    assert len(picked.blob) <= len(explicit.blob)
 
 
-def test_legacy_envelope_is_accepted():
+def test_headerless_envelope_is_rejected():
     robj = ScalarReduction("sum", 3.5)
-    decoded = wire.decode(robj.to_bytes())
-    assert decoded.encoding == "dense" and decoded.robj.value() == 3.5
+    with pytest.raises(ReductionError, match="RW header"):
+        wire.decode(robj.to_bytes())
 
 
 def test_delta_without_baseline_is_rejected():
@@ -384,15 +384,13 @@ def test_choice_round_trips_never_grows_and_stays_near_the_minimum(
 @pytest.mark.parametrize("n", [4096, 262_144])
 @pytest.mark.parametrize("compress", COMPRESSIONS)
 def test_delta_falls_back_to_sparse_on_a_first_upload(n, compress):
-    """``delta`` and ``auto`` share candidates: with no baseline yet a
-    mostly-identity array goes sparse, not dense."""
+    """``delta`` chooses among delta, sparse and dense: with no baseline
+    yet a mostly-identity array goes sparse, not dense."""
     data = np.zeros(n)
     data[:: max(n // 100, 1)] = 1.5
     robj = ArrayReduction(n, data=data)
     encoded = wire.encode(robj, encoding="delta", compress=compress)
     assert encoded.encoding == "sparse"
-    auto = wire.encode(robj, encoding="auto", compress=compress)
-    assert auto.blob == encoded.blob
 
 
 def test_one_encode_compresses_one_large_body(monkeypatch):
