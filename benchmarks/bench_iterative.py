@@ -50,5 +50,5 @@ def test_iterative_pagerank_projection(benchmark):
     # ...and the recurring robj exchange is the single largest component
     # (vs the single-pass view where retrieval noise hides it).
     assert robj > 0.5 * overhead
-    # Roughly 10 x the single-pass global reduction (~37.7 s each).
+    # Roughly 10 x the single-pass global reduction (~37.8 s each).
     assert 250.0 < robj < 600.0

@@ -290,11 +290,11 @@ def test_default_sync_spec_overhead_under_two_percent():
     result = runtime.run()
     del codec.encode
     t = result.telemetry
-    # One dense upload per cluster: the object's own serialization plus
-    # the wire header, so the "saving" is minus one header per upload.
+    # One dense upload per cluster: the object's own serialization, so
+    # nothing is saved.
     assert t.sync_uploads == len(t.clusters) == len(shipped) == 2
     assert codec.stats.encodings == {"dense": 2}
-    assert t.sync_bytes_saved == -wire._HEADER.size * t.sync_uploads
+    assert t.sync_bytes_saved == 0
 
     probe = SyncCodec(runtime.sync)
 

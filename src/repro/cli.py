@@ -554,8 +554,9 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 
 def _print_accounting(result, config: RunConfig) -> None:
-    """One line per option family `config` switched on, from the run's
-    telemetry; every count is a whole-run total."""
+    """One line per option family `config` switched on, and the sync line
+    (every runtime pass syncs), from the run's telemetry; every count is a
+    whole-run total."""
     t = result.telemetry
     parts = []
     if config.cache.bytes > 0:
@@ -568,15 +569,14 @@ def _print_accounting(result, config: RunConfig) -> None:
     if parts:
         print("  ".join(parts))
     sync = config.sync
-    if not sync.is_default:
-        dense = t.sync_bytes_sent + t.sync_bytes_saved
-        saved_pct = 100.0 * t.sync_bytes_saved / dense if dense else 0.0
-        print(
-            f"sync: {sync.topology}/{sync.encoding}/{sync.compress} "
-            f"sent {t.sync_bytes_sent} wire bytes, saved {t.sync_bytes_saved} "
-            f"({saved_pct:.1f}% off dense), "
-            f"{t.sync_partial_merges} streamed partial merges"
-        )
+    dense = t.sync_bytes_sent + t.sync_bytes_saved
+    saved_pct = 100.0 * t.sync_bytes_saved / dense if dense else 0.0
+    print(
+        f"sync: {sync.topology}/{sync.encoding}/{sync.compress} "
+        f"sent {t.sync_bytes_sent} wire bytes, saved {t.sync_bytes_saved} "
+        f"({saved_pct:.1f}% off dense), "
+        f"{t.sync_partial_merges} streamed partial merges"
+    )
     if config.effective_retry is not None:
         print(
             f"resilience: {t.faults_injected} faults injected, "

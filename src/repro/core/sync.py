@@ -88,17 +88,6 @@ class SyncSpec:
         if not 0.0 < self.sim_ratio <= 1.0:
             raise ConfigurationError("sync sim_ratio must be in (0, 1]")
 
-    @property
-    def is_default(self) -> bool:
-        """True when every knob matches the paper's star/dense/barrier
-        layout (the simulator then models no sync machinery)."""
-        return (
-            self.topology == "star"
-            and self.encoding == "dense"
-            and self.compress == "none"
-            and not self.stream
-        )
-
 
 @dataclass(frozen=True)
 class SyncNode:
@@ -156,7 +145,13 @@ def plan_roots(plan: dict[str, SyncNode]) -> list[str]:
 
 @dataclass
 class SyncStats:
-    """Codec accounting, cumulative across iterative passes."""
+    """Codec accounting, cumulative across iterative passes.
+
+    ``dense_bytes`` is what dense uploads of the same objects would have
+    shipped, wire header included, so a dense upload saves exactly 0 and,
+    since the codec never ships a body longer than dense,
+    ``bytes_saved >= 0``.
+    """
 
     uploads: int = 0
     wire_bytes: int = 0
@@ -172,10 +167,11 @@ class SyncCodec:
     """Thread-safe wire codec with per-channel delta baselines.
 
     A *channel* is a sender cluster name. Delta encoding diffs against
-    the previous object sent on the same channel, so the encoder keeps
-    the dense bytes it last produced per channel and the decoder keeps
-    the dense bytes it last reconstructed — two separate stores, because
-    encode and decode run in different node threads. The stores persist
+    the previous object sent on the same channel, so under ``delta`` the
+    encoder keeps the dense bytes it last produced per channel and the
+    decoder keeps the dense bytes it last reconstructed — two separate
+    stores, because encode and decode run in different node threads; no
+    other encoding reads a baseline, so none keeps one. The stores persist
     across iterative passes (the runtime driver owns one codec for the
     whole run), which is exactly what makes pass-N PageRank uploads tiny:
     the object barely changed since pass N-1.
@@ -195,6 +191,7 @@ class SyncCodec:
         self.spec = spec
         self.stats = SyncStats()
         self._lock = threading.Lock()
+        self._delta = spec.encoding == "delta"
         self._encode_baselines: dict[str, bytes] = {}
         self._encode_losses: dict[str, wire.Losses] = {}
         self._decode_baselines: dict[str, bytes] = {}
@@ -211,11 +208,12 @@ class SyncCodec:
             losses=losses,
         )
         with self._lock:
-            self._encode_baselines[channel] = encoded.dense
+            if self._delta:
+                self._encode_baselines[channel] = encoded.dense
             self._encode_losses[channel] = encoded.losses
             self.stats.uploads += 1
             self.stats.wire_bytes += len(encoded.blob)
-            self.stats.dense_bytes += len(encoded.dense)
+            self.stats.dense_bytes += wire._HEADER.size + len(encoded.dense)
             self.stats.encodings[encoded.encoding] = (
                 self.stats.encodings.get(encoded.encoding, 0) + 1
             )
@@ -225,6 +223,7 @@ class SyncCodec:
         with self._lock:
             baseline = self._decode_baselines.get(channel)
         decoded = wire.decode(blob, baseline=baseline)
-        with self._lock:
-            self._decode_baselines[channel] = decoded.dense
+        if self._delta:
+            with self._lock:
+                self._decode_baselines[channel] = decoded.dense
         return decoded.robj

@@ -200,7 +200,7 @@ class RunConfig:
                 "prefetch into; set cache=CacheOptions(bytes=..., prefetch=True) "
                 "or drop prefetch"
             )
-        if not self.sync.is_default and self.mode == "serial":
+        if self.sync != SyncSpec() and self.mode == "serial":
             problems.append(
                 "sync options configure the distributed global reduction; "
                 "serial mode has no masters to aggregate through and ignores "

@@ -50,7 +50,7 @@ _MIRRORED = (
     "slaves_failed", "slaves_revoked", "slaves_added", "jobs_reexecuted",
     "retries", "hedges", "circuit_opens", "faults_injected",
     "zero_copy_reads", "bytes_copied",
-    "sync_uploads", "sync_bytes_sent", "sync_partial_merges",
+    "sync_uploads", "sync_bytes_sent", "sync_bytes_saved", "sync_partial_merges",
 )
 
 
@@ -463,8 +463,6 @@ class CloudBurstingRuntime:
         )
         for name in _MIRRORED:
             registry.counter(name).inc(getattr(telemetry, name))
-        # Dense uploads save minus a wire header: a signed gauge, not a counter.
-        registry.gauge("sync_bytes_saved").add(telemetry.sync_bytes_saved)
         registry.gauge("workers").set(workers)
         registry.gauge("clusters").set(len(telemetry.clusters))
         return registry.snapshot()

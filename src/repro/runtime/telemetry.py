@@ -103,8 +103,9 @@ class RunTelemetry(PassRecord):
     prefetches: int = 0
     #: Global-reduction sync accounting (see :mod:`repro.core.sync`):
     #: filled by the driver on every pass (serial mode ships nothing).
-    #: ``sync_bytes_saved`` is dense-minus-wire across every upload this
-    #: run; ``sync_partial_merges`` counts streamed slave flushes folded
+    #: ``sync_bytes_saved`` is the codec's ``bytes_saved`` across every
+    #: upload this run — never negative, 0 for dense uploads;
+    #: ``sync_partial_merges`` counts streamed slave flushes folded
     #: before the barrier.
     sync_uploads: int = 0
     sync_bytes_sent: int = 0
@@ -168,6 +169,6 @@ def read_ledger(
         ledger.update(
             sync_uploads=stats.uploads,
             sync_bytes_sent=stats.wire_bytes,
-            sync_bytes_saved=stats.dense_bytes - stats.wire_bytes,
+            sync_bytes_saved=stats.bytes_saved,
         )
     return ledger

@@ -340,12 +340,11 @@ class MultiSiteSimulation:
         #: The caller owns it, so it persists across iterative passes.
         self.cache = cache
         #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`),
-        #: modeled with the same :func:`build_sync_plan` the runtime
-        #: executes. A default spec is indistinguishable from ``None`` —
-        #: the original ship-and-merge path runs untouched. Encoded
-        #: uploads are charged ``robj_bytes * sim_ratio`` on the wire
-        #: (merge cost stays dense: decoding restores the full object).
-        self.sync = None if sync is None or sync.is_default else sync
+        #: modeled with the same :func:`build_sync_plan` and the same
+        #: merge rule the runtime executes; ``None`` is the default spec.
+        #: Encoded uploads are charged ``robj_bytes * sim_ratio`` on the
+        #: wire (merge cost stays dense: decoding restores the full object).
+        self.sync = sync or SyncSpec()
         #: Modeled storage faults (:class:`~repro.resilience.FaultSpec`):
         #: ``latency`` faults add their fixed delay to a fetch, ``slow``
         #: faults re-price the chunk at the degraded bandwidth — the same
@@ -524,11 +523,9 @@ class MultiSiteSimulation:
         multi_cluster = len(active_sites) > 1
         robj_bytes = self.profile.robj_bytes
 
-        # With no sync spec every cluster ships its dense object straight
-        # to the head (the default spec's star plan) and the head merges
-        # each on arrival; a spec without streaming merges at a barrier.
-        spec = self.sync or SyncSpec()
-        head_on_arrival = self.sync is None or spec.stream
+        # As in the runtime, the head merges each plan root on arrival
+        # when streaming and otherwise at a barrier, in plan order.
+        spec = self.sync
         # Plan order puts the head-site cluster first (when it has cores)
         # so the plan root is the head-site master and the final hop to
         # the head stays off the WAN, as in the runtime driver.
@@ -537,6 +534,7 @@ class MultiSiteSimulation:
             for s in sorted(active_sites, key=lambda s: s.name != head)
         ]
         plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
+        roots = plan_roots(plan)
         wire_bytes = robj_bytes * spec.sim_ratio
         upload_events = {name: env.event() for name in cluster_names}
         masters: dict[str, SimMaster] = {}
@@ -544,7 +542,7 @@ class MultiSiteSimulation:
         processing_end: dict[str, float] = {}
         combine_done: dict[str, float] = {}
         robj_arrival: dict[str, float] = {}
-        merged_at: dict[str, float] = {}
+        head_merged_at: dict[str, float] = {}  # plan root -> merged at the head
         head_busy_until = [0.0]  # serialize head-side merges
 
         # Elastic bursting: the burst site's provisioner samples these
@@ -614,13 +612,11 @@ class MultiSiteSimulation:
                     busy = 0.0
                     for child in sorted(node.children, key=robj_arrival.__getitem__):
                         busy = max(busy, robj_arrival[child]) + merge
-                        merged_at[child] = busy
                         mark("merge_done", child, at=busy)
                 else:
                     busy = env.now
                     for child in node.children:
                         busy += merge
-                        merged_at[child] = busy
                         mark("merge_done", child, at=busy)
                 if busy > env.now:
                     yield env.timeout(busy - env.now)
@@ -637,18 +633,14 @@ class MultiSiteSimulation:
                     yield robj_link(site.name, head).transfer(wire_bytes)
             robj_arrival[name] = env.now
             mark("robj_sent", name)
-            if self.sync is not None:
-                # Wake the parent or the head barrier. Without a spec no
-                # one listens, and an unobserved event would still count
-                # in ``events_processed``.
-                upload_events[name].succeed()
-            if node.parent is None and head_on_arrival:
+            upload_events[name].succeed()
+            if node.parent is None and spec.stream:
                 # The head merges an arriving root immediately, serialized.
                 start = max(env.now, head_busy_until[0])
                 finish = start + compute.merge_seconds(robj_bytes)
                 head_busy_until[0] = finish
                 yield env.timeout(finish - env.now)
-                merged_at[name] = env.now
+                head_merged_at[name] = env.now
                 mark("merge_done", name)
 
         cluster_procs = []
@@ -706,17 +698,16 @@ class MultiSiteSimulation:
                 )
             )
 
-        if not head_on_arrival:
+        if not spec.stream:
             # Barrier global reduction: the head waits for every plan root
             # and merges them serially in plan order (as the runtime does).
-            roots = plan_roots(plan)
 
             def head_barrier_proc():
                 yield env.all_of([upload_events[r] for r in roots])
                 finish = env.now
                 for root in roots:
                     finish += compute.merge_seconds(robj_bytes)
-                    merged_at[root] = finish
+                    head_merged_at[root] = finish
                     mark("merge_done", root, at=finish)
                 yield env.timeout(finish - env.now)
 
@@ -762,7 +753,7 @@ class MultiSiteSimulation:
             raise SimulationError(
                 f"simulation ended with {scheduler.jobs_remaining} jobs unassigned"
             )
-        makespan = max(merged_at.values())
+        makespan = max(head_merged_at.values())
         last_processing = max(processing_end.values())
         clusters: dict[str, ClusterReport] = {}
         for name, crew in slaves.items():
@@ -784,12 +775,13 @@ class MultiSiteSimulation:
             experiment=config.name,
             app=config.app,
             makespan=makespan,
-            # Table II's "global reduction": the elapsed time combining the
-            # final object — the longest ship-and-merge span over clusters
-            # (dominated by the WAN push when the object is large).
+            # Table II's "global reduction": the longest ship span over
+            # clusters (dominated by the WAN push when the object is
+            # large) plus the head's own merge after the last root lands.
+            # A cluster's wait at the head barrier is its idle time.
             global_reduction=max(
-                merged_at[name] - combine_done[name] for name in merged_at
-            ),
+                robj_arrival[name] - combine_done[name] for name in robj_arrival
+            ) + makespan - max(robj_arrival[root] for root in roots),
             clusters=clusters,
             events_processed=env.events_processed,
             faults_injected=self.faults_injected,

@@ -129,9 +129,6 @@ class CloudBurstSimulation:
         self.trace = trace
         self.static_assignment = static_assignment
         self.cache = cache
-        self.sync = engine.sync
-        self.faults = engine.faults
-        self.scale = engine.scale
 
     def run(self) -> SimReport:
         return self._engine.run()

@@ -14,6 +14,10 @@ SAMPLE = re.compile(
     r"steal +\d+  util +\d+\.\d%  cache +\d+\.\d%  eta +(--|\d+\.\ds)"
 )
 DONE = r"done: wall \d+\.\d{3}s, \d+ jobs \(\d+ stolen\), (\d+) samples"
+SYNC_DEFAULT = (
+    r"sync: star/dense/none sent \d+ wire bytes, saved 0 \(0\.0% off dense\), "
+    r"0 streamed partial merges"
+)
 SCALING = r"scaling: \d+ slaves added, \d+ revoked, \$\d+\.\d{4} cloud spend"
 
 
@@ -58,7 +62,10 @@ def test_watch_without_scale_flags_prints_passes_and_no_scaling(capsys):
     assert code == 0, err
     lines = out.splitlines()
     assert "512 units, 1+1 cores" in lines[0]
-    assert re.fullmatch(DONE + ", 2 passes", lines[-1])
+    assert re.fullmatch(DONE + ", 2 passes", lines[-2])
+    # Every runtime run syncs, so the sync line always follows; a dense
+    # upload saves nothing.
+    assert re.fullmatch(SYNC_DEFAULT, lines[-1])
     assert "scaling" not in out
 
 

@@ -21,7 +21,6 @@ from repro.config import (
     MiddlewareTuning,
     PlacementSpec,
 )
-from repro.core import wire
 from repro.network.topology import Link
 from repro.network.transfer import parallel_transfer_time, transfer_time
 from repro.sim.engine import Environment
@@ -258,11 +257,11 @@ def test_golden_matrix_sync_matches_serial(app, encoding, topology, stream):
     result = repro.run(app, _golden_dataset(app), config)
     _assert_same_value(_baseline(app), result.value)
     t = result.telemetry
-    if config.sync.is_default:
-        # Each upload is the object's own serialization plus the wire
-        # header: nothing saved, one header spent.
+    assert t.sync_bytes_saved >= 0
+    if (encoding, topology, stream) == ("dense", "star", False):
+        # Each upload is the object's own serialization: nothing saved.
         assert t.sync_uploads >= 1
-        assert t.sync_bytes_saved == -wire._HEADER.size * t.sync_uploads
+        assert t.sync_bytes_saved == 0
         assert t.sync_partial_merges == 0
     else:
         assert t.sync_uploads >= 1

@@ -127,9 +127,8 @@ def test_resilience_parses_string_faults():
 
 def test_sync_family_is_the_sync_spec_itself():
     assert RunConfig().sync == SyncSpec()
-    assert RunConfig().sync.is_default
     spec = SyncSpec(topology="tree", sim_ratio=0.5)
-    assert RunConfig(sync=spec).sync is spec and not spec.is_default
+    assert RunConfig(sync=spec).sync is spec and spec != SyncSpec()
     # Four option classes; none of them mirrors SyncSpec.
     families = ["CacheOptions", "MonitorOptions", "ResilienceOptions", "ScaleOptions"]
     assert sorted(repro.options.__all__) == families

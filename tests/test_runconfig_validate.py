@@ -51,9 +51,13 @@ def test_prefetch_outside_runtime_conflicts():
 
 
 def test_sync_in_serial_mode_conflicts():
-    config = RunConfig(mode="serial", sync=SyncSpec(encoding="delta"))
-    with pytest.raises(ConfigurationError, match="serial mode has no masters"):
-        config.validate()
+    # Any knob off the default spec, the simulator-only ones included.
+    for spec in (SyncSpec(encoding="delta"), SyncSpec(watermark=3),
+                 SyncSpec(sim_ratio=0.5)):
+        config = RunConfig(mode="serial", sync=spec)
+        with pytest.raises(ConfigurationError, match="serial mode has no masters"):
+            config.validate()
+    RunConfig(mode="serial", sync=SyncSpec()).validate()
 
 
 def test_sim_only_sync_ratio_in_runtime_conflicts():

@@ -273,6 +273,9 @@ def test_metrics_snapshot_lands_in_telemetry():
     assert snap["counters"]["jobs_done"] == NUM_JOBS
     assert snap["counters"]["jobs_stolen"] == result.telemetry.total_stolen
     assert snap["gauges"]["workers"] == 4
+    # Dense uploads save exactly nothing, so the saving mirrors as a counter.
+    assert snap["counters"]["sync_bytes_saved"] == result.telemetry.sync_bytes_saved == 0
+    assert "sync_bytes_saved" not in snap["gauges"]
     fetch = snap["histograms"]["fetch_seconds"]
     compute = snap["histograms"]["compute_seconds"]
     assert fetch["count"] == NUM_JOBS

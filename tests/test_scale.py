@@ -11,6 +11,8 @@ in ``test_scale_property.py``.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,12 @@ from repro.config import (
     LOCAL_SITE,
     ComputeSpec,
     DatasetSpec,
+    MiddlewareTuning,
     PlacementSpec,
 )
 from repro.core.api import run_serial
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.errors import ConfigurationError, SpotRevocation
+from repro.errors import ConfigurationError, SpotRevocation, WorkerFailure
 from repro.obs.events import EventLog
 from repro.obs.live import RunMonitor
 from repro.options import ScaleOptions
@@ -294,14 +297,31 @@ def test_revoker_retire_stops_tracking():
 # -- end-to-end: the real runtime --------------------------------------------
 
 
-def _scaled_runtime(scale, *, trace=None, seed=2011):
+def _scaled_runtime(scale, *, trace=None, seed=2011, fault_hook=None):
     bundle, index, stores = materialize()
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores,
         ComputeSpec(local_cores=2, cloud_cores=2),
         scale=scale, trace=trace, seed=seed, join_timeout=60.0,
+        fault_hook=fault_hook,
     )
     return bundle, index, stores, runtime
+
+
+def _hold_local_until_a_revocation(trace: EventLog):
+    """A fault hook that holds local slaves 0-1 at their first job until
+    a cloud slave has been revoked, so they cannot drain the pool before
+    a cloud slave reaches its seeded ordinal (on a loaded machine they
+    otherwise can); the surviving cloud slave releases them."""
+    revoked = threading.Event()
+
+    def hook(slave_id, job):
+        if slave_id < 2:
+            assert revoked.wait(30.0)
+        elif trace.of_kind("revocation"):
+            revoked.set()
+
+    return hook
 
 
 def test_autoscale_run_is_bit_identical_and_attaches_slaves():
@@ -323,10 +343,72 @@ def test_autoscale_run_is_bit_identical_and_attaches_slaves():
     assert len(trace.of_kind("scale_up")) >= t.slaves_added
 
 
+class _Watch(EventLog):
+    """An event log that flags the first event of one kind."""
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+        self.seen = threading.Event()
+
+    def record(self, time, kind, **fields):
+        super().record(time, kind, **fields)
+        if kind == self.kind:
+            self.seen.set()
+
+
+def test_scale_down_retires_slaves_down_to_the_masters_floor():
+    """A fleet over ``max_slaves`` is told to shed to the cap; the cloud
+    master retires requesting slaves but never its last active one.
+
+    Cloud slaves 2, 3, 4 (no stealing, so only they drain the cloud
+    pool). Slave 2 takes the one sample of the run and then crashes, so
+    the master sees ``SlaveDetach(2)`` and then the failure; slaves 3
+    and 4 finish their first job only after the master has counted the
+    failure. One of them is retired; the floor keeps the other, which
+    drains the pool."""
+    cloud = {2, 3, 4}
+    scale = ScaleOptions(autoscale=True, max_slaves=1, interval=3600.0)
+    bundle, index, stores = materialize()
+    trace = _Watch("slave_failed")
+    monitor = RunMonitor(scale.interval)  # samples only when told to
+
+    def hook(slave_id, job):
+        if slave_id == 2:
+            monitor.sample_now()
+            raise WorkerFailure("slave 2 dies after the fleet was sampled")
+        if slave_id in cloud:
+            assert trace.seen.wait(timeout=10.0)
+
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=3),
+        tuning=MiddlewareTuning(allow_stealing=False),
+        scale=scale, trace=trace, monitor=monitor, fault_hook=hook,
+        join_timeout=30.0,
+    )
+    oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
+    result = runtime.run()
+    np.testing.assert_array_equal(result.value, oracle)
+    assert result.telemetry.slaves_failed == 1
+    retired = trace.of_kind("scale_down")
+    assert [(e.cluster, e.detail) for e in retired] == [
+        ("cloud-cluster", "slave retired")
+    ]
+    assert retired[0].worker in cloud - {2}
+    (survivor,) = cloud - {2, retired[0].worker}
+    # The floor kept the survivor, and it drained the rest of the pool.
+    assert any(
+        e.time > retired[0].time for e in trace.of_kind("fetch_start")
+        if e.worker == survivor
+    )
+
+
 def test_revocation_run_is_bit_identical_and_accounted():
     scale = ScaleOptions(revocation="rate=0.15,seed=5")
     trace = EventLog()
-    bundle, index, stores, runtime = _scaled_runtime(scale, trace=trace)
+    bundle, index, stores, runtime = _scaled_runtime(
+        scale, trace=trace, fault_hook=_hold_local_until_a_revocation(trace)
+    )
     oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
     result = runtime.run()
     np.testing.assert_array_equal(result.value, oracle)
@@ -343,7 +425,11 @@ def test_revocation_run_is_bit_identical_and_accounted():
 def test_revocation_telemetry_is_deterministic():
     def one_run():
         scale = ScaleOptions(revocation="rate=0.3,seed=9")
-        _, _, _, runtime = _scaled_runtime(scale)
+        trace = EventLog()
+        _, _, _, runtime = _scaled_runtime(
+            scale, trace=trace,
+            fault_hook=_hold_local_until_a_revocation(trace),
+        )
         result = runtime.run()
         return (
             result.telemetry.slaves_revoked,

@@ -12,8 +12,11 @@ the comparison is ``==`` — not ``approx`` — down to ``events_processed``.
 
 The file was generated at the commit *before* the two-site simulator
 became a configuration of the N-site engine. Regenerate it only for a
-deliberate model change, and say so in the PR::
+deliberate model change, and say so in the PR: list, per key, the fields
+that differ between the committed file and the current engine, then
+rewrite the file::
 
+    PYTHONPATH=src python tests/test_sim_golden.py --diff
     PYTHONPATH=src python tests/test_sim_golden.py --regen
 """
 
@@ -178,7 +181,53 @@ def test_matches_golden(name, golden):
     assert json.loads(json.dumps(CASES[name]())) == golden[name]
 
 
+def diff(old, new, path: str = ""):
+    """``(path, old, new)`` for every field at which two plain-data values
+    differ: dicts and equal-length lists of dicts are walked, any other
+    value is one field."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from diff(old.get(key), new.get(key), f"{path}.{key}".lstrip("."))
+    elif (
+        isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
+        and all(isinstance(item, dict) for item in old + new)
+    ):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from diff(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
+def _change(old, new) -> str:
+    if isinstance(old, list) and isinstance(new, list):
+        moved = sum(a != b for a, b in zip(old, new)) + abs(len(old) - len(new))
+        return f"{len(old)} -> {len(new)} items, {moved} differ"
+    return f"{old!r} -> {new!r}"
+
+
+def print_diff(golden: dict) -> int:
+    """Print the fields of every key that differ from ``golden``; returns
+    the number of keys that differ."""
+    changed = 0
+    for name in sorted(golden.keys() | CASES.keys()):
+        if name not in CASES or name not in golden:
+            where = "golden file" if name in golden else "engine"
+            print(f"{name}: only in the {where}")
+            changed += 1
+            continue
+        fields = list(diff(golden[name], json.loads(json.dumps(CASES[name]()))))
+        if fields:
+            changed += 1
+            print(name)
+        for path, old, new in fields:
+            print(f"  {path or '<value>'}: {_change(old, new)}")
+    print(f"{changed} of {len(golden.keys() | CASES.keys())} keys differ")
+    return changed
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(1 if print_diff(json.loads(GOLDEN_PATH.read_text())) else 0)
     if sys.argv[1:] != ["--regen"]:
         sys.exit(__doc__)
     GOLDEN_PATH.parent.mkdir(exist_ok=True)

@@ -145,13 +145,20 @@ def test_spec_validation():
         SyncSpec(sim_ratio=0.0)
 
 
-def test_spec_is_default_ignores_sim_only_knobs():
-    assert SyncSpec().is_default
-    assert SyncSpec(watermark=3, fanout=5, sim_ratio=0.5).is_default
-    assert not SyncSpec(topology="tree").is_default
-    assert not SyncSpec(encoding="delta").is_default
-    assert not SyncSpec(compress="zlib").is_default
-    assert not SyncSpec(stream=True).is_default
+def test_dense_uploads_save_nothing_whatever_the_sim_only_knobs():
+    robj = DictReduction("sum", {f"w{i}": i for i in range(200)})
+    for spec in (SyncSpec(), SyncSpec(watermark=3, fanout=5, sim_ratio=0.5)):
+        codec = SyncCodec(spec)
+        for _ in range(2):
+            blob = codec.encode("cloud-cluster", robj).blob
+            assert codec.decode("cloud-cluster", blob).to_bytes() == robj.to_bytes()
+        stats = codec.stats
+        assert stats.encodings == {"dense": 2}
+        # The wire header is counted on both sides of the ledger.
+        assert stats.wire_bytes == stats.dense_bytes == 2 * len(blob)
+        assert stats.bytes_saved == 0
+        # Only delta reads a baseline, so nothing else keeps one.
+        assert not codec._encode_baselines and not codec._decode_baselines
 
 
 # -- codec accounting --------------------------------------------------------
@@ -165,7 +172,7 @@ def test_codec_tracks_bytes_saved_per_channel():
         assert codec.decode("cloud-cluster", blob).to_bytes() == robj.to_bytes()
     stats = codec.stats
     assert stats.uploads == 3
-    assert stats.dense_bytes == 3 * len(robj.to_bytes())
+    assert stats.dense_bytes == 3 * (wire._HEADER.size + len(robj.to_bytes()))
     # Passes 2 and 3 are pure deltas of an unchanged object: near-free.
     assert stats.bytes_saved > stats.dense_bytes // 2
     assert stats.encodings.get("delta", 0) >= 2
@@ -619,6 +626,28 @@ def test_runtime_streaming_flushes_partials():
     )
     np.testing.assert_array_equal(result.value, oracle)
     assert result.telemetry.sync_partial_merges > 0
+
+
+def test_traced_tree_streaming_records_every_master_merge():
+    """A streaming tree run traces each master-side fold: one
+    ``sync_merge`` per slave partial and one per child upload (the
+    cloud master is the local master's child)."""
+    bundle, index, stores = materialize("histogram")
+    oracle = run_serial(
+        bundle.app, DatasetReader(index, stores).read_all_chunks()
+    )
+    log = EventLog()
+    result = run_once(
+        bundle, index, stores,
+        sync=SyncSpec(topology="tree", stream=True, watermark=2),
+        cores=(2, 2), trace=log,
+    )
+    np.testing.assert_array_equal(result.value, oracle)
+    merges = log.of_kind("sync_merge")
+    partials = [e for e in merges if re.fullmatch(r"partial of \d+ jobs", e.detail)]
+    uploads = [(e.cluster, e.detail) for e in merges if e not in partials]
+    assert len(partials) == result.telemetry.sync_partial_merges > 0
+    assert uploads == [("local-cluster", "upload from cloud-cluster")]
 
 
 class CrashOnce:

@@ -201,7 +201,7 @@ def test_per_pass_telemetry_sums_to_the_cumulative_counters():
         "bytes_saved": cache.stats.bytes_saved,
         "sync_uploads": codec.uploads,
         "sync_bytes_sent": codec.wire_bytes,
-        "sync_bytes_saved": codec.dense_bytes - codec.wire_bytes,
+        "sync_bytes_saved": codec.bytes_saved,
     }
     for name, total in cumulative.items():
         assert getattr(first, name) + getattr(second, name) == total, name

@@ -117,8 +117,8 @@ def test_round_trip_without_baseline(robj, encoding, compress):
     decoded = wire.decode(encoded.blob)
     assert decoded.robj.to_bytes() == robj.to_bytes()
     assert decoded.dense == encoded.dense
-    # The cost heuristic never ships a blob materially larger than dense.
-    assert len(encoded.blob) <= len(encoded.dense) + wire._HEADER.size + 64
+    # The body never outgrows dense, so a codec never saves less than 0.
+    assert len(encoded.blob) <= wire._HEADER.size + len(encoded.dense)
 
 
 @settings(deadline=None, max_examples=40)
@@ -142,7 +142,7 @@ def test_delta_chain_is_bit_exact(pair, compress):
         decoded = codec.decode("chan", blob)
         assert decoded.to_bytes() == robj.to_bytes()
     assert codec.stats.uploads == 2
-    assert codec.stats.bytes_saved >= -2 * (wire._HEADER.size + 64)
+    assert codec.stats.bytes_saved >= 0
 
 
 def test_delta_shrinks_converging_uploads():
