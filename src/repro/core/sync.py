@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, RuntimeProtocolError
 from .reduction import ReductionObject
 from . import wire
 
@@ -37,6 +37,7 @@ __all__ = [
     "build_sync_plan",
     "plan_roots",
     "SyncCodec",
+    "UploadReceipts",
 ]
 
 #: Aggregation layouts across masters.
@@ -227,3 +228,35 @@ class SyncCodec:
             with self._lock:
                 self._decode_baselines[channel] = decoded.dense
         return decoded.robj
+
+
+@dataclass
+class UploadReceipts:
+    """How ``node`` takes one upload from each of ``senders`` — the head
+    from the plan roots, a master from its children: check the sender,
+    record the clusters the upload covers, decode, and keep the object
+    for a barrier merge in plan order. Merging stays with the node, and
+    so does the arrival stamp (this reads no clock)."""
+
+    node: str
+    senders: tuple[str, ...]
+    codec: SyncCodec | None
+    #: Each sender's decoded upload, in arrival order.
+    received: dict[str, ReductionObject] = field(default_factory=dict)
+    #: Every cluster the taken uploads cover, in arrival order.
+    origins: list[str] = field(default_factory=list)
+
+    @property
+    def pending(self) -> bool:
+        return len(self.received) < len(self.senders)
+
+    def take(self, message) -> ReductionObject:
+        """Decode one :class:`~repro.core.messages.ReductionUpload`."""
+        cluster = message.cluster
+        if cluster in self.received:
+            raise RuntimeProtocolError(f"{self.node}: {cluster!r} uploaded twice")
+        if cluster not in self.senders:
+            raise RuntimeProtocolError(f"{self.node}: unknown cluster {cluster!r}")
+        self.origins.extend(message.origins)
+        self.received[cluster] = self.codec.decode(cluster, message.blob)
+        return self.received[cluster]

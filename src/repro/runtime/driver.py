@@ -2,9 +2,10 @@
 
 :class:`CloudBurstingRuntime` assembles head + masters + slaves as threads
 over real data in the storage layer, runs an application to completion, and
-returns the final result with telemetry. It is the functional twin of
-:class:`repro.sim.simulation.CloudBurstSimulation`: same index, same
-scheduler, same protocol — real bytes instead of modeled costs.
+returns the final result with telemetry. The simulator
+(:class:`repro.sim.simulation.CloudBurstSimulation`) steps the same head
+scheduler and master core (:mod:`repro.core.master`) with modeled costs;
+its slaves and its global reduction are still models of their own.
 """
 
 from __future__ import annotations
@@ -367,12 +368,12 @@ class CloudBurstingRuntime:
         )
         # Stamps are perf_counter readings, like the slaves' stopwatches. A
         # cluster uploads to the head or, in a tree, to its parent master.
-        arrivals = dict(head.receipts.arrivals)
+        arrivals = dict(head.arrivals)
         for master in masters:
-            arrivals.update(master.receipts.arrivals)
-        last_end = max(m.processing_end for m in masters) - started
+            arrivals.update(master.core.arrivals)
+        last_end = max(m.core.processing_end for m in masters) - started
         for master, site in zip(masters, sites):
-            name = master.name
+            name, core = master.name, master.core
             crew = [
                 (s.telemetry.processing.total, s.telemetry.retrieval.total,
                  s.telemetry.jobs)
@@ -382,18 +383,18 @@ class CloudBurstingRuntime:
             telemetry.clusters[name] = ClusterReport.from_crew(
                 name, site, crew, jobs_stolen=scheduler.clusters[name].jobs_stolen,
                 span=wall, last_end=last_end,
-                processing_end=master.processing_end - started,
+                processing_end=core.processing_end - started,
                 combine_done=master.combine_done - started,
                 robj_arrival=arrivals[name] - started,
             )
-            telemetry.slaves_failed += master.slaves_failed
-            telemetry.slaves_revoked += master.slaves_revoked
-            telemetry.slaves_added += master.slaves_added
-            telemetry.jobs_reexecuted += master.jobs_reexecuted
+            telemetry.slaves_failed += core.slaves_failed
+            telemetry.slaves_revoked += core.slaves_revoked
+            telemetry.slaves_added += core.slaves_added
+            telemetry.jobs_reexecuted += core.jobs_reexecuted
         if burst is not None:
             telemetry.dollars_spent = burst.controller.dollars_spent
         telemetry.prefetches = sum(s.prefetches for s in slaves)
-        telemetry.sync_partial_merges = sum(m.sync_partials for m in masters)
+        telemetry.sync_partial_merges = sum(m.core.sync_partials for m in masters)
         telemetry.validate()
 
         if trace is not None:
@@ -427,8 +428,9 @@ class CloudBurstingRuntime:
         codec = self._sync_codec
 
         def probe() -> dict:
-            pool_depth = sum(len(m.pool) for m in masters)
-            in_flight = sum(m.pool.in_flight for m in masters)
+            pools = [m.core.pool for m in masters]
+            pool_depth = sum(len(p) for p in pools)
+            in_flight = sum(p.in_flight for p in pools)
             with slaves_lock:
                 crew = tuple(slaves)
             workers = (
@@ -436,7 +438,7 @@ class CloudBurstingRuntime:
             )
             gauges = {
                 "jobs_total": jobs_total,
-                "jobs_done": sum(m.pool.jobs_done for m in masters),
+                "jobs_done": sum(p.jobs_done for p in pools),
                 "pool_depth": pool_depth,
                 "in_flight": in_flight,
                 "steals": sum(c.jobs_stolen for c in scheduler.clusters.values()),

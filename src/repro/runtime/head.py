@@ -11,18 +11,25 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..clock import SYSTEM_CLOCK
+from ..core.master import Post
+from ..core.messages import (
+    GroupComplete,
+    HeadResult,
+    JobReply,
+    JobRequest,
+    ReductionUpload,
+)
 from ..core.reduction import ReductionObject
 from ..core.scheduler import HeadScheduler
-from ..core.sync import SyncCodec
+from ..core.sync import SyncCodec, UploadReceipts
 from ..errors import RuntimeProtocolError, RuntimeTimeoutError
 from ..obs.events import EventLog
-from .messages import GroupComplete, HeadResult, JobReply, JobRequest, ReductionUpload
 from .transport import Mailbox
 
-__all__ = ["HeadSync", "UploadReceipts", "HeadNode"]
+__all__ = ["HeadSync", "HeadNode"]
 
 
 @dataclass(frozen=True)
@@ -34,36 +41,6 @@ class HeadSync:
     codec: SyncCodec
     roots: tuple[str, ...]
     stream: bool = False
-
-
-@dataclass
-class UploadReceipts:
-    """How ``node`` takes one :class:`ReductionUpload` from each of
-    ``senders`` — the head from the plan roots, a master from its
-    children: check the sender, stamp the arrival, record the clusters
-    the upload covers, decode. Merging stays with the node."""
-
-    node: str
-    senders: tuple[str, ...]
-    codec: SyncCodec
-    #: ``time.perf_counter()`` at which each sender's upload was taken.
-    arrivals: dict[str, float] = field(default_factory=dict)
-    #: Every cluster the taken uploads cover, in arrival order.
-    origins: list[str] = field(default_factory=list)
-
-    @property
-    def pending(self) -> bool:
-        return len(self.arrivals) < len(self.senders)
-
-    def take(self, message: ReductionUpload) -> ReductionObject:
-        cluster = message.cluster
-        if cluster in self.arrivals:
-            raise RuntimeProtocolError(f"{self.node}: {cluster!r} uploaded twice")
-        if cluster not in self.senders:
-            raise RuntimeProtocolError(f"{self.node}: unknown cluster {cluster!r}")
-        self.arrivals[cluster] = time.perf_counter()
-        self.origins.extend(message.origins)
-        return self.codec.decode(cluster, message.blob)
 
 
 class HeadNode:
@@ -93,8 +70,12 @@ class HeadNode:
         self.inbox = Mailbox("head")
         self.result: HeadResult | None = None
         self.global_reduction_seconds = 0.0
-        #: The plan roots' uploads (arrival stamps are read after ``join``).
+        # Under tree aggregation only the plan roots reach the head; their
+        # uploads carry ``origins`` proving descendant coverage.
         self.receipts = UploadReceipts("head", sync.roots, sync.codec)
+        #: ``time.perf_counter()`` at which each root's upload was taken.
+        self.arrivals: dict[str, float] = {}
+        self._merged: ReductionObject | None = None
         self._thread: threading.Thread | None = None
         self._failure: BaseException | None = None
 
@@ -115,53 +96,50 @@ class HeadNode:
         assert self.result is not None
         return self.result
 
-    def is_alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     # -- the protocol loop ----------------------------------------------------
 
     def _run(self) -> None:
         try:
-            self._serve()
+            while self.result is None:
+                for post in self.step(self.inbox.take(timeout=self.take_timeout)):
+                    post.to.post(post.message)
         except BaseException as exc:  # surface in join()
             self._failure = exc
 
-    def _serve(self) -> None:
-        stream = self.sync.stream
-        # Under tree aggregation only the plan roots reach the head; their
-        # uploads carry ``origins`` proving descendant coverage.
-        receipts = self.receipts
-        clock = self.clock
-        uploads: dict[str, ReductionObject] = {}
-        merged: ReductionObject | None = None
-        while receipts.pending:
-            message = self.inbox.take(timeout=self.take_timeout)
-            if isinstance(message, JobRequest):
-                group = self.scheduler.request_jobs(message.cluster, message.max_jobs)
-                message.reply_to.post(JobReply(group))
-            elif isinstance(message, GroupComplete):
-                self.scheduler.complete_group(message.group_id)
-                if self.trace is not None:
-                    self.trace.emit(
-                        "group_acked", cluster=message.cluster,
-                        detail=f"group {message.group_id}",
-                    )
-            elif isinstance(message, ReductionUpload):
-                robj = receipts.take(message)
-                uploads[message.cluster] = robj
-                if stream:
-                    started = clock.monotonic()
-                    if merged is None:
-                        merged = robj.clone_empty()
-                    merged.merge(robj)
-                    self.global_reduction_seconds += clock.monotonic() - started
-                    if self.trace is not None:
-                        self.trace.emit("merge_done", cluster=message.cluster)
-            else:
-                raise RuntimeProtocolError(
-                    f"head received unexpected message {type(message).__name__}"
+    def step(self, message) -> list[Post]:
+        """Take one message; returns the replies to post. The last plan
+        root's upload completes the global reduction (``result``)."""
+        if isinstance(message, JobRequest):
+            group = self.scheduler.request_jobs(message.cluster, message.max_jobs)
+            return [Post(message.reply_to, JobReply(group))]
+        if isinstance(message, GroupComplete):
+            self.scheduler.complete_group(message.group_id)
+            if self.trace is not None:
+                self.trace.emit(
+                    "group_acked", cluster=message.cluster,
+                    detail=f"group {message.group_id}",
                 )
-        covered = set(receipts.origins)
+            return []
+        if not isinstance(message, ReductionUpload):
+            raise RuntimeProtocolError(
+                f"head received unexpected message {type(message).__name__}"
+            )
+        self.arrivals[message.cluster] = time.perf_counter()
+        robj = self.receipts.take(message)
+        if self.sync.stream:
+            started = self.clock.monotonic()
+            if self._merged is None:
+                self._merged = robj.clone_empty()
+            self._merged.merge(robj)
+            self.global_reduction_seconds += self.clock.monotonic() - started
+            if self.trace is not None:
+                self.trace.emit("merge_done", cluster=message.cluster)
+        if not self.receipts.pending:
+            self._finish()
+        return []
+
+    def _finish(self) -> None:
+        covered = set(self.receipts.origins)
         if covered != set(self.expected):
             missing = sorted(set(self.expected) - covered)
             extra = sorted(covered - set(self.expected))
@@ -169,18 +147,16 @@ class HeadNode:
                 f"global reduction coverage mismatch: missing {missing}, "
                 f"unknown {extra}"
             )
+        merged = self._merged
         if merged is None:
             # Barrier: merge in plan order for determinism.
-            started = clock.monotonic()
-            for cluster in receipts.senders:
-                robj = uploads[cluster]
+            started = self.clock.monotonic()
+            for cluster in self.receipts.senders:
+                robj = self.receipts.received[cluster]
                 if merged is None:
                     merged = robj.clone_empty()
                 merged.merge(robj)
                 if self.trace is not None:
                     self.trace.emit("merge_done", cluster=cluster)
-            self.global_reduction_seconds = clock.monotonic() - started
-        assert merged is not None
-        self.result = HeadResult(
-            robj=merged, clusters_reported=tuple(self.expected)
-        )
+            self.global_reduction_seconds = self.clock.monotonic() - started
+        self.result = HeadResult(robj=merged, clusters_reported=tuple(self.expected))

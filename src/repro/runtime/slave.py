@@ -35,11 +35,11 @@ from ..clock import SYSTEM_CLOCK
 from ..config import DEFAULT_UNITS_PER_GROUP
 from ..core.api import GeneralizedReductionApp
 from ..core.job import Job
+from ..core.messages import SlaveFailed, SlaveJobDone, SlaveJobRequest, SlaveReduction
 from ..data.dataset import DatasetReader
 from ..errors import RuntimeProtocolError, SpotRevocation, WorkerFailure
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
-from .messages import SlaveFailed, SlaveJobDone, SlaveJobRequest, SlaveReduction
 from .telemetry import SlaveTelemetry
 from .transport import Mailbox
 
@@ -139,9 +139,8 @@ class SlaveWorker:
     # -- worker loop --------------------------------------------------------
 
     def _run(self) -> None:
-        current: list[Job | None] = [None]
         try:
-            self._work(current)
+            self._work()
         except WorkerFailure as exc:
             # An injected crash: the worker dies, the middleware recovers.
             # A SpotRevocation is the same death with different paperwork —
@@ -150,7 +149,6 @@ class SlaveWorker:
             self.master_inbox.post(
                 SlaveFailed(
                     slave_id=self.slave_id,
-                    in_flight=current[0],
                     revoked=isinstance(exc, SpotRevocation),
                 )
             )
@@ -160,9 +158,7 @@ class SlaveWorker:
             # when the driver joins this slave.
             self._failure = exc
             self.crashed = True
-            self.master_inbox.post(
-                SlaveFailed(slave_id=self.slave_id, in_flight=current[0])
-            )
+            self.master_inbox.post(SlaveFailed(slave_id=self.slave_id))
         finally:
             # Only now: a stage blocked on the master's reply can be
             # joined once the master knows this slave is dead (it answers
@@ -173,13 +169,13 @@ class SlaveWorker:
                 prefetcher.close()
             self.reader.release()
 
-    def _work(self, current: list) -> None:
+    def _work(self) -> None:
         self._robj = self.app.create_reduction_object()
         self._flushed_jobs.clear()
         if self.prefetch:
-            self._work_pipelined(current)
+            self._work_pipelined()
         else:
-            self._work_sequential(current)
+            self._work_sequential()
         if self.process_slave is not None:
             # Pull the worker process's accumulated partial so the final
             # hand-over below is identical to a threaded slave's.
@@ -219,7 +215,7 @@ class SlaveWorker:
         self._robj = self.app.create_reduction_object()
         self._flushed_jobs = []
 
-    def _work_sequential(self, current: list) -> None:
+    def _work_sequential(self) -> None:
         telemetry = self.telemetry
         trace = self.trace
         while True:
@@ -230,7 +226,6 @@ class SlaveWorker:
             job = reply.job
             if job is None:
                 break
-            current[0] = job
             if self.fault_hook is not None:
                 self.fault_hook(self.slave_id, job)
             if trace is not None:
@@ -249,9 +244,8 @@ class SlaveWorker:
             if self._fetch_hist is not None:
                 self._fetch_hist.observe(telemetry.retrieval.total - before_fetch)
             self._process(job, raw)
-            current[0] = None
 
-    def _work_pipelined(self, current: list) -> None:
+    def _work_pipelined(self) -> None:
         """The prefetcher acquires and fetches the next jobs while this
         thread reduces the current one.
 
@@ -275,7 +269,6 @@ class SlaveWorker:
                 job, raw = prefetcher.take(timeout=self.take_timeout)
             if job is None:
                 break
-            current[0] = job
             if self.fault_hook is not None:
                 self.fault_hook(self.slave_id, job)
             if self._fetch_hist is not None:
@@ -283,7 +276,6 @@ class SlaveWorker:
                     telemetry.retrieval.total - before_fetch
                 )
             self._process(job, raw)
-            current[0] = None
 
     def _acquire(self) -> Job | None:
         """Prefetcher stage: ask the master for the next job (blocking)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Callable
 
-from ..runtime.messages import SlaveAttach, SlaveDetach
+from ..core.messages import SlaveAttach, SlaveDetach
 from .revocation import SpotRevoker
 
 if TYPE_CHECKING:  # avoid options <-> scale import cycle
@@ -59,7 +59,7 @@ class RuntimeBurst:
         revoked = (
             self.revoker.revoked
             if self.revoker is not None
-            else master.slaves_revoked
+            else master.core.slaves_revoked
         )
         fleet = max(0, master.num_slaves + self.added - self.removed - revoked)
         decision = self.controller.observe(sample, fleet)

@@ -166,7 +166,7 @@ class ClusterBurst:
             else 0.0
         )
         yield self.env.timeout(delay)
-        if self.master.done:
+        if self.master.core.run_over:
             # The run ended while the instance was booting: money already
             # accrued for the order, but the slave never joins.
             self._cancelled.add(slave.worker_id)
@@ -203,7 +203,7 @@ class ClusterBurst:
         controller = self.controller
         while True:
             yield env.timeout(self.scale.interval)
-            if self._closed.triggered or self.master.done:
+            if self._closed.triggered or self.master.core.run_over:
                 break
             sample = _derive(self.probe(), env.now)
             decision = controller.observe(sample, self._fleet)

@@ -50,6 +50,7 @@ if TYPE_CHECKING:
 from ..config import DatasetSpec, MiddlewareTuning
 from ..core.index import DataIndex, FileEntry
 from ..core.job import Job
+from ..core.messages import JobReply
 from ..core.scheduler import HeadScheduler
 from ..core.sync import SyncSpec, build_sync_plan, plan_roots
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
@@ -564,12 +565,13 @@ class MultiSiteSimulation:
             if burst is not None:
                 crews += burst.started
             workers = len(crews)
-            waiting = sum(m.idle_slaves for m in masters.values())
+            cores = [m.core for m in masters.values()]
+            waiting = sum(len(core.waiting) for core in cores)
             return {
                 "jobs_total": len(jobs),
                 "jobs_done": sum(s.metrics.jobs for s in crews),
-                "pool_depth": sum(len(m.pool) for m in masters.values()),
-                "in_flight": sum(m.pool.in_flight for m in masters.values()),
+                "pool_depth": sum(len(core.pool) for core in cores),
+                "in_flight": sum(core.pool.in_flight for core in cores),
                 "workers": workers,
                 "workers_busy": max(0, workers - waiting),
             }
@@ -648,20 +650,14 @@ class MultiSiteSimulation:
         for site in active_sites:
             name = f"{site.name}-cluster"
             scheduler.register_cluster(name, site.name)
-            # The pool's refill point scales with the slave count (capped)
-            # so several files stay in flight at once — a pool sized well
-            # below the slave count would serialize the whole cluster onto
-            # a single file's chunk run — while staying shallow enough that
-            # a slow cluster does not hoard jobs the other could steal.
             masters[name] = master = SimMaster(
                 env, name, site.name, scheduler,
                 control_rtt=2 * (
                     config.lan_latency if site.name == head
                     else config.control_latency
                 ),
-                low_water=max(config.tuning.pool_low_water,
-                              min(site.cores // 2, 8)),
-                group_size=config.tuning.job_group_size,
+                cores=site.cores,
+                tuning=config.tuning,
                 trace=trace,
             )
 
@@ -716,18 +712,18 @@ class MultiSiteSimulation:
             )
 
         if self.static_assignment:
-            # Deal the whole pool out round-robin before time starts, then
-            # close every master's intake.
+            # Deal the whole pool out round-robin before time starts. Each
+            # master hears "no more jobs" first, so it never asks the head.
             names = list(masters)
+            for master in masters.values():
+                master.step(JobReply(None))
             turn = 0
             while not scheduler.exhausted:
                 group = scheduler.request_jobs(names[turn % len(names)])
                 if group is None:
                     break
-                masters[names[turn % len(names)]].preload(group)
+                masters[names[turn % len(names)]].step(JobReply(group))
                 turn += 1
-            for master in masters.values():
-                master.close_intake()
 
         # The cache outlives the run in iterative use; report this pass's
         # delta, mirroring the executable driver's accounting.

@@ -1,20 +1,30 @@
 """Simulated middleware nodes: master and slave processes.
 
-These drive the *same* :class:`~repro.core.scheduler.HeadScheduler` and
-:class:`~repro.core.jobpool.JobPool` the executable runtime uses — the
-simulator only replaces bytes with costs. A master is a passive object
-whose fetch logic runs as short-lived processes (one per head exchange,
-paying the control round-trip); slaves are long-lived processes that loop
-retrieve -> process until the global job supply is exhausted.
+A master is the executable runtime's own protocol core
+(:class:`~repro.core.master.MasterCore`: job pool, one outstanding group
+request, acks, the end-of-run rule) stepped from simulation processes,
+over the same :class:`~repro.core.scheduler.HeadScheduler` the runtime's
+head serves from. :class:`SimMaster` adds only costs: each group request
+is a short-lived process paying the control round-trip, each group ack
+pays half of it. Slaves are long-lived processes that loop
+retrieve -> process until the master answers ``None``. The cluster's
+combine and upload are modeled in :mod:`repro.sim.multisite`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
+from ..config import MiddlewareTuning
 from ..core.job import Job
-from ..core.jobpool import JobPool
+from ..core.master import Emit, MasterCore
+from ..core.messages import (
+    GroupComplete,
+    JobReply,
+    JobRequest,
+    SlaveJobDone,
+    SlaveJobRequest,
+)
 from ..core.scheduler import HeadScheduler
 from ..obs import EventLog
 from .computemodel import ComputeModel
@@ -39,7 +49,9 @@ LeaseFn = Callable[[int, int], bool]
 
 
 class SimMaster:
-    """Cluster master: keeps the slave-facing job pool filled from the head."""
+    """Cluster master: the shared :class:`~repro.core.master.MasterCore`
+    plus what its head exchanges cost — the control round-trip per group
+    request, half of it per group acknowledgement."""
 
     def __init__(
         self,
@@ -49,8 +61,8 @@ class SimMaster:
         scheduler: HeadScheduler,
         *,
         control_rtt: float,
-        low_water: int,
-        group_size: int,
+        cores: int,
+        tuning: MiddlewareTuning,
         trace: EventLog | None = None,
     ) -> None:
         self.env = env
@@ -58,63 +70,47 @@ class SimMaster:
         self.site = site
         self.scheduler = scheduler
         self.control_rtt = control_rtt
-        self.group_size = group_size
         self.trace = trace
-        self.pool = JobPool(low_water=low_water)
-        self._waiters: deque[Event] = deque()
-        self._fetching = False
-        self._no_more = False
+        self.core = MasterCore(name, cores, tuning)
 
-    # -- static-assignment mode (ablation baseline) ----------------------------
+    def step(self, message) -> None:
+        """Step the core with one message and carry out its actions."""
+        env = self.env
+        for action in self.core.step(message):
+            if isinstance(action, Emit):
+                if self.trace is not None:
+                    self.trace.record(
+                        env.now, action.kind, cluster=self.name, **action.fields
+                    )
+                continue
+            message = action.message
+            if isinstance(message, JobRequest):
+                env.process(self._fetch(message.max_jobs), name=f"fetch:{self.name}")
+            elif isinstance(message, GroupComplete):
+                env.process(
+                    self._ack(message.group_id),
+                    name=f"ack:{self.name}:{message.group_id}",
+                )
+            elif isinstance(message, SlaveJobRequest):
+                message.reply_to.succeed(None)  # woken: the slave asks again
+            else:
+                action.to.succeed(message)  # the slave's reply
 
-    def preload(self, group) -> None:
-        """Add a head-assigned group up front (static-split ablation)."""
-        self.pool.add_group(group)
-
-    def close_intake(self) -> None:
-        """No further head exchanges: the pool is all this cluster gets.
-
-        Used by the static-assignment baseline, which pre-partitions the
-        job pool instead of letting masters request on demand — the
-        load-balancing strategy the paper's pooling design replaces.
-        """
-        self._no_more = True
-
-    # -- observability (the autoscaler's provisioner polls these) ------------
-
-    @property
-    def done(self) -> bool:
-        """True once the head has no more jobs for us and ours are finished."""
-        return self._no_more and self.pool.drained
-
-    @property
-    def idle_slaves(self) -> int:
-        """Slaves currently parked waiting for the pool to refill."""
-        return len(self._waiters)
-
-    # -- slave-facing ---------------------------------------------------------
-
-    def get_job(self):
+    def get_job(self, slave_id: int):
         """Generator (``yield from``): next job, or ``None`` at end of run."""
         while True:
-            job = self.pool.take()
-            if job is not None:
-                self._maybe_prefetch()
-                return job
-            if self._no_more:
-                return None
-            event = self.env.event()
-            self._waiters.append(event)
-            self._maybe_prefetch()
-            yield event
-
-    def job_done(self, job: Job) -> None:
-        """Record completion; acknowledges finished groups to the head."""
-        group_id = self.pool.mark_done(job.job_id)
-        if group_id is not None:
-            self.env.process(self._ack(group_id), name=f"ack:{self.name}:{group_id}")
+            reply = self.env.event()
+            self.step(SlaveJobRequest(slave_id, reply_to=reply))
+            if not reply.triggered:
+                yield reply  # parked until answered or woken
+            if reply.value is not None:
+                return reply.value.job
 
     # -- head exchanges ----------------------------------------------------------
+
+    def _fetch(self, max_jobs: int):
+        yield self.env.timeout(self.control_rtt)
+        self.step(JobReply(self.scheduler.request_jobs(self.name, max_jobs)))
 
     def _ack(self, group_id: int):
         yield self.env.timeout(self.control_rtt / 2.0)
@@ -124,34 +120,6 @@ class SimMaster:
                 self.env.now, "group_acked", cluster=self.name,
                 detail=f"group {group_id}",
             )
-
-    def _maybe_prefetch(self) -> None:
-        if self._fetching or self._no_more:
-            return
-        if self.pool.needs_refill or self._waiters:
-            self._fetching = True
-            self.env.process(self._fetch(), name=f"fetch:{self.name}")
-
-    def _fetch(self):
-        yield self.env.timeout(self.control_rtt)
-        group = self.scheduler.request_jobs(self.name, self.group_size)
-        if group is None:
-            self._no_more = True
-        else:
-            self.pool.add_group(group)
-            if self.trace is not None:
-                self.trace.record(
-                    self.env.now, "group_assigned", cluster=self.name,
-                    file_id=group.file_id,
-                    detail=f"group {group.group_id} x{len(group)}",
-                )
-        self._fetching = False
-        self._wake_waiters()
-        self._maybe_prefetch()
-
-    def _wake_waiters(self) -> None:
-        while self._waiters:
-            self._waiters.popleft().succeed()
 
 
 class SimSlave:
@@ -192,7 +160,7 @@ class SimSlave:
                 self.worker_id, metrics.jobs
             ):
                 break
-            job = yield from self.master.get_job()
+            job = yield from self.master.get_job(self.worker_id)
             if job is None:
                 break
             started = self.env.now
@@ -231,4 +199,4 @@ class SimSlave:
                     self.env.now, "job_done", cluster=self.master.name,
                     worker=self.worker_id, job_id=job.job_id,
                 )
-            self.master.job_done(job)
+            self.master.step(SlaveJobDone(self.worker_id, job))

@@ -29,6 +29,7 @@ from repro.config import (
     PlacementSpec,
 )
 from repro.core.api import run_serial
+from repro.core.messages import SlaveJobReply, SlaveJobRequest
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import (
     ConfigurationError,
@@ -39,7 +40,6 @@ from repro.errors import (
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.runtime.messages import SlaveJobReply, SlaveJobRequest
 from repro.runtime.telemetry import RunTelemetry
 from repro.runtime.transport import Mailbox
 from repro.storage.objectstore import ObjectStore

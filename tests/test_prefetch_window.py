@@ -39,13 +39,13 @@ from repro.config import (
     DatasetSpec,
     PlacementSpec,
 )
-from repro.data.dataset import DatasetReader, build_dataset
-from repro.runtime.messages import (
+from repro.core.messages import (
     SlaveJobDone,
     SlaveJobReply,
     SlaveJobRequest,
     SlaveReduction,
 )
+from repro.data.dataset import DatasetReader, build_dataset
 from repro.runtime.slave import SlaveWorker
 from repro.runtime.transport import Mailbox
 from repro.storage.objectstore import ObjectStore, TrafficShaper

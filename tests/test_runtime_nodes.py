@@ -7,19 +7,19 @@ import pytest
 
 from repro.config import LOCAL_SITE, MiddlewareTuning, PlacementSpec
 from repro.core.index import build_index
-from repro.core.reduction import ScalarReduction
-from repro.core.scheduler import HeadScheduler
-from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan
-from repro.errors import RuntimeProtocolError
-from repro.runtime.head import HeadNode, HeadSync
-from repro.runtime.master import MasterNode, MasterSync
-from repro.runtime.messages import (
+from repro.core.messages import (
     JobRequest,
     ReductionUpload,
     SlaveJobRequest,
     SlaveJobDone,
     SlaveReduction,
 )
+from repro.core.reduction import ScalarReduction
+from repro.core.scheduler import HeadScheduler
+from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan
+from repro.errors import RuntimeProtocolError
+from repro.runtime.head import HeadNode, HeadSync
+from repro.runtime.master import MasterNode, MasterSync
 from repro.runtime.transport import Mailbox
 
 from conftest import small_spec
@@ -143,8 +143,6 @@ def test_tree_master_rejects_a_second_upload_from_one_child():
         ),
     )
     assert master.sync.children == ("b", "c")
-    master.inbox.post(upload("b", ScalarReduction("sum", 1.0)))
-    master.inbox.post(upload("b", ScalarReduction("sum", 1.0)))
-    master.inbox.post(SlaveReduction(slave_id=0, robj=ScalarReduction("sum", 0.0)))
+    master.step(upload("b", ScalarReduction("sum", 1.0)))  # on this thread
     with pytest.raises(RuntimeProtocolError, match="'b' uploaded twice"):
-        master._serve()  # drive on this thread
+        master.step(upload("b", ScalarReduction("sum", 1.0)))

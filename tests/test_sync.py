@@ -30,11 +30,11 @@ from repro.config import (
 from repro.core import wire
 from repro.core.api import run_serial
 from repro.core.index import build_index
+from repro.core.messages import ReductionUpload
 from repro.core.reduction import (
     ArrayReduction,
     DictReduction,
     ScalarReduction,
-    from_bytes,
 )
 from repro.core.scheduler import HeadScheduler
 from repro.core.sync import (
@@ -50,7 +50,6 @@ from repro.network.transfer import sync_aggregation_time, transfer_time
 from repro.obs.events import EventLog
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.runtime.head import HeadNode, HeadSync
-from repro.runtime.messages import ReductionUpload
 from repro.sim.multisite import (
     CrossPath,
     MultiSiteConfig,
@@ -354,19 +353,31 @@ def pagerank_uploads(bench_sync, passes=6):
     ]
 
 
-def iterative_uploads(bench_sync, monkeypatch):
-    """Every object the 20-pass iterative bench uploads, in order."""
-    seen = []
-    real = SyncCodec.encode
+#: The cloud cluster's share of 16 pagerank jobs on each pass of a
+#: 20-pass 2+2 run, as recorded from the threaded runtime: the head-site
+#: cluster steals 0, 4 or 8 of the cloud's jobs, differently per pass.
+CLOUD_JOBS = (4, 0, 8, 4, 4, 4, 0, 8, 8, 4, 4, 0, 8, 4, 0, 0, 0, 4, 8, 8)
 
-    def encode(self, channel, robj):
-        seen.append((channel, from_bytes(robj.to_bytes())))
-        return real(self, channel, robj)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(SyncCodec, "encode", encode)
-        bench_sync.run_iterative(65536, 20)
-    return seen
+def iterative_uploads():
+    """The uploads of a 20-pass two-cluster tree pagerank whose cloud
+    share moves with ``CLOUD_JOBS``: per pass the cloud master's object,
+    then the head-site master's with the cloud's merged in."""
+    units = 65536
+    bundle = make_bundle("pagerank", units)
+    app, edges = bundle.app, bundle.block_fn(0, units, 0)
+    job = units // 16
+    uploads = []
+    for share in CLOUD_JOBS:
+        cloud = app.create_reduction_object()
+        app.local_reduction(cloud, edges[8 * job : (8 + share) * job])
+        local = app.create_reduction_object()
+        app.local_reduction(local, edges[: 8 * job])
+        app.local_reduction(local, edges[(8 + share) * job :])
+        local.merge(cloud)
+        uploads += [("cloud-cluster", cloud), ("local-cluster", local)]
+        app.update(app.finalize(local))
+    return uploads
 
 
 def test_memory_skips_a_delta_that_cannot_win(bench_sync, monkeypatch):
@@ -396,12 +407,12 @@ def test_memory_skips_a_delta_that_cannot_win(bench_sync, monkeypatch):
         assert [n for n, (_, out, _) in enumerate(mine, 1) if out] == [3, 5, 6]
 
 
-def test_memory_keeps_a_delta_that_alternates(bench_sync, monkeypatch):
+def test_memory_keeps_a_delta_that_alternates(monkeypatch):
     """On a converging 20-pass pagerank delta wins about half the uploads
     and loses the others, mostly within 2x — a rule that benched it after
     any loss would ship dense where delta was about to win. With the
     margin, every upload that sat nothing out chooses as before."""
-    uploads = iterative_uploads(bench_sync, monkeypatch)
+    uploads = iterative_uploads()
     assert len(uploads) == 40
     before = memoryless(uploads)
     encodings = Counter(encoding for encoding, _ in before)
@@ -502,8 +513,8 @@ def test_head_barrier_timing_is_clock_driven():
     sync = HeadSync(codec=codec, roots=("a", "b"))
     head = make_head(("a", "b"), clock=clock, sync=sync)
     for name in ("a", "b"):
-        head.inbox.post(upload(codec, name, ScalarReduction("sum", 1.0)))
-    head._serve()  # drive on this thread: timing must come from the clock
+        # Stepped on this thread: timing must come from the clock.
+        head.step(upload(codec, name, ScalarReduction("sum", 1.0)))
     # One started/finished pair around the whole barrier merge: 1 tick.
     assert head.global_reduction_seconds == 1.0
     assert head.result.robj.value() == 2.0
@@ -515,8 +526,7 @@ def test_head_stream_timing_accumulates_per_upload():
     sync = HeadSync(codec=codec, roots=("a", "b"), stream=True)
     head = make_head(("a", "b"), clock=clock, sync=sync)
     for name in ("a", "b"):
-        head.inbox.post(upload(codec, name, ScalarReduction("sum", 2.0)))
-    head._serve()
+        head.step(upload(codec, name, ScalarReduction("sum", 2.0)))
     # One started/finished pair per streamed merge: 2 ticks in total.
     assert head.global_reduction_seconds == 2.0
     assert head.result.robj.value() == 4.0
@@ -526,21 +536,16 @@ def test_head_rejects_incomplete_coverage():
     codec = SyncCodec(SyncSpec(topology="tree"))
     sync = HeadSync(codec=codec, roots=("a",))
     head = make_head(("a", "b", "c"), sync=sync)
-    head.inbox.post(
-        upload(codec, "a", ScalarReduction("sum", 1.0), origins=("a", "b"))
-    )
     with pytest.raises(RuntimeProtocolError, match="coverage"):
-        head._serve()  # "c" never showed up in any origins
+        # "c" never shows up in any origins.
+        head.step(upload(codec, "a", ScalarReduction("sum", 1.0), origins=("a", "b")))
 
 
 def test_head_accepts_relayed_coverage():
     codec = SyncCodec(SyncSpec(topology="tree", fanout=1))
     sync = HeadSync(codec=codec, roots=("a",))
     head = make_head(("a", "b", "c"), sync=sync)
-    head.inbox.post(
-        upload(codec, "a", ScalarReduction("sum", 6.0), origins=("a", "b", "c"))
-    )
-    head._serve()
+    head.step(upload(codec, "a", ScalarReduction("sum", 6.0), origins=("a", "b", "c")))
     assert head.result.robj.value() == 6.0
 
 
