@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from ..config import CLOUD_SITE, LOCAL_SITE, DatasetSpec, PlacementSpec
 from ..errors import IndexError_
 from .job import Job
 
-__all__ = ["FileEntry", "DataIndex", "build_index"]
+__all__ = ["FileEntry", "DataIndex", "build_index", "place_prefixes"]
 
 _INDEX_FORMAT_VERSION = 1
 
@@ -198,19 +199,31 @@ def build_index(
     site, the rest in the cloud object store — matching the paper's setup
     where a contiguous prefix of the data stays on the campus storage node.
     """
-    local_count = placement.local_files(dataset.num_files)
-    units_per_chunk = dataset.chunk_bytes // dataset.record_bytes
-    files = []
-    for file_id in range(dataset.num_files):
-        site = LOCAL_SITE if file_id < local_count else CLOUD_SITE
-        files.append(
-            FileEntry(
-                file_id=file_id,
-                site=site,
-                path=f"{path_prefix}-{file_id:05d}.bin",
-                nbytes=dataset.file_bytes,
-                chunk_bytes=dataset.chunk_bytes,
-                units_per_chunk=units_per_chunk,
+    local, cloud = placement.split(dataset.num_files)
+    return place_prefixes(
+        dataset, ((LOCAL_SITE, local), (CLOUD_SITE, cloud)), path_prefix=path_prefix
+    )
+
+
+def place_prefixes(
+    dataset: DatasetSpec,
+    sites: Iterable[tuple[str, int]],
+    *,
+    path_prefix: str = "data/part",
+) -> DataIndex:
+    """Prefix placement: each ``(site, count)`` of ``sites``, in order, hosts
+    the next ``count`` files (the simulator's N-site layout)."""
+    files: list[FileEntry] = []
+    for site, count in sites:
+        for file_id in range(len(files), len(files) + count):
+            files.append(
+                FileEntry(
+                    file_id=file_id,
+                    site=site,
+                    path=f"{path_prefix}-{file_id:05d}.bin",
+                    nbytes=dataset.file_bytes,
+                    chunk_bytes=dataset.chunk_bytes,
+                    units_per_chunk=dataset.units_per_chunk,
+                )
             )
-        )
     return DataIndex(files=files)

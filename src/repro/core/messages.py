@@ -6,8 +6,9 @@ their completion; slaves request jobs from their master and report results;
 masters upload their cluster's combined reduction object to the head.
 
 The executable runtime moves these over mailboxes; the simulator steps
-the same messages through the shared master core
-(:class:`~repro.core.master.MasterCore`) and charges latencies for them.
+the same messages through the shared head and master cores
+(:class:`~repro.core.head.HeadCore`, :class:`~repro.core.master.MasterCore`)
+and charges latencies for them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .job import Job, JobGroup
-from .reduction import ReductionObject
 
 __all__ = [
     "JobRequest",
@@ -30,7 +30,6 @@ __all__ = [
     "SlaveReduction",
     "SlaveAttach",
     "SlaveDetach",
-    "HeadResult",
 ]
 
 
@@ -167,14 +166,3 @@ class SlaveReduction:
     partial: bool = False
     job_ids: tuple[int, ...] = ()
 
-
-# -- head -> driver ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HeadResult:
-    """The final merged reduction object — handed over live, as the head
-    and the driver share a process — plus run accounting."""
-
-    robj: ReductionObject
-    clusters_reported: tuple[str, ...]

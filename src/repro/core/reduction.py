@@ -296,14 +296,24 @@ class TopKReduction(ReductionObject):
         return [(float(s), int(i)) for s, i in zip(self.scores, self.ids)]
 
     def to_bytes(self) -> bytes:
-        payload = pickle.dumps(
-            (self.k, self.scores, self.ids), protocol=pickle.HIGHEST_PROTOCOL
+        # ``k``, then the scores and the ids as little-endian raw bytes: no
+        # pickled arrays, so a corrupt blob is a ReductionError, not a
+        # crash inside numpy's unpickler.
+        return self._envelope(
+            struct.pack("<Q", self.k)
+            + self.scores.astype("<f8").tobytes()
+            + self.ids.astype("<i8").tobytes()
         )
-        return self._envelope(payload)
 
     @classmethod
     def _from_payload(cls, payload: bytes) -> "TopKReduction":
-        k, scores, ids = pickle.loads(payload)
+        body = len(payload) - 8
+        if body < 0 or body % 16:
+            raise ReductionError(f"TopKReduction payload of {len(payload)} B")
+        (k,) = struct.unpack_from("<Q", payload, 0)
+        n = body // 16
+        scores = np.frombuffer(payload, dtype="<f8", count=n, offset=8)
+        ids = np.frombuffer(payload, dtype="<i8", count=n, offset=8 + 8 * n)
         return cls(k, scores, ids)
 
 

@@ -2,9 +2,9 @@
 
 This module is the heart of the reproduction: the job-assignment logic of
 Section III-B, implemented once and driven both by the executable runtime
-(:mod:`repro.runtime.head`) and by the discrete-event simulator
-(:mod:`repro.sim.simnodes`), so the policy we evaluate is the policy that
-runs.
+and by the discrete-event simulator through the one head core
+(:class:`~repro.core.head.HeadCore`), so the policy we evaluate is the
+policy that runs.
 
 Policy, verbatim from the paper:
 
@@ -66,7 +66,7 @@ class HeadScheduler:
         #: Optional trace sink with an ``emit(kind, **fields)`` method so
         #: steal decisions land on the timeline: the executable runtime
         #: passes its :class:`repro.obs.events.EventLog` directly, the
-        #: simulator an adapter that re-stamps each event at ``env.now``
+        #: simulator its head shell, which stamps each event at ``env.now``
         #: (wall-clock stamps would be meaningless in simulated time).
         self.trace = trace
         self._rng = random.Random(seed)

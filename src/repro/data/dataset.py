@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 if TYPE_CHECKING:  # import cycle: repro.cache type-checks against us
     from ..cache import ChunkCache
 
-from ..config import CLOUD_SITE, LOCAL_SITE, DatasetSpec, PlacementSpec
-from ..core.index import DataIndex, FileEntry
+from ..config import DatasetSpec, PlacementSpec
+from ..core.index import DataIndex, FileEntry, build_index
 from ..core.job import Job
 from ..errors import DataFormatError
 from ..obs.events import EventLog
@@ -49,24 +49,25 @@ def build_dataset(
 ) -> DataIndex:
     """Generate and store a dataset; returns its index.
 
-    ``stores`` maps site name to the storage service for that site. Blocks
-    are generated one chunk at a time and streamed, so the peak memory is
-    one chunk regardless of dataset size.
+    ``stores`` maps site name to the storage service for that site. The
+    files and their placement are :func:`~repro.core.index.build_index`'s;
+    the builder fills in each file's checksum. Blocks are generated one
+    chunk at a time and streamed, so the peak memory is one chunk
+    regardless of dataset size.
     """
     if schema.record_bytes != spec.record_bytes:
         raise DataFormatError(
             f"schema record size {schema.record_bytes} != dataset spec "
             f"record size {spec.record_bytes}"
         )
-    local_count = placement.local_files(spec.num_files)
     units_per_chunk = spec.units_per_chunk
     entries: list[FileEntry] = []
     global_unit = 0
-    for file_id in range(spec.num_files):
-        site = LOCAL_SITE if file_id < local_count else CLOUD_SITE
-        if site not in stores:
-            raise DataFormatError(f"no storage service supplied for site {site!r}")
-        key = f"{path_prefix}-{file_id:05d}.bin"
+    for entry in build_index(spec, placement, path_prefix=path_prefix).files:
+        if entry.site not in stores:
+            raise DataFormatError(
+                f"no storage service supplied for site {entry.site!r}"
+            )
         crc = 0
 
         def chunk_parts():
@@ -83,22 +84,12 @@ def build_dataset(
                 crc = zlib.crc32(encoded, crc)
                 yield encoded
 
-        written = stores[site].append_stream(key, chunk_parts())
+        written = stores[entry.site].append_stream(entry.path, chunk_parts())
         if written != spec.file_bytes:
             raise DataFormatError(
-                f"file {file_id} wrote {written} B, expected {spec.file_bytes} B"
+                f"file {entry.file_id} wrote {written} B, expected {spec.file_bytes} B"
             )
-        entries.append(
-            FileEntry(
-                file_id=file_id,
-                site=site,
-                path=key,
-                nbytes=spec.file_bytes,
-                chunk_bytes=spec.chunk_bytes,
-                units_per_chunk=units_per_chunk,
-                checksum=crc,
-            )
-        )
+        entries.append(replace(entry, checksum=crc))
     return DataIndex(files=entries)
 
 

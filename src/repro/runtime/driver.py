@@ -4,8 +4,9 @@
 over real data in the storage layer, runs an application to completion, and
 returns the final result with telemetry. The simulator
 (:class:`repro.sim.simulation.CloudBurstSimulation`) steps the same head
-scheduler and master core (:mod:`repro.core.master`) with modeled costs;
-its slaves and its global reduction are still models of their own.
+and master cores (:mod:`repro.core.head`, :mod:`repro.core.master`) with
+modeled costs, global reduction included; only its slaves are models of
+their own.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Any, Callable, Mapping
 from ..cache import ChunkCache
 from ..config import CLOUD_SITE, ComputeSpec, MiddlewareTuning
 from ..core.api import GeneralizedReductionApp
+from ..core.head import HeadCore
 from ..core.index import DataIndex
 from ..core.scheduler import HeadScheduler
 from ..core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
@@ -34,8 +36,8 @@ from ..scale import SpotRevoker
 from ..scale.burst import RuntimeBurst
 from ..storage.base import StorageService
 from .corebudget import slave_cores
-from .head import HeadNode, HeadSync
-from .master import MasterNode, MasterSync
+from .head import HeadNode
+from .master import MasterNode
 from .procpool import ProcessSlavePool
 from .slave import SlaveWorker
 from .telemetry import RunTelemetry, read_ledger
@@ -179,13 +181,13 @@ class CloudBurstingRuntime:
         spec = self.sync
         codec = self._sync_codec
         plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
-        head_sync = HeadSync(
-            codec=codec, roots=tuple(plan_roots(plan)), stream=spec.stream
-        )
         watermark = spec.watermark if spec.stream else 0
         head = HeadNode(
-            scheduler, cluster_names, sync=head_sync, trace=trace,
-            take_timeout=self.join_timeout,
+            HeadCore(
+                scheduler, cluster_names, roots=tuple(plan_roots(plan)),
+                codec=codec, stream=spec.stream,
+            ),
+            trace=trace, take_timeout=self.join_timeout,
         )
         reader = DatasetReader(
             self.index,
@@ -266,15 +268,10 @@ class CloudBurstingRuntime:
                 if node.parent is None
                 else masters_by_name[node.parent].inbox
             )
-            master_sync = MasterSync(
-                codec=codec,
-                parent_inbox=parent_inbox,
-                children=node.children,
-                stream=spec.stream,
-            )
             master = MasterNode(
-                name, site, head.inbox, cores, self.tuning, sync=master_sync,
-                trace=trace, take_timeout=self.join_timeout,
+                name, site, head.inbox, cores, self.tuning,
+                parent_inbox=parent_inbox, codec=codec, children=node.children,
+                stream=spec.stream, trace=trace, take_timeout=self.join_timeout,
             )
             masters.append(master)
             masters_by_name[name] = master
@@ -368,7 +365,7 @@ class CloudBurstingRuntime:
         )
         # Stamps are perf_counter readings, like the slaves' stopwatches. A
         # cluster uploads to the head or, in a tree, to its parent master.
-        arrivals = dict(head.arrivals)
+        arrivals = dict(head.core.arrivals)
         for master in masters:
             arrivals.update(master.core.arrivals)
         last_end = max(m.core.processing_end for m in masters) - started
@@ -414,7 +411,7 @@ class CloudBurstingRuntime:
             telemetry.metrics = self._mirror(telemetry, scheduler, len(slaves))
 
         return RuntimeResult(
-            value=self.app.finalize(result.robj),
+            value=self.app.finalize(result),
             telemetry=telemetry,
             global_reduction_seconds=head.global_reduction_seconds,
         )

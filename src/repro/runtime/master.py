@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 
 from ..config import MiddlewareTuning
 from ..core.master import Emit, MasterCore, Post, Ship, Start
@@ -24,28 +23,15 @@ from ..errors import RuntimeProtocolError
 from ..obs.events import EventLog
 from .transport import Mailbox
 
-__all__ = ["MasterSync", "MasterNode"]
-
-
-@dataclass(frozen=True)
-class MasterSync:
-    """This master's slice of the global-reduction sync plan.
-
-    ``parent_inbox`` is where the combined object goes — another master's
-    inbox in a tree layout, the head's for plan roots. ``children``
-    are the clusters whose :class:`ReductionUpload` this master must fold
-    in before shipping its own. ``stream`` turns on merge-on-arrival for
-    slave partials and child uploads instead of the barrier.
-    """
-
-    codec: SyncCodec
-    parent_inbox: Mailbox
-    children: tuple[str, ...] = ()
-    stream: bool = False
+__all__ = ["MasterNode"]
 
 
 class MasterNode:
-    """Runs as one thread per cluster."""
+    """Runs as one thread per cluster. ``parent_inbox``/``codec``/
+    ``children``/``stream`` are its slice of the sync plan: where the
+    combined object goes (another master's inbox in a tree layout, the
+    head's for plan roots), the clusters whose uploads it folds in before
+    shipping its own, and merge-on-arrival instead of the barrier."""
 
     def __init__(
         self,
@@ -55,7 +41,10 @@ class MasterNode:
         num_slaves: int,
         tuning: MiddlewareTuning | None = None,
         *,
-        sync: MasterSync,
+        parent_inbox: Mailbox,
+        codec: SyncCodec,
+        children: tuple[str, ...] = (),
+        stream: bool = False,
         trace: EventLog | None = None,
         take_timeout: float = 60.0,
     ) -> None:
@@ -67,10 +56,11 @@ class MasterNode:
         #: ``join_timeout`` (see :class:`~repro.runtime.driver.CloudBurstingRuntime`).
         self.take_timeout = take_timeout
         self.inbox = Mailbox(f"master:{name}")
-        self.sync = sync
+        self.parent_inbox = parent_inbox
+        self.codec = codec
         self.core = MasterCore(
             name, num_slaves, tuning, head=head_inbox, inbox=self.inbox,
-            children=sync.children, codec=sync.codec, stream=sync.stream,
+            children=children, codec=codec, stream=stream,
         )
         #: perf_counter at which the combine finished; the core keeps the
         #: report's other stamps, in the same clock.
@@ -129,7 +119,7 @@ class MasterNode:
         if self.trace is not None:
             self.trace.emit("combine_done", cluster=self.name)
         started = time.perf_counter()
-        encoded = self.sync.codec.encode(self.name, combined)
+        encoded = self.codec.encode(self.name, combined)
         encode_ms = (time.perf_counter() - started) * 1e3
         if self.trace is not None:
             self.trace.emit(
@@ -140,7 +130,7 @@ class MasterNode:
                     f"{encode_ms:.1f}ms"
                 ),
             )
-        self.sync.parent_inbox.post(
+        self.parent_inbox.post(
             ReductionUpload(cluster=self.name, blob=encoded.blob, origins=ship.origins)
         )
         if self.trace is not None:

@@ -11,9 +11,11 @@ the new slave joins) and **spot revocation at virtual timestamps**.
 
 Mechanics:
 
-* dynamic slaves are pre-built and parked behind *gate* events; a
-  scale-up decision releases a gate after the provision delay, so the
-  cluster's ``all_of`` barrier can be assembled up front;
+* dynamic slaves are pre-built and parked behind their *gate* events; a
+  scale-up decision attaches one to its master after the provision delay
+  (a :class:`~repro.core.messages.SlaveAttach`, as in the runtime: the
+  master core counts it, traces ``provision`` and starts it, which opens
+  the gate), so the drain watch's ``all_of`` can be assembled up front;
 * revocation and retirement ride the :data:`~repro.sim.simnodes.LeaseFn`
   hook: at every job boundary the slave asks whether its instance still
   exists. The revocation schedule is :meth:`RevocationSpec.draw` — a
@@ -22,11 +24,11 @@ Mechanics:
 * a *provisioner* process samples the run every ``interval`` simulated
   seconds, exactly like the runtime's :class:`~repro.obs.live.RunMonitor`
   subscription, and applies controller decisions;
-* once the static crew drains, the cluster process calls :meth:`close`
+* once the static crew drains, the drain watch closes the fleet
   (releasing every unprovisioned gate via one shared *closed* event so
-  the barrier completes — a fleet that never burst costs nothing) and
-  then :meth:`finalize` to shut the cost ledger at the drain timestamp,
-  not at the provisioner's next polling tick.
+  its ``all_of`` completes — a fleet that never burst costs nothing) and
+  shuts the cost ledger at the drain timestamp, not at the
+  provisioner's next polling tick.
 
 The floor invariant matches :class:`~repro.scale.SpotRevoker`: at least
 one cloud slave always survives, so pooled jobs can never strand.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from ..core.messages import SlaveAttach
 from ..obs.live import _derive
 from .controller import Autoscaler
 from .revocation import RevocationSpec
@@ -51,74 +54,61 @@ class ClusterBurst:
 
     def __init__(
         self,
-        env,
         master,
         scale: ScaleOptions,
         *,
-        initial: int,
+        crew: list,
         make_slave: Callable[[int], object],
         next_worker_id: int,
         probe: Callable[[], dict],
-        trace=None,
     ) -> None:
-        self.env = env
+        self.env = env = master.env
         self.master = master
         self.scale = scale
         self.probe = probe
-        self.trace = trace
+        self.trace = master.trace
         self.revocation: RevocationSpec | None = scale.revocation_spec
         self.controller: Autoscaler | None = (
             scale.make_autoscaler() if scale.autoscale else None
         )
-        self.slaves_added = 0
         self.slaves_revoked = 0
         #: Dynamic slaves that actually joined the run (for reporting).
         self.started: list = []
-        self._members: list = []  # every slave ever active, static + dynamic
-        self._fleet = initial
+        # The static crew is revocable and retirable too.
+        self._crew = list(crew)
+        for slave in crew:
+            slave.lease = self.lease
+        self._fleet = len(crew)
         self._retiring: set[int] = set()
         self._gone: set[int] = set()
-        self._cancelled: set[int] = set()
         self._closed = env.event()
         # Pre-build the dynamic fleet: one slave per id a scale-up may
         # ever claim (dead ids are never reused, matching the runtime).
-        headroom = scale.id_headroom(initial)
-        self._spare: list[tuple] = []  # (slave, gate), provisioned FIFO
+        headroom = scale.id_headroom(len(crew))
+        self._spare: list = []  # provisioned FIFO
         for i in range(headroom):
             slave = make_slave(next_worker_id + i)
             slave.lease = self.lease
-            self._spare.append((slave, env.event()))
+            self._spare.append(slave)
         self.next_worker_id = next_worker_id + headroom
 
     @property
     def dollars_spent(self) -> float:
         return self.controller.dollars_spent if self.controller else 0.0
 
-    # -- wiring ---------------------------------------------------------------
-
-    def admit(self, slave) -> None:
-        """Register a static cloud slave as revocable/retirable."""
-        slave.lease = self.lease
-        self._members.append(slave)
-
-    def launch(self) -> list:
-        """Processes for the cluster's ``all_of`` barrier.
-
-        Returns one gated wrapper per pre-built dynamic slave and starts
-        the provisioner (a free-running process, deliberately *outside*
-        the barrier so sampling cadence never stretches the makespan).
-        """
-        procs = [
-            self.env.process(
-                self._gated(slave, gate), name=f"burst:{slave.worker_id}"
-            )
-            for slave, gate in self._spare
+    def launch(self, procs: list) -> None:
+        """Start one gated wrapper per pre-built dynamic slave, the
+        provisioner (free-running: its sampling cadence never stretches
+        the makespan) and the drain watch over ``procs``, the static
+        crew's processes."""
+        env = self.env
+        fleet = [
+            env.process(self._gated(slave), name=f"burst:{slave.slave_id}")
+            for slave in self._spare
         ]
         if self.controller is not None:
-            self.env.process(
-                self._provisioner(), name=f"provisioner:{self.master.name}"
-            )
-        return procs
+            env.process(self._provisioner(), name=f"provisioner:{self.master.name}")
+        env.process(self._drain(procs, fleet), name=f"drain:{self.master.name}")
 
     # -- the lease: retirement and revocation at job boundaries ---------------
 
@@ -153,50 +143,43 @@ class ClusterBurst:
 
     # -- processes -------------------------------------------------------------
 
-    def _gated(self, slave, gate):
-        yield self.env.any_of([gate, self._closed])
-        if not gate.triggered or slave.worker_id in self._cancelled:
+    def _gated(self, slave):
+        yield self.env.any_of([slave.gate, self._closed])
+        if not slave.gate.triggered:  # closed before it was provisioned
             return
         yield from slave.run()
 
-    def _provision(self, slave, gate):
+    def _drain(self, procs, fleet):
+        # The static crew drained, so the pool is dry: release the
+        # never-provisioned gates, let provisioned slaves exit at this
+        # same timestamp, and shut the ledger.
+        yield self.env.all_of(procs)
+        self._closed.succeed()
+        yield self.env.all_of(fleet)
+        if self.controller is not None:
+            self.controller.finalize(self.env.now, self._fleet)
+
+    def _provision(self, slave):
         delay = (
             self.revocation.provision_seconds
             if self.revocation is not None
             else 0.0
         )
         yield self.env.timeout(delay)
-        if self.master.core.run_over:
-            # The run ended while the instance was booting: money already
-            # accrued for the order, but the slave never joins.
-            self._cancelled.add(slave.worker_id)
+        if self.master.core.run_over or self._closed.triggered:
+            # The run (or the fleet) ended while the instance was booting:
+            # money already accrued for the order, but the slave never
+            # joins.
             return
-        self.slaves_added += 1
-        self._members.append(slave)
         self.started.append(slave)
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, "provision", cluster=self.master.name,
-                worker=slave.worker_id, detail="slave attached",
-            )
-        gate.succeed()
+        self.master.step(SlaveAttach((slave,)))
 
     def _active_ids(self) -> list[int]:
         return [
-            s.worker_id
-            for s in self._members
-            if s.worker_id not in self._gone and s.worker_id not in self._retiring
+            s.slave_id
+            for s in self._crew + self.started
+            if s.slave_id not in self._gone and s.slave_id not in self._retiring
         ]
-
-    def close(self) -> None:
-        """Release every never-provisioned gate; no capacity after this."""
-        if not self._closed.triggered:
-            self._closed.succeed()
-
-    def finalize(self, now: float) -> None:
-        """Shut the cost ledger at the cluster's drain time."""
-        if self.controller is not None:
-            self.controller.finalize(now, self._fleet)
 
     def _provisioner(self):
         env = self.env
@@ -211,17 +194,17 @@ class ClusterBurst:
                 for _ in range(decision.count):
                     if not self._spare:
                         break  # dynamic pool exhausted
-                    slave, gate = self._spare.pop(0)
+                    slave = self._spare.pop(0)
                     self._fleet += 1
                     if self.trace is not None:
                         self.trace.record(
                             env.now, "scale_up", cluster=self.master.name,
-                            worker=slave.worker_id,
+                            worker=slave.slave_id,
                             detail=f"+1: {decision.reason}",
                         )
                     env.process(
-                        self._provision(slave, gate),
-                        name=f"provision:{slave.worker_id}",
+                        self._provision(slave),
+                        name=f"provision:{slave.slave_id}",
                     )
             elif decision.action == "remove":
                 count = min(decision.count, max(0, self._fleet - 1))

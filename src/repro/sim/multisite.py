@@ -17,15 +17,18 @@ Configuration pieces:
   chunks stored at ``src``;
 * :class:`MultiSiteConfig` — sites + paths + dataset shape + head site.
 
-A run instantiates one master plus one slave per active core at each
-site, runs the job pool dry, performs the two-level reduction, and
-returns a :class:`~repro.sim.metrics.SimReport` keyed by site-named
-clusters. Reduction phases (Section III-B):
+A run instantiates one head, one master plus one slave per active core
+at each site, runs the job pool dry, performs the two-level reduction,
+and returns a :class:`~repro.sim.metrics.SimReport` keyed by site-named
+clusters. The reduction is the runtime's own head and master cores
+(:mod:`repro.sim.simnodes`) over real, tiny objects; what follows are
+the costs the simulator charges for its phases (Section III-B):
 
-1. every slave folds its chunks into its own reduction object (implicit:
-   its cost is inside processing time);
+1. every slave folds its chunks into its own reduction object (its cost
+   is inside processing time);
 2. when a cluster's slaves all finish, the master tree-combines their
-   objects over the intra-cluster fabric;
+   objects over the intra-cluster fabric, then merges its children's
+   uploads in a tree;
 3. each master ships its combined object up the aggregation plan — by
    default straight to the head: free of the WAN for the head's own
    site, a WAN push for the others (skipped entirely in single-cluster
@@ -48,11 +51,12 @@ if TYPE_CHECKING:
     from ..options import ScaleOptions
     from ..resilience.faults import FaultSpec
 from ..config import DatasetSpec, MiddlewareTuning
-from ..core.index import DataIndex, FileEntry
+from ..core.index import DataIndex, place_prefixes
 from ..core.job import Job
-from ..core.messages import JobReply
+from ..core.head import HeadCore
+from ..core.messages import JobReply, JobRequest
 from ..core.scheduler import HeadScheduler
-from ..core.sync import SyncSpec, build_sync_plan, plan_roots
+from ..core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
 from ..obs.record import ClusterReport
@@ -62,7 +66,7 @@ from .computemodel import ComputeModel
 from .engine import Environment, Event
 from .linkmodel import FairShareLink
 from .metrics import SimReport
-from .simnodes import SimMaster, SimSlave
+from .simnodes import SimHead, SimMaster, SimSlave
 from .storagemodel import SimStore, StorePath
 
 #: Every site's jitter seed is XORed with ``config.seed * JITTER_SALT``.
@@ -187,23 +191,7 @@ class MultiSiteConfig:
 
     def build_index(self) -> DataIndex:
         """Prefix placement across sites in declaration order."""
-        units_per_chunk = self.dataset.units_per_chunk
-        entries: list[FileEntry] = []
-        file_id = 0
-        for site in self.sites:
-            for _ in range(site.data_files):
-                entries.append(
-                    FileEntry(
-                        file_id=file_id,
-                        site=site.name,
-                        path=f"data/part-{file_id:05d}.bin",
-                        nbytes=self.dataset.file_bytes,
-                        chunk_bytes=self.dataset.chunk_bytes,
-                        units_per_chunk=units_per_chunk,
-                    )
-                )
-                file_id += 1
-        return DataIndex(files=entries)
+        return place_prefixes(self.dataset, [(s.name, s.data_files) for s in self.sites])
 
 
 def load_multisite_config(text: str) -> MultiSiteConfig:
@@ -294,19 +282,6 @@ def load_multisite_config(text: str) -> MultiSiteConfig:
         raise ConfigurationError(f"malformed multisite config: {exc}") from exc
 
 
-class _SimSchedulerTrace:
-    """Adapter so the shared :class:`HeadScheduler` (which calls
-    ``trace.emit`` — wall-clock semantics) lands its steal events on the
-    simulated timeline at ``env.now``."""
-
-    def __init__(self, log: "EventLog", env: Environment) -> None:
-        self._log = log
-        self._env = env
-
-    def emit(self, kind: str, **fields) -> None:
-        self._log.record(self._env.now, kind, **fields)
-
-
 class MultiSiteSimulation:
     """Simulate one N-site experiment."""
 
@@ -341,8 +316,8 @@ class MultiSiteSimulation:
         #: The caller owns it, so it persists across iterative passes.
         self.cache = cache
         #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`),
-        #: modeled with the same :func:`build_sync_plan` and the same
-        #: merge rule the runtime executes; ``None`` is the default spec.
+        #: run through the runtime's head and master cores over the same
+        #: :func:`build_sync_plan`; ``None`` is the default spec.
         #: Encoded uploads are charged ``robj_bytes * sim_ratio`` on the
         #: wire (merge cost stays dense: decoding restores the full object).
         self.sync = sync or SyncSpec()
@@ -371,13 +346,11 @@ class MultiSiteSimulation:
             raise ConfigurationError(
                 f"scale_site {scale_site!r} is not an active site"
             )
-        #: Accounting for the last :meth:`run` (also on the report): faults
-        #: applied, and the scaling ledger — the simulator's counterpart
-        #: of ``RunTelemetry.slaves_added`` and friends.
+        #: Faults applied in the last :meth:`run` (also on the report).
         self.faults_injected = 0
-        self.slaves_added = 0
-        self.slaves_revoked = 0
-        self.dollars_spent = 0.0
+        #: The last run's :class:`~repro.sim.simnodes.SimHead`: its core
+        #: holds the global object and the coverage it took.
+        self.head: SimHead | None = None
 
     def _fetch_fn(self, env: Environment):
         """The slaves' ``fetch(job, slave_site, threads)`` callback: path
@@ -477,20 +450,11 @@ class MultiSiteSimulation:
             site_slowdowns={s.name: s.compute_slowdown for s in config.sites},
         )
         jobs = config.build_index().jobs()
-        scheduler = HeadScheduler(
-            jobs,
-            config.tuning,
-            seed=config.seed,
-            trace=_SimSchedulerTrace(trace, env) if trace is not None else None,
-        )
+        scheduler = HeadScheduler(jobs, config.tuning, seed=config.seed)
         self.faults_injected = 0
         fetch = self._fetch_fn(env)
 
-        def mark(kind: str, cluster: str, at: float | None = None) -> None:
-            if trace is not None:
-                trace.record(env.now if at is None else at, kind, cluster=cluster)
-
-        head = config.head
+        head_site = config.head
         cross_bandwidth = {
             (c.src, c.dst): c.path.bandwidth for c in config.cross_paths
         }
@@ -499,10 +463,10 @@ class MultiSiteSimulation:
         def robj_link(src: str, dst: str) -> FairShareLink:
             """The link a reduction object rides from ``src`` to ``dst``,
             built on first use from the cross paths."""
-            if dst == head and config.head_ingress_bandwidth is not None:
+            if dst == head_site and config.head_ingress_bandwidth is not None:
                 # Shared trunk into the head site: every reduction-object
                 # upload bound for the head fair-shares it when configured.
-                key, bandwidth = ("*", head), config.head_ingress_bandwidth
+                key, bandwidth = ("*", head_site), config.head_ingress_bandwidth
             elif (src, dst) in cross_bandwidth:
                 key, bandwidth = (src, dst), cross_bandwidth[src, dst]
             else:
@@ -524,39 +488,57 @@ class MultiSiteSimulation:
         multi_cluster = len(active_sites) > 1
         robj_bytes = self.profile.robj_bytes
 
-        # As in the runtime, the head merges each plan root on arrival
-        # when streaming and otherwise at a barrier, in plan order.
+        # The runtime's head and master cores run the global reduction:
+        # who ships when, what covers what, and the merge order. Plan
+        # order puts the head-site cluster first (when it has cores) so
+        # the plan root is the head-site master and the final hop to the
+        # head stays off the WAN, as in the runtime driver.
         spec = self.sync
-        # Plan order puts the head-site cluster first (when it has cores)
-        # so the plan root is the head-site master and the final hop to
-        # the head stays off the WAN, as in the runtime driver.
         cluster_names = [
             f"{s.name}-cluster"
-            for s in sorted(active_sites, key=lambda s: s.name != head)
+            for s in sorted(active_sites, key=lambda s: s.name != head_site)
         ]
         plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
-        roots = plan_roots(plan)
+        codec = SyncCodec(spec)
+        head = self.head = SimHead(
+            env,
+            HeadCore(
+                scheduler, cluster_names, roots=tuple(plan_roots(plan)),
+                codec=codec, stream=spec.stream,
+            ),
+            merge_seconds=compute.merge_seconds(robj_bytes),
+            trace=trace,
+        )
+        if trace is not None:
+            scheduler.trace = head  # steal events, stamped at ``env.now``
         wire_bytes = robj_bytes * spec.sim_ratio
-        upload_events = {name: env.event() for name in cluster_names}
+        intra_bandwidth = {s.name: s.intra_bandwidth for s in active_sites}
+
+        def uplink(master: SimMaster) -> Event | None:
+            """The hop ``master``'s object rides up the plan: to its parent
+            master's site, or to the head — off the WAN from the head's
+            own site, and none at all in a single-cluster run."""
+            if master.parent is not head:
+                return robj_link(master.site, master.parent.site).transfer(wire_bytes)
+            if not multi_cluster:
+                return None
+            if master.site == head_site:
+                return env.timeout(
+                    config.lan_latency + wire_bytes / intra_bandwidth[master.site]
+                )
+            return robj_link(master.site, head_site).transfer(wire_bytes)
+
         masters: dict[str, SimMaster] = {}
         slaves: dict[str, list[SimSlave]] = {}
-        processing_end: dict[str, float] = {}
-        combine_done: dict[str, float] = {}
-        robj_arrival: dict[str, float] = {}
-        head_merged_at: dict[str, float] = {}  # plan root -> merged at the head
-        head_busy_until = [0.0]  # serialize head-side merges
 
         # Elastic bursting: the burst site's provisioner samples these
         # global gauges (the same raw vocabulary the runtime's probe
         # feeds obs.live) and the shared pure controller decides.
-        self.slaves_added = 0
-        self.slaves_revoked = 0
-        self.dollars_spent = 0.0
         burst: ClusterBurst | None = None
         burst_site: str | None = None
         if self.scale is not None:
             burst_site = self.scale_site or next(
-                (s.name for s in active_sites if s.name != head),
+                (s.name for s in active_sites if s.name != head_site),
                 active_sites[0].name,
             )
 
@@ -576,140 +558,52 @@ class MultiSiteSimulation:
                 "workers_busy": max(0, workers - waiting),
             }
 
-        def cluster_proc(name, site, crew, burst_):
-            procs = [env.process(s.run(), name=f"slave:{s.worker_id}")
-                     for s in crew]
-            dynamics = burst_.launch() if burst_ is not None else []
-            yield env.all_of(procs)
-            if burst_ is not None:
-                # The static crew drained, so the pool is dry: release
-                # the never-provisioned gates, let provisioned slaves
-                # exit at this same timestamp, and shut the ledger.
-                burst_.close()
-                yield env.all_of(dynamics)
-                burst_.finalize(env.now)
-                crew = crew + burst_.started
-            processing_end[name] = env.now
-            # Intra-cluster combine: a tree merge of the slaves' objects.
-            # Streaming flushes fold slave partials during compute, so
-            # only the final watermark's worth of merging remains once
-            # the last slave finishes; the barrier pays the full tree.
-            if spec.stream:
-                yield env.timeout(compute.merge_seconds(robj_bytes))
-            else:
-                yield env.timeout(
-                    compute.combine_seconds(robj_bytes, len(crew),
-                                            site.intra_bandwidth)
-                )
-            combine_done[name] = env.now
-            mark("combine_done", name)
-            node = plan[name]
-            if node.children:
-                yield env.all_of([upload_events[c] for c in node.children])
-                merge = compute.merge_seconds(robj_bytes)
-                if spec.stream:
-                    # Fold each child on arrival: the master thread is
-                    # free while its slaves compute, so early arrivals
-                    # cost nothing at the barrier.
-                    busy = 0.0
-                    for child in sorted(node.children, key=robj_arrival.__getitem__):
-                        busy = max(busy, robj_arrival[child]) + merge
-                        mark("merge_done", child, at=busy)
-                else:
-                    busy = env.now
-                    for child in node.children:
-                        busy += merge
-                        mark("merge_done", child, at=busy)
-                if busy > env.now:
-                    yield env.timeout(busy - env.now)
-            # Ship the (encoded) object up the aggregation plan; a plan
-            # root's hop is to the head (off the WAN for the head's site).
-            if node.parent is not None:
-                yield robj_link(site.name, masters[node.parent].site).transfer(wire_bytes)
-            elif multi_cluster:
-                if site.name == head:
-                    yield env.timeout(
-                        config.lan_latency + wire_bytes / site.intra_bandwidth
-                    )
-                else:
-                    yield robj_link(site.name, head).transfer(wire_bytes)
-            robj_arrival[name] = env.now
-            mark("robj_sent", name)
-            upload_events[name].succeed()
-            if node.parent is None and spec.stream:
-                # The head merges an arriving root immediately, serialized.
-                start = max(env.now, head_busy_until[0])
-                finish = start + compute.merge_seconds(robj_bytes)
-                head_busy_until[0] = finish
-                yield env.timeout(finish - env.now)
-                head_merged_at[name] = env.now
-                mark("merge_done", name)
-
-        cluster_procs = []
         worker_id = 0
         for site in active_sites:
             name = f"{site.name}-cluster"
             scheduler.register_cluster(name, site.name)
             masters[name] = master = SimMaster(
-                env, name, site.name, scheduler,
+                head, name, site.name,
                 control_rtt=2 * (
-                    config.lan_latency if site.name == head
+                    config.lan_latency if site.name == head_site
                     else config.control_latency
                 ),
                 cores=site.cores,
                 tuning=config.tuning,
-                trace=trace,
+                children=plan[name].children,
+                codec=codec,
+                combine_seconds=lambda n, site=site: compute.combine_seconds(
+                    robj_bytes, n, site.intra_bandwidth
+                ),
+                uplink=uplink,
             )
 
-            def make_slave(wid, site=site, master=master):
+            def make_slave(wid, master=master):
                 return SimSlave(
-                    env, wid, site.name, master, fetch, compute,
+                    wid, master, fetch, compute,
                     retrieval_threads=config.tuning.retrieval_threads,
-                    trace=trace,
                 )
 
             crew = slaves[name] = [
                 make_slave(worker_id + i) for i in range(site.cores)
             ]
             worker_id += site.cores
-
-            cluster_burst = None
+            procs = [
+                env.process(s.run(), name=f"slave:{s.slave_id}") for s in crew
+            ]
             if site.name == burst_site:
-                burst = cluster_burst = ClusterBurst(
-                    env, master, self.scale,
-                    initial=len(crew),
+                burst = ClusterBurst(
+                    master, self.scale,
+                    crew=crew,
                     make_slave=make_slave,
                     next_worker_id=worker_id,
                     probe=scale_probe,
-                    trace=trace,
                 )
                 worker_id = burst.next_worker_id
-                for slave in crew:
-                    burst.admit(slave)
-
-            cluster_procs.append(
-                env.process(
-                    cluster_proc(name, site, crew, cluster_burst),
-                    name=f"cluster:{name}",
-                )
-            )
-
-        if not spec.stream:
-            # Barrier global reduction: the head waits for every plan root
-            # and merges them serially in plan order (as the runtime does).
-
-            def head_barrier_proc():
-                yield env.all_of([upload_events[r] for r in roots])
-                finish = env.now
-                for root in roots:
-                    finish += compute.merge_seconds(robj_bytes)
-                    head_merged_at[root] = finish
-                    mark("merge_done", root, at=finish)
-                yield env.timeout(finish - env.now)
-
-            cluster_procs.append(
-                env.process(head_barrier_proc(), name="head:barrier")
-            )
+                burst.launch(procs)
+        for name, node in plan.items():
+            if node.parent is not None:
+                masters[name].parent = masters[node.parent]
 
         if self.static_assignment:
             # Deal the whole pool out round-robin before time starts. Each
@@ -719,10 +613,8 @@ class MultiSiteSimulation:
                 master.step(JobReply(None))
             turn = 0
             while not scheduler.exhausted:
-                group = scheduler.request_jobs(names[turn % len(names)])
-                if group is None:
-                    break
-                masters[names[turn % len(names)]].step(JobReply(group))
+                master = masters[names[turn % len(names)]]
+                head.step(JobRequest(master.name, reply_to=master))
                 turn += 1
 
         # The cache outlives the run in iterative use; report this pass's
@@ -732,35 +624,42 @@ class MultiSiteSimulation:
             (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
         )
 
-        env.run(env.all_of(cluster_procs))
-        env.run()  # drain stragglers (acks in flight)
+        env.run()
 
         if burst is not None:
             # Fold the dynamic slaves into the burst site's crew so the
             # report's jobs-processed invariant and per-cluster means
-            # account for every worker that actually ran, and copy the
-            # scaling ledger.
+            # account for every worker that actually ran.
             slaves[f"{burst_site}-cluster"] += burst.started
-            self.slaves_added = burst.slaves_added
-            self.slaves_revoked = burst.slaves_revoked
-            self.dollars_spent = burst.dollars_spent
 
         if scheduler.jobs_remaining != 0:
             raise SimulationError(
                 f"simulation ended with {scheduler.jobs_remaining} jobs unassigned"
             )
-        makespan = max(head_merged_at.values())
-        last_processing = max(processing_end.values())
+        units = sum(job.num_units for job in jobs)
+        merged = head.core.merged.value() if head.core.finished else None
+        if merged != units:
+            raise SimulationError(
+                f"the global reduction folded {merged} units, not the "
+                f"dataset's {units}"
+            )
+        # A cluster's upload arrival is stamped where it lands: at its
+        # parent master, or at the head.
+        makespan = head.busy_until
+        last_processing = max(m.core.processing_end for m in masters.values())
         clusters: dict[str, ClusterReport] = {}
         for name, crew in slaves.items():
             stats = scheduler.clusters[name]
+            master = masters[name]
             cluster = clusters[name] = ClusterReport.from_crew(
-                name, masters[name].site,
+                name, master.site,
                 [(s.metrics.processing, s.metrics.retrieval, s.metrics.jobs)
                  for s in crew],
                 jobs_stolen=stats.jobs_stolen, span=makespan,
-                last_end=last_processing, processing_end=processing_end[name],
-                combine_done=combine_done[name], robj_arrival=robj_arrival[name],
+                last_end=last_processing,
+                processing_end=master.core.processing_end,
+                combine_done=master.combine_done,
+                robj_arrival=master.parent.core.arrivals[name],
             )
             if cluster.jobs_processed != stats.jobs_assigned:
                 raise SimulationError(
@@ -776,14 +675,15 @@ class MultiSiteSimulation:
             # large) plus the head's own merge after the last root lands.
             # A cluster's wait at the head barrier is its idle time.
             global_reduction=max(
-                robj_arrival[name] - combine_done[name] for name in robj_arrival
-            ) + makespan - max(robj_arrival[root] for root in roots),
+                m.parent.core.arrivals[m.name] - m.combine_done
+                for m in masters.values()
+            ) + makespan - max(head.core.arrivals.values()),
             clusters=clusters,
             events_processed=env.events_processed,
             faults_injected=self.faults_injected,
-            slaves_added=self.slaves_added,
-            slaves_revoked=self.slaves_revoked,
-            dollars_spent=self.dollars_spent,
+            slaves_added=sum(m.core.slaves_added for m in masters.values()),
+            slaves_revoked=burst.slaves_revoked if burst is not None else 0,
+            dollars_spent=burst.dollars_spent if burst is not None else 0.0,
         )
         if cache is not None:
             report.cache_hits = cache.stats.hits - cache_before[0]

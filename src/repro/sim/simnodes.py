@@ -1,37 +1,42 @@
-"""Simulated middleware nodes: master and slave processes.
+"""Simulated middleware nodes: head, master and slave processes.
 
-A master is the executable runtime's own protocol core
-(:class:`~repro.core.master.MasterCore`: job pool, one outstanding group
-request, acks, the end-of-run rule) stepped from simulation processes,
-over the same :class:`~repro.core.scheduler.HeadScheduler` the runtime's
-head serves from. :class:`SimMaster` adds only costs: each group request
-is a short-lived process paying the control round-trip, each group ack
-pays half of it. Slaves are long-lived processes that loop
-retrieve -> process until the master answers ``None``. The cluster's
-combine and upload are modeled in :mod:`repro.sim.multisite`.
+The head and the masters are the executable runtime's own protocol cores
+(:class:`~repro.core.head.HeadCore`, :class:`~repro.core.master.MasterCore`:
+job requests and acks through the scheduler, the master's pool and
+end-of-run rule, the combine order, coverage and the head's merge order)
+stepped from simulation processes. The shells add only costs: each
+head-bound message arrives after its control latency, a master's
+:class:`~repro.core.master.Ship` pays the combine, the child merges and
+the hop up the sync plan, and each merge the head names pays
+``merge_seconds``. Slaves are long-lived processes that loop
+retrieve -> process until the master answers ``None``, then hand the
+master a :class:`~repro.core.reduction.ScalarReduction` of the units they
+folded.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from ..config import MiddlewareTuning
+from ..core.head import HeadCore
 from ..core.job import Job
-from ..core.master import Emit, MasterCore
+from ..core.master import Emit, MasterCore, Post, Ship, Start
 from ..core.messages import (
     GroupComplete,
-    JobReply,
-    JobRequest,
+    ReductionUpload,
     SlaveJobDone,
     SlaveJobRequest,
+    SlaveReduction,
 )
-from ..core.scheduler import HeadScheduler
+from ..core.reduction import ScalarReduction, merge_all
+from ..core.sync import SyncCodec
 from ..obs import EventLog
 from .computemodel import ComputeModel
 from .engine import Environment, Event
 from .metrics import SlaveMetrics
 
-__all__ = ["SimMaster", "SimSlave", "FetchFn", "LeaseFn"]
+__all__ = ["SimHead", "SimMaster", "SimSlave", "FetchFn", "LeaseFn"]
 
 #: ``fetch(job, slave_site, retrieval_threads) -> Event``. The callback owns
 #: the path choice *and* the connection-count decision (a local disk read is
@@ -48,53 +53,110 @@ FetchFn = Callable[[Job, str, int], Event]
 LeaseFn = Callable[[int, int], bool]
 
 
-class SimMaster:
-    """Cluster master: the shared :class:`~repro.core.master.MasterCore`
-    plus what its head exchanges cost — the control round-trip per group
-    request, half of it per group acknowledgement."""
+class SimHead:
+    """The head: the shared :class:`~repro.core.head.HeadCore` plus the
+    cost of each merge it names, ``merge_seconds`` per object, one merge
+    at a time."""
 
     def __init__(
         self,
         env: Environment,
+        core: HeadCore,
+        *,
+        merge_seconds: float,
+        trace: EventLog | None = None,
+    ) -> None:
+        self.env = env
+        self.core = core
+        self.merge_seconds = merge_seconds
+        self.trace = trace
+        #: When the last merge named so far finishes: the run's makespan
+        #: once the core is finished.
+        self.busy_until = 0.0
+
+    def step(self, message) -> None:
+        """Step the core with one message and carry out its actions."""
+        env, trace = self.env, self.trace
+        for action in self.core.step(message, env.now):
+            if isinstance(action, Post):
+                action.to.step(action.message)
+            elif isinstance(action, Emit):
+                self.emit(action.kind, **action.fields)
+            else:
+                at = max(env.now, self.busy_until)
+                for cluster, part in zip(action.clusters, action.parts):
+                    action.into.merge(part)
+                    at += self.merge_seconds
+                    if trace is not None:
+                        trace.record(at, "merge_done", cluster=cluster)
+                self.busy_until = at
+
+    def emit(self, kind: str, **fields) -> None:
+        """One trace event at ``env.now`` (also the scheduler's sink)."""
+        if self.trace is not None:
+            self.trace.record(self.env.now, kind, **fields)
+
+
+class SimMaster:
+    """Cluster master: the shared :class:`~repro.core.master.MasterCore`
+    plus what its exchanges cost — the control round-trip per group
+    request, half of it per group acknowledgement — and what its
+    :class:`~repro.core.master.Ship` costs: ``combine_seconds(slaves)``
+    (the head's ``merge_seconds`` when streaming, whose partials fold
+    during compute), ``merge_seconds`` per child upload, then
+    ``uplink(self)``, the hop to ``parent`` (``None``: no hop)."""
+
+    def __init__(
+        self,
+        head: SimHead,
         name: str,
         site: str,
-        scheduler: HeadScheduler,
         *,
         control_rtt: float,
         cores: int,
         tuning: MiddlewareTuning,
-        trace: EventLog | None = None,
+        children: tuple[str, ...],
+        codec: SyncCodec,
+        combine_seconds: Callable[[int], float],
+        uplink: Callable[["SimMaster"], Event | None],
     ) -> None:
-        self.env = env
+        self.env = head.env
         self.name = name
         self.site = site
-        self.scheduler = scheduler
+        self.head = head
         self.control_rtt = control_rtt
-        self.trace = trace
-        self.core = MasterCore(name, cores, tuning)
+        self.codec = codec
+        self.combine_seconds = combine_seconds
+        self.uplink = uplink
+        self.trace = head.trace
+        self.core = MasterCore(
+            name, cores, tuning, head=head, inbox=self, children=children,
+            codec=codec, stream=codec.spec.stream,
+        )
+        #: Where the combined object goes: the parent master in the sync
+        #: plan, or the head (set once every master exists).
+        self.parent: Any = head
+        #: When the combine finished; the core keeps the other stamps.
+        self.combine_done = 0.0
 
     def step(self, message) -> None:
         """Step the core with one message and carry out its actions."""
         env = self.env
-        for action in self.core.step(message):
+        for action in self.core.step(message, env.now):
             if isinstance(action, Emit):
-                if self.trace is not None:
-                    self.trace.record(
-                        env.now, action.kind, cluster=self.name, **action.fields
-                    )
-                continue
-            message = action.message
-            if isinstance(message, JobRequest):
-                env.process(self._fetch(message.max_jobs), name=f"fetch:{self.name}")
-            elif isinstance(message, GroupComplete):
+                self._mark(action.kind, env.now, **action.fields)
+            elif isinstance(action, Start):
+                action.worker.start()
+            elif isinstance(action, Ship):
+                env.process(self._ship(action), name=f"ship:{self.name}")
+            elif action.to is self.head:
                 env.process(
-                    self._ack(message.group_id),
-                    name=f"ack:{self.name}:{message.group_id}",
+                    self._to_head(action.message), name=f"head:{self.name}"
                 )
-            elif isinstance(message, SlaveJobRequest):
-                message.reply_to.succeed(None)  # woken: the slave asks again
+            elif action.to is self:
+                action.message.reply_to.succeed(None)  # woken: asked again
             else:
-                action.to.succeed(message)  # the slave's reply
+                action.to.succeed(action.message)  # the slave's reply
 
     def get_job(self, slave_id: int):
         """Generator (``yield from``): next job, or ``None`` at end of run."""
@@ -106,97 +168,118 @@ class SimMaster:
             if reply.value is not None:
                 return reply.value.job
 
-    # -- head exchanges ----------------------------------------------------------
+    # -- costs -------------------------------------------------------------------
 
-    def _fetch(self, max_jobs: int):
-        yield self.env.timeout(self.control_rtt)
-        self.step(JobReply(self.scheduler.request_jobs(self.name, max_jobs)))
+    def _to_head(self, message):
+        ack = isinstance(message, GroupComplete)
+        yield self.env.timeout(self.control_rtt / 2.0 if ack else self.control_rtt)
+        self.head.step(message)
 
-    def _ack(self, group_id: int):
-        yield self.env.timeout(self.control_rtt / 2.0)
-        self.scheduler.complete_group(group_id)
+    def _ship(self, ship: Ship):
+        """Charge the combine, then the child merges (each on arrival when
+        streaming, in a row once all are in at the barrier), then the hop
+        up the plan; deliver the upload to the parent's core."""
+        env, core = self.env, self.core
+        merge = self.head.merge_seconds
+        combine = (
+            merge if core.stream else self.combine_seconds(len(core.robjs))
+        )
+        self.combine_done = core.processing_end + combine
+        arrivals = [core.arrivals[child] for child in core.receipts.senders]
+        ready = max([self.combine_done, *arrivals])
+        if core.stream:
+            # Each child folded on arrival: the master is free while its
+            # slaves compute, so early arrivals cost nothing at the end.
+            busy = 0.0
+            for at in sorted(arrivals):
+                busy = max(busy, at) + merge
+        else:
+            busy = ready
+            for _ in arrivals:
+                busy += merge
+        if ready > env.now:
+            yield env.timeout(ready - env.now)
+        self._mark("combine_done", self.combine_done)
+        if busy > env.now:
+            yield env.timeout(busy - env.now)
+        hop = self.uplink(self)
+        if hop is not None:
+            yield hop
+        self._mark("robj_sent", env.now)
+        blob = self.codec.encode(self.name, merge_all(ship.parts)).blob
+        self.parent.step(ReductionUpload(self.name, blob, ship.origins))
+
+    def _mark(self, kind: str, at: float, **fields) -> None:
         if self.trace is not None:
-            self.trace.record(
-                self.env.now, "group_acked", cluster=self.name,
-                detail=f"group {group_id}",
-            )
+            self.trace.record(at, kind, cluster=self.name, **fields)
 
 
 class SimSlave:
-    """One worker core: retrieve chunk, run local reduction, repeat."""
+    """One worker core: retrieve chunk, run local reduction, repeat; at the
+    end, hand the master the units it folded."""
 
     def __init__(
         self,
-        env: Environment,
-        worker_id: int,
-        site: str,
+        slave_id: int,
         master: SimMaster,
         fetch: FetchFn,
         compute: ComputeModel,
         *,
         retrieval_threads: int,
-        trace: EventLog | None = None,
-        lease: LeaseFn | None = None,
     ) -> None:
-        self.env = env
-        self.worker_id = worker_id
-        self.site = site
+        self.env = env = master.env
+        self.slave_id = slave_id
+        self.site = master.site
         self.master = master
         self.fetch = fetch
         self.compute = compute
         self.retrieval_threads = retrieval_threads
-        self.trace = trace
+        self.trace = master.trace
         #: Optional per-job-boundary liveness check (elastic bursting):
         #: when it answers ``False`` the instance is gone and the loop
         #: exits before taking another job.
-        self.lease = lease
-        self.metrics = SlaveMetrics(worker_id=worker_id)
+        self.lease: LeaseFn | None = None
+        self.metrics = SlaveMetrics(worker_id=slave_id)
+        self.robj = ScalarReduction("sum")
+        #: A provisioned slave waits here until its master starts it.
+        self.gate = env.event()
+
+    def start(self) -> None:
+        """The master's :class:`~repro.core.master.Start`: open the gate."""
+        self.gate.succeed()
 
     def run(self):
         """The slave process body (pass to ``env.process``)."""
         metrics = self.metrics
         while True:
             if self.lease is not None and not self.lease(
-                self.worker_id, metrics.jobs
+                self.slave_id, metrics.jobs
             ):
                 break
-            job = yield from self.master.get_job(self.worker_id)
+            job = yield from self.master.get_job(self.slave_id)
             if job is None:
                 break
             started = self.env.now
-            trace = self.trace
-            if trace is not None:
-                trace.record(
-                    started, "fetch_start", cluster=self.master.name,
-                    worker=self.worker_id, job_id=job.job_id,
-                    file_id=job.file_id,
-                )
+            self._mark("fetch_start", job, file_id=job.file_id)
             yield self.fetch(job, self.site, self.retrieval_threads)
             metrics.retrieval += self.env.now - started
-            if trace is not None:
-                trace.record(
-                    self.env.now, "fetch_end", cluster=self.master.name,
-                    worker=self.worker_id, job_id=job.job_id,
-                    file_id=job.file_id,
-                )
+            self._mark("fetch_end", job, file_id=job.file_id)
             seconds = self.compute.job_seconds(
-                self.site, self.worker_id, job.num_units
+                self.site, self.slave_id, job.num_units
             )
-            if trace is not None:
-                trace.record(
-                    self.env.now, "compute_start", cluster=self.master.name,
-                    worker=self.worker_id, job_id=job.job_id,
-                )
+            self._mark("compute_start", job)
             yield self.env.timeout(seconds)
             metrics.processing += seconds
             metrics.jobs += 1
-            if trace is not None:
-                trace.record(
-                    self.env.now, "compute_end", cluster=self.master.name,
-                    worker=self.worker_id, job_id=job.job_id,
-                )
-                trace.record(
-                    self.env.now, "job_done", cluster=self.master.name,
-                    worker=self.worker_id, job_id=job.job_id,
-                )
-            self.master.step(SlaveJobDone(self.worker_id, job))
+            self.robj.add(job.num_units)
+            self._mark("compute_end", job)
+            self._mark("job_done", job)
+            self.master.step(SlaveJobDone(self.slave_id, job))
+        self.master.step(SlaveReduction(self.slave_id, self.robj))
+
+    def _mark(self, kind: str, job: Job, **fields) -> None:
+        if self.trace is not None:
+            self.trace.record(
+                self.env.now, kind, cluster=self.master.name,
+                worker=self.slave_id, job_id=job.job_id, **fields,
+            )

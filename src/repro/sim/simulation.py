@@ -133,12 +133,6 @@ class CloudBurstSimulation:
     def run(self) -> SimReport:
         return self._engine.run()
 
-    # Accounting for the last :meth:`run` (also on the report).
-    faults_injected = property(lambda self: self._engine.faults_injected)
-    slaves_added = property(lambda self: self._engine.slaves_added)
-    slaves_revoked = property(lambda self: self._engine.slaves_revoked)
-    dollars_spent = property(lambda self: self._engine.dollars_spent)
-
 
 def simulate(
     config: ExperimentConfig,

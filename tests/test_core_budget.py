@@ -105,6 +105,8 @@ def test_restored_after_a_slave_crash(pool):
     fired = threading.Event()
 
     def crash_once(slave_id, job):
+        if slave_id == 0:  # the crew cannot finish before slave 1 crashes
+            assert fired.wait(30.0)
         if slave_id == 1 and not fired.is_set():
             fired.set()
             raise WorkerFailure("injected crash")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.config import CLOUD_SITE, LOCAL_SITE, DatasetSpec, PlacementSpec
+from repro.core.index import build_index
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.data.records import VALUE_SCHEMA, point_schema
 from repro.errors import DataFormatError
@@ -34,6 +37,10 @@ def test_build_places_files_per_placement(two_site_stores):
     assert len(list(two_site_stores[LOCAL_SITE].keys())) == 2
     assert len(list(two_site_stores[CLOUD_SITE].keys())) == 2
     assert two_site_stores[LOCAL_SITE].total_bytes() == spec.file_bytes * 2
+    # One placement rule: the synthesized index, plus checksums.
+    assert all(entry.checksum is not None for entry in index.files)
+    unchecked = [replace(entry, checksum=None) for entry in index.files]
+    assert unchecked == build_index(spec, PlacementSpec(0.5)).files
 
 
 def test_read_jobs_roundtrip_global_sequence(two_site_stores):

@@ -56,6 +56,7 @@ class CrashOnce:
         self.after = after
         self.count = 0
         self.fired = False
+        self.crashed = threading.Event()
         self._lock = threading.Lock()
 
     def __call__(self, slave_id: int, job) -> None:
@@ -67,6 +68,7 @@ class CrashOnce:
             self.count += 1
             if self.count > self.after:
                 self.fired = True
+                self.crashed.set()
                 raise WorkerFailure(f"injected crash of slave {slave_id}")
 
 
@@ -80,10 +82,25 @@ def run_with_fault(bundle, index, stores, hook, cores=(2, 2)):
     return runtime.run()
 
 
+def hold_others(hook, victims: set[int], crashed: threading.Event):
+    """``hook``, with every slave but ``victims`` held at its first job
+    until ``crashed`` is set: the victims run alone until they fail, so no
+    other slave — of their cluster or, by stealing, of the other one — can
+    drain the jobs they need (on a loaded machine one otherwise can)."""
+
+    def held(slave_id, job):
+        if slave_id not in victims:
+            assert crashed.wait(30.0)
+        hook(slave_id, job)
+
+    return held
+
+
 def test_single_crash_mid_run_preserves_result():
     bundle, index, stores = materialize(bins=32)
     hook = CrashOnce(victim=1, after=2)
-    result = run_with_fault(bundle, index, stores, hook)
+    held = hold_others(hook, {1}, hook.crashed)
+    result = run_with_fault(bundle, index, stores, held)
     assert hook.fired
     oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
     np.testing.assert_array_equal(result.value, oracle)
@@ -95,7 +112,8 @@ def test_single_crash_mid_run_preserves_result():
 def test_immediate_crash_preserves_result():
     bundle, index, stores = materialize(bins=16)
     hook = CrashOnce(victim=0, after=0)  # dies on its very first job
-    result = run_with_fault(bundle, index, stores, hook)
+    held = hold_others(hook, {0}, hook.crashed)
+    result = run_with_fault(bundle, index, stores, held)
     oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
     np.testing.assert_array_equal(result.value, oracle)
     assert result.telemetry.slaves_failed == 1
@@ -105,6 +123,7 @@ def test_crashes_in_both_clusters():
     bundle, index, stores = materialize(bins=16)
 
     fired: set[int] = set()
+    both = threading.Event()
     lock = threading.Lock()
 
     def hook(slave_id: int, job) -> None:
@@ -113,9 +132,12 @@ def test_crashes_in_both_clusters():
             with lock:
                 if slave_id not in fired:
                     fired.add(slave_id)
+                    if len(fired) == 2:
+                        both.set()
                     raise WorkerFailure(f"crash {slave_id}")
 
-    result = run_with_fault(bundle, index, stores, hook)
+    held = hold_others(hook, {0, 2}, both)
+    result = run_with_fault(bundle, index, stores, held)
     assert fired == {0, 2}
     oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
     np.testing.assert_array_equal(result.value, oracle)
@@ -141,7 +163,7 @@ def test_genuine_bug_recovers_result_but_reraises():
 
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
-        fault_hook=buggy_hook,
+        fault_hook=hold_others(buggy_hook, {1}, fired),
     )
     with pytest.raises(ValueError, match="application bug"):
         runtime.run()

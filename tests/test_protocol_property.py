@@ -1,10 +1,11 @@
 """Protocol property suite — zero threads, zero sleeping.
 
-The head (:meth:`HeadNode.step`) and two master cores
+The head core (:class:`~repro.core.head.HeadCore`) and two master cores
 (:class:`~repro.core.master.MasterCore`) are stepped on the test's own
-thread. A seeded scheduler delivers every posted message one channel
-(sender -> receiver) at a time, first in first out within a channel, in
-an order hypothesis draws. Slave stubs fold each job's unit count into a
+thread; nothing from :mod:`repro.runtime` is imported. A seeded
+scheduler delivers every posted message one channel (sender -> receiver)
+at a time, first in first out within a channel, in an order hypothesis
+draws. Slave stubs fold each job's unit count into a
 :class:`DictReduction` under its job id. Some orders include one slave
 crash (its object is lost and its jobs re-executed) and one retirement.
 Whatever the order, every job is folded exactly once, the head's
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CLOUD_SITE, LOCAL_SITE, MiddlewareTuning, PlacementSpec
+from repro.core.head import HeadCore, Merge
 from repro.core.index import build_index
 from repro.core.job import JobGroup
 from repro.core.master import Emit, MasterCore, Post, Ship
@@ -37,7 +39,6 @@ from repro.core.messages import (
 from repro.core.reduction import DictReduction, merge_all
 from repro.core.scheduler import HeadScheduler
 from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
-from repro.runtime.head import HeadNode, HeadSync
 
 from conftest import small_spec
 
@@ -63,9 +64,9 @@ class Network:
             scheduler.register_cluster(name, site)
         self.codec = SyncCodec(SyncSpec(topology=topology, fanout=1))
         self.plan = build_sync_plan(list(CLUSTERS), topology, fanout=1)
-        self.head = HeadNode(
-            scheduler, list(CLUSTERS),
-            sync=HeadSync(codec=self.codec, roots=tuple(plan_roots(self.plan))),
+        self.head = HeadCore(
+            scheduler, list(CLUSTERS), roots=tuple(plan_roots(self.plan)),
+            codec=self.codec,
         )
         self.masters = {
             name: MasterCore(
@@ -91,18 +92,27 @@ class Network:
         self.channels.setdefault((src, dst), deque()).append(message)
 
     def run(self):
-        while self.head.result is None:
+        while not self.head.finished:
             live = [key for key, queue in self.channels.items() if queue]
             src, dst = live[self.rng.randrange(len(live))]
             message = self.channels[src, dst].popleft()
             if dst == "head":
-                for post in self.head.step(message):
-                    self.send("head", post.to, post.message)
+                self.step_head(message)
             elif dst in self.masters:
                 self.step_master(dst, message)
             else:
                 self.step_slave(dst[1], message)
         return self.head
+
+    def step_head(self, message) -> None:
+        for action in self.head.step(message):
+            if isinstance(action, Post):
+                self.send("head", action.to, action.message)
+            elif isinstance(action, Merge):
+                for part in action.parts:
+                    action.into.merge(part)
+            else:
+                assert isinstance(action, Emit), action
 
     def step_master(self, name: str, message) -> None:
         for action in self.masters[name].step(message):
@@ -151,7 +161,7 @@ def test_every_job_folds_exactly_once_under_any_delivery_order(
     jobs = jobs_of()
     head = Network(jobs, topology, seed, crash, retire).run()
     serial = {job.job_id: job.num_units for job in jobs}
-    assert head.result.robj.value() == serial
+    assert head.merged.value() == serial
     assert set(head.receipts.origins) == set(CLUSTERS)
     assert head.scheduler.exhausted
     assert threading.active_count() == threads

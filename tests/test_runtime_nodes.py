@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import LOCAL_SITE, MiddlewareTuning, PlacementSpec
+from repro.core.head import HeadCore
 from repro.core.index import build_index
 from repro.core.messages import (
     JobRequest,
@@ -18,8 +19,8 @@ from repro.core.reduction import ScalarReduction
 from repro.core.scheduler import HeadScheduler
 from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan
 from repro.errors import RuntimeProtocolError
-from repro.runtime.head import HeadNode, HeadSync
-from repro.runtime.master import MasterNode, MasterSync
+from repro.runtime.head import HeadNode
+from repro.runtime.master import MasterNode
 from repro.runtime.transport import Mailbox
 
 from conftest import small_spec
@@ -35,9 +36,7 @@ def make_head(files=2, chunks=2, clusters=("local-cluster",)):
     scheduler = HeadScheduler(index.jobs(), MiddlewareTuning())
     for name in clusters:
         scheduler.register_cluster(name, LOCAL_SITE)
-    return HeadNode(
-        scheduler, list(clusters), sync=HeadSync(codec=CODEC, roots=tuple(clusters))
-    )
+    return HeadNode(HeadCore(scheduler, clusters, roots=clusters, codec=CODEC))
 
 
 def upload(cluster, robj, origins=None):
@@ -55,8 +54,8 @@ def test_head_serves_requests_and_merges():
     assert group is not None and len(group) == 4
     head.inbox.post(upload("local-cluster", ScalarReduction("sum", 5.0)))
     result = head.join(timeout=5.0)
-    assert result.robj.value() == 5.0
-    assert result.clusters_reported == ("local-cluster",)
+    assert result.value() == 5.0
+    assert head.core.receipts.origins == ["local-cluster"]
 
 
 def test_head_rejects_duplicate_upload():
@@ -96,7 +95,7 @@ def test_master_end_to_end_protocol():
     head.start()
     master = MasterNode(
         "local-cluster", LOCAL_SITE, head.inbox, num_slaves=2,
-        sync=MasterSync(codec=CODEC, parent_inbox=head.inbox),
+        parent_inbox=head.inbox, codec=CODEC,
     )
     master.start()
 
@@ -118,15 +117,15 @@ def test_master_end_to_end_protocol():
     master.join(timeout=5.0)
     result = head.join(timeout=5.0)
     assert sorted(done_jobs) == [0, 1, 2, 3]
-    assert result.robj.value() == 4.0  # one unit per job
+    assert result.value() == 4.0  # one unit per job
 
 
 def test_master_validation():
     head = make_head()
-    sync = MasterSync(codec=CODEC, parent_inbox=head.inbox)
+    sync = dict(parent_inbox=head.inbox, codec=CODEC)
     with pytest.raises(RuntimeProtocolError):
-        MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=0, sync=sync)
-    master = MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=1, sync=sync)
+        MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=0, **sync)
+    master = MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=1, **sync)
     with pytest.raises(RuntimeProtocolError):
         master.join()
 
@@ -138,11 +137,9 @@ def test_tree_master_rejects_a_second_upload_from_one_child():
     head_inbox = Mailbox("head")
     master = MasterNode(
         "a", LOCAL_SITE, head_inbox, num_slaves=1, take_timeout=1.0,
-        sync=MasterSync(
-            codec=CODEC, parent_inbox=head_inbox, children=plan["a"].children
-        ),
+        parent_inbox=head_inbox, codec=CODEC, children=plan["a"].children,
     )
-    assert master.sync.children == ("b", "c")
+    assert master.core.receipts.senders == ("b", "c")
     master.step(upload("b", ScalarReduction("sum", 1.0)))  # on this thread
     with pytest.raises(RuntimeProtocolError, match="'b' uploaded twice"):
         master.step(upload("b", ScalarReduction("sum", 1.0)))

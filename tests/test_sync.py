@@ -29,6 +29,7 @@ from repro.config import (
 )
 from repro.core import wire
 from repro.core.api import run_serial
+from repro.core.head import HeadCore
 from repro.core.index import build_index
 from repro.core.messages import ReductionUpload
 from repro.core.reduction import (
@@ -49,7 +50,7 @@ from repro.network.topology import Link
 from repro.network.transfer import sync_aggregation_time, transfer_time
 from repro.obs.events import EventLog
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.runtime.head import HeadNode, HeadSync
+from repro.runtime.head import HeadNode
 from repro.sim.multisite import (
     CrossPath,
     MultiSiteConfig,
@@ -492,13 +493,14 @@ class TickClock:
         return self.now
 
 
-def make_head(clusters, **kwargs):
+def make_head(clusters, *, roots, codec, stream=False, clock=None):
     spec = small_spec(record_bytes=4, files=2, chunks_per_file=2)
     index = build_index(spec, PlacementSpec(local_fraction=1.0))
     scheduler = HeadScheduler(index.jobs(), MiddlewareTuning())
     for name in clusters:
         scheduler.register_cluster(name, LOCAL_SITE)
-    return HeadNode(scheduler, list(clusters), **kwargs)
+    core = HeadCore(scheduler, clusters, roots=roots, codec=codec, stream=stream)
+    return HeadNode(core, clock=clock)
 
 
 def upload(codec, cluster, robj, origins=None):
@@ -510,32 +512,31 @@ def upload(codec, cluster, robj, origins=None):
 def test_head_barrier_timing_is_clock_driven():
     clock = TickClock()
     codec = SyncCodec(SyncSpec())
-    sync = HeadSync(codec=codec, roots=("a", "b"))
-    head = make_head(("a", "b"), clock=clock, sync=sync)
+    head = make_head(("a", "b"), roots=("a", "b"), codec=codec, clock=clock)
     for name in ("a", "b"):
         # Stepped on this thread: timing must come from the clock.
         head.step(upload(codec, name, ScalarReduction("sum", 1.0)))
     # One started/finished pair around the whole barrier merge: 1 tick.
     assert head.global_reduction_seconds == 1.0
-    assert head.result.robj.value() == 2.0
+    assert head.result.value() == 2.0
 
 
 def test_head_stream_timing_accumulates_per_upload():
     clock = TickClock()
     codec = SyncCodec(SyncSpec(stream=True))
-    sync = HeadSync(codec=codec, roots=("a", "b"), stream=True)
-    head = make_head(("a", "b"), clock=clock, sync=sync)
+    head = make_head(
+        ("a", "b"), roots=("a", "b"), codec=codec, stream=True, clock=clock
+    )
     for name in ("a", "b"):
         head.step(upload(codec, name, ScalarReduction("sum", 2.0)))
     # One started/finished pair per streamed merge: 2 ticks in total.
     assert head.global_reduction_seconds == 2.0
-    assert head.result.robj.value() == 4.0
+    assert head.result.value() == 4.0
 
 
 def test_head_rejects_incomplete_coverage():
     codec = SyncCodec(SyncSpec(topology="tree"))
-    sync = HeadSync(codec=codec, roots=("a",))
-    head = make_head(("a", "b", "c"), sync=sync)
+    head = make_head(("a", "b", "c"), roots=("a",), codec=codec)
     with pytest.raises(RuntimeProtocolError, match="coverage"):
         # "c" never shows up in any origins.
         head.step(upload(codec, "a", ScalarReduction("sum", 1.0), origins=("a", "b")))
@@ -543,10 +544,9 @@ def test_head_rejects_incomplete_coverage():
 
 def test_head_accepts_relayed_coverage():
     codec = SyncCodec(SyncSpec(topology="tree", fanout=1))
-    sync = HeadSync(codec=codec, roots=("a",))
-    head = make_head(("a", "b", "c"), sync=sync)
+    head = make_head(("a", "b", "c"), roots=("a",), codec=codec)
     head.step(upload(codec, "a", ScalarReduction("sum", 6.0), origins=("a", "b", "c")))
-    assert head.result.robj.value() == 6.0
+    assert head.result.value() == 6.0
 
 
 # -- runtime equivalence and streaming fault tolerance -----------------------

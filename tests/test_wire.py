@@ -15,6 +15,10 @@ bytes reach the compressor.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +247,47 @@ def test_corrupted_blobs_never_leak_raw_exceptions(
         wire.decode(bytes(blob))
     except ReductionError:
         pass  # rejection is the expected outcome; anything else must not raise
+
+
+#: Decodes every single-byte flip of fixed TopK blobs.
+_FLIPPED_TOPK = """
+import numpy as np
+from repro.core import wire
+from repro.core.reduction import TopKReduction
+from repro.errors import ReductionError
+
+robjs = [
+    TopKReduction(4, np.array([0.5, -1.25, 3.0, 2.0, 7.5, 0.0]), np.arange(6)),
+    TopKReduction(1, np.array([1e300]), np.array([2**40])),
+    TopKReduction(3),
+]
+for robj in robjs:
+    for compress in ("none", "zlib"):
+        blob = wire.encode(robj, compress=compress).blob
+        for pos in range(len(blob)):
+            for flip in (0x01, 0x10, 0x80, 0xFF):
+                bad = bytearray(blob)
+                bad[pos] ^= flip
+                try:
+                    wire.decode(bytes(bad))
+                except ReductionError:
+                    pass
+"""
+
+
+def test_flipped_topk_blobs_are_rejected_not_crashed():
+    """A flipped byte in a TopK blob decodes or raises ReductionError. TopK
+    once pickled raw arrays: a flip there could crash numpy inside
+    ``wire.decode``, and short of a crash left unraisable errors on
+    stderr. The decoding runs in a child process, so a crash fails this
+    test instead of killing the whole pytest run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wire.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLIPPED_TOPK],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(src)},
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
 
 
 def test_lz4_gating():
