@@ -10,13 +10,20 @@ the message, for the cluster report's stamps). The runtime's
 :class:`~repro.runtime.master.MasterNode` and the simulator's
 :class:`~repro.sim.simnodes.SimMaster` are shells that carry the actions
 out; a test can step it directly.
+
+The core also owns the cluster's churn, one rule for both engines: it
+retires requesting slaves on a :class:`~repro.core.messages.SlaveDetach`,
+rolls a revocable cluster's spot die each time it would hand a slave a
+job, and re-executes the uncommitted jobs of a slave that crashed or was
+revoked. Neither a retirement nor a revocation takes the last active
+slave.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..config import MiddlewareTuning
 from ..errors import RuntimeProtocolError
@@ -37,6 +44,9 @@ from .messages import (
 )
 from .reduction import ReductionObject
 from .sync import SyncCodec, UploadReceipts
+
+if TYPE_CHECKING:  # avoid a core <-> scale import cycle
+    from ..scale.revocation import RevocationSpec
 
 __all__ = ["Post", "Start", "Emit", "Ship", "MasterCore"]
 
@@ -76,8 +86,9 @@ class Ship:
 
 class MasterCore:
     """One master: ``head`` and ``inbox`` are opaque addresses (head-bound
-    messages go to ``head``; the head answers at ``inbox``), and
-    ``children``/``codec``/``stream`` are its slice of the sync plan."""
+    messages go to ``head``; the head answers at ``inbox``),
+    ``children``/``codec``/``stream`` are its slice of the sync plan, and
+    ``revocation`` is the spot die of a revocable (cloud) cluster."""
 
     def __init__(
         self,
@@ -90,6 +101,7 @@ class MasterCore:
         children: tuple[str, ...] = (),
         codec: SyncCodec | None = None,
         stream: bool = False,
+        revocation: RevocationSpec | None = None,
     ) -> None:
         if num_slaves <= 0:
             raise RuntimeProtocolError("a cluster needs at least one slave")
@@ -105,6 +117,7 @@ class MasterCore:
             low_water=max(tuning.pool_low_water, min(num_slaves // 2, 8))
         )
         self.stream = stream
+        self.revocation = revocation
         self.receipts = UploadReceipts(f"master {name!r}", children, codec)
         self.waiting: deque[SlaveJobRequest] = deque()  # parked requests
         self.fetching = False  # one group request outstanding at a time
@@ -118,8 +131,12 @@ class MasterCore:
         self.active = num_slaves  # neither dead nor retired
         self.expected = num_slaves  # final objects still owed
         # Jobs handed to each slave and not committed by a partial: a
-        # dead slave's object is lost, so these are re-executed.
+        # dead or revoked slave's object is lost, so these are re-executed.
         self.jobs_by_slave: dict[int, list[Job]] = {}
+        # Revocable clusters only: jobs handed to each slave (the die's
+        # ordinal), and the revoked slaves, whose later messages are void.
+        self.handed: dict[int, int] = {}
+        self.revoked: set[int] = set()
         self.robjs: list[SlaveReduction] = []
         # Streamed partials (and, streaming, child uploads) fold on
         # arrival; barrier-mode child uploads merge in plan order.
@@ -184,6 +201,11 @@ class MasterCore:
                 Post(request.reply_to, SlaveJobReply(None)),
                 Emit("scale_down", {"worker": slave, "detail": "slave retired"}),
             ]
+        if self.revocation is not None and len(self.pool):
+            handed = self.handed.get(slave, 0)
+            if self.active > 1 and self.revocation.draw(slave, handed):
+                return self._revoke(request, handed)
+            self.handed[slave] = handed + 1
         job = self.pool.take()
         if job is not None:
             self.jobs_by_slave.setdefault(slave, []).append(job)
@@ -221,6 +243,8 @@ class MasterCore:
         return woken
 
     def _job_done(self, message: SlaveJobDone) -> list:
+        if self.revoked and message.slave_id in self.revoked:
+            return []  # requeued at the revocation: its re-run reports it
         group_id = self.pool.mark_done(message.job.job_id)
         actions = []
         if group_id is not None:
@@ -231,31 +255,54 @@ class MasterCore:
 
     def _failed(self, message: SlaveFailed, now: float) -> list:
         slave = message.slave_id
+        if slave in self.revoked:
+            return []  # written off at the revocation
         self.processing_end = now
         self.expected -= 1
-        self.active -= 1
-        if message.revoked:
-            self.slaves_revoked += 1
-        else:
-            self.slaves_failed += 1
+        if slave not in self.gone:  # a retired slave left ``active`` already
+            self.active -= 1
+        self.slaves_failed += 1
         self.gone.add(slave)
+        reruns = self._requeue(slave)
+        if self.active == 0:  # retired slaves are gone too: nobody reruns
+            raise RuntimeProtocolError(f"master {self.name!r}: every slave failed")
+        detail = f"{len(reruns)} jobs to re-execute"
+        return [
+            Emit("slave_failed", {"worker": slave, "detail": detail}),
+            *reruns,
+            *self._wake(),  # recovered jobs, or a dead slave's end
+        ]
+
+    def _revoke(self, request: SlaveJobRequest, handed: int) -> list:
+        """The spot market reclaims the requester's instance: the answer is
+        ``None``, its object is lost and whatever it sends later is
+        dropped, so its uncommitted jobs run again on the others."""
+        slave = request.slave_id
+        self.expected -= 1
+        self.active -= 1
+        self.slaves_revoked += 1
+        self.gone.add(slave)
+        self.revoked.add(slave)
+        detail = f"spot instance revoked after {handed} jobs"
+        return [
+            Post(request.reply_to, SlaveJobReply(None)),
+            Emit("revocation", {"worker": slave, "detail": detail}),
+            *self._requeue(slave),
+        ]
+
+    def _requeue(self, slave: int) -> list:
+        """Return ``slave``'s uncommitted jobs to the pool; one
+        ``job_reexecuted`` event each."""
         lost = self.jobs_by_slave.pop(slave, [])
         self.pool.requeue(lost)
         self.jobs_reexecuted += len(lost)
-        if self.active == 0:  # retired slaves are gone too: nobody runs ``lost``
-            raise RuntimeProtocolError(f"master {self.name!r}: every slave failed")
-        actions = []
-        if not message.revoked:  # a revocation traced itself at raise time
-            detail = f"{len(lost)} jobs to re-execute"
-            actions.append(Emit("slave_failed", {"worker": slave, "detail": detail}))
-        for job in lost:
-            actions.append(
-                Emit(
-                    "job_reexecuted",
-                    {"worker": slave, "job_id": job.job_id, "file_id": job.file_id},
-                )
+        return [
+            Emit(
+                "job_reexecuted",
+                {"worker": slave, "job_id": job.job_id, "file_id": job.file_id},
             )
-        return actions + self._wake()  # recovered jobs, or a dead slave's end
+            for job in lost
+        ]
 
     def _attach(self, workers) -> list:
         # The shell starts the workers as this step's actions, so
@@ -279,6 +326,8 @@ class MasterCore:
 
     def _reduction(self, message: SlaveReduction, now: float) -> list:
         slave = message.slave_id
+        if slave in self.revoked:
+            return []  # its jobs were requeued at the revocation
         if message.job_ids and slave in self.jobs_by_slave:
             # These jobs are safe in the delivered object: never re-execute.
             committed = set(message.job_ids)

@@ -108,13 +108,12 @@ class SlaveFailed:
     was handed and did not commit in a partial — its in-flight job too —
     must be re-executed; the master keeps that list.
 
-    ``revoked`` distinguishes a simulated spot-instance revocation
-    (:class:`~repro.errors.SpotRevocation`) from a genuine crash: the
-    recovery path is identical, the telemetry account is not.
+    A spot revocation sends no message: the master core decides it when it
+    would hand the slave a job, answers ``None`` and re-executes the same
+    list (:class:`~repro.core.master.MasterCore`).
     """
 
     slave_id: int
-    revoked: bool = False
 
 
 # -- driver -> master (elastic scaling) --------------------------------------

@@ -91,17 +91,6 @@ class WorkerFailure(ReproError):
     """
 
 
-class SpotRevocation(WorkerFailure):
-    """A simulated spot/transient cloud instance was reclaimed mid-job.
-
-    Raised by the :class:`~repro.scale.SpotRevoker` fault hook. It is a
-    :class:`WorkerFailure`, so recovery rides the exact same master
-    re-execution path as any crash: the victim's jobs are requeued and
-    the final reduction stays bit-identical. The separate type lets the
-    master account revocations apart from genuine failures.
-    """
-
-
 class ReductionError(ReproError):
     """A reduction object could not be merged or serialized."""
 

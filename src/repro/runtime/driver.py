@@ -21,6 +21,7 @@ from ..config import CLOUD_SITE, ComputeSpec, MiddlewareTuning
 from ..core.api import GeneralizedReductionApp
 from ..core.head import HeadCore
 from ..core.index import DataIndex
+from ..core.messages import JobReply
 from ..core.scheduler import HeadScheduler
 from ..core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
 from ..data.dataset import DatasetReader
@@ -32,7 +33,6 @@ from ..obs.record import ClusterReport
 from ..obs.spans import span_summary
 from ..options import ScaleOptions
 from ..resilience.retry import RetryPolicy
-from ..scale import SpotRevoker
 from ..scale.burst import RuntimeBurst
 from ..storage.base import StorageService
 from .corebudget import slave_cores
@@ -145,8 +145,8 @@ class CloudBurstingRuntime:
         #: bursting. ``autoscale=True`` drives a pure
         #: :class:`~repro.scale.Autoscaler` off the monitor's sample
         #: stream (an internal monitor is built when none was given) and
-        #: attaches/detaches cloud slaves mid-run; ``revocation`` arms a
-        #: seeded :class:`~repro.scale.SpotRevoker` on the cloud crew.
+        #: attaches/detaches cloud slaves mid-run; ``revocation`` hands the
+        #: cloud master's core a seeded spot die.
         #: ``None`` (or all-defaults) builds none of this machinery.
         self.scale = scale if scale is not None and scale.enabled else None
         #: ``"thread"`` (the original in-process slaves) or ``"process"``
@@ -205,16 +205,10 @@ class CloudBurstingRuntime:
         # Elastic bursting acts on the cloud cluster; without one it is off.
         scale = self.scale if CLOUD_SITE in sites else None
         autoscaling = scale is not None and scale.autoscale
-        rev_spec = scale.revocation_spec if scale is not None else None
-        revoker = SpotRevoker(rev_spec, trace=trace) if rev_spec is not None else None
+        revocation = scale.revocation_spec if scale is not None else None
         dynamic_headroom = (
             scale.id_headroom(self.compute.cores_at(CLOUD_SITE)) if autoscaling else 0
         )
-
-        def cloud_fault_hook(slave_id: int, job) -> None:
-            revoker.hook(slave_id, job)
-            if self.fault_hook is not None:
-                self.fault_hook(slave_id, job)
 
         pool: ProcessSlavePool | None = None
         if self.slave_mode == "process":
@@ -234,9 +228,6 @@ class CloudBurstingRuntime:
 
         def make_slave(slave_id: int, cluster: str, site: str, inbox) -> SlaveWorker:
             """The static crew and every autoscaled slave are built here."""
-            revocable = revoker is not None and site == CLOUD_SITE
-            if revocable:
-                revoker.admit(slave_id)
             return SlaveWorker(
                 slave_id,
                 cluster,
@@ -245,7 +236,7 @@ class CloudBurstingRuntime:
                 reader,
                 inbox,
                 units_per_group=self.tuning.units_per_group,
-                fault_hook=cloud_fault_hook if revocable else self.fault_hook,
+                fault_hook=self.fault_hook,
                 trace=trace,
                 metrics=self.metrics,
                 take_timeout=self.join_timeout,
@@ -272,6 +263,7 @@ class CloudBurstingRuntime:
                 name, site, head.inbox, cores, self.tuning,
                 parent_inbox=parent_inbox, codec=codec, children=node.children,
                 stream=spec.stream, trace=trace, take_timeout=self.join_timeout,
+                revocation=revocation if site == CLOUD_SITE else None,
             )
             masters.append(master)
             masters_by_name[name] = master
@@ -294,7 +286,6 @@ class CloudBurstingRuntime:
                 slaves,
                 slaves_lock,
                 id_limit=len(pool.slaves) if pool is not None else None,
-                revoker=revoker,
             )
             monitor.subscribe(burst.on_sample)
         if monitor is not None:
@@ -334,6 +325,12 @@ class CloudBurstingRuntime:
                     f"{', '.join(alive_slaves) or 'none'} — a hung slave or a "
                     f"lost message keeps the reduction from converging"
                 ) from None
+            except BaseException:
+                # A master died and the head failed the run: release the
+                # other masters, so their crews drain what they hold and exit.
+                for master in masters:
+                    master.inbox.post(JobReply(None))
+                raise
             finally:
                 if burst is not None:
                     burst.applying = False

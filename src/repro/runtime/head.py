@@ -4,7 +4,9 @@ The core holds the head's protocol (Section III-B: job requests through
 the scheduler, group acks, the uploads it takes, their coverage and the
 merge order). This shell takes messages off the head's mailbox, steps
 the core with the time it took each one, and carries out the core's
-actions: replies, trace events, and the merges, timed on its clock.
+actions: replies, trace events, and the merges, timed on its clock. A
+master that dies posts its failure here, and the shell raises it: the
+run fails at once, naming the cluster.
 """
 
 from __future__ import annotations
@@ -70,7 +72,10 @@ class HeadNode:
     def _run(self) -> None:
         try:
             while self.result is None:
-                self.step(self.inbox.take(timeout=self.take_timeout))
+                message = self.inbox.take(timeout=self.take_timeout)
+                if isinstance(message, BaseException):
+                    raise message  # a master died: the run fails now
+                self.step(message)
         except BaseException as exc:  # surface in join()
             self._failure = exc
 

@@ -19,8 +19,9 @@ from ..core.master import Emit, MasterCore, Post, Ship, Start
 from ..core.messages import ReductionUpload
 from ..core.reduction import merge_all
 from ..core.sync import SyncCodec
-from ..errors import RuntimeProtocolError
+from ..errors import RuntimeProtocolError, RuntimeTimeoutError
 from ..obs.events import EventLog
+from ..scale.revocation import RevocationSpec
 from .transport import Mailbox
 
 __all__ = ["MasterNode"]
@@ -31,7 +32,8 @@ class MasterNode:
     ``children``/``stream`` are its slice of the sync plan: where the
     combined object goes (another master's inbox in a tree layout, the
     head's for plan roots), the clusters whose uploads it folds in before
-    shipping its own, and merge-on-arrival instead of the barrier."""
+    shipping its own, and merge-on-arrival instead of the barrier.
+    ``revocation`` is the spot die of a cloud crew, rolled by the core."""
 
     def __init__(
         self,
@@ -47,6 +49,7 @@ class MasterNode:
         stream: bool = False,
         trace: EventLog | None = None,
         take_timeout: float = 60.0,
+        revocation: RevocationSpec | None = None,
     ) -> None:
         self.name = name
         self.site = site
@@ -60,7 +63,7 @@ class MasterNode:
         self.codec = codec
         self.core = MasterCore(
             name, num_slaves, tuning, head=head_inbox, inbox=self.inbox,
-            children=children, codec=codec, stream=stream,
+            children=children, codec=codec, stream=stream, revocation=revocation,
         )
         #: perf_counter at which the combine finished; the core keeps the
         #: report's other stamps, in the same clock.
@@ -94,8 +97,15 @@ class MasterNode:
         try:
             while not self.core.finished:
                 self.step(self.inbox.take(timeout=self.take_timeout))
+        except RuntimeTimeoutError as exc:
+            self._failure = exc  # a hang: the driver's join timeout names it
         except BaseException as exc:
             self._failure = exc
+            # The run cannot finish without this cluster: the head fails it
+            # now, naming the cluster, rather than at its join timeout.
+            failure = RuntimeProtocolError(f"cluster {self.name!r} failed: {exc}")
+            failure.__cause__ = exc
+            self.core.head.post(failure)
 
     def step(self, message) -> None:
         """Step the core with one message and carry out its actions."""

@@ -37,7 +37,7 @@ from ..core.api import GeneralizedReductionApp
 from ..core.job import Job
 from ..core.messages import SlaveFailed, SlaveJobDone, SlaveJobRequest, SlaveReduction
 from ..data.dataset import DatasetReader
-from ..errors import RuntimeProtocolError, SpotRevocation, WorkerFailure
+from ..errors import RuntimeProtocolError, WorkerFailure
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
 from .telemetry import SlaveTelemetry
@@ -141,17 +141,10 @@ class SlaveWorker:
     def _run(self) -> None:
         try:
             self._work()
-        except WorkerFailure as exc:
+        except WorkerFailure:
             # An injected crash: the worker dies, the middleware recovers.
-            # A SpotRevocation is the same death with different paperwork —
-            # the master accounts it as a revocation, not a failure.
             self.crashed = True
-            self.master_inbox.post(
-                SlaveFailed(
-                    slave_id=self.slave_id,
-                    revoked=isinstance(exc, SpotRevocation),
-                )
-            )
+            self.master_inbox.post(SlaveFailed(slave_id=self.slave_id))
         except BaseException as exc:
             # A genuine bug: recover the run (re-execute this worker's jobs
             # elsewhere so the result stays correct) but surface the error

@@ -5,7 +5,9 @@
 :class:`~repro.obs.live.RunMonitor` sample to the pure
 :class:`~repro.scale.Autoscaler` and turns its decisions into attach /
 detach messages to the cloud master. How a slave is built stays the
-driver's ``make_slave``.
+driver's ``make_slave``. Which slaves retire, and which the spot market
+revokes, is the master core's call in both engines; the fleet count here
+reads the core's revocations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import threading
 from typing import TYPE_CHECKING, Callable
 
 from ..core.messages import SlaveAttach, SlaveDetach
-from .revocation import SpotRevoker
 
 if TYPE_CHECKING:  # avoid options <-> scale import cycle
     from ..options import ScaleOptions
@@ -34,7 +35,6 @@ class RuntimeBurst:
         crew_lock: threading.Lock,
         *,
         id_limit: int | None = None,
-        revoker: SpotRevoker | None = None,
     ) -> None:
         self.controller = scale.make_autoscaler()
         self.master = master
@@ -47,7 +47,6 @@ class RuntimeBurst:
         #: One past the last usable slave id — the process pool's worker
         #: count, forked before the run; threads have no such limit.
         self.id_limit = id_limit
-        self.revoker = revoker
         self.added = 0
         self.removed = 0
         #: Cleared by the driver once the head has joined: samples still
@@ -56,11 +55,7 @@ class RuntimeBurst:
 
     def on_sample(self, sample) -> None:
         master = self.master
-        revoked = (
-            self.revoker.revoked
-            if self.revoker is not None
-            else master.core.slaves_revoked
-        )
+        revoked = master.core.slaves_revoked
         fleet = max(0, master.num_slaves + self.added - self.removed - revoked)
         decision = self.controller.observe(sample, fleet)
         if not self.applying:

@@ -2,23 +2,23 @@
 
 Cloud providers reclaim spot capacity with little warning; a framework
 that bursts onto spot instances must treat "my slave vanished mid-job"
-as a normal event, not a disaster. This module models that: a
-:class:`RevocationSpec` says how often instances vanish (and how long a
-replacement takes to provision), and a :class:`SpotRevoker` turns the
-spec into a per-slave fault hook whose randomness is fully seeded — a
-given spec produces the same revocation schedule for the same job
-sequence, so chaos tests can assert exact accounting.
+as a normal event, not a disaster. A :class:`RevocationSpec` says how
+often instances vanish (and how long a replacement takes to provision);
+its :meth:`~RevocationSpec.draw` is the die, a pure function of
+``(seed, slave id, job ordinal)``.
 
-Recovery is deliberately *not* implemented here: a revoked slave raises
-:class:`~repro.errors.SpotRevocation` (a :class:`~repro.errors.WorkerFailure`),
-and the existing master re-execution path requeues everything the victim
-touched. Results stay bit-identical; only the telemetry distinguishes
-``slaves_revoked`` from ``slaves_failed``.
+The die is rolled in one place for both engines: the cloud master's
+:class:`~repro.core.master.MasterCore`, each time it would hand a slave a
+job. A hit answers the slave ``None``, drops whatever the slave sends
+afterwards, and re-executes its uncommitted jobs on the others, exactly
+as for a crash, so results stay bit-identical and only the telemetry
+tells ``slaves_revoked`` from ``slaves_failed``. The core never revokes
+its last active slave; retired slaves count against that floor.
 
 A spec is buildable from a compact text grammar so the CLI can take
 ``--revoke`` on the command line::
 
-    rate=0.05            each cloud slave rolls a 5% die per job taken
+    rate=0.05            each cloud slave rolls a 5% die per job handed
     seed=7               reseed the revocation schedule
     provision=30         replacement capacity takes 30 s to come up
 
@@ -28,22 +28,20 @@ Clauses are comma-separated, mirroring ``FaultSpec.parse``.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError, SpotRevocation
-from ..obs.events import EventLog
+from ..errors import ConfigurationError
 
-__all__ = ["RevocationSpec", "SpotRevoker"]
+__all__ = ["RevocationSpec"]
 
 
 @dataclass(frozen=True)
 class RevocationSpec:
     """How often cloud instances vanish, and how slowly they come back.
 
-    ``rate`` is the per-job probability that the slave taking the job is
-    revoked (the draw happens at the job boundary, before any bytes are
-    fetched, so the in-flight job requeues losslessly). ``provision_seconds``
+    ``rate`` is the per-job probability that the slave about to be handed
+    the job is revoked instead (the master rolls before the hand-out, so
+    that job stays pooled). ``provision_seconds``
     is the delay between an autoscaler's scale-up decision and the new
     slave actually joining — both substrates model it identically.
     """
@@ -111,69 +109,10 @@ class RevocationSpec:
         return ",".join(parts)
 
     def draw(self, slave_id: int, job_index: int) -> bool:
-        """Deterministic per-(slave, job-ordinal) revocation roll.
-
-        Used by the simulators, where there is no shared hook state: the
-        schedule must be a pure function of the spec and the slave's own
-        job sequence, never of thread interleaving.
-        """
+        """Deterministic per-(slave, job-ordinal) revocation roll: the
+        schedule is a pure function of the spec and the slave's own job
+        sequence, never of thread interleaving."""
         if self.rate <= 0:
             return False
         rng = random.Random((self.seed * 1_000_003) ^ (slave_id << 17) ^ job_index)
         return rng.random() < self.rate
-
-
-class SpotRevoker:
-    """Turns a :class:`RevocationSpec` into a runtime fault hook.
-
-    One instance serves every cloud slave of a run. Each slave gets its
-    own RNG seeded from ``(spec.seed, slave_id)``, so the schedule is
-    deterministic regardless of how the scheduler interleaves threads.
-    The revoker keeps a floor of one surviving cloud slave per run —
-    revoking the last one would leave the cloud master with no workers
-    and turn a recoverable event into "every slave failed".
-    """
-
-    def __init__(self, spec: RevocationSpec, *, trace: EventLog | None = None) -> None:
-        self.spec = spec
-        self.trace = trace
-        self.revoked = 0
-        self._lock = threading.Lock()
-        self._jobs_seen: dict[int, int] = {}
-        self._active: set[int] = set()
-
-    def admit(self, slave_id: int) -> None:
-        """Register a cloud slave as revocable (idempotent)."""
-        with self._lock:
-            self._active.add(slave_id)
-
-    def retire(self, slave_id: int) -> None:
-        """A slave left cleanly (scale-down); stop tracking it."""
-        with self._lock:
-            self._active.discard(slave_id)
-
-    def hook(self, slave_id: int, job) -> None:
-        """Per-job fault hook: roll the revocation die for this slave."""
-        if not self.spec.active:
-            return
-        with self._lock:
-            if slave_id not in self._active:
-                return
-            ordinal = self._jobs_seen.get(slave_id, 0)
-            self._jobs_seen[slave_id] = ordinal + 1
-            if not self.spec.draw(slave_id, ordinal):
-                return
-            if len(self._active) <= 1:
-                # Floor: never revoke the last surviving cloud slave.
-                return
-            self._active.discard(slave_id)
-            self.revoked += 1
-        if self.trace is not None:
-            self.trace.emit(
-                "revocation",
-                worker=slave_id,
-                detail=f"spot instance revoked holding job {job.job_id}",
-            )
-        raise SpotRevocation(
-            f"spot instance for slave {slave_id} revoked (job {job.job_id})"
-        )

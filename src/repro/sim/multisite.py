@@ -336,8 +336,9 @@ class MultiSiteSimulation:
         #: the "cloud" in a campus-plus-provider layout) gains a
         #: :class:`~repro.scale.simmodel.ClusterBurst` — a provisioner
         #: driving the same pure autoscaler the runtime uses, with
-        #: provision latency and seeded spot revocation modeled in
-        #: virtual time. Disabled specs build none of the machinery.
+        #: provision latency modeled in virtual time — and its master
+        #: core rolls the seeded spot die, as the runtime's cloud master
+        #: does. Disabled specs build none of the machinery.
         self.scale = scale if scale is not None and scale.enabled else None
         self.scale_site = scale_site
         if self.scale is not None and scale_site is not None and not any(
@@ -576,6 +577,9 @@ class MultiSiteSimulation:
                     robj_bytes, n, site.intra_bandwidth
                 ),
                 uplink=uplink,
+                revocation=(
+                    self.scale.revocation_spec if site.name == burst_site else None
+                ),
             )
 
             def make_slave(wid, master=master):
@@ -661,10 +665,12 @@ class MultiSiteSimulation:
                 combine_done=master.combine_done,
                 robj_arrival=master.parent.core.arrivals[name],
             )
-            if cluster.jobs_processed != stats.jobs_assigned:
+            # A revoked slave's jobs ran twice: once into its lost object.
+            reexecuted = master.core.jobs_reexecuted
+            if cluster.jobs_processed != stats.jobs_assigned + reexecuted:
                 raise SimulationError(
                     f"{name}: processed {cluster.jobs_processed} jobs but was "
-                    f"assigned {stats.jobs_assigned}"
+                    f"assigned {stats.jobs_assigned} and re-executed {reexecuted}"
                 )
         report = SimReport(
             experiment=config.name,
@@ -682,9 +688,9 @@ class MultiSiteSimulation:
             events_processed=env.events_processed,
             faults_injected=self.faults_injected,
             slaves_added=sum(m.core.slaves_added for m in masters.values()),
-            slaves_revoked=burst.slaves_revoked if burst is not None else 0,
             dollars_spent=burst.dollars_spent if burst is not None else 0.0,
         )
+        report.slaves_revoked = sum(m.core.slaves_revoked for m in masters.values())
         if cache is not None:
             report.cache_hits = cache.stats.hits - cache_before[0]
             report.cache_misses = cache.stats.misses - cache_before[1]

@@ -11,7 +11,9 @@ the hop up the sync plan, and each merge the head names pays
 ``merge_seconds``. Slaves are long-lived processes that loop
 retrieve -> process until the master answers ``None``, then hand the
 master a :class:`~repro.core.reduction.ScalarReduction` of the units they
-folded.
+folded. Retirement and spot revocation are the master core's too: a
+retired slave's object counts, a revoked one's is dropped and its jobs
+run again, as in the runtime.
 """
 
 from __future__ import annotations
@@ -32,25 +34,18 @@ from ..core.messages import (
 from ..core.reduction import ScalarReduction, merge_all
 from ..core.sync import SyncCodec
 from ..obs import EventLog
+from ..scale.revocation import RevocationSpec
 from .computemodel import ComputeModel
 from .engine import Environment, Event
 from .metrics import SlaveMetrics
 
-__all__ = ["SimHead", "SimMaster", "SimSlave", "FetchFn", "LeaseFn"]
+__all__ = ["SimHead", "SimMaster", "SimSlave", "FetchFn"]
 
 #: ``fetch(job, slave_site, retrieval_threads) -> Event``. The callback owns
 #: the path choice *and* the connection-count decision (a local disk read is
 #: one sequential stream; object-store and cross-site fetches use the
 #: configured retrieval threads).
 FetchFn = Callable[[Job, str, int], Event]
-
-#: ``lease(worker_id, jobs_processed) -> bool``: checked at every job
-#: boundary before the slave asks for more work. ``False`` means the
-#: instance is gone — retired by the autoscaler or revoked by the spot
-#: market (see :class:`repro.scale.simmodel.ClusterBurst`) — and the slave
-#: exits its loop cleanly. Leaving at the boundary loses no job, so the
-#: report invariant "jobs processed == jobs assigned" holds unchanged.
-LeaseFn = Callable[[int, int], bool]
 
 
 class SimHead:
@@ -104,7 +99,8 @@ class SimMaster:
     :class:`~repro.core.master.Ship` costs: ``combine_seconds(slaves)``
     (the head's ``merge_seconds`` when streaming, whose partials fold
     during compute), ``merge_seconds`` per child upload, then
-    ``uplink(self)``, the hop to ``parent`` (``None``: no hop)."""
+    ``uplink(self)``, the hop to ``parent`` (``None``: no hop).
+    ``revocation`` is the spot die of a revocable cluster."""
 
     def __init__(
         self,
@@ -119,6 +115,7 @@ class SimMaster:
         codec: SyncCodec,
         combine_seconds: Callable[[int], float],
         uplink: Callable[["SimMaster"], Event | None],
+        revocation: RevocationSpec | None = None,
     ) -> None:
         self.env = head.env
         self.name = name
@@ -131,7 +128,7 @@ class SimMaster:
         self.trace = head.trace
         self.core = MasterCore(
             name, cores, tuning, head=head, inbox=self, children=children,
-            codec=codec, stream=codec.spec.stream,
+            codec=codec, stream=codec.spec.stream, revocation=revocation,
         )
         #: Where the combined object goes: the parent master in the sync
         #: plan, or the head (set once every master exists).
@@ -235,10 +232,6 @@ class SimSlave:
         self.compute = compute
         self.retrieval_threads = retrieval_threads
         self.trace = master.trace
-        #: Optional per-job-boundary liveness check (elastic bursting):
-        #: when it answers ``False`` the instance is gone and the loop
-        #: exits before taking another job.
-        self.lease: LeaseFn | None = None
         self.metrics = SlaveMetrics(worker_id=slave_id)
         self.robj = ScalarReduction("sum")
         #: A provisioned slave waits here until its master starts it.
@@ -252,10 +245,6 @@ class SimSlave:
         """The slave process body (pass to ``env.process``)."""
         metrics = self.metrics
         while True:
-            if self.lease is not None and not self.lease(
-                self.slave_id, metrics.jobs
-            ):
-                break
             job = yield from self.master.get_job(self.slave_id)
             if job is None:
                 break

@@ -28,9 +28,11 @@ from repro.core.job import Job
 from repro.core.jobpool import JobPool
 from repro.core.job import JobGroup
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.errors import SchedulingError, WorkerFailure
+from repro.errors import RuntimeProtocolError, SchedulingError, WorkerFailure
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.storage.objectstore import ObjectStore
+
+from conftest import MIDDLEWARE_THREADS, middleware_threads
 
 
 def materialize(app_key="histogram", total_units=2048, **params):
@@ -167,6 +169,39 @@ def test_genuine_bug_recovers_result_but_reraises():
     )
     with pytest.raises(ValueError, match="application bug"):
         runtime.run()
+
+
+def test_a_dead_master_fails_the_run_at_once_and_is_named():
+    """Every cloud slave crashes, so the cloud master dies with "every
+    slave failed". The head fails the run with that error, naming the
+    cluster, instead of waiting out the join timeout; the local crew is
+    released and every thread of the run exits."""
+    bundle, index, stores = materialize(bins=16)
+    crashed: set[int] = set()
+    both = threading.Event()
+    lock = threading.Lock()
+
+    def hook(slave_id: int, job) -> None:
+        if slave_id < 2:  # the local crew, released once both crashed
+            return
+        with lock:
+            crashed.add(slave_id)
+            if crashed == {2, 3}:
+                both.set()
+        raise WorkerFailure(f"crash {slave_id}")
+
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
+        fault_hook=hold_others(hook, {2, 3}, both), join_timeout=60.0,
+    )
+    with pytest.raises(RuntimeProtocolError) as info:
+        runtime.run()
+    assert "cloud-cluster" in str(info.value)
+    assert "every slave failed" in str(info.value)
+    for thread in threading.enumerate():
+        if thread.name.startswith(MIDDLEWARE_THREADS):
+            thread.join(30.0)
+    assert middleware_threads() == []
 
 
 # -- pool-level recovery unit tests ---------------------------------------------

@@ -240,7 +240,7 @@ def test_spot_revocation_sweep_is_bit_identical_and_accounted():
     assert telemetry.slaves_revoked == len(trace.of_kind("revocation"))
     if REVOKE_RATE > 0:
         # One of the two cloud slaves hits its seeded revocation ordinal;
-        # the survivor is protected by the revoker's keep-one floor.
+        # the survivor is the cloud master's last active slave (the floor).
         assert telemetry.slaves_revoked == 1
         assert telemetry.jobs_reexecuted > 0
     else:

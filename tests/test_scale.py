@@ -2,10 +2,10 @@
 
 Covers the vocabulary (:class:`~repro.scale.ScaleDecision`,
 :class:`~repro.options.ScaleOptions`, :class:`~repro.scale.RevocationSpec`),
-the pure :class:`~repro.scale.Autoscaler` decision table, the
-:class:`~repro.scale.SpotRevoker` fault hook, and the real runtime's
-dynamic attach/detach/revocation path — chaos in, bit-identical results
-out, every slave accounted for. The hypothesis invariant battery lives
+the pure :class:`~repro.scale.Autoscaler` decision table, the master
+core's spot die and its keep-one floor, and the real runtime's dynamic
+attach/detach/revocation path — chaos in, bit-identical results out,
+every slave accounted for. The hypothesis invariant battery lives
 in ``test_scale_property.py``.
 """
 
@@ -27,13 +27,16 @@ from repro.config import (
     PlacementSpec,
 )
 from repro.core.api import run_serial
+from repro.core.job import JobGroup
+from repro.core.master import Emit, MasterCore, Post
+from repro.core.messages import JobReply, SlaveDetach, SlaveJobRequest
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.errors import ConfigurationError, SpotRevocation, WorkerFailure
+from repro.errors import ConfigurationError, WorkerFailure
 from repro.obs.events import EventLog
 from repro.obs.live import RunMonitor
 from repro.options import ScaleOptions
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.scale import Autoscaler, RevocationSpec, ScaleDecision, SpotRevoker
+from repro.scale import Autoscaler, RevocationSpec, ScaleDecision
 from repro.storage.objectstore import ObjectStore
 
 DATASET = DatasetSpec(
@@ -260,38 +263,51 @@ def test_controller_config_validation():
             Autoscaler(**bad)
 
 
-# -- the revoker hook --------------------------------------------------------
+# -- the master core's spot die ---------------------------------------------
 
 
-class _Job:
-    def __init__(self, job_id):
-        self.job_id = job_id
+def _revocable_core(rate: float) -> MasterCore:
+    """A two-slave cloud core holding one group of eight jobs."""
+    _, index, _ = materialize()
+    core = MasterCore(
+        "cloud-cluster", 2, MiddlewareTuning(job_group_size=8),
+        head="head", inbox="cloud-cluster",
+        revocation=RevocationSpec(rate=rate, seed=1),
+    )
+    jobs = tuple(index.jobs()[:8])
+    core.step(JobReply(JobGroup(group_id=0, cluster="cloud-cluster", jobs=jobs)))
+    return core
 
 
-def test_revoker_raises_once_per_victim_and_keeps_a_floor():
-    trace = EventLog()
-    revoker = SpotRevoker(RevocationSpec(rate=1.0, seed=1), trace=trace)
-    revoker.admit(0)
-    revoker.admit(1)
-    with pytest.raises(SpotRevocation):
-        revoker.hook(0, _Job(7))
-    # The victim is gone; further jobs on its id are ignored.
-    revoker.hook(0, _Job(8))
-    # rate=1.0 would revoke slave 1 too, but it is the last survivor.
-    revoker.hook(1, _Job(9))
-    assert revoker.revoked == 1
-    events = trace.of_kind("revocation")
-    assert len(events) == 1 and events[0].worker == 0
-    assert "job 7" in events[0].detail
+def _ask(core: MasterCore, slave_id: int):
+    """One request: the job it is handed (``None``: told to leave), and
+    the kinds of the events the core traced."""
+    actions = core.step(SlaveJobRequest(slave_id, reply_to=slave_id))
+    (reply,) = [a.message for a in actions if isinstance(a, Post)]
+    return reply.job, [a.kind for a in actions if isinstance(a, Emit)]
 
 
-def test_revoker_retire_stops_tracking():
-    revoker = SpotRevoker(RevocationSpec(rate=1.0, seed=1))
-    revoker.admit(0)
-    revoker.admit(1)
-    revoker.retire(0)
-    revoker.hook(0, _Job(1))  # retired: no roll, no raise
-    assert revoker.revoked == 0
+def test_core_revokes_once_per_victim_and_keeps_a_floor():
+    core = _revocable_core(rate=1.0)
+    job, kinds = _ask(core, 0)
+    assert job is None and kinds == ["revocation"]
+    # The victim is gone; its later requests are answered without a roll.
+    assert _ask(core, 0) == (None, [])
+    # rate=1.0 would revoke slave 1 too, but it is the last active slave.
+    job, kinds = _ask(core, 1)
+    assert job is not None and kinds == []
+    assert core.slaves_revoked == 1 and core.active == 1
+
+
+def test_core_floor_counts_retirements():
+    """A retired slave leaves the floor's count: the survivor of a
+    scale-down is never revoked, whatever the die says."""
+    core = _revocable_core(rate=1.0)
+    core.step(SlaveDetach(count=1))
+    assert _ask(core, 0) == (None, ["scale_down"])
+    job, kinds = _ask(core, 1)
+    assert job is not None and kinds == []
+    assert core.slaves_revoked == 0
 
 
 # -- end-to-end: the real runtime --------------------------------------------
@@ -401,6 +417,43 @@ def test_scale_down_retires_slaves_down_to_the_masters_floor():
         e.time > retired[0].time for e in trace.of_kind("fetch_start")
         if e.worker == survivor
     )
+
+
+def test_a_scale_down_survivor_is_never_revoked():
+    """The keep-one floor counts retirements. Cloud slaves 2 and 3 (no
+    stealing); the die (rate 0.5, seed 7) misses both first hand-outs and
+    hits both second ones. Once both hold a first job, slave 2 takes the
+    one sample of the run, so the master retires it at its next request;
+    slave 3 is held until then, and every roll it makes afterwards is on
+    the master's last active slave, so none may revoke it."""
+    scale = ScaleOptions(
+        autoscale=True, max_slaves=1, interval=3600.0,
+        revocation="rate=0.5,seed=7",
+    )
+    bundle, index, stores = materialize()
+    trace = _Watch("scale_down")
+    monitor = RunMonitor(scale.interval)  # samples only when told to
+    holding = threading.Event()  # slave 3 holds its first job
+
+    def hook(slave_id, job):
+        if slave_id == 2:
+            assert holding.wait(timeout=10.0)
+            monitor.sample_now()
+        elif slave_id == 3:
+            holding.set()
+            assert trace.seen.wait(timeout=10.0)
+
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
+        tuning=MiddlewareTuning(allow_stealing=False),
+        scale=scale, trace=trace, monitor=monitor, fault_hook=hook,
+        join_timeout=30.0,
+    )
+    oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
+    result = runtime.run()
+    np.testing.assert_array_equal(result.value, oracle)
+    assert [e.worker for e in trace.of_kind("scale_down")] == [2]
+    assert result.telemetry.slaves_revoked == 0
 
 
 def test_revocation_run_is_bit_identical_and_accounted():

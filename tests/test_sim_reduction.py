@@ -12,6 +12,8 @@ mid-run.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.apps.base import get_profile
@@ -20,6 +22,7 @@ from repro.config import CLOUD_SITE
 from repro.core.reduction import ScalarReduction
 from repro.core.sync import SyncSpec
 from repro.errors import SimulationError
+from repro.obs import EventLog
 from repro.options import ScaleOptions
 from repro.sim import simnodes
 from repro.sim.calibration import PAPER_CALIBRATION
@@ -27,6 +30,9 @@ from repro.sim.multisite import MultiSiteSimulation
 from repro.sim.simulation import two_site_config
 
 from conftest import bench_module
+
+#: Swept by CI's fault job, as in ``test_resilience_e2e.py``.
+REVOKE_RATE = float(os.environ.get("REPRO_REVOKE_RATE", "0.05"))
 
 PLANS = {
     "star": dict(topology="star"),
@@ -55,18 +61,31 @@ def test_the_head_merges_every_unit_once(plan, stream):
 
 
 def test_attached_and_revoked_slaves_still_fold_every_unit():
+    """The cloud master's core revokes as the runtime's does: a revoked
+    slave's object is dropped and its jobs run again, so the clusters
+    process every job once plus each re-executed one."""
     scale = ScaleOptions(
         autoscale=True, budget=0.05, max_slaves=12, interval=0.5,
-        revocation="rate=0.05,seed=7,provision=1",
+        revocation=f"rate={REVOKE_RATE},seed=7,provision=1",
     )
     config = env_config("kmeans", "env-33/67", scale=0.05)
+    trace = EventLog()
     sim = MultiSiteSimulation(
         two_site_config(config, PAPER_CALIBRATION, get_profile("kmeans")),
-        scale=scale, scale_site=CLOUD_SITE,
+        scale=scale, scale_site=CLOUD_SITE, trace=trace,
     )
     report = sim.run()
-    assert report.slaves_added > 0 and report.slaves_revoked > 0
     assert_whole(sim, report)
+    reexecuted = trace.of_kind("job_reexecuted")
+    assert {e.cluster for e in reexecuted} <= {f"{CLOUD_SITE}-cluster"}
+    jobs = len(sim.config.build_index().jobs())
+    processed = sum(c.jobs_processed for c in report.clusters.values())
+    assert processed == jobs + len(reexecuted)
+    if REVOKE_RATE > 0:  # the controller replaces revoked slaves
+        assert report.slaves_added > 0
+        assert report.slaves_revoked > 0 and reexecuted
+    else:
+        assert report.slaves_revoked == 0 and not reexecuted
 
 
 def test_a_lost_unit_is_a_simulation_error(monkeypatch):
