@@ -123,24 +123,25 @@ def run_cell(
         bundle.app, DatasetReader(index, stores).read_all_chunks(),
         units_per_group=group,
     )
-    runtime = CloudBurstingRuntime(
+    _reset_peak_rss()
+    seconds, equal = [], True
+    with CloudBurstingRuntime(
         app, index, stores, ComputeSpec(SLAVES, 0),
         tuning=MiddlewareTuning(allow_stealing=False, units_per_group=group),
         slave_mode=substrate,
         # A crew that refuses every job (the probe, when the cap is off)
         # leaves the head waiting: fail in seconds, not ten minutes.
         join_timeout=JOIN_TIMEOUT,
-    )
-    _reset_peak_rss()
-    seconds, equal = [], True
-    for _ in range(passes):
-        started = time.perf_counter()
-        value = runtime.run().value
-        seconds.append(time.perf_counter() - started)
-        # float32 centroids from float64 sums: a few ulps of float32.
-        equal &= bool(np.allclose(
-            value, oracle, rtol=4 * float(np.finfo(np.float32).eps), atol=1e-15
-        ))
+    ) as runtime:
+        for _ in range(passes):
+            started = time.perf_counter()
+            value = runtime.run().value
+            seconds.append(time.perf_counter() - started)
+            # float32 centroids from float64 sums: a few ulps of float32.
+            equal &= bool(np.allclose(
+                value, oracle,
+                rtol=4 * float(np.finfo(np.float32).eps), atol=1e-15,
+            ))
     return {
         "pass_s": statistics.median(seconds),
         "peak_rss_mb": _peak_rss_mb(),

@@ -49,10 +49,6 @@ def main() -> None:
         spec, PlacementSpec(local_fraction=0.25), bundle.schema, bundle.block_fn,
         stores,
     )
-    runtime = CloudBurstingRuntime(
-        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2)
-    )
-
     print(f"Clustering {POINTS} points into {TRUE_CENTERS} clusters,")
     print("25% of data on campus, 75% in the object store, 2+2 cores.")
     print()
@@ -62,9 +58,12 @@ def main() -> None:
         history.append(np.asarray(centroids).copy())
         bundle.app.update(centroids)
 
-    final, passes = iterate_passes(
-        lambda: runtime.run().value, update, iterations=40, tolerance=1e-4
-    )
+    with CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2)
+    ) as runtime:
+        final, passes = iterate_passes(
+            lambda: runtime.run().value, update, iterations=40, tolerance=1e-4
+        )
     print(f"Converged after {passes} cloud-bursting passes.")
     print("Final centroids:")
     for i, c in enumerate(np.asarray(final)):

@@ -507,7 +507,9 @@ def execute_runtime(
 ) -> RunResult:
     """Execute ``config`` on the threaded runtime over an already
     materialized dataset — the half of runtime mode that ``repro run``
-    shares (its dataset lives on disk, not in fresh in-memory stores)."""
+    shares (its dataset lives on disk, not in fresh in-memory stores).
+    The runtime, and a process-mode worker pool with it, is closed on
+    every way out."""
     monitor: RunMonitor | None = None
     if config.monitor.enabled:
         monitor = RunMonitor(
@@ -515,7 +517,7 @@ def execute_runtime(
         )
         if config.monitor.on_sample is not None:
             monitor.subscribe(config.monitor.on_sample)
-    runtime = CloudBurstingRuntime(
+    with CloudBurstingRuntime(
         bundle.app,
         index,
         _inject_faults(stores, config),
@@ -532,15 +534,15 @@ def execute_runtime(
         monitor=monitor,
         slave_mode=config.slave_mode,
         scale=config.scale,
-    )
-    per_pass: list[RunTelemetry] = []
+    ) as runtime:
+        per_pass: list[RunTelemetry] = []
 
-    def run_pass() -> Any:
-        result = runtime.run()
-        per_pass.append(result.telemetry)
-        return result.value
+        def run_pass() -> Any:
+            result = runtime.run()
+            per_pass.append(result.telemetry)
+            return result.value
 
-    value, passes = _iterate(bundle, config, run_pass)
+        value, passes = _iterate(bundle, config, run_pass)
     telemetry = RunTelemetry.fold(per_pass)
     return RunResult(
         value=value,

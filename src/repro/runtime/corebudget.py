@@ -17,9 +17,12 @@ threads, and put back afterwards.
   ``JobService``) add their slaves to one count, and the value found
   before the first of them is restored after the last.
 * A process slave owns its process: :func:`cap_blas_threads`, once,
-  before its first reduction. The driver holds the guard while it forks
-  its workers, so a forked worker finds the cap already in place; a
-  spawned one starts from the library's default and sets it.
+  before its first reduction. A process-mode runtime enters the guard
+  when it forks its worker pool and leaves it when it reaps the pool, so
+  a forked worker finds the cap already in place (a spawned one starts
+  from the library's default and sets it), and the driver's pool is not
+  resized between passes: a resized OpenBLAS restarts its threads, and
+  with no fork to stop them they spin on the workers' cores.
 
 The pools are reached through ``threadpoolctl`` when it is importable,
 otherwise through the ``openblas_set_num_threads`` entry point of
@@ -148,6 +151,7 @@ _BUDGET = _CoreBudget()
 
 
 def slave_cores(slaves: int):
-    """Context manager: ``slaves`` thread slaves compute in this process
-    until it exits. Re-entrant across threads — see the module docstring."""
+    """Context manager: ``slaves`` slaves compute on this node until it
+    exits (thread slaves for a pass, a process worker pool for its life).
+    Re-entrant across threads — see the module docstring."""
     return _BUDGET.share(slaves)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -70,8 +72,12 @@ class CloudBurstingRuntime:
     """Executable middleware over in-process clusters.
 
     The constructor owns what outlives a pass — stores, cache, the sync
-    codec and its delta baselines, the monitor; what ``run()`` builds
-    (head, masters, slaves, reader, worker pool) dies with the pass.
+    codec and its delta baselines, the monitor — and so does the process
+    worker pool, forked on the first process-mode pass and re-armed on
+    every later one; what ``run()`` builds (head, masters, slaves,
+    reader) dies with the pass. :meth:`close` (or leaving a ``with``
+    block) reaps the pool; a runtime dropped unclosed reaps it through a
+    finalizer.
     """
 
     def __init__(
@@ -154,13 +160,64 @@ class CloudBurstingRuntime:
         #: local reduction in worker processes fed over shared memory —
         #: GIL-free compute). The control plane is identical either way.
         self.slave_mode = slave_mode
+        self._pool: ProcessSlavePool | None = None
+        #: Reaps the pool and leaves its core-budget guard: once, from
+        #: ``close()`` or when this runtime is dropped.
+        self._reap: weakref.finalize | None = None
 
     def run(self) -> RuntimeResult:
-        # One core's worth of BLAS threads per slave while the slaves
-        # compute, the previous size back on any exit. Thread slaves compute
-        # in this process; forked process slaves inherit the cap with it.
-        with slave_cores(self.compute.total_cores):
+        if self.slave_mode == "thread":
+            # One core's worth of BLAS threads per slave while the slaves
+            # compute, the previous size back on any exit.
+            with slave_cores(self.compute.total_cores):
+                return self._run()
+        # Process slaves: the worker pool holds the guard from its fork to
+        # close(). A pass that raises closes it, so no reply the failed
+        # pass left in a pipe is ever read.
+        try:
             return self._run()
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Reap the process worker pool and give the node's BLAS threads
+        back. Idempotent; a later process-mode pass forks a fresh pool."""
+        if self._reap is not None:
+            self._reap()
+        self._pool = self._reap = None
+
+    def __enter__(self) -> "CloudBurstingRuntime":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _worker_pool(self, workers: int) -> ProcessSlavePool:
+        """This pass's worker pool: the last pass's, re-armed with the app
+        as it is now, or — first pass, or a worker dead or broken — a
+        fresh one."""
+        if self._pool is not None and self._pool.rearm(self.app):
+            return self._pool
+        self.close()
+        with ExitStack() as stack:
+            # Fork under the guard, so every worker inherits one slave's
+            # share of the BLAS threads; the parent keeps that share until
+            # close(). Resizing the parent's OpenBLAS restarts its threads,
+            # which then spin on the workers' cores.
+            stack.enter_context(slave_cores(self.compute.total_cores))
+            pool = stack.enter_context(
+                ProcessSlavePool(
+                    self.app,
+                    workers,
+                    max_chunk_bytes=max(e.chunk_bytes for e in self.index.files),
+                    units_per_group=self.tuning.units_per_group,
+                    timeout=self.join_timeout,
+                )
+            )
+            self._reap = weakref.finalize(self, stack.pop_all().close)
+        self._pool = pool
+        return pool
 
     def _run(self) -> RuntimeResult:
         """One pass: build -> start -> join -> collect."""
@@ -217,13 +274,9 @@ class CloudBurstingRuntime:
             # the largest chunk it can ever be handed. Autoscaling
             # pre-sizes the pool so mid-run attaches find their worker
             # process already forked.
-            pool = ProcessSlavePool(
-                self.app,
+            pool = self._worker_pool(
                 sum(self.compute.cores_at(site) for site in sites)
-                + dynamic_headroom,
-                max_chunk_bytes=max(e.chunk_bytes for e in self.index.files),
-                units_per_group=self.tuning.units_per_group,
-                timeout=self.join_timeout,
+                + dynamic_headroom
             )
 
         def make_slave(slave_id: int, cluster: str, site: str, inbox) -> SlaveWorker:
@@ -348,8 +401,6 @@ class CloudBurstingRuntime:
                 if slave._thread is not None:
                     slave.join(timeout=self.join_timeout)
         finally:
-            if pool is not None:
-                pool.close()
             # The reader lives for this run only; so do its pool's threads.
             reader.close()
 

@@ -60,7 +60,8 @@ def _worker_main(
     units_per_group: int,
     workers: int,
 ) -> None:
-    """Worker-process loop: serve reduce/flush requests until told to exit.
+    """Worker-process loop: serve reduce/flush/pass requests until told
+    to exit.
 
     Runs at module level so the ``spawn`` start method can import it.
     Any exception inside a request is reported back as an ``("error",
@@ -101,6 +102,13 @@ def _worker_main(
                 elif op == "flush":
                     reply = ("robj", robj.to_bytes())
                     robj = app.create_reduction_object()
+                elif op == "pass":
+                    # A new pass: the app as the driver holds it now (an
+                    # iterative run's update included), and nothing a
+                    # crashed or revoked slave left from the last pass.
+                    app = pickle.loads(arg)
+                    robj = app.create_reduction_object()
+                    reply = ("ok", None)
                 else:
                     reply = ("error", f"unknown op {op!r}")
             except BaseException:
@@ -129,6 +137,10 @@ class ProcessSlave:
     accumulated since the last ``take`` — the proxy calls it at the sync
     watermark and at end of run, feeding the master the same
     ``SlaveReduction`` messages a threaded slave would.
+
+    A request that raised (an error reply, an EOF, a timeout while the
+    worker may still answer) marks the slave ``broken``: whatever is left
+    in its pipe is unknown, so the pool is never re-armed with it.
     """
 
     def __init__(
@@ -149,6 +161,7 @@ class ProcessSlave:
         #: the process hand-off (the read path itself stays zero-copy).
         self.shm_bytes = 0
         self.chunks_reduced = 0
+        self.broken = False
         self._shm = shared_memory.SharedMemory(
             create=True, size=max(capacity, 1)
         )
@@ -167,6 +180,20 @@ class ProcessSlave:
         )
         self._process.start()
         child_conn.close()
+
+    @property
+    def usable(self) -> bool:
+        """The worker is alive and its pipe holds no reply nobody read."""
+        return not self.broken and self._process.is_alive()
+
+    def _call(self, op: str, arg: object) -> tuple:
+        """Send one request and read its reply; any failure breaks the slave."""
+        try:
+            self._conn.send((op, arg))
+            return self._recv()
+        except BaseException:
+            self.broken = True
+            raise
 
     def _recv(self) -> tuple:
         if not self._conn.poll(self.timeout):
@@ -197,14 +224,12 @@ class ProcessSlave:
             )
         self._shm.buf[:nbytes] = raw
         self.shm_bytes += nbytes
-        self._conn.send(("reduce", nbytes))
-        self._recv()
+        self._call("reduce", nbytes)
         self.chunks_reduced += 1
 
     def take(self) -> ReductionObject:
         """The partial accumulated since the last ``take`` (resets it)."""
-        self._conn.send(("flush", None))
-        _, payload = self._recv()
+        _, payload = self._call("flush", None)
         return from_bytes(payload)
 
     def close(self) -> None:
@@ -226,11 +251,14 @@ class ProcessSlave:
 
 
 class ProcessSlavePool:
-    """All the worker processes for one run, created up front.
+    """All the worker processes of one runtime, created up front and kept
+    across its passes.
 
     Construct *before* starting any runtime thread (forking a threaded
-    process is where the dragons live); the driver does exactly that.
-    ``slaves[i]`` is the ``process_slave`` of the ``SlaveWorker`` with id ``i``.
+    process is where the dragons live); the driver does exactly that, on
+    its first process-mode pass, and calls :meth:`rearm` before each later
+    one. ``slaves[i]`` is the ``process_slave`` of the ``SlaveWorker``
+    with id ``i``.
     """
 
     def __init__(
@@ -275,6 +303,20 @@ class ProcessSlavePool:
     @property
     def chunks_reduced(self) -> int:
         return sum(s.chunks_reduced for s in self.slaves)
+
+    def rearm(self, app: GeneralizedReductionApp) -> bool:
+        """Start a new pass: every worker takes ``app`` and a fresh
+        reduction object. ``False`` if a worker is dead or broken, or
+        fails the request — the caller then forks a new pool."""
+        if not all(slave.usable for slave in self.slaves):
+            return False
+        blob = pickle.dumps(app)
+        try:
+            for slave in self.slaves:
+                slave._call("pass", blob)
+        except (RuntimeProtocolError, OSError):
+            return False
+        return True
 
     def close(self) -> None:
         for slave in self.slaves:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import multiprocessing
 import sys
 import threading
 from pathlib import Path
@@ -46,6 +47,20 @@ def middleware_threads() -> list[str]:
         for t in threading.enumerate()
         if t.name.startswith(MIDDLEWARE_THREADS)
     ]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_process_outlives_the_session():
+    """A process-mode runtime's workers live until it is closed or
+    dropped; any still alive once every test is done leaked."""
+    yield
+    leaked = [
+        f"{p.name} (pid {p.pid})"
+        for p in multiprocessing.active_children()
+        if p.name.startswith("slave-proc:")
+    ]
+    if leaked:
+        pytest.fail(f"worker processes outlived the session: {', '.join(leaked)}")
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.apps import make_bundle
+from repro.apps.kmeans import KMeansApp
 from repro.config import (
     CLOUD_SITE,
     LOCAL_SITE,
@@ -30,7 +31,7 @@ from repro.core.api import GeneralizedReductionApp, run_serial
 from repro.core.reduction import ArrayReduction
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.data.records import VALUE_SCHEMA
-from repro.errors import WorkerFailure
+from repro.errors import RuntimeProtocolError, WorkerFailure
 from repro.runtime import ProcessSlavePool, corebudget
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.service import JobService
@@ -247,3 +248,37 @@ def test_a_process_worker_caps_its_pool_before_its_first_reduce():
         assert calls == 4
         assert threads == calls * share  # the first call included
     assert corebudget.blas_threads() == found  # the parent's pool is its own
+
+
+class Exploding(KMeansApp):
+    def local_reduction(self, robj, units) -> None:
+        raise ValueError("kernel bug")
+
+
+def two_process_slaves(kernel=KMeansApp):
+    bundle, index, stores = materialize()
+    runtime = CloudBurstingRuntime(
+        kernel(bundle.app.centroids), index, stores, ComputeSpec(2, 0),
+        slave_mode="process", join_timeout=WAIT,
+    )
+    oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
+    return runtime, oracle
+
+
+def test_a_process_runtime_holds_the_share_from_its_fork_to_close(pool):
+    """No resize between passes: the parent's OpenBLAS would restart its
+    threads, and with no fork to stop them they spin on the workers' cores."""
+    runtime, oracle = two_process_slaves()
+    for _ in range(2):
+        np.testing.assert_allclose(runtime.run().value, oracle, rtol=1e-6)
+        assert pool.history == [CORES // 2]
+    runtime.close()
+    assert pool.history == [CORES // 2, CORES]
+
+
+def test_a_process_pass_that_raises_restores_the_found_size(pool):
+    runtime, _ = two_process_slaves(Exploding)
+    with pytest.raises(RuntimeProtocolError, match="every slave failed"):
+        runtime.run()
+    assert pool.threads == CORES
+    assert pool.history == [CORES // 2, CORES]
