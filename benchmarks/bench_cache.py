@@ -13,14 +13,16 @@ Three acceptance bounds and one characterization:
   before any cache code runs) must cost < 2 % extra wall time against a
   cache-free reader. With ``cache.bytes=0`` the facade constructs none
   of the machinery at all, so this bounds the worst case.
-* **Prefetch window** — one :class:`~repro.cache.Prefetcher` on a
+* **Prefetch window** — one prefetching
+  :class:`~repro.core.slave.SlaveCore` whose requests a
+  :class:`~repro.cache.Prefetcher` carries out, on a
   :class:`~repro.clock.FakeClock` (deterministic: fetches and compute
   are virtual sleeps), fixed windows 1 / 2 / 4 / 8 against the
   self-sized one at fetch-to-compute ratios of about 0, 1 and 10. The
   self-sized window must finish within 15 % of the best fixed one at
   every ratio and stay at 1 when fetches cost nothing. This table is
   the evidence for ``MAX_WINDOW_JOBS`` / ``WINDOW_BYTES`` in
-  :mod:`repro.cache.prefetch`, and where a change to them is judged.
+  :mod:`repro.core.slave`, and where a change to them is judged.
 
 Run directly with ``--smoke`` for a quick CI-sized pass of the iterative
 table (same assertions, smaller dataset) and the window table.
@@ -32,6 +34,8 @@ import argparse
 import queue
 import time
 import timeit
+from collections import deque
+from types import SimpleNamespace
 
 from conftest import print_block
 
@@ -46,6 +50,7 @@ from repro.config import (
     MiddlewareTuning,
     PlacementSpec,
 )
+from repro.core.slave import Reduce, Reduced, Request, SlaveCore
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, FaultSpec
@@ -213,29 +218,45 @@ _NOTHING: "queue.SimpleQueue[None]" = queue.SimpleQueue()
 
 
 def window_makespan(ratio: float, fixed: int | None) -> tuple[float, int]:
-    """Virtual seconds for one owner to take and compute ``WINDOW_JOBS``
-    jobs through a prefetcher whose window is ``fixed`` (or self-sized),
-    and the widest window it used."""
-    kind = Prefetcher if fixed is None else type(
-        "FixedWindow", (Prefetcher,), {"window": fixed}
+    """Virtual seconds for one prefetching slave core, its requests carried
+    out by a :class:`~repro.cache.Prefetcher`, to compute ``WINDOW_JOBS``
+    jobs with its window ``fixed`` (or self-sized), and the widest window
+    it used."""
+    kind = SlaveCore if fixed is None else type(
+        "FixedWindow", (SlaveCore,), {"window": fixed}
     )
     jobs = iter(range(WINDOW_JOBS))
     widest = 0
     with FakeClock() as clock:
 
-        def fetch(job: int) -> bytes:
+        def acquire() -> SimpleNamespace | None:
+            job = next(jobs, None)
+            return None if job is None else SimpleNamespace(job_id=job)
+
+        def fetch(job) -> bytes:
             clock.sleep(ratio * COMPUTE_S)
             return b"chunk"
 
-        prefetcher = kind(lambda: next(jobs, None), fetch, clock=clock)
+        core = kind(0, prefetch=True)
+        prefetcher = Prefetcher(acquire, fetch, clock=clock)
+        todo = deque(core.start(clock.monotonic()))
         try:
-            while prefetcher.take(timeout=1e6)[0] is not None:
-                widest = max(widest, prefetcher.window)
-                try:
-                    # Compute: time passes only once every stage is parked.
-                    clock.wait(_NOTHING, COMPUTE_S)
-                except queue.Empty:
-                    pass
+            while todo or not core.finished:
+                if not todo:
+                    fetched, _ = prefetcher.take(timeout=1e6)
+                    todo.extend(core.step(fetched, clock.monotonic()))
+                    continue
+                action = todo.popleft()
+                if isinstance(action, Request):
+                    prefetcher.request()
+                elif isinstance(action, Reduce):
+                    widest = max(widest, core.window)
+                    try:
+                        # Compute: time passes only once every stage is parked.
+                        clock.wait(_NOTHING, COMPUTE_S)
+                    except queue.Empty:
+                        pass
+                    todo.extend(core.step(Reduced(action.job), clock.monotonic()))
         finally:
             prefetcher.close()
         return clock.monotonic(), widest

@@ -11,9 +11,10 @@ costs:
   a cross-site chunk is paid for once per node instead of once per
   iteration (the locality-aware caching the MATE-EC2 line of follow-ups
   applies to the same problem);
-* :class:`Prefetcher` — a per-slave pipeline stage that acquires job
-  *N+1* from the master and fetches its chunk while the reduction runs
-  over job *N*'s units, overlapping retrieval with compute.
+* :class:`Prefetcher` — the stage threads that carry a prefetching
+  slave core's requests out: they acquire the next jobs from the master
+  and fetch their chunks while the reduction runs over job *N*'s units,
+  overlapping retrieval with compute.
 
 Both are off by default and cost nothing when disabled — the runtime
 constructs none of this machinery unless asked, mirroring the

@@ -89,6 +89,13 @@ class SyncSpec:
         if not 0.0 < self.sim_ratio <= 1.0:
             raise ConfigurationError("sync sim_ratio must be in (0, 1]")
 
+    @property
+    def slave_watermark(self) -> int:
+        """Jobs a slave reduces between streamed partials, as both engines
+        run it: ``watermark`` when streaming, else ``0`` (no partial
+        before the final hand-over)."""
+        return self.watermark if self.stream else 0
+
 
 @dataclass(frozen=True)
 class SyncNode:

@@ -130,9 +130,10 @@ class CloudBurstingRuntime:
         #: so it persists across iterative passes (``run()`` builds a
         #: fresh reader each pass, but the cache survives).
         self.cache = cache
-        #: Overlap each slave's next fetches with its current reduction via
-        #: a :class:`~repro.cache.Prefetcher` window. Off by default: the
-        #: slave loop is the original strictly-sequential one.
+        #: Overlap each slave's next fetches with its current reduction: the
+        #: slave core's prefetch window, carried out by a
+        #: :class:`~repro.cache.Prefetcher`. Off by default: each slave is
+        #: strictly sequential.
         self.prefetch = prefetch
         #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`);
         #: ``None`` is the default spec, the paper's star/dense/barrier
@@ -238,7 +239,6 @@ class CloudBurstingRuntime:
         spec = self.sync
         codec = self._sync_codec
         plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
-        watermark = spec.watermark if spec.stream else 0
         head = HeadNode(
             HeadCore(
                 scheduler, cluster_names, roots=tuple(plan_roots(plan)),
@@ -294,7 +294,7 @@ class CloudBurstingRuntime:
                 metrics=self.metrics,
                 take_timeout=self.join_timeout,
                 prefetch=self.prefetch,
-                sync_watermark=watermark,
+                sync_watermark=spec.slave_watermark,
                 process_slave=pool.slaves[slave_id] if pool is not None else None,
             )
 

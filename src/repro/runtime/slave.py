@@ -1,33 +1,22 @@
-"""The slave worker.
+"""The slave worker: the thread shell around :class:`~repro.core.slave.SlaveCore`.
 
-One thread per active core: request a job, retrieve the chunk (sequential
-local read or multi-threaded remote fetch — :class:`DatasetReader` picks),
-decode into data units, run the local reduction over cache-sized unit
-groups, report completion; when the master answers ``None`` the slave hands
-over its private reduction object and exits. This is the executable
-counterpart of :class:`repro.sim.simnodes.SimSlave`.
-
-With ``prefetch=True`` job acquisition and chunk fetch move to the stage
-threads of a :class:`~repro.cache.Prefetcher`: while this thread runs the
-reduction over job *N*, up to *W* later jobs are already acquired from
-the master and on the wire, *W* sized by the prefetcher from the fetch
-and compute times it observes (1 when fetches are no slower than
-compute). Jobs reach this thread in the order the master handed them
-out. The default path constructs none of that machinery.
-
-With a ``process_slave`` (see :mod:`repro.runtime.procpool`) this thread
-becomes a proxy: it still owns the whole master conversation and the
-chunk fetch, but decode + local reduction run in a dedicated worker
-process fed through shared memory — the GIL-free substrate. The partials
-it posts (watermark flushes and the final hand-over) come from
-``process_slave.take()``, so the master cannot tell the substrates
-apart.
+One thread per active core carries the core's actions out: a ``Request``
+asks the master for a job and reads its chunk (:class:`DatasetReader`
+picks a local read or a multi-threaded remote fetch), a ``Reduce`` runs
+the fault hook, decode and the local reduction over cache-sized unit
+groups, a ``HandOver`` posts the private object as a ``SlaveReduction``.
+Without ``prefetch`` the thread carries each ``Request`` out itself and
+starts no other; with it a :class:`~repro.cache.Prefetcher`'s stage
+threads do, while this thread reduces. With a ``process_slave`` (see
+:mod:`repro.runtime.procpool`) decode and reduction run in a worker
+process fed through shared memory, and the objects handed over come from
+``process_slave.take()``, so the master cannot tell the substrates apart.
 """
 
 from __future__ import annotations
 
 import threading
-
+from collections import deque
 from typing import Callable
 
 from ..cache import Prefetcher
@@ -35,7 +24,9 @@ from ..clock import SYSTEM_CLOCK
 from ..config import DEFAULT_UNITS_PER_GROUP
 from ..core.api import GeneralizedReductionApp
 from ..core.job import Job
-from ..core.messages import SlaveFailed, SlaveJobDone, SlaveJobRequest, SlaveReduction
+from ..core.master import Emit, Post
+from ..core.messages import SlaveFailed, SlaveJobRequest, SlaveReduction
+from ..core.slave import Fetched, HandOver, Reduce, Reduced, Request, SlaveCore
 from ..data.dataset import DatasetReader
 from ..errors import RuntimeProtocolError, WorkerFailure
 from ..obs.events import EventLog
@@ -45,9 +36,9 @@ from .transport import Mailbox
 
 __all__ = ["SlaveWorker", "FaultHook"]
 
-#: Fault-injection hook, called before each job is processed. Raising
+#: Fault-injection hook, called as each job's reduction starts. Raising
 #: :class:`~repro.errors.WorkerFailure` "crashes" this worker; the master
-#: re-executes its work on the survivors.
+#: re-executes its uncommitted work on the survivors.
 FaultHook = Callable[[int, Job], None]
 
 
@@ -82,23 +73,21 @@ class SlaveWorker:
         self.units_per_group = units_per_group
         self.fault_hook = fault_hook
         self.trace = trace
-        #: Acquire and fetch the next jobs behind compute.
-        self.prefetch = prefetch
+        self.core = SlaveCore(
+            slave_id, watermark=sync_watermark, prefetch=prefetch,
+            master=master_inbox,
+        )
+        #: Jobs the prefetcher's stages acquired (with ``prefetch``).
         self.prefetches = 0
-        #: Time source of the prefetch window's estimates and waits.
+        #: Time source of the core's ``now`` and of the prefetcher.
         self.clock = clock
         self._prefetcher: Prefetcher | None = None
-        #: Streaming partial merges: after this many completed jobs the
-        #: slave flushes its reduction object to the master and starts a
-        #: fresh one, so global reduction overlaps the compute tail.
-        #: ``0`` (the default) keeps the original hand-over-at-exit path.
-        self.sync_watermark = sync_watermark
         #: Optional :class:`~repro.runtime.procpool.ProcessSlave`: when
         #: set, this thread proxies decode + local reduction to a worker
         #: process instead of running them under the GIL.
         self.process_slave = process_slave
         self._robj = None
-        self._flushed_jobs: list[int] = []
+        self._chunks: dict[int, bytes] = {}  # fetched bytes until their Reduce
         self._metrics = metrics
         #: Mailbox-receive timeout, threaded from the driver's
         #: ``join_timeout`` so short-deadline fault tests are not pinned
@@ -111,9 +100,9 @@ class SlaveWorker:
             metrics.histogram("compute_seconds") if metrics else None
         )
         self._jobs_counter = metrics.counter("jobs_done") if metrics else None
+        self._fetched_until = 0.0  # retrieval total at the last Reduce
         self.reply = Mailbox(f"slave:{cluster}:{slave_id}")
         self.telemetry = SlaveTelemetry(slave_id=slave_id, cluster=cluster)
-        self.crashed = False
         self._thread: threading.Thread | None = None
         self._failure: BaseException | None = None
 
@@ -143,14 +132,12 @@ class SlaveWorker:
             self._work()
         except WorkerFailure:
             # An injected crash: the worker dies, the middleware recovers.
-            self.crashed = True
             self.master_inbox.post(SlaveFailed(slave_id=self.slave_id))
         except BaseException as exc:
             # A genuine bug: recover the run (re-execute this worker's jobs
             # elsewhere so the result stays correct) but surface the error
             # when the driver joins this slave.
             self._failure = exc
-            self.crashed = True
             self.master_inbox.post(SlaveFailed(slave_id=self.slave_id))
         finally:
             # Only now: a stage blocked on the master's reply can be
@@ -160,137 +147,93 @@ class SlaveWorker:
             if prefetcher is not None:
                 self.prefetches = prefetcher.prefetches
                 prefetcher.close()
+            self._chunks.clear()
             self.reader.release()
 
     def _work(self) -> None:
+        """Carry the core's actions out in order until its final hand-over;
+        wait on the prefetcher only when none are left."""
         self._robj = self.app.create_reduction_object()
-        self._flushed_jobs.clear()
-        if self.prefetch:
-            self._work_pipelined()
+        core, clock = self.core, self.clock
+        if core.prefetch:
+            self._prefetcher = Prefetcher(
+                self._acquire, self._fetch,
+                cluster=self.cluster, worker=self.slave_id,
+                trace=self.trace, metrics=self._metrics, clock=clock,
+            )
+        todo = deque(core.start(clock.monotonic()))
+        while todo or not core.finished:
+            if todo:
+                event = self._carry_out(todo.popleft())
+            else:
+                # The stopwatch sees only the *blocked* wait: bytes fetched
+                # while we were computing cost nothing here.
+                with self.telemetry.retrieval:
+                    event, raw = self._prefetcher.take(timeout=self.take_timeout)
+                if raw is not None:
+                    self._chunks[event.job.job_id] = raw
+            if event is not None:
+                todo.extendleft(reversed(core.step(event, clock.monotonic())))
+
+    def _carry_out(self, action) -> Fetched | Reduced | None:
+        if isinstance(action, Emit):
+            if self.trace is not None:
+                self.trace.emit(action.kind, cluster=self.cluster, **action.fields)
+        elif isinstance(action, Reduce):
+            return self._reduce(action.job)
+        elif isinstance(action, Request):
+            if self._prefetcher is None:
+                return self._request()
+            self._prefetcher.request()
+        elif isinstance(action, Post):
+            action.to.post(action.message)
         else:
-            self._work_sequential()
-        if self.process_slave is not None:
-            # Pull the worker process's accumulated partial so the final
-            # hand-over below is identical to a threaded slave's.
-            self._robj = self.process_slave.take()
-        self.master_inbox.post(
-            SlaveReduction(
-                slave_id=self.slave_id,
-                robj=self._robj,
-                partial=False,
-                job_ids=tuple(self._flushed_jobs),
-            )
-        )
-
-    def _maybe_flush(self) -> None:
-        """Streaming mode: hand the accumulated partial to the master at
-        the watermark and start fresh. The listed jobs are committed —
-        the master will not re-execute them if this slave later dies."""
-        if not self.sync_watermark:
-            return
-        if len(self._flushed_jobs) < self.sync_watermark:
-            return
-        if self.process_slave is not None:
-            self._robj = self.process_slave.take()
-        self.master_inbox.post(
-            SlaveReduction(
-                slave_id=self.slave_id,
-                robj=self._robj,
-                partial=True,
-                job_ids=tuple(self._flushed_jobs),
-            )
-        )
-        if self.trace is not None:
-            self.trace.emit(
-                "sync_partial", cluster=self.cluster, worker=self.slave_id,
-                detail=f"{len(self._flushed_jobs)} jobs committed",
-            )
-        self._robj = self.app.create_reduction_object()
-        self._flushed_jobs = []
-
-    def _work_sequential(self) -> None:
-        telemetry = self.telemetry
-        trace = self.trace
-        while True:
-            self.master_inbox.post(
-                SlaveJobRequest(slave_id=self.slave_id, reply_to=self.reply)
-            )
-            reply = self.reply.take(timeout=self.take_timeout)
-            job = reply.job
-            if job is None:
-                break
-            if self.fault_hook is not None:
-                self.fault_hook(self.slave_id, job)
-            if trace is not None:
-                trace.emit(
-                    "fetch_start", cluster=self.cluster, worker=self.slave_id,
-                    job_id=job.job_id, file_id=job.file_id,
-                )
-            before_fetch = telemetry.retrieval.total
-            with telemetry.retrieval:
-                raw = self.reader.read_job(job, from_site=self.site)
-            if trace is not None:
-                trace.emit(
-                    "fetch_end", cluster=self.cluster, worker=self.slave_id,
-                    job_id=job.job_id, file_id=job.file_id,
-                )
-            if self._fetch_hist is not None:
-                self._fetch_hist.observe(telemetry.retrieval.total - before_fetch)
-            self._process(job, raw)
-
-    def _work_pipelined(self) -> None:
-        """The prefetcher acquires and fetches the next jobs while this
-        thread reduces the current one.
-
-        A stage asks for a job before this thread has reported the ones it
-        holds done, so near the end of a run its request parks on the
-        master's empty pool until the in-flight count drains — and our
-        own ``SlaveJobDone`` messages are what drain it, so the pipeline
-        always terminates (the parked request is answered ``None``).
-        """
-        telemetry = self.telemetry
-        prefetcher = self._prefetcher = Prefetcher(
-            self._acquire, self._fetch_for_prefetch,
-            cluster=self.cluster, worker=self.slave_id,
-            trace=self.trace, metrics=self._metrics, clock=self.clock,
-        )
-        while True:
-            before_fetch = telemetry.retrieval.total
-            # The stopwatch sees only the *blocked* wait: bytes fetched
-            # while we were computing cost nothing here.
-            with telemetry.retrieval:
-                job, raw = prefetcher.take(timeout=self.take_timeout)
-            if job is None:
-                break
-            if self.fault_hook is not None:
-                self.fault_hook(self.slave_id, job)
-            if self._fetch_hist is not None:
-                self._fetch_hist.observe(
-                    telemetry.retrieval.total - before_fetch
-                )
-            self._process(job, raw)
+            self._hand_over(action)
+        return None
 
     def _acquire(self) -> Job | None:
-        """Prefetcher stage: ask the master for the next job (blocking)."""
+        """Ask the master for the next job (blocking)."""
         self.master_inbox.post(
             SlaveJobRequest(slave_id=self.slave_id, reply_to=self.reply)
         )
         return self.reply.take(timeout=self.take_timeout).job
 
-    def _fetch_for_prefetch(self, job: Job) -> bytes:
-        """Prefetcher stage: pull the chunk's bytes (cache first)."""
-        return self.reader.read_job(job, from_site=self.site)
+    def _fetch(self, job: Job) -> bytes:
+        """Pull the chunk's bytes (cache first)."""
+        self._mark("fetch_start", job)
+        raw = self.reader.read_job(job, from_site=self.site)
+        self._mark("fetch_end", job)
+        return raw
 
-    def _process(self, job: Job, raw: bytes) -> None:
-        """Decode + local reduction + completion accounting for one job."""
-        robj = self._robj
-        telemetry = self.telemetry
-        trace = self.trace
-        if trace is not None:
-            trace.emit(
-                "compute_start", cluster=self.cluster, worker=self.slave_id,
-                job_id=job.job_id,
+    def _mark(self, kind: str, job: Job) -> None:
+        if self.trace is not None:
+            self.trace.emit(
+                kind, cluster=self.cluster, worker=self.slave_id,
+                job_id=job.job_id, file_id=job.file_id,
             )
+
+    def _request(self) -> Fetched:
+        """A ``Request`` on this thread: acquire, then fetch. The one
+        request in flight is the core's latest."""
+        seq = self.core.requested - 1
+        job = self._acquire()
+        if job is None:
+            return Fetched(seq, None)
+        retrieval = self.telemetry.retrieval
+        before = retrieval.total
+        with retrieval:
+            raw = self._chunks[job.job_id] = self._fetch(job)
+        return Fetched(seq, job, retrieval.total - before, memoryview(raw).nbytes)
+
+    def _reduce(self, job: Job) -> Reduced:
+        """Fault hook, then decode + local reduction + accounting."""
+        if self.fault_hook is not None:
+            self.fault_hook(self.slave_id, job)
+        raw = self._chunks.pop(job.job_id)
+        telemetry = self.telemetry
+        if self._fetch_hist is not None:
+            self._fetch_hist.observe(telemetry.retrieval.total - self._fetched_until)
+            self._fetched_until = telemetry.retrieval.total
         before_compute = telemetry.processing.total
         with telemetry.processing:
             if self.process_slave is not None:
@@ -300,16 +243,7 @@ class SlaveWorker:
             else:
                 units = self.app.decode_chunk(raw)
                 for group in self.app.unit_groups(units, self.units_per_group):
-                    self.app.local_reduction(robj, group)
-        if trace is not None:
-            trace.emit(
-                "compute_end", cluster=self.cluster, worker=self.slave_id,
-                job_id=job.job_id,
-            )
-            trace.emit(
-                "job_done", cluster=self.cluster, worker=self.slave_id,
-                job_id=job.job_id,
-            )
+                    self.app.local_reduction(self._robj, group)
         if self._compute_hist is not None:
             self._compute_hist.observe(
                 telemetry.processing.total - before_compute
@@ -317,6 +251,18 @@ class SlaveWorker:
         if self._jobs_counter is not None:
             self._jobs_counter.inc()
         telemetry.jobs += 1
-        self.master_inbox.post(SlaveJobDone(slave_id=self.slave_id, job=job))
-        self._flushed_jobs.append(job.job_id)
-        self._maybe_flush()
+        return Reduced(job)
+
+    def _hand_over(self, action: HandOver) -> None:
+        """Post the object reduced since the last hand-over; after a
+        partial, start a fresh one."""
+        if self.process_slave is not None:
+            self._robj = self.process_slave.take()
+        self.master_inbox.post(
+            SlaveReduction(
+                slave_id=self.slave_id, robj=self._robj,
+                partial=action.partial, job_ids=action.job_ids,
+            )
+        )
+        if action.partial:
+            self._robj = self.app.create_reduction_object()

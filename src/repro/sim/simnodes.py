@@ -8,16 +8,16 @@ stepped from simulation processes. The shells add only costs: each
 head-bound message arrives after its control latency, a master's
 :class:`~repro.core.master.Ship` pays the combine, the child merges and
 the hop up the sync plan, and each merge the head names pays
-``merge_seconds``. Slaves are long-lived processes that loop
-retrieve -> process until the master answers ``None``, then hand the
-master a :class:`~repro.core.reduction.ScalarReduction` of the units they
-folded. Retirement and spot revocation are the master core's too: a
-retired slave's object counts, a revoked one's is dropped and its jobs
-run again, as in the runtime.
+``merge_seconds``. Slaves step the runtime's
+:class:`~repro.core.slave.SlaveCore` too, so a streamed run flushes its
+partials every ``watermark`` jobs in both engines. Retirement and spot
+revocation are the master core's: a retired slave's object counts, a
+revoked one's is dropped and its jobs run again, as in the runtime.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable
 
 from ..config import MiddlewareTuning
@@ -27,11 +27,11 @@ from ..core.master import Emit, MasterCore, Post, Ship, Start
 from ..core.messages import (
     GroupComplete,
     ReductionUpload,
-    SlaveJobDone,
     SlaveJobRequest,
     SlaveReduction,
 )
 from ..core.reduction import ScalarReduction, merge_all
+from ..core.slave import Fetched, Reduce, Reduced, Request, SlaveCore
 from ..core.sync import SyncCodec
 from ..obs import EventLog
 from ..scale.revocation import RevocationSpec
@@ -212,8 +212,11 @@ class SimMaster:
 
 
 class SimSlave:
-    """One worker core: retrieve chunk, run local reduction, repeat; at the
-    end, hand the master the units it folded."""
+    """One worker core: the shared :class:`~repro.core.slave.SlaveCore`
+    plus what its actions cost — a ``Request`` waits for the master's
+    answer and the fetch, a ``Reduce`` the compute model's seconds. Its
+    object is a :class:`~repro.core.reduction.ScalarReduction` of the units
+    it folded."""
 
     def __init__(
         self,
@@ -233,6 +236,9 @@ class SimSlave:
         self.retrieval_threads = retrieval_threads
         self.trace = master.trace
         self.metrics = SlaveMetrics(worker_id=slave_id)
+        self.core = SlaveCore(
+            slave_id, watermark=master.codec.spec.slave_watermark, master=master
+        )
         self.robj = ScalarReduction("sum")
         #: A provisioned slave waits here until its master starts it.
         self.gate = env.event()
@@ -243,32 +249,50 @@ class SimSlave:
 
     def run(self):
         """The slave process body (pass to ``env.process``)."""
-        metrics = self.metrics
-        while True:
-            job = yield from self.master.get_job(self.slave_id)
-            if job is None:
-                break
-            started = self.env.now
-            self._mark("fetch_start", job, file_id=job.file_id)
-            yield self.fetch(job, self.site, self.retrieval_threads)
-            metrics.retrieval += self.env.now - started
-            self._mark("fetch_end", job, file_id=job.file_id)
-            seconds = self.compute.job_seconds(
-                self.site, self.slave_id, job.num_units
-            )
-            self._mark("compute_start", job)
-            yield self.env.timeout(seconds)
-            metrics.processing += seconds
-            metrics.jobs += 1
-            self.robj.add(job.num_units)
-            self._mark("compute_end", job)
-            self._mark("job_done", job)
-            self.master.step(SlaveJobDone(self.slave_id, job))
-        self.master.step(SlaveReduction(self.slave_id, self.robj))
+        env, core, metrics = self.env, self.core, self.metrics
+        todo = deque(core.start(env.now))
+        while todo:
+            action = todo.popleft()
+            if isinstance(action, Request):
+                seq = core.requested - 1  # sequential: the one in flight
+                job = yield from self.master.get_job(self.slave_id)
+                event = Fetched(seq, job)
+                if job is not None:
+                    started = env.now
+                    fetch = {"worker": self.slave_id, "job_id": job.job_id,
+                             "file_id": job.file_id}
+                    self._mark("fetch_start", **fetch)
+                    yield self.fetch(job, self.site, self.retrieval_threads)
+                    metrics.retrieval += env.now - started
+                    self._mark("fetch_end", **fetch)
+                    event = Fetched(seq, job, env.now - started, job.nbytes)
+            elif isinstance(action, Reduce):
+                job = action.job
+                seconds = self.compute.job_seconds(self.site, self.slave_id, job.num_units)
+                yield env.timeout(seconds)
+                metrics.processing += seconds
+                metrics.jobs += 1
+                self.robj.add(job.num_units)
+                event = Reduced(job)
+            else:
+                self._carry_out(action)
+                continue
+            todo.extendleft(reversed(core.step(event, env.now)))
 
-    def _mark(self, kind: str, job: Job, **fields) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                self.env.now, kind, cluster=self.master.name,
-                worker=self.slave_id, job_id=job.job_id, **fields,
+    def _carry_out(self, action) -> None:
+        """The actions that take no simulated time."""
+        if isinstance(action, Post):
+            action.to.step(action.message)
+        elif isinstance(action, Emit):
+            self._mark(action.kind, **action.fields)
+        else:
+            reduction = SlaveReduction(
+                self.slave_id, self.robj, action.partial, action.job_ids
             )
+            self.master.step(reduction)
+            if action.partial:
+                self.robj = ScalarReduction("sum")
+
+    def _mark(self, kind: str, **fields) -> None:
+        if self.trace is not None:
+            self.trace.record(self.env.now, kind, cluster=self.master.name, **fields)

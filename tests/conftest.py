@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.config import CLOUD_SITE, LOCAL_SITE, DatasetSpec, PlacementSpec
+from repro.errors import WorkerFailure
 from repro.storage.objectstore import ObjectStore
 from repro.storage.retrieval import POOL_THREAD_PREFIX
 
@@ -79,6 +80,45 @@ def small_spec(record_bytes: int, *, files: int = 4, chunks_per_file: int = 4,
         chunk_bytes=chunk,
         record_bytes=record_bytes,
     )
+
+
+class CrashOnce:
+    """A fault hook: kill slave ``victim`` as it starts the job after its
+    first ``after``; ``crashed`` is set when it fires."""
+
+    def __init__(self, victim: int, after: int):
+        self.victim = victim
+        self.after = after
+        self.count = 0
+        self.fired = False
+        self.crashed = threading.Event()
+        self._lock = threading.Lock()
+
+    def __call__(self, slave_id: int, job) -> None:
+        if slave_id != self.victim:
+            return
+        with self._lock:
+            if self.fired:
+                return
+            self.count += 1
+            if self.count > self.after:
+                self.fired = True
+                self.crashed.set()
+                raise WorkerFailure(f"injected crash of slave {slave_id}")
+
+
+def hold_others(hook, victims: set[int], crashed: threading.Event):
+    """``hook``, with every slave but ``victims`` held at its first job
+    until ``crashed`` is set: the victims run alone until they fail, so no
+    other slave — of their cluster or, by stealing, of the other one — can
+    drain the jobs they need (on a loaded machine one otherwise can)."""
+
+    def held(slave_id, job):
+        if slave_id not in victims:
+            assert crashed.wait(30.0)
+        hook(slave_id, job)
+
+    return held
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from repro.config import (
 )
 from repro.core.api import run_serial
 from repro.core.messages import SlaveJobReply, SlaveJobRequest
+from repro.core.slave import SlaveCore
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import (
     ConfigurationError,
@@ -247,10 +248,13 @@ def test_prefetcher_pipelines_acquire_and_fetch():
 
     pf = Prefetcher(lambda: next(jobs), fetch)
     try:
-        assert pf.take(timeout=5.0) == (1, b"\x01")
-        assert pf.take(timeout=5.0) == (2, b"\x02")
-        assert pf.take(timeout=5.0) == (None, None)
-        assert fetched == [1, 2]
+        for _ in range(4):  # the fourth comes after the ``None``: dropped
+            pf.request()
+        taken = sorted((pf.take(timeout=5.0) for _ in range(3)), key=lambda t: t[0].seq)
+        assert [(f.seq, f.job, f.nbytes, raw) for f, raw in taken] == [
+            (0, 1, 1, b"\x01"), (1, 2, 1, b"\x02"), (2, None, 0, None),
+        ]
+        assert sorted(fetched) == [1, 2]
         assert pf.prefetches == 2
     finally:
         pf.close()
@@ -261,6 +265,7 @@ def test_prefetcher_propagates_fetch_errors():
         raise OSError("disk gone")
 
     pf = Prefetcher(lambda: 7, fetch)
+    pf.request()
     try:
         with pytest.raises(OSError, match="disk gone"):
             pf.take(timeout=5.0)
@@ -273,6 +278,7 @@ def test_prefetcher_propagates_acquire_errors():
         raise RuntimeProtocolError("master vanished")
 
     pf = Prefetcher(acquire, lambda job: b"")
+    pf.request()
     try:
         with pytest.raises(RuntimeProtocolError, match="master vanished"):
             pf.take(timeout=5.0)
@@ -287,6 +293,7 @@ def test_prefetcher_take_times_out_while_acquire_blocks():
         answered.wait(5.0)  # a request parked at the master
 
     pf = Prefetcher(acquire, lambda job: b"")
+    pf.request()
     try:
         with pytest.raises(RuntimeProtocolError):
             pf.take(timeout=0.05)
@@ -452,8 +459,8 @@ def test_runtime_prefetch_crash_reexecutes_every_prefetched_job():
     )
     # In-memory fetches are faster than compute, so the window would stay
     # at 1: pin slave 1's wide open (and slave 0's shut) for the scenario.
-    window = property(lambda self: total if self.worker == 1 else 1)
-    with mock.patch.object(Prefetcher, "window", window), \
+    window = property(lambda self: total if self.slave_id == 1 else 1)
+    with mock.patch.object(SlaveCore, "window", window), \
             mock.patch.object(Mailbox, "post", spy):
         result = runtime.run()
 

@@ -32,7 +32,7 @@ from repro.errors import RuntimeProtocolError, SchedulingError, WorkerFailure
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.storage.objectstore import ObjectStore
 
-from conftest import MIDDLEWARE_THREADS, middleware_threads
+from conftest import MIDDLEWARE_THREADS, CrashOnce, hold_others, middleware_threads
 
 
 def materialize(app_key="histogram", total_units=2048, **params):
@@ -50,30 +50,6 @@ def materialize(app_key="histogram", total_units=2048, **params):
     return bundle, index, stores
 
 
-class CrashOnce:
-    """Kill one specific slave after it has processed ``after`` jobs."""
-
-    def __init__(self, victim: int, after: int):
-        self.victim = victim
-        self.after = after
-        self.count = 0
-        self.fired = False
-        self.crashed = threading.Event()
-        self._lock = threading.Lock()
-
-    def __call__(self, slave_id: int, job) -> None:
-        if slave_id != self.victim:
-            return
-        with self._lock:
-            if self.fired:
-                return
-            self.count += 1
-            if self.count > self.after:
-                self.fired = True
-                self.crashed.set()
-                raise WorkerFailure(f"injected crash of slave {slave_id}")
-
-
 def run_with_fault(bundle, index, stores, hook, cores=(2, 2)):
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores,
@@ -82,20 +58,6 @@ def run_with_fault(bundle, index, stores, hook, cores=(2, 2)):
         fault_hook=hook,
     )
     return runtime.run()
-
-
-def hold_others(hook, victims: set[int], crashed: threading.Event):
-    """``hook``, with every slave but ``victims`` held at its first job
-    until ``crashed`` is set: the victims run alone until they fail, so no
-    other slave — of their cluster or, by stealing, of the other one — can
-    drain the jobs they need (on a loaded machine one otherwise can)."""
-
-    def held(slave_id, job):
-        if slave_id not in victims:
-            assert crashed.wait(30.0)
-        hook(slave_id, job)
-
-    return held
 
 
 def test_single_crash_mid_run_preserves_result():

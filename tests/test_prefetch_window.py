@@ -1,13 +1,14 @@
 """The self-sizing prefetch window, in virtual time.
 
-Everything here runs on :class:`~repro.clock.FakeClock`: fetches are
-virtual sleeps (a closure, or a shaped :class:`ObjectStore` given the
-clock), compute is a settled virtual wait, and no assertion depends on
-real time.
+No assertion here depends on real time:
 
-* a hypothesis property test of :class:`~repro.cache.Prefetcher` alone —
-  order, exactly-once delivery, the window and byte bounds, error
-  surfacing, thread hygiene;
+* a hypothesis property test of :class:`~repro.core.slave.SlaveCore`
+  alone, stepped by a discrete-event loop with no threads — delivery in
+  grant order, exactly-once reduction, the window and byte bounds;
+* a hypothesis property test of the :class:`~repro.cache.Prefetcher`
+  stages on :class:`~repro.clock.FakeClock` — grant numbering, error
+  surfacing, and that :meth:`~repro.cache.Prefetcher.close` joins every
+  stage;
 * a slave-level test on a shaped store: a real
   :class:`~repro.runtime.slave.SlaveWorker` against a scripted master
   finishes *n* remote chunks of latency *L* in ``(1 + ceil((n-1)/W))·L``
@@ -19,9 +20,11 @@ real time.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-import queue
 import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -30,8 +33,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cache import ChunkCache, Prefetcher
-from repro.cache import prefetch as prefetch_module
-from repro.cache.prefetch import MAX_WINDOW_JOBS
 from repro.clock import FakeClock
 from repro.config import (
     CLOUD_SITE,
@@ -39,29 +40,29 @@ from repro.config import (
     DatasetSpec,
     PlacementSpec,
 )
+from repro.core import slave as slave_module
 from repro.core.messages import (
     SlaveJobDone,
     SlaveJobReply,
     SlaveJobRequest,
     SlaveReduction,
 )
+from repro.core.slave import (
+    MAX_WINDOW_JOBS,
+    Fetched,
+    Reduce,
+    Reduced,
+    Request,
+    SlaveCore,
+    prefetch_window,
+)
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.runtime.slave import SlaveWorker
 from repro.runtime.transport import Mailbox
 from repro.storage.objectstore import ObjectStore, TrafficShaper
 
-_NOTHING: "queue.SimpleQueue[None]" = queue.SimpleQueue()
-
 #: The byte budget the property test runs under, so chunks can stay small.
 _BUDGET = 4096
-
-
-def settle(clock: FakeClock, seconds: float) -> None:
-    """The owner computes for ``seconds``: virtual time moves only once
-    every stage has parked, so what a stage starts *now* starts now."""
-    if seconds > 0:
-        with pytest.raises(queue.Empty):
-            clock.wait(_NOTHING, seconds)
 
 
 def prefetch_threads() -> list[str]:
@@ -70,124 +71,166 @@ def prefetch_threads() -> list[str]:
     ]
 
 
-class Recording(Prefetcher):
-    """Remembers every window the owner refilled to, and how many jobs it
-    had been handed by then (a refill is what lets a stage acquire)."""
+class Recording(SlaveCore):
+    """A prefetching core that remembers every window it read."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
+        super().__init__(3, prefetch=True)
         self.windows: list[int] = []
-        self.handed = 0
 
-    def _refill(self) -> None:
-        self.windows.append(self.window)
-        self.handed = self._delivered
-        super()._refill()
+    @property
+    def window(self) -> int:
+        window = super().window
+        self.windows.append(window)
+        return window
 
 
-class Boom(Exception):
-    pass
+def drive(core: SlaveCore, jobs: int, fetch_s, compute_s, chunk: int):
+    """Step ``core`` in virtual time over ``jobs`` jobs: each request is
+    granted at once, in request order (job ``i`` is grant ``i``), fetch
+    ``i`` lands ``fetch_s(i)`` later, and reducing job ``i`` takes
+    ``compute_s(i)``. Returns the jobs in the order they were reduced and
+    the most jobs granted ahead of the one being reduced."""
+    events: list = []
+    order = itertools.count()
+    granted, reduced, lead = 0, [], 0
+
+    def carry_out(actions, now):
+        nonlocal granted, lead
+        for action in actions:
+            if isinstance(action, Request) and granted <= jobs:
+                seq, granted = granted, granted + 1
+                if seq == jobs:  # the master's ``None``: no later request
+                    landed = (now, Fetched(seq, None))
+                else:
+                    lead = max(lead, granted - core.delivered)
+                    job = SimpleNamespace(job_id=seq)
+                    landed = (now + fetch_s(seq), Fetched(seq, job, fetch_s(seq), chunk))
+                heapq.heappush(events, (landed[0], next(order), landed[1]))
+            elif isinstance(action, Reduce):
+                reduced.append(action.job.job_id)
+                done = now + compute_s(action.job.job_id)
+                heapq.heappush(events, (done, next(order), Reduced(action.job)))
+
+    carry_out(core.start(0.0), 0.0)
+    while events:
+        now, _, event = heapq.heappop(events)
+        carry_out(core.step(event, now), now)
+    assert core.finished
+    return reduced, lead
 
 
 _durations = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0]), min_size=1,
                       max_size=4)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=100)
 @given(
     jobs=st.integers(0, 14),
     fetch_s=_durations,
     compute_s=_durations,
     chunk=st.sampled_from([1, _BUDGET // 3, _BUDGET, 2 * _BUDGET]),
-    failure=st.one_of(
-        st.none(),
-        st.tuples(st.sampled_from(["acquire", "fetch"]), st.integers(0, 13)),
-    ),
 )
-def test_prefetcher_window_properties(jobs, fetch_s, compute_s, chunk, failure):
-    """Random fetch/compute durations, job counts and failure points."""
-    if failure is not None and failure[1] >= jobs:
-        failure = None
-    acquired: list[int] = []
-    delivered: list[int] = []
-    peak = 0
-
-    with FakeClock() as clock, mock.patch.object(
-        prefetch_module, "WINDOW_BYTES", _BUDGET
-    ):
-
-        def acquire():  # the prefetcher runs one of these at a time
-            nonlocal peak
-            n = len(acquired)
-            if failure == ("acquire", n):
-                raise Boom(f"acquire {n}")
-            if n >= jobs:
-                return None
-            acquired.append(n)
-            peak = max(peak, len(acquired) - pf.handed)
-            return n
-
-        def fetch(job: int) -> bytes:
-            clock.sleep(fetch_s[job % len(fetch_s)])
-            if failure == ("fetch", job):
-                raise Boom(f"fetch {job}")
-            return bytes(chunk)
-
-        pf = Recording(acquire, fetch, cluster="c", worker=3, clock=clock)
-        error = None
-        try:
-            while True:
-                try:
-                    job, raw = pf.take(timeout=1000.0)
-                except Boom as exc:
-                    error = exc
-                    break
-                if job is None:
-                    break
-                assert len(raw) == chunk
-                delivered.append(job)
-                settle(clock, compute_s[job % len(compute_s)])
-        finally:
-            pf.close()
-        assert prefetch_threads() == []
-
-    # Delivery order is acquisition order; nothing is delivered twice.
-    assert delivered == acquired[: len(delivered)]
-    if failure is None:
-        assert error is None and delivered == list(range(jobs))
-    else:
-        # The error surfaced on the failed job's own turn.
-        assert str(error) == f"{failure[0]} {failure[1]}"
-        assert delivered == list(range(failure[1]))
-    # In-flight jobs and bytes never exceed the window or the budget.
-    assert peak <= max(pf.windows) <= MAX_WINDOW_JOBS
-    assert peak * chunk <= max(chunk, _BUDGET)
+def test_slave_core_window_properties(jobs, fetch_s, compute_s, chunk):
+    """Random fetch/compute durations, job counts and chunk sizes."""
+    core = Recording()
+    with mock.patch.object(slave_module, "WINDOW_BYTES", _BUDGET):
+        reduced, lead = drive(
+            core, jobs,
+            lambda i: fetch_s[i % len(fetch_s)],
+            lambda i: compute_s[i % len(compute_s)],
+            chunk,
+        )
+    # Every job is reduced once, in grant order, however fetches land.
+    assert reduced == list(range(jobs))
+    # Jobs and bytes held ahead never exceed the window or the budget.
+    assert lead <= max(core.windows) <= MAX_WINDOW_JOBS
+    assert lead * chunk <= max(chunk, _BUDGET)
     if max(fetch_s) <= min(compute_s):
-        assert set(pf.windows) == {1} and peak <= 1
+        assert set(core.windows) == {1} and lead <= 1
 
 
-def test_prefetcher_window_is_fetch_over_compute_within_cap():
+def test_prefetch_window_is_fetch_over_compute_within_cap():
     """The window a steady pipeline settles on: ceil(fetch / compute),
     clamped to the job ceiling."""
     for fetch_s, compute_s, expect in (
         (3.0, 1.0, 3), (2.5, 1.0, 3), (1.0, 1.0, 1), (0.0, 1.0, 1),
         (100.0, 1.0, MAX_WINDOW_JOBS), (1.0, 0.0, MAX_WINDOW_JOBS),
     ):
-        jobs = iter(range(12))
-        with FakeClock() as clock:
+        assert prefetch_window(fetch_s, compute_s, 1) == expect
+        core = SlaveCore(0, prefetch=True)
+        drive(core, 12, lambda i: fetch_s, lambda i: compute_s, 1)
+        assert core.window == expect, (fetch_s, compute_s)
 
-            def fetch(job: int) -> bytes:
-                clock.sleep(fetch_s)
-                return b"x"
 
-            pf = Prefetcher(lambda: next(jobs, None), fetch, clock=clock)
-            try:
-                for _ in range(6):
-                    assert pf.take(timeout=1000.0)[0] is not None
-                    settle(clock, compute_s)
-                assert pf.window == expect, (fetch_s, compute_s)
-            finally:
-                pf.close()
+def test_prefetch_window_is_one_until_both_estimates_exist():
+    assert prefetch_window(None, 1.0, 1) == prefetch_window(9.0, None, 1) == 1
+    assert prefetch_window(9.0, 1.0, slave_module.WINDOW_BYTES // 2) == 2
+    assert SlaveCore(0).window == 0  # no prefetch: strictly sequential
+
+
+class Boom(Exception):
+    pass
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    jobs=st.integers(0, 8),
+    requests=st.integers(1, 10),
+    fetch_s=_durations,
+    failure=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(["acquire", "fetch"]), st.integers(0, 7)),
+    ),
+)
+def test_prefetcher_numbers_grants_surfaces_errors_and_joins(
+    jobs, requests, fetch_s, failure
+):
+    """Stage threads number acquisitions in grant order, stop at the first
+    ``None`` or error, re-raise a stage's error on the owner's ``take``,
+    and are all joined by ``close``."""
+    if failure is not None and failure[1] >= min(jobs, requests):
+        failure = None
+    with FakeClock() as clock:
+        acquired = itertools.count()
+
+        def acquire():  # the prefetcher runs one of these at a time
+            n = next(acquired)
+            if failure == ("acquire", n):
+                raise Boom(f"acquire {n}")
+            return n if n < jobs else None
+
+        def fetch(job: int) -> bytes:
+            clock.sleep(fetch_s[job % len(fetch_s)])
+            if failure == ("fetch", job):
+                raise Boom(f"fetch {job}")
+            return bytes(3)
+
+        pf = Prefetcher(acquire, fetch, cluster="c", worker=3, clock=clock)
+        taken, error = [], None
+        try:
+            for _ in range(requests):
+                pf.request()
+            for _ in range(min(requests, jobs + 1)):
+                try:
+                    fetched, raw = pf.take(timeout=1000.0)
+                except Boom as exc:
+                    error = exc
+                    break
+                assert fetched.job == (fetched.seq if fetched.seq < jobs else None)
+                assert raw == (None if fetched.job is None else bytes(3))
+                taken.append(fetched.seq)
+        finally:
+            pf.close()
+        assert prefetch_threads() == []
+
+    if failure is None:
+        assert error is None
+        assert sorted(taken) == list(range(min(requests, jobs + 1)))
+    else:
+        assert str(error) == f"{failure[0]} {failure[1]}"
+        assert failure[1] not in taken
+        assert len(set(taken)) == len(taken)
 
 
 # -- the slave on a shaped store ---------------------------------------------

@@ -1,16 +1,23 @@
 """Protocol property suite — zero threads, zero sleeping.
 
-The head core (:class:`~repro.core.head.HeadCore`) and two master cores
-(:class:`~repro.core.master.MasterCore`) are stepped on the test's own
+The head core (:class:`~repro.core.head.HeadCore`), two master cores
+(:class:`~repro.core.master.MasterCore`) and their slaves' cores
+(:class:`~repro.core.slave.SlaveCore`) are stepped on the test's own
 thread; nothing from :mod:`repro.runtime` is imported. A seeded
 scheduler delivers every posted message one channel (sender -> receiver)
 at a time, first in first out within a channel, in an order hypothesis
-draws. Slave stubs fold each job's unit count into a
-:class:`DictReduction` under its job id. Some orders include one slave
-crash (its object is lost and its jobs re-executed), one retirement and
-a spot die on the cloud core (a revoked slave's object is dropped and
-its jobs re-executed). Whatever the order, every job is folded exactly
-once, the head's coverage is full, and no thread is started.
+draws. Each fetch and each reduction is a channel of its own, so they
+finish in any order too. Slave shells carry their cores' actions out the
+way the runtime's do — one acquisition at a time, stopping at the first
+``None`` — and fold each job's unit count into a :class:`DictReduction`
+under its job id. Cores stream partials every 0, 1 or 3 jobs and keep 0,
+1 or 4 jobs requested ahead. Some orders include one slave crash (its
+object is lost and its uncommitted jobs re-executed), one retirement and
+a spot die on the cloud core (a revoked slave's object is dropped and its
+jobs re-executed). Whatever the order, every job is folded exactly once,
+no committed job runs again, each slave reduces its jobs in grant order
+and never holds more than its window + 1, the head's coverage is full,
+and no thread is started.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from repro.core.messages import (
 )
 from repro.core.reduction import DictReduction, merge_all
 from repro.core.scheduler import HeadScheduler
+from repro.core.slave import Fetched, HandOver, Reduce, Reduced, Request, SlaveCore
 from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
 from repro.scale.revocation import RevocationSpec
 
@@ -55,42 +63,78 @@ def jobs_of(files=4, chunks=4):
     return build_index(spec, PlacementSpec(local_fraction=0.5)).jobs()
 
 
+class WindowCore(SlaveCore):
+    """A slave core whose prefetch window is fixed (``0``: sequential)."""
+
+    def __init__(self, slave_id: int, window: int, **kwargs) -> None:
+        super().__init__(slave_id, prefetch=window > 0, **kwargs)
+        self.fixed = window
+
+    @property
+    def window(self) -> int:
+        return self.fixed
+
+
+class Slave:
+    """One slave core and what its shell holds."""
+
+    def __init__(self, sid: int, cluster: str, window: int, watermark: int) -> None:
+        self.cluster = cluster
+        self.core = WindowCore(sid, window, watermark=watermark, master=cluster)
+        self.robj = DictReduction("sum")
+        self.granted: list = []  # jobs the master handed it, in order
+        self.reduced: list = []  # jobs whose reduction started, in order
+        self.finished = 0  # reductions done
+        self.queued = 0  # requests not yet posted: one acquisition at a time
+        self.asking = False
+        self.stopped = False  # an acquisition came back ``None``
+
+
 class Network:
     """Every node of one run, and the messages in flight between them."""
 
     def __init__(
-        self, jobs, topology: str, seed: int, crash, retire, revoke=0.0
+        self, jobs, topology: str, seed: int, crash, retire, revoke=0.0,
+        watermark=0, window=0,
     ) -> None:
         self.rng = random.Random(seed)
         self.channels: dict[tuple, deque] = {}
         scheduler = HeadScheduler(jobs, TUNING)
         for name, site in CLUSTERS.items():
             scheduler.register_cluster(name, site)
-        self.codec = SyncCodec(SyncSpec(topology=topology, fanout=1))
+        spec = SyncSpec(
+            topology=topology, fanout=1, stream=watermark > 0,
+            watermark=max(watermark, 1),
+        )
+        self.codec = SyncCodec(spec)
         self.plan = build_sync_plan(list(CLUSTERS), topology, fanout=1)
         self.head = HeadCore(
             scheduler, list(CLUSTERS), roots=tuple(plan_roots(self.plan)),
-            codec=self.codec,
+            codec=self.codec, stream=spec.stream,
         )
         die = RevocationSpec(rate=revoke, seed=seed) if revoke else None
         self.masters = {
             name: MasterCore(
                 name, SLAVES_PER_CLUSTER, TUNING, head="head", inbox=name,
                 children=self.plan[name].children, codec=self.codec,
+                stream=spec.stream,
                 revocation=die if name == "cloud-cluster" else None,
             )
             for name in CLUSTERS
         }
-        #: slave id -> (cluster, its reduction object, jobs it was handed)
-        self.slaves: dict[int, list] = {}
+        self.window = window
+        #: ``(slave id, job ordinal)``: that slave dies as it starts
+        #: reducing that job.
+        self.crash = crash
+        self.dead: set[int] = set()
+        #: Jobs a master took as committed by a streamed partial.
+        self.committed: set[int] = set()
+        self.slaves: dict[int, Slave] = {}
         for index, name in enumerate(CLUSTERS):
             for k in range(SLAVES_PER_CLUSTER):
                 sid = index * SLAVES_PER_CLUSTER + k
-                self.slaves[sid] = [name, DictReduction("sum"), 0]
-                self.send(("slave", sid), name, SlaveJobRequest(sid, ("slave", sid)))
-        #: ``(slave id, job ordinal)``: that slave dies holding that job.
-        self.crash = crash
-        self.dead: set[int] = set()
+                slave = self.slaves[sid] = Slave(sid, name, window, spec.slave_watermark)
+                self.carry_out(sid, slave.core.start())
         if retire is not None:
             self.send("driver", retire, SlaveDetach(count=1))
 
@@ -131,24 +175,69 @@ class Network:
                 self.send(name, parent, ReductionUpload(name, blob, action.origins))
             else:
                 assert isinstance(action, Emit), action
+                if action.kind == "sync_merge" and "worker" in action.fields:
+                    self.committed.update(message.job_ids)  # a partial taken
+                assert not (
+                    action.kind == "job_reexecuted"
+                    and action.fields["job_id"] in self.committed
+                ), action
 
-    def step_slave(self, sid: int, reply: SlaveJobReply) -> None:
+    def step_slave(self, sid: int, message) -> None:
         if sid in self.dead:
-            return  # a dead slave's reply goes nowhere
-        cluster, robj, handed = self.slaves[sid]
+            return  # a dead slave's messages go nowhere
+        slave = self.slaves[sid]
+        if not isinstance(message, SlaveJobReply):  # a fetch or a reduction done
+            slave.finished += isinstance(message, Reduced)
+            self.carry_out(sid, slave.core.step(message))
+            return
+        seq = len(slave.granted)
+        slave.asking = False
+        job = message.job
+        if job is None:  # end of run, retired or revoked: no more requests
+            slave.stopped = True
+            self.carry_out(sid, slave.core.step(Fetched(seq, None)))
+            return
+        slave.granted.append(job)
+        assert len(slave.granted) - slave.finished <= self.window + 1
+        self.send(("fetch", sid, seq), ("slave", sid), Fetched(seq, job))
+        self.ask(sid)
+
+    def ask(self, sid: int) -> None:
+        """Post the next queued acquisition once the last one is answered."""
+        slave = self.slaves[sid]
+        if slave.queued and not slave.asking and not slave.stopped:
+            slave.queued -= 1
+            slave.asking = True
+            me = ("slave", sid)
+            self.send(me, slave.cluster, SlaveJobRequest(sid, me))
+
+    def carry_out(self, sid: int, actions) -> None:
+        slave = self.slaves[sid]
         me = ("slave", sid)
-        job = reply.job
-        if job is None:  # end of run, retired or revoked: hand the object in
-            self.send(me, cluster, SlaveReduction(sid, robj))
-            return
-        self.slaves[sid][2] = handed + 1
-        if self.crash == (sid, handed):
-            self.dead.add(sid)
-            self.send(me, cluster, SlaveFailed(sid))
-            return
-        robj.add(job.job_id, job.num_units)
-        self.send(me, cluster, SlaveJobDone(sid, job))
-        self.send(me, cluster, SlaveJobRequest(sid, me))
+        for action in actions:
+            if isinstance(action, Request):
+                slave.queued += 1
+                self.ask(sid)
+            elif isinstance(action, Reduce):
+                job = action.job
+                if self.crash == (sid, len(slave.reduced)):
+                    self.dead.add(sid)
+                    self.send(me, slave.cluster, SlaveFailed(sid))
+                    return
+                assert job is slave.granted[len(slave.reduced)]  # grant order
+                assert job.job_id not in self.committed
+                slave.reduced.append(job)
+                slave.robj.add(job.job_id, job.num_units)
+                self.send(("reduce", sid), me, Reduced(job))
+            elif isinstance(action, Post):
+                self.send(me, action.to, action.message)
+            elif isinstance(action, HandOver):
+                reduction = SlaveReduction(sid, slave.robj, action.partial, action.job_ids)
+                self.send(me, slave.cluster, reduction)
+                if action.partial:
+                    slave.robj = DictReduction("sum")
+            else:
+                assert isinstance(action, Emit), action
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,16 +249,18 @@ class Network:
     ),
     retire=st.none() | st.sampled_from(list(CLUSTERS)),
     revoke=st.sampled_from([0.0, 0.3, 1.0]),
+    watermark=st.sampled_from([0, 1, 3]),
+    window=st.sampled_from([0, 1, 4]),
 )
 def test_every_job_folds_exactly_once_under_any_delivery_order(
-    topology, seed, crash, retire, revoke
+    topology, seed, crash, retire, revoke, watermark, window
 ):
     # The die never takes the cloud's last active slave, but a crash can:
     # that is a genuine "every slave failed", not a protocol fault.
     assume(not (revoke and crash and crash[0] >= SLAVES_PER_CLUSTER))
     threads = threading.active_count()
     jobs = jobs_of()
-    network = Network(jobs, topology, seed, crash, retire, revoke)
+    network = Network(jobs, topology, seed, crash, retire, revoke, watermark, window)
     head = network.run()  # a core that raised "every slave failed" fails here
     serial = {job.job_id: job.num_units for job in jobs}
     assert head.merged.value() == serial

@@ -18,7 +18,6 @@ import pytest
 
 import repro
 from repro.apps import make_bundle
-from repro.cache import Prefetcher
 from repro.config import (
     CLOUD_SITE,
     LOCAL_SITE,
@@ -28,6 +27,7 @@ from repro.config import (
     PlacementSpec,
 )
 from repro.core.api import iterate_passes
+from repro.core.slave import SlaveCore
 from repro.data.dataset import build_dataset
 from repro.errors import RuntimeTimeoutError, WorkerFailure
 from repro.obs import (
@@ -221,7 +221,7 @@ def test_traced_prefetch_run_with_several_fetches_in_flight():
         tuning=MiddlewareTuning(units_per_group=100),
         trace=log, prefetch=True, fault_hook=hold_until_window_fetched,
     )
-    with mock.patch.object(Prefetcher, "window", property(lambda self: 4)):
+    with mock.patch.object(SlaveCore, "window", property(lambda self: 4)):
         result = runtime.run()
     assert_prefetch_trace_consumers(log, result.telemetry.spans)
     for worker in log.workers():

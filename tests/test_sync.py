@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.apps import make_bundle
 from repro.apps.base import get_profile
 from repro.bench.configs import env_config
@@ -45,7 +46,7 @@ from repro.core.sync import (
     plan_roots,
 )
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.errors import ConfigurationError, RuntimeProtocolError, WorkerFailure
+from repro.errors import ConfigurationError, RuntimeProtocolError
 from repro.network.topology import Link
 from repro.network.transfer import sync_aggregation_time, transfer_time
 from repro.obs.events import EventLog
@@ -62,7 +63,7 @@ from repro.sim.storagemodel import StorePath
 from repro.storage.objectstore import ObjectStore
 from repro.units import MB
 
-from conftest import bench_module, small_spec
+from conftest import CrashOnce, bench_module, hold_others, small_spec
 
 
 def layout(topology: str) -> dict:
@@ -655,49 +656,72 @@ def test_traced_tree_streaming_records_every_master_merge():
     assert uploads == [("local-cluster", "upload from cloud-cluster")]
 
 
-class CrashOnce:
-    """Kill one slave after it has processed ``after`` jobs."""
-
-    def __init__(self, victim: int, after: int) -> None:
-        self.victim = victim
-        self.after = after
-        self.count = 0
-
-    def __call__(self, slave_id: int, job) -> None:
-        if slave_id == self.victim:
-            self.count += 1
-            if self.count == self.after + 1:
-                raise WorkerFailure(f"injected crash of slave {slave_id}")
-
-
 def test_streaming_commits_flushed_work_across_a_crash():
     """A dead slave's flushed partials survive: only the jobs since its
     last watermark flush (plus the in-flight one) are re-executed, and
-    the result still equals the oracle."""
+    the result still equals the oracle. The other slaves are held until
+    the crash, so the victim always reaches its third job."""
     bundle, index, stores = materialize("histogram")
     oracle = run_serial(
         bundle.app, DatasetReader(index, stores).read_all_chunks()
     )
     watermark = 1
+    hook = CrashOnce(victim=0, after=2)
     streamed = run_once(
         bundle, index, stores,
         sync=SyncSpec(stream=True, watermark=watermark),
-        fault_hook=CrashOnce(victim=0, after=2),
+        fault_hook=hold_others(hook, {0}, hook.crashed),
         cores=(2, 2),
     )
+    assert hook.fired
     np.testing.assert_array_equal(streamed.value, oracle)
     assert streamed.telemetry.slaves_failed == 1
     # Every processed job was flushed (watermark 1), so only the job that
     # was in flight at the crash replays.
     assert 0 < streamed.telemetry.jobs_reexecuted <= watermark + 1
 
+    hook = CrashOnce(victim=0, after=2)
     barrier = run_once(
-        bundle, index, stores, fault_hook=CrashOnce(victim=0, after=2),
+        bundle, index, stores, fault_hook=hold_others(hook, {0}, hook.crashed),
         cores=(2, 2),
     )
+    assert hook.fired
     np.testing.assert_array_equal(barrier.value, oracle)
     # Without commits the whole history of the victim replays.
     assert barrier.telemetry.jobs_reexecuted >= 3
+
+
+@pytest.mark.parametrize("mode", ["runtime", "simulate"])
+def test_both_engines_flush_a_partial_every_watermark_jobs(mode):
+    """One 2+2 streamed config with watermark 2, on thread slaves and in
+    the simulator: every slave flushes ``jobs // 2`` partials, and each
+    master folds exactly its own slaves' partials."""
+    watermark = 2
+    log = EventLog()
+    repro.run(
+        "histogram",
+        DatasetSpec(
+            total_bytes=4096 * 8, num_files=4, chunk_bytes=128 * 8, record_bytes=8
+        ),
+        repro.RunConfig(
+            mode=mode, trace=log,
+            compute=ComputeSpec(local_cores=2, cloud_cores=2),
+            sync=SyncSpec(stream=True, watermark=watermark),
+        ),
+    )
+    jobs = Counter((e.cluster, e.worker) for e in log.of_kind("job_done"))
+    partials = Counter((e.cluster, e.worker) for e in log.of_kind("sync_partial"))
+    assert sum(partials.values()) > 0 and set(partials) <= set(jobs)
+    for slave, done in jobs.items():
+        assert partials[slave] == done // watermark, slave
+    folded = Counter(
+        e.cluster for e in log.of_kind("sync_merge")
+        if e.detail.startswith("partial of")
+    )
+    for cluster in ("local-cluster", "cloud-cluster"):
+        assert folded[cluster] == sum(
+            n for (name, _), n in partials.items() if name == cluster
+        ), cluster
 
 
 # -- simulators --------------------------------------------------------------
