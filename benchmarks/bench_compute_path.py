@@ -17,6 +17,15 @@ and two slaves then fight over one process-wide pool, so the larger
 groups the paper's cache rule asks for make the run *slower* unless each
 slave's pool is capped to its share of the cores.
 
+A second table splits ``KMeansApp.local_reduction`` itself into its
+steps — the gemm, the distances, the assignment (and the row-wise
+``argmin`` it replaced at this k, on a C-order copy), the bincounts — and
+times the whole call over all groups into one reduction object, as the
+kernel picks its branch and with every group sent to ``argmin``; in ms
+per 4096 points, min over the passes, at each group size, with the BLAS
+pool capped as the runtime caps it for two slaves. It runs in a process
+of its own too.
+
 ``--smoke`` (CI): a quarter of the input, one pass per cell, no
 timings worth reading; it asserts oracle equality in every cell and that
 the cap was in force inside ``local_reduction`` on both substrates.
@@ -31,10 +40,11 @@ import subprocess
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
-from repro.apps import make_bundle
+from repro.apps import kmeans, make_bundle
 from repro.apps.kmeans import KMeansApp
 from repro.config import (
     CLOUD_SITE,
@@ -55,6 +65,11 @@ CHUNKS = 32
 SLAVES = 2
 GROUP_SIZES = (4096, 8192, 16384, 32768, 65536, UNITS // CHUNKS)
 SUBSTRATES = ("thread", "process")
+KERNEL_UNITS = 1 << 20
+STEPS = (
+    "gemm", "distances", "assignment", "argmin", "bincount",
+    "whole call", "argmin call",
+)
 JOIN_TIMEOUT = 30.0
 
 
@@ -162,6 +177,95 @@ def run_cell_isolated(
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def kernel_steps(*, units: int, passes: int) -> list[dict]:
+    """One row per group size: ms per 4096 points of each step of
+    ``KMeansApp.local_reduction``, min over ``passes``, BLAS capped."""
+    bundle = make_bundle("kmeans", units, seed=2011)
+    app = bundle.app
+    points = bundle.block_fn(0, units, 0)
+    m2c = -2.0 * app.centroids
+    c_norm = np.einsum("ij,ij->i", app.centroids, app.centroids)
+    spent: dict[str, float] = {}
+
+    def timed(step, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        spent[step] += time.perf_counter() - start
+        return out
+
+    def bincounts(pts, assign):
+        for j in range(app.dims):
+            np.bincount(assign, weights=pts[:, j], minlength=app.k)
+        np.bincount(assign, minlength=app.k)
+
+    def whole_calls(pieces):
+        # As a slave runs them: one reduction object, groups back to back.
+        robj = app.create_reduction_object()
+        for pts in pieces:
+            app.local_reduction(robj, pts)
+
+    rows = []
+    with corebudget.slave_cores(SLAVES):
+        for group in GROUP_SIZES:
+            group = min(group, units)
+            if any(row["group"] == group for row in rows):
+                continue
+            pieces = [points[i:i + group] for i in range(0, units, group)]
+            best = dict.fromkeys(STEPS, float("inf"))
+            for _ in range(passes):
+                spent.update(dict.fromkeys(STEPS, 0.0))
+                for pts in pieces:
+                    # The kernel's branch for this group, as it picks it.
+                    if kmeans.use_running_minimum(len(pts), app.k):
+                        order, assignment = "F", kmeans.first_minimum
+                    else:
+                        order, assignment = "C", partial(np.argmin, axis=1)
+                    dist = np.empty((len(pts), app.k), np.float32, order=order)
+                    timed("gemm", np.matmul, pts, m2c.T, out=dist)
+                    timed("distances", np.add, dist, c_norm, out=dist)
+                    assign = timed("assignment", assignment, dist)
+                    row_major = np.ascontiguousarray(dist)
+                    oracle = timed("argmin", np.argmin, row_major, axis=1)
+                    assert np.array_equal(assign, oracle), group
+                    timed("bincount", bincounts, pts, assign)
+                timed("whole call", whole_calls, pieces)
+                # The same call with every group sent to argmin: the kernel
+                # before the running minimum, patched in from outside.
+                saved = kmeans.ARGMIN_ABOVE_K
+                kmeans.ARGMIN_ABOVE_K = 0
+                try:
+                    timed("argmin call", whole_calls, pieces)
+                finally:
+                    kmeans.ARGMIN_ABOVE_K = saved
+                best = {step: min(best[step], spent[step]) for step in STEPS}
+            scale = 1e3 * 4096 / units
+            rows.append({"group": group, **{s: best[s] * scale for s in STEPS}})
+    return rows
+
+
+def kernel_steps_isolated(*, units: int, passes: int) -> list[dict]:
+    out = subprocess.run(
+        [sys.executable, __file__, "--kernel", "--units", str(units),
+         "--passes", str(passes)],
+        check=True, stdout=subprocess.PIPE, text=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def render_kernel(rows: list[dict]) -> str:
+    head = f"{'units/group':>11}  " + " ".join(f"{s:>10}" for s in STEPS)
+    lines = [
+        "KMeansApp.local_reduction, ms per 4096 points (argmin: the step "
+        "the running minimum replaced; argmin call: the call with it)",
+        head, "-" * len(head),
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['group']:>11}  " + " ".join(f"{row[s]:>10.4f}" for s in STEPS)
+        )
+    return "\n".join(lines)
+
+
 def sweep(*, units: int, passes: int, smoke: bool) -> list[dict]:
     rows = []
     for group in GROUP_SIZES:
@@ -219,8 +323,12 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=9)
     parser.add_argument("--cell", nargs=3, metavar=("GROUP", "SUBSTRATE", "CAPPED"),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--kernel", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     units, passes = (UNITS // 4, 1) if args.smoke else (args.units, args.passes)
+    if args.kernel:
+        print(json.dumps(kernel_steps(units=args.units, passes=args.passes)))
+        return 0
     if args.cell:
         group, substrate, capped = args.cell
         print(json.dumps(run_cell(
@@ -232,6 +340,10 @@ def main(argv=None) -> int:
           f"{corebudget.available_cores()} cores, BLAS pool "
           f"{corebudget.blas_threads()}, median of {passes} passes")
     print(render(sweep(units=units, passes=passes, smoke=args.smoke)))
+    print()
+    print(render_kernel(kernel_steps_isolated(
+        units=min(units, KERNEL_UNITS), passes=passes
+    )))
     return 0
 
 

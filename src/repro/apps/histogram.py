@@ -54,7 +54,9 @@ class HistogramApp(GeneralizedReductionApp):
         vals = np.asarray(units, dtype=np.float64).ravel()
         scaled = (vals - self.lo) / (self.hi - self.lo) * self.bins
         idx = np.clip(scaled.astype(np.int64), 0, self.bins - 1)
-        np.add.at(robj.data, idx, 1)
+        # int64 counts: bincount's sum is exact, and far cheaper than a
+        # ``np.add.at`` scatter (tests/test_histogram_kernel.py).
+        robj.data += np.bincount(idx, minlength=self.bins)
 
     def finalize(self, robj: ReductionObject) -> np.ndarray:
         assert isinstance(robj, ArrayReduction)

@@ -6,7 +6,10 @@ was — a 2-D ``np.add.at`` scatter of float64 points — kept as the
 oracle: a cluster's points are added in index order in float64 either
 way, so one group reduced into a fresh object must come out *bit-equal*,
 and only regrouping (which reorders the additions) may move the last
-ulps.
+ulps. The reference also keeps the row-wise ``argmin`` the kernel's
+running minimum replaced at or below ``ARGMIN_ABOVE_K`` centroids and
+from ``ARGMIN_BELOW_ROWS`` points a group: ties, NaN and infinite
+coordinates must land where argmin puts them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.kmeans import KMeansApp
+from repro.apps import kmeans
+from repro.apps.kmeans import ARGMIN_ABOVE_K, ARGMIN_BELOW_ROWS, KMeansApp
 
 
 def scatter_reference(points: np.ndarray, centroids: np.ndarray):
@@ -80,6 +84,80 @@ def test_no_points_and_empty_clusters():
     robj = app.create_reduction_object()
     app.local_reduction(robj, points)
     np.testing.assert_array_equal(app.next_centroids(robj)[1:], centroids[1:])
+
+
+def assert_matches_the_scatter(points, centroids):
+    """One group against the reference: as the kernel picks its branch,
+    then forced to argmin and forced to the running minimum."""
+    want_sums, want_counts = scatter_reference(points, centroids)
+    for above_k, below_rows in (
+        (ARGMIN_ABOVE_K, ARGMIN_BELOW_ROWS), (0, 0), (len(centroids), 0)
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kmeans, "ARGMIN_ABOVE_K", above_k)
+            patch.setattr(kmeans, "ARGMIN_BELOW_ROWS", below_rows)
+            sums, counts = reduce_in_groups(
+                KMeansApp(centroids), points, max(1, len(points))
+            )
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(sums, want_sums)  # NaN where it is
+        assert counts.sum() == len(points)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        st.integers(1, 300),
+        st.integers(ARGMIN_BELOW_ROWS - 8, ARGMIN_BELOW_ROWS + 300),
+    ),
+    st.integers(1, 16),
+    st.integers(ARGMIN_ABOVE_K - 8, ARGMIN_ABOVE_K + 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_both_sides_of_the_crossover_match_the_scatter(n, d, k, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d)).astype(np.float32)
+    centroids = rng.normal(size=(k, d)).astype(np.float32)
+    assert_matches_the_scatter(points, centroids)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 200),
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_ties_go_to_the_first_centroid(n, d, k, copies, seed):
+    """Duplicate centroids and points on a 0.1 grid: distances tie exactly,
+    and argmin's first index must win every tie."""
+    rng = np.random.default_rng(seed)
+    points = np.round(rng.uniform(-1, 1, size=(n, d)), 1).astype(np.float32)
+    distinct = np.round(rng.uniform(-1, 1, size=(k, d)), 1).astype(np.float32)
+    centroids = np.repeat(distinct, copies, axis=0)
+    rng.shuffle(centroids)
+    assert_matches_the_scatter(points, centroids)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 120),
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_non_finite_rows_are_assigned_as_argmin_does(n, d, k, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d)).astype(np.float32)
+    rows = rng.random(n) < 0.3
+    cols = rng.integers(0, d, size=n)
+    specials = rng.choice(np.array([np.nan, np.inf, -np.inf], np.float32), size=n)
+    points[rows, cols[rows]] = specials[rows]
+    centroids = rng.normal(size=(k, d)).astype(np.float32)
+    centroids[rng.random(k) < 0.2, 0] = 0.0  # inf * 0 is a NaN distance
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_matches_the_scatter(points, centroids)
 
 
 @settings(deadline=None, max_examples=60)
