@@ -26,7 +26,10 @@ artifacts pin what the sync stack buys back:
   candidate its body bytes, the sampled estimate, the size and time of
   compressing it in full, and which one the encoder picked. The
   estimate must rank the candidates as full compression does, and one
-  encode must compress exactly one whole body.
+  encode must compress exactly one whole body. Beside the sparse body, a
+  reference row compresses the layout it replaced (absolute int64
+  indices, :func:`sparse_reference`): the gap-coded body must compress
+  to no more bytes than it (bytes only; the ms are printed, not gated).
 * **Warm channel** — the same objects over six passes through one
   channel, encoded with and without the channel's candidate memory: per
   upload the candidates built, the encode ms and the choice. Delta loses
@@ -35,20 +38,22 @@ artifacts pin what the sync stack buys back:
   upload must build no delta body.
 
 Run directly with ``--smoke`` for a quick CI-sized pass of the first two
-artifacts and quarter-size codec and warm-channel tables (same assertions); ``--out
-report.json`` writes the WAN-bytes accounting as a machine-readable
-artifact.
+artifacts, the e2e-size codec table and a quarter-size warm-channel table
+(same assertions); ``--out report.json`` writes the WAN-bytes accounting
+as a machine-readable artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import time
 import timeit
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 from conftest import print_block
 
 from repro.apps import make_bundle
@@ -63,6 +68,7 @@ from repro.config import (
     PlacementSpec,
 )
 from repro.core import wire
+from repro.core.reduction import ArrayReduction
 from repro.core.sync import SyncCodec, SyncSpec
 from repro.data.dataset import build_dataset
 from repro.network.topology import Link
@@ -368,6 +374,22 @@ def _ms(fn):
     return out, (time.perf_counter() - started) * 1e3
 
 
+def sparse_reference(robj: ArrayReduction) -> bytes:
+    """The sparse body the encoder built before gap coding, which wire
+    version 1 decoders still read: every non-identity lane as an absolute
+    int64 index, then the raw values."""
+    data = robj.data
+    lane = wire._lane_dtype(data.dtype)
+    identity = np.full((), ArrayReduction._IDENTITY[robj.op], dtype=data.dtype)
+    idx = np.flatnonzero(wire._bits(data, lane) != wire._bits(identity, lane)[0])
+    values = np.ascontiguousarray(data).reshape(-1)[idx]
+    return pickle.dumps(
+        ("arr", robj.op, data.dtype.str, data.shape,
+         idx.astype(np.int64).tobytes(), values.tobytes()),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
 def run_codec_table(units: int, n_pages: int, passes: int = 4):
     """One entry per encode on a ``delta+zlib`` channel, with one row per
     candidate body inside it."""
@@ -393,33 +415,48 @@ def run_codec_table(units: int, n_pages: int, passes: int = 4):
                     "actual_bytes": len(packed[0]), "compress_ms": compress_ms,
                 })
             body_sizes = {len(body) for body in bodies.values()}
+            reference = sparse_reference(robj)
+            packed, compress_ms = _ms(lambda: wire._compress(reference, "zlib"))
+            assert wire._sparse_restore(
+                pickle.loads(reference)
+            ).to_bytes() == encoded.dense
             encodes.append({
                 "pass": i, "object": label, "chosen": encoded.encoding,
                 "encode_ms": encode_ms, "wire_bytes": len(encoded.blob),
                 "whole_bodies_compressed": sum(n in body_sizes for n in fed),
                 "compressor_bytes": sum(fed),
                 "candidates": candidates,
+                "reference": {
+                    "candidate": "sparse, int64 idx",
+                    "body_bytes": len(reference),
+                    "actual_bytes": len(packed[0]),
+                    "compress_ms": compress_ms,
+                },
             })
             baselines[label] = encoded.dense
     return encodes
 
 
 def render_codec_table(encodes) -> str:
+    def row(e, c):
+        return (
+            e["pass"], e["object"], c["candidate"], f"{c['body_bytes']:,}",
+            f"{c['estimate_bytes']:,}" if "estimate_bytes" in c else "-",
+            f"{c['estimate_ms']:.1f}" if "estimate_ms" in c else "-",
+            f"{c['actual_bytes']:,}", f"{c['compress_ms']:.1f}",
+            f"<- {e['encode_ms']:.1f} ms" if c["candidate"] == e["chosen"]
+            else "(reference)" if c is e["reference"] else "",
+        )
+
     table = render_table(
         ("pass", "object", "candidate", "body B", "estimate B", "est ms",
          "actual B", "full ms", "chosen"),
-        [
-            (e["pass"], e["object"], c["candidate"], f"{c['body_bytes']:,}",
-             f"{c['estimate_bytes']:,}", f"{c['estimate_ms']:.1f}",
-             f"{c['actual_bytes']:,}", f"{c['compress_ms']:.1f}",
-             f"<- {e['encode_ms']:.1f} ms"
-             if c["candidate"] == e["chosen"] else "")
-            for e in encodes for c in e["candidates"]
-        ],
+        [row(e, c) for e in encodes for c in [*e["candidates"], e["reference"]]],
     )
     return table + (
         "\n(chosen: one wire.encode call with no channel memory, every "
-        "candidate built; the warm-channel table shows what a channel skips)"
+        "candidate built; the warm-channel table shows what a channel skips; "
+        "reference: the sparse layout before gap coding, never a candidate)"
     )
 
 
@@ -438,12 +475,24 @@ def check_codec_table(encodes) -> dict:
         assert e["compressor_bytes"] <= (
             smallest["body_bytes"] + len(e["candidates"]) * budget
         ), key
+        sparse = next(c for c in e["candidates"] if c["candidate"] == "sparse")
+        assert sparse["actual_bytes"] <= e["reference"]["actual_bytes"], (
+            f"gap-coded sparse body compresses larger than int64 indices "
+            f"on {key}"
+        )
     return {
         "encodes": len(encodes),
         "wire_bytes": sum(e["wire_bytes"] for e in encodes),
         "encode_ms": sum(e["encode_ms"] for e in encodes),
         "compress_all_ms": sum(
             c["compress_ms"] for e in encodes for c in e["candidates"]
+        ),
+        "sparse_bytes": sum(
+            c["actual_bytes"] for e in encodes for c in e["candidates"]
+            if c["candidate"] == "sparse"
+        ),
+        "sparse_reference_bytes": sum(
+            e["reference"]["actual_bytes"] for e in encodes
         ),
     }
 
@@ -562,16 +611,18 @@ def main(argv=None) -> int:
     print("ok: tree and a fanout-1 chain beat star on the shared head-ingress "
           "trunk")
 
-    scale = 4 if args.smoke else 1
-    encodes = run_codec_table(E2E_UNITS // scale, E2E_PAGES // scale)
+    encodes = run_codec_table(E2E_UNITS, E2E_PAGES)
     print(render_codec_table(encodes))
     codec = check_codec_table(encodes)
     print(
         f"ok: {codec['encodes']} encodes in {codec['encode_ms']:.0f} ms, one "
         f"whole body compressed each (compressing every candidate: "
-        f"{codec['compress_all_ms']:.0f} ms)"
+        f"{codec['compress_all_ms']:.0f} ms); gap-coded sparse bodies "
+        f"{codec['sparse_bytes']:,} B compressed against "
+        f"{codec['sparse_reference_bytes']:,} B with int64 indices"
     )
 
+    scale = 4 if args.smoke else 1
     uploads = run_warm_channel(E2E_UNITS // scale, E2E_PAGES // scale)
     print(render_warm_channel(uploads))
     warm = check_warm_channel(uploads)

@@ -9,9 +9,11 @@ format around :meth:`~repro.core.reduction.ReductionObject.to_bytes`:
 
 Encodings
   * **dense** — the object's own serialization, unchanged (the default);
-  * **sparse** — index+value pairs of the entries that differ from the
-    combiner's identity element (zeros for sum, ±inf for min/max); wins
-    when an array is mostly identity;
+  * **sparse** — the entries that differ from the combiner's identity
+    element (zeros for sum, ±inf for min/max): the gaps between their
+    lanes in the narrowest unsigned width that holds the largest gap,
+    byte-shuffled, then their raw values; wins when an array is mostly
+    identity;
   * **delta** — the difference against the *previous* object sent on the
     same channel (the PR-3 iterative path sends near-identical objects
     pass after pass). Array deltas are computed by wrapping integer
@@ -185,7 +187,7 @@ def _unshuffle(raw: bytes, itemsize: int) -> np.ndarray:
     if itemsize == 1:
         return flat
     if flat.size % itemsize:
-        raise ReductionError("delta payload length is not lane-aligned")
+        raise ReductionError("shuffled payload length is not lane-aligned")
     return np.ascontiguousarray(flat.reshape(itemsize, -1).T).reshape(-1)
 
 
@@ -202,6 +204,14 @@ def _xor(a: bytes, b: bytes) -> bytes:
 # -- sparse encoding ---------------------------------------------------------
 
 
+def _gap_dtype(largest: int) -> np.dtype:
+    """The narrowest little-endian unsigned lane that holds ``largest``."""
+    for width in (1, 2, 4):
+        if largest < 1 << (8 * width):
+            return np.dtype(f"<u{width}")
+    return np.dtype("<u8")
+
+
 def _sparse_tree(robj: ReductionObject):
     """Sparse representation, or :class:`_Unsupported` when it won't help."""
     if isinstance(robj, ArrayReduction):
@@ -213,17 +223,23 @@ def _sparse_tree(robj: ReductionObject):
         )
         bits = _bits(robj.data, lane)
         idx = np.flatnonzero(bits != _bits(identity, lane)[0])
-        # Entries are stored with 8-byte indices; bail out early when the
-        # array is too dense for index+value pairs to beat the raw dump.
-        if idx.size * (8 + robj.data.dtype.itemsize) >= robj.data.nbytes:
+        itemsize = robj.data.dtype.itemsize
+        # Bail out before building anything when even 1-byte gaps would
+        # not let gap+value pairs beat the raw dump.
+        if idx.size * (1 + itemsize) >= robj.data.nbytes:
+            raise _Unsupported
+        gaps = np.diff(idx, prepend=0)
+        width = _gap_dtype(int(gaps.max(initial=0)))
+        if idx.size * (width.itemsize + itemsize) >= robj.data.nbytes:
             raise _Unsupported
         values = np.ascontiguousarray(robj.data).reshape(-1)[idx]
         return (
-            "arr",
+            "gap",
             robj.op,
             robj.data.dtype.str,
             robj.data.shape,
-            idx.astype(np.int64).tobytes(),
+            width.itemsize,
+            _shuffle(gaps.astype(width), width.itemsize),
             values.tobytes(),
         )
     if isinstance(robj, StructReduction):
@@ -245,17 +261,45 @@ def _sparse_body(robj: ReductionObject) -> bytes:
     return pickle.dumps(_sparse_tree(robj), protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def _scatter(op, dtype_str, shape, idx: np.ndarray, val_raw) -> ArrayReduction:
+    """The array ``shape`` of identity with ``val_raw`` at lanes ``idx``,
+    which must be strictly increasing lanes of it, one per value."""
+    robj = ArrayReduction(shape, dtype=np.dtype(dtype_str), op=op)
+    flat = robj.data.reshape(-1)
+    values = np.frombuffer(val_raw, dtype=flat.dtype)
+    if idx.size != values.size:
+        raise ReductionError(
+            f"corrupt sparse payload: {idx.size} lanes for {values.size} values"
+        )
+    if idx.size and (
+        idx[0] < 0 or idx[-1] >= flat.size or (idx[1:] <= idx[:-1]).any()
+    ):
+        raise ReductionError(
+            "corrupt sparse payload: lanes are not strictly increasing "
+            f"in [0, {flat.size})"
+        )
+    flat[idx] = values
+    return robj
+
+
 def _sparse_restore(tree) -> ReductionObject:
     try:
         kind = tree[0]
+        if kind == "gap":
+            _, op, dtype_str, shape, width, gap_raw, val_raw = tree
+            if width not in (1, 2, 4, 8):
+                raise ReductionError(
+                    f"corrupt sparse payload: gap width {width!r}"
+                )
+            gaps = _unshuffle(gap_raw, width).view(f"<u{width}")
+            # Unsigned sums: an oversized gap wraps to a smaller lane,
+            # which the strictly-increasing check rejects.
+            idx = np.cumsum(gaps, dtype=np.uint64)
+            return _scatter(op, dtype_str, shape, idx, val_raw)
         if kind == "arr":
             _, op, dtype_str, shape, idx_raw, val_raw = tree
-            dtype = np.dtype(dtype_str)
-            data = np.full(shape, ArrayReduction._IDENTITY[op], dtype=dtype)
             idx = np.frombuffer(idx_raw, dtype=np.int64)
-            flat = data.reshape(-1)
-            flat[idx] = np.frombuffer(val_raw, dtype=dtype)
-            return ArrayReduction(shape, dtype=dtype, op=op, data=data)
+            return _scatter(op, dtype_str, shape, idx, val_raw)
         if kind == "struct":
             _, fields = tree
             return StructReduction(

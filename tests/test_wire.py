@@ -16,6 +16,7 @@ bytes reach the compressor.
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -313,6 +314,187 @@ def test_unsupported_wire_version_is_rejected():
     blob[2] = 99  # version byte
     with pytest.raises(ReductionError, match="version"):
         wire.decode(bytes(blob))
+
+
+# -- sparse layout: gap-coded lanes -----------------------------------------
+
+#: Bit patterns a float lane may carry that compare unlike their value:
+#: -0.0, quiet, signalling, negative and payload-carrying NaNs.
+_SPECIAL_BITS = {
+    "<f8": [
+        1 << 63, 0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0001,
+        0xFFF8_0000_0000_0000, 0x7FF8_DEAD_BEEF_0001,
+    ],
+    "<f4": [1 << 31, 0x7FC0_0000, 0x7F80_0001, 0xFFC0_0ABC],
+}
+
+
+@st.composite
+def gapped_arrays(draw, largest_gaps=(255, 256, 65535, 65536)):
+    """A mostly-identity array whose largest gap between consecutive
+    non-identity lanes (the first lane counting as a gap from 0) is one
+    of ``largest_gaps``, in 1-D or 2-D, with raw payload bits."""
+    largest = draw(st.sampled_from(largest_gaps))
+    dtype = np.dtype(draw(st.sampled_from(["<f8", "<f4", "<i4", "<u2"])))
+    op = draw(st.sampled_from(["sum", "min", "max"])) if dtype.kind == "f" else "sum"
+    gaps = draw(st.lists(st.integers(1, largest), min_size=1, max_size=12))
+    gaps[0] = draw(st.sampled_from([0, 1, largest]))
+    gaps[draw(st.integers(0, len(gaps) - 1))] = largest
+    lanes = np.cumsum(gaps)
+    cols = draw(st.integers(1, 3))
+    rows = -(-(int(lanes[-1]) + 1 + draw(st.integers(0, 40))) // cols)
+    shape = (rows, cols) if cols > 1 else (rows,)
+    data = np.full(shape, ArrayReduction._IDENTITY[op], dtype=dtype)
+    lane = wire._lane_dtype(dtype)
+    bits = data.reshape(-1).view(lane)
+    identity = int(bits[0])
+    top = (1 << (8 * dtype.itemsize)) - 1
+    payload = st.integers(0, top)
+    if dtype.kind == "f":
+        payload = st.one_of(
+            st.sampled_from(_SPECIAL_BITS[dtype.str]), payload
+        )
+    bits[lanes] = [
+        draw(payload.filter(lambda b: b != identity)) for _ in lanes
+    ]
+    return ArrayReduction(shape, dtype=dtype, op=op, data=data), largest
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=gapped_arrays(), compress=st.sampled_from(COMPRESSIONS))
+def test_gap_widths_round_trip_on_both_sides_of_each_boundary(case, compress):
+    robj, largest = case
+    tree = wire._sparse_tree(robj)
+    width = 1 if largest < 256 else 2 if largest < 65536 else 4
+    assert tree[0] == "gap" and tree[4] == width
+    encoded = wire.encode(robj, encoding="sparse", compress=compress)
+    assert encoded.encoding == "sparse"
+    decoded = wire.decode(encoded.blob)
+    assert decoded.robj.data.shape == robj.data.shape
+    assert decoded.dense == robj.to_bytes()
+
+
+@pytest.mark.parametrize("op", ["sum", "min", "max"])
+def test_an_all_identity_array_ships_zero_entries(op):
+    robj = ArrayReduction((64, 3), op=op)
+    tree = wire._sparse_tree(robj)
+    assert tree[0] == "gap" and tree[4] == 1 and tree[5] == tree[6] == b""
+    encoded = wire.encode(robj, encoding="sparse")
+    assert encoded.encoding == "sparse"
+    assert wire.decode(encoded.blob).dense == robj.to_bytes()
+
+
+def test_a_first_lane_at_index_zero_is_a_zero_first_gap():
+    data = np.zeros(300)
+    data[[0, 1, 299]] = [-0.0, 2.5, 7.0]
+    robj = ArrayReduction(300, data=data)
+    tree = wire._sparse_tree(robj)
+    assert (tree[4], tree[5]) == (2, bytes([0, 1, 42, 0, 0, 1]))
+    encoded = wire.encode(robj, encoding="sparse")
+    assert wire.decode(encoded.blob).dense == robj.to_bytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    case=gapped_arrays(largest_gaps=(255, 256)),
+    dense=st.lists(_FLOATS, min_size=4, max_size=64),
+    compress=st.sampled_from(COMPRESSIONS),
+)
+def test_a_struct_mixes_sparse_and_dense_fields(case, dense, compress):
+    robj = StructReduction({
+        "ranks": case[0],
+        "mass": ArrayReduction(len(dense), data=np.array(dense) + 1.0),
+        "count": ScalarReduction("sum", 3.0),
+    })
+    tree = wire._sparse_tree(robj)
+    kinds = {name: sub[0] for name, sub in tree[1].items()}
+    assert kinds == {"ranks": "gap", "mass": "dense", "count": "dense"}
+    encoded = wire.encode(robj, encoding="sparse", compress=compress)
+    assert wire.decode(encoded.blob).dense == robj.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "largest, width",
+    [(0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4),
+     (2**32 - 1, 4), (2**32, 8), (2**63 - 1, 8)],
+)
+def test_the_gap_width_is_the_narrowest_that_holds_the_largest_gap(
+    largest, width
+):
+    # A 2**32 gap needs a 32 GiB array, so the u4/u8 edge is pinned here.
+    assert wire._gap_dtype(largest) == np.dtype(f"<u{width}")
+
+
+def _sparse_blob(tree) -> bytes:
+    """An uncompressed sparse wire blob around a hand-built tree."""
+    return wire._HEADER.pack(
+        wire._MAGIC, wire._VERSION, wire._ENC_IDS["sparse"],
+        wire._COMP_IDS["none"],
+    ) + pickle.dumps(tree)
+
+
+def _arr_tree(idx, values):
+    return (
+        "arr", "sum", "<f8", (16,),
+        np.array(idx, dtype=np.int64).tobytes(),
+        np.array(values, dtype=np.float64).tobytes(),
+    )
+
+
+def _gap_tree(gaps, values, width=1):
+    gaps = np.array(gaps, dtype=f"<u{width}")
+    return (
+        "gap", "sum", "<f8", (16,), width,
+        wire._shuffle(gaps, width),
+        np.array(values, dtype=np.float64).tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "tree, lanes",
+    [
+        (_arr_tree([0, 15], [1.0, 2.0]), [0, 15]),
+        (_arr_tree([], []), []),
+        (_gap_tree([0, 15], [1.0, 2.0]), [0, 15]),
+        (_gap_tree([3, 1, 4], [1.0, 2.0, 3.0], width=8), [3, 4, 8]),
+    ],
+    ids=["arr", "arr-empty", "gap", "gap-u8"],
+)
+def test_hand_built_sparse_trees_decode(tree, lanes):
+    data = wire.decode(_sparse_blob(tree)).robj.data
+    assert np.flatnonzero(data).tolist() == lanes
+    assert data[lanes].tobytes() == tree[-1]
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        _arr_tree([-2], [1.0]),
+        _arr_tree([16], [1.0]),
+        _arr_tree([3, 3], [1.0, 2.0]),
+        _arr_tree([5, 3], [1.0, 2.0]),
+        _arr_tree([1, 3, 5], [7.0]),
+        _arr_tree([1], [1.0, 2.0]),
+        _gap_tree([16], [1.0]),
+        _gap_tree([9, 7], [1.0, 2.0]),
+        _gap_tree([3, 0], [1.0, 2.0]),
+        _gap_tree([0, 0], [1.0, 2.0]),
+        _gap_tree([4, 2**64 - 1], [1.0, 2.0], width=8),
+        _gap_tree([1, 2, 2], [7.0]),
+        _gap_tree([1], [1.0, 2.0]),
+        ("gap", "sum", "<f8", (16,), 3, b"\x01\x00\x00", b"\x00" * 8),
+    ],
+    ids=[
+        "arr-negative", "arr-past-the-end", "arr-duplicate", "arr-decreasing",
+        "arr-one-value-for-three", "arr-two-values-for-one",
+        "gap-past-the-end", "gap-sum-past-the-end", "gap-zero-after-first",
+        "gap-zeros", "gap-wraps-backwards", "gap-one-value-for-three",
+        "gap-two-values-for-one", "gap-width-3",
+    ],
+)
+def test_sparse_decode_rejects_lanes_the_encoder_cannot_write(tree):
+    with pytest.raises(ReductionError, match="corrupt sparse payload"):
+        wire.decode(_sparse_blob(tree))
 
 
 # -- estimate, then compress one ---------------------------------------------
