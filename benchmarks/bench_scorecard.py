@@ -34,7 +34,7 @@ import pytest
 
 from repro.bench.configs import env_config
 from repro.bench.experiments import run_figure3
-from repro.bench.validate import evaluate_claims, render_scorecard
+from repro.bench.artifacts import evaluate_claims, render_scorecard
 from repro.cache import ChunkCache
 from repro.config import (
     CLOUD_SITE,

@@ -1,16 +1,12 @@
-"""Shared benchmark fixtures.
+"""Shared benchmark helpers.
 
-Benchmarks run the simulator at the paper's full scale (120 GB / 960 jobs
-— simulated, so each configuration takes well under a second of wall
-time). Each bench regenerates one paper artifact and prints it in the
-paper's layout with paper-vs-measured columns.
+The simulator benches run at the paper's full scale (120 GB / 960 jobs —
+simulated, so each configuration takes well under a second of wall time)
+and print their tables in the paper's layout with paper-vs-measured
+columns.
 """
 
 from __future__ import annotations
-
-import pytest
-
-PAPER_APPS = ("knn", "kmeans", "pagerank")
 
 
 def print_block(text: str) -> None:
@@ -19,8 +15,3 @@ def print_block(text: str) -> None:
     print()
     print(text)
     print()
-
-
-@pytest.fixture(scope="session")
-def paper_apps():
-    return PAPER_APPS

@@ -7,21 +7,25 @@ How much does it cost to split the data and the compute with AWS, at
 various data skews?
 
 Prints text "stacked bars" (P = processing, R = retrieval, S = sync) like
-the paper's figure, plus the Table-II-style overhead summary.
+the paper's figure, the figure's table and graded claims (what
+`repro paper figure3 --app knn` prints), plus the Table-II-style overhead
+summary.
 
 Run:  python examples/cloud_bursting_knn.py
 """
 
 from __future__ import annotations
 
+from repro.bench.artifacts import ARTIFACTS, render_scorecard
 from repro.bench.configs import ENV_NAMES
-from repro.bench.experiments import run_figure3
-from repro.bench.reporting import render_bar, render_figure3
+from repro.bench.reporting import render_bar
 
 
 def main() -> None:
     print("Simulating the five environments of Figure 3(a) (knn, 120 GB)...")
-    run = run_figure3("knn")
+    figure3 = ARTIFACTS["figure3"]
+    results = figure3.results(("knn",))
+    run = results["knn"]
 
     print()
     print("Stacked bars per cluster (P=processing, R=retrieval, S=sync):")
@@ -42,7 +46,9 @@ def main() -> None:
                 )
             )
     print()
-    print(render_figure3(run))
+    print(figure3.render(results))
+    print()
+    print(render_scorecard(figure3.grade(results), title="figure3"))
 
     print()
     baseline = run.baseline.makespan

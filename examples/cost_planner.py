@@ -13,8 +13,6 @@ Run:  python examples/cost_planner.py
 
 from __future__ import annotations
 
-from repro.bench.configs import ENV_NAMES, figure3_configs
-from repro.bench.cost import price_run
 from repro.bench.experiments import run_figure3
 
 APP = "pagerank"
@@ -36,18 +34,15 @@ def main() -> None:
           f"more queues ~{QUEUE_WAIT_S:.0f}s behind other users)")
     print()
     run = run_figure3(APP)
-    configs = figure3_configs(APP)
 
     options = []
-    for env in ENV_NAMES:
-        report = run.reports[env]
-        cost = price_run(configs[env], report)
+    for env, cost in run.bills().items():
         wait = (
             QUEUE_WAIT_S
-            if configs[env].compute.local_cores > DEDICATED_LOCAL_CORES
+            if run.configs[env].compute.local_cores > DEDICATED_LOCAL_CORES
             else 0.0
         )
-        options.append((env, report.makespan + wait, cost))
+        options.append((env, run.reports[env].makespan + wait, cost))
 
     print(f"{'env':>10s} {'completion':>10s} {'cloud bill':>10s} {'total':>8s}")
     for env, completion, cost in options:

@@ -13,10 +13,8 @@ Run:  python examples/pagerank_feasibility.py
 
 from __future__ import annotations
 
-from repro.bench.configs import env_config
 from repro.bench.experiments import run_figure3, run_robj_ablation
-from repro.sim.simulation import simulate
-from repro.units import MB, fmt_seconds
+from repro.units import fmt_seconds
 
 
 def main() -> None:
@@ -32,7 +30,7 @@ def main() -> None:
     print()
 
     print("Sweeping the reduction-object size (env-50/50, pagerank profile):")
-    sweep = run_robj_ablation("pagerank", "env-50/50",
+    sweep = run_robj_ablation("pagerank",
                               robj_mb=(1, 10, 30, 100, 300, 600, 1000, 2000))
     print(f"  {'robj':>8s}  {'global red.':>12s}  {'makespan':>9s}  {'vs local':>9s}")
     baseline = base.makespan

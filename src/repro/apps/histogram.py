@@ -1,9 +1,8 @@
 """Fixed-range histogram — an extra example application.
 
 Demonstrates the dense-array reduction object at a size between knn's tiny
-top-k and pagerank's ~300 MB accumulator; used by the reduction-object-size
-ablation (`bench_ablation_robj`) to sweep robj size without changing the
-compute profile.
+top-k and pagerank's ~300 MB accumulator; the intra-node reduction-strategy
+ablation (`bench_ablation_shmem.py`) runs it.
 """
 
 from __future__ import annotations

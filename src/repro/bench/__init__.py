@@ -1,2 +1,3 @@
-"""Benchmark harness: the paper's configurations, experiment runners, and
-paper-vs-measured reporting."""
+"""Benchmark harness: the paper's configurations, experiment runners,
+paper-vs-measured reporting, and the registry of the paper's artifacts
+(``repro.bench.artifacts``) that `repro paper` and the scorecard read."""

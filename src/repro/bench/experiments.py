@@ -1,10 +1,10 @@
-"""Experiment runners: one entry point per paper artifact.
+"""Experiment runners: one per paper artifact, each for one application.
 
 Each runner executes the discrete-event simulator over the relevant
-configurations and returns a structured result object that the reporting
-module renders as the paper's rows/series. ``scale`` < 1 shrinks chunk
-sizes (same 960-job structure) for smoke tests; the benches run at full
-scale, which still simulates in about a second per configuration.
+configurations and returns a structured result that
+:mod:`repro.bench.artifacts` renders and grades. ``scale`` < 1 shrinks
+chunk sizes (same 960-job structure) for smoke tests; a simulated
+configuration takes about half a second at any scale.
 """
 
 from __future__ import annotations
@@ -12,17 +12,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..apps.base import AppProfile, get_profile
-from ..config import CLOUD_SITE, LOCAL_SITE, ExperimentConfig, MiddlewareTuning
+from ..cluster.variability import VariabilityModel
+from ..config import (
+    CLOUD_SITE,
+    LOCAL_SITE,
+    ComputeSpec,
+    ExperimentConfig,
+    MiddlewareTuning,
+    PlacementSpec,
+)
 from ..errors import ConfigurationError
-from ..sim.calibration import PAPER_CALIBRATION, SimCalibration
+from ..sim.calibration import PAPER_CALIBRATION
 from ..sim.metrics import SimReport
-from ..sim.simulation import simulate
+from ..sim.simulation import CloudBurstSimulation, simulate
+from .cost import CostBreakdown, price_run
 from .configs import (
     HYBRID_ENVS,
-    SCALABILITY_LADDER,
     env_config,
     figure3_configs,
     figure4_configs,
+    paper_dataset,
 )
 
 __all__ = [
@@ -39,6 +48,7 @@ __all__ = [
     "run_scheduling_ablation",
     "run_retrieval_ablation",
     "run_robj_ablation",
+    "run_loadbalance_ablation",
 ]
 
 PAPER_APPS = ("knn", "kmeans", "pagerank")
@@ -57,6 +67,7 @@ class Figure3Run:
 
     app: str
     reports: dict[str, SimReport] = field(default_factory=dict)
+    configs: dict[str, ExperimentConfig] = field(default_factory=dict)
 
     @property
     def baseline(self) -> SimReport:
@@ -68,54 +79,41 @@ class Figure3Run:
     def slowdown_ratio(self, env: str) -> float:
         return self.reports[env].slowdown_ratio_vs(self.baseline)
 
+    def bills(self) -> dict[str, CostBreakdown]:
+        """Each environment's run priced under the 2011 AWS tariff."""
+        return {env: price_run(self.configs[env], report)
+                for env, report in self.reports.items()}
+
 
 @dataclass
 class Figure4Run:
     """The scalability ladder of Figure 4 for one application."""
 
     app: str
-    reports: dict[str, SimReport] = field(default_factory=dict)
-    ladder: tuple[int, ...] = SCALABILITY_LADDER
+    reports: dict[str, SimReport] = field(default_factory=dict)  # ladder order
+
+    def makespans(self) -> list[float]:
+        return [report.makespan for report in self.reports.values()]
 
     def speedups(self) -> list[float]:
         """Percent speedup at each doubling, in ladder order."""
-        out: list[float] = []
-        names = [f"({m},{m})" for m in self.ladder]
-        for prev, cur in zip(names, names[1:]):
-            t_prev = self.reports[prev].makespan
-            t_cur = self.reports[cur].makespan
-            out.append((t_prev / t_cur - 1.0) * 100.0)
-        return out
+        m = self.makespans()
+        return [(prev / cur - 1.0) * 100.0 for prev, cur in zip(m, m[1:])]
 
 
-def run_figure3(
-    app: str,
-    *,
-    scale: float = 1.0,
-    calibration: SimCalibration = PAPER_CALIBRATION,
-    seed: int = 2011,
-) -> Figure3Run:
+def run_figure3(app: str, *, scale: float = 1.0, seed: int = 2011) -> Figure3Run:
     """Simulate the five env-* configurations for one application."""
-    run = Figure3Run(app=app)
-    for env, config in figure3_configs(app, scale=scale, seed=seed).items():
-        run.reports[env] = simulate(config, calibration)
-    return run
+    configs = figure3_configs(app, scale=scale, seed=seed)
+    return Figure3Run(
+        app, {env: simulate(config) for env, config in configs.items()}, configs
+    )
 
 
-def run_figure4(
-    app: str,
-    *,
-    ladder: tuple[int, ...] = SCALABILITY_LADDER,
-    scale: float = 1.0,
-    calibration: SimCalibration = PAPER_CALIBRATION,
-    seed: int = 2011,
-) -> Figure4Run:
+def run_figure4(app: str, *, scale: float = 1.0, seed: int = 2011) -> Figure4Run:
     """Simulate the scalability ladder (all data in S3) for one app."""
-    run = Figure4Run(app=app, ladder=ladder)
-    for name, config in figure4_configs(
-        app, ladder=ladder, scale=scale, seed=seed
-    ).items():
-        run.reports[name] = simulate(config, calibration)
+    run = Figure4Run(app=app)
+    for name, config in figure4_configs(app, scale=scale, seed=seed).items():
+        run.reports[name] = simulate(config)
     return run
 
 
@@ -173,14 +171,17 @@ def mean_hybrid_slowdown(runs: dict[str, Figure3Run]) -> float:
 
 # -- ablations -----------------------------------------------------------------
 
+#: Local data fractions of the skew continuum, from all-local to all-cloud.
+SKEW_FRACTIONS = (1.0, 0.75, 0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0, 0.0)
+#: Passes of the iterative projection, and the hybrid env it projects.
+ITERATIONS, ITERATIVE_ENV = 10, "env-50/50"
+RETRIEVAL_THREADS = (1, 2, 4, 8, 16)
+#: EC2 jitter sigmas of the load-balancing sweep.
+JITTER_SIGMAS = (0.0, 0.12, 0.3, 0.5)
+
 
 def run_skew_sweep(
-    app: str,
-    fractions: tuple[float, ...] = (1.0, 0.75, 0.5, 1.0 / 3.0, 0.25, 1.0 / 6.0, 0.0),
-    *,
-    scale: float = 1.0,
-    calibration: SimCalibration = PAPER_CALIBRATION,
-    seed: int = 2011,
+    app: str, *, scale: float = 1.0, seed: int = 2011
 ) -> dict[float, SimReport]:
     """A continuum version of Figure 3: sweep the local data fraction.
 
@@ -189,12 +190,9 @@ def run_skew_sweep(
     halved (16, 16) / (16, 22) compute split, exposing where the bursting
     penalty ramps.
     """
-    from ..config import ComputeSpec, ExperimentConfig, PlacementSpec
-    from .configs import paper_dataset
-
     cloud_half = 22 if app == "kmeans" else 16
     out: dict[float, SimReport] = {}
-    for fraction in fractions:
+    for fraction in SKEW_FRACTIONS:
         config = ExperimentConfig(
             name=f"skew-{fraction:.2f}",
             app=app,
@@ -203,51 +201,41 @@ def run_skew_sweep(
             compute=ComputeSpec(local_cores=16, cloud_cores=cloud_half),
             seed=seed,
         )
-        out[fraction] = simulate(config, calibration)
+        out[fraction] = simulate(config)
     return out
 
 
 def run_iterative_projection(
-    app: str = "pagerank",
-    env: str = "env-50/50",
-    iterations: int = 10,
-    *,
-    scale: float = 1.0,
-    calibration: SimCalibration = PAPER_CALIBRATION,
-    seed: int = 2011,
+    app: str, *, scale: float = 1.0, seed: int = 2011
 ) -> dict[str, object]:
     """Project an iterative workload's cost from per-pass simulations.
 
     The paper evaluates one pass per application, but kmeans and pagerank
     are iterative in practice: every pass re-reads the dataset and
-    re-exchanges the reduction object. This runner simulates ``iterations``
-    passes (reseeded per pass, so jitter varies) for both the hybrid
-    environment and the centralized baseline, and reports how the
-    *cumulative* bursting overhead decomposes — in particular how much of
-    it is the per-pass reduction-object exchange, a cost the single-pass
-    evaluation understates for iterative workloads.
+    re-exchanges the reduction object. This runner simulates
+    :data:`ITERATIONS` passes (reseeded per pass, so jitter varies) for
+    both the hybrid :data:`ITERATIVE_ENV` and the centralized baseline, and
+    reports how the *cumulative* bursting overhead decomposes — in
+    particular how much of it is the per-pass reduction-object exchange, a
+    cost the single-pass evaluation understates for iterative workloads.
     """
-    if iterations <= 0:
-        raise ConfigurationError("iterations must be positive")
     hybrid_passes: list[SimReport] = []
     base_passes: list[SimReport] = []
-    for i in range(iterations):
+    for i in range(ITERATIONS):
         pass_seed = seed + 7919 * i
         hybrid_passes.append(
-            simulate(env_config(app, env, scale=scale, seed=pass_seed),
-                     calibration)
+            simulate(env_config(app, ITERATIVE_ENV, scale=scale, seed=pass_seed))
         )
         base_passes.append(
-            simulate(env_config(app, "env-local", scale=scale, seed=pass_seed),
-                     calibration)
+            simulate(env_config(app, "env-local", scale=scale, seed=pass_seed))
         )
     hybrid_total = sum(r.makespan for r in hybrid_passes)
     base_total = sum(r.makespan for r in base_passes)
     robj_total = sum(r.global_reduction for r in hybrid_passes)
     return {
         "app": app,
-        "env": env,
-        "iterations": iterations,
+        "env": ITERATIVE_ENV,
+        "iterations": ITERATIONS,
         "hybrid_passes": hybrid_passes,
         "base_passes": base_passes,
         "hybrid_total": hybrid_total,
@@ -258,47 +246,34 @@ def run_iterative_projection(
 
 
 def run_stealing_ablation(
-    app: str = "knn",
-    envs: tuple[str, ...] = HYBRID_ENVS,
-    *,
-    scale: float = 1.0,
-    calibration: SimCalibration = PAPER_CALIBRATION,
-    seed: int = 2011,
+    app: str, *, scale: float = 1.0, seed: int = 2011
 ) -> dict[str, tuple[SimReport, SimReport]]:
     """Work stealing on vs off — the middleware's defining feature.
 
     With ``allow_stealing=False`` each cluster only processes the data
     stored at its own site (classic Map-Reduce co-location); under skew
     the data-poor cluster idles while the data-rich one grinds. Returns
-    ``{env: (with_stealing, without_stealing)}``.
+    ``{env: (with_stealing, without_stealing)}`` over the hybrid envs.
     """
     out: dict[str, tuple[SimReport, SimReport]] = {}
-    for env in envs:
+    for env in HYBRID_ENVS:
         with_cfg = env_config(app, env, scale=scale, seed=seed)
         without_cfg = env_config(
             app, env, scale=scale, seed=seed,
             tuning=MiddlewareTuning(allow_stealing=False),
         )
-        out[env] = (
-            simulate(with_cfg, calibration),
-            simulate(without_cfg, calibration),
-        )
+        out[env] = (simulate(with_cfg), simulate(without_cfg))
     return out
 
 
 def run_scheduling_ablation(
-    app: str = "knn",
-    env: str = "env-17/83",
-    *,
-    scale: float = 1.0,
-    calibration: SimCalibration = PAPER_CALIBRATION,
-    seed: int = 2011,
+    app: str, *, scale: float = 1.0, seed: int = 2011
 ) -> dict[str, SimReport]:
     """Both head-scheduler heuristics on/off (Section III-B's design calls).
 
     Returns reports keyed ``baseline`` / ``no-consecutive`` / ``no-min-
-    contention`` / ``neither``. The chosen environment maximizes stealing,
-    where both heuristics matter.
+    contention`` / ``neither``, at env-17/83: it maximizes stealing, where
+    both heuristics matter.
     """
     variants = {
         "baseline": MiddlewareTuning(),
@@ -310,48 +285,40 @@ def run_scheduling_ablation(
     }
     out: dict[str, SimReport] = {}
     for label, tuning in variants.items():
-        config = env_config(app, env, scale=scale, tuning=tuning, seed=seed)
-        out[label] = simulate(config, calibration)
+        config = env_config(app, "env-17/83", scale=scale, tuning=tuning, seed=seed)
+        out[label] = simulate(config)
     return out
 
 
 def run_retrieval_ablation(
-    app: str = "knn",
-    env: str = "env-cloud",
-    threads: tuple[int, ...] = (1, 2, 4, 8, 16),
-    *,
-    scale: float = 1.0,
-    calibration: SimCalibration = PAPER_CALIBRATION,
-    seed: int = 2011,
+    app: str, *, scale: float = 1.0, seed: int = 2011
 ) -> dict[int, SimReport]:
-    """Sweep per-slave retrieval connections (Section III-B's multi-
-    threaded retrieval): per-connection caps make extra connections pay
-    until the site trunk saturates."""
+    """Sweep per-slave retrieval connections on env-cloud (Section III-B's
+    multi-threaded retrieval): per-connection caps make extra connections
+    pay until the site trunk saturates."""
     out: dict[int, SimReport] = {}
-    for n in threads:
+    for n in RETRIEVAL_THREADS:
         config = env_config(
             app,
-            env,
+            "env-cloud",
             scale=scale,
             tuning=MiddlewareTuning(retrieval_threads=n),
             seed=seed,
         )
-        out[n] = simulate(config, calibration)
+        out[n] = simulate(config)
     return out
 
 
 def run_robj_ablation(
-    app: str = "pagerank",
-    env: str = "env-50/50",
+    app: str,
     robj_mb: tuple[int, ...] = (1, 30, 100, 300, 1000),
     *,
     scale: float = 1.0,
-    calibration: SimCalibration = PAPER_CALIBRATION,
     seed: int = 2011,
 ) -> dict[int, SimReport]:
-    """Sweep reduction-object size (Section IV-B: "if the reduction object
-    size increases relative to input data size, it may not be feasible to
-    use cloud bursting")."""
+    """Sweep reduction-object size on env-50/50 (Section IV-B: "if the
+    reduction object size increases relative to input data size, it may
+    not be feasible to use cloud bursting")."""
     base = get_profile(app)
     out: dict[int, SimReport] = {}
     for mb in robj_mb:
@@ -363,6 +330,34 @@ def run_robj_ablation(
             record_bytes=base.record_bytes,
             description=base.description,
         )
-        config = env_config(app, env, scale=scale, seed=seed)
-        out[mb] = simulate(config, calibration, profile=profile)
+        config = env_config(app, "env-50/50", scale=scale, seed=seed)
+        out[mb] = simulate(config, profile=profile)
     return out
+
+
+def run_loadbalance_ablation(
+    app: str, *, scale: float = 1.0, seed: int = 2011
+) -> dict[str, object]:
+    """Pooling-based job distribution vs a static round-robin pre-partition
+    (no stealing, no rate-matching) — Section III-B's "fairness in load
+    balancing" and Section IV-B's "normalizing these unpredictable
+    performance changes" of virtualized EC2.
+
+    Returns ``{"jitter": {sigma: (pooled, static)}, "skew": (pooled,
+    static)}``: env-50/50 under each EC2 jitter sigma of
+    :data:`JITTER_SIGMAS`, and env-17/83 at the calibrated jitter.
+    """
+
+    def pair(env: str, calibration) -> tuple[SimReport, SimReport]:
+        config = env_config(app, env, scale=scale, seed=seed)
+        return (
+            CloudBurstSimulation(config, calibration).run(),
+            CloudBurstSimulation(config, calibration, static_assignment=True).run(),
+        )
+
+    jitter = {
+        sigma: pair("env-50/50", PAPER_CALIBRATION.with_changes(
+            cloud_variability=VariabilityModel(sigma=sigma)))
+        for sigma in JITTER_SIGMAS
+    }
+    return {"jitter": jitter, "skew": pair("env-17/83", PAPER_CALIBRATION)}

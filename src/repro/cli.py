@@ -7,15 +7,16 @@ writing any code:
 
     python -m repro apps                      # list applications
     python -m repro simulate knn env-33/67    # one configuration
-    python -m repro figure3 pagerank          # one sub-figure sweep
-    python -m repro figure4 kmeans
-    python -m repro table1                    # all apps
-    python -m repro table2
-    python -m repro cost knn                  # dollar costs per env
+    python -m repro paper figure3 --app pagerank   # one sub-figure sweep
+    python -m repro paper figure4 --app kmeans
+    python -m repro paper table1              # all apps
+    python -m repro paper table2
+    python -m repro paper cost --app knn      # dollar costs per env
+    python -m repro scorecard                 # grade the headline claims
 
-Every command prints the same report blocks the benches do. ``--scale``
-shrinks the dataset (same 960-job structure) for quick looks; ``--seed``
-reseeds the jitter models.
+`paper NAME` prints one artifact of ``repro.bench.artifacts.ARTIFACTS``
+and its graded claims. ``--scale`` shrinks the dataset (same 960-job
+structure) for quick looks; ``--seed`` reseeds the jitter models.
 """
 
 from __future__ import annotations
@@ -32,25 +33,9 @@ import numpy as np
 from . import facade, obs
 from .apps import available_apps, make_bundle
 from .apps.base import get_profile
-from .bench.configs import ENV_NAMES, env_config, figure3_configs
-from .bench.cost import price_run
-from .bench.experiments import (
-    PAPER_APPS,
-    mean_hybrid_slowdown,
-    run_figure3,
-    run_figure4,
-    run_iterative_projection,
-    run_skew_sweep,
-    run_stealing_ablation,
-)
-from .bench.reporting import (
-    render_figure3,
-    render_figure4,
-    render_table,
-    render_table1,
-    render_table2,
-)
-from .bench.validate import evaluate_claims, render_scorecard
+from .bench.artifacts import ARTIFACTS, evaluate_claims, render_scorecard
+from .bench.configs import ENV_NAMES, env_config
+from .bench.reporting import render_table
 from .config import CLOUD_SITE, LOCAL_SITE, ComputeSpec, DatasetSpec, PlacementSpec
 from .core.index import DataIndex
 from .core.sync import TOPOLOGIES, SyncSpec
@@ -93,15 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON (for scripting)")
 
-    for name in ("figure3", "figure4"):
-        p = sub.add_parser(name, help=f"regenerate {name} for one app")
-        p.add_argument("app")
-
-    sub.add_parser("table1", help="regenerate Table I (all apps)")
-    sub.add_parser("table2", help="regenerate Table II (all apps)")
-
-    p = sub.add_parser("cost", help="price each environment for one app")
-    p.add_argument("app")
+    p = sub.add_parser(
+        "paper", help="regenerate one paper artifact and grade its claims"
+    )
+    p.add_argument("name", choices=ARTIFACTS)
+    p.add_argument("--app", help="run this app only (default: the apps the "
+                   "artifact's bench runs)")
 
     sub.add_parser(
         "scorecard", help="run the full evaluation and grade every claim"
@@ -212,19 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="path to a multisite JSON document")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON")
-
-    p = sub.add_parser("sweep", help="data-skew continuum for one app")
-    p.add_argument("app")
-
-    p = sub.add_parser("stealing", help="work stealing on/off for one app")
-    p.add_argument("app")
-
-    p = sub.add_parser(
-        "iterative", help="project a multi-pass (iterative) workload"
-    )
-    p.add_argument("app")
-    p.add_argument("--env", default="env-50/50", choices=ENV_NAMES)
-    p.add_argument("--iterations", type=int, default=10)
     return parser
 
 
@@ -420,47 +389,14 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     print(_cluster_table(report, "cluster", idle=True))
 
 
-def _cmd_figure3(args: argparse.Namespace) -> None:
-    run = run_figure3(args.app, scale=args.scale, seed=args.seed)
-    print(render_figure3(run))
-
-
-def _cmd_figure4(args: argparse.Namespace) -> None:
-    run = run_figure4(args.app, scale=args.scale, seed=args.seed)
-    print(render_figure4(run))
-
-
-def _paper_runs(args: argparse.Namespace) -> dict:
-    """The Figure 3 sweep of every paper app, which both tables read."""
-    return {app: run_figure3(app, scale=args.scale, seed=args.seed)
-            for app in PAPER_APPS}
-
-
-def _cmd_table1(args: argparse.Namespace) -> None:
-    print(render_table1(_paper_runs(args)))
-
-
-def _cmd_table2(args: argparse.Namespace) -> None:
-    runs = _paper_runs(args)
-    print(render_table2(runs))
-    mean = mean_hybrid_slowdown(runs) * 100
-    print(f"\nAverage hybrid slowdown: {mean:.2f}% (paper: 15.55%)")
-
-
-def _cmd_cost(args: argparse.Namespace) -> None:
-    run = run_figure3(args.app, scale=args.scale, seed=args.seed)
-    configs = figure3_configs(args.app, scale=args.scale, seed=args.seed)
-    rows = []
-    for env in ENV_NAMES:
-        cost = price_run(configs[env], run.reports[env])
-        rows.append(
-            (env, f"{run.reports[env].makespan:.0f}s",
-             f"${cost.ec2_compute:.2f}", f"${cost.s3_egress:.2f}",
-             f"${cost.cloud_total:.2f}", f"${cost.total:.2f}")
-        )
-    print(render_table(
-        ("env", "makespan", "EC2", "S3 egress", "cloud bill", "total"), rows
-    ))
+def _cmd_paper(args: argparse.Namespace) -> None:
+    artifact = ARTIFACTS[args.name]
+    results = artifact.results(
+        (args.app,) if args.app else None, scale=args.scale, seed=args.seed
+    )
+    print(artifact.render(results))
+    print()
+    print(render_scorecard(artifact.grade(results), title=artifact.name))
 
 
 def _cmd_scorecard(args: argparse.Namespace) -> None:
@@ -798,51 +734,6 @@ def _cmd_multisite(args: argparse.Namespace) -> None:
     print(f"makespan {fmt_seconds(report.makespan)} s, "
           f"global reduction {fmt_seconds(report.global_reduction)} s")
     print(_cluster_table(report, "site"))
-
-
-def _cmd_sweep(args: argparse.Namespace) -> None:
-    sweep = run_skew_sweep(args.app, scale=args.scale, seed=args.seed)
-    rows = []
-    for fraction, report in sweep.items():
-        stolen = sum(c.jobs_stolen for c in report.clusters.values())
-        rows.append(
-            (f"{fraction * 100:.0f}% local", fmt_seconds(report.makespan),
-             stolen)
-        )
-    print(f"Data-skew continuum ({args.app}, halved hybrid compute)")
-    print(render_table(("placement", "makespan (s)", "stolen"), rows))
-    best = min(sweep, key=lambda f: sweep[f].makespan)
-    print(f"\nbest placement: {best * 100:.0f}% local "
-          f"({fmt_seconds(sweep[best].makespan)} s)")
-
-
-def _cmd_stealing(args: argparse.Namespace) -> None:
-    results = run_stealing_ablation(args.app, scale=args.scale, seed=args.seed)
-    rows = []
-    for env, (with_steal, without) in results.items():
-        gain = (without.makespan / with_steal.makespan - 1) * 100
-        rows.append(
-            (env, fmt_seconds(with_steal.makespan),
-             fmt_seconds(without.makespan), f"{gain:+.1f}%")
-        )
-    print(f"Work stealing on vs off ({args.app})")
-    print(render_table(
-        ("env", "stealing (s)", "no stealing (s)", "stealing gain"), rows
-    ))
-
-
-def _cmd_iterative(args: argparse.Namespace) -> None:
-    result = run_iterative_projection(
-        args.app, args.env, args.iterations, scale=args.scale, seed=args.seed
-    )
-    print(f"{args.app} x {args.iterations} iterations ({args.env} vs env-local)")
-    rows = [
-        ("hybrid total", f"{result['hybrid_total']:.0f} s"),
-        ("centralized total", f"{result['base_total']:.0f} s"),
-        ("cumulative overhead", f"{result['total_overhead']:.0f} s"),
-        ("of which robj exchange", f"{result['robj_overhead']:.0f} s"),
-    ]
-    print(render_table(("quantity", "value"), rows))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

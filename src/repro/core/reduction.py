@@ -296,24 +296,27 @@ class TopKReduction(ReductionObject):
         return [(float(s), int(i)) for s, i in zip(self.scores, self.ids)]
 
     def to_bytes(self) -> bytes:
-        # ``k``, then the scores and the ids as little-endian raw bytes: no
-        # pickled arrays, so a corrupt blob is a ReductionError, not a
-        # crash inside numpy's unpickler.
+        # ``k`` and the entry count ``n``, then the scores and the ids as
+        # little-endian raw bytes: no pickled arrays, so a corrupt blob is a
+        # ReductionError, not a crash inside numpy's unpickler, and a blob
+        # cut short never reads as a smaller set.
         return self._envelope(
-            struct.pack("<Q", self.k)
+            struct.pack("<QQ", self.k, len(self.scores))
             + self.scores.astype("<f8").tobytes()
             + self.ids.astype("<i8").tobytes()
         )
 
     @classmethod
     def _from_payload(cls, payload: bytes) -> "TopKReduction":
-        body = len(payload) - 8
-        if body < 0 or body % 16:
+        if len(payload) < 16:
             raise ReductionError(f"TopKReduction payload of {len(payload)} B")
-        (k,) = struct.unpack_from("<Q", payload, 0)
-        n = body // 16
-        scores = np.frombuffer(payload, dtype="<f8", count=n, offset=8)
-        ids = np.frombuffer(payload, dtype="<i8", count=n, offset=8 + 8 * n)
+        k, n = struct.unpack_from("<QQ", payload, 0)
+        if n > k or len(payload) != 16 + 16 * n:
+            raise ReductionError(
+                f"TopKReduction payload of {len(payload)} B for {n} of k={k} entries"
+            )
+        scores = np.frombuffer(payload, dtype="<f8", count=n, offset=16)
+        ids = np.frombuffer(payload, dtype="<i8", count=n, offset=16 + 8 * n)
         return cls(k, scores, ids)
 
 

@@ -6,7 +6,7 @@ range is split into ``threads`` sub-ranges fetched concurrently and
 reassembled in order. For a shaped object store whose per-connection
 bandwidth is the bottleneck, aggregate throughput scales with the number of
 connections until the site link saturates — the behaviour the paper
-exploits (and which `bench_ablation_retrieval` sweeps). The sub-range reads
+exploits (and which `repro paper retrieval` sweeps). The sub-range reads
 run on a standing pool (:func:`retrieval_pool`) that outlives the fetch:
 with several chunk fetches in flight per slave, starting and joining a
 thread per sub-range per chunk costs more than the reads it overlaps.

@@ -124,26 +124,26 @@ def test_mean_hybrid_slowdown(knn_run):
 
 
 def test_run_figure4_speedups():
-    run = run_figure4("kmeans", ladder=(4, 8, 16), scale=SCALE)
+    run = run_figure4("kmeans", scale=SCALE)
     speedups = run.speedups()
-    assert len(speedups) == 2
+    assert len(speedups) == 3
     assert all(s > 30.0 for s in speedups)  # compute-bound scales well
 
 
 def test_scheduling_ablation_variants():
-    out = run_scheduling_ablation("knn", "env-17/83", scale=SCALE)
+    out = run_scheduling_ablation("knn", scale=SCALE)
     assert set(out) == {"baseline", "no-consecutive", "no-min-contention", "neither"}
     for report in out.values():
         assert report.total_jobs == 960
 
 
 def test_retrieval_ablation_monotone_until_saturation():
-    out = run_retrieval_ablation("knn", "env-cloud", threads=(1, 4), scale=SCALE)
+    out = run_retrieval_ablation("knn", scale=SCALE)
     assert out[1].makespan > out[4].makespan  # more connections help
 
 
 def test_robj_ablation_grows_global_reduction():
-    out = run_robj_ablation("pagerank", "env-50/50", robj_mb=(1, 300), scale=SCALE)
+    out = run_robj_ablation("pagerank", robj_mb=(1, 300), scale=SCALE)
     assert out[300].global_reduction > out[1].global_reduction * 10
 
 
@@ -165,7 +165,7 @@ def test_render_figure3_contains_envs(knn_run):
 
 
 def test_render_figure4_contains_paper_column():
-    run = run_figure4("knn", ladder=(4, 8), scale=SCALE)
+    run = run_figure4("knn", scale=SCALE)
     text = render_figure4(run)
     assert "(4,4)" in text and "(8,8)" in text
     assert "paper speedup" in text

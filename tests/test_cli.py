@@ -42,31 +42,52 @@ def test_simulate_rejects_unknown_env():
         main(["simulate", "knn", "env-9/91"])
 
 
-def test_figure3_and_figure4(capsys):
-    code, out = run_cli(capsys, *SCALE, "figure3", "kmeans")
-    assert code == 0
-    assert "Figure 3 (kmeans)" in out
-    code, out = run_cli(capsys, *SCALE, "figure4", "knn")
-    assert code == 0
-    assert "Figure 4 (knn)" in out
-    assert "paper speedup" in out
+#: name -> (`paper` arguments after the name, text the output must hold)
+PAPER_OUTPUT = {
+    "figure3": (["--app", "kmeans"], ["Figure 3 (kmeans)"]),
+    "figure4": (["--app", "knn"], ["Figure 4 (knn)", "paper speedup"]),
+    "table1": ([], ["Table I"]),
+    "table2": ([], ["Table II", "Average hybrid slowdown"]),
+    "cost": (["--app", "knn"], ["cloud bill", "$0.00"]),  # $0.00: env-local
+    "sweep": (["--app", "knn"],
+              ["Data-skew continuum", "100% local", "0% local", "best placement"]),
+    "stealing": ([], ["Work stealing", "env-17/83", "stealing gain"]),
+    "iterative": ([], ["pagerank x 10 iterations", "robj exchange"]),
+    "retrieval": ([], ["Retrieval-connection sweep (knn, env-cloud)"]),
+    "robj": ([], ["Reduction-object size sweep (pagerank profile"]),
+    "scheduling": ([], ["Scheduling-heuristic ablation (knn, env-17/83)"]),
+    "loadbalance": (["--app", "knn"], ["Pooling vs static", "knn env-17/83"]),
+}
 
 
-def test_table_commands(capsys):
-    code, out = run_cli(capsys, *SCALE, "table1")
-    assert code == 0
-    assert "Table I" in out
-    code, out = run_cli(capsys, *SCALE, "table2")
-    assert code == 0
-    assert "Table II" in out
-    assert "Average hybrid slowdown" in out
+def test_paper_output_covers_every_artifact():
+    from repro.bench.artifacts import ARTIFACTS
+
+    assert sorted(PAPER_OUTPUT) == sorted(ARTIFACTS)
 
 
-def test_cost_command(capsys):
-    code, out = run_cli(capsys, *SCALE, "cost", "knn")
+@pytest.mark.parametrize("name", sorted(PAPER_OUTPUT))
+def test_paper(capsys, name):
+    """`paper NAME` prints the artifact's table, then a graded claim for
+    each claim whose apps all ran."""
+    from repro.bench.artifacts import ARTIFACTS
+
+    argv, expected = PAPER_OUTPUT[name]
+    code, out = run_cli(capsys, *SCALE, "paper", name, *argv)
     assert code == 0
-    assert "cloud bill" in out
-    assert "$0.00" in out  # env-local line
+    table, _, claims = out.partition(f"\n\n{name}: ")
+    for text in expected:
+        assert text in table
+    lines = claims.splitlines()
+    verdicts = [line.split()[:2] for line in lines
+                if line.startswith(("PASS", "FAIL"))]
+    passed = sum(verdict == "PASS" for verdict, _ in verdicts)
+    assert lines[0] == f"{passed}/{len(verdicts)} claims hold"
+    artifact = ARTIFACTS[name]
+    ran = set(argv[1:] or artifact.apps)
+    assert [claim for _, claim in verdicts] == [
+        c.claim_id for c in artifact.claims if set(c.apps) <= ran
+    ]
 
 
 def test_parser_requires_command():

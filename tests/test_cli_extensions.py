@@ -1,4 +1,5 @@
-"""Tests for the extension CLI commands (sweep / stealing / iterative)."""
+"""Edge paths of `repro paper`: unknown names and apps, and apps the
+paper did not run."""
 
 from __future__ import annotations
 
@@ -9,41 +10,21 @@ from repro.cli import main
 SCALE = ["--scale", "0.02"]
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    return code, capsys.readouterr().out
-
-
-def test_sweep_command(capsys):
-    code, out = run_cli(capsys, *SCALE, "sweep", "knn")
-    assert code == 0
-    assert "Data-skew continuum" in out
-    assert "100% local" in out and "0% local" in out
-    assert "best placement" in out
-
-
-def test_stealing_command(capsys):
-    code, out = run_cli(capsys, *SCALE, "stealing", "knn")
-    assert code == 0
-    assert "Work stealing" in out
-    assert "env-17/83" in out
-    assert "stealing gain" in out
-
-
-def test_iterative_command(capsys):
-    code, out = run_cli(capsys, *SCALE, "iterative", "pagerank",
-                        "--iterations", "2")
-    assert code == 0
-    assert "x 2 iterations" in out
-    assert "robj exchange" in out
-
-
-def test_iterative_rejects_bad_env():
+def test_paper_rejects_unknown_name():
     with pytest.raises(SystemExit):
-        main(["iterative", "pagerank", "--env", "env-weird"])
+        main(["paper", "figure9"])
 
 
 def test_unknown_app_propagates_as_error(capsys):
-    code = main([*SCALE, "sweep", "not-an-app"])
+    code = main([*SCALE, "paper", "sweep", "--app", "not-an-app"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_paper_tables_leave_the_paper_columns_blank_for_other_apps(capsys):
+    code = main([*SCALE, "paper", "table1", "--app", "wordcount"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [line.split() for line in out.splitlines() if line.startswith("wordcount")]
+    assert len(rows) == 3 and all(row[3::2] == ["-"] * 3 for row in rows)
+    assert "table1: 0/0 claims hold" in out

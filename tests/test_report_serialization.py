@@ -7,13 +7,14 @@ import json
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.configs import env_config
 from repro.bench.experiments import (
     run_iterative_projection,
     run_stealing_ablation,
 )
 from repro.cli import main
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.metrics import SimReport
 from repro.sim.simulation import simulate
 
@@ -64,15 +65,16 @@ def test_cli_json_flag(capsys):
 
 
 def test_stealing_runner_structure():
-    out = run_stealing_ablation("knn", ("env-17/83",), scale=SCALE)
+    out = run_stealing_ablation("knn", scale=SCALE)
     with_steal, without = out["env-17/83"]
     assert with_steal.total_stolen > 0
     assert without.total_stolen == 0
     assert without.makespan > with_steal.makespan
 
 
-def test_iterative_projection_structure():
-    result = run_iterative_projection("pagerank", "env-50/50", 3, scale=SCALE)
+def test_iterative_projection_structure(monkeypatch):
+    monkeypatch.setattr(experiments, "ITERATIONS", 3)
+    result = run_iterative_projection("pagerank", scale=SCALE)
     assert len(result["hybrid_passes"]) == 3
     assert result["hybrid_total"] == pytest.approx(
         sum(r.makespan for r in result["hybrid_passes"])
@@ -81,5 +83,3 @@ def test_iterative_projection_structure():
     # Passes are reseeded: they differ.
     makespans = [r.makespan for r in result["hybrid_passes"]]
     assert len(set(makespans)) == 3
-    with pytest.raises(ConfigurationError):
-        run_iterative_projection("pagerank", iterations=0, scale=SCALE)

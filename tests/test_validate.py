@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.validate import Claim, evaluate_claims, render_scorecard
+from repro.bench.artifacts import Claim, evaluate_claims, render_scorecard
 
 SCALE = 0.03
 

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import wire
@@ -218,6 +218,12 @@ def test_delta_without_baseline_is_rejected():
     encoding=st.sampled_from(["dense", "sparse"]),
     compress=st.sampled_from(COMPRESSIONS),
     cut=st.integers(0, 200),
+)
+# A TopK blob cut by a multiple of 16 bytes once decoded as a smaller set,
+# with ids read from inside the scores.
+@example(
+    robj=TopKReduction(4, np.array([-1.25, 0.5, 1.0, 2.0]), np.arange(4)),
+    encoding="dense", compress="none", cut=46,
 )
 def test_truncated_blobs_raise_reduction_error(robj, encoding, compress, cut):
     blob = wire.encode(robj, encoding=encoding, compress=compress).blob
