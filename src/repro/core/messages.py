@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .job import Job, JobGroup
+from .reduction import ReductionObject
 
 __all__ = [
     "JobRequest",
@@ -63,16 +64,19 @@ class GroupComplete:
 
 @dataclass(frozen=True)
 class ReductionUpload:
-    """A master ships its cluster's combined reduction object, encoded by
-    the run's :class:`~repro.core.sync.SyncCodec` (:mod:`repro.core.wire`).
+    """A master ships its cluster's combined reduction object.
 
     The upload goes to the head or, under ``tree``, to a *parent master*,
     and carries the merged contribution of ``origins``: this cluster plus
-    every descendant already folded in.
+    every descendant already folded in. A hop that crosses a site
+    boundary carries ``blob`` as wire bytes, encoded by the run's
+    :class:`~repro.core.sync.SyncCodec` (:mod:`repro.core.wire`); the
+    head-site master's hop to the head stays on the head's own site, so
+    it carries the combined object itself and nobody encodes or decodes.
     """
 
     cluster: str
-    blob: bytes
+    blob: bytes | ReductionObject
     origins: tuple[str, ...]
 
 

@@ -4,7 +4,9 @@ Three levers shrink the paper's sync-time WAN tax (ROADMAP item 4), all
 configured through one :class:`SyncSpec`:
 
 * **encoding/compression** — what each cluster's combined reduction
-  object looks like on the wire (:mod:`repro.core.wire`);
+  object looks like on the wire (:mod:`repro.core.wire`). Only a hop
+  that crosses a site boundary is encoded: the head-site master hands
+  its object to the head as it is, since that hop costs no WAN bytes;
 * **topology** — who ships to whom. ``star`` is the paper's layout
   (every master uploads straight to the head). ``tree`` aggregates
   through intermediate masters with a configurable fanout, so a shared
@@ -36,6 +38,7 @@ __all__ = [
     "SyncNode",
     "build_sync_plan",
     "plan_roots",
+    "crosses_site",
     "SyncCodec",
     "UploadReceipts",
 ]
@@ -49,8 +52,10 @@ class SyncSpec:
     """Every sync-path knob, validated once.
 
     ``sim_ratio`` is the modeled wire/dense byte ratio the simulator
-    charges for encoded uploads (1.0 = dense). The runtime measures the
-    real ratio; benches feed it back into the simulator.
+    charges for encoded uploads, the ones that cross a site boundary
+    (1.0 = dense); the head-site hop to the head ships dense bytes. The
+    runtime measures the real ratio; benches feed it back into the
+    simulator.
     """
 
     topology: str = "star"
@@ -117,8 +122,8 @@ def build_sync_plan(
     The first cluster in ``clusters`` must be the one co-located with the
     head (the runtime and both simulators order them that way), so in a
     tree the final WAN-free hop to the head is made by the head-site
-    master. ``tree`` uses heap indexing (the parent of node ``i`` is
-    ``(i-1)//fanout``); ``fanout=1`` is a chain.
+    master, which skips the codec on it. ``tree`` uses heap indexing (the
+    parent of node ``i`` is ``(i-1)//fanout``); ``fanout=1`` is a chain.
     """
     if not clusters:
         raise ConfigurationError("sync plan needs at least one cluster")
@@ -151,9 +156,18 @@ def plan_roots(plan: dict[str, SyncNode]) -> list[str]:
     return [name for name, node in plan.items() if node.parent is None]
 
 
+def crosses_site(node: SyncNode, site: str, head_site: str) -> bool:
+    """Whether ``node``'s upload (its cluster runs on ``site``) crosses a
+    site boundary, and so goes through the codec: every hop but a plan
+    root's on the head's own site, which costs no WAN bytes and hands its
+    object to the head as it is."""
+    return node.parent is not None or site != head_site
+
+
 @dataclass
 class SyncStats:
-    """Codec accounting, cumulative across iterative passes.
+    """Codec accounting, cumulative across iterative passes: the uploads
+    that cross a site boundary, since only those are encoded.
 
     ``dense_bytes`` is what dense uploads of the same objects would have
     shipped, wire header included, so a dense upload saves exactly 0 and,
@@ -173,6 +187,10 @@ class SyncStats:
 
 class SyncCodec:
     """Thread-safe wire codec with per-channel delta baselines.
+
+    It encodes every upload that crosses a site boundary; the head-site
+    master's hop to the head bypasses it (:class:`UploadReceipts` takes
+    that object as it is).
 
     A *channel* is a sender cluster name. Delta encoding diffs against
     the previous object sent on the same channel, so under ``delta`` the
@@ -241,7 +259,8 @@ class SyncCodec:
 class UploadReceipts:
     """How ``node`` takes one upload from each of ``senders`` — the head
     from the plan roots, a master from its children: check the sender,
-    record the clusters the upload covers, decode, and keep the object
+    record the clusters the upload covers, decode wire bytes (the
+    head-site master's object arrives as it is), and keep the object
     for a barrier merge in plan order. Merging stays with the node, and
     so does the arrival stamp (this reads no clock)."""
 
@@ -258,12 +277,16 @@ class UploadReceipts:
         return len(self.received) < len(self.senders)
 
     def take(self, message) -> ReductionObject:
-        """Decode one :class:`~repro.core.messages.ReductionUpload`."""
+        """Take one :class:`~repro.core.messages.ReductionUpload`,
+        decoding it only if it arrived as wire bytes."""
         cluster = message.cluster
         if cluster in self.received:
             raise RuntimeProtocolError(f"{self.node}: {cluster!r} uploaded twice")
         if cluster not in self.senders:
             raise RuntimeProtocolError(f"{self.node}: unknown cluster {cluster!r}")
         self.origins.extend(message.origins)
-        self.received[cluster] = self.codec.decode(cluster, message.blob)
-        return self.received[cluster]
+        payload = message.blob
+        if isinstance(payload, bytes):
+            payload = self.codec.decode(cluster, payload)
+        self.received[cluster] = payload
+        return payload

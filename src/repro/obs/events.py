@@ -66,7 +66,7 @@ RUNTIME_KINDS = (
     "cache_evict",  # the byte budget forced entries out of the cache
     "prefetch",  # a slave's prefetcher acquired the next job early
     "sync_partial",  # a slave flushed a partial reduction object mid-run
-    "sync_upload",  # a master shipped its encoded contribution upward
+    "sync_upload",  # a master encoded its contribution for a cross-site hop
     "sync_merge",  # an aggregation point folded in an arriving upload
     "data_path",  # end-of-run zero-copy digest (reads served as views)
     "scale_up",  # the autoscaler added cloud slaves mid-run

@@ -19,13 +19,19 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..cache import ChunkCache
-from ..config import CLOUD_SITE, ComputeSpec, MiddlewareTuning
+from ..config import CLOUD_SITE, LOCAL_SITE, ComputeSpec, MiddlewareTuning
 from ..core.api import GeneralizedReductionApp
 from ..core.head import HeadCore
 from ..core.index import DataIndex
 from ..core.messages import JobReply
 from ..core.scheduler import HeadScheduler
-from ..core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
+from ..core.sync import (
+    SyncCodec,
+    SyncSpec,
+    build_sync_plan,
+    crosses_site,
+    plan_roots,
+)
 from ..data.dataset import DatasetReader
 from ..errors import ConfigurationError, RuntimeTimeoutError
 from ..obs.events import EventLog
@@ -137,9 +143,11 @@ class CloudBurstingRuntime:
         self.prefetch = prefetch
         #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`);
         #: ``None`` is the default spec, the paper's star/dense/barrier
-        #: layout. Every upload goes through the codec, which is owned here
-        #: so its delta baselines persist across iterative passes — that
-        #: persistence is what makes pass-N delta uploads tiny.
+        #: layout. Every upload that crosses a site boundary goes through
+        #: the codec (the head-site master hands its object to the head
+        #: unencoded), which is owned here so its delta baselines persist
+        #: across iterative passes — that persistence is what makes pass-N
+        #: delta uploads tiny.
         self.sync = sync or SyncSpec()
         self._sync_codec = SyncCodec(self.sync)
         #: Optional live run-health sampler (:class:`~repro.obs.live.
@@ -315,7 +323,9 @@ class CloudBurstingRuntime:
             master = MasterNode(
                 name, site, head.inbox, cores, self.tuning,
                 parent_inbox=parent_inbox, codec=codec, children=node.children,
-                stream=spec.stream, trace=trace, take_timeout=self.join_timeout,
+                stream=spec.stream,
+                cross_site=crosses_site(node, site, head_site=LOCAL_SITE),
+                trace=trace, take_timeout=self.join_timeout,
                 revocation=revocation if site == CLOUD_SITE else None,
             )
             masters.append(master)

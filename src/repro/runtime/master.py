@@ -6,7 +6,7 @@ group acks, the end-of-run rule, failure recovery, the combine order).
 This shell takes messages off the master's mailbox, steps the core with
 the time it took each one, and carries out the core's actions: posts,
 worker starts, trace events, and the merge, encode and upload of the
-combined object.
+combined object (the head-site master hands it to the head unencoded).
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ class MasterNode:
     combined object goes (another master's inbox in a tree layout, the
     head's for plan roots), the clusters whose uploads it folds in before
     shipping its own, and merge-on-arrival instead of the barrier.
-    ``revocation`` is the spot die of a cloud crew, rolled by the core."""
+    ``cross_site`` says whether the hop to the parent crosses a site
+    boundary: only then is the combined object encoded; the head-site
+    master posts it to the head as it is. ``revocation`` is the spot die
+    of a cloud crew, rolled by the core."""
 
     def __init__(
         self,
@@ -47,6 +50,7 @@ class MasterNode:
         codec: SyncCodec,
         children: tuple[str, ...] = (),
         stream: bool = False,
+        cross_site: bool = True,
         trace: EventLog | None = None,
         take_timeout: float = 60.0,
         revocation: RevocationSpec | None = None,
@@ -61,6 +65,7 @@ class MasterNode:
         self.inbox = Mailbox(f"master:{name}")
         self.parent_inbox = parent_inbox
         self.codec = codec
+        self.cross_site = cross_site
         self.core = MasterCore(
             name, num_slaves, tuning, head=head_inbox, inbox=self.inbox,
             children=children, codec=codec, stream=stream, revocation=revocation,
@@ -128,20 +133,23 @@ class MasterNode:
         self.combine_done = time.perf_counter()
         if self.trace is not None:
             self.trace.emit("combine_done", cluster=self.name)
-        started = time.perf_counter()
-        encoded = self.codec.encode(self.name, combined)
-        encode_ms = (time.perf_counter() - started) * 1e3
-        if self.trace is not None:
-            self.trace.emit(
-                "sync_upload", cluster=self.name,
-                detail=(
-                    f"{encoded.encoding}+{encoded.compression} "
-                    f"{len(encoded.blob)}/{len(encoded.dense)}B "
-                    f"{encode_ms:.1f}ms"
-                ),
-            )
+        payload = combined
+        if self.cross_site:
+            started = time.perf_counter()
+            encoded = self.codec.encode(self.name, combined)
+            encode_ms = (time.perf_counter() - started) * 1e3
+            if self.trace is not None:
+                self.trace.emit(
+                    "sync_upload", cluster=self.name,
+                    detail=(
+                        f"{encoded.encoding}+{encoded.compression} "
+                        f"{len(encoded.blob)}/{len(encoded.dense)}B "
+                        f"{encode_ms:.1f}ms"
+                    ),
+                )
+            payload = encoded.blob
         self.parent_inbox.post(
-            ReductionUpload(cluster=self.name, blob=encoded.blob, origins=ship.origins)
+            ReductionUpload(cluster=self.name, blob=payload, origins=ship.origins)
         )
         if self.trace is not None:
             self.trace.emit("robj_sent", cluster=self.name)

@@ -103,10 +103,13 @@ class RunTelemetry(PassRecord):
     prefetches: int = 0
     #: Global-reduction sync accounting (see :mod:`repro.core.sync`):
     #: filled by the driver on every pass (serial mode ships nothing).
-    #: ``sync_bytes_saved`` is the codec's ``bytes_saved`` across every
-    #: upload this run — never negative, 0 for dense uploads;
-    #: ``sync_partial_merges`` counts streamed slave flushes folded
-    #: before the barrier.
+    #: ``sync_uploads``/``sync_bytes_*`` count the uploads that cross a
+    #: site boundary, the only ones the codec encodes: the head-site
+    #: master hands its object to the head as it is, so a one-site
+    #: (local) run reports 0. ``sync_bytes_saved`` is the codec's
+    #: ``bytes_saved`` across those uploads — never negative, 0 for dense
+    #: uploads; ``sync_partial_merges`` counts streamed slave flushes
+    #: folded before the barrier.
     sync_uploads: int = 0
     sync_bytes_sent: int = 0
     sync_bytes_saved: int = 0

@@ -56,7 +56,13 @@ from ..core.job import Job
 from ..core.head import HeadCore
 from ..core.messages import JobReply, JobRequest
 from ..core.scheduler import HeadScheduler
-from ..core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
+from ..core.sync import (
+    SyncCodec,
+    SyncSpec,
+    build_sync_plan,
+    crosses_site,
+    plan_roots,
+)
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
 from ..obs.record import ClusterReport
@@ -517,15 +523,16 @@ class MultiSiteSimulation:
 
         def uplink(master: SimMaster) -> Event | None:
             """The hop ``master``'s object rides up the plan: to its parent
-            master's site, or to the head — off the WAN from the head's
-            own site, and none at all in a single-cluster run."""
+            master's site, or to the head — off the WAN and unencoded
+            (dense bytes) from the head's own site, and none at all in a
+            single-cluster run."""
             if master.parent is not head:
                 return robj_link(master.site, master.parent.site).transfer(wire_bytes)
             if not multi_cluster:
                 return None
-            if master.site == head_site:
+            if not master.cross_site:
                 return env.timeout(
-                    config.lan_latency + wire_bytes / intra_bandwidth[master.site]
+                    config.lan_latency + robj_bytes / intra_bandwidth[master.site]
                 )
             return robj_link(master.site, head_site).transfer(wire_bytes)
 
@@ -577,6 +584,7 @@ class MultiSiteSimulation:
                     robj_bytes, n, site.intra_bandwidth
                 ),
                 uplink=uplink,
+                cross_site=crosses_site(plan[name], site.name, head_site),
                 revocation=(
                     self.scale.revocation_spec if site.name == burst_site else None
                 ),

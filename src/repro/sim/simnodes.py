@@ -100,7 +100,9 @@ class SimMaster:
     (the head's ``merge_seconds`` when streaming, whose partials fold
     during compute), ``merge_seconds`` per child upload, then
     ``uplink(self)``, the hop to ``parent`` (``None``: no hop).
-    ``revocation`` is the spot die of a revocable cluster."""
+    ``cross_site`` says whether that hop crosses a site boundary: only
+    then is the combined object encoded. ``revocation`` is the spot die
+    of a revocable cluster."""
 
     def __init__(
         self,
@@ -115,6 +117,7 @@ class SimMaster:
         codec: SyncCodec,
         combine_seconds: Callable[[int], float],
         uplink: Callable[["SimMaster"], Event | None],
+        cross_site: bool = True,
         revocation: RevocationSpec | None = None,
     ) -> None:
         self.env = head.env
@@ -125,6 +128,7 @@ class SimMaster:
         self.codec = codec
         self.combine_seconds = combine_seconds
         self.uplink = uplink
+        self.cross_site = cross_site
         self.trace = head.trace
         self.core = MasterCore(
             name, cores, tuning, head=head, inbox=self, children=children,
@@ -203,8 +207,10 @@ class SimMaster:
         if hop is not None:
             yield hop
         self._mark("robj_sent", env.now)
-        blob = self.codec.encode(self.name, merge_all(ship.parts)).blob
-        self.parent.step(ReductionUpload(self.name, blob, ship.origins))
+        payload = merge_all(ship.parts)
+        if self.cross_site:
+            payload = self.codec.encode(self.name, payload).blob
+        self.parent.step(ReductionUpload(self.name, payload, ship.origins))
 
     def _mark(self, kind: str, at: float, **fields) -> None:
         if self.trace is not None:

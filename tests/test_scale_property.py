@@ -20,6 +20,7 @@ subsystem's contract (docs/SCALING.md):
 
 from __future__ import annotations
 
+import queue
 import threading
 
 import numpy as np
@@ -319,13 +320,20 @@ def test_monitor_driven_controller_runs_on_fake_clock():
         monitor.bind(lambda: dict(state))
         monitor.subscribe(on_sample)
         monitor.start()
+        never_filled = queue.SimpleQueue()
         for tick in range(1, 6):
             state["jobs_done"] = tick * 10  # slow: backlog persists
+            # One advance per tick, made only once the sampler is parked at
+            # a deadline ahead of now: the owner's wait on an empty queue
+            # moves the clock only while every worker is parked, and stops
+            # at its timeout, which is that deadline.
+            with pytest.raises(queue.Empty):
+                clock.wait(never_filled, monitor.interval)
             deadline = _time.monotonic() + 10.0
             while monitor.samples_taken < tick:
-                clock.advance(monitor.interval)
                 _time.sleep(0.005)
                 assert _time.monotonic() < deadline, "sampler never woke"
+            assert monitor.samples_taken == tick
         monitor.stop()
 
     times = [t for t, _ in ctl.decisions]

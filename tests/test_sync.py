@@ -25,6 +25,7 @@ from repro.config import (
     LOCAL_SITE,
     ComputeSpec,
     DatasetSpec,
+    ExperimentConfig,
     MiddlewareTuning,
     PlacementSpec,
 )
@@ -42,6 +43,7 @@ from repro.core.scheduler import HeadScheduler
 from repro.core.sync import (
     SyncCodec,
     SyncSpec,
+    UploadReceipts,
     build_sync_plan,
     plan_roots,
 )
@@ -58,7 +60,8 @@ from repro.sim.multisite import (
     MultiSiteSimulation,
     SiteSpec,
 )
-from repro.sim.simulation import CloudBurstSimulation
+from repro.sim.calibration import PAPER_CALIBRATION
+from repro.sim.simulation import CloudBurstSimulation, two_site_config
 from repro.sim.storagemodel import StorePath
 from repro.storage.objectstore import ObjectStore
 from repro.units import MB
@@ -550,18 +553,58 @@ def test_head_accepts_relayed_coverage():
     assert head.result.value() == 6.0
 
 
+def test_head_takes_a_head_site_object_without_decoding(monkeypatch):
+    """The head-site master hands its object over as it is: the head
+    merges it without a decode, and decodes only the cloud's bytes."""
+    codec = SyncCodec(SyncSpec(encoding="delta", compress="zlib"))
+    decoded = []
+    decode = codec.decode
+    monkeypatch.setattr(
+        codec, "decode",
+        lambda channel, blob: decoded.append(channel) or decode(channel, blob),
+    )
+    head = make_head(("local", "cloud"), roots=("local", "cloud"), codec=codec)
+    local = ScalarReduction("sum", 2.0)
+    head.step(ReductionUpload("local", local, ("local",)))
+    assert decoded == []
+    assert head.core.receipts.received["local"] is local
+    head.step(upload(codec, "cloud", ScalarReduction("sum", 3.0)))
+    assert decoded == ["cloud"]
+    assert head.result.value() == 5.0
+    assert codec.stats.uploads == 1
+
+
+def test_receipts_check_senders_and_coverage_whatever_the_payload():
+    codec = SyncCodec(SyncSpec())
+    receipts = UploadReceipts("head", ("a",), codec)
+    obj = ScalarReduction("sum", 1.0)
+    receipts.take(ReductionUpload("a", obj, ("a",)))
+    for payload in (obj, codec.encode("a", obj).blob):
+        with pytest.raises(RuntimeProtocolError, match="twice"):
+            receipts.take(ReductionUpload("a", payload, ("a",)))
+        with pytest.raises(RuntimeProtocolError, match="unknown cluster"):
+            receipts.take(ReductionUpload("b", payload, ("b",)))
+    assert receipts.origins == ["a"]
+    head = make_head(("a", "b", "c"), roots=("a",), codec=SyncCodec(SyncSpec()))
+    with pytest.raises(RuntimeProtocolError, match="coverage"):
+        head.step(ReductionUpload("a", obj, ("a", "b")))
+
+
 # -- runtime equivalence and streaming fault tolerance -----------------------
+
+
+def dataset_spec(total_units, record_bytes):
+    return DatasetSpec(
+        total_bytes=total_units * record_bytes,
+        num_files=4,
+        chunk_bytes=(total_units // 16) * record_bytes,
+        record_bytes=record_bytes,
+    )
 
 
 def materialize(app_key="histogram", total_units=2048, **params):
     bundle = make_bundle(app_key, total_units, **params)
-    rb = bundle.schema.record_bytes
-    spec = DatasetSpec(
-        total_bytes=total_units * rb,
-        num_files=4,
-        chunk_bytes=(total_units // 16) * rb,
-        record_bytes=rb,
-    )
+    spec = dataset_spec(total_units, bundle.schema.record_bytes)
     stores = {LOCAL_SITE: ObjectStore(), CLOUD_SITE: ObjectStore()}
     index = build_dataset(
         spec, PlacementSpec(0.5), bundle.schema, bundle.block_fn, stores
@@ -594,10 +637,48 @@ def test_runtime_sync_telemetry_accounts_for_wire_savings():
     )
     assert result.value == oracle
     t = result.telemetry
-    assert t.sync_uploads == 2  # one combined object per cluster
+    assert t.sync_uploads == 1  # the cloud upload; the local hop skips the codec
     assert t.sync_bytes_sent > 0
     assert t.sync_bytes_saved > 0  # zlib easily beats pickled dicts
     assert t.sync_partial_merges == 0  # barrier mode: no partial flushes
+
+
+#: (local cores, cloud cores) -> uploads that cross a site boundary. The
+#: head runs on the local site, so the local master's hop skips the codec.
+CROSS_SITE_UPLOADS = {(1, 1): 1, (1, 0): 0, (0, 1): 1}
+
+
+@pytest.mark.parametrize("topology", ("star", "tree"))
+@pytest.mark.parametrize("cores", sorted(CROSS_SITE_UPLOADS))
+def test_only_cross_site_uploads_are_encoded_in_both_engines(cores, topology):
+    bundle, index, stores = materialize("wordcount", vocabulary=64)
+    oracle = run_serial(
+        bundle.app, DatasetReader(index, stores).read_all_chunks()
+    )
+    sync = SyncSpec(encoding="delta", compress="zlib", topology=topology)
+    log = EventLog()
+    result = run_once(bundle, index, stores, sync=sync, cores=cores, trace=log)
+    assert result.value == oracle
+    expected = CROSS_SITE_UPLOADS[cores]
+    assert result.telemetry.sync_uploads == expected
+    clusters = set(result.telemetry.clusters)
+    for kind in ("combine_done", "robj_sent"):
+        assert {e.cluster for e in log.of_kind(kind)} == clusters
+    encoded = {e.cluster for e in log.of_kind("sync_upload")}
+    assert encoded == clusters - {f"{LOCAL_SITE}-cluster"}
+
+    config = ExperimentConfig(
+        name="cross-site", app="wordcount",
+        dataset=dataset_spec(2048, bundle.schema.record_bytes),
+        placement=PlacementSpec(0.5),
+        compute=ComputeSpec(local_cores=cores[0], cloud_cores=cores[1]),
+    )
+    sim = MultiSiteSimulation(
+        two_site_config(config, PAPER_CALIBRATION, get_profile("wordcount")),
+        sync=sync,
+    )
+    sim.run()
+    assert sim.head.core.receipts.codec.stats.uploads == expected
 
 
 def test_sync_upload_trace_says_what_the_encode_cost():
@@ -608,7 +689,7 @@ def test_sync_upload_trace_says_what_the_encode_cost():
         sync=SyncSpec(encoding="delta", compress="zlib"), trace=log,
     )
     details = [e.detail for e in log.snapshot() if e.kind == "sync_upload"]
-    assert len(details) == result.telemetry.sync_uploads == 2
+    assert len(details) == result.telemetry.sync_uploads == 1
     shape = re.compile(
         r"(dense|sparse|delta)\+(none|zlib) (\d+)/\d+B \d+\.\dms"
     )
