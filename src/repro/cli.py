@@ -557,13 +557,10 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     report = CloudBurstSimulation(config, trace=trace).run()
     print(f"{config.describe()}\nmakespan {fmt_seconds(report.makespan)} s, "
           f"{len(trace)} trace events\n")
-    print(obs.render_gantt(trace, report.makespan, width=args.width))
-    util = obs.utilization(trace, report.makespan)
-    mean_idle = sum(u["idle"] for u in util.values()) / len(util)
-    print(f"\nmean worker idle fraction: {mean_idle * 100:.1f}%")
-    if args.critical_path:
-        print()
-        print(obs.render_critical_path(obs.critical_path(trace, report.makespan)))
+    print(obs.render_report(
+        trace, report.makespan, width=args.width,
+        show_critical_path=args.critical_path,
+    ))
     _export_trace(trace, args)
 
 

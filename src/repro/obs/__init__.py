@@ -8,7 +8,6 @@ See ``docs/OBSERVABILITY.md`` for the event schema and the export
 formats.
 """
 
-from .analysis import render_gantt, utilization, worker_intervals
 from .anomaly import detect_stragglers, render_stragglers
 from .events import KINDS, RUNTIME_KINDS, SIM_KINDS, EventLog, TraceEvent
 from .export import (
@@ -27,7 +26,10 @@ from .spans import (
     critical_path,
     phase_totals,
     render_critical_path,
+    render_gantt,
     span_summary,
+    utilization,
+    worker_intervals,
 )
 
 __all__ = [

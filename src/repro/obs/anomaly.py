@@ -8,15 +8,15 @@ them after (or during) a run with the classic robust outlier rule:
     threshold = median + k * max(1.4826 * MAD, rel_floor * median)
 
 over every job's *execution* latency (``fetch_start -> compute_end``; a
-prefetch-pipelined job contributes its compute time). MAD is the median
-absolute deviation; the 1.4826 factor makes it a consistent sigma
-estimate under normality, and the relative floor keeps a zero-variance
-fleet (the simulator with variability off) from flagging everything on
-nanometer deviations.
+prefetched job counts from when its worker was free for it, if later).
+MAD is the median absolute deviation; the 1.4826 factor makes it a
+consistent sigma estimate under normality, and the relative floor keeps
+a zero-variance fleet (the simulator with variability off) from flagging
+everything on nanometer deviations.
 
 :func:`detect_stragglers` returns a :class:`StragglerReport`.
 Both substrates feed the same detector — a latency fault injected
-through the PR-2 fault layer is flagged identically in the simulator and
+through the fault layer is flagged identically in the simulator and
 the threaded runtime.
 """
 

@@ -12,7 +12,7 @@ occurrence; an :class:`EventLog` collects them:
   log is thread-safe.
 
 Both produce the same stream shape, so the analyses in
-:mod:`repro.obs.analysis` and the exporters in :mod:`repro.obs.export`
+:mod:`repro.obs.spans` and the exporters in :mod:`repro.obs.export`
 apply to either. Tracing is off by default (``trace=None`` everywhere)
 and the disabled path is a single attribute-load-and-``None``-check —
 see ``benchmarks/bench_obs.py`` for the overhead guarantee.

@@ -20,10 +20,10 @@ import json
 from pathlib import Path
 
 from ..errors import TraceError
-from .analysis import _ENDS, _PAIRS, _pairs, render_gantt, utilization
 from .anomaly import detect_stragglers, render_stragglers
 from .events import KINDS, EventLog, TraceEvent
-from .spans import PHASES, build_spans, critical_path, phase_totals, render_critical_path
+from .spans import _ENDS, _PAIRS, PHASES, _pairs, build_spans, critical_path
+from .spans import phase_totals, render_critical_path, render_gantt, utilization
 
 __all__ = [
     "event_to_dict",
@@ -130,6 +130,7 @@ def to_perfetto(log: EventLog, *, process_name: str = "repro-run") -> dict:
     """
     events = log.snapshot()
     snapshot = EventLog(events)
+    snapshot.events_dropped = log.events_dropped
     pid = 1
     trace_events: list[dict] = [
         {
@@ -312,12 +313,7 @@ def render_report(
                 f"  {event.time:9.3f}s  {event.kind:<10}{who}{detail}"
             )
 
-    # Span sections are best-effort: a partial or hand-built trace that
-    # cannot be paired into job cycles keeps its Gantt/utilization report.
-    try:
-        spans = build_spans(log)
-    except TraceError:
-        spans = []
+    spans = build_spans(log)
     if spans:
         totals = phase_totals(spans)
         lines.append("")

@@ -31,8 +31,8 @@ from typing import Callable
 
 from ..clock import SYSTEM_CLOCK, SystemClock
 from ..errors import TraceError
-from .analysis import worker_intervals
 from .events import EventLog
+from .spans import worker_intervals
 
 __all__ = ["RunSample", "RunMonitor", "samples_from_log"]
 
@@ -322,7 +322,7 @@ def samples_from_log(
         jobs_done = count_le(done_times, t)
         assigned_jobs = sum(n for at, n in assigned if at <= t)
         started = count_le(start_times, t)
-        if not started:  # prefetch traces carry no fetch events
+        if not started:  # a hand-built trace without fetch events
             started = jobs_done
         in_flight = max(0, started - jobs_done)
         raw = {

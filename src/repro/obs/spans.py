@@ -1,49 +1,56 @@
-"""Causal per-job spans and the critical path through the makespan.
+"""The worker timeline: paired intervals, causal per-job spans, and the
+critical path through the makespan.
 
-The event stream records *occurrences*; this module reconstructs the
-*causal story* the paper's time decomposition implies (Figure 3, Tables
-I-II): each job's life as a span of ordered phases
+:func:`_pairs` turns each worker's ``fetch_*``/``compute_*`` events into
+intervals, once, and every timeline view reads them:
 
-``queued -> fetch -> stall -> compute``
-
-chained per worker (a job is *queued* from the moment its worker finished
-the previous job), plus the run's closing phases
-
-``combine -> upload -> merge``
-
-(master folds its slaves' objects, ships the result, head merges). Both
-substrates emit the same vocabulary, so a simulated and a real run of the
-same app produce spans with identical phase names.
-
+* :func:`worker_intervals`, :func:`utilization` (the per-worker version
+  of Figure 3's retrieval/processing/idle decomposition) and
+  :func:`render_gantt` (one text row per worker: 'r' = retrieval,
+  'P' = processing, '.' = idle);
 * :func:`build_spans` — one :class:`JobSpan` per (worker, job cycle),
-  with steal and re-execution links;
+  with steal and re-execution links: each job's life as the ordered
+  phases ``queued -> fetch -> stall -> compute``, chained per worker (a
+  job is *queued* from the moment its worker finished the previous job);
 * :func:`phase_totals` — per-phase time across all spans;
 * :func:`critical_path` — the single causal chain of
-  :class:`CriticalSegment` that tiles ``[0, makespan]``: walk back from
-  the final merge through the upload, the gating cluster's combine, and
-  the gating worker's job cycles down to time zero;
+  :class:`CriticalSegment` that tiles ``[0, makespan]``: back from the
+  final merge through the run's closing phases ``combine -> upload ->
+  merge`` (master folds its slaves' objects, ships the result, head
+  merges) and the gating worker's job cycles down to time zero;
 * :func:`span_summary` — the plain-data form carried on
   :class:`~repro.runtime.telemetry.RunTelemetry`.
 
-A job's fetch is paired with its compute by job id. On a prefetching
-slave the fetch events come from the prefetcher's stage threads, so a
-job's fetch can begin — and end — while the worker still computes an
-earlier job: the span keeps the fetch's own times, and its ``phases``
-show the part of it the worker actually waited for (from
+Both substrates emit the same vocabulary, fetch events included, so a
+simulated and a real run of the same app produce spans with identical
+phase names. A job's fetch is paired with its compute by job id. On a
+prefetching slave the fetch events come from the prefetcher's stage
+threads, so a job's fetch can begin — and end — while the worker still
+computes an earlier job: the span keeps the fetch's own times, and its
+``phases`` show the part of it the worker actually waited for (from
 ``queued_from`` on), which is what keeps them tiling the lifetime. A
-cycle whose stream carries no fetch events at all reconstructs with a
-zero-width fetch phase anchored at ``compute_start``.
+hand-built cycle without fetch events reconstructs with a zero-width
+fetch phase anchored at ``compute_start``.
+
+The pairing is strict, so every reader raises the same
+:class:`TraceError` on a malformed stream and the runtime's per-pass
+:func:`span_summary` checks its own slave loops. It tolerates exactly
+the two shapes real runs produce: a crashed slave's open intervals, and
+ends whose starts fell off a wrapped ring (see :func:`_pairs`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..errors import TraceError
-from .analysis import _ordered
-from .events import EventLog, TraceEvent
+from .events import EventLog
 
 __all__ = [
+    "Interval",
+    "worker_intervals",
+    "utilization",
+    "render_gantt",
     "PHASES",
     "Phase",
     "JobSpan",
@@ -55,10 +62,214 @@ __all__ = [
     "span_summary",
 ]
 
+@dataclass(frozen=True)
+class Interval:
+    """A worker activity interval."""
+
+    start: float
+    end: float
+    activity: str  # 'retrieval' | 'processing'
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
+_PAIRS = {
+    "fetch_start": ("fetch_end", "retrieval"),
+    "compute_start": ("compute_end", "processing"),
+}
+_ENDS = {end: activity for end, activity in _PAIRS.values()}
+
+
+def _blocker(activity: str, job_id: int, open_keys) -> str | None:
+    """The open activity that forbids starting ``activity`` for ``job_id``.
+
+    A worker computes one job at a time, and a job's own fetch and compute
+    never overlap. Fetches of *other* jobs may overlap anything: a
+    prefetching slave keeps several on the wire while it computes.
+    """
+    if (activity, job_id) in open_keys:
+        return activity
+    if activity == "processing":
+        if ("retrieval", job_id) in open_keys:
+            return "retrieval"
+        if any(a == "processing" for a, _ in open_keys):
+            return "processing"
+    elif ("processing", job_id) in open_keys:
+        return "processing"
+    return None
+
+
+def _next_placeable(group, open_keys) -> int | None:
+    for n, e in enumerate(group):
+        if e.kind in _ENDS and (_ENDS[e.kind], e.job_id) in open_keys:
+            return n
+    startable = [
+        n for n, e in enumerate(group)
+        if e.kind in _PAIRS
+        and _blocker(_PAIRS[e.kind][1], e.job_id, open_keys) is None
+    ]
+    for n in startable:
+        want = (_PAIRS[group[n].kind][0], group[n].job_id)
+        if any((e.kind, e.job_id) == want for e in group):
+            return n
+    return startable[0] if startable else None
+
+
+def _ordered(events):
+    """Sort a worker's events by time, resolving equal-timestamp ties.
+
+    Within one instant a realizable schedule puts the ends that close
+    open intervals first, then any zero-width start/end pairs, then the
+    starts left open past the instant (intervals are keyed by activity
+    and job id; see :func:`_blocker` for which may overlap). Events a tie
+    group cannot place (an end with nothing open, a start that is
+    blocked) are kept in recorded order so the pairing scan reports them.
+    """
+    events = sorted(events, key=lambda e: e.time)
+    out = []
+    open_keys: set[tuple[str, int]] = set()
+    i = 0
+    while i < len(events):
+        j = i
+        while j < len(events) and events[j].time == events[i].time:
+            j += 1
+        group = events[i:j]
+        while group:
+            k = _next_placeable(group, open_keys)
+            if k is None:
+                break
+            event = group.pop(k)
+            out.append(event)
+            if event.kind in _PAIRS:
+                open_keys.add((_PAIRS[event.kind][1], event.job_id))
+            else:
+                open_keys.discard((_ENDS[event.kind], event.job_id))
+        out.extend(group)
+        i = j
+    return out
+
+
+def _pairs(trace: EventLog, worker: int):
+    """A worker's ``(start event, end event, activity)`` triples.
+
+    Starts and ends are paired by job id, in the order the ends occur.
+    Raises :class:`TraceError` on a malformed stream: an end without its
+    start, a start :func:`_blocker` forbids (a second compute while one
+    is open, a job computing while its own fetch is), or a start the
+    trace never closes. Two shapes are not malformed: a ``slave_failed``
+    event for the worker drops the intervals it left open (the master
+    re-executes their jobs elsewhere; an end that later closes one is
+    skipped), and once a ring log has dropped events, an end whose start
+    fell off the front is skipped.
+    """
+    wrapped = trace.events_dropped > 0
+    open_events: dict[tuple[str, int], object] = {}
+    abandoned: set[tuple[str, int]] = set()
+    out = []
+    for event in _ordered(trace.for_worker(worker)):
+        if event.kind == "slave_failed":
+            abandoned.update(open_events)
+            open_events.clear()
+        elif event.kind in _PAIRS:
+            activity = _PAIRS[event.kind][1]
+            blocker = _blocker(activity, event.job_id, open_events)
+            if blocker is not None:
+                raise TraceError(
+                    f"worker {worker}: {event.kind} at {event.time} while "
+                    f"{blocker} still open"
+                )
+            open_events[(activity, event.job_id)] = event
+        elif event.kind in _ENDS:
+            key = (_ENDS[event.kind], event.job_id)
+            start = open_events.pop(key, None)
+            if start is None:
+                if wrapped or key in abandoned:
+                    abandoned.discard(key)
+                    continue
+                other = next(
+                    (a for a, job in open_events if job == event.job_id), None
+                )
+                if other is not None:
+                    raise TraceError(
+                        f"worker {worker}: {event.kind} closes a {other} "
+                        f"interval"
+                    )
+                raise TraceError(
+                    f"worker {worker}: {event.kind} without a start"
+                )
+            out.append((start, event, key[0]))
+    if open_events:
+        activity = next(iter(open_events))[0]
+        raise TraceError(f"worker {worker}: trace ends mid-{activity}")
+    return out
+
+
+def worker_intervals(trace: EventLog, worker: int) -> list[Interval]:
+    """Reconstruct a worker's busy intervals from its start/end events.
+
+    Events are sorted by timestamp first (see :func:`_ordered`): the
+    threaded runtime appends to the shared log in per-worker wall-clock
+    order, but a stream read back from disk or merged from several logs
+    need not arrive ordered. Start and end are paired by job id, so the
+    retrieval intervals of a prefetching slave may overlap its processing
+    and each other; intervals come back sorted by start. Raises
+    :class:`TraceError` on malformed traces (see :func:`_pairs`) — these
+    checks double as an internal consistency check on both substrates'
+    slave loops.
+    """
+    return sorted(
+        (
+            Interval(start=start.time, end=end.time, activity=activity)
+            for start, end, activity in _pairs(trace, worker)
+        ),
+        key=lambda iv: (iv.start, iv.end),
+    )
+
+
+def utilization(trace: EventLog, makespan: float) -> dict[int, dict[str, float]]:
+    """Per-worker time fractions: retrieval / processing / idle."""
+    if makespan <= 0:
+        raise TraceError("makespan must be positive")
+    out: dict[int, dict[str, float]] = {}
+    for worker in trace.workers():
+        totals = {"retrieval": 0.0, "processing": 0.0}
+        for interval in worker_intervals(trace, worker):
+            totals[interval.activity] += interval.duration
+        busy = totals["retrieval"] + totals["processing"]
+        out[worker] = {
+            "retrieval": totals["retrieval"] / makespan,
+            "processing": totals["processing"] / makespan,
+            "idle": max(0.0, 1.0 - busy / makespan),
+        }
+    return out
+
+
+def render_gantt(
+    trace: EventLog, makespan: float, *, width: int = 72
+) -> str:
+    """Text Gantt chart: one row per worker, time left to right."""
+    if width <= 0:
+        raise TraceError("width must be positive")
+    if makespan <= 0:
+        raise TraceError("makespan must be positive")
+    glyph = {"retrieval": "r", "processing": "P"}
+    rows = []
+    for worker in trace.workers():
+        cells = ["."] * width
+        for interval in worker_intervals(trace, worker):
+            lo = min(width - 1, int(interval.start / makespan * width))
+            hi = min(width, max(lo + 1, int(interval.end / makespan * width)))
+            for i in range(lo, hi):
+                cells[i] = glyph[interval.activity]
+        rows.append(f"w{worker:03d} |{''.join(cells)}|")
+    header = f"time 0 .. {makespan:.1f}s ({'r'}=retrieval, {'P'}=processing)"
+    return header + "\n" + "\n".join(rows)
+
+
 #: The shared span-phase vocabulary, in causal order.
 PHASES = ("queued", "fetch", "stall", "compute", "combine", "upload", "merge")
-
-_CYCLE_KINDS = ("fetch_start", "fetch_end", "compute_start", "compute_end")
 
 
 @dataclass(frozen=True)
@@ -154,46 +365,32 @@ class CriticalSegment:
 
 
 def _worker_cycles(log: EventLog, worker: int) -> list[JobSpan]:
-    """Pair one worker's fetch/compute events into chained job cycles."""
-    events = [e for e in log.for_worker(worker) if e.kind in _CYCLE_KINDS]
+    """Chain one worker's compute intervals into job cycles, attaching
+    each job's fetch interval by job id."""
     spans: list[JobSpan] = []
     queued_from = 0.0
-    fetching: dict[int, TraceEvent] = {}
-    fetched: dict[int, tuple[TraceEvent, float]] = {}
-    compute_start = None
-    for event in _ordered(events, worker):
-        if event.kind == "fetch_start":
-            fetching[event.job_id] = event
-        elif event.kind == "fetch_end":
-            start = fetching.pop(event.job_id, None)
-            if start is not None:
-                fetched[event.job_id] = (start, event.time)
-        elif event.kind == "compute_start":
-            compute_start = event
-        elif event.kind == "compute_end":
-            if compute_start is None:
-                raise TraceError(
-                    f"worker {worker}: compute_end at {event.time} "
-                    "without a compute_start"
-                )
-            fetch, fetch_end = fetched.pop(event.job_id, (None, None))
-            # Without fetch events the compute_start carries the file.
-            origin = fetch if fetch is not None else compute_start
-            spans.append(
-                JobSpan(
-                    job_id=event.job_id,
-                    file_id=origin.file_id,
-                    worker=worker,
-                    cluster=origin.cluster or event.cluster,
-                    queued_from=queued_from,
-                    fetch_start=fetch.time if fetch is not None else None,
-                    fetch_end=fetch_end,
-                    compute_start=compute_start.time,
-                    compute_end=event.time,
-                )
+    fetched = {}
+    for start, end, activity in _pairs(log, worker):
+        if activity == "retrieval":
+            fetched[end.job_id] = (start, end.time)
+            continue
+        fetch, fetch_end = fetched.pop(end.job_id, (None, None))
+        # Without fetch events the compute_start carries the file.
+        origin = fetch if fetch is not None else start
+        spans.append(
+            JobSpan(
+                job_id=end.job_id,
+                file_id=origin.file_id,
+                worker=worker,
+                cluster=origin.cluster or end.cluster,
+                queued_from=queued_from,
+                fetch_start=fetch.time if fetch is not None else None,
+                fetch_end=fetch_end,
+                compute_start=start.time,
+                compute_end=end.time,
             )
-            queued_from = event.time
-            compute_start = None
+        )
+        queued_from = end.time
     return spans
 
 
@@ -226,16 +423,8 @@ def build_spans(log: EventLog) -> list[JobSpan]:
         indexes.sort(key=lambda i: spans[i].compute_end)
         for attempt, i in enumerate(indexes, start=1):
             span = spans[i]
-            out[i] = JobSpan(
-                job_id=span.job_id,
-                file_id=span.file_id,
-                worker=span.worker,
-                cluster=span.cluster,
-                queued_from=span.queued_from,
-                fetch_start=span.fetch_start,
-                fetch_end=span.fetch_end,
-                compute_start=span.compute_start,
-                compute_end=span.compute_end,
+            out[i] = replace(
+                span,
                 stolen=(span.cluster, span.file_id) in stolen,
                 attempt=attempt,
                 # A later attempt is a re-execution; so is a sole cycle of

@@ -202,3 +202,19 @@ def test_render_report_warns_about_dropped_events():
     report = render_report(log)
     assert "ring buffer dropped" in report
     assert f"{log.events_dropped} oldest" in report
+
+    # A cap that cuts a fetch pair and a compute pair in half: the ends
+    # whose starts fell off are skipped, and the rest still pairs.
+    cut = EventLog(max_events=6)
+    cut.record(0.0, "compute_start", worker=0, job_id=0)
+    cut.record(0.1, "fetch_start", worker=0, job_id=1, file_id=1)
+    cut.record(0.3, "compute_end", worker=0, job_id=0)
+    cut.record(0.35, "fetch_end", worker=0, job_id=1, file_id=1)
+    cut.record(0.35, "compute_start", worker=0, job_id=1)
+    cut.record(0.8, "compute_end", worker=0, job_id=1)
+    cut.record(0.8, "fetch_start", worker=0, job_id=2, file_id=2)
+    cut.record(0.9, "fetch_end", worker=0, job_id=2, file_id=2)
+    assert cut.events_dropped == 2
+    report = render_report(cut)
+    assert "1 job spans" in report
+    assert "ring buffer dropped 2 oldest" in report

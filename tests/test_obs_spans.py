@@ -19,6 +19,7 @@ from repro.obs import (
     phase_totals,
     render_critical_path,
     span_summary,
+    worker_intervals,
 )
 
 
@@ -130,10 +131,35 @@ def test_sole_cycle_of_reissued_job_is_a_reexecution():
     assert span.attempt == 1 and span.reexecution
 
 
+def test_crashed_worker_leaves_its_open_intervals_behind():
+    """At `slave_failed` the dead worker's open compute and in-flight
+    prefetch are dropped; the prefetch may still end after it, and the
+    worker id may run again (a later pass) without tripping the check."""
+    log = EventLog()
+    log.record(0.0, "fetch_start", worker=0, job_id=0, file_id=0)
+    log.record(0.1, "fetch_end", worker=0, job_id=0, file_id=0)
+    log.record(0.1, "compute_start", worker=0, job_id=0)
+    log.record(0.15, "fetch_start", worker=0, job_id=1, file_id=1)
+    log.record(0.2, "slave_failed", worker=0)
+    log.record(0.25, "fetch_end", worker=0, job_id=1, file_id=1)
+    log.record(1.0, "fetch_start", worker=0, job_id=0, file_id=0)
+    log.record(1.1, "fetch_end", worker=0, job_id=0, file_id=0)
+    log.record(1.1, "compute_start", worker=0, job_id=0)
+    log.record(1.5, "compute_end", worker=0, job_id=0)
+    assert [(iv.start, iv.end) for iv in worker_intervals(log, 0)] == [
+        (0.0, 0.1), (1.0, 1.1), (1.1, 1.5),
+    ]
+    assert [(s.job_id, s.compute_start) for s in build_spans(log)] == [(0, 1.1)]
+    # The same stream without the death is malformed.
+    alive = EventLog(e for e in log.events if e.kind != "slave_failed")
+    with pytest.raises(TraceError, match="worker 0: .* while processing still open"):
+        build_spans(alive)
+
+
 def test_compute_end_without_start_raises():
     log = EventLog()
     log.record(1.0, "compute_end", worker=0, job_id=1)
-    with pytest.raises(TraceError, match="without a compute_start"):
+    with pytest.raises(TraceError, match="without a start"):
         build_spans(log)
 
 

@@ -2,10 +2,12 @@
 
 The acceptance bar for the unified observability layer: a real
 :class:`CloudBurstingRuntime` run with tracing enabled yields a JSONL
-event log and a Perfetto-loadable ``trace_event`` document, and the
-shared timeline analyses (`worker_intervals`/`utilization`/`render_gantt`)
-accept that log and validate it — paired start/end events, no overlaps —
-for at least two applications.
+event log and a Perfetto-loadable ``trace_event`` document, and the one
+interval builder (:mod:`repro.obs.spans`, read by `worker_intervals`,
+`utilization`, `render_gantt` and `build_spans`) accepts that log and
+validates it — paired start/end events, no overlaps — for at least two
+applications, with or without prefetch, and also when a slave crashed
+or the log is a wrapped ring.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.obs import (
     read_jsonl,
     render_gantt,
     render_report,
+    samples_from_log,
     to_perfetto,
     utilization,
     worker_intervals,
@@ -321,6 +324,32 @@ def test_failure_run_emits_slave_failed_and_reexecution():
     assert result.telemetry.slaves_failed == 1
     assert len(log.of_kind("slave_failed")) == 1
     assert len(log.of_kind("job_reexecuted")) == result.telemetry.jobs_reexecuted
+    # The dead slave's open compute is dropped, not raised: every reader
+    # renders the trace, and the re-run job completes the span count.
+    render_report(log)
+    to_perfetto(log)
+    samples_from_log(log, 0.001)
+    utilization(log, log.makespan())
+    assert len(build_spans(log)) == NUM_JOBS
+    died = log.of_kind("slave_failed")[0]
+    assert all(iv.end <= died.time for iv in worker_intervals(log, died.worker))
+
+
+def test_wrapped_ring_runs_and_reports():
+    """`EventLog(max_events=N)` keeps the newest events: the driver's
+    per-pass span check and the report skip ends whose starts fell off
+    the ring, at every cap."""
+    units = 4096
+    rb = repro.make_bundle("histogram", units).schema.record_bytes
+    spec = DatasetSpec(
+        total_bytes=units * rb, num_files=FILES, chunk_bytes=64 * rb,
+        record_bytes=rb,
+    )
+    for cap in range(50, 324, 7):
+        log = EventLog(max_events=cap)
+        repro.run("histogram", spec, repro.RunConfig(trace=log))
+        assert log.events_dropped > 0
+        assert "ring buffer dropped" in render_report(log)
 
 
 def test_join_timeout_names_alive_components():
