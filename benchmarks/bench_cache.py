@@ -52,7 +52,6 @@ from repro.config import (
 )
 from repro.core.slave import Reduce, Reduced, Request, SlaveCore
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, FaultSpec
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.storage.objectstore import ObjectStore
@@ -87,27 +86,22 @@ def run_iterations(units: int, iterations: int, *, latency: float):
     """Run the remote-heavy workload over one shared cache; returns one
     accounting row per iteration."""
     bundle, index, stores = remote_heavy_kmeans(units, latency=latency)
-    registry = MetricsRegistry()
     cache = ChunkCache(64 << 20)
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores,
         ComputeSpec(local_cores=2, cloud_cores=0),
         tuning=MiddlewareTuning(units_per_group=512),
-        metrics=registry, cache=cache, prefetch=True,
+        cache=cache, prefetch=True,
     )
-    remote_bytes = registry.counter("remote_bytes")
     rows = []
-    seen = 0
     for i in range(iterations):
         started = time.perf_counter()
         result = runtime.run()
         wall = time.perf_counter() - started
-        fetched = remote_bytes.value - seen
-        seen = remote_bytes.value
         t = result.telemetry
         rows.append({
             "iteration": i + 1,
-            "remote_bytes": fetched,
+            "remote_bytes": t.remote_bytes,
             "wall": wall,
             "hits": t.cache_hits,
             "misses": t.cache_misses,

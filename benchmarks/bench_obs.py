@@ -9,8 +9,8 @@ of hook executions in the smallest micro-bench configuration (the
 to stay under 2 % of that bench's measured wall time.
 
 Also measures the enabled paths so their cost is a number, not a guess:
-``EventLog.emit`` (lock + stamp + append), histogram ``observe``
-(bisect + adds), and ``to_perfetto`` over a realistic-size log.
+``EventLog.emit`` (lock + stamp + append) and ``to_perfetto`` over a
+realistic-size log.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.config import (
 from repro.core.index import build_index
 from repro.core.scheduler import HeadScheduler
 from repro.data.dataset import build_dataset
-from repro.obs import EventLog, MetricsRegistry, RunMonitor, to_perfetto
+from repro.obs import EventLog, RunMonitor, to_perfetto
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.storage.objectstore import ObjectStore
 
@@ -186,15 +186,6 @@ def test_obs_emit_throughput(benchmark):
 
     benchmark(lambda: log.emit("job_done", worker=0, job_id=1))
     assert len(log) > 0
-
-
-@pytest.mark.benchmark(group="obs")
-def test_obs_histogram_observe(benchmark):
-    """Per-job latency observation (bisect + two adds under a lock)."""
-    hist = MetricsRegistry().histogram("fetch_seconds")
-
-    benchmark(lambda: hist.observe(0.0123))
-    assert hist.count > 0
 
 
 @pytest.mark.benchmark(group="obs")

@@ -11,8 +11,8 @@ Accounting is exact: ``stats.hits + stats.misses`` equals the number of
 ``get`` calls, ``bytes_used`` never exceeds ``capacity_bytes`` (an entry
 larger than the whole budget is rejected, not admitted), and
 ``bytes_saved`` accumulates the bytes served from cache instead of the
-network — the number the ``bytes_saved`` gauge and
-:class:`~repro.runtime.telemetry.RunTelemetry` surface.
+network — the number :class:`~repro.runtime.telemetry.RunTelemetry`
+surfaces.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Any, Hashable
 
 from ..errors import ConfigurationError
 from ..obs.events import EventLog
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["CacheStats", "ChunkCache"]
 
@@ -60,11 +59,12 @@ class _Entry:
 class ChunkCache:
     """Size-bounded LRU keyed by chunk identity.
 
-    ``trace``/``metrics`` are the usual optional observability hooks:
-    hits, misses and evictions land on the event timeline
-    (``cache_hit``/``cache_miss``/``cache_evict``) and in the metrics
-    registry (counters plus the ``bytes_saved`` and ``cache_bytes``
-    gauges). Both default to off and cost one ``None`` check.
+    ``trace`` is the usual optional observability hook: hits, misses and
+    evictions land on the event timeline (``cache_hit``/``cache_miss``/
+    ``cache_evict``). It defaults to off and costs one ``None`` check.
+    The counts themselves are ``stats``, which
+    :func:`~repro.runtime.telemetry.read_ledger` copies into
+    :class:`~repro.runtime.telemetry.RunTelemetry`.
     """
 
     def __init__(
@@ -72,7 +72,6 @@ class ChunkCache:
         capacity_bytes: int,
         *,
         trace: EventLog | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ConfigurationError(
@@ -84,13 +83,6 @@ class ChunkCache:
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
-        self._hit_counter = metrics.counter("cache_hits") if metrics else None
-        self._miss_counter = metrics.counter("cache_misses") if metrics else None
-        self._evict_counter = (
-            metrics.counter("cache_evictions") if metrics else None
-        )
-        self._saved_gauge = metrics.gauge("bytes_saved") if metrics else None
-        self._bytes_gauge = metrics.gauge("cache_bytes") if metrics else None
 
     # -- introspection ------------------------------------------------------
 
@@ -117,22 +109,14 @@ class ChunkCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.stats.misses += 1
-                saved = None
             else:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 self.stats.bytes_saved += entry.nbytes
-                saved = self.stats.bytes_saved
         if entry is None:
-            if self._miss_counter is not None:
-                self._miss_counter.inc()
             if self.trace is not None:
                 self.trace.emit("cache_miss", job_id=job_id, file_id=file_id)
             return None
-        if self._hit_counter is not None:
-            self._hit_counter.inc()
-        if self._saved_gauge is not None:
-            self._saved_gauge.set(saved)
         if self.trace is not None:
             self.trace.emit(
                 "cache_hit", job_id=job_id, file_id=file_id,
@@ -181,22 +165,14 @@ class ChunkCache:
             self._bytes += nbytes
             self.stats.insertions += 1
             self.stats.evictions += evicted
-            used = self._bytes
-        if self._bytes_gauge is not None:
-            self._bytes_gauge.set(used)
-        if evicted:
-            if self._evict_counter is not None:
-                self._evict_counter.inc(evicted)
-            if self.trace is not None:
-                self.trace.emit(
-                    "cache_evict", job_id=job_id, file_id=file_id,
-                    detail=f"{evicted} entries for {nbytes}B",
-                )
+        if evicted and self.trace is not None:
+            self.trace.emit(
+                "cache_evict", job_id=job_id, file_id=file_id,
+                detail=f"{evicted} entries for {nbytes}B",
+            )
         return evicted
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-        if self._bytes_gauge is not None:
-            self._bytes_gauge.set(0)

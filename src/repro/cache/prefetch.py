@@ -24,7 +24,6 @@ from ..clock import SYSTEM_CLOCK
 from ..core.slave import Fetched
 from ..errors import RuntimeProtocolError
 from ..obs.events import EventLog
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["Prefetcher"]
 
@@ -50,7 +49,6 @@ class Prefetcher:
         cluster: str = "",
         worker: int = -1,
         trace: EventLog | None = None,
-        metrics: MetricsRegistry | None = None,
         clock=SYSTEM_CLOCK,
     ) -> None:
         self._acquire = acquire
@@ -60,7 +58,6 @@ class Prefetcher:
         self.trace = trace
         #: Jobs acquired ahead of the owner asking.
         self.prefetches = 0
-        self._counter = metrics.counter("prefetches") if metrics else None
         self._clock = clock
         # One permit lets one stage acquire one job; ``False`` stops a stage.
         self._permits: "queue.SimpleQueue[bool]" = queue.SimpleQueue()
@@ -142,8 +139,6 @@ class Prefetcher:
                 # The owner is gone; the master re-executes this job, so
                 # its bytes would be fetched for nobody.
                 continue
-            if self._counter is not None:
-                self._counter.inc()
             if self.trace is not None:
                 self.trace.emit(
                     "prefetch", cluster=self.cluster, worker=self.worker,

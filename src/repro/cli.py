@@ -566,7 +566,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
 def _trace_runtime(args: argparse.Namespace) -> None:
     trace = obs.EventLog()
-    config = _run_config(args, trace=trace, metrics=obs.MetricsRegistry())
+    config = _run_config(args, trace=trace)
     bundle, spec = _dataset(args.app, args)
     telemetry = facade.run(bundle, spec, config).telemetry
     print(f"{args.app} (real runtime, {args.units} units, "

@@ -41,7 +41,6 @@ class ClusterStats:
     site: str
     jobs_assigned: int = 0
     jobs_stolen: int = 0  # assigned jobs whose data lives at another site
-    groups_assigned: int = 0
     groups_completed: int = 0
     files_touched: set[int] = field(default_factory=set)
 
@@ -146,7 +145,6 @@ class HeadScheduler:
         self._current_file[cluster] = file_id if self._pending.get(file_id) else None
 
         stats.jobs_assigned += len(jobs)
-        stats.groups_assigned += 1
         stats.files_touched.add(file_id)
         if stolen:
             stats.jobs_stolen += len(jobs)

@@ -24,7 +24,6 @@ from ..core.index import DataIndex, FileEntry, build_index
 from ..core.job import Job
 from ..errors import DataFormatError
 from ..obs.events import EventLog
-from ..obs.metrics import MetricsRegistry
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.retry import ResilienceStats, RetryPolicy
 from ..storage.base import StorageService
@@ -135,7 +134,6 @@ class DatasetReader:
     retrieval_threads: int = 4
     trace: EventLog | None = None
     retry: RetryPolicy | None = None
-    metrics: MetricsRegistry | None = None
     cache: "ChunkCache | None" = None
 
     def __post_init__(self) -> None:
@@ -146,23 +144,20 @@ class DatasetReader:
         self._users = 0
         self._lock = threading.Lock()
         #: Cross-site chunk fetches served (cache hits excluded) — a cheap
-        #: always-on gauge the live run monitor probes.
+        #: always-on gauge the live run monitor probes — and their bytes.
         self.remote_fetches = 0
+        self.remote_bytes = 0
         #: Zero-copy accounting, always on (plain ints, like
         #: ``remote_fetches``): a read counts as *zero-copy* when the bytes
         #: handed to ``decode`` alias an existing buffer (an in-memory
         #: blob's view, or a cached chunk); ``bytes_copied`` sums the bytes
         #: of every read that had to materialize a fresh buffer (remote
         #: multi-range assembly, retrying retrievers, file-backed stores).
-        #: The driver folds both into :class:`~repro.runtime.telemetry.
-        #: RunTelemetry` and the metrics registry.
+        #: :func:`~repro.runtime.telemetry.read_ledger` copies these two
+        #: and ``remote_bytes`` into :class:`~repro.runtime.telemetry.
+        #: RunTelemetry`.
         self.zero_copy_reads = 0
         self.bytes_copied = 0
-        self._remote_bytes = (
-            self.metrics.counter("remote_bytes")
-            if self.metrics is not None
-            else None
-        )
 
     def breakers(self) -> dict[str, CircuitBreaker]:
         """Per-site circuit breakers created so far (empty without retry)."""
@@ -190,7 +185,6 @@ class DatasetReader:
                     breaker=breaker,
                     stats=self.resilience,
                     trace=self.trace,
-                    metrics=self.metrics,
                     pool=self._pool,
                 )
                 self._retrievers[(site, threads)] = retriever
@@ -267,13 +261,12 @@ class DatasetReader:
         if remote:
             with self._lock:
                 self.remote_fetches += 1
+                self.remote_bytes += job.nbytes
             if self.trace is not None:
                 self.trace.emit(
                     "remote_fetch", job_id=job.job_id, file_id=job.file_id,
                     detail=f"{from_site}<-{entry.site} {job.nbytes}B",
                 )
-            if self._remote_bytes is not None:
-                self._remote_bytes.inc(job.nbytes)
         if remote and self.retrieval_threads > 1:
             retriever = self._retriever(entry.site, store, self.retrieval_threads)
             data = retriever.fetch(

@@ -112,10 +112,6 @@ class TraceError(SimulationError):
     """
 
 
-class ObservabilityError(ReproError):
-    """A metrics instrument was registered or used inconsistently."""
-
-
 class ServiceError(ReproError):
     """The multi-run job service was used inconsistently.
 

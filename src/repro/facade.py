@@ -53,7 +53,6 @@ from .data.dataset import DatasetReader, build_dataset
 from .errors import ConfigurationError
 from .obs.events import EventLog
 from .obs.live import RunMonitor, RunSample, samples_from_log
-from .obs.metrics import MetricsRegistry
 from .options import (
     CacheOptions,
     MonitorOptions,
@@ -84,8 +83,8 @@ class RunConfig:
       (real threads over real bytes);
     * ``placement`` / ``compute`` / ``tuning`` / ``seed`` — the same specs
       :class:`~repro.config.ExperimentConfig` takes;
-    * ``trace`` / ``metrics`` — observability hooks threaded through to
-      whichever engine runs;
+    * ``trace`` — the observability hook (an event log) threaded through
+      to whichever engine runs;
     * ``slave_mode`` — the runtime's slave substrate: ``"thread"`` (the
       original in-process slaves, default) or ``"process"`` (decode +
       local reduction in worker processes fed over shared memory —
@@ -141,7 +140,6 @@ class RunConfig:
     seed: int = 2011
     name: str = "adhoc"
     trace: EventLog | None = None
-    metrics: MetricsRegistry | None = None
     app_params: Mapping[str, Any] = field(default_factory=dict)
     slave_mode: str = "thread"
     iterations: int = 1
@@ -277,7 +275,7 @@ class RunConfig:
         """Build the configured chunk cache, or ``None`` when disabled."""
         if self.cache.bytes <= 0:
             return None
-        return ChunkCache(self.cache.bytes, trace=self.trace, metrics=self.metrics)
+        return ChunkCache(self.cache.bytes, trace=self.trace)
 
     @property
     def fault_spec(self) -> FaultSpec | None:
@@ -412,7 +410,6 @@ def _run_serial(
         retrieval_threads=1,
         trace=config.trace,
         retry=config.effective_retry,
-        metrics=config.metrics,
         cache=cache,
     )
     # The cache only engages for cross-site reads; the serial oracle has no
@@ -525,7 +522,6 @@ def execute_runtime(
         tuning=config.tuning,
         seed=config.seed,
         trace=config.trace,
-        metrics=config.metrics,
         join_timeout=config.resilience.join_timeout,
         retry_policy=config.effective_retry,
         cache=config.make_cache(),

@@ -19,7 +19,6 @@ from .export import (
     write_perfetto,
 )
 from .live import RunMonitor, RunSample, samples_from_log
-from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 from .spans import (
     PHASES,
     build_spans,
@@ -47,9 +46,6 @@ __all__ = [
     "to_perfetto",
     "write_perfetto",
     "render_report",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Histogram",
-    "MetricsRegistry",
     "PHASES",
     "build_spans",
     "phase_totals",

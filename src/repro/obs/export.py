@@ -47,10 +47,23 @@ def event_to_dict(event: TraceEvent) -> dict:
     return out
 
 
+#: Version of the JSONL header record. A file without a header reads as a
+#: complete log.
+JSONL_SCHEMA = 1
+
+
 def write_jsonl(log: EventLog, path: str | Path) -> int:
-    """Write one event per line; returns the number of events written."""
+    """Write a header record, then one event per line; returns the number
+    of events written.
+
+    The header, ``{"schema": 1, "events_dropped": N}``, carries what a
+    capped log lost off its front, so a wrapped ring reads back as one.
+    """
     events = log.snapshot()
+    header = {"schema": JSONL_SCHEMA, "events_dropped": log.events_dropped}
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True))
+        fh.write("\n")
         for event in events:
             fh.write(json.dumps(event_to_dict(event), sort_keys=True))
             fh.write("\n")
@@ -58,8 +71,11 @@ def write_jsonl(log: EventLog, path: str | Path) -> int:
 
 
 def read_jsonl(path: str | Path) -> EventLog:
-    """Load a JSONL trace back into an :class:`EventLog`."""
+    """Load a JSONL trace back into an :class:`EventLog`, restoring its
+    ``events_dropped`` from the header record when the file has one."""
     events: list[TraceEvent] = []
+    dropped = 0
+    first = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -67,6 +83,11 @@ def read_jsonl(path: str | Path) -> EventLog:
                 continue
             try:
                 doc = json.loads(line)
+                if first and isinstance(doc, dict) and "schema" in doc:
+                    first = False
+                    dropped = _read_header(doc, f"{path}:{lineno}")
+                    continue
+                first = False
                 event = TraceEvent(**doc)
             except (json.JSONDecodeError, TypeError) as exc:
                 raise TraceError(f"{path}:{lineno}: bad trace line: {exc}") from exc
@@ -75,7 +96,19 @@ def read_jsonl(path: str | Path) -> EventLog:
                     f"{path}:{lineno}: unknown event kind {event.kind!r}"
                 )
             events.append(event)
-    return EventLog(events)
+    log = EventLog(events)
+    log.events_dropped = dropped
+    return log
+
+
+def _read_header(doc: dict, where: str) -> int:
+    """The header's ``events_dropped``; raises on a header it cannot read."""
+    if doc["schema"] != JSONL_SCHEMA:
+        raise TraceError(f"{where}: unsupported trace schema {doc['schema']!r}")
+    dropped = doc.get("events_dropped", 0)
+    if not isinstance(dropped, int) or dropped < 0:
+        raise TraceError(f"{where}: bad events_dropped {dropped!r}")
+    return dropped
 
 
 # -- Perfetto ---------------------------------------------------------------
@@ -334,8 +367,10 @@ def render_report(
             lines.append("")
             lines.append(render_critical_path(critical_path(log, makespan)))
     if getattr(log, "events_dropped", 0):
+        # The kept count, not ``max_events``: a capped log read back from
+        # JSONL is uncapped, and it must render the same.
         lines.append(
             f"warning: ring buffer dropped {log.events_dropped} oldest "
-            f"events (max_events={log.max_events})"
+            f"events ({len(log)} kept)"
         )
     return "\n".join(lines)

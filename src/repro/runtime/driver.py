@@ -36,7 +36,6 @@ from ..data.dataset import DatasetReader
 from ..errors import ConfigurationError, RuntimeTimeoutError
 from ..obs.events import EventLog
 from ..obs.live import RunMonitor
-from ..obs.metrics import MetricsRegistry
 from ..obs.record import ClusterReport
 from ..obs.spans import span_summary
 from ..options import ScaleOptions
@@ -54,15 +53,6 @@ __all__ = ["RuntimeResult", "CloudBurstingRuntime", "SLAVE_MODES"]
 
 #: The slave substrates the runtime can execute on.
 SLAVE_MODES = ("thread", "process")
-
-#: :class:`RunTelemetry` counters a metrics registry mirrors under the
-#: same names.
-_MIRRORED = (
-    "slaves_failed", "slaves_revoked", "slaves_added", "jobs_reexecuted",
-    "retries", "hedges", "circuit_opens", "faults_injected",
-    "zero_copy_reads", "bytes_copied",
-    "sync_uploads", "sync_bytes_sent", "sync_bytes_saved", "sync_partial_merges",
-)
 
 
 @dataclass
@@ -97,7 +87,6 @@ class CloudBurstingRuntime:
         seed: int = 2011,
         fault_hook=None,
         trace: EventLog | None = None,
-        metrics: MetricsRegistry | None = None,
         join_timeout: float = 600.0,
         retry_policy: RetryPolicy | None = None,
         cache: ChunkCache | None = None,
@@ -122,11 +111,9 @@ class CloudBurstingRuntime:
         self.tuning = tuning or MiddlewareTuning()
         self.seed = seed
         self.fault_hook = fault_hook
-        #: Optional observability hooks: a shared event log every node
-        #: emits into, and a metrics registry the slaves feed. Both are
-        #: off (``None``) by default and cost nothing when disabled.
+        #: Optional observability hook: a shared event log every node
+        #: emits into. Off (``None``) by default; costs nothing disabled.
         self.trace = trace
-        self.metrics = metrics
         self.join_timeout = join_timeout
         #: Optional :class:`~repro.resilience.RetryPolicy` applied to every
         #: chunk read (retry/backoff, hedging, circuit-breaker degradation).
@@ -260,7 +247,6 @@ class CloudBurstingRuntime:
             retrieval_threads=self.tuning.retrieval_threads,
             trace=trace,
             retry=self.retry_policy,
-            metrics=self.metrics,
             cache=self.cache,
         )
         # Injectors, cache and codec count across passes (an iterative run
@@ -299,7 +285,6 @@ class CloudBurstingRuntime:
                 units_per_group=self.tuning.units_per_group,
                 fault_hook=self.fault_hook,
                 trace=trace,
-                metrics=self.metrics,
                 take_timeout=self.join_timeout,
                 prefetch=self.prefetch,
                 sync_watermark=spec.slave_watermark,
@@ -465,9 +450,6 @@ class CloudBurstingRuntime:
             # The causal-span digest (per-phase totals + critical path).
             telemetry.spans = span_summary(trace)
 
-        if self.metrics is not None:
-            telemetry.metrics = self._mirror(telemetry, scheduler, len(slaves))
-
         return RuntimeResult(
             value=self.app.finalize(result),
             telemetry=telemetry,
@@ -510,16 +492,3 @@ class CloudBurstingRuntime:
             return gauges
 
         return probe
-
-    def _mirror(self, telemetry: RunTelemetry, scheduler, workers: int) -> dict:
-        """Fold one pass into the metrics registry; returns its snapshot."""
-        registry = self.metrics
-        registry.counter("jobs_stolen").inc(telemetry.total_stolen)
-        registry.counter("groups_assigned").inc(
-            sum(c.groups_assigned for c in scheduler.clusters.values())
-        )
-        for name in _MIRRORED:
-            registry.counter(name).inc(getattr(telemetry, name))
-        registry.gauge("workers").set(workers)
-        registry.gauge("clusters").set(len(telemetry.clusters))
-        return registry.snapshot()

@@ -30,7 +30,6 @@ from ..core.slave import Fetched, HandOver, Reduce, Reduced, Request, SlaveCore
 from ..data.dataset import DatasetReader
 from ..errors import RuntimeProtocolError, WorkerFailure
 from ..obs.events import EventLog
-from ..obs.metrics import MetricsRegistry
 from .telemetry import SlaveTelemetry
 from .transport import Mailbox
 
@@ -57,7 +56,6 @@ class SlaveWorker:
         units_per_group: int = DEFAULT_UNITS_PER_GROUP,
         fault_hook: FaultHook | None = None,
         trace: EventLog | None = None,
-        metrics: MetricsRegistry | None = None,
         take_timeout: float = 60.0,
         prefetch: bool = False,
         sync_watermark: int = 0,
@@ -88,19 +86,10 @@ class SlaveWorker:
         self.process_slave = process_slave
         self._robj = None
         self._chunks: dict[int, bytes] = {}  # fetched bytes until their Reduce
-        self._metrics = metrics
         #: Mailbox-receive timeout, threaded from the driver's
         #: ``join_timeout`` so short-deadline fault tests are not pinned
         #: to a hard-coded minute.
         self.take_timeout = take_timeout
-        # Instruments are registry-wide: every slave shares one histogram,
-        # fetched once here so the job loop stays allocation-free.
-        self._fetch_hist = metrics.histogram("fetch_seconds") if metrics else None
-        self._compute_hist = (
-            metrics.histogram("compute_seconds") if metrics else None
-        )
-        self._jobs_counter = metrics.counter("jobs_done") if metrics else None
-        self._fetched_until = 0.0  # retrieval total at the last Reduce
         self.reply = Mailbox(f"slave:{cluster}:{slave_id}")
         self.telemetry = SlaveTelemetry(slave_id=slave_id, cluster=cluster)
         self._thread: threading.Thread | None = None
@@ -159,7 +148,7 @@ class SlaveWorker:
             self._prefetcher = Prefetcher(
                 self._acquire, self._fetch,
                 cluster=self.cluster, worker=self.slave_id,
-                trace=self.trace, metrics=self._metrics, clock=clock,
+                trace=self.trace, clock=clock,
             )
         todo = deque(core.start(clock.monotonic()))
         while todo or not core.finished:
@@ -231,10 +220,6 @@ class SlaveWorker:
             self.fault_hook(self.slave_id, job)
         raw = self._chunks.pop(job.job_id)
         telemetry = self.telemetry
-        if self._fetch_hist is not None:
-            self._fetch_hist.observe(telemetry.retrieval.total - self._fetched_until)
-            self._fetched_until = telemetry.retrieval.total
-        before_compute = telemetry.processing.total
         with telemetry.processing:
             if self.process_slave is not None:
                 # Stage the bytes into shared memory and block until the
@@ -244,12 +229,6 @@ class SlaveWorker:
                 units = self.app.decode_chunk(raw)
                 for group in self.app.unit_groups(units, self.units_per_group):
                     self.app.local_reduction(self._robj, group)
-        if self._compute_hist is not None:
-            self._compute_hist.observe(
-                telemetry.processing.total - before_compute
-            )
-        if self._jobs_counter is not None:
-            self._jobs_counter.inc()
         telemetry.jobs += 1
         return Reduced(job)
 

@@ -64,10 +64,10 @@ class SlaveTelemetry:
 class RunTelemetry(PassRecord):
     """Whole-run accounting returned alongside the application result.
 
-    ``metrics`` is the :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-    taken at the end of the run when the driver was given a registry —
-    plain data, so it serializes with the rest (the serializers are
-    :class:`~repro.obs.record.PassRecord`'s, shared with ``SimReport``).
+    Every counter a caller reads about a run is a field here, filled from
+    :func:`read_ledger`; per-job durations are the trace's
+    (:func:`repro.obs.spans.build_spans`). The serializers are
+    :class:`~repro.obs.record.PassRecord`'s, shared with ``SimReport``.
     """
 
     _span = "wall_seconds"
@@ -120,9 +120,11 @@ class RunTelemetry(PassRecord):
     #: ranges); ``bytes_copied`` counts the bytes that had to be
     #: materialized (retriever-joined remote reads, non-view backends).
     #: A hot read loop proves itself copy-free when this stays 0.
+    #: ``remote_bytes`` counts the cross-site chunk bytes fetched over the
+    #: network (cache hits excluded): a warm cached pass reads 0.
     zero_copy_reads: int = 0
     bytes_copied: int = 0
-    metrics: dict | None = None
+    remote_bytes: int = 0
     #: Causal-span digest (:func:`repro.obs.spans.span_summary`): per-phase
     #: time totals and the critical path through the makespan. Filled by
     #: the driver when the run was traced; ``None`` otherwise.
@@ -158,6 +160,7 @@ def read_ledger(
         ),
         "zero_copy_reads": reader.zero_copy_reads,
         "bytes_copied": reader.bytes_copied,
+        "remote_bytes": reader.remote_bytes,
     }
     if cache is not None:
         stats = cache.stats

@@ -523,18 +523,18 @@ class MultiSiteSimulation:
 
         def uplink(master: SimMaster) -> Event | None:
             """The hop ``master``'s object rides up the plan: to its parent
-            master's site, or to the head — off the WAN and unencoded
-            (dense bytes) from the head's own site, and none at all in a
-            single-cluster run."""
+            master's site, or to the head — over the WAN from another site
+            (a lone cluster's too), off it and unencoded (dense bytes) from
+            the head's own site, and none at all for a lone cluster there."""
             if master.parent is not head:
                 return robj_link(master.site, master.parent.site).transfer(wire_bytes)
+            if master.cross_site:
+                return robj_link(master.site, head_site).transfer(wire_bytes)
             if not multi_cluster:
                 return None
-            if not master.cross_site:
-                return env.timeout(
-                    config.lan_latency + robj_bytes / intra_bandwidth[master.site]
-                )
-            return robj_link(master.site, head_site).transfer(wire_bytes)
+            return env.timeout(
+                config.lan_latency + robj_bytes / intra_bandwidth[master.site]
+            )
 
         masters: dict[str, SimMaster] = {}
         slaves: dict[str, list[SimSlave]] = {}

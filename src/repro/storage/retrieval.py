@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import queue
 import random
-import time
 import zlib
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ from dataclasses import dataclass
 from ..clock import SYSTEM_CLOCK
 from ..errors import StorageError, TransientStorageError
 from ..obs.events import EventLog
-from ..obs.metrics import MetricsRegistry
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.retry import ResilienceStats, RetryPolicy, retry_call
 from .base import StorageService
@@ -111,8 +109,8 @@ class ChunkRetriever:
     A parallel retriever given no pool makes its own, which :meth:`close`
     joins. With a ``policy`` it becomes resilient:
     sub-ranges are retried, hedged, and the whole fetch degrades to
-    single-stream while ``breaker`` is open. ``stats``/``trace``/``metrics``
-    record what the machinery did.
+    single-stream while ``breaker`` is open. ``stats``/``trace`` record
+    what the machinery did.
     """
 
     def __init__(
@@ -124,7 +122,6 @@ class ChunkRetriever:
         breaker: CircuitBreaker | None = None,
         stats: ResilienceStats | None = None,
         trace: EventLog | None = None,
-        metrics: MetricsRegistry | None = None,
         seed: int = 2011,
         clock=None,
         pool: Executor | None = None,
@@ -146,12 +143,6 @@ class ChunkRetriever:
         #: :data:`~repro.clock.SYSTEM_CLOCK` in production, a
         #: :class:`~repro.clock.FakeClock` in timing tests.
         self.clock = clock if clock is not None else SYSTEM_CLOCK
-        self._attempt_hist = (
-            metrics.histogram("attempt_seconds") if metrics else None
-        )
-        self._attempt_counter = (
-            metrics.counter("storage_attempts") if metrics else None
-        )
 
     def fetch(
         self, key: str, offset: int, nbytes: int, *, job_id: int = -1,
@@ -251,20 +242,13 @@ class ChunkRetriever:
         )
 
     def _single_attempt(self, key: str, plan: RangePlan) -> bytes:
-        """One storage request, instrumented and breaker-accounted."""
-        if self._attempt_counter is not None:
-            self._attempt_counter.inc()
-        started = time.perf_counter()
+        """One storage request, breaker-accounted."""
         try:
             data = self.store.read_range(key, plan.offset, plan.length)
         except BaseException:
-            if self._attempt_hist is not None:
-                self._attempt_hist.observe(time.perf_counter() - started)
             if self.breaker is not None:
                 self.breaker.record_failure()
             raise
-        if self._attempt_hist is not None:
-            self._attempt_hist.observe(time.perf_counter() - started)
         if self.breaker is not None:
             self.breaker.record_success()
         return data

@@ -39,7 +39,6 @@ from repro.errors import (
     WorkerFailure,
 )
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.runtime.telemetry import RunTelemetry
 from repro.runtime.transport import Mailbox
@@ -137,8 +136,7 @@ def test_cache_is_thread_safe_under_contention():
 def test_cache_emits_trace_events_and_metrics():
     trace = EventLog()
     trace.start()
-    registry = MetricsRegistry()
-    cache = ChunkCache(100, trace=trace, metrics=registry)
+    cache = ChunkCache(100, trace=trace)
     cache.get("k")
     cache.put("k", b"abc")
     cache.get("k")
@@ -146,10 +144,10 @@ def test_cache_emits_trace_events_and_metrics():
     assert len(trace.of_kind("cache_miss")) == 1
     assert len(trace.of_kind("cache_hit")) == 1
     assert len(trace.of_kind("cache_evict")) == 1
-    assert registry.counter("cache_hits").value == 1
-    assert registry.counter("cache_misses").value == 1
-    assert registry.counter("cache_evictions").value == 1
-    assert registry.gauge("bytes_saved").value == 3.0
+    assert cache.stats.hits == 1
+    assert cache.stats.misses == 1
+    assert cache.stats.evictions == 1
+    assert cache.stats.bytes_saved == 3
 
 
 # -- FakeClock ---------------------------------------------------------------
@@ -325,10 +323,8 @@ def test_reader_consults_cache_before_remote_fetch():
     _, index, stores = materialize()
     trace = EventLog()
     trace.start()
-    registry = MetricsRegistry()
     cache = ChunkCache(1 << 20)
-    reader = DatasetReader(index, stores, trace=trace, metrics=registry,
-                           cache=cache)
+    reader = DatasetReader(index, stores, trace=trace, cache=cache)
     job = next(j for j in index.jobs()
                if index.entry(j.file_id).site == CLOUD_SITE)
     first = reader.read_job(job, from_site=LOCAL_SITE)
@@ -337,7 +333,7 @@ def test_reader_consults_cache_before_remote_fetch():
     assert cache.stats.misses == 1 and cache.stats.hits == 1
     # The remote fetch happened exactly once: the hit never touched the wire.
     assert len(trace.of_kind("remote_fetch")) == 1
-    assert registry.counter("remote_bytes").value == job.nbytes
+    assert reader.remote_bytes == job.nbytes
 
 
 def test_reader_ignores_cache_for_local_reads():
@@ -532,6 +528,28 @@ def test_runtime_cache_and_prefetch_together_preserve_result():
     # Pass 2 found every cross-site chunk already cached.
     assert second.telemetry.cache_misses == 0
     assert second.telemetry.cache_hits >= first.telemetry.cache_misses > 0
+    assert first.telemetry.remote_bytes == sum(j.nbytes for j in index.jobs())
+    assert second.telemetry.remote_bytes == 0
+
+
+def test_runtime_remote_bytes_are_the_traced_remote_fetches():
+    # All data on the cloud: every job the local cluster takes is a steal.
+    bundle, index, stores = materialize(bins=32, local_fraction=0.0)
+    nbytes = {j.job_id: j.nbytes for j in index.jobs()}
+    log = EventLog()
+    runtime = CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
+        tuning=MiddlewareTuning(units_per_group=100),
+        trace=log, cache=ChunkCache(1 << 22),
+    )
+    totals = []
+    for _ in range(2):
+        seen = len(log.of_kind("remote_fetch"))
+        telemetry = runtime.run().telemetry
+        fetched = log.of_kind("remote_fetch")[seen:]
+        assert telemetry.remote_bytes == sum(nbytes[e.job_id] for e in fetched)
+        totals.append(telemetry.remote_bytes)
+    assert totals[0] > 0
 
 
 # -- Iterative facade --------------------------------------------------------
@@ -543,10 +561,9 @@ def test_facade_iterative_second_pass_fetches_zero_remote_bytes():
         total_bytes=1024 * rb, num_files=4, chunk_bytes=64 * rb,
         record_bytes=rb,
     )
-    registry = MetricsRegistry()
     config = repro.RunConfig(
         mode="serial", cache=repro.CacheOptions(bytes=1 << 22), iterations=3,
-        metrics=registry, app_params={"k": 4},
+        app_params={"k": 4},
     )
     result = repro.run("kmeans", dataset, config)
     assert result.passes == 3
@@ -555,7 +572,7 @@ def test_facade_iterative_second_pass_fetches_zero_remote_bytes():
     # the remote byte counter stops growing after the first pass.
     assert t.cache_misses > 0
     assert t.cache_hits == 2 * t.cache_misses
-    assert registry.counter("remote_bytes").value == t.bytes_saved // 2
+    assert t.remote_bytes == t.bytes_saved // 2
     assert t.cache_evictions == 0
 
 

@@ -66,12 +66,17 @@ def test_read_jsonl_rejects_garbage(tmp_path):
     bad.write_text('{"time": 0.0, "kind": "job_done", "nope": 1}\n')
     with pytest.raises(TraceError):
         read_jsonl(bad)
+    bad.write_text('{"schema": 2, "events_dropped": 0}\n')
+    with pytest.raises(TraceError, match="unsupported trace schema"):
+        read_jsonl(bad)
 
 
 def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('{"time": 0.0, "kind": "job_done", "worker": 0}\n\n')
-    assert len(read_jsonl(path)) == 1
+    back = read_jsonl(path)
+    assert len(back) == 1
+    assert back.events_dropped == 0  # no header: a complete log
 
 
 def test_perfetto_structure():
@@ -192,7 +197,7 @@ def test_render_report_optional_critical_path():
     assert "critical path:" in with_path
 
 
-def test_render_report_warns_about_dropped_events():
+def test_render_report_warns_about_dropped_events(tmp_path):
     log = EventLog(max_events=6)
     for event in sample_log().events:
         log.record(event.time, event.kind, cluster=event.cluster,
@@ -218,3 +223,9 @@ def test_render_report_warns_about_dropped_events():
     report = render_report(cut)
     assert "1 job spans" in report
     assert "ring buffer dropped 2 oldest" in report
+    # The JSONL header carries the loss, so the file renders the same.
+    path = tmp_path / "cut.jsonl"
+    write_jsonl(cut, path)
+    back = read_jsonl(path)
+    assert back.events_dropped == 2
+    assert render_report(back) == report

@@ -50,8 +50,10 @@ def test_nested_construction_is_silent():
         RunConfig(**NESTED_KWARGS)
 
 
-#: The flat kwargs the nested specs replaced, each with a legal value.
+#: The flat kwargs the nested specs replaced, and the metrics registry
+#: the run's counters left for ``RunTelemetry``, each with a once-legal value.
 REMOVED_FLAT_KWARGS = dict(
+    metrics=None,
     cache_bytes=1 << 20,
     prefetch=True,
     sync_encoding="delta",
@@ -78,10 +80,10 @@ def test_flat_spelling_is_gone(name):
         getattr(RunConfig(), name)
 
 
-def test_signature_is_the_seventeen_real_fields():
+def test_signature_is_the_sixteen_real_fields():
     assert list(inspect.signature(RunConfig).parameters) == [
         "mode", "placement", "compute", "tuning", "seed", "name", "trace",
-        "metrics", "app_params", "slave_mode", "iterations", "converge",
+        "app_params", "slave_mode", "iterations", "converge",
         "cache", "sync", "monitor", "resilience", "scale",
     ]
 

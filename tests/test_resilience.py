@@ -21,7 +21,6 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     CircuitBreaker,
     FaultInjector,
@@ -486,18 +485,15 @@ def test_attempt_timeout_abandons_hung_request_and_retries():
 def test_retriever_records_attempt_metrics_and_trace():
     store = FlakyStore(fail_first=1)
     store.put("k", b"m" * 64)
-    registry = MetricsRegistry()
     trace = EventLog()
     trace.start()
     retriever = ChunkRetriever(
         store, threads=2,
         policy=RetryPolicy(max_attempts=3, base_backoff=0.0, max_backoff=0.0),
-        trace=trace, metrics=registry,
+        trace=trace,
     )
     retriever.fetch("k", 0, 64, job_id=9, file_id=3)
-    snap = registry.snapshot()
-    assert snap["counters"]["storage_attempts"] == 4  # 2 ranges x 2 attempts
-    assert snap["histograms"]["attempt_seconds"]["count"] == 4
+    assert sum(store.attempts.values()) == 4  # 2 ranges x 2 attempts
     retry_events = [e for e in trace.snapshot() if e.kind == "retry"]
     assert len(retry_events) == 2
     assert all(e.job_id == 9 and e.file_id == 3 for e in retry_events)

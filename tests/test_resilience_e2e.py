@@ -30,7 +30,6 @@ from repro.core.api import run_serial
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import WorkerFailure
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, FaultSpec, RetryPolicy
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.storage.objectstore import ObjectStore
@@ -59,7 +58,6 @@ def test_transient_injection_run_is_bit_identical_and_accounted():
 
     spec = FaultSpec(transient_rate=FAULT_RATE, seed=7)
     trace = EventLog()
-    metrics = MetricsRegistry()
     faulted = {
         site: FaultInjector(s, spec, trace=trace) for site, s in stores.items()
     }
@@ -69,7 +67,7 @@ def test_transient_injection_run_is_bit_identical_and_accounted():
         retry_policy=RetryPolicy(
             max_attempts=8, base_backoff=0.001, max_backoff=0.01
         ),
-        trace=trace, metrics=metrics, join_timeout=60.0,
+        trace=trace, join_timeout=60.0,
     )
     result = runtime.run()
     telemetry = result.telemetry
@@ -93,13 +91,6 @@ def test_transient_injection_run_is_bit_identical_and_accounted():
         assert trace.of_kind("retry")
     else:
         assert injected == 0 and telemetry.retries == 0
-
-    # The metrics registry saw the same story.
-    snap = metrics.snapshot()
-    assert snap["counters"]["retries"] == telemetry.retries
-    assert snap["counters"]["faults_injected"] == injected
-    reads = sum(inj.counters.reads for inj in faulted.values())
-    assert snap["counters"]["storage_attempts"] == reads
 
 
 def test_hedging_run_with_latency_spikes_still_exact():

@@ -34,7 +34,6 @@ from repro.data.dataset import build_dataset
 from repro.errors import RuntimeTimeoutError, WorkerFailure
 from repro.obs import (
     EventLog,
-    MetricsRegistry,
     build_spans,
     read_jsonl,
     render_gantt,
@@ -73,7 +72,7 @@ def materialize(app_key, local_fraction=0.5, **bundle_params):
     return bundle, index, stores
 
 
-def traced_run(app_key, *, local_fraction=0.5, metrics=None, **bundle_params):
+def traced_run(app_key, *, local_fraction=0.5, **bundle_params):
     bundle, index, stores = materialize(
         app_key, local_fraction=local_fraction, **bundle_params
     )
@@ -82,7 +81,7 @@ def traced_run(app_key, *, local_fraction=0.5, metrics=None, **bundle_params):
         bundle.app, index, stores,
         ComputeSpec(local_cores=2, cloud_cores=2),
         tuning=MiddlewareTuning(units_per_group=100),
-        trace=log, metrics=metrics,
+        trace=log,
     )
     return runtime.run(), log
 
@@ -248,7 +247,8 @@ def test_tracing_disabled_result_identical():
     import numpy as np
 
     np.testing.assert_array_equal(plain.value, traced.value)
-    assert plain.telemetry.metrics is None
+    assert plain.telemetry.spans is None
+    assert traced.telemetry.spans is not None
 
 
 def test_skewed_run_emits_steal_and_remote_fetch():
@@ -268,27 +268,20 @@ def test_skewed_run_emits_steal_and_remote_fetch():
     assert all("<-" in e.detail for e in remote)
 
 
-def test_metrics_snapshot_lands_in_telemetry():
-    registry = MetricsRegistry()
-    result, log = traced_run("wordcount", metrics=registry, vocabulary=32)
-    snap = result.telemetry.metrics
-    assert snap is not None
-    assert snap["counters"]["jobs_done"] == NUM_JOBS
-    assert snap["counters"]["jobs_stolen"] == result.telemetry.total_stolen
-    assert snap["gauges"]["workers"] == 4
-    # Dense uploads save exactly nothing, so the saving mirrors as a counter.
-    assert snap["counters"]["sync_bytes_saved"] == result.telemetry.sync_bytes_saved == 0
-    assert "sync_bytes_saved" not in snap["gauges"]
-    fetch = snap["histograms"]["fetch_seconds"]
-    compute = snap["histograms"]["compute_seconds"]
-    assert fetch["count"] == NUM_JOBS
-    assert compute["count"] == NUM_JOBS
-    assert fetch["sum"] > 0 and compute["sum"] > 0
-    # Histogram totals agree with the stopwatch aggregates.
-    stopwatch_retrieval = sum(
-        c.mean_retrieval * c.slaves for c in result.telemetry.clusters.values()
-    )
-    assert fetch["sum"] == pytest.approx(stopwatch_retrieval, rel=1e-6)
+def test_traced_run_spans_each_job_with_a_fetch_and_a_compute_phase():
+    result, log = traced_run("wordcount", vocabulary=32)
+    assert result.telemetry.total_jobs == NUM_JOBS
+    # Dense uploads save exactly nothing.
+    assert result.telemetry.sync_bytes_saved == 0
+    # Per-job durations live in the trace: one span per job, each with a
+    # fetch and a compute phase in causal order.
+    spans = build_spans(log)
+    assert sorted(s.job_id for s in spans) == list(range(NUM_JOBS))
+    for span in spans:
+        assert span.fetch_start is not None
+        assert span.fetch_start <= span.fetch_end <= span.compute_start
+        assert span.compute_start <= span.compute_end
+        assert {"fetch", "compute"} <= {p.name for p in span.phases}
 
 
 def test_iterative_passes_share_one_timeline():
@@ -335,10 +328,10 @@ def test_failure_run_emits_slave_failed_and_reexecution():
     assert all(iv.end <= died.time for iv in worker_intervals(log, died.worker))
 
 
-def test_wrapped_ring_runs_and_reports():
+def test_wrapped_ring_runs_and_reports(tmp_path):
     """`EventLog(max_events=N)` keeps the newest events: the driver's
     per-pass span check and the report skip ends whose starts fell off
-    the ring, at every cap."""
+    the ring, at every cap, and so does the log read back from JSONL."""
     units = 4096
     rb = repro.make_bundle("histogram", units).schema.record_bytes
     spec = DatasetSpec(
@@ -349,7 +342,10 @@ def test_wrapped_ring_runs_and_reports():
         log = EventLog(max_events=cap)
         repro.run("histogram", spec, repro.RunConfig(trace=log))
         assert log.events_dropped > 0
-        assert "ring buffer dropped" in render_report(log)
+        report = render_report(log)
+        assert "ring buffer dropped" in report
+        write_jsonl(log, tmp_path / "capped.jsonl")
+        assert render_report(read_jsonl(tmp_path / "capped.jsonl")) == report
 
 
 def test_join_timeout_names_alive_components():
@@ -425,16 +421,24 @@ def test_join_timeout_must_be_positive():
 
 
 def test_run_telemetry_round_trip():
-    registry = MetricsRegistry()
-    result, _ = traced_run("wordcount", metrics=registry, vocabulary=32)
+    result, _ = traced_run("wordcount", vocabulary=32)
     text = result.telemetry.to_json()
     back = RunTelemetry.from_json(text)
     assert back.wall_seconds == result.telemetry.wall_seconds
     assert back.total_jobs == result.telemetry.total_jobs
     assert back.total_stolen == result.telemetry.total_stolen
     assert set(back.clusters) == set(result.telemetry.clusters)
-    assert back.metrics == result.telemetry.metrics
     assert back.to_dict() == result.telemetry.to_dict()
+
+
+def test_run_telemetry_reads_a_document_with_a_metrics_key():
+    # Documents written while RunTelemetry carried a registry snapshot
+    # still load: the key is ignored, every counter comes back.
+    doc = RunTelemetry(wall_seconds=1.5, retries=3).to_dict()
+    doc.pop("remote_bytes")
+    doc["metrics"] = {"counters": {"retries": 3}, "gauges": {}, "histograms": {}}
+    back = RunTelemetry.from_json(json.dumps(doc))
+    assert back == RunTelemetry(wall_seconds=1.5, retries=3)
 
 
 def test_run_telemetry_from_bad_documents():

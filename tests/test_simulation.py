@@ -72,6 +72,18 @@ def test_single_cluster_baselines_have_no_idle_or_transfer():
     assert cloud.cluster("cloud-cluster").jobs_stolen == 0
 
 
+def test_a_lone_root_pays_its_upload_only_off_the_head_site():
+    # The head sits on the local site: a lone local root hands its object
+    # over where it is, a lone cloud root ships it across the WAN, as the
+    # runtime's ``crosses_site`` rule counts it.
+    local = simulate(env_config("knn", "env-local", scale=SCALE))
+    cluster = local.cluster("local-cluster")
+    assert cluster.robj_arrival == cluster.combine_done
+    cloud = simulate(env_config("knn", "env-cloud", scale=SCALE))
+    cluster = cloud.cluster("cloud-cluster")
+    assert cluster.robj_arrival > cluster.combine_done
+
+
 def test_stealing_grows_with_skew():
     stolen = {}
     for env in ("env-50/50", "env-33/67", "env-17/83"):

@@ -27,7 +27,7 @@ from repro.storage.objectstore import ObjectStore
 NUMERIC = [
     f for f in dataclasses.fields(RunTelemetry) if f.type in ("int", "float")
 ]
-OTHERS = {"clusters", "metrics", "spans"}
+OTHERS = {"clusters", "spans"}
 
 
 def _pass(n: int) -> RunTelemetry:
@@ -42,7 +42,6 @@ def _pass(n: int) -> RunTelemetry:
                 f"c{n}", "local", 2, n, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.0
             )
         },
-        metrics={"pass": n},
         spans={"critical_path": [n]},
         **numbers,
     )
@@ -62,7 +61,6 @@ def test_fold_sums_every_numeric_field_and_keeps_the_last_pass():
         assert getattr(folded, f.name) == expected, f.name
         assert type(getattr(folded, f.name)).__name__ == f.type, f.name
     assert folded.clusters == passes[-1].clusters
-    assert folded.metrics == {"pass": 3}
     assert folded.spans == {"critical_path": [3]}
     # Folding reads the passes; it does not rewrite them.
     assert passes[-1] == _pass(3)
