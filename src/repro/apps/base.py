@@ -79,7 +79,13 @@ class AppProfile:
 
 @dataclass
 class AppBundle:
-    """Everything an experiment needs for one application."""
+    """Everything an experiment needs for one application.
+
+    ``block_fn`` makes the dataset's blocks (see
+    :data:`~repro.data.dataset.BlockFn`). ``build_dataset`` calls it from
+    several threads at once, so it must be a pure function of its
+    arguments; every registered generator seeds its own RNG per block.
+    """
 
     profile: AppProfile
     app: GeneralizedReductionApp

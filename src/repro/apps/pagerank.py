@@ -76,9 +76,10 @@ class PageRankApp(GeneralizedReductionApp):
 
     def local_reduction(self, robj: ReductionObject, units: np.ndarray) -> None:
         assert isinstance(robj, ArrayReduction)
-        edges = np.asarray(units)
-        src = edges[:, 0]
-        dst = edges[:, 1]
+        # One conversion to contiguous ``intp`` indices puts ``np.add.at``
+        # on numpy's fast path, which the strided int32 columns miss; the
+        # additions happen in the same order, so the sums are bit-equal.
+        src, dst = np.asarray(units).T.astype(np.intp)
         np.add.at(robj.data, dst, self._contrib[src])
 
     def finalize(self, robj: ReductionObject) -> np.ndarray:

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+#: Float64 values in one slab of :func:`gaussian_points`' noise (256 KiB).
+_SLAB_VALUES = 1 << 15
+
+
 def _check_positive(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if value <= 0:
@@ -48,13 +52,28 @@ def gaussian_points(
 
     The centroids are uniform in the unit cube; cluster membership is
     uniform. ``spread`` is the per-axis standard deviation around a center.
+
+    The points are ``(mus[labels] + noise).astype(np.float32)``, computed
+    slab by slab of rows straight into the float32 result: the noise of a
+    slab (:data:`_SLAB_VALUES` float64 values) is the one float64
+    temporary, and each centroid coordinate is added to it one column at a
+    time. The normal draws come off the generator in the same order as one
+    ``(n, dims)`` draw, so the bits are those of that one-line formula.
     """
     _check_positive(n=n, dims=dims, centers=centers)
     rng = np.random.default_rng(seed)
     mus = rng.uniform(0.0, 1.0, size=(centers, dims))
     labels = rng.integers(0, centers, size=n)
-    pts = mus[labels] + rng.normal(0.0, spread, size=(n, dims))
-    return pts.astype(np.float32)
+    out = np.empty((n, dims), dtype=np.float32)
+    rows = max(1, _SLAB_VALUES // dims)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        noise = rng.normal(0.0, spread, size=(stop - start, dims))
+        slab_labels = labels[start:stop]
+        for dim in range(dims):
+            noise[:, dim] += mus[slab_labels, dim]
+        out[start:stop] = noise
+    return out
 
 
 def labeled_gaussian_points(

@@ -55,13 +55,22 @@ class RecordSchema:
 
     def encode(self, units: np.ndarray) -> bytes:
         """Serialize a unit array produced by a generator."""
+        return self.encode_view(units).tobytes()
+
+    def encode_view(self, units: np.ndarray) -> memoryview:
+        """The bytes :meth:`encode` returns, as a flat byte ``memoryview``.
+
+        It is over ``units``' own memory when they already are a
+        C-contiguous array of this schema's dtype (every registered
+        generator's blocks are), over a converted copy otherwise.
+        """
         arr = np.ascontiguousarray(units, dtype=self.dtype)
         if self.columns and (arr.ndim != 2 or arr.shape[1] != self.columns):
             raise DataFormatError(
                 f"schema {self.name!r} expects shape (n, {self.columns}), "
                 f"got {arr.shape}"
             )
-        return arr.tobytes()
+        return arr.reshape(-1).view(np.uint8).data
 
     def decode(self, raw: "bytes | bytearray | memoryview") -> np.ndarray:
         """Deserialize chunk bytes into a unit array — always a view.

@@ -261,5 +261,7 @@ class FaultInjector(StorageService):
     def keys(self, prefix: str = "") -> Iterable[str]:
         return self.inner.keys(prefix)
 
-    def append_stream(self, key: str, parts: Iterable[bytes]) -> int:
+    def append_stream(
+        self, key: str, parts: Iterable[bytes | memoryview]
+    ) -> int:
         return self.inner.append_stream(key, parts)

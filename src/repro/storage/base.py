@@ -104,11 +104,14 @@ class StorageService(abc.ABC):
 
     # -- convenience -------------------------------------------------------
 
-    def append_stream(self, key: str, parts: Iterable[bytes]) -> int:
+    def append_stream(
+        self, key: str, parts: Iterable[bytes | memoryview]
+    ) -> int:
         """Store the concatenation of ``parts``; returns total bytes.
 
-        Default implementation buffers; backends with real append can
-        override.
+        A part may be a ``memoryview`` over memory its producer still
+        owns, so an implementation copies what it keeps. The default
+        implementation buffers; backends with real append can override.
         """
         buf = b"".join(parts)
         self.put(key, buf)

@@ -71,7 +71,9 @@ class LocalStorage(StorageService):
                     out.append(key)
         return sorted(out)
 
-    def append_stream(self, key: str, parts: Iterable[bytes]) -> int:
+    def append_stream(
+        self, key: str, parts: Iterable[bytes | memoryview]
+    ) -> int:
         """Stream parts straight to disk without buffering the whole blob."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,52 @@ from repro.data.generators import (
     powerlaw_edges,
     zipf_tokens,
 )
+from repro.data.records import idpoint_schema
 from repro.errors import DataFormatError
+
+
+def gaussian_formula(n, dims, *, centers=8, spread=0.15, seed=2011):
+    """The points by the one-line formula every committed number was
+    measured on; the generator must reproduce it bit for bit."""
+    rng = np.random.default_rng(seed)
+    mus = rng.uniform(0.0, 1.0, size=(centers, dims))
+    labels = rng.integers(0, centers, size=n)
+    return (mus[labels] + rng.normal(0.0, spread, (n, dims))).astype(np.float32)
+
+
+#: Sizes around the generator's slab of 32,768 float64 values: one row,
+#: part of a slab, exactly one, one more, several and a ragged tail.
+PIN_SHAPES = [
+    (1, 1), (7, 3), (1000, 4), (8192, 4), (8193, 4), (32768, 1),
+    (40000, 2), (131072, 4), (5000, 17), (3, 40000),
+]
+
+
+@pytest.mark.parametrize("n,dims", PIN_SHAPES)
+@pytest.mark.parametrize("seed", [0, 2011, 2011 + 7919 * 3 + 65536])
+def test_gaussian_points_pinned_to_the_formula(n, dims, seed):
+    got = gaussian_points(n, dims, seed=seed)
+    want = gaussian_formula(n, dims, seed=seed)
+    assert got.dtype == np.float32 and got.shape == (n, dims)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("centers,spread", [(1, 0.15), (3, 0.0), (16, 2.5)])
+def test_gaussian_points_pinned_for_other_mixtures(centers, spread):
+    got = gaussian_points(9000, 5, centers=centers, spread=spread, seed=11)
+    want = gaussian_formula(9000, 5, centers=centers, spread=spread, seed=11)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,dims", [(1, 2), (500, 3), (70000, 4)])
+@pytest.mark.parametrize("seed", [1, 99])
+def test_labeled_gaussian_points_pinned_to_the_formula(n, dims, seed):
+    got = labeled_gaussian_points(n, dims, seed=seed, id_offset=40)
+    assert got.dtype == idpoint_schema(dims).dtype
+    assert got["id"].tolist() == list(range(40, 40 + n))
+    want = gaussian_formula(n, dims, seed=seed)
+    assert got["coords"].tobytes() == want.tobytes()
 
 
 def test_gaussian_points_shape_and_determinism():
