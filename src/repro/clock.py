@@ -1,8 +1,9 @@
 """Injectable clocks: real time for production, virtual time for tests.
 
-Every component that keeps time — the retry loop's backoff, the hedged
-fetch's straggler race, the telemetry stopwatches — reads it through an
-injected clock instead of calling :mod:`time` directly. Production code
+Every component that waits on time — the retry loop's backoff, the hedged
+fetch's straggler race, the prefetch stages, the run monitor's sampling
+interval — reads it through an injected clock instead of calling
+:mod:`time` directly. Production code
 never notices (:data:`SYSTEM_CLOCK` delegates straight through), but the
 test suite can substitute a :class:`FakeClock` and assert on retries,
 hedges and timeouts without a single real ``sleep`` in any assertion.

@@ -7,8 +7,11 @@ as ``step(event, now) -> actions``, beside
 :class:`~repro.core.master.MasterCore`: no threads, no clock reads,
 stepped only by the slave's owning thread or process. It owns the job
 sequence, delivery in grant order, the jobs committed since the last
-hand-over, the streamed-partial flush every ``watermark`` jobs, and the
-``compute_start``/``compute_end``/``job_done``/``sync_partial`` events.
+hand-over, the streamed-partial flush every ``watermark`` jobs, the
+``compute_start``/``compute_end``/``job_done``/``sync_partial`` events,
+and the slave's half of the paper's split (Figure 3): the seconds it spent
+reducing and the seconds its owner was blocked on fetches, summed from the
+durations the shell reports on :class:`Reduced` and :class:`Fetched`.
 
 A :class:`Request` is one acquisition *and* its fetch: the runtime's owner
 thread is busy while it reduces, so a granted job's fetch must start
@@ -79,19 +82,24 @@ def _blend(estimate: float | None, sample: float) -> float:
 @dataclass(frozen=True)
 class Fetched:
     """Acquisition ``seq`` (grant order) is done: ``job`` (``None``: the
-    master has nothing more), its bytes fetched in ``seconds``."""
+    master has nothing more), its bytes fetched in ``seconds`` (the
+    prefetch window's estimate); the owner was blocked ``waited`` seconds
+    for this event — the fetch itself on a sequential slave, the wait for
+    a stage's result on a prefetching one."""
 
     seq: int
     job: Job | None
     seconds: float = 0.0
     nbytes: int = 0
+    waited: float = 0.0
 
 
 @dataclass(frozen=True)
 class Reduced:
-    """The owner finished reducing ``job``."""
+    """The owner finished reducing ``job``, in ``seconds``."""
 
     job: Job
+    seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,9 @@ class SlaveCore:
         self.requested = 0
         self.delivered = 0  # jobs handed to Reduce: the next grant to deliver
         self.reduced = 0
+        #: The ledger: seconds reducing, and seconds blocked on fetches.
+        self.processing = 0.0
+        self.retrieval = 0.0
         self.exhausted = False  # an acquisition came back ``None``
         self.finished = False  # the final hand-over was issued
         self._fetched: dict[int, Fetched] = {}  # by grant, until delivered
@@ -160,6 +171,7 @@ class SlaveCore:
         order. Requests come before a :class:`Reduce`, which may block."""
         if isinstance(event, Fetched):
             self._fetched[event.seq] = event
+            self.retrieval += event.waited
             self.exhausted |= event.job is None
             return self._advance(now)
         if not isinstance(event, Reduced):
@@ -168,6 +180,7 @@ class SlaveCore:
             )
         job = event.job
         self.reduced += 1
+        self.processing += event.seconds
         self._compute_s = _blend(self._compute_s, now - self._reduce_at)
         self._committed.append(job.job_id)
         actions = [

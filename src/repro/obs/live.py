@@ -23,6 +23,7 @@ runtime constructs none of this machinery.
 
 from __future__ import annotations
 
+import queue
 import re
 import threading
 from collections import deque
@@ -121,9 +122,11 @@ class RunMonitor:
 
     Lifecycle: construct, :meth:`bind` a probe, :meth:`start`; the
     sampler thread (spawned through the injected clock, so a
-    :class:`~repro.clock.FakeClock` coordinates it) takes one
-    :class:`RunSample` per ``interval`` until :meth:`stop`, which takes
-    one final sample so even sub-interval runs record their end state.
+    :class:`~repro.clock.FakeClock` coordinates it) waits on a stop queue
+    with the clock's ``wait``: each ``interval`` that passes empty is one
+    :class:`RunSample`, and the item :meth:`stop` puts ends the loop;
+    ``stop`` then takes one final sample, so even sub-interval runs record
+    their end state. Neither moves a virtual clock.
     Subscribers are called synchronously on the sampler thread; a
     subscriber that raises is counted in :attr:`callback_errors`, never
     crashes the run.
@@ -147,7 +150,7 @@ class RunMonitor:
         self._subscribers: list[Callable[[RunSample], None]] = []
         self._probe: Probe | None = None
         self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        self._stop: "queue.SimpleQueue[bool] | None" = None
         self._lock = threading.Lock()
         self._t0: float | None = None
         self.samples_taken = 0
@@ -203,47 +206,30 @@ class RunMonitor:
             raise TraceError("monitor has no probe bound")
         if self._thread is not None and self._thread.is_alive():
             raise TraceError("monitor is already running")
-        self._stop.clear()
+        stop = self._stop = queue.SimpleQueue()
         self._t0 = self._clock.monotonic()
-        self._thread = self._clock.spawn(self._loop, name="run-monitor")
+        self._thread = self._clock.spawn(
+            lambda: self._loop(stop), name="run-monitor"
+        )
 
     def stop(self) -> None:
         """Stop the sampler and take one closing sample."""
-        self._stop.set()
         thread = self._thread
         if thread is not None:
-            advance = (
-                None
-                if isinstance(self._clock, SystemClock)
-                else getattr(self._clock, "advance", None)
-            )
-            if advance is not None:
-                # Virtual clock: the owner drives time, so the sampler is
-                # parked at its next deadline. Nudge the clock until it
-                # wakes, observes the stop flag, and exits.
-                for _ in range(100):
-                    if not thread.is_alive():
-                        break
-                    advance(self.interval)
-                    thread.join(timeout=0.05)
+            self._stop.put(True)
             thread.join(timeout=30.0)
             self._thread = None
         if self._probe is not None and self._t0 is not None:
             self.sample_now()
 
-    def _loop(self) -> None:
-        real_time = isinstance(self._clock, SystemClock)
-        while not self._stop.is_set():
-            if real_time:
-                # Event.wait doubles as the pacer and an immediate stop.
-                if self._stop.wait(self.interval):
-                    break
+    def _loop(self, stop: "queue.SimpleQueue[bool]") -> None:
+        while True:
+            try:
+                self._clock.wait(stop, self.interval)
+            except queue.Empty:
+                self.sample_now()
             else:
-                # Virtual time: park on the clock; the owner advances it.
-                self._clock.sleep(self.interval)
-                if self._stop.is_set():
-                    break
-            self.sample_now()
+                return
 
 
 # -- post-hoc reconstruction (the simulator's path) -------------------------

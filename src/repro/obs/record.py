@@ -1,4 +1,5 @@
-"""The per-pass record both engines report, and its per-cluster entry.
+"""The per-pass record both engines report, its per-cluster entry, and
+the one function that builds those entries for either engine.
 
 :class:`~repro.sim.metrics.SimReport` and
 :class:`~repro.runtime.telemetry.RunTelemetry` are each a dataclass of
@@ -11,9 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, Field, asdict, dataclass, fields, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["ClusterReport", "PassRecord"]
+__all__ = ["ClusterReport", "PassRecord", "cluster_reports"]
 
 _CASTS = {"int": int, "float": float}
 
@@ -39,31 +40,44 @@ class ClusterReport:
     robj_arrival: float  # when the combined object reached its receiver
     idle: float  # waiting for the last cluster still processing
 
-    @classmethod
-    def from_crew(
-        cls, name: str, site: str, crew: Sequence[tuple[float, float, int]], *,
-        jobs_stolen: int, span: float, last_end: float, processing_end: float,
-        combine_done: float, robj_arrival: float,
-    ) -> "ClusterReport":
-        """The bar from the crew's ``(processing, retrieval, jobs)``;
-        ``last_end`` is the latest ``processing_end`` of any cluster. An
-        empty crew has zero means."""
-        n = max(1, len(crew))
-        mean_processing = sum(processing for processing, _, _ in crew) / n
-        mean_retrieval = sum(retrieval for _, retrieval, _ in crew) / n
-        return cls(
-            name=name, site=site, slaves=len(crew),
-            jobs_processed=sum(jobs for _, _, jobs in crew), jobs_stolen=jobs_stolen,
-            mean_processing=mean_processing, mean_retrieval=mean_retrieval,
-            sync=span - mean_processing - mean_retrieval,
-            processing_end=processing_end, combine_done=combine_done,
-            robj_arrival=robj_arrival, idle=max(0.0, last_end - processing_end),
-        )
-
     @property
     def total(self) -> float:
         """Bar height: processing + retrieval + sync."""
         return self.mean_processing + self.mean_retrieval + self.sync
+
+
+def cluster_reports(
+    masters: Sequence, crews: Mapping[str, Sequence], scheduler,
+    arrivals: Mapping[str, float], *, span: float, origin: float = 0.0,
+) -> dict[str, ClusterReport]:
+    """One pass's ``clusters``, in either engine. Each master shell has a
+    ``name``, ``site``, ``core`` (its ``MasterCore``) and ``combine_done``;
+    ``crews`` maps its name to the ``SlaveCore`` of every slave that ran
+    there, whose ledgers give the means (zero for an empty crew);
+    ``scheduler.clusters`` holds the steal counts and ``arrivals`` when each
+    cluster's upload reached its receiver. Stamps are readings of the
+    clock whose ``origin`` started the pass: the runtime's
+    ``perf_counter``, 0.0 in virtual time."""
+    last_end = max(master.core.processing_end for master in masters) - origin
+    clusters = {}
+    for master in masters:
+        name, crew = master.name, crews[master.name]
+        n = max(1, len(crew))
+        mean_processing = sum(core.processing for core in crew) / n
+        mean_retrieval = sum(core.retrieval for core in crew) / n
+        processing_end = master.core.processing_end - origin
+        clusters[name] = ClusterReport(
+            name=name, site=master.site, slaves=len(crew),
+            jobs_processed=sum(core.reduced for core in crew),
+            jobs_stolen=scheduler.clusters[name].jobs_stolen,
+            mean_processing=mean_processing, mean_retrieval=mean_retrieval,
+            sync=span - mean_processing - mean_retrieval,
+            processing_end=processing_end,
+            combine_done=master.combine_done - origin,
+            robj_arrival=arrivals[name] - origin,
+            idle=max(0.0, last_end - processing_end),
+        )
+    return clusters
 
 
 class PassRecord:

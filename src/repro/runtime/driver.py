@@ -36,7 +36,7 @@ from ..data.dataset import DatasetReader
 from ..errors import ConfigurationError, RuntimeTimeoutError
 from ..obs.events import EventLog
 from ..obs.live import RunMonitor
-from ..obs.record import ClusterReport
+from ..obs.record import cluster_reports
 from ..obs.spans import span_summary
 from ..options import ScaleOptions
 from ..resilience.retry import RetryPolicy
@@ -406,31 +406,22 @@ class CloudBurstingRuntime:
             wall_seconds=wall,
             **{name: after[name] - before[name] for name in after},
         )
-        # Stamps are perf_counter readings, like the slaves' stopwatches. A
-        # cluster uploads to the head or, in a tree, to its parent master.
+        # Stamps are perf_counter readings. A cluster uploads to the head
+        # or, in a tree, to its parent master.
         arrivals = dict(head.core.arrivals)
+        crews: dict[str, list] = {master.name: [] for master in masters}
         for master in masters:
             arrivals.update(master.core.arrivals)
-        last_end = max(m.core.processing_end for m in masters) - started
-        for master, site in zip(masters, sites):
-            name, core = master.name, master.core
-            crew = [
-                (s.telemetry.processing.total, s.telemetry.retrieval.total,
-                 s.telemetry.jobs)
-                for s in slaves
-                if s.cluster == name and s._thread is not None
-            ]
-            telemetry.clusters[name] = ClusterReport.from_crew(
-                name, site, crew, jobs_stolen=scheduler.clusters[name].jobs_stolen,
-                span=wall, last_end=last_end,
-                processing_end=core.processing_end - started,
-                combine_done=master.combine_done - started,
-                robj_arrival=arrivals[name] - started,
-            )
-            telemetry.slaves_failed += core.slaves_failed
-            telemetry.slaves_revoked += core.slaves_revoked
-            telemetry.slaves_added += core.slaves_added
-            telemetry.jobs_reexecuted += core.jobs_reexecuted
+            telemetry.slaves_failed += master.core.slaves_failed
+            telemetry.slaves_revoked += master.core.slaves_revoked
+            telemetry.slaves_added += master.core.slaves_added
+            telemetry.jobs_reexecuted += master.core.jobs_reexecuted
+        for slave in slaves:
+            if slave._thread is not None:
+                crews[slave.cluster].append(slave.core)
+        telemetry.clusters = cluster_reports(
+            masters, crews, scheduler, arrivals, span=wall, origin=started
+        )
         if burst is not None:
             telemetry.dollars_spent = burst.controller.dollars_spent
         telemetry.prefetches = sum(s.prefetches for s in slaves)

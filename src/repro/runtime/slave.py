@@ -5,6 +5,8 @@ asks the master for a job and reads its chunk (:class:`DatasetReader`
 picks a local read or a multi-threaded remote fetch), a ``Reduce`` runs
 the fault hook, decode and the local reduction over cache-sized unit
 groups, a ``HandOver`` posts the private object as a ``SlaveReduction``.
+The ``Fetched`` and ``Reduced`` events it steps carry the seconds this
+thread was blocked on the fetch and spent reducing; the core sums them.
 Without ``prefetch`` the thread carries each ``Request`` out itself and
 starts no other; with it a :class:`~repro.cache.Prefetcher`'s stage
 threads do, while this thread reduces. With a ``process_slave`` (see
@@ -16,7 +18,9 @@ process fed through shared memory, and the objects handed over come from
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
+from dataclasses import replace
 from typing import Callable
 
 from ..cache import Prefetcher
@@ -30,7 +34,6 @@ from ..core.slave import Fetched, HandOver, Reduce, Reduced, Request, SlaveCore
 from ..data.dataset import DatasetReader
 from ..errors import RuntimeProtocolError, WorkerFailure
 from ..obs.events import EventLog
-from .telemetry import SlaveTelemetry
 from .transport import Mailbox
 
 __all__ = ["SlaveWorker", "FaultHook"]
@@ -91,7 +94,6 @@ class SlaveWorker:
         #: to a hard-coded minute.
         self.take_timeout = take_timeout
         self.reply = Mailbox(f"slave:{cluster}:{slave_id}")
-        self.telemetry = SlaveTelemetry(slave_id=slave_id, cluster=cluster)
         self._thread: threading.Thread | None = None
         self._failure: BaseException | None = None
 
@@ -155,10 +157,11 @@ class SlaveWorker:
             if todo:
                 event = self._carry_out(todo.popleft())
             else:
-                # The stopwatch sees only the *blocked* wait: bytes fetched
-                # while we were computing cost nothing here.
-                with self.telemetry.retrieval:
-                    event, raw = self._prefetcher.take(timeout=self.take_timeout)
+                # Retrieval is only the *blocked* wait: bytes fetched while
+                # we were computing cost nothing here.
+                started = time.perf_counter()
+                event, raw = self._prefetcher.take(timeout=self.take_timeout)
+                event = replace(event, waited=time.perf_counter() - started)
                 if raw is not None:
                     self._chunks[event.job.job_id] = raw
             if event is not None:
@@ -208,29 +211,26 @@ class SlaveWorker:
         job = self._acquire()
         if job is None:
             return Fetched(seq, None)
-        retrieval = self.telemetry.retrieval
-        before = retrieval.total
-        with retrieval:
-            raw = self._chunks[job.job_id] = self._fetch(job)
-        return Fetched(seq, job, retrieval.total - before, memoryview(raw).nbytes)
+        started = time.perf_counter()
+        raw = self._chunks[job.job_id] = self._fetch(job)
+        seconds = time.perf_counter() - started
+        return Fetched(seq, job, seconds, memoryview(raw).nbytes, waited=seconds)
 
     def _reduce(self, job: Job) -> Reduced:
-        """Fault hook, then decode + local reduction + accounting."""
+        """Fault hook, then decode + local reduction, timed."""
         if self.fault_hook is not None:
             self.fault_hook(self.slave_id, job)
         raw = self._chunks.pop(job.job_id)
-        telemetry = self.telemetry
-        with telemetry.processing:
-            if self.process_slave is not None:
-                # Stage the bytes into shared memory and block until the
-                # worker process has decoded + reduced them.
-                self.process_slave.reduce(raw)
-            else:
-                units = self.app.decode_chunk(raw)
-                for group in self.app.unit_groups(units, self.units_per_group):
-                    self.app.local_reduction(self._robj, group)
-        telemetry.jobs += 1
-        return Reduced(job)
+        started = time.perf_counter()
+        if self.process_slave is not None:
+            # Stage the bytes into shared memory and block until the
+            # worker process has decoded + reduced them.
+            self.process_slave.reduce(raw)
+        else:
+            units = self.app.decode_chunk(raw)
+            for group in self.app.unit_groups(units, self.units_per_group):
+                self.app.local_reduction(self._robj, group)
+        return Reduced(job, time.perf_counter() - started)
 
     def _hand_over(self, action: HandOver) -> None:
         """Post the object reduced since the last hand-over; after a

@@ -2,62 +2,23 @@
 
 The runtime fills the paper's per-cluster split — processing, retrieval,
 sync and idle (Figure 3, Table II) — in the same
-:class:`~repro.obs.record.ClusterReport` the simulator reports, from
-per-slave stopwatches and the masters' and receivers' stamps on the same
-clock, plus run totals. These numbers are *measurements* of the
-in-process run, not the paper's testbed prediction (that is the
-simulator's job).
+:class:`~repro.obs.record.ClusterReport` the simulator reports, built by
+the same :func:`~repro.obs.record.cluster_reports` from the slave cores'
+ledgers and the masters' and receivers' ``perf_counter`` stamps, plus
+run totals. These numbers are *measurements* of the in-process run, not
+the paper's testbed prediction (that is the simulator's job).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..errors import DataFormatError
 from ..obs.record import ClusterReport, PassRecord
 from ..resilience.faults import FaultInjector
 
-__all__ = [
-    "Stopwatch",
-    "SlaveTelemetry",
-    "RunTelemetry",
-    "read_ledger",
-]
-
-
-class Stopwatch:
-    """Accumulating timer: ``with watch: ...`` adds the block's duration.
-
-    ``clock`` is injectable so tests can drive a fake time source instead
-    of sleeping for real (see :mod:`repro.clock`).
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.total = 0.0
-        self._clock = clock
-        self._started: float | None = None
-
-    def __enter__(self) -> "Stopwatch":
-        self._started = self._clock()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._started is not None
-        self.total += self._clock() - self._started
-        self._started = None
-
-
-@dataclass
-class SlaveTelemetry:
-    """One slave's accumulated timings."""
-
-    slave_id: int
-    cluster: str
-    processing: Stopwatch = field(default_factory=Stopwatch)
-    retrieval: Stopwatch = field(default_factory=Stopwatch)
-    jobs: int = 0
+__all__ = ["RunTelemetry", "read_ledger"]
 
 
 @dataclass

@@ -3,9 +3,12 @@
 Accounting follows the paper's Figure 3 / Tables I-II decomposition:
 
 * per slave: **processing** time (local reduction compute) and **data
-  retrieval** time (chunk fetch waits), accumulated as the slave works;
-* per cluster: :class:`~repro.obs.record.ClusterReport`, the record the
-  executable runtime fills too — means of those over slaves, **sync**
+  retrieval** time (chunk fetch waits), summed by the slave's
+  :class:`~repro.core.slave.SlaveCore` from the durations its shell
+  reports, as in the executable runtime;
+* per cluster: :class:`~repro.obs.record.ClusterReport`, built for both
+  engines by :func:`~repro.obs.record.cluster_reports` — means of those
+  over slaves, **sync**
   (everything else up to the end of the run: intra-cluster barrier,
   combine, object movement, waiting for the other clusters — the
   components Section IV-B enumerates) and Table II's **idle** time;
@@ -22,21 +25,7 @@ from dataclasses import dataclass, field
 from ..errors import SimulationError
 from ..obs.record import ClusterReport, PassRecord
 
-__all__ = ["SlaveMetrics", "SimReport"]
-
-
-@dataclass
-class SlaveMetrics:
-    """Accumulated by each simulated slave as it runs."""
-
-    worker_id: int
-    processing: float = 0.0
-    retrieval: float = 0.0
-    jobs: int = 0
-
-    @property
-    def busy(self) -> float:
-        return self.processing + self.retrieval
+__all__ = ["SimReport"]
 
 
 @dataclass

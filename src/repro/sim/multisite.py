@@ -65,7 +65,7 @@ from ..core.sync import (
 )
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
-from ..obs.record import ClusterReport
+from ..obs.record import cluster_reports
 from ..scale.simmodel import ClusterBurst
 from ..units import MB
 from .computemodel import ComputeModel
@@ -559,7 +559,7 @@ class MultiSiteSimulation:
             waiting = sum(len(core.waiting) for core in cores)
             return {
                 "jobs_total": len(jobs),
-                "jobs_done": sum(s.metrics.jobs for s in crews),
+                "jobs_done": sum(s.core.reduced for s in crews),
                 "pool_depth": sum(len(core.pool) for core in cores),
                 "in_flight": sum(core.pool.in_flight for core in cores),
                 "workers": workers,
@@ -658,23 +658,16 @@ class MultiSiteSimulation:
         # A cluster's upload arrival is stamped where it lands: at its
         # parent master, or at the head.
         makespan = head.busy_until
-        last_processing = max(m.core.processing_end for m in masters.values())
-        clusters: dict[str, ClusterReport] = {}
-        for name, crew in slaves.items():
+        arrivals = {name: m.parent.core.arrivals[name] for name, m in masters.items()}
+        clusters = cluster_reports(
+            masters.values(),
+            {name: [s.core for s in crew] for name, crew in slaves.items()},
+            scheduler, arrivals, span=makespan,
+        )
+        for name, cluster in clusters.items():
             stats = scheduler.clusters[name]
-            master = masters[name]
-            cluster = clusters[name] = ClusterReport.from_crew(
-                name, master.site,
-                [(s.metrics.processing, s.metrics.retrieval, s.metrics.jobs)
-                 for s in crew],
-                jobs_stolen=stats.jobs_stolen, span=makespan,
-                last_end=last_processing,
-                processing_end=master.core.processing_end,
-                combine_done=master.combine_done,
-                robj_arrival=master.parent.core.arrivals[name],
-            )
             # A revoked slave's jobs ran twice: once into its lost object.
-            reexecuted = master.core.jobs_reexecuted
+            reexecuted = masters[name].core.jobs_reexecuted
             if cluster.jobs_processed != stats.jobs_assigned + reexecuted:
                 raise SimulationError(
                     f"{name}: processed {cluster.jobs_processed} jobs but was "
@@ -689,8 +682,7 @@ class MultiSiteSimulation:
             # large) plus the head's own merge after the last root lands.
             # A cluster's wait at the head barrier is its idle time.
             global_reduction=max(
-                m.parent.core.arrivals[m.name] - m.combine_done
-                for m in masters.values()
+                arrivals[m.name] - m.combine_done for m in masters.values()
             ) + makespan - max(head.core.arrivals.values()),
             clusters=clusters,
             events_processed=env.events_processed,

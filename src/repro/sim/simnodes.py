@@ -37,7 +37,6 @@ from ..obs import EventLog
 from ..scale.revocation import RevocationSpec
 from .computemodel import ComputeModel
 from .engine import Environment, Event
-from .metrics import SlaveMetrics
 
 __all__ = ["SimHead", "SimMaster", "SimSlave", "FetchFn"]
 
@@ -220,7 +219,8 @@ class SimMaster:
 class SimSlave:
     """One worker core: the shared :class:`~repro.core.slave.SlaveCore`
     plus what its actions cost — a ``Request`` waits for the master's
-    answer and the fetch, a ``Reduce`` the compute model's seconds. Its
+    answer and the fetch, a ``Reduce`` the compute model's seconds, each
+    reported to the core's ledger on its event. Its
     object is a :class:`~repro.core.reduction.ScalarReduction` of the units
     it folded."""
 
@@ -241,7 +241,6 @@ class SimSlave:
         self.compute = compute
         self.retrieval_threads = retrieval_threads
         self.trace = master.trace
-        self.metrics = SlaveMetrics(worker_id=slave_id)
         self.core = SlaveCore(
             slave_id, watermark=master.codec.spec.slave_watermark, master=master
         )
@@ -255,7 +254,7 @@ class SimSlave:
 
     def run(self):
         """The slave process body (pass to ``env.process``)."""
-        env, core, metrics = self.env, self.core, self.metrics
+        env, core = self.env, self.core
         todo = deque(core.start(env.now))
         while todo:
             action = todo.popleft()
@@ -269,17 +268,15 @@ class SimSlave:
                              "file_id": job.file_id}
                     self._mark("fetch_start", **fetch)
                     yield self.fetch(job, self.site, self.retrieval_threads)
-                    metrics.retrieval += env.now - started
                     self._mark("fetch_end", **fetch)
-                    event = Fetched(seq, job, env.now - started, job.nbytes)
+                    seconds = env.now - started
+                    event = Fetched(seq, job, seconds, job.nbytes, waited=seconds)
             elif isinstance(action, Reduce):
                 job = action.job
                 seconds = self.compute.job_seconds(self.site, self.slave_id, job.num_units)
                 yield env.timeout(seconds)
-                metrics.processing += seconds
-                metrics.jobs += 1
                 self.robj.add(job.num_units)
-                event = Reduced(job)
+                event = Reduced(job, seconds)
             else:
                 self._carry_out(action)
                 continue

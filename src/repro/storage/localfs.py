@@ -30,11 +30,7 @@ class LocalStorage(StorageService):
         return self.root / key
 
     def put(self, key: str, data: bytes) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        self.append_stream(key, (data,))
 
     def read_range(self, key: str, offset: int, nbytes: int) -> bytes:
         path = self._path(key)
@@ -74,14 +70,20 @@ class LocalStorage(StorageService):
     def append_stream(
         self, key: str, parts: Iterable[bytes | memoryview]
     ) -> int:
-        """Stream parts straight to disk without buffering the whole blob."""
+        """Stream parts straight to disk without buffering the whole blob.
+        The blob appears under ``key`` only once every part is written; a
+        part or a write that raises leaves no ``.tmp`` file behind."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         total = 0
         tmp = path.with_suffix(path.suffix + ".tmp")
-        with tmp.open("wb") as fh:
-            for part in parts:
-                fh.write(part)
-                total += len(part)
-        os.replace(tmp, path)
+        try:
+            with tmp.open("wb") as fh:
+                for part in parts:
+                    fh.write(part)
+                    total += len(part)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return total

@@ -1,9 +1,10 @@
 """One per-cluster record for both engines.
 
 ``ClusterReport`` is the ``clusters`` entry of the simulator's
-``SimReport`` and of the runtime's ``RunTelemetry``; both check it with
-the one ``PassRecord.validate``. The runtime fills every field from
-stamps on the clock its slave stopwatches use, so the paper's split —
+``SimReport`` and of the runtime's ``RunTelemetry``, built by the one
+``cluster_reports`` and checked by the one ``PassRecord.validate``. The
+runtime fills every field from stamps on the clock its slaves time their
+events with, so the paper's split —
 processing + retrieval + sync = the pass, idle <= sync — holds by
 construction on every substrate, topology and failure path, with no
 timing assumption.

@@ -254,6 +254,24 @@ def test_failing_store_joins_the_pool(threads, two_site_stores):
                       stores)
 
 
+def test_failing_block_leaves_no_temp_file_on_disk(threads, tmp_path):
+    """``LocalStorage`` streams a file's blocks into ``<key>.tmp``; a block
+    that raises mid-file removes it before the error propagates."""
+    stores = store_pair("local", tmp_path)
+    spec = DatasetSpec(total_bytes=16 * 64, num_files=4, chunk_bytes=64,
+                       record_bytes=8)
+
+    def failing(start, count, index):
+        if start // count == 5:  # the second block of the second file
+            raise BlockFailed(5)
+        return sequential_block(start, count, index)
+
+    with pytest.raises(BlockFailed):
+        build_dataset(spec, PlacementSpec(0.5), VALUE_SCHEMA, failing, stores)
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert sum(len(list(s.keys())) for s in stores.values()) == 1
+
+
 def builder_threads(spec, block):
     """Names of the threads ``block`` ran on during one build."""
     seen = set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -83,6 +84,20 @@ def test_double_start_rejected():
         with pytest.raises(TraceError, match="already running"):
             monitor.start()
         monitor.stop()
+
+
+def test_stop_ends_the_sampler_without_moving_the_clock():
+    """The sampler waits on its stop queue through the clock: stop() hands
+    it the item that ends the loop, and the closing sample is taken at the
+    virtual instant stop() was called."""
+    with FakeClock() as clock:
+        monitor = RunMonitor(1.0, clock=clock)
+        monitor.bind(lambda: {"jobs_total": 1})
+        monitor.start()
+        monitor.stop()
+        assert clock.monotonic() == 0.0
+    assert [s.time for s in monitor.samples()] == [0.0]
+    assert "run-monitor" not in {t.name for t in threading.enumerate()}
 
 
 def _drain(monitor: RunMonitor, clock: FakeClock, target: int) -> None:

@@ -339,7 +339,8 @@ def test_monitor_driven_controller_runs_on_fake_clock():
     times = [t for t, _ in ctl.decisions]
     assert times == sorted(times)
     # Samples land on exact virtual seconds (the closing stop() sample
-    # repeats the last tick's gauges at a later virtual instant).
+    # repeats the last tick's gauges at the same virtual instant: stop()
+    # does not move the clock).
     assert set(range(1, 6)) <= {round(t) for t in times}
     assert fleet[0] > 1, "a backlogged run on budget must scale up"
     assert ctl.dollars_spent > 0.0

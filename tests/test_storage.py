@@ -107,6 +107,22 @@ def test_localfs_tmp_files_hidden(tmp_path):
     assert list(fs.keys()) == ["real.bin"]
 
 
+def test_localfs_failed_write_leaves_no_tmp_file(tmp_path):
+    fs = LocalStorage(tmp_path / "root")
+    fs.put("kept.bin", b"old")
+
+    def parts():
+        yield b"partial"
+        raise OSError("disk gone")
+
+    with pytest.raises(OSError, match="disk gone"):
+        fs.append_stream("kept.bin", parts())
+    with pytest.raises(TypeError):
+        fs.put("kept.bin", object())  # the write itself raises
+    assert sorted(p.name for p in (tmp_path / "root").iterdir()) == ["kept.bin"]
+    assert fs.get("kept.bin") == b"old"
+
+
 # -- ObjectStore specifics -------------------------------------------------------------
 
 

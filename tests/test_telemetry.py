@@ -2,29 +2,41 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 import repro.errors as errors
-from repro.obs.record import ClusterReport
-from repro.runtime.telemetry import RunTelemetry, Stopwatch
+from repro.core.slave import SlaveCore
+from repro.obs.record import cluster_reports
+from repro.runtime.telemetry import RunTelemetry
 
 
-def test_stopwatch_accumulates():
-    # Injected clock: intervals are exact, no real sleeping.
-    now = [0.0]
-    watch = Stopwatch(clock=lambda: now[0])
-    with watch:
-        now[0] = 0.25
-    assert watch.total == pytest.approx(0.25)
-    with watch:
-        now[0] = 1.0
-    assert watch.total == pytest.approx(1.0)
-
-
-def _cluster(name: str, crew, stolen: int = 0, **stamps) -> ClusterReport:
-    stamps = {"span": 10.0, "last_end": 8.0, "processing_end": 6.0,
-              "combine_done": 7.0, "robj_arrival": 9.0, **stamps}
-    return ClusterReport.from_crew(name, "local", crew, jobs_stolen=stolen, **stamps)
+def _cluster(name: str, crew, stolen: int = 0, processing_end: float = 6.0,
+             origin: float = 0.0):
+    """``name``'s entry from :func:`cluster_reports` over a 10 s span,
+    beside a cluster that finished processing at 8 s; ``crew`` holds one
+    ``(processing, retrieval, jobs)`` ledger per slave, and every stamp is
+    taken on a clock that read ``origin`` when the pass started."""
+    cores = []
+    for processing, retrieval, jobs in crew:
+        core = SlaveCore(len(cores))
+        core.processing, core.retrieval, core.reduced = processing, retrieval, jobs
+        cores.append(core)
+    masters = [
+        SimpleNamespace(name=name, site="local", combine_done=origin + 7.0,
+                        core=SimpleNamespace(processing_end=origin + processing_end)),
+        SimpleNamespace(name="last", site="cloud", combine_done=origin + 8.5,
+                        core=SimpleNamespace(processing_end=origin + 8.0)),
+    ]
+    scheduler = SimpleNamespace(clusters={
+        name: SimpleNamespace(jobs_stolen=stolen),
+        "last": SimpleNamespace(jobs_stolen=0),
+    })
+    return cluster_reports(
+        masters, {name: cores, "last": []}, scheduler,
+        {name: origin + 9.0, "last": origin + 9.5}, span=10.0, origin=origin,
+    )[name]
 
 
 def test_cluster_aggregate_means():
@@ -38,7 +50,11 @@ def test_cluster_aggregate_means():
     assert agg.sync == pytest.approx(5.0)
     assert agg.total == pytest.approx(10.0)
     assert agg.idle == pytest.approx(2.0)
+    assert (agg.processing_end, agg.combine_done, agg.robj_arrival) == (6.0, 7.0, 9.0)
     assert _cluster("c", [(1.0, 2.0, 3)], processing_end=8.5).idle == 0.0
+    # Stamps are read relative to the pass's origin.
+    crew = [(1.0, 2.0, 3)]
+    assert _cluster("c", crew, origin=100.0) == _cluster("c", crew)
 
 
 def test_cluster_aggregate_empty_crew():
