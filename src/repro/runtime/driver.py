@@ -1,8 +1,9 @@
 """End-to-end executable runtime.
 
-:class:`CloudBurstingRuntime` assembles head + masters + slaves as threads
-over real data in the storage layer, runs an application to completion, and
-returns the final result with telemetry. The simulator
+:class:`CloudBurstingRuntime` assembles head + masters + slaves over real
+data in the storage layer, runs an application to completion, and returns
+the final result with telemetry. Only the slaves are threads: the head and
+the masters are stepped by the threads that message them. The simulator
 (:class:`repro.sim.simulation.CloudBurstSimulation`) steps the same head
 and master cores (:mod:`repro.core.head`, :mod:`repro.core.master`) with
 modeled costs, global reduction included; only its slaves are models of
@@ -239,7 +240,7 @@ class CloudBurstingRuntime:
                 scheduler, cluster_names, roots=tuple(plan_roots(plan)),
                 codec=codec, stream=spec.stream,
             ),
-            trace=trace, take_timeout=self.join_timeout,
+            trace=trace,
         )
         reader = DatasetReader(
             self.index,
@@ -310,7 +311,7 @@ class CloudBurstingRuntime:
                 parent_inbox=parent_inbox, codec=codec, children=node.children,
                 stream=spec.stream,
                 cross_site=crosses_site(node, site, head_site=LOCAL_SITE),
-                trace=trace, take_timeout=self.join_timeout,
+                trace=trace,
                 revocation=revocation if site == CLOUD_SITE else None,
             )
             masters.append(master)
@@ -345,9 +346,6 @@ class CloudBurstingRuntime:
             )
 
         # -- start -----------------------------------------------------------
-        head.start()
-        for master in masters:
-            master.start()
         for slave in slaves:
             slave.start()
         if monitor is not None:
@@ -358,11 +356,9 @@ class CloudBurstingRuntime:
             try:
                 result = head.join(timeout=self.join_timeout)
             except RuntimeTimeoutError:
-                alive_masters = [m.name for m in masters if m.is_alive()]
+                alive_masters = [m.name for m in masters if not m.core.finished]
                 with slaves_lock:
                     crew = tuple(slaves)
-                # A master whose own mailbox deadline passed is gone; its
-                # hung slave still names the cluster.
                 alive_slaves = [
                     f"{s.slave_id} ({s.cluster})" for s in crew if s.is_alive()
                 ]
@@ -386,8 +382,6 @@ class CloudBurstingRuntime:
                     monitor.stop()  # takes the closing sample
                     if burst is not None:
                         monitor.unsubscribe(burst.on_sample)
-            for master in masters:
-                master.join(timeout=self.join_timeout)
             with slaves_lock:
                 slaves = list(slaves)
             for slave in slaves:

@@ -1,17 +1,20 @@
-"""The per-cluster master node: the thread shell around
+"""The per-cluster master node: the shell around
 :class:`~repro.core.master.MasterCore`.
 
 The core holds the master's protocol (Section III-B: on-demand pooling,
 group acks, the end-of-run rule, failure recovery, the combine order).
-This shell takes messages off the master's mailbox, steps the core with
-the time it took each one, and carries out the core's actions: posts,
-worker starts, trace events, and the merge, encode and upload of the
-combined object (the head-site master hands it to the head unencoded).
+This shell owns the master's mailbox: whichever thread posts to it (a
+slave, a child master, the head's reply, the autoscaler) steps the core
+with the time it took each message (see :mod:`repro.runtime.transport`)
+and carries out the core's actions: posts, worker starts, trace events,
+and the merge, encode and upload of the combined object (the head-site
+master hands it to the head unencoded). A step that raises fails the
+cluster: the error is kept here and posted to the head, never raised in
+the thread that posted the message.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 from ..config import MiddlewareTuning
@@ -19,7 +22,7 @@ from ..core.master import Emit, MasterCore, Post, Ship, Start
 from ..core.messages import ReductionUpload
 from ..core.reduction import merge_all
 from ..core.sync import SyncCodec
-from ..errors import RuntimeProtocolError, RuntimeTimeoutError
+from ..errors import RuntimeProtocolError
 from ..obs.events import EventLog
 from ..scale.revocation import RevocationSpec
 from .transport import Mailbox
@@ -28,15 +31,15 @@ __all__ = ["MasterNode"]
 
 
 class MasterNode:
-    """Runs as one thread per cluster. ``parent_inbox``/``codec``/
-    ``children``/``stream`` are its slice of the sync plan: where the
-    combined object goes (another master's inbox in a tree layout, the
-    head's for plan roots), the clusters whose uploads it folds in before
-    shipping its own, and merge-on-arrival instead of the barrier.
-    ``cross_site`` says whether the hop to the parent crosses a site
-    boundary: only then is the combined object encoded; the head-site
-    master posts it to the head as it is. ``revocation`` is the spot die
-    of a cloud crew, rolled by the core."""
+    """One per cluster, stepped by the threads that message it.
+    ``parent_inbox``/``codec``/``children``/``stream`` are its slice of
+    the sync plan: where the combined object goes (another master's inbox
+    in a tree layout, the head's for plan roots), the clusters whose
+    uploads it folds in before shipping its own, and merge-on-arrival
+    instead of the barrier. ``cross_site`` says whether the hop to the
+    parent crosses a site boundary: only then is the combined object
+    encoded; the head-site master posts it to the head as it is.
+    ``revocation`` is the spot die of a cloud crew, rolled by the core."""
 
     def __init__(
         self,
@@ -52,17 +55,13 @@ class MasterNode:
         stream: bool = False,
         cross_site: bool = True,
         trace: EventLog | None = None,
-        take_timeout: float = 60.0,
         revocation: RevocationSpec | None = None,
     ) -> None:
         self.name = name
         self.site = site
         self.num_slaves = num_slaves
         self.trace = trace
-        #: Mailbox-receive timeout, threaded from the driver's
-        #: ``join_timeout`` (see :class:`~repro.runtime.driver.CloudBurstingRuntime`).
-        self.take_timeout = take_timeout
-        self.inbox = Mailbox(f"master:{name}")
+        self.inbox = Mailbox(f"master:{name}", handler=self._deliver)
         self.parent_inbox = parent_inbox
         self.codec = codec
         self.cross_site = cross_site
@@ -73,41 +72,18 @@ class MasterNode:
         #: perf_counter at which the combine finished; the core keeps the
         #: report's other stamps, in the same clock.
         self.combine_done = 0.0
-        self._thread: threading.Thread | None = None
-        self._failure: BaseException | None = None
+        self._failure: Exception | None = None
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._run, name=f"master:{self.name}", daemon=True
-        )
-        self._thread.start()
-
-    def join(self, timeout: float | None = None) -> None:
-        if self._thread is None:
-            raise RuntimeProtocolError(f"master {self.name!r} was never started")
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeProtocolError(f"master {self.name!r} did not finish")
-        if self._failure is not None:
-            raise self._failure
-
-    def is_alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    # -- protocol loop ------------------------------------------------------------
-
-    def _run(self) -> None:
+    def _deliver(self, message) -> None:
+        """The mailbox's handler; void once the cluster shipped or failed."""
+        if self.core.finished or self._failure is not None:
+            return
         try:
-            while not self.core.finished:
-                self.step(self.inbox.take(timeout=self.take_timeout))
-        except RuntimeTimeoutError as exc:
-            self._failure = exc  # a hang: the driver's join timeout names it
-        except BaseException as exc:
+            self.step(message)
+        except Exception as exc:
             self._failure = exc
             # The run cannot finish without this cluster: the head fails it
-            # now, naming the cluster, rather than at its join timeout.
+            # now, naming the cluster, rather than at the driver's deadline.
             failure = RuntimeProtocolError(f"cluster {self.name!r} failed: {exc}")
             failure.__cause__ = exc
             self.core.head.post(failure)
@@ -116,9 +92,7 @@ class MasterNode:
         """Step the core with one message and carry out its actions."""
         trace = self.trace
         for action in self.core.step(message, time.perf_counter()):
-            if isinstance(action, Post) and action.to is self.inbox:
-                self.step(action.message)  # a woken request: asked again now
-            elif isinstance(action, Post):
+            if isinstance(action, Post):
                 action.to.post(action.message)
             elif isinstance(action, Emit):
                 if trace is not None:

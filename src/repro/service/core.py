@@ -25,7 +25,7 @@ Two execution shapes share one scheduler:
 ``drain()``/``shutdown()`` are deterministic on either clock: they loop
 on the service clock (nudging a :class:`~repro.clock.FakeClock` forward
 the same way :meth:`repro.obs.live.RunMonitor.stop` does), so a test can
-assert "no orphaned master threads after drain" without one real sleep.
+assert "no orphaned slave threads after drain" without one real sleep.
 """
 
 from __future__ import annotations

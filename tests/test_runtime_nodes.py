@@ -18,7 +18,7 @@ from repro.core.messages import (
 from repro.core.reduction import ScalarReduction
 from repro.core.scheduler import HeadScheduler
 from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan
-from repro.errors import RuntimeProtocolError
+from repro.errors import RuntimeProtocolError, RuntimeTimeoutError
 from repro.runtime.head import HeadNode
 from repro.runtime.master import MasterNode
 from repro.runtime.transport import Mailbox
@@ -47,7 +47,6 @@ def upload(cluster, robj, origins=None):
 
 def test_head_serves_requests_and_merges():
     head = make_head(files=2, chunks=4)
-    head.start()
     reply = Mailbox("reply")
     head.inbox.post(JobRequest(cluster="local-cluster", reply_to=reply, max_jobs=4))
     group = reply.take(timeout=2.0).group
@@ -60,7 +59,6 @@ def test_head_serves_requests_and_merges():
 
 def test_head_rejects_duplicate_upload():
     head = make_head(clusters=("a", "b"))
-    head.start()
     head.inbox.post(upload("a", ScalarReduction("sum", 1.0)))
     head.inbox.post(upload("a", ScalarReduction("sum", 1.0)))
     with pytest.raises(RuntimeProtocolError, match="twice"):
@@ -69,35 +67,31 @@ def test_head_rejects_duplicate_upload():
 
 def test_head_rejects_unknown_cluster_and_message():
     head = make_head()
-    head.start()
     head.inbox.post(ReductionUpload(cluster="stranger", blob=b"", origins=()))
     with pytest.raises(RuntimeProtocolError, match="unknown cluster"):
         head.join(timeout=5.0)
 
     head2 = make_head()
-    head2.start()
     head2.inbox.post("garbage")
     with pytest.raises(RuntimeProtocolError, match="unexpected message"):
         head2.join(timeout=5.0)
 
 
-def test_head_requires_clusters_and_start():
+def test_head_requires_clusters_and_names_its_deadline():
     with pytest.raises(RuntimeProtocolError):
         make_head(clusters=())
     head = make_head()
-    with pytest.raises(RuntimeProtocolError):
-        head.join()
+    with pytest.raises(RuntimeTimeoutError, match="head did not finish"):
+        head.join(timeout=0.01)
 
 
 def test_master_end_to_end_protocol():
     """Drive a master with two fake slaves against a real head."""
     head = make_head(files=2, chunks=2, clusters=("local-cluster",))
-    head.start()
     master = MasterNode(
         "local-cluster", LOCAL_SITE, head.inbox, num_slaves=2,
         parent_inbox=head.inbox, codec=CODEC,
     )
-    master.start()
 
     replies = [Mailbox("s0"), Mailbox("s1")]
     done_jobs = []
@@ -114,7 +108,7 @@ def test_master_end_to_end_protocol():
             done_jobs.append(job.job_id)
             robjs[sid].add(1.0)
             master.inbox.post(SlaveJobDone(slave_id=sid, job=job))
-    master.join(timeout=5.0)
+    assert master.core.finished
     result = head.join(timeout=5.0)
     assert sorted(done_jobs) == [0, 1, 2, 3]
     assert result.value() == 4.0  # one unit per job
@@ -125,9 +119,6 @@ def test_master_validation():
     sync = dict(parent_inbox=head.inbox, codec=CODEC)
     with pytest.raises(RuntimeProtocolError):
         MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=0, **sync)
-    master = MasterNode("c", LOCAL_SITE, head.inbox, num_slaves=1, **sync)
-    with pytest.raises(RuntimeProtocolError):
-        master.join()
 
 
 def test_tree_master_rejects_a_second_upload_from_one_child():
@@ -136,7 +127,7 @@ def test_tree_master_rejects_a_second_upload_from_one_child():
     plan = build_sync_plan(["a", "b", "c"], "tree")
     head_inbox = Mailbox("head")
     master = MasterNode(
-        "a", LOCAL_SITE, head_inbox, num_slaves=1, take_timeout=1.0,
+        "a", LOCAL_SITE, head_inbox, num_slaves=1,
         parent_inbox=head_inbox, codec=CODEC, children=plan["a"].children,
     )
     assert master.core.receipts.senders == ("b", "c")

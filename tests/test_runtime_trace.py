@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -369,12 +370,16 @@ def test_join_timeout_names_alive_components():
     block.set()  # unblock the daemon thread so the interpreter exits cleanly
 
 
-def test_join_timeout_is_named_after_every_mailbox_deadline_fired(monkeypatch):
-    """The head's and the masters' own mailbox deadlines pass before the
-    driver looks: the run still ends in the driver's named timeout, and
-    the hung slave still names its cluster though its master is gone."""
+def test_the_one_deadline_names_the_hung_slave_and_the_unfinished_master(
+    monkeypatch,
+):
+    """The head and the masters keep no deadline of their own: a hung
+    slave ends the run at the driver's join timeout, and its message
+    names the slave, its cluster and the one master that never shipped.
+    The cloud cluster shipped before the deadline and is named nowhere."""
     bundle, index, stores = materialize("wordcount", vocabulary=16)
     block = threading.Event()  # never set during the run: one slave hangs
+    trace = EventLog()
 
     def fault_hook(slave_id, job):
         if slave_id == 0:
@@ -382,17 +387,22 @@ def test_join_timeout_is_named_after_every_mailbox_deadline_fired(monkeypatch):
 
     join = HeadNode.join
 
-    def join_after_deadlines(self, timeout=None):
-        masters = [t for t in threading.enumerate() if t.name.startswith("master:")]
-        for thread in (self._thread, *masters):
-            thread.join(10)
-            assert not thread.is_alive(), thread.name
+    def join_once_the_cloud_shipped(self, timeout=None):
+        deadline = time.monotonic() + 30.0
+        while not any(
+            e.cluster == "cloud-cluster" for e in trace.of_kind("robj_sent")
+        ):
+            assert time.monotonic() < deadline, "the cloud cluster never shipped"
+            time.sleep(0.005)
+        for thread in threading.enumerate():
+            if thread.name.startswith("slave:cloud-cluster:"):
+                thread.join(10.0)
         return join(self, timeout)
 
-    monkeypatch.setattr(HeadNode, "join", join_after_deadlines)
+    monkeypatch.setattr(HeadNode, "join", join_once_the_cloud_shipped)
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
-        fault_hook=fault_hook, join_timeout=0.5,
+        fault_hook=fault_hook, trace=trace, join_timeout=0.5,
     )
     try:
         with pytest.raises(RuntimeTimeoutError) as info:
@@ -401,8 +411,9 @@ def test_join_timeout_is_named_after_every_mailbox_deadline_fired(monkeypatch):
         block.set()
     message = str(info.value)
     assert "run did not complete within 0.5s" in message
-    assert "masters still alive: none" in message
+    assert "masters still alive: local-cluster;" in message
     assert "0 (local-cluster)" in message
+    assert "cloud-cluster" not in message
 
 
 def test_join_timeout_must_be_positive():
