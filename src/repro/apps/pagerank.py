@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.api import GeneralizedReductionApp
 from ..core.reduction import ArrayReduction, ReductionObject
-from ..data.generators import powerlaw_edges
+from ..data.generators import powerlaw_graph
 from ..data.records import EDGE_SCHEMA
 from .base import PAGERANK_ROBJ_BYTES, AppBundle, AppProfile, register_app
 
@@ -114,8 +114,7 @@ def _make_bundle(
     """
     if n_pages is None:
         n_pages = max(4, total_units // 16)
-    edges = powerlaw_edges(total_units, n_pages, seed=seed)
-    out_degrees = np.bincount(edges[:, 0], minlength=n_pages).astype(np.int64)
+    edges, out_degrees = powerlaw_graph(total_units, n_pages, seed=seed)
     profile = AppProfile(
         key=PAGERANK_PROFILE.key,
         unit_cost_local=PAGERANK_PROFILE.unit_cost_local,

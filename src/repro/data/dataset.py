@@ -14,7 +14,7 @@ import time
 import zlib
 from collections import deque
 from contextlib import closing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
@@ -33,7 +33,7 @@ from ..resilience.circuit import CircuitBreaker
 from ..resilience.retry import ResilienceStats, RetryPolicy
 from ..runtime.corebudget import available_cores
 from ..storage.base import StorageService
-from ..storage.retrieval import ChunkRetriever, retrieval_pool
+from ..storage.retrieval import ChunkRetriever
 from .chunks import readonly_view
 from .records import RecordSchema
 
@@ -189,13 +189,20 @@ class DatasetReader:
     bypass the cache — the bytes are already a sequential disk read away.
     With ``cache=None`` (the default) the only cost is one ``None`` check.
 
-    Parallel fetches share one standing
-    :func:`~repro.storage.retrieval.retrieval_pool`, built on the first
-    remote fetch (a warm or site-local pass never builds it) and joined by
-    :meth:`close`. Threads that fetch through the reader bracket their
-    work with :meth:`retain` / :meth:`release`, and the last one out
-    closes; the reader's owner calls :meth:`close` itself once the run is
-    over, whatever became of them.
+    ``pool`` runs the sub-range reads of every parallel fetch: in a run,
+    the slave crew's standing retrieval pool
+    (:class:`~repro.runtime.crew.SlaveCrew`), whose threads start on the
+    first remote fetch (a warm or site-local pass starts none) and stay
+    parked between runs; the crew, not the reader, shuts it down. Without
+    one, each parallel retriever makes its own. Parked threads keep their
+    malloc arenas: median peak RSS over ten ``benchmarks/e2e`` runs read
+    65.0 → 68.9 MB on ``service_burst`` against a pool joined every pass
+    (one run each under ``MALLOC_ARENA_MAX=1``: 63.4 → 64.2 MB). A crew
+    joins this pool before its slave threads
+    (:meth:`~repro.runtime.crew.SlaveCrew.close`), so the next crew's
+    slaves take back the slave arenas, not the readers'. Before that
+    ordering, ``pagerank_sync``'s peak read 147–204 MB from run to run;
+    with it, 147–157 MB over twelve runs.
     """
 
     index: DataIndex
@@ -204,13 +211,12 @@ class DatasetReader:
     trace: EventLog | None = None
     retry: RetryPolicy | None = None
     cache: "ChunkCache | None" = None
+    pool: Executor | None = None
 
     def __post_init__(self) -> None:
         self.resilience = ResilienceStats()
         self._breakers: dict[str, CircuitBreaker] = {}
         self._retrievers: dict[tuple[str, int], ChunkRetriever] = {}
-        self._pool = None
-        self._users = 0
         self._lock = threading.Lock()
         #: Cross-site chunk fetches served (cache hits excluded) — a cheap
         #: always-on gauge the live run monitor probes — and their bytes.
@@ -245,8 +251,6 @@ class DatasetReader:
                     if breaker is None:
                         breaker = CircuitBreaker(name=site, trace=self.trace)
                         self._breakers[site] = breaker
-                if threads > 1 and self._pool is None:
-                    self._pool = retrieval_pool()
                 retriever = ChunkRetriever(
                     store,
                     threads=threads,
@@ -254,43 +258,10 @@ class DatasetReader:
                     breaker=breaker,
                     stats=self.resilience,
                     trace=self.trace,
-                    pool=self._pool,
+                    pool=self.pool,
                 )
                 self._retrievers[(site, threads)] = retriever
             return retriever
-
-    def retain(self) -> None:
-        """Count one more thread about to fetch through this reader."""
-        with self._lock:
-            self._users += 1
-
-    def release(self) -> None:
-        """Undo one :meth:`retain`; the last thread out joins the pool.
-
-        That way the pool's threads are gone before the masters and the
-        head finish. Threads that exit last hand their malloc arenas to
-        the first threads of the next pass — the head and the masters —
-        and a pass-by-pass swap of which arenas hold the large reduction
-        objects reads as 40 MB more peak RSS on a 2 MiB-object workload.
-        """
-        with self._lock:
-            self._users -= 1
-            pool = self._take_pool() if self._users == 0 else None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def close(self) -> None:
-        """Join the retrieval pool; the reader is done fetching."""
-        with self._lock:
-            pool = self._take_pool()
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _take_pool(self):
-        """Detach the pool (and the retrievers holding it); needs ``_lock``."""
-        pool, self._pool = self._pool, None
-        self._retrievers.clear()
-        return pool
 
     def _count_zero_copy(self) -> None:
         with self._lock:

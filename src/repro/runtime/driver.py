@@ -2,8 +2,10 @@
 
 :class:`CloudBurstingRuntime` assembles head + masters + slaves over real
 data in the storage layer, runs an application to completion, and returns
-the final result with telemetry. Only the slaves are threads: the head and
-the masters are stepped by the threads that message them. The simulator
+the final result with telemetry. Only the slaves are threads, and they
+come from a standing :class:`~repro.runtime.crew.SlaveCrew` (started once,
+re-armed per pass): the head and the masters are stepped by the threads
+that message them. The simulator
 (:class:`repro.sim.simulation.CloudBurstSimulation`) steps the same head
 and master cores (:mod:`repro.core.head`, :mod:`repro.core.master`) with
 modeled costs, global reduction included; only its slaves are models of
@@ -44,6 +46,7 @@ from ..resilience.retry import RetryPolicy
 from ..scale.burst import RuntimeBurst
 from ..storage.base import StorageService
 from .corebudget import slave_cores
+from .crew import SlaveCrew, current as current_crew
 from .head import HeadNode
 from .master import MasterNode
 from .procpool import ProcessSlavePool
@@ -69,12 +72,14 @@ class CloudBurstingRuntime:
     """Executable middleware over in-process clusters.
 
     The constructor owns what outlives a pass — stores, cache, the sync
-    codec and its delta baselines, the monitor — and so does the process
-    worker pool, forked on the first process-mode pass and re-armed on
-    every later one; what ``run()`` builds (head, masters, slaves,
-    reader) dies with the pass. :meth:`close` (or leaving a ``with``
-    block) reaps the pool; a runtime dropped unclosed reaps it through a
-    finalizer.
+    codec and its delta baselines, the monitor — and so do two things
+    built on the first pass and re-armed on every later one: the slave
+    crew (:mod:`repro.runtime.crew`; borrowed instead when a service has
+    installed one) and, in process mode, the worker pool. What ``run()``
+    builds (head, masters, slaves, reader) dies with the pass.
+    :meth:`close` (or leaving a ``with`` block, or a pass that raises)
+    reaps what the runtime owns; a runtime dropped unclosed reaps it
+    through finalizers.
     """
 
     def __init__(
@@ -161,25 +166,38 @@ class CloudBurstingRuntime:
         #: Reaps the pool and leaves its core-budget guard: once, from
         #: ``close()`` or when this runtime is dropped.
         self._reap: weakref.finalize | None = None
+        #: The crew this runtime owns (none while it borrows a service's),
+        #: and what joins it.
+        self._crew: SlaveCrew | None = None
+        self._reap_crew: weakref.finalize | None = None
 
     def run(self) -> RuntimeResult:
-        if self.slave_mode == "thread":
+        # A pass that raises reaps what this runtime owns: no reply the
+        # failed pass left in a worker's pipe is ever read, and no crew
+        # thread it left running is handed another slave.
+        try:
+            if self.slave_mode == "process":
+                # The worker pool holds the core-budget guard from its
+                # fork to close().
+                return self._run()
             # One core's worth of BLAS threads per slave while the slaves
             # compute, the previous size back on any exit.
             with slave_cores(self.compute.total_cores):
                 return self._run()
-        # Process slaves: the worker pool holds the guard from its fork to
-        # close(). A pass that raises closes it, so no reply the failed
-        # pass left in a pipe is ever read.
-        try:
-            return self._run()
         except BaseException:
             self.close()
             raise
 
     def close(self) -> None:
-        """Reap the process worker pool and give the node's BLAS threads
-        back. Idempotent; a later process-mode pass forks a fresh pool."""
+        """Reap the process worker pool (giving the node's BLAS threads
+        back) and join the crew this runtime owns. Idempotent; a later
+        pass builds both afresh."""
+        self._close_pool()
+        if self._reap_crew is not None:
+            self._reap_crew()
+        self._crew = self._reap_crew = None
+
+    def _close_pool(self) -> None:
         if self._reap is not None:
             self._reap()
         self._pool = self._reap = None
@@ -196,7 +214,7 @@ class CloudBurstingRuntime:
         fresh one."""
         if self._pool is not None and self._pool.rearm(self.app):
             return self._pool
-        self.close()
+        self._close_pool()
         with ExitStack() as stack:
             # Fork under the guard, so every worker inherits one slave's
             # share of the BLAS threads; the parent keeps that share until
@@ -215,6 +233,17 @@ class CloudBurstingRuntime:
             self._reap = weakref.finalize(self, stack.pop_all().close)
         self._pool = pool
         return pool
+
+    def _slave_crew(self) -> SlaveCrew:
+        """The crew this pass's slaves run on: the one the calling context
+        installed (a service's), else this runtime's own."""
+        borrowed = current_crew()
+        if borrowed is not None:
+            return borrowed
+        if self._crew is None:
+            self._crew = SlaveCrew()
+            self._reap_crew = weakref.finalize(self, self._crew.close)
+        return self._crew
 
     def _run(self) -> RuntimeResult:
         """One pass: build -> start -> join -> collect."""
@@ -242,18 +271,6 @@ class CloudBurstingRuntime:
             ),
             trace=trace,
         )
-        reader = DatasetReader(
-            self.index,
-            self.stores,
-            retrieval_threads=self.tuning.retrieval_threads,
-            trace=trace,
-            retry=self.retry_policy,
-            cache=self.cache,
-        )
-        # Injectors, cache and codec count across passes (an iterative run
-        # reuses them); the pass reports the ledger's movement.
-        before = read_ledger(reader, self.stores, self.cache, codec)
-
         # Elastic bursting acts on the cloud cluster; without one it is off.
         scale = self.scale if CLOUD_SITE in sites else None
         autoscaling = scale is not None and scale.autoscale
@@ -262,20 +279,33 @@ class CloudBurstingRuntime:
             scale.id_headroom(self.compute.cores_at(CLOUD_SITE)) if autoscaling else 0
         )
 
+        # The worker pool forks before any crew thread of this runtime
+        # exists (fork safety), so the crew comes after it.
         pool: ProcessSlavePool | None = None
         if self.slave_mode == "process":
-            # Workers must exist before any runtime thread starts (fork
-            # safety), and one shared-memory segment per slave is sized to
-            # the largest chunk it can ever be handed. Autoscaling
-            # pre-sizes the pool so mid-run attaches find their worker
-            # process already forked.
+            # One shared-memory segment per slave is sized to the largest
+            # chunk it can ever be handed. Autoscaling pre-sizes the pool
+            # so mid-run attaches find their worker process already forked.
             pool = self._worker_pool(
                 sum(self.compute.cores_at(site) for site in sites)
                 + dynamic_headroom
             )
+        crew = self._slave_crew()
+        reader = DatasetReader(
+            self.index,
+            self.stores,
+            retrieval_threads=self.tuning.retrieval_threads,
+            trace=trace,
+            retry=self.retry_policy,
+            cache=self.cache,
+            pool=crew.retrieval,
+        )
+        # Injectors, cache and codec count across passes (an iterative run
+        # reuses them); the pass reports the ledger's movement.
+        before = read_ledger(reader, self.stores, self.cache, codec)
 
         def make_slave(slave_id: int, cluster: str, site: str, inbox) -> SlaveWorker:
-            """The static crew and every autoscaled slave are built here."""
+            """The static slaves and every autoscaled one are built here."""
             return SlaveWorker(
                 slave_id,
                 cluster,
@@ -283,6 +313,7 @@ class CloudBurstingRuntime:
                 self.app,
                 reader,
                 inbox,
+                crew=crew,
                 units_per_group=self.tuning.units_per_group,
                 fault_hook=self.fault_hook,
                 trace=trace,
@@ -346,52 +377,47 @@ class CloudBurstingRuntime:
             )
 
         # -- start -----------------------------------------------------------
-        for slave in slaves:
-            slave.start()
+        SlaveWorker.start_all(slaves)
         if monitor is not None:
             monitor.start()
 
         # -- join ------------------------------------------------------------
         try:
-            try:
-                result = head.join(timeout=self.join_timeout)
-            except RuntimeTimeoutError:
-                alive_masters = [m.name for m in masters if not m.core.finished]
-                with slaves_lock:
-                    crew = tuple(slaves)
-                alive_slaves = [
-                    f"{s.slave_id} ({s.cluster})" for s in crew if s.is_alive()
-                ]
-                raise RuntimeTimeoutError(
-                    f"run did not complete within {self.join_timeout:g}s: the "
-                    f"head node is still waiting; masters still alive: "
-                    f"{', '.join(alive_masters) or 'none'}; slaves still alive: "
-                    f"{', '.join(alive_slaves) or 'none'} — a hung slave or a "
-                    f"lost message keeps the reduction from converging"
-                ) from None
-            except BaseException:
-                # A master died and the head failed the run: release the
-                # other masters, so their crews drain what they hold and exit.
-                for master in masters:
-                    master.inbox.post(JobReply(None))
-                raise
-            finally:
-                if burst is not None:
-                    burst.applying = False
-                if monitor is not None:
-                    monitor.stop()  # takes the closing sample
-                    if burst is not None:
-                        monitor.unsubscribe(burst.on_sample)
+            result = head.join(timeout=self.join_timeout)
+        except RuntimeTimeoutError:
+            alive_masters = [m.name for m in masters if not m.core.finished]
             with slaves_lock:
-                slaves = list(slaves)
-            for slave in slaves:
-                # A scale-up posted in the run's last instants may never
-                # have been started by the master; there is nothing to join.
-                if slave._thread is not None:
-                    slave.join(timeout=self.join_timeout)
+                fleet = tuple(slaves)
+            alive_slaves = [
+                f"{s.slave_id} ({s.cluster})" for s in fleet if s.is_alive()
+            ]
+            raise RuntimeTimeoutError(
+                f"run did not complete within {self.join_timeout:g}s: the "
+                f"head node is still waiting; masters still alive: "
+                f"{', '.join(alive_masters) or 'none'}; slaves still alive: "
+                f"{', '.join(alive_slaves) or 'none'} — a hung slave or a "
+                f"lost message keeps the reduction from converging"
+            ) from None
+        except BaseException:
+            # A master died and the head failed the run: release the
+            # other masters, so their slaves drain what they hold and end.
+            for master in masters:
+                master.inbox.post(JobReply(None))
+            raise
         finally:
-            # The reader lives for this run only; so do its pool's threads.
-            reader.close()
+            if burst is not None:
+                burst.applying = False
+            if monitor is not None:
+                monitor.stop()  # takes the closing sample
+                if burst is not None:
+                    monitor.unsubscribe(burst.on_sample)
+        with slaves_lock:
+            slaves = list(slaves)
+        for slave in slaves:
+            # A scale-up posted in the run's last instants may never
+            # have been started by the master; there is nothing to join.
+            if slave.started:
+                slave.join(timeout=self.join_timeout)
 
         # -- collect ---------------------------------------------------------
         wall = time.perf_counter() - started
@@ -411,7 +437,7 @@ class CloudBurstingRuntime:
             telemetry.slaves_added += master.core.slaves_added
             telemetry.jobs_reexecuted += master.core.jobs_reexecuted
         for slave in slaves:
-            if slave._thread is not None:
+            if slave.started:
                 crews[slave.cluster].append(slave.core)
         telemetry.clusters = cluster_reports(
             masters, crews, scheduler, arrivals, span=wall, origin=started

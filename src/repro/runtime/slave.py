@@ -1,6 +1,7 @@
 """The slave worker: the thread shell around :class:`~repro.core.slave.SlaveCore`.
 
-One thread per active core carries the core's actions out: a ``Request``
+One crew thread per active core (see :mod:`repro.runtime.crew`) carries
+the core's actions out: a ``Request``
 asks the master for a job and reads its chunk (:class:`DatasetReader`
 picks a local read or a multi-threaded remote fetch), a ``Reduce`` runs
 the fault hook, decode and the local reduction over cache-sized unit
@@ -17,7 +18,6 @@ process fed through shared memory, and the objects handed over come from
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import replace
@@ -34,6 +34,7 @@ from ..core.slave import Fetched, HandOver, Reduce, Reduced, Request, SlaveCore
 from ..data.dataset import DatasetReader
 from ..errors import RuntimeProtocolError, WorkerFailure
 from ..obs.events import EventLog
+from .crew import Shift, SlaveCrew
 from .transport import Mailbox
 
 __all__ = ["SlaveWorker", "FaultHook"]
@@ -45,7 +46,7 @@ FaultHook = Callable[[int, Job], None]
 
 
 class SlaveWorker:
-    """Runs as one thread."""
+    """Runs on one thread of ``crew``, named after it while it runs."""
 
     def __init__(
         self,
@@ -56,6 +57,7 @@ class SlaveWorker:
         reader: DatasetReader,
         master_inbox: Mailbox,
         *,
+        crew: SlaveCrew,
         units_per_group: int = DEFAULT_UNITS_PER_GROUP,
         fault_hook: FaultHook | None = None,
         trace: EventLog | None = None,
@@ -94,27 +96,41 @@ class SlaveWorker:
         #: to a hard-coded minute.
         self.take_timeout = take_timeout
         self.reply = Mailbox(f"slave:{cluster}:{slave_id}")
-        self._thread: threading.Thread | None = None
+        self.crew = crew
+        self._shift: Shift | None = None
         self._failure: BaseException | None = None
 
     def start(self) -> None:
-        self.reader.retain()
-        self._thread = threading.Thread(
-            target=self._run, name=f"slave:{self.cluster}:{self.slave_id}", daemon=True
+        self.start_all([self])
+
+    @staticmethod
+    def start_all(workers: list["SlaveWorker"]) -> None:
+        """Start ``workers`` together on their (one) crew: see
+        :meth:`~repro.runtime.crew.SlaveCrew.start_all`."""
+        if not workers:
+            return
+        shifts = workers[0].crew.start_all(
+            [(w._run, f"slave:{w.cluster}:{w.slave_id}") for w in workers]
         )
-        self._thread.start()
+        for worker, shift in zip(workers, shifts):
+            worker._shift = shift
+
+    @property
+    def started(self) -> bool:
+        return self._shift is not None
 
     def join(self, timeout: float | None = None) -> None:
-        if self._thread is None:
+        if self._shift is None:
             raise RuntimeProtocolError(f"slave {self.slave_id} was never started")
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeProtocolError(f"slave {self.slave_id} did not finish")
+        if not self._shift.join(timeout):
+            raise RuntimeProtocolError(
+                f"slave {self.slave_id} ({self.cluster}) did not finish"
+            )
         if self._failure is not None:
             raise self._failure
 
     def is_alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        return self._shift is not None and self._shift.is_alive()
 
     # -- worker loop --------------------------------------------------------
 
@@ -139,7 +155,6 @@ class SlaveWorker:
                 self.prefetches = prefetcher.prefetches
                 prefetcher.close()
             self._chunks.clear()
-            self.reader.release()
 
     def _work(self) -> None:
         """Carry the core's actions out in order until its final hand-over;

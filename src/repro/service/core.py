@@ -22,6 +22,11 @@ Two execution shapes share one scheduler:
   slave machinery lives inside its executor call and is joined before
   the worker takes the next run.
 
+Either way, slaves run on the service's one
+:class:`~repro.runtime.crew.SlaveCrew`, installed around each execution:
+its threads start with the first runs that need them, stay parked
+between runs, and are joined by :meth:`JobService.shutdown`.
+
 ``drain()``/``shutdown()`` are deterministic on either clock: they loop
 on the service clock (nudging a :class:`~repro.clock.FakeClock` forward
 the same way :meth:`repro.obs.live.RunMonitor.stop` does), so a test can
@@ -34,6 +39,7 @@ import dataclasses
 import itertools
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -46,6 +52,7 @@ from ..errors import AdmissionError, ServiceError
 from ..facade import RunConfig, RunResult
 from ..obs.live import RunSample
 from ..options import MonitorOptions
+from ..runtime.crew import SlaveCrew
 from .handles import RunHandle, RunState, RunStatus
 from .journal import ServiceJournal
 
@@ -150,7 +157,9 @@ class JobService:
       long-running work without real compute). It runs with the
       service's resident datasets installed, so a run that reaches the
       facade's dataset build over bytes an earlier run built reuses them
-      (:mod:`repro.data.resident`; ``stats()["datasets"]``);
+      (:mod:`repro.data.resident`; ``stats()["datasets"]``), and with
+      the service's slave crew installed, so a runtime it builds runs its
+      slaves on parked threads (:mod:`repro.runtime.crew`);
     * ``journal`` — optional path for a JSON state file: every
       transition is persisted and cross-process cancel requests
       (``repro cancel``) are honored at dispatch time.
@@ -200,6 +209,9 @@ class JobService:
         #: Datasets built by earlier runs, handed to later runs over the
         #: same bytes instead of being rebuilt (:mod:`repro.data.resident`).
         self._datasets = ResidentDatasets()
+        #: The threads every run's slaves and retrieval run on.
+        self._crew = SlaveCrew()
+        weakref.finalize(self, self._crew.close)
         self._threads: list[threading.Thread] = []
         self._workers = workers
         for i in range(workers):
@@ -334,6 +346,7 @@ class JobService:
                 thread.join(timeout=0.01)
         self._threads.clear()
         self._datasets.clear()
+        self._crew.close()
         with self._lock:
             self._journal_sync()
 
@@ -409,7 +422,7 @@ class JobService:
     def _execute(self, run: _Run) -> None:
         """Run one submission through the executor (no locks held)."""
         try:
-            with self._datasets.active():
+            with self._datasets.active(), self._crew.active():
                 result = self._executor(
                     run.app, run.dataset, self._exec_config(run)
                 )

@@ -7,9 +7,10 @@ reassembled in order. For a shaped object store whose per-connection
 bandwidth is the bottleneck, aggregate throughput scales with the number of
 connections until the site link saturates — the behaviour the paper
 exploits (and which `repro paper retrieval` sweeps). The sub-range reads
-run on a standing pool (:func:`retrieval_pool`) that outlives the fetch:
-with several chunk fetches in flight per slave, starting and joining a
-thread per sub-range per chunk costs more than the reads it overlaps.
+run on a standing pool that outlives the fetch (in a run, the slave
+crew's, which outlives the run too: :mod:`repro.runtime.crew`): with
+several chunk fetches in flight per slave, starting and joining a thread
+per sub-range per chunk costs more than the reads it overlaps.
 
 On top of the parallel split sits the resilience ladder
 (:mod:`repro.resilience`, ``docs/RESILIENCE.md``): each sub-range is
@@ -28,7 +29,7 @@ from __future__ import annotations
 import queue
 import random
 import zlib
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from ..clock import SYSTEM_CLOCK
@@ -101,11 +102,12 @@ class ChunkRetriever:
     """Fetches chunk byte ranges from a storage service, possibly in parallel.
 
     The thread calling :meth:`fetch` reads the first sub-range itself and
-    hands the others to ``pool`` — the :func:`retrieval_pool` of whoever
-    shares this retriever between slaves (the
-    :class:`~repro.data.dataset.DatasetReader`), which also shuts it down.
-    Fetching threads are never pool threads, so a saturated pool only
-    queues sub-ranges; it cannot deadlock a fetch against its own parts.
+    hands the others to ``pool`` — in a run, the slave crew's retrieval
+    pool, shared through the :class:`~repro.data.dataset.DatasetReader`;
+    the crew shuts it down. A fetch returns only once every sub-range it
+    started has ended. Fetching threads are never pool threads, so a
+    saturated pool only queues sub-ranges; it cannot deadlock a fetch
+    against its own parts.
     A parallel retriever given no pool makes its own, which :meth:`close`
     joins. With a ``policy`` it becomes resilient:
     sub-ranges are retried, hedged, and the whole fetch degrades to
@@ -168,9 +170,11 @@ class ChunkRetriever:
         try:
             parts = [self._fetch_range(key, plans[0], job_id, file_id)]
             parts += [f.result() for f in futures]
-        finally:
+        except BaseException:
             for future in futures:
                 future.cancel()  # a queued read nobody will assemble
+            wait(futures)  # and none still reading once the fetch is over
+            raise
         blob = b"".join(parts)
         if len(blob) != nbytes:
             raise StorageError(

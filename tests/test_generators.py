@@ -10,6 +10,7 @@ from repro.data.generators import (
     labeled_gaussian_points,
     mixture_values,
     powerlaw_edges,
+    powerlaw_graph,
     zipf_tokens,
 )
 from repro.data.records import idpoint_schema
@@ -74,6 +75,54 @@ def test_labeled_points_ids():
     arr = labeled_gaussian_points(10, 2, id_offset=100)
     assert arr["id"].tolist() == list(range(100, 110))
     assert arr["coords"].shape == (10, 2)
+
+
+def powerlaw_formula(n_edges, n_pages, *, zipf_a=1.6, seed=2011):
+    """The edges by the formula every committed pagerank number was
+    measured on: one ``searchsorted`` over every draw, then a stack and a
+    cast. The generator must reproduce it bit for bit."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n_pages, size=n_edges, dtype=np.int64)
+    ranks = np.arange(1, min(n_pages, 100_000) + 1, dtype=np.float64)
+    weights = ranks**-zipf_a
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    u = rng.random(n_edges)
+    dst_rank = np.searchsorted(cdf, u)
+    perm = rng.permutation(n_pages)[: len(ranks)]
+    dst = perm[dst_rank]
+    return np.stack([src, dst], axis=1).astype(np.int32)
+
+
+#: (n_edges, n_pages): one edge, a page count of one, and page counts
+#: below, at and above the generator's 100,000-rank table.
+POWERLAW_SHAPES = [
+    (1, 4), (1, 1), (7, 3), (20_000, 500), (65_536, 4_096),
+    (50_000, 100_000), (300_000, 250_000),
+]
+
+
+@pytest.mark.parametrize("n_edges,n_pages", POWERLAW_SHAPES)
+@pytest.mark.parametrize("seed", [0, 1, 2011])
+def test_powerlaw_edges_pinned_to_the_formula(n_edges, n_pages, seed):
+    got = powerlaw_edges(n_edges, n_pages, seed=seed)
+    want = powerlaw_formula(n_edges, n_pages, seed=seed)
+    assert got.dtype == np.int32 and got.shape == (n_edges, 2)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    edges, out_degrees = powerlaw_graph(n_edges, n_pages, seed=seed)
+    assert edges.tobytes() == want.tobytes()
+    assert out_degrees.dtype == np.int64
+    assert out_degrees.tolist() == np.bincount(
+        want[:, 0], minlength=n_pages
+    ).tolist()
+
+
+@pytest.mark.parametrize("zipf_a", [1.05, 2.5])
+def test_powerlaw_edges_pinned_for_other_exponents(zipf_a):
+    got = powerlaw_edges(40_000, 3_000, zipf_a=zipf_a, seed=5)
+    want = powerlaw_formula(40_000, 3_000, zipf_a=zipf_a, seed=5)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_powerlaw_edges_bounds_and_skew():

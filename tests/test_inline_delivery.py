@@ -3,9 +3,10 @@ that post to their mailboxes.
 
 A handler-owned :class:`Mailbox` is drained by one posting thread at a
 time, in FIFO order, and never re-enters its handler. A pass starts only
-its slave threads. A step that raises fails its cluster without raising
-in the thread that posted. A pass's nodes are freed by reference
-counting alone: the mailbox holds its owner's handler weakly.
+its slave threads, and a later pass none. A step that raises fails its
+cluster without raising in the thread that posted. A pass's nodes are
+freed by reference counting alone: the mailbox holds its owner's
+handler weakly.
 """
 
 from __future__ import annotations
@@ -167,11 +168,17 @@ def test_a_pass_starts_only_its_slave_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start)
     before = set(threading.enumerate())
-    result = one_plus_one(bundle, index, stores).run()
+    runtime = one_plus_one(bundle, index, stores)
+    result = runtime.run()
     oracle = run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks())
     np.testing.assert_array_equal(result.value, oracle)
     assert sorted(started) == ["slave:cloud-cluster:1", "slave:local-cluster:0"]
-    # Every thread alive now was alive before the pass (a count could be
+    # A second pass runs its slaves on the threads the first one parked.
+    started.clear()
+    np.testing.assert_array_equal(runtime.run().value, oracle)
+    assert started == []
+    runtime.close()
+    # Every thread alive now was alive before the passes (a count could be
     # thrown off by an earlier test's thread ending meanwhile).
     assert set(threading.enumerate()) <= before
 

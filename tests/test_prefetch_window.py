@@ -57,6 +57,7 @@ from repro.core.slave import (
     prefetch_window,
 )
 from repro.data.dataset import DatasetReader, build_dataset
+from repro.runtime.crew import SlaveCrew
 from repro.runtime.slave import SlaveWorker
 from repro.runtime.transport import Mailbox
 from repro.storage.objectstore import ObjectStore, TrafficShaper
@@ -264,24 +265,25 @@ def run_slave(clock: FakeClock, *, prefetch: bool):
     cache = ChunkCache(1 << 22)
     reader = DatasetReader(index, stores, retrieval_threads=1, cache=cache)
     inbox = Mailbox("master")
-    slave = SlaveWorker(
-        0, "local-cluster", LOCAL_SITE, bundle.app, reader, inbox,
-        prefetch=prefetch, take_timeout=10_000.0, clock=clock,
-    )
     pending = list(index.jobs())
     done: list[int] = []
-    slave.start()
-    while True:
-        message = inbox.take(timeout=30.0)
-        if isinstance(message, SlaveJobRequest):
-            job = pending.pop(0) if pending else None
-            message.reply_to.post(SlaveJobReply(job))
-        elif isinstance(message, SlaveJobDone):
-            done.append(message.job.job_id)
-        else:
-            assert isinstance(message, SlaveReduction) and not message.partial
-            break
-    slave.join(timeout=30.0)
+    with SlaveCrew() as crew:
+        slave = SlaveWorker(
+            0, "local-cluster", LOCAL_SITE, bundle.app, reader, inbox,
+            crew=crew, prefetch=prefetch, take_timeout=10_000.0, clock=clock,
+        )
+        slave.start()
+        while True:
+            message = inbox.take(timeout=30.0)
+            if isinstance(message, SlaveJobRequest):
+                job = pending.pop(0) if pending else None
+                message.reply_to.post(SlaveJobReply(job))
+            elif isinstance(message, SlaveJobDone):
+                done.append(message.job.job_id)
+            else:
+                assert isinstance(message, SlaveReduction) and not message.partial
+                break
+        slave.join(timeout=30.0)
     assert done == [job.job_id for job in index.jobs()]
     return (
         clock.monotonic(), stores[CLOUD_SITE].stats.gets, cache.stats.misses,
