@@ -52,7 +52,7 @@ from .data import resident
 from .data.dataset import DatasetReader, build_dataset
 from .errors import ConfigurationError
 from .obs.events import EventLog
-from .obs.live import RunMonitor, RunSample, samples_from_log
+from .obs.live import RunMonitor, RunSample
 from .options import (
     CacheOptions,
     MonitorOptions,
@@ -106,9 +106,9 @@ class RunConfig:
     * ``monitor`` — a :class:`~repro.options.MonitorOptions`: live
       run-health sampling (:mod:`repro.obs.live`) kept as a bounded ring
       of :class:`~repro.obs.live.RunSample` on ``RunResult.samples``.
-      Runtime mode samples the live run; simulate mode reconstructs the
-      identical stream from the trace (so it requires ``trace``); serial
-      mode never samples;
+      Runtime mode samples the live run on a thread; simulate mode
+      samples the simulator's own state every ``interval`` of virtual
+      time; serial mode never samples;
     * ``resilience`` — a :class:`~repro.options.ResilienceOptions`: fault
       injection (wraps every store in a
       :class:`~repro.resilience.FaultInjector`; simulate mode models
@@ -164,16 +164,6 @@ class RunConfig:
             raise ConfigurationError("iterations must be at least 1")
         if self.converge is not None and self.converge < 0:
             raise ConfigurationError("converge tolerance cannot be negative")
-        if (
-            self.monitor.enabled
-            and self.mode == "simulate"
-            and self.trace is None
-        ):
-            raise ConfigurationError(
-                "simulate-mode monitoring reconstructs samples from the "
-                "event log; pass trace=EventLog() alongside "
-                "monitor=MonitorOptions(interval=...)"
-            )
 
     def validate(self) -> "RunConfig":
         """Cross-check the knob *combination*, failing fast and actionably.
@@ -309,8 +299,8 @@ class RunResult:
     when ``converge`` stopped the run early). ``samples`` is the run's
     health timeline — :class:`~repro.obs.live.RunSample` snapshots taken
     every ``config.monitor.interval`` seconds — empty unless monitoring
-    was enabled (runtime samples live, simulate reconstructs from the
-    trace, serial never samples).
+    was enabled (runtime samples live, simulate in virtual time, serial
+    never samples); each pass's times start at 0.
     """
 
     value: Any
@@ -458,34 +448,38 @@ def _run_simulate(
     # The simulator models costs, not bytes: an iterative run is N passes
     # over the same placement with the chunk cache carried across passes
     # (pass 2 of a cached run pays no cross-site transfers). There is no
-    # value to feed back, so no update() hook is involved.
-    cache = config.make_cache()
+    # value to feed back, so no update() hook is involved. The simulator
+    # records the cache's events itself, in virtual time.
+    monitor = _make_monitor(config)
     sim = CloudBurstSimulation(
         experiment,
         profile=profile,
         trace=config.trace,
-        cache=cache,
+        cache=ChunkCache(config.cache.bytes) if config.cache.bytes > 0 else None,
         sync=config.sync,
         faults=config.fault_spec,
         scale=config.scale,
+        monitor=monitor,
     )
     reports = [sim.run() for _ in range(config.iterations)]
-    samples: list[RunSample] = []
-    monitor = config.monitor
-    if monitor.enabled and config.trace is not None:
-        # Virtual time: "live" sampling is a post-hoc replay of the trace.
-        samples = samples_from_log(config.trace, monitor.interval)
-        if monitor.on_sample is not None:
-            for sample in samples:
-                monitor.on_sample(sample)
     return RunResult(
         value=None,
         mode="simulate",
         wall_seconds=sum(report.makespan for report in reports),
         sim_report=SimReport.fold(reports),
         passes=config.iterations,
-        samples=samples,
+        samples=monitor.samples() if monitor is not None else [],
     )
+
+
+def _make_monitor(config: RunConfig) -> RunMonitor | None:
+    """The run's monitor, or ``None`` when monitoring is off."""
+    if not config.monitor.enabled:
+        return None
+    monitor = RunMonitor(config.monitor.interval, capacity=config.monitor.capacity)
+    if config.monitor.on_sample is not None:
+        monitor.subscribe(config.monitor.on_sample)
+    return monitor
 
 
 def _run_runtime(
@@ -507,13 +501,7 @@ def execute_runtime(
     shares (its dataset lives on disk, not in fresh in-memory stores).
     The runtime, and a process-mode worker pool with it, is closed on
     every way out."""
-    monitor: RunMonitor | None = None
-    if config.monitor.enabled:
-        monitor = RunMonitor(
-            config.monitor.interval, capacity=config.monitor.capacity
-        )
-        if config.monitor.on_sample is not None:
-            monitor.subscribe(config.monitor.on_sample)
+    monitor = _make_monitor(config)
     with CloudBurstingRuntime(
         bundle.app,
         index,

@@ -18,7 +18,7 @@ from .export import (
     write_jsonl,
     write_perfetto,
 )
-from .live import RunMonitor, RunSample, samples_from_log
+from .live import RunMonitor, RunSample
 from .spans import (
     PHASES,
     build_spans,
@@ -54,7 +54,6 @@ __all__ = [
     "span_summary",
     "RunSample",
     "RunMonitor",
-    "samples_from_log",
     "detect_stragglers",
     "render_stragglers",
 ]

@@ -6,25 +6,24 @@ WAN/sync bytes, worker utilization, and a completion-rate ETA, sampled
 on an interval while the run executes. This module is that signal bus:
 
 * :class:`RunSample` — one immutable snapshot of run health;
-* :class:`RunMonitor` — a clock-injected periodic sampler. The runtime
-  binds it to a live probe (:meth:`RunMonitor.bind`) and it keeps a
-  bounded ring of samples plus a subscription callback API. Inject a
-  :class:`~repro.clock.FakeClock` and the sampler runs on virtual time —
-  tests never sleep;
-* :func:`samples_from_log` — the simulator's path: reconstruct the same
-  sample stream post-hoc from the event log, so both substrates feed
-  identical ``RunSample`` vocabularies to the same consumers.
+* :class:`RunMonitor` — a periodic sampler over a probe
+  (:meth:`RunMonitor.bind`) that keeps a bounded ring of samples plus a
+  subscription callback API. Only the cadence differs between engines:
+  the runtime runs it on a thread through the injected clock (a
+  :class:`~repro.clock.FakeClock` runs it on virtual time — tests never
+  sleep); the simulator steps it from one simulation process per pass,
+  :meth:`RunMonitor.sample_now` stamped at each virtual-time tick. Both
+  engines feed the same consumers one ``RunSample`` vocabulary.
 
 Enable via ``RunConfig(monitor=MonitorOptions(interval=0.5,
 on_sample=...))`` or drive
-interactively with the ``repro watch`` CLI. Disabled (the default) the
-runtime constructs none of this machinery.
+interactively with the ``repro watch`` CLI. Disabled (the default)
+neither engine constructs any of this machinery.
 """
 
 from __future__ import annotations
 
 import queue
-import re
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -32,10 +31,8 @@ from typing import Callable
 
 from ..clock import SYSTEM_CLOCK, SystemClock
 from ..errors import TraceError
-from .events import EventLog
-from .spans import worker_intervals
 
-__all__ = ["RunSample", "RunMonitor", "samples_from_log"]
+__all__ = ["RunSample", "RunMonitor"]
 
 
 @dataclass(frozen=True)
@@ -183,12 +180,16 @@ class RunMonitor:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_now(self) -> RunSample:
-        """Take one sample synchronously (also used by the loop)."""
+    def sample_now(self, at: float | None = None) -> RunSample:
+        """Take one sample synchronously (also used by the loop), stamped
+        ``at`` seconds into the pass when given (the simulator's virtual
+        time), else by the monitor's clock."""
         if self._probe is None:
             raise TraceError("monitor has no probe bound")
-        t0 = self._t0 if self._t0 is not None else self._clock.monotonic()
-        sample = _derive(self._probe(), self._clock.monotonic() - t0)
+        if at is None:
+            t0 = self._t0 if self._t0 is not None else self._clock.monotonic()
+            at = self._clock.monotonic() - t0
+        sample = _derive(self._probe(), at)
         with self._lock:
             self._ring.append(sample)
             subscribers = list(self._subscribers)
@@ -230,103 +231,3 @@ class RunMonitor:
                 self.sample_now()
             else:
                 return
-
-
-# -- post-hoc reconstruction (the simulator's path) -------------------------
-
-_GROUP_SIZE = re.compile(r"x(\d+)")
-_WIRE_BYTES = re.compile(r"(\d+)/\d+B")
-
-
-def samples_from_log(
-    log: EventLog,
-    interval: float,
-    *,
-    jobs_total: int | None = None,
-    makespan: float | None = None,
-) -> list[RunSample]:
-    """Reconstruct the monitor's sample stream from a finished trace.
-
-    The simulator runs in virtual time, so "live" sampling is just a
-    replay: one :class:`RunSample` per ``interval`` tick (plus a final
-    tick at the makespan), derived from the same event kinds the live
-    probe gauges. Both substrates therefore produce identical sample
-    vocabularies for identical runs.
-    """
-    if interval <= 0:
-        raise TraceError(f"sample interval must be positive, got {interval}")
-    if makespan is None:
-        makespan = log.makespan()
-    if makespan <= 0 or not len(log):
-        return []
-
-    events = sorted(log.snapshot(), key=lambda e: e.time)
-    done_times = sorted(e.time for e in events if e.kind == "job_done")
-    if jobs_total is None:
-        jobs_total = len(done_times)
-
-    assigned: list[tuple[float, int]] = []
-    for e in events:
-        if e.kind == "group_assigned":
-            m = _GROUP_SIZE.search(e.detail)
-            assigned.append((e.time, int(m.group(1)) if m else 0))
-    uploads: list[tuple[float, int]] = []
-    for e in events:
-        if e.kind == "sync_upload":
-            m = _WIRE_BYTES.search(e.detail)
-            uploads.append((e.time, int(m.group(1)) if m else 0))
-    steal_times = sorted(e.time for e in events if e.kind == "steal")
-    hit_times = sorted(e.time for e in events if e.kind == "cache_hit")
-    miss_times = sorted(e.time for e in events if e.kind == "cache_miss")
-    remote_times = sorted(e.time for e in events if e.kind == "remote_fetch")
-    start_times = sorted(e.time for e in events if e.kind == "fetch_start")
-
-    workers = log.workers()
-    busy: dict[int, list] = {
-        w: worker_intervals(log, w) for w in workers
-    }
-
-    def count_le(times: list[float], t: float) -> int:
-        lo, hi = 0, len(times)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if times[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    ticks = []
-    t = interval
-    while t < makespan:
-        ticks.append(t)
-        t += interval
-    ticks.append(makespan)
-
-    out: list[RunSample] = []
-    for t in ticks:
-        jobs_done = count_le(done_times, t)
-        assigned_jobs = sum(n for at, n in assigned if at <= t)
-        started = count_le(start_times, t)
-        if not started:  # a hand-built trace without fetch events
-            started = jobs_done
-        in_flight = max(0, started - jobs_done)
-        raw = {
-            "jobs_total": jobs_total,
-            "jobs_done": jobs_done,
-            "pool_depth": max(0, assigned_jobs - started),
-            "in_flight": in_flight,
-            "steals": count_le(steal_times, t),
-            "workers": len(workers),
-            "workers_busy": sum(
-                1
-                for w in workers
-                if any(iv.start <= t < iv.end for iv in busy[w])
-            ),
-            "cache_hits": count_le(hit_times, t),
-            "cache_misses": count_le(miss_times, t),
-            "sync_bytes_sent": sum(n for ut, n in uploads if ut <= t),
-            "remote_fetches": count_le(remote_times, t),
-        }
-        out.append(_derive(raw, t))
-    return out

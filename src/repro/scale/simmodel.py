@@ -3,8 +3,8 @@
 :class:`ClusterBurst` is the simulated counterpart of the runtime's
 :class:`~repro.scale.burst.RuntimeBurst`: it owns one cluster's dynamic cloud fleet,
 drives the *same* pure :class:`~repro.scale.Autoscaler` the threaded
-runtime uses (fed :class:`~repro.obs.live.RunSample` snapshots derived
-by the same ``obs.live`` arithmetic), and models what the executable
+runtime uses (fed the pass's :class:`~repro.obs.live.RunMonitor`
+samples, as ``RuntimeBurst`` is), and models what the executable
 runtime cannot: **provision latency** (a scale-up decision takes
 ``provision_seconds`` of simulated time before the new slave joins).
 
@@ -19,14 +19,15 @@ Mechanics:
   the runtime: the master core retires its next requesters. Spot
   revocation is the core's too (it rolls :meth:`RevocationSpec.draw` at
   each hand-out), so neither engine has a copy of either rule here;
-* a *provisioner* process samples the run every ``interval`` simulated
-  seconds, exactly like the runtime's :class:`~repro.obs.live.RunMonitor`
-  subscription, and applies controller decisions;
+* :meth:`ClusterBurst.on_sample` is a subscriber of the simulator's
+  sampler, as :meth:`~repro.scale.burst.RuntimeBurst.on_sample` is of the
+  runtime's: it applies the controller's decision, and ignores samples
+  once the fleet is closed or its master's run is over (:attr:`done`);
 * once every slave that joined has left (the pool is dry), the drain
   watch closes the fleet (releasing every unprovisioned gate via one
   shared *closed* event so its ``all_of`` completes — a fleet that never
   burst costs nothing) and shuts the cost ledger at the drain
-  timestamp, not at the provisioner's next polling tick.
+  timestamp, not at the sampler's next tick.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from ..core.messages import SlaveAttach, SlaveDetach
-from ..obs.live import _derive
 from .controller import Autoscaler
 from .revocation import RevocationSpec
 
@@ -55,12 +55,9 @@ class ClusterBurst:
         crew: list,
         make_slave: Callable[[int], object],
         next_worker_id: int,
-        probe: Callable[[], dict],
     ) -> None:
         self.env = env = master.env
         self.master = master
-        self.scale = scale
-        self.probe = probe
         self.trace = master.trace
         self.revocation: RevocationSpec | None = scale.revocation_spec
         self.controller: Autoscaler | None = (
@@ -86,22 +83,54 @@ class ClusterBurst:
         return self._fleet - self.master.core.slaves_revoked
 
     @property
+    def done(self) -> bool:
+        """The fleet no longer changes: it is closed, or its master's run
+        is over."""
+        return self._closed.triggered or self.master.core.run_over
+
+    @property
     def dollars_spent(self) -> float:
         return self.controller.dollars_spent if self.controller else 0.0
 
     def launch(self, procs: list) -> None:
-        """Start one gated wrapper per pre-built dynamic slave, the
-        provisioner (free-running: its sampling cadence never stretches
-        the makespan) and the drain watch over ``procs``, the static
-        crew's processes."""
+        """Start one gated wrapper per pre-built dynamic slave and the
+        drain watch over ``procs``, the static crew's processes."""
         env = self.env
         fleet = {
             slave: env.process(self._gated(slave), name=f"burst:{slave.slave_id}")
             for slave in self._spare
         }
-        if self.controller is not None:
-            env.process(self._provisioner(), name=f"provisioner:{self.master.name}")
         env.process(self._drain(procs, fleet), name=f"drain:{self.master.name}")
+
+    def on_sample(self, sample) -> None:
+        """Feed one sample to the controller and carry out its decision."""
+        if self.done:
+            return
+        env = self.env
+        decision = self.controller.observe(sample, self.fleet)
+        if decision.action == "add":
+            for _ in range(decision.count):
+                if not self._spare:
+                    break  # dynamic pool exhausted
+                slave = self._spare.pop(0)
+                self._fleet += 1
+                if self.trace is not None:
+                    self.trace.record(
+                        env.now, "scale_up", cluster=self.master.name,
+                        worker=slave.slave_id,
+                        detail=f"+1: {decision.reason}",
+                    )
+                env.process(
+                    self._provision(slave),
+                    name=f"provision:{slave.slave_id}",
+                )
+        elif decision.action == "remove":
+            count = min(decision.count, max(0, self.fleet - 1))
+            if count > 0:
+                # The core retires its next requesters (never its last
+                # active slave) and traces each scale_down.
+                self._fleet -= count
+                self.master.step(SlaveDetach(count))
 
     # -- processes -------------------------------------------------------------
 
@@ -131,43 +160,10 @@ class ClusterBurst:
             else 0.0
         )
         yield self.env.timeout(delay)
-        if self.master.core.run_over or self._closed.triggered:
+        if self.done:
             # The run (or the fleet) ended while the instance was booting:
             # money already accrued for the order, but the slave never
             # joins.
             return
         self.started.append(slave)
         self.master.step(SlaveAttach((slave,)))
-
-    def _provisioner(self):
-        env = self.env
-        controller = self.controller
-        while True:
-            yield env.timeout(self.scale.interval)
-            if self._closed.triggered or self.master.core.run_over:
-                break
-            sample = _derive(self.probe(), env.now)
-            decision = controller.observe(sample, self.fleet)
-            if decision.action == "add":
-                for _ in range(decision.count):
-                    if not self._spare:
-                        break  # dynamic pool exhausted
-                    slave = self._spare.pop(0)
-                    self._fleet += 1
-                    if self.trace is not None:
-                        self.trace.record(
-                            env.now, "scale_up", cluster=self.master.name,
-                            worker=slave.slave_id,
-                            detail=f"+1: {decision.reason}",
-                        )
-                    env.process(
-                        self._provision(slave),
-                        name=f"provision:{slave.slave_id}",
-                    )
-            elif decision.action == "remove":
-                count = min(decision.count, max(0, self.fleet - 1))
-                if count > 0:
-                    # The core retires its next requesters (never its
-                    # last active slave) and traces each scale_down.
-                    self._fleet -= count
-                    self.master.step(SlaveDetach(count))

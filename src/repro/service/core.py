@@ -434,8 +434,8 @@ class JobService:
             with self._cond:
                 run.result = result
                 if result is not None and result.samples:
-                    # Inline executors may bypass the fan-out callback
-                    # (e.g. simulate mode replays from the trace).
+                    # A custom executor may bypass the fan-out callback;
+                    # the result's ring is the run's timeline.
                     run.samples = list(result.samples)
                 self._finish_locked(run, RunState.DONE, dispatched=True)
 

@@ -273,6 +273,10 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
+    def peek(self) -> float:
+        """The time of the next scheduled event, ``inf`` when none is."""
+        return self._heap[0][0] if self._heap else float("inf")
+
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float, priority: int) -> None:

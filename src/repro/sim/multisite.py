@@ -65,6 +65,7 @@ from ..core.sync import (
 )
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
+from ..obs.live import RunMonitor
 from ..obs.record import cluster_reports
 from ..scale.simmodel import ClusterBurst
 from ..units import MB
@@ -304,6 +305,7 @@ class MultiSiteSimulation:
         cache: "ChunkCache | None" = None,
         faults: "FaultSpec | None" = None,
         static_assignment: bool = False,
+        monitor: RunMonitor | None = None,
     ) -> None:
         self.config = config
         self.profile = profile or get_profile(config.app)
@@ -340,9 +342,10 @@ class MultiSiteSimulation:
         #: Elastic bursting (:mod:`repro.scale`): the burstable site
         #: (``scale_site``, defaulting to the first active non-head site —
         #: the "cloud" in a campus-plus-provider layout) gains a
-        #: :class:`~repro.scale.simmodel.ClusterBurst` — a provisioner
-        #: driving the same pure autoscaler the runtime uses, with
-        #: provision latency modeled in virtual time — and its master
+        #: :class:`~repro.scale.simmodel.ClusterBurst` — a monitor
+        #: subscriber driving the same pure autoscaler the runtime uses
+        #: (a private monitor at ``scale.interval`` when none was given),
+        #: with provision latency modeled in virtual time — and its master
         #: core rolls the seeded spot die, as the runtime's cloud master
         #: does. Disabled specs build none of the machinery.
         self.scale = scale if scale is not None and scale.enabled else None
@@ -353,8 +356,17 @@ class MultiSiteSimulation:
             raise ConfigurationError(
                 f"scale_site {scale_site!r} is not an active site"
             )
+        #: Live run-health sampling (:class:`~repro.obs.live.RunMonitor`),
+        #: as the runtime takes it: each :meth:`run` binds it to a probe
+        #: over the pass's nodes and one simulation process samples it
+        #: every ``interval`` of virtual time, times restarting at 0, then
+        #: once more at the makespan.
+        self.monitor = monitor
         #: Faults applied in the last :meth:`run` (also on the report).
         self.faults_injected = 0
+        #: Cross-site fetches the last :meth:`run` sent over the network
+        #: (a cache hit sends none), as ``DatasetReader`` counts them.
+        self.remote_fetches = 0
         #: The last run's :class:`~repro.sim.simnodes.SimHead`: its core
         #: holds the global object and the coverage it took.
         self.head: SimHead | None = None
@@ -401,11 +413,20 @@ class MultiSiteSimulation:
             # Cross-site chunks go through the modeled node cache exactly
             # like the runtime's DatasetReader: a hit is a local memory
             # read (no transfer), a miss pays the network and is inserted.
-            if cache is not None and job.site != slave_site:
+            remote = job.site != slave_site
+            if cache is not None and remote:
                 key = (job.file_id, job.chunk_index)
-                if cache.get(key) is not None:
+                hit = cache.get(key) is not None
+                if self.trace is not None:
+                    self.trace.record(
+                        env.now, "cache_hit" if hit else "cache_miss",
+                        job_id=job.job_id, file_id=job.file_id,
+                    )
+                if hit:
                     return env.timeout(0.0)
                 cache.put(key, True, job.nbytes)
+            if remote:
+                self.remote_fetches += 1
             store = stores.get((job.site, slave_site))
             if store is None:
                 raise SimulationError(
@@ -458,7 +479,7 @@ class MultiSiteSimulation:
         )
         jobs = config.build_index().jobs()
         scheduler = HeadScheduler(jobs, config.tuning, seed=config.seed)
-        self.faults_injected = 0
+        self.faults_injected = self.remote_fetches = 0
         fetch = self._fetch_fn(env)
 
         head_site = config.head
@@ -539,9 +560,8 @@ class MultiSiteSimulation:
         masters: dict[str, SimMaster] = {}
         slaves: dict[str, list[SimSlave]] = {}
 
-        # Elastic bursting: the burst site's provisioner samples these
-        # global gauges (the same raw vocabulary the runtime's probe
-        # feeds obs.live) and the shared pure controller decides.
+        # Elastic bursting: the burst site's fleet follows the shared
+        # pure controller, a subscriber of the pass's monitor.
         burst: ClusterBurst | None = None
         burst_site: str | None = None
         if self.scale is not None:
@@ -550,21 +570,37 @@ class MultiSiteSimulation:
                 active_sites[0].name,
             )
 
-        def scale_probe() -> dict:
+        # The cache outlives the run in iterative use; report and sample
+        # this pass's delta, mirroring the executable driver's accounting.
+        cache = self.cache
+        cache_before = (
+            (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
+        )
+
+        def probe() -> dict:
+            """The gauges a :class:`RunMonitor` samples off the pass's
+            nodes, in the runtime probe's vocabulary."""
             crews = [s for crew in slaves.values() for s in crew]
             if burst is not None:
                 crews += burst.started
             workers = len(crews)
             cores = [m.core for m in masters.values()]
             waiting = sum(len(core.waiting) for core in cores)
-            return {
+            gauges = {
                 "jobs_total": len(jobs),
                 "jobs_done": sum(s.core.reduced for s in crews),
                 "pool_depth": sum(len(core.pool) for core in cores),
                 "in_flight": sum(core.pool.in_flight for core in cores),
+                "steals": sum(c.jobs_stolen for c in scheduler.clusters.values()),
                 "workers": workers,
                 "workers_busy": max(0, workers - waiting),
+                "remote_fetches": self.remote_fetches,
+                "sync_bytes_sent": codec.stats.wire_bytes,
             }
+            if cache is not None:
+                gauges["cache_hits"] = cache.stats.hits - cache_before[0]
+                gauges["cache_misses"] = cache.stats.misses - cache_before[1]
+            return gauges
 
         worker_id = 0
         for site in active_sites:
@@ -609,7 +645,6 @@ class MultiSiteSimulation:
                     crew=crew,
                     make_slave=make_slave,
                     next_worker_id=worker_id,
-                    probe=scale_probe,
                 )
                 worker_id = burst.next_worker_id
                 burst.launch(procs)
@@ -629,20 +664,31 @@ class MultiSiteSimulation:
                 head.step(JobRequest(master.name, reply_to=master))
                 turn += 1
 
-        # The cache outlives the run in iterative use; report this pass's
-        # delta, mirroring the executable driver's accounting.
-        cache = self.cache
-        cache_before = (
-            (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
-        )
+        monitor, private = self.monitor, False
+        autoscaling = burst is not None and burst.controller is not None
+        if autoscaling:
+            if monitor is None:  # the controller needs a sample stream
+                monitor, private = RunMonitor(self.scale.interval), True
+            monitor.subscribe(burst.on_sample)
 
-        env.run()
+        def sampler():
+            # Free-running: its ticks never stretch the makespan. The
+            # caller's monitor samples while anything else is scheduled;
+            # a private one feeds only the autoscaler and stops with it.
+            while True:
+                yield env.timeout(monitor.interval)
+                if burst.done if private else env.peek() == float("inf"):
+                    return
+                monitor.sample_now(at=env.now)
 
-        if burst is not None:
-            # Fold the dynamic slaves into the burst site's crew so the
-            # report's jobs-processed invariant and per-cluster means
-            # account for every worker that actually ran.
-            slaves[f"{burst_site}-cluster"] += burst.started
+        if monitor is not None:
+            monitor.bind(probe)
+            env.process(sampler(), name="run-monitor")
+        try:
+            env.run()
+        finally:
+            if autoscaling:
+                monitor.unsubscribe(burst.on_sample)
 
         if scheduler.jobs_remaining != 0:
             raise SimulationError(
@@ -655,9 +701,16 @@ class MultiSiteSimulation:
                 f"the global reduction folded {merged} units, not the "
                 f"dataset's {units}"
             )
+        makespan = head.busy_until
+        if self.monitor is not None:
+            self.monitor.sample_now(at=makespan)  # the closing sample
+        if burst is not None:
+            # Fold the dynamic slaves into the burst site's crew so the
+            # report's jobs-processed invariant and per-cluster means
+            # account for every worker that actually ran.
+            slaves[f"{burst_site}-cluster"] += burst.started
         # A cluster's upload arrival is stamped where it lands: at its
         # parent master, or at the head.
-        makespan = head.busy_until
         arrivals = {name: m.parent.core.arrivals[name] for name, m in masters.items()}
         clusters = cluster_reports(
             masters.values(),

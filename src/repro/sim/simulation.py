@@ -19,7 +19,7 @@ from ..apps.base import AppProfile, get_profile
 
 if TYPE_CHECKING:
     from ..cache import ChunkCache
-    from ..obs import EventLog
+    from ..obs import EventLog, RunMonitor
     from ..options import ScaleOptions
     from ..resilience.faults import FaultSpec
 from ..cluster.variability import VariabilityModel
@@ -107,6 +107,7 @@ class CloudBurstSimulation:
         sync: SyncSpec | None = None,
         faults: "FaultSpec | None" = None,
         scale: "ScaleOptions | None" = None,
+        monitor: "RunMonitor | None" = None,
     ) -> None:
         self.config = config
         self.calibration = calibration
@@ -125,6 +126,7 @@ class CloudBurstSimulation:
             cache=cache,
             faults=faults,
             static_assignment=static_assignment,
+            monitor=monitor,
         )
         self.trace = trace
         self.static_assignment = static_assignment

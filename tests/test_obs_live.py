@@ -9,9 +9,13 @@ import pytest
 
 import repro
 from repro.clock import FakeClock
-from repro.config import DatasetSpec
+from repro.apps.base import get_profile
+from repro.config import ComputeSpec, DatasetSpec, ExperimentConfig, PlacementSpec
 from repro.errors import ConfigurationError, TraceError
-from repro.obs import EventLog, RunMonitor, RunSample, samples_from_log
+from repro.obs import EventLog, RunMonitor, RunSample
+from repro.sim.calibration import PAPER_CALIBRATION
+from repro.sim.multisite import MultiSiteSimulation
+from repro.sim.simulation import two_site_config
 
 
 def make_sample(**overrides) -> RunSample:
@@ -179,71 +183,6 @@ def test_ring_keeps_only_newest_samples():
     assert monitor.samples_taken == 7
 
 
-# -- samples_from_log (the simulator's path) ---------------------------------
-
-
-def traced_run_log() -> EventLog:
-    log = EventLog()
-    log.record(0.0, "group_assigned", cluster="a",
-               detail="group 0 x4 (0 other readers)")
-    log.record(0.2, "fetch_start", worker=0, job_id=0, file_id=0, cluster="a")
-    log.record(0.25, "cache_miss", file_id=0, detail="chunk 0")
-    log.record(0.3, "remote_fetch", worker=0, file_id=0, cluster="a")
-    log.record(0.4, "fetch_end", worker=0, job_id=0, file_id=0, cluster="a")
-    log.record(0.4, "compute_start", worker=0, job_id=0, cluster="a")
-    log.record(0.5, "steal", cluster="b", file_id=3, detail="group 1 x1")
-    log.record(0.9, "compute_end", worker=0, job_id=0, cluster="a")
-    log.record(0.9, "job_done", worker=0, job_id=0, cluster="a")
-    log.record(1.0, "fetch_start", worker=0, job_id=1, file_id=1, cluster="a")
-    log.record(1.05, "cache_hit", file_id=1, detail="chunk 1")
-    log.record(1.2, "fetch_end", worker=0, job_id=1, file_id=1, cluster="a")
-    log.record(1.2, "compute_start", worker=0, job_id=1, cluster="a")
-    log.record(1.8, "compute_end", worker=0, job_id=1, cluster="a")
-    log.record(1.8, "job_done", worker=0, job_id=1, cluster="a")
-    log.record(2.0, "sync_upload", cluster="a", detail="sparse+zlib 128/512B 0.4ms")
-    return log
-
-
-def test_samples_from_log_reconstructs_gauges():
-    samples = samples_from_log(traced_run_log(), 1.0)
-    assert [s.time for s in samples] == [1.0, 2.0]  # ticks + final at makespan
-
-    mid, end = samples
-    assert mid.jobs_total == end.jobs_total == 2
-    assert mid.jobs_done == 1 and end.jobs_done == 2
-    assert mid.in_flight == 1 and end.in_flight == 0  # job 1 started, not done
-    assert mid.pool_depth == 2  # 4 assigned - 2 started
-    assert mid.steals == end.steals == 1
-    assert mid.cache_hits == 0 and end.cache_hits == 1
-    assert mid.cache_misses == 1
-    assert mid.remote_fetches == 1
-    assert mid.sync_bytes_sent == 0 and end.sync_bytes_sent == 128  # wire bytes
-    assert mid.workers == 1
-    assert mid.workers_busy == 1  # inside job 1's fetch at t=1.0
-    assert end.workers_busy == 0
-    assert mid.completion_rate == pytest.approx(1.0)
-    assert mid.eta_seconds == pytest.approx(1.0)
-    assert end.progress == 1.0
-
-
-def test_samples_from_log_prefetch_fallback():
-    """A pipelined trace has no fetch events; started falls back to done."""
-    log = EventLog()
-    for job in range(2):
-        log.record(job + 0.1, "compute_start", worker=0, job_id=job)
-        log.record(job + 0.9, "compute_end", worker=0, job_id=job)
-        log.record(job + 0.9, "job_done", worker=0, job_id=job)
-    samples = samples_from_log(log, 1.0)
-    assert [s.in_flight for s in samples] == [0, 0]
-    assert samples[-1].jobs_done == 2
-
-
-def test_samples_from_log_edge_cases():
-    assert samples_from_log(EventLog(), 1.0) == []
-    with pytest.raises(TraceError, match="interval"):
-        samples_from_log(traced_run_log(), 0.0)
-
-
 # -- facade integration -------------------------------------------------------
 
 DATASET = DatasetSpec(
@@ -258,10 +197,6 @@ def test_facade_monitor_knob_validation():
         repro.MonitorOptions(capacity=0)
     with pytest.raises(ConfigurationError, match="on_sample"):
         repro.MonitorOptions(on_sample=lambda s: None)
-    with pytest.raises(ConfigurationError, match="trace"):
-        repro.RunConfig(
-            mode="simulate", monitor=repro.MonitorOptions(interval=1.0)
-        )
 
 
 def test_facade_runtime_monitoring():
@@ -282,15 +217,13 @@ def test_facade_runtime_monitoring():
     assert final.workers > 0
 
 
-def test_facade_simulate_monitoring_replays_the_trace():
-    trace = EventLog()
+def test_facade_simulate_monitoring():
     seen: list[RunSample] = []
     result = repro.run(
         "wordcount",
         DATASET,
         repro.RunConfig(
             mode="simulate",
-            trace=trace,
             monitor=repro.MonitorOptions(interval=1.0, on_sample=seen.append),
         ),
     )
@@ -315,3 +248,95 @@ def test_facade_serial_mode_takes_no_samples():
         "wordcount", DATASET, repro.RunConfig(mode="serial")
     )
     assert result.samples == []
+
+
+# -- simulate mode: the simulator samples its own state ------------------------
+
+SIM_DATASET = DatasetSpec(
+    total_bytes=131072, num_files=8, chunk_bytes=512, record_bytes=4
+)
+PLACEMENT = PlacementSpec(0.25)
+COUNTERS = (
+    "jobs_done", "steals", "cache_hits", "cache_misses",
+    "sync_bytes_sent", "remote_fetches",
+)
+
+
+def simulate(**overrides) -> repro.RunResult:
+    options = dict(
+        mode="simulate",
+        placement=PLACEMENT,
+        monitor=repro.MonitorOptions(interval=0.5),
+    )
+    options.update(overrides)
+    return repro.run("kmeans", SIM_DATASET, repro.RunConfig(**options))
+
+
+def test_simulate_samples_count_up_in_virtual_time():
+    trace = EventLog()
+    result = simulate(trace=trace, cache=repro.CacheOptions(bytes=1 << 20))
+    samples, report = result.samples, result.sim_report
+    # The simulator stamps the cache's events; the cache stamps none.
+    lookups = trace.of_kind("cache_hit") + trace.of_kind("cache_miss")
+    assert len(lookups) == report.cache_hits + report.cache_misses
+    assert all(0.0 <= e.time <= report.makespan for e in lookups)
+    for sample in samples:  # and both clocks are the pass's virtual time
+        so_far = sum(e.time <= sample.time for e in lookups)
+        assert so_far == sample.cache_hits + sample.cache_misses
+    assert len(samples) > 2
+    assert all(0 < s.time <= report.makespan for s in samples)
+    for name in COUNTERS:
+        values = [getattr(s, name) for s in samples]
+        assert values == sorted(values), name
+    final = samples[-1]
+    assert final.time == report.makespan  # the closing sample
+    assert final.jobs_done == final.jobs_total == 256
+    assert final.cache_hits == report.cache_hits
+    assert final.cache_misses == report.cache_misses > 0
+    assert final.remote_fetches == final.cache_misses
+    # Mid-run samples see the misses so far, not the whole pass's.
+    assert samples[0].cache_misses < final.cache_misses
+
+
+def test_simulate_sync_bytes_are_the_codecs_wire_bytes():
+    experiment = ExperimentConfig(
+        name="adhoc", app="kmeans", dataset=SIM_DATASET, placement=PLACEMENT,
+        compute=ComputeSpec(local_cores=2, cloud_cores=2),
+    )
+    monitor = RunMonitor(0.5)
+    sim = MultiSiteSimulation(
+        two_site_config(experiment, PAPER_CALIBRATION, get_profile("kmeans")),
+        monitor=monitor,
+    )
+    report = sim.run()
+    wire = sim.head.core.receipts.codec.stats.wire_bytes
+    assert wire > 0
+    assert monitor.last.sync_bytes_sent == wire
+    assert monitor.last.time == report.makespan
+    # The facade's run of the same experiment samples the same bytes.
+    assert simulate().samples[-1].sync_bytes_sent == wire
+
+
+def test_simulate_samples_every_pass_from_zero():
+    result = simulate(iterations=2)  # no trace needed
+    times = [s.time for s in result.samples]
+    restart = next(i for i in range(1, len(times)) if times[i] < times[i - 1])
+    assert times[0] == times[restart] == 0.5
+    # Without a cache both passes are the same pass.
+    assert result.samples[:restart] == result.samples[restart:]
+    assert result.samples[restart - 1].progress == 1.0
+
+
+def test_simulate_monitor_keeps_capacity_samples():
+    result = simulate(monitor=repro.MonitorOptions(interval=0.5, capacity=3))
+    assert len(result.samples) == 3
+    assert result.samples[-1].time == result.sim_report.makespan
+
+
+def test_simulate_monitor_changes_no_modeled_time():
+    plain = simulate(monitor=repro.MonitorOptions()).sim_report
+    watched = simulate().sim_report
+    assert watched.makespan == plain.makespan
+    assert watched.clusters == plain.clusters
+    # The sampler is a simulation process: its ticks are events too.
+    assert watched.events_processed > plain.events_processed

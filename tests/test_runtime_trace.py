@@ -39,7 +39,6 @@ from repro.obs import (
     read_jsonl,
     render_gantt,
     render_report,
-    samples_from_log,
     to_perfetto,
     utilization,
     worker_intervals,
@@ -322,7 +321,6 @@ def test_failure_run_emits_slave_failed_and_reexecution():
     # renders the trace, and the re-run job completes the span count.
     render_report(log)
     to_perfetto(log)
-    samples_from_log(log, 0.001)
     utilization(log, log.makespan())
     assert len(build_spans(log)) == NUM_JOBS
     died = log.of_kind("slave_failed")[0]

@@ -613,12 +613,13 @@ def materialize(app_key="histogram", total_units=2048, **params):
 
 
 def run_once(
-    bundle, index, stores, sync=None, fault_hook=None, cores=(1, 1), trace=None
+    bundle, index, stores, sync=None, fault_hook=None, cores=(1, 1), trace=None,
+    tuning=MiddlewareTuning(units_per_group=100),
 ):
     runtime = CloudBurstingRuntime(
         bundle.app, index, stores,
         ComputeSpec(local_cores=cores[0], cloud_cores=cores[1]),
-        tuning=MiddlewareTuning(units_per_group=100),
+        tuning=tuning,
         sync=sync,
         fault_hook=fault_hook,
         trace=trace,
@@ -631,9 +632,12 @@ def test_runtime_sync_telemetry_accounts_for_wire_savings():
     oracle = run_serial(
         bundle.app, DatasetReader(index, stores).read_all_chunks()
     )
+    # Each cluster reduces its own jobs: with stealing the local slave can
+    # take all 16 before the cloud's asks, leaving it an empty upload.
     result = run_once(
         bundle, index, stores,
         sync=SyncSpec(encoding="delta", compress="zlib"),
+        tuning=MiddlewareTuning(units_per_group=100, allow_stealing=False),
     )
     assert result.value == oracle
     t = result.telemetry

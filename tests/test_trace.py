@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.configs import env_config
+from repro.cache import ChunkCache
 from repro.errors import SimulationError
 from repro.obs import EventLog, render_gantt, utilization, worker_intervals
 from repro.sim.simulation import CloudBurstSimulation
@@ -176,3 +177,25 @@ def test_disabled_trace_changes_nothing():
     traced = CloudBurstSimulation(config, trace=EventLog()).run()
     assert plain.makespan == traced.makespan
     assert plain.events_processed == traced.events_processed
+
+
+def test_simulated_cache_events_are_stamped_in_virtual_time():
+    """The simulator records each cache lookup at ``env.now``: every event
+    of a pass lies inside it, one per hit or miss the report counts."""
+    trace = EventLog()
+    sim = CloudBurstSimulation(
+        env_config("knn", "env-50/50", scale=SCALE), trace=trace,
+        cache=ChunkCache(1 << 34),
+    )
+    seen = 0
+    for _ in range(2):  # a cold pass, then a warm one
+        report = sim.run()
+        events = [
+            e for e in trace.snapshot()[seen:]
+            if e.kind in ("cache_hit", "cache_miss")
+        ]
+        seen = len(trace.snapshot())
+        assert len(events) == report.cache_hits + report.cache_misses
+        assert all(0.0 <= e.time <= report.makespan for e in events)
+        assert all(e.job_id >= 0 and e.file_id >= 0 for e in events)
+    assert report.cache_hits > 0
