@@ -48,7 +48,8 @@ from repro.core.sync import SyncSpec
 from repro.apps import make_bundle
 from repro.data.dataset import build_dataset
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.sim.simulation import CloudBurstSimulation
+from repro.sim.multisite import MultiSiteSimulation
+from repro.sim.simulation import two_site_config
 from repro.storage.objectstore import ObjectStore
 
 from conftest import print_block
@@ -92,7 +93,7 @@ def collect_figure3(*, scale: float, seed: int) -> dict:
 def collect_cache(*, scale: float, seed: int) -> dict:
     """Two kmeans passes over one chunk cache: pass 2 pays no WAN reads."""
     config = env_config("kmeans", "env-33/67", scale=scale, seed=seed)
-    sim = CloudBurstSimulation(config, cache=ChunkCache(1 << 34))
+    sim = MultiSiteSimulation(two_site_config(config), cache=ChunkCache(1 << 34))
     first = sim.run()
     second = sim.run()
     assert second.cache_hits > 0, "second pass never hit the cache"

@@ -14,6 +14,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
+import repro
 from repro import (
     CLOUD_SITE,
     LOCAL_SITE,
@@ -23,7 +24,6 @@ from repro import (
     PlacementSpec,
     env_config,
     make_bundle,
-    simulate,
 )
 from repro.data.dataset import build_dataset
 from repro.storage.objectstore import ObjectStore
@@ -72,7 +72,16 @@ def run_executable_runtime() -> None:
 def run_simulator() -> None:
     print()
     print("=== 2. Simulator: the paper's env-33/67 at full 120 GB scale ===")
-    report = simulate(env_config("knn", "env-33/67"))
+    # The paper's env-33/67: a third of the 120 GB local, 16 + 16 cores.
+    env = env_config("knn", "env-33/67")
+    report = repro.run(
+        "knn",
+        env.dataset,
+        repro.RunConfig(
+            mode="simulate", name=env.name,
+            placement=env.placement, compute=env.compute,
+        ),
+    ).sim_report
     print(f"makespan: {report.makespan:.1f} simulated seconds")
     print(f"global reduction: {report.global_reduction * 1000:.1f} ms")
     for name, cluster in report.clusters.items():

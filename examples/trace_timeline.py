@@ -17,17 +17,24 @@ from __future__ import annotations
 
 import argparse
 
+import repro
 from repro.bench.configs import env_config
 from repro.obs import EventLog, render_gantt, utilization
-from repro.sim.simulation import CloudBurstSimulation
 
 
 def simulated_trace():
     trace = EventLog()
     # Scale down to 1/20 of the paper's data so the chart stays readable
     # (the job structure — 960 chunks, 32 files — is unchanged).
-    config = env_config("knn", "env-33/67", scale=0.05)
-    report = CloudBurstSimulation(config, trace=trace).run()
+    env = env_config("knn", "env-33/67", scale=0.05)
+    report = repro.run(
+        "knn",
+        env.dataset,
+        repro.RunConfig(
+            mode="simulate", name=env.name, placement=env.placement,
+            compute=env.compute, trace=trace,
+        ),
+    ).sim_report
     header = (f"env-33/67 knn (scaled): makespan {report.makespan:.1f} s, "
               f"{len(trace)} trace events")
     local_cores = 16

@@ -29,14 +29,14 @@ Quickstart — one facade for every engine::
 
 :func:`repro.run` drives the serial oracle, the simulator, or the real
 runtime depending on ``RunConfig.mode``, on the caller's thread; a
-:class:`JobService` runs many submissions through it. :func:`simulate`
-and :class:`CloudBurstingRuntime` are the per-engine entrypoints under
-it. Every run option beyond the core fields lives in one of the
-four families of :mod:`repro.options`
-(``RunConfig(cache=CacheOptions(bytes=1 << 26))``, read back as
-``config.cache.bytes``) or, for the global reduction, in
-``RunConfig.sync`` (a :class:`SyncSpec`). See ``examples/quickstart.py`` and
-``docs/RESILIENCE.md``.
+:class:`JobService` runs many submissions through it.
+:class:`CloudBurstingRuntime` is the executable engine under it, for
+callers that hold their own stores and index. Every run option beyond
+the core fields lives in one of the four families of
+:mod:`repro.options` (``RunConfig(cache=CacheOptions(bytes=1 << 26))``,
+read back as ``config.cache.bytes``) or, for the global reduction, in
+``RunConfig.sync`` (a :class:`SyncSpec`). See ``examples/quickstart.py``
+and ``docs/RESILIENCE.md``.
 """
 
 from .apps.base import make_bundle
@@ -51,7 +51,6 @@ from .resilience.faults import FaultSpec
 from .runtime.driver import CloudBurstingRuntime
 from .service.core import JobService, TenantSpec
 from .service.handles import RunState
-from .sim.simulation import simulate
 
 __version__ = "1.0.0"
 
@@ -77,6 +76,5 @@ __all__ = [
     "JobService",
     "TenantSpec",
     "RunState",
-    "simulate",
     "__version__",
 ]

@@ -68,14 +68,6 @@ class AppProfile:
         if self.robj_bytes < 0 or self.record_bytes <= 0:
             raise ConfigurationError("robj_bytes/record_bytes out of range")
 
-    def unit_cost(self, site: str) -> float:
-        """Per-unit compute cost at a site."""
-        from ..config import CLOUD_SITE
-
-        if site == CLOUD_SITE:
-            return self.unit_cost_local * self.cloud_slowdown
-        return self.unit_cost_local
-
 
 @dataclass
 class AppBundle:

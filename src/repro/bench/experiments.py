@@ -24,7 +24,8 @@ from ..config import (
 from ..errors import ConfigurationError
 from ..sim.calibration import PAPER_CALIBRATION
 from ..sim.metrics import SimReport
-from ..sim.simulation import CloudBurstSimulation, simulate
+from ..sim.multisite import MultiSiteSimulation
+from ..sim.simulation import two_site_config
 from .cost import CostBreakdown, price_run
 from .configs import (
     HYBRID_ENVS,
@@ -105,7 +106,12 @@ def run_figure3(app: str, *, scale: float = 1.0, seed: int = 2011) -> Figure3Run
     """Simulate the five env-* configurations for one application."""
     configs = figure3_configs(app, scale=scale, seed=seed)
     return Figure3Run(
-        app, {env: simulate(config) for env, config in configs.items()}, configs
+        app,
+        {
+            env: MultiSiteSimulation(two_site_config(config)).run()
+            for env, config in configs.items()
+        },
+        configs,
     )
 
 
@@ -113,7 +119,7 @@ def run_figure4(app: str, *, scale: float = 1.0, seed: int = 2011) -> Figure4Run
     """Simulate the scalability ladder (all data in S3) for one app."""
     run = Figure4Run(app=app)
     for name, config in figure4_configs(app, scale=scale, seed=seed).items():
-        run.reports[name] = simulate(config)
+        run.reports[name] = MultiSiteSimulation(two_site_config(config)).run()
     return run
 
 
@@ -201,7 +207,7 @@ def run_skew_sweep(
             compute=ComputeSpec(local_cores=16, cloud_cores=cloud_half),
             seed=seed,
         )
-        out[fraction] = simulate(config)
+        out[fraction] = MultiSiteSimulation(two_site_config(config)).run()
     return out
 
 
@@ -223,12 +229,9 @@ def run_iterative_projection(
     base_passes: list[SimReport] = []
     for i in range(ITERATIONS):
         pass_seed = seed + 7919 * i
-        hybrid_passes.append(
-            simulate(env_config(app, ITERATIVE_ENV, scale=scale, seed=pass_seed))
-        )
-        base_passes.append(
-            simulate(env_config(app, "env-local", scale=scale, seed=pass_seed))
-        )
+        for env, passes in ((ITERATIVE_ENV, hybrid_passes), ("env-local", base_passes)):
+            config = env_config(app, env, scale=scale, seed=pass_seed)
+            passes.append(MultiSiteSimulation(two_site_config(config)).run())
     hybrid_total = sum(r.makespan for r in hybrid_passes)
     base_total = sum(r.makespan for r in base_passes)
     robj_total = sum(r.global_reduction for r in hybrid_passes)
@@ -262,7 +265,10 @@ def run_stealing_ablation(
             app, env, scale=scale, seed=seed,
             tuning=MiddlewareTuning(allow_stealing=False),
         )
-        out[env] = (simulate(with_cfg), simulate(without_cfg))
+        out[env] = (
+            MultiSiteSimulation(two_site_config(with_cfg)).run(),
+            MultiSiteSimulation(two_site_config(without_cfg)).run(),
+        )
     return out
 
 
@@ -286,7 +292,7 @@ def run_scheduling_ablation(
     out: dict[str, SimReport] = {}
     for label, tuning in variants.items():
         config = env_config(app, "env-17/83", scale=scale, tuning=tuning, seed=seed)
-        out[label] = simulate(config)
+        out[label] = MultiSiteSimulation(two_site_config(config)).run()
     return out
 
 
@@ -305,7 +311,7 @@ def run_retrieval_ablation(
             tuning=MiddlewareTuning(retrieval_threads=n),
             seed=seed,
         )
-        out[n] = simulate(config)
+        out[n] = MultiSiteSimulation(two_site_config(config)).run()
     return out
 
 
@@ -331,7 +337,9 @@ def run_robj_ablation(
             description=base.description,
         )
         config = env_config(app, "env-50/50", scale=scale, seed=seed)
-        out[mb] = simulate(config, profile=profile)
+        out[mb] = MultiSiteSimulation(
+            two_site_config(config, profile=profile), profile=profile
+        ).run()
     return out
 
 
@@ -349,10 +357,12 @@ def run_loadbalance_ablation(
     """
 
     def pair(env: str, calibration) -> tuple[SimReport, SimReport]:
-        config = env_config(app, env, scale=scale, seed=seed)
+        sites = two_site_config(
+            env_config(app, env, scale=scale, seed=seed), calibration
+        )
         return (
-            CloudBurstSimulation(config, calibration).run(),
-            CloudBurstSimulation(config, calibration, static_assignment=True).run(),
+            MultiSiteSimulation(sites).run(),
+            MultiSiteSimulation(sites, static_assignment=True).run(),
         )
 
     jitter = {

@@ -48,7 +48,7 @@ from .resilience import RetryPolicy
 from .runtime.driver import SLAVE_MODES
 from .service import JobService, ServiceJournal, TenantSpec
 from .sim.multisite import MultiSiteSimulation, load_multisite_config
-from .sim.simulation import CloudBurstSimulation, simulate
+from .sim.simulation import two_site_config
 from .storage.localfs import LocalStorage
 from .units import fmt_seconds
 
@@ -141,9 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         "health feed (pool depth, utilization, cache, ETA)",
     )
     p.add_argument("app")
-    p.add_argument("--interval", type=float, default=0.2, metavar="SECONDS",
-                   help="sampling interval for the health feed")
-    _add_run_flags(p, "compute", "placement", "iterations", "scale", units=8192)
+    _add_run_flags(p, "compute", "placement", "iterations", "scale",
+                   units=8192, interval=0.2)
 
     p = sub.add_parser(
         "submit",
@@ -215,7 +214,8 @@ class _Flag(NamedTuple):
 
 #: Every flag of the commands that execute the runtime (`run`, `trace
 #: --runtime`, `watch`, `submit`), in --help order; `generate` takes its
-#: dataset's size and placement from here too. A command installs the
+#: dataset's size and placement from here too, and `watch` its sampling
+#: interval, with a default of its own. A command installs the
 #: families it supports with :func:`_add_run_flags`; :func:`_run_config`
 #: carries them to the ``RunConfig`` by ``path``.
 _RUN_FLAGS = (
@@ -282,6 +282,8 @@ _RUN_FLAGS = (
           "spot-revocation spec for cloud slaves, e.g. "
           "'rate=0.05,seed=7,provision=0.1' (results stay bit-identical; "
           "see docs/SCALING.md for the grammar)", "SPEC", str),
+    _Flag("--interval", "monitor.interval",
+          "sampling interval for the health feed", "SECONDS"),
 )
 
 
@@ -317,10 +319,12 @@ def _add_run_flags(
             )
 
 
-def _run_config(args: argparse.Namespace, **extra: Any) -> RunConfig:
-    """The ``RunConfig`` a runtime command's flags spell (`extra` carries
-    what is not a flag: hooks, the run name). A flag the command does not
-    have reads as its field's default."""
+def _run_config(
+    args: argparse.Namespace, on_sample: Any = None, **extra: Any
+) -> RunConfig:
+    """The ``RunConfig`` a runtime command's flags spell (`on_sample` and
+    `extra` carry what is not a flag: hooks, the run name). A flag the
+    command does not have reads as its field's default."""
 
     def fields(family: str) -> dict[str, Any]:
         found = {}
@@ -350,6 +354,7 @@ def _run_config(args: argparse.Namespace, **extra: Any) -> RunConfig:
             **fields("resilience"), retry=RetryPolicy(**retry) if retry else None
         ),
         scale=ScaleOptions(**scale),
+        monitor=MonitorOptions(**fields("monitor"), on_sample=on_sample),
         **fields(""),
         **extra,
     )
@@ -379,7 +384,7 @@ def _cluster_table(report, label: str, idle: bool = False) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     config = env_config(args.app, args.env, scale=args.scale, seed=args.seed)
-    report = simulate(config)
+    report = MultiSiteSimulation(two_site_config(config)).run()
     if args.json:
         print(report.to_json())
         return
@@ -554,7 +559,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         )
     trace = obs.EventLog()
     config = env_config(args.app, args.env, scale=args.scale, seed=args.seed)
-    report = CloudBurstSimulation(config, trace=trace).run()
+    report = MultiSiteSimulation(two_site_config(config), trace=trace).run()
     print(f"{config.describe()}\nmakespan {fmt_seconds(report.makespan)} s, "
           f"{len(trace)} trace events\n")
     print(obs.render_report(
@@ -601,12 +606,9 @@ def _sample_line(sample) -> str:
 
 
 def _cmd_watch(args: argparse.Namespace) -> None:
-    if args.interval <= 0:
-        raise ConfigurationError("--interval must be positive")
-    config = _run_config(args, monitor=MonitorOptions(
-        interval=args.interval,
-        on_sample=lambda sample: print(_sample_line(sample), flush=True),
-    ))
+    config = _run_config(
+        args, on_sample=lambda sample: print(_sample_line(sample), flush=True)
+    )
     bundle, spec = _dataset(args.app, args)
     print(f"{args.app} (real runtime, {args.units} units, "
           f"{args.local_cores}+{args.cloud_cores} cores, "

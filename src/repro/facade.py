@@ -2,9 +2,9 @@
 
 The repo grew three ways to execute an application — the serial oracle
 (:func:`repro.core.api.run_serial`), the discrete-event simulator
-(:func:`repro.sim.simulation.simulate`), and the in-process executable
-runtime (:class:`repro.runtime.driver.CloudBurstingRuntime`). Each had
-its own setup ritual. :func:`run` collapses them behind one call:
+(:class:`repro.sim.multisite.MultiSiteSimulation`), and the in-process
+executable runtime (:class:`repro.runtime.driver.CloudBurstingRuntime`).
+Each had its own setup ritual. :func:`run` collapses them behind one call:
 
 .. code-block:: python
 
@@ -64,7 +64,8 @@ from .resilience.retry import RetryPolicy
 from .runtime.driver import SLAVE_MODES, CloudBurstingRuntime
 from .runtime.telemetry import RunTelemetry, read_ledger
 from .sim.metrics import SimReport
-from .sim.simulation import CloudBurstSimulation
+from .sim.multisite import MultiSiteSimulation
+from .sim.simulation import two_site_config
 from .storage.base import StorageService
 from .storage.objectstore import ObjectStore
 
@@ -451,8 +452,8 @@ def _run_simulate(
     # value to feed back, so no update() hook is involved. The simulator
     # records the cache's events itself, in virtual time.
     monitor = _make_monitor(config)
-    sim = CloudBurstSimulation(
-        experiment,
+    sim = MultiSiteSimulation(
+        two_site_config(experiment, profile=profile),
         profile=profile,
         trace=config.trace,
         cache=ChunkCache(config.cache.bytes) if config.cache.bytes > 0 else None,

@@ -6,10 +6,11 @@ the final result with telemetry. Only the slaves are threads, and they
 come from a standing :class:`~repro.runtime.crew.SlaveCrew` (started once,
 re-armed per pass): the head and the masters are stepped by the threads
 that message them. The simulator
-(:class:`repro.sim.simulation.CloudBurstSimulation`) steps the same head
+(:class:`repro.sim.multisite.MultiSiteSimulation`) steps the same head
 and master cores (:mod:`repro.core.head`, :mod:`repro.core.master`) with
 modeled costs, global reduction included; only its slaves are models of
-their own.
+their own. Both engines burst the cluster
+:func:`~repro.scale.controller.burst_site` names.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..cache import ChunkCache
-from ..config import CLOUD_SITE, LOCAL_SITE, ComputeSpec, MiddlewareTuning
+from ..config import LOCAL_SITE, ComputeSpec, MiddlewareTuning
 from ..core.api import GeneralizedReductionApp
 from ..core.head import HeadCore
 from ..core.index import DataIndex
@@ -44,6 +45,7 @@ from ..obs.spans import span_summary
 from ..options import ScaleOptions
 from ..resilience.retry import RetryPolicy
 from ..scale.burst import RuntimeBurst
+from ..scale.controller import burst_site
 from ..storage.base import StorageService
 from .corebudget import slave_cores
 from .crew import SlaveCrew, current as current_crew
@@ -153,8 +155,8 @@ class CloudBurstingRuntime:
         #: bursting. ``autoscale=True`` drives a pure
         #: :class:`~repro.scale.Autoscaler` off the monitor's sample
         #: stream (an internal monitor is built when none was given) and
-        #: attaches/detaches cloud slaves mid-run; ``revocation`` hands the
-        #: cloud master's core a seeded spot die.
+        #: attaches/detaches the burst site's slaves mid-run;
+        #: ``revocation`` hands that site's master core a seeded spot die.
         #: ``None`` (or all-defaults) builds none of this machinery.
         self.scale = scale if scale is not None and scale.enabled else None
         #: ``"thread"`` (the original in-process slaves) or ``"process"``
@@ -271,12 +273,14 @@ class CloudBurstingRuntime:
             ),
             trace=trace,
         )
-        # Elastic bursting acts on the cloud cluster; without one it is off.
-        scale = self.scale if CLOUD_SITE in sites else None
+        # Elastic bursting acts on the burst site's cluster; without one
+        # it is off.
+        bursting = burst_site(sites, LOCAL_SITE)
+        scale = self.scale if bursting is not None else None
         autoscaling = scale is not None and scale.autoscale
         revocation = scale.revocation_spec if scale is not None else None
         dynamic_headroom = (
-            scale.id_headroom(self.compute.cores_at(CLOUD_SITE)) if autoscaling else 0
+            scale.id_headroom(self.compute.cores_at(bursting)) if autoscaling else 0
         )
 
         # The worker pool forks before any crew thread of this runtime
@@ -301,7 +305,7 @@ class CloudBurstingRuntime:
             pool=crew.retrieval,
         )
         # Injectors, cache and codec count across passes (an iterative run
-        # reuses them); the pass reports the ledger's movement.
+        # reuses them); the pass reports, and samples, the ledger's movement.
         before = read_ledger(reader, self.stores, self.cache, codec)
 
         def make_slave(slave_id: int, cluster: str, site: str, inbox) -> SlaveWorker:
@@ -343,7 +347,7 @@ class CloudBurstingRuntime:
                 stream=spec.stream,
                 cross_site=crosses_site(node, site, head_site=LOCAL_SITE),
                 trace=trace,
-                revocation=revocation if site == CLOUD_SITE else None,
+                revocation=revocation if site == bursting else None,
             )
             masters.append(master)
             masters_by_name[name] = master
@@ -356,12 +360,12 @@ class CloudBurstingRuntime:
             # The controller needs a sample stream; build a private one
             # when the caller gave none.
             monitor = monitor or RunMonitor(scale.interval)
-            cloud_master = masters_by_name[f"{CLOUD_SITE}-cluster"]
+            burst_master = masters_by_name[f"{bursting}-cluster"]
             burst = RuntimeBurst(
                 scale,
-                cloud_master,
+                burst_master,
                 lambda sid: make_slave(
-                    sid, cloud_master.name, CLOUD_SITE, cloud_master.inbox
+                    sid, burst_master.name, bursting, burst_master.inbox
                 ),
                 slaves,
                 slaves_lock,
@@ -371,7 +375,7 @@ class CloudBurstingRuntime:
         if monitor is not None:
             monitor.bind(
                 self._probe(
-                    scheduler, masters, slaves, slaves_lock, reader,
+                    scheduler, masters, slaves, slaves_lock, reader, before,
                     count_alive=autoscaling,
                 )
             )
@@ -468,9 +472,12 @@ class CloudBurstingRuntime:
         )
 
     def _probe(
-        self, scheduler, masters, slaves, slaves_lock, reader, *, count_alive: bool
+        self, scheduler, masters, slaves, slaves_lock, reader, before,
+        *, count_alive: bool,
     ) -> Callable[[], dict]:
-        """The gauges a :class:`RunMonitor` samples off one pass's nodes."""
+        """The gauges a :class:`RunMonitor` samples off one pass's nodes.
+        The cache and the codec outlive the pass: their counters are read
+        as movement since ``before``, the ledger at the pass's start."""
         jobs_total = len(self.index.jobs())
         cache = self.cache
         codec = self._sync_codec
@@ -495,11 +502,11 @@ class CloudBurstingRuntime:
                 # pool's in-flight count is the cheap busy gauge.
                 "workers_busy": min(in_flight, workers),
                 "remote_fetches": reader.remote_fetches,
-                "sync_bytes_sent": codec.stats.wire_bytes,
+                "sync_bytes_sent": codec.stats.wire_bytes - before["sync_bytes_sent"],
             }
             if cache is not None:
-                gauges["cache_hits"] = cache.stats.hits
-                gauges["cache_misses"] = cache.stats.misses
+                gauges["cache_hits"] = cache.stats.hits - before["cache_hits"]
+                gauges["cache_misses"] = cache.stats.misses - before["cache_misses"]
             return gauges
 
         return probe

@@ -56,7 +56,6 @@ class SimCalibration:
     intra_local_bandwidth: float = 1.5 * GB  # Infiniband fabric
     intra_cloud_bandwidth: float = 400 * MB  # EC2 internal network
     wan_robj_per_flow: float = 8 * MB  # single-stream WAN push rate
-    merge_seconds_per_byte: float = 1.0 / (2.0 * GB)
 
     # Compute-time jitter per site.
     local_variability: VariabilityModel = LOCAL_VARIABILITY
@@ -73,8 +72,6 @@ class SimCalibration:
         ):
             if getattr(self, name) <= 0:
                 raise CalibrationError(f"{name} must be positive")
-        if self.merge_seconds_per_byte < 0:
-            raise CalibrationError("merge_seconds_per_byte cannot be negative")
 
     def with_changes(self, **changes) -> "SimCalibration":
         """Ablation helper: replace selected knobs."""

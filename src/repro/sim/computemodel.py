@@ -4,12 +4,14 @@ A slave's processing time for one job is
 
     ``num_units x unit_cost(site) x jitter(worker)``
 
-where ``unit_cost`` comes from the application's
-:class:`~repro.apps.base.AppProfile` (per-unit seconds on a campus core,
-times the app's EC2 slowdown on cloud cores) and ``jitter`` is the seeded
-lognormal of :mod:`repro.cluster.variability` — large for EC2's virtualized
-cores, small for bare metal. Reduction-object handling costs (intra-cluster
-combine and the head's final merge) are charged per byte.
+where ``unit_cost`` is the application's
+:class:`~repro.apps.base.AppProfile` per-unit seconds on a campus core
+times the site's compute slowdown (the app's EC2 slowdown on the paper's
+cloud site) and ``jitter`` is the seeded lognormal of
+:mod:`repro.cluster.variability` — large for EC2's virtualized cores,
+small for bare metal. Reduction-object handling costs (intra-cluster
+combine and the head's final merge) are charged per byte, at
+:data:`MERGE_SECONDS_PER_BYTE`.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from typing import Callable
 
 from ..apps.base import AppProfile
 from ..cluster.variability import VariabilityModel
-from ..config import CLOUD_SITE, LOCAL_SITE
 from ..errors import SimulationError
 
-__all__ = ["ComputeModel"]
+__all__ = ["ComputeModel", "MERGE_SECONDS_PER_BYTE"]
+
+#: Seconds per byte to merge two reduction objects (head + combine).
+MERGE_SECONDS_PER_BYTE = 1.0 / (2.0 * 1024**3)
 
 
 @dataclass
@@ -32,43 +36,21 @@ class ComputeModel:
 
     profile: AppProfile
     variability: dict[str, VariabilityModel]
-    #: seconds per byte to merge two reduction objects (head + combine)
-    merge_seconds_per_byte: float = 1.0 / (2.0 * 1024**3)
-    #: Optional per-site compute-slowdown factors (multiplied into the
-    #: profile's local unit cost). When ``None`` the two-site paper model
-    #: applies: 1.0 locally, ``profile.cloud_slowdown`` in the cloud. The
-    #: N-site simulator supplies explicit factors per provider.
-    site_slowdowns: dict[str, float] | None = None
+    #: Per-site compute-slowdown factors, multiplied into the profile's
+    #: local unit cost.
+    site_slowdowns: dict[str, float]
     _samplers: dict[tuple[str, int], Callable[[], float]] = field(
         default_factory=dict, repr=False
     )
 
     def __post_init__(self) -> None:
-        required = (
-            tuple(self.site_slowdowns)
-            if self.site_slowdowns is not None
-            else (LOCAL_SITE, CLOUD_SITE)
-        )
-        for site in required:
+        for site, factor in self.site_slowdowns.items():
             if site not in self.variability:
                 raise SimulationError(f"no variability model for site {site!r}")
-        if self.site_slowdowns is not None:
-            for site, factor in self.site_slowdowns.items():
-                if factor <= 0:
-                    raise SimulationError(
-                        f"site {site!r}: compute slowdown must be positive"
-                    )
-        if self.merge_seconds_per_byte < 0:
-            raise SimulationError("merge cost cannot be negative")
-
-    def unit_cost(self, site: str) -> float:
-        """Per-unit compute seconds at ``site``."""
-        if self.site_slowdowns is not None:
-            try:
-                return self.profile.unit_cost_local * self.site_slowdowns[site]
-            except KeyError:
-                raise SimulationError(f"no compute slowdown for site {site!r}") from None
-        return self.profile.unit_cost(site)
+            if factor <= 0:
+                raise SimulationError(
+                    f"site {site!r}: compute slowdown must be positive"
+                )
 
     def job_seconds(self, site: str, worker_id: int, num_units: int) -> float:
         """Compute time for one job on one core at ``site``."""
@@ -79,13 +61,17 @@ class ComputeModel:
         if sampler is None:
             sampler = self.variability[site].sampler(worker_id)
             self._samplers[key] = sampler
-        return num_units * self.unit_cost(site) * sampler()
+        slowdown = self.site_slowdowns.get(site)
+        if slowdown is None:
+            raise SimulationError(f"no compute slowdown for site {site!r}")
+        unit_cost = self.profile.unit_cost_local * slowdown
+        return num_units * unit_cost * sampler()
 
     def merge_seconds(self, robj_bytes: int) -> float:
         """CPU time to merge one reduction object into another."""
         if robj_bytes < 0:
             raise SimulationError("negative reduction object size")
-        return robj_bytes * self.merge_seconds_per_byte
+        return robj_bytes * MERGE_SECONDS_PER_BYTE
 
     def combine_seconds(self, robj_bytes: int, n_workers: int, intra_bandwidth: float) -> float:
         """Intra-cluster combine: tree-merge ``n_workers`` objects.

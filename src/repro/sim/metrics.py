@@ -46,7 +46,7 @@ class SimReport(PassRecord):
     clusters: dict[str, ClusterReport] = field(default_factory=dict)
     events_processed: int = 0
     #: Modeled chunk-cache accounting (zero unless the simulation was
-    #: given a cache — see :class:`~repro.sim.simulation.CloudBurstSimulation`).
+    #: given a cache — see :class:`~repro.sim.multisite.MultiSiteSimulation`).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Modeled storage faults applied to the fetch path (zero unless the

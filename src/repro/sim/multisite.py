@@ -5,9 +5,10 @@ processing power is spread across two different cloud providers." This
 module is the one run loop: any number of sites, each with its own
 compute pool, storage service, compute-speed factor, jitter model, and
 cross-site network paths. The paper's campus + AWS testbed is its
-two-site configuration (:mod:`repro.sim.simulation` builds it). The
-scheduling policy (:class:`~repro.core.scheduler.HeadScheduler`) handles
-N clusters unchanged — which is itself evidence for the paper's claim.
+two-site configuration (:func:`repro.sim.simulation.two_site_config`
+builds it). The scheduling policy
+(:class:`~repro.core.scheduler.HeadScheduler`) handles N clusters
+unchanged — which is itself evidence for the paper's claim.
 
 Configuration pieces:
 
@@ -67,6 +68,7 @@ from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
 from ..obs.live import RunMonitor
 from ..obs.record import cluster_reports
+from ..scale.controller import burst_site
 from ..scale.simmodel import ClusterBurst
 from ..units import MB
 from .computemodel import ComputeModel
@@ -296,11 +298,9 @@ class MultiSiteSimulation:
         self,
         config: MultiSiteConfig,
         profile: AppProfile | None = None,
-        merge_seconds_per_byte: float = 1.0 / (2.0 * 1024**3),
         trace: "EventLog | None" = None,
         sync: SyncSpec | None = None,
         scale: "ScaleOptions | None" = None,
-        scale_site: str | None = None,
         *,
         cache: "ChunkCache | None" = None,
         faults: "FaultSpec | None" = None,
@@ -309,7 +309,6 @@ class MultiSiteSimulation:
     ) -> None:
         self.config = config
         self.profile = profile or get_profile(config.app)
-        self.merge_seconds_per_byte = merge_seconds_per_byte
         self.trace = trace
         #: Ablation baseline: pre-partition the whole job pool across the
         #: clusters round-robin instead of on-demand pooling. Disables
@@ -339,23 +338,16 @@ class MultiSiteSimulation:
         self.faults = None if faults is None or not (
             faults.latency_rate or faults.slow_rate
         ) else faults
-        #: Elastic bursting (:mod:`repro.scale`): the burstable site
-        #: (``scale_site``, defaulting to the first active non-head site —
-        #: the "cloud" in a campus-plus-provider layout) gains a
+        #: Elastic bursting (:mod:`repro.scale`): the burst site (the
+        #: runtime's rule, :func:`~repro.scale.controller.burst_site`: the
+        #: first active site that is not the head's) gains a
         #: :class:`~repro.scale.simmodel.ClusterBurst` — a monitor
         #: subscriber driving the same pure autoscaler the runtime uses
         #: (a private monitor at ``scale.interval`` when none was given),
         #: with provision latency modeled in virtual time — and its master
-        #: core rolls the seeded spot die, as the runtime's cloud master
-        #: does. Disabled specs build none of the machinery.
+        #: core rolls the seeded spot die, as the runtime's does. With no
+        #: such site, or a disabled spec, none of the machinery is built.
         self.scale = scale if scale is not None and scale.enabled else None
-        self.scale_site = scale_site
-        if self.scale is not None and scale_site is not None and not any(
-            s.name == scale_site and s.cores > 0 for s in config.sites
-        ):
-            raise ConfigurationError(
-                f"scale_site {scale_site!r} is not an active site"
-            )
         #: Live run-health sampling (:class:`~repro.obs.live.RunMonitor`),
         #: as the runtime takes it: each :meth:`run` binds it to a probe
         #: over the pass's nodes and one simulation process samples it
@@ -474,7 +466,6 @@ class MultiSiteSimulation:
                                 seed=s.variability.seed ^ (config.seed * JITTER_SALT))
                 for s in config.sites
             },
-            merge_seconds_per_byte=self.merge_seconds_per_byte,
             site_slowdowns={s.name: s.compute_slowdown for s in config.sites},
         )
         jobs = config.build_index().jobs()
@@ -563,12 +554,11 @@ class MultiSiteSimulation:
         # Elastic bursting: the burst site's fleet follows the shared
         # pure controller, a subscriber of the pass's monitor.
         burst: ClusterBurst | None = None
-        burst_site: str | None = None
-        if self.scale is not None:
-            burst_site = self.scale_site or next(
-                (s.name for s in active_sites if s.name != head_site),
-                active_sites[0].name,
-            )
+        bursting = (
+            burst_site((s.name for s in active_sites), head_site)
+            if self.scale is not None
+            else None
+        )
 
         # The cache outlives the run in iterative use; report and sample
         # this pass's delta, mirroring the executable driver's accounting.
@@ -622,7 +612,7 @@ class MultiSiteSimulation:
                 uplink=uplink,
                 cross_site=crosses_site(plan[name], site.name, head_site),
                 revocation=(
-                    self.scale.revocation_spec if site.name == burst_site else None
+                    self.scale.revocation_spec if site.name == bursting else None
                 ),
             )
 
@@ -639,7 +629,7 @@ class MultiSiteSimulation:
             procs = [
                 env.process(s.run(), name=f"slave:{s.slave_id}") for s in crew
             ]
-            if site.name == burst_site:
+            if site.name == bursting:
                 burst = ClusterBurst(
                     master, self.scale,
                     crew=crew,
@@ -708,7 +698,7 @@ class MultiSiteSimulation:
             # Fold the dynamic slaves into the burst site's crew so the
             # report's jobs-processed invariant and per-cluster means
             # account for every worker that actually ran.
-            slaves[f"{burst_site}-cluster"] += burst.started
+            slaves[f"{bursting}-cluster"] += burst.started
         # A cluster's upload arrival is stamped where it lands: at its
         # parent master, or at the head.
         arrivals = {name: m.parent.core.arrivals[name] for name, m in masters.items()}

@@ -13,6 +13,9 @@ import pytest
 
 from repro.config import CLOUD_SITE, LOCAL_SITE, DatasetSpec, PlacementSpec
 from repro.errors import WorkerFailure
+from repro.sim.calibration import PAPER_CALIBRATION
+from repro.sim.multisite import MultiSiteSimulation
+from repro.sim.simulation import two_site_config
 from repro.storage.objectstore import ObjectStore
 from repro.storage.retrieval import POOL_THREAD_PREFIX
 
@@ -40,6 +43,12 @@ def bench_module(name: str):
         sys.modules.pop("conftest", None)
         if ours is not None:
             sys.modules["conftest"] = ours
+
+
+def two_site(config, calibration=PAPER_CALIBRATION, **options) -> MultiSiteSimulation:
+    """A simulation of the paper's campus + AWS testbed for ``config``
+    (an :class:`~repro.config.ExperimentConfig`)."""
+    return MultiSiteSimulation(two_site_config(config, calibration), **options)
 
 
 def middleware_threads() -> list[str]:

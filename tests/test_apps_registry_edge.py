@@ -42,16 +42,6 @@ def test_make_bundle_passes_params_through():
     assert bundle2.app.centroids.shape == (3, 5)
 
 
-def test_profile_site_cost_lookup():
-    from repro.config import CLOUD_SITE, LOCAL_SITE
-
-    profile = get_profile("kmeans")
-    assert profile.unit_cost(CLOUD_SITE) == pytest.approx(
-        profile.unit_cost_local * 22 / 16
-    )
-    assert profile.unit_cost(LOCAL_SITE) == profile.unit_cost_local
-
-
 def test_bundle_block_fn_deterministic_per_seed():
     a = make_bundle("knn", 128, seed=3)
     b = make_bundle("knn", 128, seed=3)

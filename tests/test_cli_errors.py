@@ -34,6 +34,10 @@ def test_missing_input_file_is_a_one_line_error(capsys, tmp_path, command):
         (["watch", "knn", "--deadline", "3"], "add --autoscale"),
         (["watch", "knn", "--units", "100"], "--units must be divisible"),
         (["trace", "knn", "--runtime", "--units", "100"], "--units must be divisible"),
+        # `watch` samples for its feed: MonitorOptions rejects a sampler
+        # that would never run, or run backwards.
+        (["watch", "kmeans", "--interval", "0"], "monitor"),
+        (["watch", "kmeans", "--interval", "-1"], "monitor"),
     ],
 )
 def test_rejected_flags_print_nothing_first(capsys, argv, message):

@@ -23,13 +23,14 @@ def profile(cloud_slowdown=1.5):
     )
 
 
-def exact_model(**kwargs):
+def exact_model(cloud_slowdown=1.5):
     return ComputeModel(
-        profile=profile(**kwargs),
+        profile=profile(cloud_slowdown),
         variability={
             LOCAL_SITE: VariabilityModel(sigma=0.0),
             CLOUD_SITE: VariabilityModel(sigma=0.0),
         },
+        site_slowdowns={LOCAL_SITE: 1.0, CLOUD_SITE: cloud_slowdown},
     )
 
 
@@ -50,6 +51,7 @@ def test_jitter_deterministic_per_worker():
             LOCAL_SITE: VariabilityModel(sigma=0.2, seed=1),
             CLOUD_SITE: VariabilityModel(sigma=0.2, seed=1),
         },
+        site_slowdowns={LOCAL_SITE: 1.0, CLOUD_SITE: 1.5},
     )
     a = [model.job_seconds(CLOUD_SITE, 7, 100) for _ in range(3)]
     model2 = ComputeModel(
@@ -58,6 +60,7 @@ def test_jitter_deterministic_per_worker():
             LOCAL_SITE: VariabilityModel(sigma=0.2, seed=1),
             CLOUD_SITE: VariabilityModel(sigma=0.2, seed=1),
         },
+        site_slowdowns={LOCAL_SITE: 1.0, CLOUD_SITE: 1.5},
     )
     b = [model2.job_seconds(CLOUD_SITE, 7, 100) for _ in range(3)]
     assert a == b
@@ -87,7 +90,8 @@ def test_merge_and_combine_costs():
 def test_missing_variability_rejected():
     with pytest.raises(SimulationError):
         ComputeModel(profile=profile(),
-                     variability={LOCAL_SITE: VariabilityModel(sigma=0.0)})
+                     variability={LOCAL_SITE: VariabilityModel(sigma=0.0)},
+                     site_slowdowns={LOCAL_SITE: 1.0, CLOUD_SITE: 1.5})
 
 
 def test_profile_validation():

@@ -7,7 +7,8 @@ import pytest
 from repro.bench.configs import env_config
 from repro.bench.cost import AWS_2011, CostBreakdown, PricingModel, price_run
 from repro.errors import ConfigurationError
-from repro.sim.simulation import simulate
+
+from conftest import two_site
 
 SCALE = 0.03
 
@@ -15,7 +16,7 @@ SCALE = 0.03
 @pytest.fixture(scope="module")
 def hybrid():
     config = env_config("knn", "env-17/83", scale=SCALE)
-    return config, simulate(config)
+    return config, two_site(config).run()
 
 
 def test_pricing_validation():
@@ -27,7 +28,7 @@ def test_pricing_validation():
 
 def test_local_run_is_cloud_free():
     config = env_config("knn", "env-local", scale=SCALE)
-    cost = price_run(config, simulate(config))
+    cost = price_run(config, two_site(config).run())
     assert cost.ec2_compute == 0.0
     assert cost.s3_egress == 0.0
     assert cost.s3_requests == 0.0
@@ -38,7 +39,7 @@ def test_local_run_is_cloud_free():
 
 def test_cloud_run_has_no_egress_but_pays_compute():
     config = env_config("knn", "env-cloud", scale=SCALE)
-    cost = price_run(config, simulate(config))
+    cost = price_run(config, two_site(config).run())
     # S3 -> EC2 is free; nothing leaves AWS in a single-cluster cloud run.
     assert cost.s3_egress == 0.0
     assert cost.ec2_compute > 0.0

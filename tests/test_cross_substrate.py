@@ -25,7 +25,8 @@ from repro.network.topology import Link
 from repro.network.transfer import parallel_transfer_time, transfer_time
 from repro.sim.engine import Environment
 from repro.sim.linkmodel import FairShareLink
-from repro.sim.simulation import simulate
+
+from conftest import two_site
 
 
 @settings(deadline=None, max_examples=30)
@@ -118,7 +119,7 @@ def test_random_configs_preserve_invariants(
         tuning=MiddlewareTuning(job_group_size=3, pool_low_water=1),
         seed=seed,
     )
-    report = simulate(config)
+    report = two_site(config).run()
     report.validate()
     assert report.total_jobs == files * chunks
     for cluster in report.clusters.values():

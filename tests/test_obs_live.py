@@ -8,14 +8,26 @@ import time
 import pytest
 
 import repro
+from repro.apps import make_bundle
+from repro.cache import ChunkCache
 from repro.clock import FakeClock
 from repro.apps.base import get_profile
-from repro.config import ComputeSpec, DatasetSpec, ExperimentConfig, PlacementSpec
+from repro.config import (
+    CLOUD_SITE,
+    LOCAL_SITE,
+    ComputeSpec,
+    DatasetSpec,
+    ExperimentConfig,
+    PlacementSpec,
+)
+from repro.data.dataset import build_dataset
 from repro.errors import ConfigurationError, TraceError
 from repro.obs import EventLog, RunMonitor, RunSample
+from repro.runtime.driver import CloudBurstingRuntime
 from repro.sim.calibration import PAPER_CALIBRATION
 from repro.sim.multisite import MultiSiteSimulation
 from repro.sim.simulation import two_site_config
+from repro.storage.objectstore import ObjectStore
 
 
 def make_sample(**overrides) -> RunSample:
@@ -248,6 +260,35 @@ def test_facade_serial_mode_takes_no_samples():
         "wordcount", DATASET, repro.RunConfig(mode="serial")
     )
     assert result.samples == []
+
+
+def test_runtime_samples_each_pass_alone():
+    """The cache and the sync codec outlive a pass, so they count across
+    passes: each pass's closing sample reads their movement over that
+    pass, as the pass's telemetry does, beside the per-pass
+    ``remote_fetches`` (one per cache miss)."""
+    bundle = make_bundle("kmeans", 8192)
+    record = bundle.schema.record_bytes
+    spec = DatasetSpec(
+        total_bytes=8192 * record, num_files=8, chunk_bytes=512,
+        record_bytes=record,
+    )
+    stores = {LOCAL_SITE: ObjectStore(), CLOUD_SITE: ObjectStore()}
+    index = build_dataset(
+        spec, PlacementSpec(0.25), bundle.schema, bundle.block_fn, stores
+    )
+    monitor = RunMonitor(0.5)
+    with CloudBurstingRuntime(
+        bundle.app, index, stores, ComputeSpec(local_cores=2, cloud_cores=2),
+        cache=ChunkCache(1 << 20), monitor=monitor,
+    ) as runtime:
+        for _ in range(2):  # a cold pass, then a warm one
+            telemetry = runtime.run().telemetry
+            closing = monitor.last
+            for name in ("cache_hits", "cache_misses", "sync_bytes_sent"):
+                assert getattr(closing, name) == getattr(telemetry, name), name
+            assert closing.remote_fetches == closing.cache_misses
+            assert closing.sync_bytes_sent > 0
 
 
 # -- simulate mode: the simulator samples its own state ------------------------

@@ -16,14 +16,15 @@ from repro.bench.experiments import (
 from repro.cli import main
 from repro.errors import SimulationError
 from repro.sim.metrics import SimReport
-from repro.sim.simulation import simulate
+
+from conftest import two_site
 
 SCALE = 0.03
 
 
 @pytest.fixture(scope="module")
 def report():
-    return simulate(env_config("knn", "env-33/67", scale=SCALE))
+    return two_site(env_config("knn", "env-33/67", scale=SCALE)).run()
 
 
 def test_json_roundtrip(report):

@@ -1,9 +1,9 @@
 """The unified ``repro.run`` facade must match every legacy entrypoint.
 
 Each mode of the facade is a thin wrapper over an engine that predates
-it (``run_serial``, ``simulate``, ``CloudBurstingRuntime``). These tests
-pin the equivalence: same app, same dataset, same seed — identical
-output through either door.
+it (``run_serial``, ``MultiSiteSimulation``, ``CloudBurstingRuntime``).
+These tests pin the equivalence: same app, same dataset, same seed —
+identical output through either door.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import ConfigurationError
 from repro.resilience import FaultSpec, RetryPolicy
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.sim.simulation import simulate
+from repro.sim.multisite import MultiSiteSimulation
+from repro.sim.simulation import two_site_config
 from repro.storage.objectstore import ObjectStore
 
 SEED = 2011
@@ -89,14 +90,16 @@ def test_facade_serial_matches_run_serial():
 
 def test_facade_simulate_matches_simulate():
     dataset = DatasetSpec.paper(record_bytes=8).scaled(1e-5)
-    legacy = simulate(
-        ExperimentConfig(
-            name="env-test", app="kmeans", dataset=dataset,
-            placement=PlacementSpec(0.5),
-            compute=ComputeSpec(local_cores=8, cloud_cores=8),
-            seed=SEED,
+    legacy = MultiSiteSimulation(
+        two_site_config(
+            ExperimentConfig(
+                name="env-test", app="kmeans", dataset=dataset,
+                placement=PlacementSpec(0.5),
+                compute=ComputeSpec(local_cores=8, cloud_cores=8),
+                seed=SEED,
+            )
         )
-    )
+    ).run()
     result = run(
         "kmeans", dataset,
         RunConfig(

@@ -37,6 +37,7 @@ from repro.obs.live import RunMonitor
 from repro.options import ScaleOptions
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.scale import Autoscaler, RevocationSpec, ScaleDecision
+from repro.scale.controller import burst_site
 from repro.storage.objectstore import ObjectStore
 
 DATASET = DatasetSpec(
@@ -526,3 +527,55 @@ def test_facade_simulate_autoscale_reports_fleet_changes():
     assert result.sim_report.slaves_added > 0
     assert result.sim_report.slaves_added == again.sim_report.slaves_added
     assert result.sim_report.dollars_spent == again.sim_report.dollars_spent
+
+
+# -- which cluster bursts ------------------------------------------------------
+
+
+def test_burst_site_is_the_first_active_site_off_the_head():
+    assert burst_site(["aws", "campus", "azure"], "campus") == "aws"
+    assert burst_site(["campus", "aws", "azure"], "campus") == "aws"
+    # An inactive head is simply not in the list: still the first other.
+    assert burst_site(["aws", "azure"], "campus") == "aws"
+    assert burst_site(["campus"], "campus") is None
+    assert burst_site([], "campus") is None
+
+
+#: Chosen so that every slave id 0-3 survives its first hand-out and is
+#: revoked at its second: the first slave of a multi-slave cluster to ask
+#: twice is revoked, and the keep-one floor spares the rest.
+SHARED_DIE = "rate=0.6,seed=42"
+
+
+@pytest.mark.parametrize(
+    "local, cloud, revoked",
+    [(2, 0, 0), (0, 2, 1), (1, 1, 0), (2, 2, 1)],
+)
+@pytest.mark.parametrize("mode", ["runtime", "simulate"])
+def test_both_engines_burst_the_same_cluster(mode, local, cloud, revoked):
+    """The spot die rolls only at the burst site's master, in both
+    engines: the cloud's, and nowhere when only the head's site has
+    cores, however many slaves it has there."""
+    die = RevocationSpec.parse(SHARED_DIE)
+    assert all(not die.draw(s, 0) and die.draw(s, 1) for s in range(4))
+    trace = EventLog()
+    result = run(
+        "histogram", DATASET,
+        RunConfig(
+            mode=mode, trace=trace, placement=PlacementSpec(0.5),
+            compute=ComputeSpec(local_cores=local, cloud_cores=cloud),
+            scale=ScaleOptions(revocation=SHARED_DIE),
+        ),
+    )
+    revocations = trace.of_kind("revocation")
+    reexecuted = trace.of_kind("job_reexecuted")
+    assert {e.cluster for e in revocations + reexecuted} <= {f"{CLOUD_SITE}-cluster"}
+    ledger = result.telemetry if mode == "runtime" else result.sim_report
+    assert ledger.slaves_revoked == len(revocations)
+    if mode == "simulate" or (local, cloud) != (2, 2):
+        # In a (2, 2) runtime run the local slaves may take every job
+        # left before a cloud slave asks twice; every other count is
+        # fixed by the die.
+        assert len(revocations) == revoked
+    if revocations:
+        assert reexecuted  # the victim's first job runs again

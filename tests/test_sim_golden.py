@@ -43,10 +43,9 @@ from repro.obs import EventLog
 from repro.options import ScaleOptions
 from repro.resilience.faults import FaultSpec
 from repro.sim.multisite import MultiSiteSimulation
-from repro.sim.simulation import CloudBurstSimulation
 from repro.units import MB
 
-from conftest import bench_module
+from conftest import bench_module, two_site
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "data" / "sim_golden.json"
@@ -83,14 +82,12 @@ def _small_hybrid() -> ExperimentConfig:
 
 def _traced(config: ExperimentConfig, **kwargs) -> list:
     trace = EventLog()
-    CloudBurstSimulation(config, trace=trace, **kwargs).run()
+    two_site(config, trace=trace, **kwargs).run()
     return [[e.time, e.kind, e.worker, e.cluster] for e in trace.events]
 
 
 def _cached_passes() -> list:
-    sim = CloudBurstSimulation(
-        _envs("knn")["env-33/67"], cache=ChunkCache(1 << 34)
-    )
+    sim = two_site(_envs("knn")["env-33/67"], cache=ChunkCache(1 << 34))
     return [sim.run().to_dict() for _ in range(2)]
 
 
@@ -109,7 +106,7 @@ def _cases() -> dict:
         for env, config in _envs(app).items():
             for label, spec in SYNC_SPECS.items():
                 cases[f"two-site/{app}/{env}/{label}"] = (
-                    lambda config=config, spec=spec: CloudBurstSimulation(
+                    lambda config=config, spec=spec: two_site(
                         config, sync=spec
                     ).run().to_dict()
                 )
@@ -128,25 +125,26 @@ def _cases() -> dict:
         }
         for label, scale in scales.items():
             cases[f"autoscale/{env}/{label}"] = (
-                lambda config=config, scale=scale: CloudBurstSimulation(
+                lambda config=config, scale=scale: two_site(
                     config, scale=scale
                 ).run().to_dict()
             )
     hybrid = _envs("knn")["env-33/67"]
-    # A scale spec on a run with no cloud cores is a silent no-op.
-    cases["autoscale/env-local/no-cloud-cores"] = lambda: CloudBurstSimulation(
+    # A scale spec on a run with no cloud cores is a silent no-op: no
+    # active site other than the head's, so no site bursts.
+    cases["autoscale/env-local/no-cloud-cores"] = lambda: two_site(
         _envs("kmeans")["env-local"],
         scale=ScaleOptions(autoscale=True, deadline=100.0),
     ).run().to_dict()
     cases["cached/2-pass"] = _cached_passes
-    cases["faults/latency+slow"] = lambda: CloudBurstSimulation(
+    cases["faults/latency+slow"] = lambda: two_site(
         hybrid,
         faults=FaultSpec(
             latency_rate=0.1, latency_seconds=0.5,
             slow_rate=0.05, slow_bandwidth=1 * MB, seed=11,
         ),
     ).run().to_dict()
-    cases["static-assignment"] = lambda: CloudBurstSimulation(
+    cases["static-assignment"] = lambda: two_site(
         hybrid, static_assignment=True
     ).run().to_dict()
     cases["trace/default"] = lambda: _traced(_small_hybrid())

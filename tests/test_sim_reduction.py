@@ -72,7 +72,7 @@ def test_attached_and_revoked_slaves_still_fold_every_unit():
     trace = EventLog()
     sim = MultiSiteSimulation(
         two_site_config(config, PAPER_CALIBRATION, get_profile("kmeans")),
-        scale=scale, scale_site=CLOUD_SITE, trace=trace,
+        scale=scale, trace=trace,
     )
     report = sim.run()
     assert_whole(sim, report)

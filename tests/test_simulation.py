@@ -14,14 +14,15 @@ from repro.bench.configs import env_config, figure4_configs
 from repro.config import CLOUD_SITE, LOCAL_SITE
 from repro.errors import SimulationError
 from repro.sim.calibration import PAPER_CALIBRATION
-from repro.sim.simulation import CloudBurstSimulation, simulate
+
+from conftest import two_site
 
 SCALE = 0.05  # 960 jobs of 6.4 MB instead of 128 MB
 
 
 @pytest.fixture(scope="module")
 def knn_hybrid():
-    return simulate(env_config("knn", "env-50/50", scale=SCALE))
+    return two_site(env_config("knn", "env-50/50", scale=SCALE)).run()
 
 
 def test_every_job_processed_once(knn_hybrid):
@@ -41,8 +42,8 @@ def test_accounting_invariants(knn_hybrid):
 
 
 def test_simulation_deterministic():
-    a = simulate(env_config("knn", "env-33/67", scale=SCALE))
-    b = simulate(env_config("knn", "env-33/67", scale=SCALE))
+    a = two_site(env_config("knn", "env-33/67", scale=SCALE)).run()
+    b = two_site(env_config("knn", "env-33/67", scale=SCALE)).run()
     assert a.makespan == b.makespan
     assert a.events_processed == b.events_processed
     assert {n: c.jobs_processed for n, c in a.clusters.items()} == {
@@ -51,15 +52,15 @@ def test_simulation_deterministic():
 
 
 def test_seed_changes_outcome_slightly():
-    a = simulate(env_config("knn", "env-33/67", scale=SCALE, seed=1))
-    b = simulate(env_config("knn", "env-33/67", scale=SCALE, seed=2))
+    a = two_site(env_config("knn", "env-33/67", scale=SCALE, seed=1)).run()
+    b = two_site(env_config("knn", "env-33/67", scale=SCALE, seed=2)).run()
     assert a.makespan != b.makespan
     # But not wildly: same configuration, same resources.
     assert abs(a.makespan - b.makespan) / a.makespan < 0.2
 
 
 def test_single_cluster_baselines_have_no_idle_or_transfer():
-    local = simulate(env_config("knn", "env-local", scale=SCALE))
+    local = two_site(env_config("knn", "env-local", scale=SCALE)).run()
     assert set(local.clusters) == {"local-cluster"}
     cluster = local.cluster("local-cluster")
     assert cluster.idle == 0.0
@@ -67,7 +68,7 @@ def test_single_cluster_baselines_have_no_idle_or_transfer():
     # Single-cluster global reduction is merge-only (no WAN push).
     assert local.global_reduction < 0.1
 
-    cloud = simulate(env_config("knn", "env-cloud", scale=SCALE))
+    cloud = two_site(env_config("knn", "env-cloud", scale=SCALE)).run()
     assert set(cloud.clusters) == {"cloud-cluster"}
     assert cloud.cluster("cloud-cluster").jobs_stolen == 0
 
@@ -76,10 +77,10 @@ def test_a_lone_root_pays_its_upload_only_off_the_head_site():
     # The head sits on the local site: a lone local root hands its object
     # over where it is, a lone cloud root ships it across the WAN, as the
     # runtime's ``crosses_site`` rule counts it.
-    local = simulate(env_config("knn", "env-local", scale=SCALE))
+    local = two_site(env_config("knn", "env-local", scale=SCALE)).run()
     cluster = local.cluster("local-cluster")
     assert cluster.robj_arrival == cluster.combine_done
-    cloud = simulate(env_config("knn", "env-cloud", scale=SCALE))
+    cloud = two_site(env_config("knn", "env-cloud", scale=SCALE)).run()
     cluster = cloud.cluster("cloud-cluster")
     assert cluster.robj_arrival > cluster.combine_done
 
@@ -87,7 +88,7 @@ def test_a_lone_root_pays_its_upload_only_off_the_head_site():
 def test_stealing_grows_with_skew():
     stolen = {}
     for env in ("env-50/50", "env-33/67", "env-17/83"):
-        report = simulate(env_config("knn", env, scale=SCALE))
+        report = two_site(env_config("knn", env, scale=SCALE)).run()
         local = report.cluster("local-cluster")
         stolen[env] = local.jobs_stolen
     assert stolen["env-50/50"] <= stolen["env-33/67"] <= stolen["env-17/83"]
@@ -96,13 +97,13 @@ def test_stealing_grows_with_skew():
 
 def test_cloud_cluster_never_counts_local_steals_in_hybrid():
     """In hybrid knn runs the cloud side has ample S3 data of its own."""
-    report = simulate(env_config("knn", "env-17/83", scale=SCALE))
+    report = two_site(env_config("knn", "env-17/83", scale=SCALE)).run()
     assert report.cluster("cloud-cluster").jobs_stolen == 0
 
 
 def test_pagerank_global_reduction_dominated_by_robj_transfer():
-    knn = simulate(env_config("knn", "env-50/50", scale=SCALE))
-    pagerank = simulate(env_config("pagerank", "env-50/50", scale=SCALE))
+    knn = two_site(env_config("knn", "env-50/50", scale=SCALE)).run()
+    pagerank = two_site(env_config("pagerank", "env-50/50", scale=SCALE)).run()
     assert pagerank.global_reduction > 100 * knn.global_reduction
     # ~300 MB at the WAN per-flow rate: tens of seconds.
     assert 10.0 < pagerank.global_reduction < 120.0
@@ -110,7 +111,7 @@ def test_pagerank_global_reduction_dominated_by_robj_transfer():
 
 def test_unassigned_jobs_detected():
     config = env_config("knn", "env-local", scale=SCALE)
-    sim = CloudBurstSimulation(config)
+    sim = two_site(config)
     # Sanity: a full run assigns everything (no exception).
     report = sim.run()
     assert report.total_jobs == 960
@@ -119,7 +120,7 @@ def test_unassigned_jobs_detected():
 def test_scalability_monotone():
     prev = None
     for name, config in figure4_configs("kmeans", scale=SCALE).items():
-        report = simulate(config)
+        report = two_site(config).run()
         if prev is not None:
             assert report.makespan < prev
         prev = report.makespan
@@ -131,8 +132,8 @@ def test_ec2_variability_increases_spread():
     )
     jittery = PAPER_CALIBRATION
     config = env_config("kmeans", "env-cloud", scale=SCALE)
-    calm_report = simulate(config, calm)
-    jittery_report = simulate(config, jittery)
+    calm_report = two_site(config, calm).run()
+    jittery_report = two_site(config, jittery).run()
     # More per-job variance -> larger end-of-run barrier (sync).
     assert (
         jittery_report.cluster("cloud-cluster").sync

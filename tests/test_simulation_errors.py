@@ -12,7 +12,8 @@ from repro.config import (
     PlacementSpec,
 )
 from repro.errors import SimulationError
-from repro.sim.simulation import simulate
+
+from conftest import two_site
 
 
 def tiny_config(**overrides):
@@ -35,12 +36,12 @@ def test_stranded_data_without_stealing_is_detected():
     report that silently skipped data."""
     config = tiny_config(tuning=MiddlewareTuning(allow_stealing=False))
     with pytest.raises(SimulationError, match="unassigned"):
-        simulate(config)
+        two_site(config).run()
 
 
 def test_stealing_rescues_the_same_configuration():
     config = tiny_config()  # stealing on by default
-    report = simulate(config)
+    report = two_site(config).run()
     assert report.total_jobs == 16
     assert report.cluster("local-cluster").jobs_stolen == 16
 
@@ -49,4 +50,4 @@ def test_unknown_app_fails_at_construction():
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError, match="unknown application"):
-        simulate(tiny_config(app="does-not-exist"))
+        two_site(tiny_config(app="does-not-exist"))

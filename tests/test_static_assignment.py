@@ -6,14 +6,15 @@ import pytest
 
 from repro.bench.configs import env_config
 from repro.cli import main
-from repro.sim.simulation import CloudBurstSimulation, simulate
+
+from conftest import two_site
 
 SCALE = 0.03
 
 
 def run(env, static, app="knn", seed=2011):
     config = env_config(app, env, scale=SCALE, seed=seed)
-    return CloudBurstSimulation(config, static_assignment=static).run()
+    return two_site(config, static_assignment=static).run()
 
 
 def test_static_processes_every_job():

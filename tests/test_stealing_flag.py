@@ -13,9 +13,8 @@ from repro.config import (
 )
 from repro.core.index import build_index
 from repro.core.scheduler import HeadScheduler
-from repro.sim.simulation import simulate
 
-from conftest import small_spec
+from conftest import small_spec, two_site
 
 SCALE = 0.03
 
@@ -47,7 +46,7 @@ def test_simulation_without_stealing_still_completes():
         "knn", "env-33/67", scale=SCALE,
         tuning=MiddlewareTuning(allow_stealing=False),
     )
-    report = simulate(config)
+    report = two_site(config).run()
     assert report.total_jobs == 960
     assert report.total_stolen == 0
     # The data-poor cluster finishes early and idles.
@@ -57,9 +56,9 @@ def test_simulation_without_stealing_still_completes():
 
 
 def test_no_stealing_is_slower_under_skew():
-    base = simulate(env_config("knn", "env-17/83", scale=SCALE))
-    frozen = simulate(env_config(
+    base = two_site(env_config("knn", "env-17/83", scale=SCALE)).run()
+    frozen = two_site(env_config(
         "knn", "env-17/83", scale=SCALE,
         tuning=MiddlewareTuning(allow_stealing=False),
-    ))
+    )).run()
     assert frozen.makespan > base.makespan

@@ -61,12 +61,12 @@ from repro.sim.multisite import (
     SiteSpec,
 )
 from repro.sim.calibration import PAPER_CALIBRATION
-from repro.sim.simulation import CloudBurstSimulation, two_site_config
+from repro.sim.simulation import two_site_config
 from repro.sim.storagemodel import StorePath
 from repro.storage.objectstore import ObjectStore
 from repro.units import MB
 
-from conftest import CrashOnce, bench_module, hold_others, small_spec
+from conftest import CrashOnce, bench_module, hold_others, small_spec, two_site
 
 
 def layout(topology: str) -> dict:
@@ -814,8 +814,8 @@ def test_both_engines_flush_a_partial_every_watermark_jobs(mode):
 
 def test_sim_default_spec_is_byte_identical_to_legacy():
     config = env_config("pagerank", "env-50/50", scale=0.05)
-    legacy = CloudBurstSimulation(config).run()
-    default = CloudBurstSimulation(config, sync=SyncSpec()).run()
+    legacy = two_site(config).run()
+    default = two_site(config, sync=SyncSpec()).run()
     assert default.makespan == legacy.makespan
     assert default.events_processed == legacy.events_processed
 
@@ -823,18 +823,18 @@ def test_sim_default_spec_is_byte_identical_to_legacy():
 @pytest.mark.parametrize("topology", ("star", "tree", "ring"))
 def test_sim_topologies_keep_invariants(topology):
     config = env_config("pagerank", "env-50/50", scale=0.05)
-    report = CloudBurstSimulation(
+    report = two_site(
         config, sync=SyncSpec(**layout(topology), stream=True)
     ).run()
     report.validate()
-    assert report.total_jobs == CloudBurstSimulation(config).run().total_jobs
+    assert report.total_jobs == two_site(config).run().total_jobs
 
 
 def test_sim_ratio_cuts_modeled_sync_time():
     config = env_config("pagerank", "env-50/50", scale=0.05)
     chain = layout("ring")
-    dense = CloudBurstSimulation(config, sync=SyncSpec(**chain)).run()
-    thin = CloudBurstSimulation(
+    dense = two_site(config, sync=SyncSpec(**chain)).run()
+    thin = two_site(
         config, sync=SyncSpec(**chain, sim_ratio=0.01)
     ).run()
     assert thin.makespan < dense.makespan

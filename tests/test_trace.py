@@ -8,7 +8,8 @@ from repro.bench.configs import env_config
 from repro.cache import ChunkCache
 from repro.errors import SimulationError
 from repro.obs import EventLog, render_gantt, utilization, worker_intervals
-from repro.sim.simulation import CloudBurstSimulation
+
+from conftest import two_site
 
 SCALE = 0.03
 
@@ -17,7 +18,7 @@ SCALE = 0.03
 def traced_run():
     trace = EventLog()
     config = env_config("knn", "env-50/50", scale=SCALE)
-    report = CloudBurstSimulation(config, trace=trace).run()
+    report = two_site(config, trace=trace).run()
     return trace, report
 
 
@@ -173,8 +174,8 @@ def test_utilization_with_zero_interval_worker():
 
 def test_disabled_trace_changes_nothing():
     config = env_config("knn", "env-50/50", scale=SCALE)
-    plain = CloudBurstSimulation(config).run()
-    traced = CloudBurstSimulation(config, trace=EventLog()).run()
+    plain = two_site(config).run()
+    traced = two_site(config, trace=EventLog()).run()
     assert plain.makespan == traced.makespan
     assert plain.events_processed == traced.events_processed
 
@@ -183,7 +184,7 @@ def test_simulated_cache_events_are_stamped_in_virtual_time():
     """The simulator records each cache lookup at ``env.now``: every event
     of a pass lies inside it, one per hit or miss the report counts."""
     trace = EventLog()
-    sim = CloudBurstSimulation(
+    sim = two_site(
         env_config("knn", "env-50/50", scale=SCALE), trace=trace,
         cache=ChunkCache(1 << 34),
     )

@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     CLOUD_SITE,
     LOCAL_SITE,
@@ -20,8 +21,6 @@ from repro import (
     DatasetSpec,
     GeneralizedReductionApp,
     PlacementSpec,
-    env_config,
-    simulate,
 )
 from repro.core.reduction import ScalarReduction
 from repro.data import build_dataset, mixture_values
@@ -100,7 +99,11 @@ def test_step3_run_with_bursting(tutorial_dataset):
 
 
 def test_step4_simulate_at_testbed_scale():
-    report = simulate(env_config("histogram", "env-33/67", scale=0.02))
+    env = repro.env_config("histogram", "env-33/67", scale=0.02)
+    report = repro.run(
+        "histogram", env.dataset,
+        repro.RunConfig(mode="simulate", placement=env.placement, compute=env.compute),
+    ).sim_report
     assert report.total_jobs == 960
     assert report.makespan > 0
     report.validate()
