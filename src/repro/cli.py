@@ -280,8 +280,10 @@ _RUN_FLAGS = (
           "autoscaler ceiling for the cloud fleet (default 8)", "N"),
     _Flag("--revoke", "scale.revocation",
           "spot-revocation spec for cloud slaves, e.g. "
-          "'rate=0.05,seed=7,provision=0.1' (results stay bit-identical; "
-          "see docs/SCALING.md for the grammar)", "SPEC", str),
+          "'rate=0.05,seed=7' (results stay bit-identical; a provision= "
+          "lag is modeled only by simulated runs, the runtime attaches a "
+          "bought slave at once; see docs/SCALING.md for the grammar)",
+          "SPEC", str),
     _Flag("--interval", "monitor.interval",
           "sampling interval for the health feed", "SECONDS"),
 )

@@ -13,7 +13,9 @@ on an interval while the run executes. This module is that signal bus:
   :class:`~repro.clock.FakeClock` runs it on virtual time — tests never
   sleep); the simulator steps it from one simulation process per pass,
   :meth:`RunMonitor.sample_now` stamped at each virtual-time tick. Both
-  engines feed the same consumers one ``RunSample`` vocabulary.
+  engines feed the same consumers one ``RunSample`` vocabulary;
+* :func:`run_probe` — the one probe both engines bind, over a pass's
+  master and slave cores.
 
 Enable via ``RunConfig(monitor=MonitorOptions(interval=0.5,
 on_sample=...))`` or drive
@@ -27,12 +29,12 @@ import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..clock import SYSTEM_CLOCK, SystemClock
 from ..errors import TraceError
 
-__all__ = ["RunSample", "RunMonitor"]
+__all__ = ["RunSample", "RunMonitor", "run_probe"]
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,51 @@ _GAUGES = (
     "sync_bytes_sent",
     "remote_fetches",
 )
+
+
+def run_probe(
+    jobs_total: int,
+    scheduler,
+    masters: Sequence,
+    slaves: Sequence,
+    *,
+    reader,
+    codec,
+    cache=None,
+) -> Probe:
+    """The gauges of one pass, in either engine: ``masters`` and
+    ``slaves`` are its master and slave cores (every slave the pass may
+    start), ``reader`` counts its cross-site fetches (``remote_fetches``).
+    The codec and the cache may outlive the pass: they are read as
+    movement since the probe was built. ``workers`` is protocol
+    membership (the masters' active slaves), and a worker is busy while
+    it holds an in-flight job, so the closing sample reads none busy."""
+    cores = tuple(masters)
+    crew = tuple(slaves)
+    sent = codec.stats.wire_bytes
+    if cache is not None:
+        hits, misses = cache.stats.hits, cache.stats.misses
+
+    def probe() -> dict:
+        in_flight = sum(core.pool.in_flight for core in cores)
+        workers = sum(core.active for core in cores)
+        gauges = {
+            "jobs_total": jobs_total,
+            "jobs_done": sum(core.reduced for core in crew),
+            "pool_depth": sum(len(core.pool) for core in cores),
+            "in_flight": in_flight,
+            "steals": sum(c.jobs_stolen for c in scheduler.clusters.values()),
+            "workers": workers,
+            "workers_busy": min(in_flight, workers),
+            "remote_fetches": reader.remote_fetches,
+            "sync_bytes_sent": codec.stats.wire_bytes - sent,
+        }
+        if cache is not None:
+            gauges["cache_hits"] = cache.stats.hits - hits
+            gauges["cache_misses"] = cache.stats.misses - misses
+        return gauges
+
+    return probe
 
 
 def _derive(raw: dict, now: float) -> RunSample:

@@ -10,17 +10,18 @@ that message them. The simulator
 and master cores (:mod:`repro.core.head`, :mod:`repro.core.master`) with
 modeled costs, global reduction included; only its slaves are models of
 their own. Both engines burst the cluster
-:func:`~repro.scale.controller.burst_site` names.
+:func:`~repro.scale.controller.burst_site` names, through one
+:class:`~repro.scale.burst.FleetManager` (here a bought slave attaches at
+once), and bind one :func:`~repro.obs.live.run_probe`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import weakref
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from ..cache import ChunkCache
 from ..config import LOCAL_SITE, ComputeSpec, MiddlewareTuning
@@ -39,12 +40,12 @@ from ..core.sync import (
 from ..data.dataset import DatasetReader
 from ..errors import ConfigurationError, RuntimeTimeoutError
 from ..obs.events import EventLog
-from ..obs.live import RunMonitor
+from ..obs.live import RunMonitor, run_probe
 from ..obs.record import cluster_reports
 from ..obs.spans import span_summary
 from ..options import ScaleOptions
 from ..resilience.retry import RetryPolicy
-from ..scale.burst import RuntimeBurst
+from ..scale.burst import FleetManager
 from ..scale.controller import burst_site
 from ..storage.base import StorageService
 from .corebudget import slave_cores
@@ -330,7 +331,6 @@ class CloudBurstingRuntime:
         masters: list[MasterNode] = []
         masters_by_name: dict[str, MasterNode] = {}
         slaves: list[SlaveWorker] = []
-        slaves_lock = threading.Lock()
         for name, site in zip(cluster_names, sites):
             cores = self.compute.cores_at(site)
             node = plan[name]
@@ -355,28 +355,30 @@ class CloudBurstingRuntime:
                 slaves.append(make_slave(len(slaves), name, site, master.inbox))
 
         monitor = self.monitor
-        burst: RuntimeBurst | None = None
+        fleet: FleetManager | None = None
+        workers = slaves  # every slave the pass may start
         if autoscaling:
-            # The controller needs a sample stream; build a private one
-            # when the caller gave none.
-            monitor = monitor or RunMonitor(scale.interval)
+            # Bought slaves attach at once; their worker processes were
+            # forked with the pool.
             burst_master = masters_by_name[f"{bursting}-cluster"]
-            burst = RuntimeBurst(
+            fleet = FleetManager(
                 scale,
                 burst_master,
                 lambda sid: make_slave(
                     sid, burst_master.name, bursting, burst_master.inbox
                 ),
-                slaves,
-                slaves_lock,
-                id_limit=len(pool.slaves) if pool is not None else None,
+                len(slaves),
+                monitor,
+                deliver=burst_master.inbox.post,
             )
-            monitor.subscribe(burst.on_sample)
+            monitor = fleet.monitor
+            workers = slaves + list(fleet.spares)
         if monitor is not None:
             monitor.bind(
-                self._probe(
-                    scheduler, masters, slaves, slaves_lock, reader, before,
-                    count_alive=autoscaling,
+                run_probe(
+                    len(self.index.jobs()), scheduler,
+                    [m.core for m in masters], [s.core for s in workers],
+                    reader=reader, codec=codec, cache=self.cache,
                 )
             )
 
@@ -390,10 +392,8 @@ class CloudBurstingRuntime:
             result = head.join(timeout=self.join_timeout)
         except RuntimeTimeoutError:
             alive_masters = [m.name for m in masters if not m.core.finished]
-            with slaves_lock:
-                fleet = tuple(slaves)
             alive_slaves = [
-                f"{s.slave_id} ({s.cluster})" for s in fleet if s.is_alive()
+                f"{s.slave_id} ({s.cluster})" for s in workers if s.is_alive()
             ]
             raise RuntimeTimeoutError(
                 f"run did not complete within {self.join_timeout:g}s: the "
@@ -409,19 +409,15 @@ class CloudBurstingRuntime:
                 master.inbox.post(JobReply(None))
             raise
         finally:
-            if burst is not None:
-                burst.applying = False
             if monitor is not None:
                 monitor.stop()  # takes the closing sample
-                if burst is not None:
-                    monitor.unsubscribe(burst.on_sample)
-        with slaves_lock:
-            slaves = list(slaves)
-        for slave in slaves:
-            # A scale-up posted in the run's last instants may never
-            # have been started by the master; there is nothing to join.
-            if slave.started:
-                slave.join(timeout=self.join_timeout)
+            if fleet is not None:
+                fleet.leave()
+        # A spare never bought, or bought in the run's last instants after
+        # its master finished, was never started: there is nothing to join.
+        started_slaves = [slave for slave in workers if slave.started]
+        for slave in started_slaves:
+            slave.join(timeout=self.join_timeout)
 
         # -- collect ---------------------------------------------------------
         wall = time.perf_counter() - started
@@ -440,15 +436,14 @@ class CloudBurstingRuntime:
             telemetry.slaves_revoked += master.core.slaves_revoked
             telemetry.slaves_added += master.core.slaves_added
             telemetry.jobs_reexecuted += master.core.jobs_reexecuted
-        for slave in slaves:
-            if slave.started:
-                crews[slave.cluster].append(slave.core)
+        for slave in started_slaves:
+            crews[slave.cluster].append(slave.core)
         telemetry.clusters = cluster_reports(
             masters, crews, scheduler, arrivals, span=wall, origin=started
         )
-        if burst is not None:
-            telemetry.dollars_spent = burst.controller.dollars_spent
-        telemetry.prefetches = sum(s.prefetches for s in slaves)
+        if fleet is not None:
+            telemetry.dollars_spent = fleet.close(monitor.last.time)
+        telemetry.prefetches = sum(s.prefetches for s in started_slaves)
         telemetry.sync_partial_merges = sum(m.core.sync_partials for m in masters)
         telemetry.validate()
 
@@ -470,43 +465,3 @@ class CloudBurstingRuntime:
             telemetry=telemetry,
             global_reduction_seconds=head.global_reduction_seconds,
         )
-
-    def _probe(
-        self, scheduler, masters, slaves, slaves_lock, reader, before,
-        *, count_alive: bool,
-    ) -> Callable[[], dict]:
-        """The gauges a :class:`RunMonitor` samples off one pass's nodes.
-        The cache and the codec outlive the pass: their counters are read
-        as movement since ``before``, the ledger at the pass's start."""
-        jobs_total = len(self.index.jobs())
-        cache = self.cache
-        codec = self._sync_codec
-
-        def probe() -> dict:
-            pools = [m.core.pool for m in masters]
-            pool_depth = sum(len(p) for p in pools)
-            in_flight = sum(p.in_flight for p in pools)
-            with slaves_lock:
-                crew = tuple(slaves)
-            workers = (
-                sum(1 for s in crew if s.is_alive()) if count_alive else len(crew)
-            )
-            gauges = {
-                "jobs_total": jobs_total,
-                "jobs_done": sum(p.jobs_done for p in pools),
-                "pool_depth": pool_depth,
-                "in_flight": in_flight,
-                "steals": sum(c.jobs_stolen for c in scheduler.clusters.values()),
-                "workers": workers,
-                # A taken-but-unfinished job occupies a worker; the
-                # pool's in-flight count is the cheap busy gauge.
-                "workers_busy": min(in_flight, workers),
-                "remote_fetches": reader.remote_fetches,
-                "sync_bytes_sent": codec.stats.wire_bytes - before["sync_bytes_sent"],
-            }
-            if cache is not None:
-                gauges["cache_hits"] = cache.stats.hits - before["cache_hits"]
-                gauges["cache_misses"] = cache.stats.misses - before["cache_misses"]
-            return gauges
-
-        return probe

@@ -90,31 +90,33 @@ class MasterNode:
 
     def step(self, message) -> None:
         """Step the core with one message and carry out its actions."""
-        trace = self.trace
         for action in self.core.step(message, time.perf_counter()):
             if isinstance(action, Post):
                 action.to.post(action.message)
             elif isinstance(action, Emit):
-                if trace is not None:
-                    trace.emit(action.kind, cluster=self.name, **action.fields)
+                self.emit(action.kind, **action.fields)
             elif isinstance(action, Start):
                 action.worker.start()
             else:
                 self._ship(action)
 
+    def emit(self, kind: str, **fields) -> None:
+        """One trace event of this cluster (the fleet manager's too)."""
+        if self.trace is not None:
+            self.trace.emit(kind, cluster=self.name, **fields)
+
     def _ship(self, ship: Ship) -> None:
         combined = merge_all(ship.parts)
         self.combine_done = time.perf_counter()
-        if self.trace is not None:
-            self.trace.emit("combine_done", cluster=self.name)
+        self.emit("combine_done")
         payload = combined
         if self.cross_site:
             started = time.perf_counter()
             encoded = self.codec.encode(self.name, combined)
             encode_ms = (time.perf_counter() - started) * 1e3
             if self.trace is not None:
-                self.trace.emit(
-                    "sync_upload", cluster=self.name,
+                self.emit(
+                    "sync_upload",
                     detail=(
                         f"{encoded.encoding}+{encoded.compression} "
                         f"{len(encoded.blob)}/{len(encoded.dense)}B "
@@ -125,5 +127,4 @@ class MasterNode:
         self.parent_inbox.post(
             ReductionUpload(cluster=self.name, blob=payload, origins=ship.origins)
         )
-        if self.trace is not None:
-            self.trace.emit("robj_sent", cluster=self.name)
+        self.emit("robj_sent")

@@ -21,6 +21,7 @@ A spec is buildable from a compact text grammar so the CLI can take
     rate=0.05            each cloud slave rolls a 5% die per job handed
     seed=7               reseed the revocation schedule
     provision=30         replacement capacity takes 30 s to come up
+                         (simulated runs only)
 
 Clauses are comma-separated, mirroring ``FaultSpec.parse``.
 """
@@ -41,9 +42,10 @@ class RevocationSpec:
 
     ``rate`` is the per-job probability that the slave about to be handed
     the job is revoked instead (the master rolls before the hand-out, so
-    that job stays pooled). ``provision_seconds``
-    is the delay between an autoscaler's scale-up decision and the new
-    slave actually joining — both substrates model it identically.
+    that job stays pooled). ``provision_seconds`` is the delay between an
+    autoscaler's scale-up decision and the new slave joining, in the
+    simulator's virtual time; the executable runtime attaches a bought
+    slave at once and does not model it.
     """
 
     rate: float = 0.0

@@ -55,7 +55,7 @@ from ..config import DatasetSpec, MiddlewareTuning
 from ..core.index import DataIndex, place_prefixes
 from ..core.job import Job
 from ..core.head import HeadCore
-from ..core.messages import JobReply, JobRequest
+from ..core.messages import JobReply, JobRequest, SlaveAttach
 from ..core.scheduler import HeadScheduler
 from ..core.sync import (
     SyncCodec,
@@ -66,10 +66,10 @@ from ..core.sync import (
 )
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
-from ..obs.live import RunMonitor
+from ..obs.live import RunMonitor, run_probe
 from ..obs.record import cluster_reports
+from ..scale.burst import FleetManager
 from ..scale.controller import burst_site
-from ..scale.simmodel import ClusterBurst
 from ..units import MB
 from .computemodel import ComputeModel
 from .engine import Environment, Event
@@ -338,14 +338,12 @@ class MultiSiteSimulation:
         self.faults = None if faults is None or not (
             faults.latency_rate or faults.slow_rate
         ) else faults
-        #: Elastic bursting (:mod:`repro.scale`): the burst site (the
-        #: runtime's rule, :func:`~repro.scale.controller.burst_site`: the
-        #: first active site that is not the head's) gains a
-        #: :class:`~repro.scale.simmodel.ClusterBurst` — a monitor
-        #: subscriber driving the same pure autoscaler the runtime uses
-        #: (a private monitor at ``scale.interval`` when none was given),
-        #: with provision latency modeled in virtual time — and its master
-        #: core rolls the seeded spot die, as the runtime's does. With no
+        #: Elastic bursting (:mod:`repro.scale`), as the runtime does it:
+        #: the burst site (:func:`~repro.scale.controller.burst_site`: the
+        #: first active site that is not the head's) has its master core
+        #: roll the seeded spot die, and with ``autoscale`` on gains the
+        #: runtime's :class:`~repro.scale.burst.FleetManager`, whose bought
+        #: slaves join after ``provision_seconds`` of virtual time. With no
         #: such site, or a disabled spec, none of the machinery is built.
         self.scale = scale if scale is not None and scale.enabled else None
         #: Live run-health sampling (:class:`~repro.obs.live.RunMonitor`),
@@ -453,6 +451,59 @@ class MultiSiteSimulation:
 
         return fetch
 
+    def _fleet(self, env, master, make_slave, first_id, procs, joined):
+        """The burst cluster's :class:`~repro.scale.burst.FleetManager`:
+        a bought slave joins ``provision_seconds`` of virtual time after
+        the decision (into ``joined``), unless the run ended meanwhile.
+        Each spare runs behind its gate. A drain watch over ``procs``, the
+        static crew's processes, closes the fleet once every slave that
+        joined has left: it releases the never-provisioned gates, so the
+        watch's ``all_of`` completes (a fleet that never burst costs
+        nothing), and shuts the ledger at the drain, not at the sampler's
+        next tick."""
+        revocation = self.scale.revocation_spec
+        delay = revocation.provision_seconds if revocation is not None else 0.0
+        closed = env.event()
+
+        def provision(slave):
+            yield env.timeout(delay)
+            if fleet.done:
+                # The run ended while the instance was booting: money
+                # already accrued for the order, but the slave never joins.
+                return
+            joined.append(slave)
+            master.step(SlaveAttach((slave,)))
+
+        def gated(slave):
+            yield env.any_of([slave.gate, closed])
+            if slave.gate.triggered:  # not closed before it was provisioned
+                yield from slave.run()
+
+        def drain(gates):
+            # The static crew can leave first (retired or revoked), but the
+            # core never lets its last active slave go before the pool is
+            # dry.
+            yield env.all_of(procs)
+            while not master.core.run_over:
+                yield env.all_of([gates[slave] for slave in joined])
+            closed.succeed()
+            yield env.all_of(list(gates.values()))
+            fleet.close(env.now)
+
+        fleet = FleetManager(
+            self.scale, master, make_slave, first_id, self.monitor,
+            deliver=master.step,
+            join=lambda slave: env.process(
+                provision(slave), name=f"provision:{slave.slave_id}"
+            ),
+        )
+        gates = {
+            slave: env.process(gated(slave), name=f"burst:{slave.slave_id}")
+            for slave in fleet.spares
+        }
+        env.process(drain(gates), name=f"drain:{master.name}")
+        return fleet
+
     def run(self) -> SimReport:
         config = self.config
         env = Environment()
@@ -551,46 +602,21 @@ class MultiSiteSimulation:
         masters: dict[str, SimMaster] = {}
         slaves: dict[str, list[SimSlave]] = {}
 
-        # Elastic bursting: the burst site's fleet follows the shared
-        # pure controller, a subscriber of the pass's monitor.
-        burst: ClusterBurst | None = None
+        # Elastic bursting acts on the burst site's cluster.
         bursting = (
             burst_site((s.name for s in active_sites), head_site)
             if self.scale is not None
             else None
         )
+        fleet: FleetManager | None = None
+        joined: list[SimSlave] = []  # the bought slaves that joined
 
-        # The cache outlives the run in iterative use; report and sample
-        # this pass's delta, mirroring the executable driver's accounting.
+        # The cache outlives the run in iterative use; report this pass's
+        # delta, mirroring the executable driver's accounting.
         cache = self.cache
         cache_before = (
             (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
         )
-
-        def probe() -> dict:
-            """The gauges a :class:`RunMonitor` samples off the pass's
-            nodes, in the runtime probe's vocabulary."""
-            crews = [s for crew in slaves.values() for s in crew]
-            if burst is not None:
-                crews += burst.started
-            workers = len(crews)
-            cores = [m.core for m in masters.values()]
-            waiting = sum(len(core.waiting) for core in cores)
-            gauges = {
-                "jobs_total": len(jobs),
-                "jobs_done": sum(s.core.reduced for s in crews),
-                "pool_depth": sum(len(core.pool) for core in cores),
-                "in_flight": sum(core.pool.in_flight for core in cores),
-                "steals": sum(c.jobs_stolen for c in scheduler.clusters.values()),
-                "workers": workers,
-                "workers_busy": max(0, workers - waiting),
-                "remote_fetches": self.remote_fetches,
-                "sync_bytes_sent": codec.stats.wire_bytes,
-            }
-            if cache is not None:
-                gauges["cache_hits"] = cache.stats.hits - cache_before[0]
-                gauges["cache_misses"] = cache.stats.misses - cache_before[1]
-            return gauges
 
         worker_id = 0
         for site in active_sites:
@@ -629,15 +655,9 @@ class MultiSiteSimulation:
             procs = [
                 env.process(s.run(), name=f"slave:{s.slave_id}") for s in crew
             ]
-            if site.name == bursting:
-                burst = ClusterBurst(
-                    master, self.scale,
-                    crew=crew,
-                    make_slave=make_slave,
-                    next_worker_id=worker_id,
-                )
-                worker_id = burst.next_worker_id
-                burst.launch(procs)
+            if site.name == bursting and self.scale.autoscale:
+                fleet = self._fleet(env, master, make_slave, worker_id, procs, joined)
+                worker_id += len(fleet.spares)
         for name, node in plan.items():
             if node.parent is not None:
                 masters[name].parent = masters[node.parent]
@@ -654,12 +674,8 @@ class MultiSiteSimulation:
                 head.step(JobRequest(master.name, reply_to=master))
                 turn += 1
 
-        monitor, private = self.monitor, False
-        autoscaling = burst is not None and burst.controller is not None
-        if autoscaling:
-            if monitor is None:  # the controller needs a sample stream
-                monitor, private = RunMonitor(self.scale.interval), True
-            monitor.subscribe(burst.on_sample)
+        monitor = fleet.monitor if fleet is not None else self.monitor
+        private = fleet is not None and fleet.private
 
         def sampler():
             # Free-running: its ticks never stretch the makespan. The
@@ -667,18 +683,26 @@ class MultiSiteSimulation:
             # a private one feeds only the autoscaler and stops with it.
             while True:
                 yield env.timeout(monitor.interval)
-                if burst.done if private else env.peek() == float("inf"):
+                if fleet.done if private else env.peek() == float("inf"):
                     return
                 monitor.sample_now(at=env.now)
 
         if monitor is not None:
-            monitor.bind(probe)
+            monitor.bind(
+                run_probe(
+                    len(jobs), scheduler,
+                    [m.core for m in masters.values()],
+                    [s.core for crew in slaves.values() for s in crew]
+                    + [s.core for s in (fleet.spares if fleet is not None else ())],
+                    reader=self, codec=codec, cache=cache,
+                )
+            )
             env.process(sampler(), name="run-monitor")
         try:
             env.run()
         finally:
-            if autoscaling:
-                monitor.unsubscribe(burst.on_sample)
+            if fleet is not None:
+                fleet.leave()
 
         if scheduler.jobs_remaining != 0:
             raise SimulationError(
@@ -694,11 +718,11 @@ class MultiSiteSimulation:
         makespan = head.busy_until
         if self.monitor is not None:
             self.monitor.sample_now(at=makespan)  # the closing sample
-        if burst is not None:
-            # Fold the dynamic slaves into the burst site's crew so the
+        if fleet is not None:
+            # Fold the bought slaves into the burst site's crew so the
             # report's jobs-processed invariant and per-cluster means
             # account for every worker that actually ran.
-            slaves[f"{bursting}-cluster"] += burst.started
+            slaves[f"{bursting}-cluster"] += joined
         # A cluster's upload arrival is stamped where it lands: at its
         # parent master, or at the head.
         arrivals = {name: m.parent.core.arrivals[name] for name, m in masters.items()}
@@ -731,7 +755,9 @@ class MultiSiteSimulation:
             events_processed=env.events_processed,
             faults_injected=self.faults_injected,
             slaves_added=sum(m.core.slaves_added for m in masters.values()),
-            dollars_spent=burst.dollars_spent if burst is not None else 0.0,
+            dollars_spent=(
+                fleet.controller.dollars_spent if fleet is not None else 0.0
+            ),
         )
         report.slaves_revoked = sum(m.core.slaves_revoked for m in masters.values())
         if cache is not None:

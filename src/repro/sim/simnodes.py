@@ -144,7 +144,7 @@ class SimMaster:
         env = self.env
         for action in self.core.step(message, env.now):
             if isinstance(action, Emit):
-                self._mark(action.kind, env.now, **action.fields)
+                self.emit(action.kind, **action.fields)
             elif isinstance(action, Start):
                 action.worker.start()
             elif isinstance(action, Ship):
@@ -210,6 +210,11 @@ class SimMaster:
         if self.cross_site:
             payload = self.codec.encode(self.name, payload).blob
         self.parent.step(ReductionUpload(self.name, payload, ship.origins))
+
+    def emit(self, kind: str, **fields) -> None:
+        """One trace event of this cluster at ``env.now`` (the fleet
+        manager's too)."""
+        self._mark(kind, self.env.now, **fields)
 
     def _mark(self, kind: str, at: float, **fields) -> None:
         if self.trace is not None:

@@ -23,6 +23,7 @@ from repro.config import (
 from repro.data.dataset import build_dataset
 from repro.errors import ConfigurationError, TraceError
 from repro.obs import EventLog, RunMonitor, RunSample
+from repro.options import ScaleOptions
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.sim.calibration import PAPER_CALIBRATION
 from repro.sim.multisite import MultiSiteSimulation
@@ -337,6 +338,37 @@ def test_simulate_samples_count_up_in_virtual_time():
     assert final.remote_fetches == final.cache_misses
     # Mid-run samples see the misses so far, not the whole pass's.
     assert samples[0].cache_misses < final.cache_misses
+
+
+@pytest.mark.parametrize("revocation", [None, "rate=0.6,seed=42"])
+@pytest.mark.parametrize("mode", ["runtime", "simulate"])
+def test_closing_sample_reads_every_worker_idle(mode, revocation):
+    """Both engines bind one probe. The closing sample comes after the
+    last job, so nothing is in flight and no worker is busy, and
+    ``workers`` is the masters' active slaves: the crew of four less
+    every revoked one, not the threads or processes still alive."""
+    options = dict(
+        compute=ComputeSpec(local_cores=2, cloud_cores=2),
+        scale=ScaleOptions(revocation=revocation),
+    )
+    if mode == "simulate":
+        result = simulate(**options)
+        ledger = result.sim_report
+    else:
+        result = repro.run(
+            "wordcount", DATASET,
+            repro.RunConfig(
+                mode="runtime", placement=PLACEMENT,
+                monitor=repro.MonitorOptions(interval=0.02), **options,
+            ),
+        )
+        ledger = result.telemetry
+    final = result.samples[-1]
+    assert (final.in_flight, final.workers_busy) == (0, 0)
+    assert final.workers == 4 - ledger.slaves_revoked
+    assert final.jobs_done >= final.jobs_total
+    if mode == "simulate" and revocation is not None:
+        assert ledger.slaves_revoked > 0
 
 
 def test_simulate_sync_bytes_are_the_codecs_wire_bytes():

@@ -457,6 +457,89 @@ def test_a_scale_down_survivor_is_never_revoked():
     assert result.telemetry.slaves_revoked == 0
 
 
+class ScriptedController:
+    """Stands in for the autoscaler: answers each observation with the
+    next decision of a script, then holds, and records the fleet it was
+    shown each time."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.fleets: list[int] = []
+        self.dollars_spent = 0.0
+
+    def observe(self, sample, fleet):
+        self.fleets.append(fleet)
+        return self.script.pop(0) if self.script else ScaleDecision("none")
+
+    def finalize(self, now, fleet):
+        return self.dollars_spent
+
+
+#: Add two, remove one, then ask for three more when one spare is left.
+SCRIPT = (
+    ScaleDecision("add", 2),
+    ScaleDecision("remove", 1),
+    ScaleDecision("add", 2),
+    ScaleDecision("add", 1),
+)
+
+
+@pytest.mark.parametrize("engine", ["thread", "process", "simulate"])
+def test_fleet_manager_attaches_the_same_ids_on_every_substrate(
+    engine, monkeypatch
+):
+    """One scripted decision sequence through the shared fleet manager:
+    every substrate buys the same spare ids in the same order, and skips
+    the same adds once the spares run out. Two cloud slaves under a
+    five-slave cap leave three spares, ids 4-6, after slaves 0-3."""
+    controller = ScriptedController(SCRIPT)
+    monkeypatch.setattr(ScaleOptions, "make_autoscaler", lambda self: controller)
+    scale = ScaleOptions(autoscale=True, max_slaves=5, interval=0.01)
+    assert scale.id_headroom(2) == 3
+    trace = EventLog()
+    compute = ComputeSpec(local_cores=2, cloud_cores=2)
+    if engine == "simulate":
+        # A private monitor samples every 0.01 s of virtual time.
+        result = run(
+            "histogram", DATASET,
+            RunConfig(
+                mode="simulate", trace=trace, compute=compute,
+                placement=PlacementSpec(0.5), scale=scale,
+            ),
+        )
+        added = result.sim_report.slaves_added
+    else:
+        bundle, index, stores = materialize()
+        monitor = RunMonitor(3600.0)  # samples only when told to
+
+        def hook(slave_id, job):
+            # The whole script at local slave 0's first job: the pool is
+            # far from dry, so every bought slave attaches.
+            if slave_id == 0 and not controller.fleets:
+                for _ in SCRIPT:
+                    monitor.sample_now()
+
+        with CloudBurstingRuntime(
+            bundle.app, index, stores, compute, scale=scale, trace=trace,
+            monitor=monitor, fault_hook=hook, slave_mode=engine,
+            join_timeout=60.0,
+        ) as runtime:
+            result = runtime.run()
+        np.testing.assert_array_equal(
+            result.value,
+            run_serial(bundle.app, DatasetReader(index, stores).read_all_chunks()),
+        )
+        added = result.telemetry.slaves_added
+    # Five slaves asked for, three spares: the last two adds are skipped.
+    assert [e.worker for e in trace.of_kind("scale_up")] == [4, 5, 6]
+    assert [e.worker for e in trace.of_kind("provision")] == [4, 5, 6]
+    assert added == 3
+    assert len(trace.of_kind("scale_down")) == 1
+    # The fleet each decision saw: the crew of two, then after +2, -1
+    # and +1 (of the two asked for); the last add buys none.
+    assert controller.fleets[: len(SCRIPT)] == [2, 4, 3, 4]
+
+
 def test_revocation_run_is_bit_identical_and_accounted():
     scale = ScaleOptions(revocation="rate=0.15,seed=5")
     trace = EventLog()
