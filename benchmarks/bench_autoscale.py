@@ -68,7 +68,7 @@ def sim_run(scale: ScaleOptions):
     config = RunConfig(
         mode="simulate", seed=2011, placement=SIM_PLACEMENT, scale=scale
     )
-    return repro.run("histogram", SIM_DATASET, config).sim_report
+    return repro.run("histogram", SIM_DATASET, config).telemetry
 
 
 def collect_deadline() -> dict:

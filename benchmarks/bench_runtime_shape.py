@@ -31,7 +31,7 @@ from repro.config import (
 )
 from repro.data.dataset import build_dataset
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.runtime.telemetry import RunTelemetry
+from repro.obs.record import RunTelemetry
 from repro.storage.objectstore import ObjectStore, TrafficShaper
 
 from conftest import print_block
@@ -90,11 +90,11 @@ def test_runtime_reproduces_hybrid_ordering(benchmark):
         }
 
     runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    walls = {env: t.wall_seconds for env, t in runs.items()}
+    walls = {env: t.makespan for env, t in runs.items()}
     print_block(
         "Executable runtime, shaped stores (seconds of wall time):\n"
         + "\n".join(
-            f"{env} {t.wall_seconds:.3f}s, retrieval share "
+            f"{env} {t.makespan:.3f}s, retrieval share "
             f"{retrieval_share(t):.0%}\n{_cluster_table(t, 'cluster', idle=True)}"
             for env, t in runs.items()
         )

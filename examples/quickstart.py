@@ -66,7 +66,7 @@ def run_executable_runtime() -> None:
             f"processing {cluster.mean_processing * 1000:.1f} ms/slave, "
             f"retrieval {cluster.mean_retrieval * 1000:.1f} ms/slave"
         )
-    print(f"wall time: {result.telemetry.wall_seconds:.3f} s")
+    print(f"wall time: {result.telemetry.makespan:.3f} s")
 
 
 def run_simulator() -> None:
@@ -81,7 +81,7 @@ def run_simulator() -> None:
             mode="simulate", name=env.name,
             placement=env.placement, compute=env.compute,
         ),
-    ).sim_report
+    ).telemetry
     print(f"makespan: {report.makespan:.1f} simulated seconds")
     print(f"global reduction: {report.global_reduction * 1000:.1f} ms")
     for name, cluster in report.clusters.items():

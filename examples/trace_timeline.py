@@ -34,7 +34,7 @@ def simulated_trace():
             mode="simulate", name=env.name, placement=env.placement,
             compute=env.compute, trace=trace,
         ),
-    ).sim_report
+    ).telemetry
     header = (f"env-33/67 knn (scaled): makespan {report.makespan:.1f} s, "
               f"{len(trace)} trace events")
     local_cores = 16

@@ -3,7 +3,7 @@
 The paper motivates cloud bursting economically — avoid over-provisioning
 base resources, pay the cloud only for peaks — but reports no dollar
 figures. This module closes that loop: given an experiment's
-:class:`~repro.sim.metrics.SimReport`, it prices the run under a
+:class:`~repro.obs.record.RunTelemetry`, it prices the run under a
 2011-era AWS tariff (the era of the paper's evaluation):
 
 * EC2 ``m1.large``: $0.34/hour for a 2-core instance, billed per
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ..apps.base import get_profile
 from ..config import CLOUD_SITE, LOCAL_SITE, ExperimentConfig
 from ..errors import ConfigurationError
-from ..sim.metrics import SimReport
+from ..obs.record import RunTelemetry
 from ..units import GB
 
 __all__ = ["PricingModel", "CostBreakdown", "price_run", "AWS_2011"]
@@ -86,7 +86,7 @@ class CostBreakdown:
         )
 
 
-def _egress_bytes(config: ExperimentConfig, report: SimReport) -> int:
+def _egress_bytes(config: ExperimentConfig, report: RunTelemetry) -> int:
     """Bytes leaving AWS: chunks the campus cluster stole from S3 plus the
     EC2 cluster's reduction object (when the run spans both sites)."""
     out = 0
@@ -98,7 +98,7 @@ def _egress_bytes(config: ExperimentConfig, report: SimReport) -> int:
     return out
 
 
-def _s3_requests(config: ExperimentConfig, report: SimReport) -> int:
+def _s3_requests(config: ExperimentConfig, report: RunTelemetry) -> int:
     """GET count: every S3-hosted chunk is fetched with one ranged GET per
     retrieval connection."""
     connections = config.tuning.retrieval_threads
@@ -114,7 +114,7 @@ def _s3_requests(config: ExperimentConfig, report: SimReport) -> int:
 
 def price_run(
     config: ExperimentConfig,
-    report: SimReport,
+    report: RunTelemetry,
     pricing: PricingModel = AWS_2011,
 ) -> CostBreakdown:
     """Price one simulated run under ``pricing``."""

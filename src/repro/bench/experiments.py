@@ -22,8 +22,8 @@ from ..config import (
     PlacementSpec,
 )
 from ..errors import ConfigurationError
+from ..obs.record import RunTelemetry
 from ..sim.calibration import PAPER_CALIBRATION
-from ..sim.metrics import SimReport
 from ..sim.multisite import MultiSiteSimulation
 from ..sim.simulation import two_site_config
 from .cost import CostBreakdown, price_run
@@ -55,7 +55,7 @@ __all__ = [
 PAPER_APPS = ("knn", "kmeans", "pagerank")
 
 
-def _cluster_by_site(report: SimReport, site: str):
+def _cluster_by_site(report: RunTelemetry, site: str):
     for cluster in report.clusters.values():
         if cluster.site == site:
             return cluster
@@ -67,18 +67,20 @@ class Figure3Run:
     """All five environments of Figure 3 for one application."""
 
     app: str
-    reports: dict[str, SimReport] = field(default_factory=dict)
+    reports: dict[str, RunTelemetry] = field(default_factory=dict)
     configs: dict[str, ExperimentConfig] = field(default_factory=dict)
 
     @property
-    def baseline(self) -> SimReport:
+    def baseline(self) -> RunTelemetry:
         return self.reports["env-local"]
 
     def slowdown_seconds(self, env: str) -> float:
-        return self.reports[env].slowdown_vs(self.baseline)
+        """Table II 'total slowdown' in seconds against env-local."""
+        return self.reports[env].makespan - self.baseline.makespan
 
     def slowdown_ratio(self, env: str) -> float:
-        return self.reports[env].slowdown_ratio_vs(self.baseline)
+        """Fractional slowdown against env-local's makespan."""
+        return self.slowdown_seconds(env) / self.baseline.makespan
 
     def bills(self) -> dict[str, CostBreakdown]:
         """Each environment's run priced under the 2011 AWS tariff."""
@@ -91,7 +93,7 @@ class Figure4Run:
     """The scalability ladder of Figure 4 for one application."""
 
     app: str
-    reports: dict[str, SimReport] = field(default_factory=dict)  # ladder order
+    reports: dict[str, RunTelemetry] = field(default_factory=dict)  # ladder order
 
     def makespans(self) -> list[float]:
         return [report.makespan for report in self.reports.values()]
@@ -188,7 +190,7 @@ JITTER_SIGMAS = (0.0, 0.12, 0.3, 0.5)
 
 def run_skew_sweep(
     app: str, *, scale: float = 1.0, seed: int = 2011
-) -> dict[float, SimReport]:
+) -> dict[float, RunTelemetry]:
     """A continuum version of Figure 3: sweep the local data fraction.
 
     The paper samples three skews (50/50, 33/67, 17/83); this sweep fills
@@ -197,7 +199,7 @@ def run_skew_sweep(
     penalty ramps.
     """
     cloud_half = 22 if app == "kmeans" else 16
-    out: dict[float, SimReport] = {}
+    out: dict[float, RunTelemetry] = {}
     for fraction in SKEW_FRACTIONS:
         config = ExperimentConfig(
             name=f"skew-{fraction:.2f}",
@@ -225,8 +227,8 @@ def run_iterative_projection(
     particular how much of it is the per-pass reduction-object exchange, a
     cost the single-pass evaluation understates for iterative workloads.
     """
-    hybrid_passes: list[SimReport] = []
-    base_passes: list[SimReport] = []
+    hybrid_passes: list[RunTelemetry] = []
+    base_passes: list[RunTelemetry] = []
     for i in range(ITERATIONS):
         pass_seed = seed + 7919 * i
         for env, passes in ((ITERATIVE_ENV, hybrid_passes), ("env-local", base_passes)):
@@ -250,7 +252,7 @@ def run_iterative_projection(
 
 def run_stealing_ablation(
     app: str, *, scale: float = 1.0, seed: int = 2011
-) -> dict[str, tuple[SimReport, SimReport]]:
+) -> dict[str, tuple[RunTelemetry, RunTelemetry]]:
     """Work stealing on vs off — the middleware's defining feature.
 
     With ``allow_stealing=False`` each cluster only processes the data
@@ -258,7 +260,7 @@ def run_stealing_ablation(
     the data-poor cluster idles while the data-rich one grinds. Returns
     ``{env: (with_stealing, without_stealing)}`` over the hybrid envs.
     """
-    out: dict[str, tuple[SimReport, SimReport]] = {}
+    out: dict[str, tuple[RunTelemetry, RunTelemetry]] = {}
     for env in HYBRID_ENVS:
         with_cfg = env_config(app, env, scale=scale, seed=seed)
         without_cfg = env_config(
@@ -274,7 +276,7 @@ def run_stealing_ablation(
 
 def run_scheduling_ablation(
     app: str, *, scale: float = 1.0, seed: int = 2011
-) -> dict[str, SimReport]:
+) -> dict[str, RunTelemetry]:
     """Both head-scheduler heuristics on/off (Section III-B's design calls).
 
     Returns reports keyed ``baseline`` / ``no-consecutive`` / ``no-min-
@@ -289,7 +291,7 @@ def run_scheduling_ablation(
             consecutive_assignment=False, min_contention_stealing=False
         ),
     }
-    out: dict[str, SimReport] = {}
+    out: dict[str, RunTelemetry] = {}
     for label, tuning in variants.items():
         config = env_config(app, "env-17/83", scale=scale, tuning=tuning, seed=seed)
         out[label] = MultiSiteSimulation(two_site_config(config)).run()
@@ -298,11 +300,11 @@ def run_scheduling_ablation(
 
 def run_retrieval_ablation(
     app: str, *, scale: float = 1.0, seed: int = 2011
-) -> dict[int, SimReport]:
+) -> dict[int, RunTelemetry]:
     """Sweep per-slave retrieval connections on env-cloud (Section III-B's
     multi-threaded retrieval): per-connection caps make extra connections
     pay until the site trunk saturates."""
-    out: dict[int, SimReport] = {}
+    out: dict[int, RunTelemetry] = {}
     for n in RETRIEVAL_THREADS:
         config = env_config(
             app,
@@ -321,12 +323,12 @@ def run_robj_ablation(
     *,
     scale: float = 1.0,
     seed: int = 2011,
-) -> dict[int, SimReport]:
+) -> dict[int, RunTelemetry]:
     """Sweep reduction-object size on env-50/50 (Section IV-B: "if the
     reduction object size increases relative to input data size, it may
     not be feasible to use cloud bursting")."""
     base = get_profile(app)
-    out: dict[int, SimReport] = {}
+    out: dict[int, RunTelemetry] = {}
     for mb in robj_mb:
         profile = AppProfile(
             key=base.key,
@@ -356,7 +358,7 @@ def run_loadbalance_ablation(
     :data:`JITTER_SIGMAS`, and env-17/83 at the calibrated jitter.
     """
 
-    def pair(env: str, calibration) -> tuple[SimReport, SimReport]:
+    def pair(env: str, calibration) -> tuple[RunTelemetry, RunTelemetry]:
         sites = two_site_config(
             env_config(app, env, scale=scale, seed=seed), calibration
         )

@@ -11,7 +11,7 @@ Accounting is exact: ``stats.hits + stats.misses`` equals the number of
 ``get`` calls, ``bytes_used`` never exceeds ``capacity_bytes`` (an entry
 larger than the whole budget is rejected, not admitted), and
 ``bytes_saved`` accumulates the bytes served from cache instead of the
-network — the number :class:`~repro.runtime.telemetry.RunTelemetry`
+network — the number :class:`~repro.obs.record.RunTelemetry`
 surfaces.
 """
 
@@ -39,16 +39,6 @@ class CacheStats:
     rejected: int = 0
     bytes_saved: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "insertions": self.insertions,
-            "rejected": self.rejected,
-            "bytes_saved": self.bytes_saved,
-        }
-
 
 @dataclass
 class _Entry:
@@ -64,7 +54,7 @@ class ChunkCache:
     ``cache_evict``). It defaults to off and costs one ``None`` check.
     The counts themselves are ``stats``, which
     :func:`~repro.runtime.telemetry.read_ledger` copies into
-    :class:`~repro.runtime.telemetry.RunTelemetry`.
+    :class:`~repro.obs.record.RunTelemetry`.
     """
 
     def __init__(

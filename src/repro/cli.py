@@ -575,11 +575,11 @@ def _trace_runtime(args: argparse.Namespace) -> None:
     trace = obs.EventLog()
     config = _run_config(args, trace=trace)
     bundle, spec = _dataset(args.app, args)
-    telemetry = facade.run(bundle, spec, config).telemetry
+    result = facade.run(bundle, spec, config)
     print(f"{args.app} (real runtime, {args.units} units, "
           f"{args.local_cores}+{args.cloud_cores} cores): "
-          f"wall {telemetry.wall_seconds:.3f}s, "
-          f"{telemetry.total_stolen} jobs stolen\n")
+          f"wall {result.wall_seconds:.3f}s, "
+          f"{result.telemetry.total_stolen} jobs stolen\n")
     print(obs.render_report(
         trace, width=args.width, show_critical_path=args.critical_path
     ))
@@ -619,7 +619,7 @@ def _cmd_watch(args: argparse.Namespace) -> None:
           f"wkr      steal      util         cache        eta")
     result = facade.run(bundle, spec, config)
     t = result.telemetry
-    print(f"\ndone: wall {t.wall_seconds:.3f}s, {t.total_jobs} jobs "
+    print(f"\ndone: wall {result.wall_seconds:.3f}s, {t.total_jobs} jobs "
           f"({t.total_stolen} stolen), {len(result.samples)} samples"
           + (f", {result.passes} passes" if result.passes > 1 else ""))
     _print_accounting(result, config)

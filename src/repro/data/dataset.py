@@ -229,8 +229,7 @@ class DatasetReader:
         #: of every read that had to materialize a fresh buffer (remote
         #: multi-range assembly, retrying retrievers, file-backed stores).
         #: :func:`~repro.runtime.telemetry.read_ledger` copies these two
-        #: and ``remote_bytes`` into :class:`~repro.runtime.telemetry.
-        #: RunTelemetry`.
+        #: and ``remote_bytes`` into :class:`~repro.obs.record.RunTelemetry`.
         self.zero_copy_reads = 0
         self.bytes_copied = 0
 

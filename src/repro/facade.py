@@ -53,6 +53,7 @@ from .data.dataset import DatasetReader, build_dataset
 from .errors import ConfigurationError
 from .obs.events import EventLog
 from .obs.live import RunMonitor, RunSample
+from .obs.record import RunTelemetry
 from .options import (
     CacheOptions,
     MonitorOptions,
@@ -62,8 +63,7 @@ from .options import (
 from .resilience.faults import FaultInjector, FaultSpec
 from .resilience.retry import RetryPolicy
 from .runtime.driver import SLAVE_MODES, CloudBurstingRuntime
-from .runtime.telemetry import RunTelemetry, read_ledger
-from .sim.metrics import SimReport
+from .runtime.telemetry import read_ledger
 from .sim.multisite import MultiSiteSimulation
 from .sim.simulation import two_site_config
 from .storage.base import StorageService
@@ -292,10 +292,11 @@ class RunResult:
     """Common result shape across every mode.
 
     ``value`` is the application result (``None`` in simulate mode — the
-    simulator models costs, not bytes). ``telemetry`` is filled by serial
-    and runtime modes; ``sim_report`` by simulate mode. ``wall_seconds``
-    is measured wall-clock for executable modes and the simulated makespan
-    for simulate mode; for iterative runs both cover every pass.
+    simulator models costs, not bytes). ``telemetry`` is the run's
+    :class:`~repro.obs.record.RunTelemetry` in every mode, folded over
+    the passes. ``wall_seconds`` is measured wall-clock for executable
+    modes and the simulated makespan for simulate mode, summed over every
+    pass (the telemetry's ``makespan`` is the last pass's).
     ``passes`` counts the passes actually run (< ``config.iterations``
     when ``converge`` stopped the run early). ``samples`` is the run's
     health timeline — :class:`~repro.obs.live.RunSample` snapshots taken
@@ -308,7 +309,6 @@ class RunResult:
     mode: str
     wall_seconds: float
     telemetry: RunTelemetry | None = None
-    sim_report: SimReport | None = None
     passes: int = 1
     samples: list[RunSample] = field(default_factory=list)
 
@@ -420,9 +420,7 @@ def _run_serial(
     value, passes = _iterate(bundle, config, run_pass)
     wall = time.perf_counter() - started
     # One reader, fresh injectors and cache: the cumulative ledger is the run.
-    telemetry = RunTelemetry(
-        wall_seconds=wall, **read_ledger(reader, stores, cache)
-    )
+    telemetry = RunTelemetry(makespan=wall, **read_ledger(reader, stores, cache))
     return RunResult(
         value=value,
         mode="serial",
@@ -467,7 +465,7 @@ def _run_simulate(
         value=None,
         mode="simulate",
         wall_seconds=sum(report.makespan for report in reports),
-        sim_report=SimReport.fold(reports),
+        telemetry=RunTelemetry.fold(reports),
         passes=config.iterations,
         samples=monitor.samples() if monitor is not None else [],
     )
@@ -528,12 +526,11 @@ def execute_runtime(
             return result.value
 
         value, passes = _iterate(bundle, config, run_pass)
-    telemetry = RunTelemetry.fold(per_pass)
     return RunResult(
         value=value,
         mode="runtime",
-        wall_seconds=telemetry.wall_seconds,
-        telemetry=telemetry,
+        wall_seconds=sum(t.makespan for t in per_pass),
+        telemetry=RunTelemetry.fold(per_pass),
         passes=passes,
         samples=monitor.samples() if monitor is not None else [],
     )

@@ -1,22 +1,31 @@
-"""The per-pass record both engines report, its per-cluster entry, and
+"""The per-pass record every engine reports, its per-cluster entry, and
 the one function that builds those entries for either engine.
 
-:class:`~repro.sim.metrics.SimReport` and
-:class:`~repro.runtime.telemetry.RunTelemetry` are each a dataclass of
-scalars plus ``clusters``, a dict of :class:`ClusterReport`; one
-``dataclasses.fields`` walk sums, writes and reads back both, so a
-counter added to either is covered without touching another line.
+:class:`RunTelemetry` is what the serial oracle, the simulator and the
+runtime return: a dataclass of scalars plus ``clusters``, a dict of
+:class:`ClusterReport`. One ``dataclasses.fields`` walk sums, writes and
+reads it back, so a counter added later is covered without touching
+another line. The per-cluster split — processing, retrieval, sync and
+idle (Figure 3, Table II) — is the simulator's prediction of the paper's
+testbed in virtual seconds, and the runtime's measurement of its own
+in-process run in wall-clock seconds.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, Field, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
-__all__ = ["ClusterReport", "PassRecord", "cluster_reports"]
+from ..errors import DataFormatError
+
+__all__ = ["ClusterReport", "RunTelemetry", "cluster_reports"]
 
 _CASTS = {"int": int, "float": float}
+#: The numbers that, with ``clusters``, describe one pass: the span every
+#: cluster's bar sums to and its global-reduction phase. A fold keeps the
+#: last pass's; every other number is a counter and is summed.
+_PER_PASS = ("makespan", "global_reduction")
 
 
 @dataclass
@@ -80,18 +89,97 @@ def cluster_reports(
     return clusters
 
 
-class PassRecord:
-    """Mixin for such a dataclass; it names the field every cluster's bar
-    spans and the error a malformed document or report raises."""
+@dataclass
+class RunTelemetry:
+    """One pass's account — or, folded, a whole run's — in any engine.
 
-    _span: str
-    _error: type[Exception]
+    Which engine fills what (a field an engine does not measure keeps its
+    default):
+
+    * every engine: ``makespan`` (wall-clock seconds in the serial oracle
+      and the runtime, virtual seconds in the simulator),
+      ``faults_injected``, ``cache_hits`` and ``cache_misses``;
+    * the simulator and the runtime: ``clusters`` (built by
+      :func:`cluster_reports`), ``global_reduction`` (Table II: the
+      simulator models the ship of the combined objects plus the head's
+      final merge, the runtime times the head's merges) and the elastic
+      ledger ``slaves_added``/``slaves_revoked``/``dollars_spent``;
+    * the simulator only: ``experiment``, ``app`` and ``events_processed``;
+    * the serial oracle and the runtime: the reader's and the cache's
+      other counters, which :func:`~repro.runtime.telemetry.read_ledger`
+      copies out of the components;
+    * the runtime only: the ``sync_*`` counters, ``slaves_failed``,
+      ``jobs_reexecuted``, ``prefetches`` and, for a traced run, ``spans``.
+
+    Per-job durations are the trace's (:func:`repro.obs.spans.build_spans`).
+    """
+
+    makespan: float
+    experiment: str = ""
+    app: str = ""
+    global_reduction: float = 0.0
+    clusters: dict[str, ClusterReport] = field(default_factory=dict)
+    events_processed: int = 0
+    slaves_failed: int = 0
+    jobs_reexecuted: int = 0
+    #: Elastic-bursting accounting (see :mod:`repro.scale`): slaves the
+    #: autoscaler attached mid-run, spot instances revoked out from under
+    #: their jobs, and the controller's accrued cloud spend in dollars.
+    slaves_added: int = 0
+    slaves_revoked: int = 0
+    dollars_spent: float = 0.0
+    #: Data-path recovery accounting (see :mod:`repro.resilience`): filled
+    #: from the reader's shared stats when a retry policy is active; all
+    #: zero otherwise. The simulator counts the faults it applies.
+    retries: int = 0
+    hedges: int = 0
+    hedge_wins: int = 0
+    timeouts: int = 0
+    circuit_opens: int = 0
+    faults_injected: int = 0
+    #: Chunk-cache and prefetch accounting (see :mod:`repro.cache`):
+    #: filled when a cache/prefetcher is active; all zero otherwise.
+    #: ``bytes_saved`` counts remote bytes served from cache instead of
+    #: the network.
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_evictions: int = 0
+    bytes_saved: int = 0
+    prefetches: int = 0
+    #: Global-reduction sync accounting (see :mod:`repro.core.sync`):
+    #: filled by the runtime on every pass (serial mode ships nothing).
+    #: ``sync_uploads``/``sync_bytes_*`` count the uploads that cross a
+    #: site boundary, the only ones the codec encodes: the head-site
+    #: master hands its object to the head as it is, so a one-site
+    #: (local) run reports 0. ``sync_bytes_saved`` is the codec's
+    #: ``bytes_saved`` across those uploads — never negative, 0 for dense
+    #: uploads; ``sync_partial_merges`` counts streamed slave flushes
+    #: folded before the barrier.
+    sync_uploads: int = 0
+    sync_bytes_sent: int = 0
+    sync_bytes_saved: int = 0
+    sync_partial_merges: int = 0
+    #: Zero-copy data-path accounting (see :mod:`repro.data.dataset`):
+    #: ``zero_copy_reads`` counts chunk reads served as read-only views
+    #: over an existing buffer (cache hits, in-memory object-store
+    #: ranges); ``bytes_copied`` counts the bytes that had to be
+    #: materialized (retriever-joined remote reads, non-view backends).
+    #: A hot read loop proves itself copy-free when this stays 0.
+    #: ``remote_bytes`` counts the cross-site chunk bytes fetched over the
+    #: network (cache hits excluded): a warm cached pass reads 0.
+    zero_copy_reads: int = 0
+    bytes_copied: int = 0
+    remote_bytes: int = 0
+    #: Causal-span digest (:func:`repro.obs.spans.span_summary`): per-phase
+    #: time totals and the critical path through the makespan. Filled by
+    #: the runtime when the run was traced; ``None`` otherwise.
+    spans: dict | None = None
 
     def cluster(self, name: str) -> ClusterReport:
         try:
             return self.clusters[name]
         except KeyError:
-            raise self._error(
+            raise DataFormatError(
                 f"no cluster {name!r} in report (have {sorted(self.clusters)})"
             ) from None
 
@@ -104,50 +192,48 @@ class PassRecord:
         return sum(c.jobs_stolen for c in self.clusters.values())
 
     def validate(self) -> None:
-        """Internal-consistency checks on every cluster of one pass: no
-        negative time category, the span covers the cluster's processing,
-        and the bar (processing + retrieval + sync) equals the span."""
-        span = getattr(self, self._span)
+        """Internal-consistency checks on one pass: no negative time
+        category or global reduction, the makespan covers every cluster's
+        processing, and each bar (processing + retrieval + sync) equals
+        the makespan."""
+        span = self.makespan
+        if self.global_reduction < -1e-9:
+            raise DataFormatError("negative global reduction time")
         for cluster in self.clusters.values():
             if cluster.mean_processing < -1e-9 or cluster.mean_retrieval < -1e-9:
-                raise self._error(f"negative time category in {cluster.name}")
+                raise DataFormatError(f"negative time category in {cluster.name}")
             if cluster.sync < -1e-6:
-                raise self._error(f"negative sync in {cluster.name}: {cluster.sync}")
+                raise DataFormatError(f"negative sync in {cluster.name}: {cluster.sync}")
             if cluster.processing_end - 1e-6 > span:
-                raise self._error(f"{cluster.name} finished after the {self._span}")
+                raise DataFormatError(f"{cluster.name} finished after the makespan")
             if abs(cluster.total - span) > max(1e-6, 1e-9 * span):
-                raise self._error(
-                    f"{cluster.name}: bar total {cluster.total} != "
-                    f"{self._span} {span}"
+                raise DataFormatError(
+                    f"{cluster.name}: bar total {cluster.total} != makespan {span}"
                 )
 
     @classmethod
-    def _scalar_fields(cls) -> list[Field]:
-        return [f for f in fields(cls) if f.name != "clusters"]
-
-    @classmethod
-    def fold(cls, passes: Sequence):
-        """Whole-run record of a multi-pass run: every counter (a numeric
-        field with a default) summed over ``passes``; everything else —
-        what describes one pass — is the last pass's."""
+    def fold(cls, passes: Sequence[RunTelemetry]) -> RunTelemetry:
+        """Whole-run record of a multi-pass run: every counter summed over
+        ``passes``; the rest — ``makespan``, ``global_reduction``,
+        ``clusters`` and the labels, which describe one pass — is the last
+        pass's, so a folded record still validates. The run's total time
+        is the sum of the passes' makespans."""
         sums = {
             f.name: sum(getattr(record, f.name) for record in passes)
-            for f in cls._scalar_fields()
-            if f.type in _CASTS and f.default is not MISSING
+            for f in fields(cls)
+            if f.type in _CASTS and f.name not in _PER_PASS
         }
         return replace(passes[-1], **sums)
 
     def to_dict(self) -> dict:
         """Plain-data form for persistence or downstream tooling."""
-        doc = {f.name: getattr(self, f.name) for f in self._scalar_fields()}
-        doc["clusters"] = {name: asdict(c) for name, c in self.clusters.items()}
-        return doc
+        return asdict(self)
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, doc: dict):
+    def from_dict(cls, doc: dict) -> RunTelemetry:
         try:
             clusters = {
                 name: ClusterReport(**entry)
@@ -157,17 +243,17 @@ class PassRecord:
             # required and its absence is a KeyError.
             scalars = {
                 f.name: _CASTS.get(f.type, lambda value: value)(doc[f.name])
-                for f in cls._scalar_fields()
-                if f.default is MISSING or f.name in doc
+                for f in fields(cls)
+                if f.name != "clusters" and (f.default is MISSING or f.name in doc)
             }
             return cls(clusters=clusters, **scalars)
         except (KeyError, TypeError) as exc:
-            raise cls._error(f"malformed {cls.__name__} document: {exc}") from exc
+            raise DataFormatError(f"malformed {cls.__name__} document: {exc}") from exc
 
     @classmethod
-    def from_json(cls, text: str):
+    def from_json(cls, text: str) -> RunTelemetry:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise cls._error(f"{cls.__name__} is not valid JSON: {exc}") from exc
+            raise DataFormatError(f"{cls.__name__} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)

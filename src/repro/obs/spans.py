@@ -19,7 +19,7 @@ intervals, once, and every timeline view reads them:
   merge`` (master folds its slaves' objects, ships the result, head
   merges) and the gating worker's job cycles down to time zero;
 * :func:`span_summary` — the plain-data form carried on
-  :class:`~repro.runtime.telemetry.RunTelemetry`.
+  :class:`~repro.obs.record.RunTelemetry`.
 
 Both substrates emit the same vocabulary, fetch events included, so a
 simulated and a real run of the same app produce spans with identical

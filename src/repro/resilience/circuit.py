@@ -7,7 +7,7 @@ one endpoint; past a threshold it *opens*, and the retriever drops from
 N-way parallel range reads to a single sequential stream — the paper's
 local-read shape — until enough consecutive successes close it again.
 Both transitions are recorded (``circuit_open`` / ``circuit_close``
-events, ``circuit_opens`` in :class:`~repro.runtime.telemetry.RunTelemetry`)
+events, ``circuit_opens`` in :class:`~repro.obs.record.RunTelemetry`)
 so a degraded run is visible, not silent.
 """
 

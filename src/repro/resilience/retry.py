@@ -73,10 +73,6 @@ class RetryPolicy:
             if value is not None and value <= 0:
                 raise ConfigurationError(f"{name} must be positive when set")
 
-    @property
-    def hedged(self) -> bool:
-        return self.hedge_after is not None
-
     def next_backoff(self, rng: random.Random, previous: float) -> float:
         """Decorrelated jitter: uniform in ``[base, 3*previous]``, capped."""
         prev = previous if previous > 0 else self.base_backoff
@@ -89,7 +85,7 @@ class ResilienceStats:
     """Thread-safe counters for one run's data-path recovery actions.
 
     Shared by every retriever a :class:`~repro.data.dataset.DatasetReader`
-    builds, then folded into :class:`~repro.runtime.telemetry.RunTelemetry`
+    builds, then folded into :class:`~repro.obs.record.RunTelemetry`
     by the driver.
     """
 
@@ -99,23 +95,10 @@ class ResilienceStats:
         self.hedges = 0
         self.hedge_wins = 0
         self.timeouts = 0
-        self.circuit_opens = 0
-        self.circuit_closes = 0
 
     def add(self, field: str, n: int = 1) -> None:
         with self._lock:
             setattr(self, field, getattr(self, field) + n)
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "retries": self.retries,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
-                "timeouts": self.timeouts,
-                "circuit_opens": self.circuit_opens,
-                "circuit_closes": self.circuit_closes,
-            }
 
 
 def retry_call(

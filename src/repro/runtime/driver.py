@@ -41,7 +41,7 @@ from ..data.dataset import DatasetReader
 from ..errors import ConfigurationError, RuntimeTimeoutError
 from ..obs.events import EventLog
 from ..obs.live import RunMonitor, run_probe
-from ..obs.record import cluster_reports
+from ..obs.record import RunTelemetry, cluster_reports
 from ..obs.spans import span_summary
 from ..options import ScaleOptions
 from ..resilience.retry import RetryPolicy
@@ -54,7 +54,7 @@ from .head import HeadNode
 from .master import MasterNode
 from .procpool import ProcessSlavePool
 from .slave import SlaveWorker
-from .telemetry import RunTelemetry, read_ledger
+from .telemetry import read_ledger
 
 __all__ = ["RuntimeResult", "CloudBurstingRuntime", "SLAVE_MODES"]
 
@@ -423,7 +423,8 @@ class CloudBurstingRuntime:
         wall = time.perf_counter() - started
         after = read_ledger(reader, self.stores, self.cache, codec)
         telemetry = RunTelemetry(
-            wall_seconds=wall,
+            makespan=wall,
+            global_reduction=head.global_reduction_seconds,
             **{name: after[name] - before[name] for name in after},
         )
         # Stamps are perf_counter readings. A cluster uploads to the head

@@ -230,10 +230,6 @@ class JobService:
             self._queue.register(tenant.name, tenant.weight)
             self._active.setdefault(tenant.name, 0)
 
-    def tenants(self) -> tuple[TenantSpec, ...]:
-        with self._lock:
-            return tuple(self._tenants.values())
-
     # -- submission --------------------------------------------------------
 
     def submit(

@@ -81,10 +81,6 @@ class RunHandle:
     def run_id(self) -> str:
         return self._run.run_id
 
-    @property
-    def tenant(self) -> str:
-        return self._run.tenant
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"RunHandle({self._run.run_id!r}, tenant={self._run.tenant!r}, "

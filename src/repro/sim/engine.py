@@ -64,10 +64,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         if not self._triggered:
             raise SimulationError("event value inspected before trigger")

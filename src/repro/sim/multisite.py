@@ -20,7 +20,7 @@ Configuration pieces:
 
 A run instantiates one head, one master plus one slave per active core
 at each site, runs the job pool dry, performs the two-level reduction,
-and returns a :class:`~repro.sim.metrics.SimReport` keyed by site-named
+and returns a :class:`~repro.obs.record.RunTelemetry` keyed by site-named
 clusters. The reduction is the runtime's own head and master cores
 (:mod:`repro.sim.simnodes`) over real, tiny objects; what follows are
 the costs the simulator charges for its phases (Section III-B):
@@ -67,14 +67,13 @@ from ..core.sync import (
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
 from ..obs.live import RunMonitor, run_probe
-from ..obs.record import cluster_reports
+from ..obs.record import RunTelemetry, cluster_reports
 from ..scale.burst import FleetManager
 from ..scale.controller import burst_site
 from ..units import MB
 from .computemodel import ComputeModel
 from .engine import Environment, Event
 from .linkmodel import FairShareLink
-from .metrics import SimReport
 from .simnodes import SimHead, SimMaster, SimSlave
 from .storagemodel import SimStore, StorePath
 
@@ -461,7 +460,8 @@ class MultiSiteSimulation:
         watch's ``all_of`` completes (a fleet that never burst costs
         nothing), and shuts the ledger at the drain, not at the sampler's
         next tick."""
-        revocation = self.scale.revocation_spec
+        # The lag applies whether or not spot instances are also revoked.
+        revocation = self.scale.revocation
         delay = revocation.provision_seconds if revocation is not None else 0.0
         closed = env.event()
 
@@ -504,7 +504,7 @@ class MultiSiteSimulation:
         env.process(drain(gates), name=f"drain:{master.name}")
         return fleet
 
-    def run(self) -> SimReport:
+    def run(self) -> RunTelemetry:
         config = self.config
         env = Environment()
         trace = self.trace
@@ -740,7 +740,7 @@ class MultiSiteSimulation:
                     f"{name}: processed {cluster.jobs_processed} jobs but was "
                     f"assigned {stats.jobs_assigned} and re-executed {reexecuted}"
                 )
-        report = SimReport(
+        report = RunTelemetry(
             experiment=config.name,
             app=config.app,
             makespan=makespan,

@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.obs.events import EventLog
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.runtime.telemetry import RunTelemetry
+from repro.obs.record import RunTelemetry
 from repro.runtime.transport import Mailbox
 from repro.storage.objectstore import ObjectStore
 
@@ -606,7 +606,7 @@ def test_facade_rejects_bad_cache_and_iteration_knobs():
 
 
 def test_run_telemetry_round_trips_cache_fields():
-    t = RunTelemetry(wall_seconds=1.5)
+    t = RunTelemetry(makespan=1.5)
     t.cache_hits = 7
     t.cache_misses = 3
     t.cache_evictions = 2
@@ -621,12 +621,10 @@ def test_run_telemetry_round_trips_cache_fields():
     assert back.prefetches == 11
 
 
-def test_sim_report_round_trips_cache_fields():
-    from repro.sim.metrics import SimReport
-
-    report = SimReport(
+def test_simulated_record_round_trips_cache_fields():
+    report = RunTelemetry(
         experiment="e", app="kmeans", makespan=10.0, global_reduction=1.0,
         cache_hits=5, cache_misses=3,
     )
-    back = SimReport.from_json(report.to_json())
+    back = RunTelemetry.from_json(report.to_json())
     assert back.cache_hits == 5 and back.cache_misses == 3

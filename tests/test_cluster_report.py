@@ -1,8 +1,8 @@
-"""One per-cluster record for both engines.
+"""One per-cluster record for every engine.
 
-``ClusterReport`` is the ``clusters`` entry of the simulator's
-``SimReport`` and of the runtime's ``RunTelemetry``, built by the one
-``cluster_reports`` and checked by the one ``PassRecord.validate``. The
+``ClusterReport`` is the ``clusters`` entry of ``RunTelemetry``, the one
+record the simulator and the runtime report, built by the one
+``cluster_reports`` and checked by the one ``RunTelemetry.validate``. The
 runtime fills every field from stamps on the clock its slaves time their
 events with, so the paper's split —
 processing + retrieval + sync = the pass, idle <= sync — holds by
@@ -20,14 +20,12 @@ import pytest
 import repro
 from repro.config import ComputeSpec, DatasetSpec, PlacementSpec
 from repro.data.dataset import build_dataset
-from repro.errors import DataFormatError, SimulationError, WorkerFailure
-from repro.obs.record import ClusterReport
+from repro.errors import DataFormatError, WorkerFailure
+from repro.obs.record import ClusterReport, RunTelemetry
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.runtime.telemetry import RunTelemetry
-from repro.sim.metrics import SimReport
 from repro.storage.objectstore import ObjectStore
 
-# -- validate(): every branch, on both record classes -------------------------
+# -- validate(): every branch, on a record as each engine fills it ------------
 
 SPAN = 10.0
 GOOD = ClusterReport(
@@ -36,12 +34,16 @@ GOOD = ClusterReport(
 )
 
 
-def _sim(cluster: ClusterReport, global_reduction: float = 0.5) -> SimReport:
-    return SimReport("env", "knn", SPAN, global_reduction, {cluster.name: cluster})
+def _sim(cluster: ClusterReport, global_reduction: float = 0.5) -> RunTelemetry:
+    """A record as the simulator fills it: labelled, global reduction set."""
+    return RunTelemetry(
+        makespan=SPAN, experiment="env", app="knn",
+        global_reduction=global_reduction, clusters={cluster.name: cluster},
+    )
 
 
 def _run(cluster: ClusterReport) -> RunTelemetry:
-    return RunTelemetry(wall_seconds=SPAN, clusters={cluster.name: cluster})
+    return RunTelemetry(makespan=SPAN, clusters={cluster.name: cluster})
 
 
 BROKEN = {
@@ -58,21 +60,19 @@ BROKEN = {
 CASES = [
     pytest.param(make, lambda make=make, cluster=cluster: make(cluster), match,
                  id=f"{record}-{case}")
-    for make, record in ((_sim, "SimReport"), (_run, "RunTelemetry"))
+    for make, record in ((_sim, "simulated"), (_run, "RunTelemetry"))
     for case, (cluster, match) in BROKEN.items()
 ] + [
     pytest.param(_sim, lambda: _sim(GOOD, global_reduction=-1.0),
-                 "global reduction", id="SimReport-negative global reduction"),
+                 "global reduction", id="simulated-negative global reduction"),
 ]
 
 
 @pytest.mark.parametrize("make, broken, match", CASES)
 def test_validate_rejects_each_broken_record(make, broken, match):
     make(GOOD).validate()  # the base record is consistent
-    record = broken()
-    with pytest.raises(record._error, match=match):
-        record.validate()
-    assert record._error is {_sim: SimulationError, _run: DataFormatError}[make]
+    with pytest.raises(DataFormatError, match=match):
+        broken().validate()
 
 
 # -- the runtime fills the split ----------------------------------------------
@@ -142,11 +142,13 @@ def test_runtime_fills_the_paper_split(slave_mode, topology, crash, monkeypatch)
     runtime = _runtime(
         slave_mode, SYNCS[topology], _crash_first_job() if crash else None
     )
-    passes = [runtime.run().telemetry for _ in range(2)]
+    results = [runtime.run() for _ in range(2)]
+    passes = [result.telemetry for result in results]
     assert len(spy.built) == len(passes)
-    for telemetry, scheduler in zip(passes, spy.built):
+    for telemetry, scheduler, result in zip(passes, spy.built, results):
         telemetry.validate()
-        wall = telemetry.wall_seconds
+        assert telemetry.global_reduction == result.global_reduction_seconds > 0
+        wall = telemetry.makespan
         clusters = telemetry.clusters.values()
         assert {c.name for c in clusters} == {"local-cluster", "cloud-cluster"}
         for c in clusters:

@@ -215,7 +215,7 @@ def test_golden_matrix_simulator_stays_consistent(app, cache_bytes):
     config = repro.RunConfig(mode="simulate", iterations=2,
                              cache=repro.CacheOptions(bytes=cache_bytes))
     result = repro.run(app, _golden_dataset(app), config)
-    report = result.sim_report
+    report = result.telemetry
     report.validate()
     if cache_bytes:
         # Iteration 2 pays no cross-site transfer the cache already holds.

@@ -96,7 +96,7 @@ def test_injected_latency_fault_flagged_in_simulator():
             resilience=repro.ResilienceOptions(faults="latency=0.1:25.0,seed=3"),
         ),
     )
-    assert result.sim_report.faults_injected > 0
+    assert result.telemetry.faults_injected > 0
     report = detect_stragglers(trace)
     assert report.jobs_seen == 16
     assert report.stragglers, "seeded latency fault was not flagged"

@@ -243,7 +243,7 @@ def test_facade_simulate_monitoring():
     assert result.samples and seen == result.samples
     final = result.samples[-1]
     assert final.progress == 1.0
-    assert final.time == pytest.approx(result.sim_report.makespan)
+    assert final.time == pytest.approx(result.telemetry.makespan)
     # Both substrates speak the same sample vocabulary.
     runtime_keys = set(
         repro.run(
@@ -317,7 +317,7 @@ def simulate(**overrides) -> repro.RunResult:
 def test_simulate_samples_count_up_in_virtual_time():
     trace = EventLog()
     result = simulate(trace=trace, cache=repro.CacheOptions(bytes=1 << 20))
-    samples, report = result.samples, result.sim_report
+    samples, report = result.samples, result.telemetry
     # The simulator stamps the cache's events; the cache stamps none.
     lookups = trace.of_kind("cache_hit") + trace.of_kind("cache_miss")
     assert len(lookups) == report.cache_hits + report.cache_misses
@@ -353,7 +353,6 @@ def test_closing_sample_reads_every_worker_idle(mode, revocation):
     )
     if mode == "simulate":
         result = simulate(**options)
-        ledger = result.sim_report
     else:
         result = repro.run(
             "wordcount", DATASET,
@@ -362,7 +361,7 @@ def test_closing_sample_reads_every_worker_idle(mode, revocation):
                 monitor=repro.MonitorOptions(interval=0.02), **options,
             ),
         )
-        ledger = result.telemetry
+    ledger = result.telemetry
     final = result.samples[-1]
     assert (final.in_flight, final.workers_busy) == (0, 0)
     assert final.workers == 4 - ledger.slaves_revoked
@@ -403,12 +402,12 @@ def test_simulate_samples_every_pass_from_zero():
 def test_simulate_monitor_keeps_capacity_samples():
     result = simulate(monitor=repro.MonitorOptions(interval=0.5, capacity=3))
     assert len(result.samples) == 3
-    assert result.samples[-1].time == result.sim_report.makespan
+    assert result.samples[-1].time == result.telemetry.makespan
 
 
 def test_simulate_monitor_changes_no_modeled_time():
-    plain = simulate(monitor=repro.MonitorOptions()).sim_report
-    watched = simulate().sim_report
+    plain = simulate(monitor=repro.MonitorOptions()).telemetry
+    watched = simulate().telemetry
     assert watched.makespan == plain.makespan
     assert watched.clusters == plain.clusters
     # The sampler is a simulation process: its ticks are events too.

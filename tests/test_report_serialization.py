@@ -1,5 +1,5 @@
-"""Tests for SimReport JSON persistence and the runner helpers at
-reduced scale."""
+"""Tests for a simulated run's ``RunTelemetry`` JSON persistence and the
+runner helpers at reduced scale."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from repro.bench.experiments import (
     run_stealing_ablation,
 )
 from repro.cli import main
-from repro.errors import SimulationError
-from repro.sim.metrics import SimReport
+from repro.errors import DataFormatError
+from repro.obs.record import RunTelemetry
 
 from conftest import two_site
 
@@ -28,7 +28,8 @@ def report():
 
 
 def test_json_roundtrip(report):
-    restored = SimReport.from_json(report.to_json())
+    restored = RunTelemetry.from_json(report.to_json())
+    assert restored == report
     assert restored.makespan == report.makespan
     assert restored.global_reduction == report.global_reduction
     assert set(restored.clusters) == set(report.clusters)
@@ -48,10 +49,10 @@ def test_json_is_plain_data(report):
 
 
 def test_malformed_report_rejected():
-    with pytest.raises(SimulationError):
-        SimReport.from_json("{not json")
-    with pytest.raises(SimulationError):
-        SimReport.from_json('{"app": "knn"}')
+    with pytest.raises(DataFormatError):
+        RunTelemetry.from_json("{not json")
+    with pytest.raises(DataFormatError):
+        RunTelemetry.from_json('{"app": "knn"}')
 
 
 def test_cli_json_flag(capsys):

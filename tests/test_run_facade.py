@@ -109,7 +109,7 @@ def test_facade_simulate_matches_simulate():
     )
     assert result.mode == "simulate"
     assert result.value is None
-    assert result.sim_report.to_dict() == legacy.to_dict()
+    assert result.telemetry.to_dict() == legacy.to_dict()
     assert result.wall_seconds == legacy.makespan
 
 

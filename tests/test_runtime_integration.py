@@ -191,5 +191,5 @@ def test_telemetry_structure():
         assert cluster.jobs_processed >= 0
         assert cluster.mean_processing >= 0
         assert cluster.mean_retrieval >= 0
-    assert result.telemetry.wall_seconds > 0
+    assert result.telemetry.makespan > 0
     assert result.global_reduction_seconds >= 0

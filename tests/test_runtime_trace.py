@@ -46,7 +46,7 @@ from repro.obs import (
 )
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.runtime.head import HeadNode
-from repro.runtime.telemetry import RunTelemetry
+from repro.obs.record import RunTelemetry
 from repro.storage.objectstore import ObjectStore
 
 TOTAL_UNITS = 1024
@@ -426,14 +426,14 @@ def test_join_timeout_must_be_positive():
         )
 
 
-# -- RunTelemetry serialization (mirrors SimReport's) -----------------------
+# -- RunTelemetry serialization ----------------------------------------------
 
 
 def test_run_telemetry_round_trip():
     result, _ = traced_run("wordcount", vocabulary=32)
     text = result.telemetry.to_json()
     back = RunTelemetry.from_json(text)
-    assert back.wall_seconds == result.telemetry.wall_seconds
+    assert back.makespan == result.telemetry.makespan
     assert back.total_jobs == result.telemetry.total_jobs
     assert back.total_stolen == result.telemetry.total_stolen
     assert set(back.clusters) == set(result.telemetry.clusters)
@@ -443,11 +443,11 @@ def test_run_telemetry_round_trip():
 def test_run_telemetry_reads_a_document_with_a_metrics_key():
     # Documents written while RunTelemetry carried a registry snapshot
     # still load: the key is ignored, every counter comes back.
-    doc = RunTelemetry(wall_seconds=1.5, retries=3).to_dict()
+    doc = RunTelemetry(makespan=1.5, retries=3).to_dict()
     doc.pop("remote_bytes")
     doc["metrics"] = {"counters": {"retries": 3}, "gauges": {}, "histograms": {}}
     back = RunTelemetry.from_json(json.dumps(doc))
-    assert back == RunTelemetry(wall_seconds=1.5, retries=3)
+    assert back == RunTelemetry(makespan=1.5, retries=3)
 
 
 def test_run_telemetry_from_bad_documents():
@@ -456,8 +456,8 @@ def test_run_telemetry_from_bad_documents():
     with pytest.raises(DataFormatError):
         RunTelemetry.from_json("{not json")
     with pytest.raises(DataFormatError):
-        RunTelemetry.from_dict({"clusters": {}})  # no wall_seconds
+        RunTelemetry.from_dict({"clusters": {}})  # no makespan
     with pytest.raises(DataFormatError):
         RunTelemetry.from_dict(
-            {"wall_seconds": 1.0, "clusters": {"c": {"bogus": 1}}}
+            {"makespan": 1.0, "clusters": {"c": {"bogus": 1}}}
         )

@@ -507,7 +507,7 @@ def test_fleet_manager_attaches_the_same_ids_on_every_substrate(
                 placement=PlacementSpec(0.5), scale=scale,
             ),
         )
-        added = result.sim_report.slaves_added
+        added = result.telemetry.slaves_added
     else:
         bundle, index, stores = materialize()
         monitor = RunMonitor(3600.0)  # samples only when told to
@@ -595,21 +595,36 @@ def test_facade_scale_validation_rules():
         ).validate()
 
 
+#: 1 MiB in 8 files: long enough a simulated run for the autoscaler to buy.
+BIG = DatasetSpec(
+    total_bytes=131072 * 8, num_files=8, chunk_bytes=512 * 8, record_bytes=8
+)
+
+
+def simulate_autoscaled(revocation=None):
+    scale = ScaleOptions(autoscale=True, budget=50.0, max_slaves=6,
+                         interval=0.2, revocation=revocation)
+    return run("histogram", BIG, RunConfig(mode="simulate", scale=scale, seed=2011))
+
+
 def test_facade_simulate_autoscale_reports_fleet_changes():
-    config = RunConfig(
-        mode="simulate",
-        scale=ScaleOptions(autoscale=True, budget=50.0, max_slaves=6,
-                           interval=0.2),
-        seed=2011,
-    )
-    big = DatasetSpec(
-        total_bytes=131072 * 8, num_files=8, chunk_bytes=512 * 8, record_bytes=8
-    )
-    result = run("histogram", big, config)
-    again = run("histogram", big, config)
-    assert result.sim_report.slaves_added > 0
-    assert result.sim_report.slaves_added == again.sim_report.slaves_added
-    assert result.sim_report.dollars_spent == again.sim_report.dollars_spent
+    result = simulate_autoscaled()
+    again = simulate_autoscaled()
+    assert result.telemetry.slaves_added > 0
+    assert result.telemetry.slaves_added == again.telemetry.slaves_added
+    assert result.telemetry.dollars_spent == again.telemetry.dollars_spent
+
+
+def test_simulated_provision_lag_holds_without_a_revocation_rate():
+    """A bought slave joins ``provision_seconds`` after the decision
+    whether or not spot instances are also revoked: a lag longer than the
+    run keeps every bought slave out, with a spot die or without one."""
+    lag_only = simulate_autoscaled("provision=50").telemetry
+    with_die = simulate_autoscaled("rate=0.0001,provision=50").telemetry
+    assert simulate_autoscaled().telemetry.slaves_added > 0
+    assert lag_only.slaves_added == with_die.slaves_added == 0
+    assert lag_only.slaves_revoked == with_die.slaves_revoked == 0
+    assert lag_only.makespan == with_die.makespan
 
 
 # -- which cluster bursts ------------------------------------------------------
@@ -653,8 +668,7 @@ def test_both_engines_burst_the_same_cluster(mode, local, cloud, revoked):
     revocations = trace.of_kind("revocation")
     reexecuted = trace.of_kind("job_reexecuted")
     assert {e.cluster for e in revocations + reexecuted} <= {f"{CLOUD_SITE}-cluster"}
-    ledger = result.telemetry if mode == "runtime" else result.sim_report
-    assert ledger.slaves_revoked == len(revocations)
+    assert result.telemetry.slaves_revoked == len(revocations)
     if mode == "simulate" or (local, cloud) != (2, 2):
         # In a (2, 2) runtime run the local slaves may take every job
         # left before a cloud slave asks twice; every other count is

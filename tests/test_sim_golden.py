@@ -1,6 +1,8 @@
 """Golden net under the simulator: every report equal, field for field.
 
-``tests/data/sim_golden.json`` holds ``SimReport.to_dict()`` for the
+``tests/data/sim_golden.json`` holds the ``RunTelemetry.to_dict()`` of
+each simulated run — the one record every engine reports, so it carries
+the runtime-only counters too, at their defaults — for the
 two-site matrix (knn/kmeans/pagerank x the five Figure-3 envs and the
 four Figure-4 rungs at scale 0.05 x three sync specs), autoscale and
 revocation runs on every env with cloud cores, a 2-pass cached run, a
@@ -10,11 +12,13 @@ event sequence of a small hybrid run, and the N-site bench configurations
 star and tree). The discrete-event simulator is seed-deterministic, so
 the comparison is ``==`` — not ``approx`` — down to ``events_processed``.
 
-The file was generated at the commit *before* the two-site simulator
-became a configuration of the N-site engine. Regenerate it only for a
+Its values were generated at the commit *before* the two-site simulator
+became a configuration of the N-site engine; the file was rewritten once
+since, only to add the fields the record gained when the simulator began
+returning ``RunTelemetry`` (no value moved). Regenerate it only for a
 deliberate model change, and say so in the PR: list, per key, the fields
 that differ between the committed file and the current engine, then
-rewrite the file::
+rewrite the file (CI prints the ``--diff`` when the suite fails)::
 
     PYTHONPATH=src python tests/test_sim_golden.py --diff
     PYTHONPATH=src python tests/test_sim_golden.py --regen

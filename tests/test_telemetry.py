@@ -9,7 +9,7 @@ import pytest
 import repro.errors as errors
 from repro.core.slave import SlaveCore
 from repro.obs.record import cluster_reports
-from repro.runtime.telemetry import RunTelemetry
+from repro.obs.record import RunTelemetry
 
 
 def _cluster(name: str, crew, stolen: int = 0, processing_end: float = 6.0,
@@ -65,7 +65,7 @@ def test_cluster_aggregate_empty_crew():
 
 
 def test_run_telemetry_totals():
-    run = RunTelemetry(wall_seconds=1.5)
+    run = RunTelemetry(makespan=1.5)
     run.clusters["a"] = _cluster("a", [(0.1, 0.2, 4), (0.1, 0.2, 6)], stolen=3)
     run.clusters["b"] = _cluster("b", [(0.1, 0.2, 6), (0.1, 0.2, 0)])
     assert run.total_jobs == 16

@@ -1,6 +1,6 @@
-"""RunTelemetry's and SimReport's whole-run fold and their serializers
-share one walk over the dataclass's fields; these tests walk the same
-fields, so a counter added later is covered without being named here.
+"""RunTelemetry's whole-run fold and its serializers walk the dataclass's
+fields; these tests walk the same fields, so a counter added later is
+covered without being named here. Every engine reports this one record.
 The last section pins the counter ledger: what a run reports is what its
 components counted, per pass and in every mode."""
 
@@ -16,18 +16,20 @@ import repro
 from repro.cache import ChunkCache
 from repro.config import ComputeSpec, DatasetSpec, PlacementSpec
 from repro.data.dataset import DatasetReader, build_dataset
-from repro.errors import SimulationError
-from repro.obs.record import ClusterReport
+from repro.errors import DataFormatError
+from repro.obs.record import ClusterReport, RunTelemetry
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.runtime.telemetry import RunTelemetry
-from repro.sim.metrics import SimReport
+from repro.sim.multisite import MultiSiteSimulation
 from repro.storage.objectstore import ObjectStore
 
 NUMERIC = [
     f for f in dataclasses.fields(RunTelemetry) if f.type in ("int", "float")
 ]
-OTHERS = {"clusters", "spans"}
+#: The numbers that describe one pass; every other number is a counter.
+PER_PASS = {"makespan", "global_reduction"}
+COUNTERS = [f for f in NUMERIC if f.name not in PER_PASS]
+OTHERS = {"experiment", "app", "clusters", "spans"}
 
 
 def _pass(n: int) -> RunTelemetry:
@@ -37,6 +39,8 @@ def _pass(n: int) -> RunTelemetry:
         for i, f in enumerate(NUMERIC)
     }
     return RunTelemetry(
+        experiment=f"env-{n}",
+        app="knn",
         clusters={
             f"c{n}": ClusterReport(
                 f"c{n}", "local", 2, n, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.0
@@ -50,17 +54,23 @@ def _pass(n: int) -> RunTelemetry:
 def test_every_field_is_numeric_or_taken_from_the_last_pass():
     names = {f.name for f in dataclasses.fields(RunTelemetry)}
     assert names == {f.name for f in NUMERIC} | OTHERS
-    assert "wall_seconds" in {f.name for f in NUMERIC}
+    assert PER_PASS <= {f.name for f in NUMERIC}
+    assert {"cache_hits", "dollars_spent", "events_processed"} <= {
+        f.name for f in COUNTERS
+    }
 
 
 def test_fold_sums_every_numeric_field_and_keeps_the_last_pass():
     passes = [_pass(1), _pass(2), _pass(3)]
     folded = RunTelemetry.fold(passes)
-    for f in NUMERIC:
+    for f in COUNTERS:
         expected = sum(getattr(t, f.name) for t in passes)
         assert getattr(folded, f.name) == expected, f.name
         assert type(getattr(folded, f.name)).__name__ == f.type, f.name
-    assert folded.clusters == passes[-1].clusters
+    # The span, its global reduction and its bars describe the last pass,
+    # so a folded record still validates.
+    for name in PER_PASS | OTHERS:
+        assert getattr(folded, name) == getattr(passes[-1], name), name
     assert folded.spans == {"critical_path": [3]}
     # Folding reads the passes; it does not rewrite them.
     assert passes[-1] == _pass(3)
@@ -75,66 +85,60 @@ def test_every_numeric_field_survives_a_json_round_trip():
     doc = original.to_dict()
     assert set(doc) == {f.name for f in NUMERIC} | OTHERS
     assert RunTelemetry.from_json(original.to_json()) == original
-    # Counters a document omits read as their defaults.
-    sparse = RunTelemetry.from_dict({"wall_seconds": 1, "clusters": {}})
-    assert sparse == RunTelemetry(wall_seconds=1.0)
-
-
-# -- SimReport: the same walk; counters are the numeric fields with a default --
-
-SIM_NUMERIC = [
-    f for f in dataclasses.fields(SimReport) if f.type in ("int", "float")
-]
-SIM_COUNTERS = [f for f in SIM_NUMERIC if f.default is not dataclasses.MISSING]
-SIM_PER_PASS = {"experiment", "app", "makespan", "global_reduction", "clusters"}
-
-
-def _sim_pass(n: int) -> SimReport:
-    """A pass whose i-th numeric field reads ``n * (i + 1)`` (+ 0.5 if float)."""
-    numbers = {
-        f.name: n * (i + 1) + (0.5 if f.type == "float" else 0)
-        for i, f in enumerate(SIM_NUMERIC)
-    }
-    cluster = ClusterReport(
-        f"c{n}", "local", 2, n, 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.0
-    )
-    return SimReport(
-        experiment="env", app="knn", clusters={cluster.name: cluster}, **numbers
-    )
-
-
-def test_sim_report_fields_are_counters_or_describe_one_pass():
-    names = {f.name for f in dataclasses.fields(SimReport)}
-    assert names == {f.name for f in SIM_COUNTERS} | SIM_PER_PASS
-    assert {"cache_hits", "dollars_spent"} <= {f.name for f in SIM_COUNTERS}
-
-
-def test_sim_fold_sums_every_counter_and_keeps_the_last_pass():
-    passes = [_sim_pass(1), _sim_pass(2), _sim_pass(3)]
-    folded = SimReport.fold(passes)
-    for f in SIM_COUNTERS:
-        expected = sum(getattr(r, f.name) for r in passes)
-        assert getattr(folded, f.name) == expected, f.name
-        assert type(getattr(folded, f.name)).__name__ == f.type, f.name
-    for name in SIM_PER_PASS:
-        assert getattr(folded, name) == getattr(passes[-1], name), name
-    assert passes[-1] == _sim_pass(3)
-    assert SimReport.fold([_sim_pass(4)]) == _sim_pass(4)
-
-
-def test_every_sim_report_field_survives_a_json_round_trip():
-    original = _sim_pass(5)
-    assert set(original.to_dict()) == {f.name for f in dataclasses.fields(SimReport)}
-    assert SimReport.from_json(original.to_json()) == original
-    # Counters a document omits read as their defaults; the fields that
-    # describe the pass are required.
-    required = {"experiment": "env", "app": "knn", "makespan": 1,
-                "global_reduction": 2, "clusters": {}}
-    assert SimReport.from_dict(required) == SimReport("env", "knn", 1.0, 2.0)
+    # Fields a document omits read as their defaults; the makespan and the
+    # clusters are required.
+    required = {"makespan": 1, "clusters": {}}
+    assert RunTelemetry.from_dict(required) == RunTelemetry(makespan=1.0)
     for name in required:
         partial = {k: v for k, v in required.items() if k != name}
-        with pytest.raises(SimulationError, match="malformed"):
-            SimReport.from_dict(partial)
+        with pytest.raises(DataFormatError, match="malformed"):
+            RunTelemetry.from_dict(partial)
+
+
+def test_sim_fold_sums_every_counter_and_keeps_the_last_pass(monkeypatch):
+    """Simulate mode folds its passes with the same fold; the run's time
+    is the sum of their makespans."""
+    passes = []
+    simulate = MultiSiteSimulation.run
+
+    def spy(sim):
+        passes.append(simulate(sim))
+        return passes[-1]
+
+    monkeypatch.setattr(MultiSiteSimulation, "run", spy)
+    result = repro.run(
+        "kmeans", _dataset("kmeans", 4096, 16),
+        repro.RunConfig(
+            mode="simulate", iterations=2, cache=repro.CacheOptions(bytes=1 << 30)
+        ),
+    )
+    first, second = passes
+    folded = result.telemetry
+    assert folded == RunTelemetry.fold(passes)
+    assert result.wall_seconds == first.makespan + second.makespan
+    assert (folded.makespan, folded.clusters) == (second.makespan, second.clusters)
+    assert folded.global_reduction == second.global_reduction
+    # The cache carried across passes: pass 2 hits what pass 1 missed.
+    assert (first.cache_hits, second.cache_misses) == (0, 0)
+    assert folded.cache_hits == second.cache_hits == first.cache_misses > 0
+    assert folded.events_processed == first.events_processed + second.events_processed
+    folded.validate()
+
+
+@pytest.mark.parametrize("mode", ["serial", "simulate", "runtime"])
+def test_every_mode_returns_one_record(mode):
+    result = repro.run(
+        "kmeans", _dataset("kmeans", 4096, 16), repro.RunConfig(mode=mode)
+    )
+    record = result.telemetry
+    assert type(record) is RunTelemetry
+    assert set(record.to_dict()) == {f.name for f in dataclasses.fields(RunTelemetry)}
+    assert RunTelemetry.from_json(record.to_json()) == record
+    assert record.makespan == result.wall_seconds > 0
+    # A field an engine does not measure keeps its default.
+    assert bool(record.clusters) == (mode != "serial")
+    assert bool(record.experiment) == (mode == "simulate")
+    record.validate()
 
 
 # -- the ledger: a run reports what its components counted --------------------

@@ -103,7 +103,7 @@ def test_step4_simulate_at_testbed_scale():
     report = repro.run(
         "histogram", env.dataset,
         repro.RunConfig(mode="simulate", placement=env.placement, compute=env.compute),
-    ).sim_report
+    ).telemetry
     assert report.total_jobs == 960
     assert report.makespan > 0
     report.validate()
