@@ -144,6 +144,11 @@ class FakeClock:
                 pass
             advanced = False
             with self._cond:
+                if not q.empty():
+                    # Filled since the look above, by a worker that may
+                    # have exited already: it counts as neither busy nor
+                    # parked, so only the queue itself tells.
+                    continue
                 # A worker counts as parked only while its deadline is
                 # still ahead; one just woken (deadline reached but not yet
                 # resumed) is treated as busy so we give it real time to

@@ -191,20 +191,9 @@ class ComputeSpec:
         return self.local_cores + self.cloud_cores
 
     @property
-    def active_sites(self) -> tuple[str, ...]:
-        sites = []
-        if self.local_cores > 0:
-            sites.append(LOCAL_SITE)
-        if self.cloud_cores > 0:
-            sites.append(CLOUD_SITE)
-        return tuple(sites)
-
-    def cores_at(self, site: str) -> int:
-        if site == LOCAL_SITE:
-            return self.local_cores
-        if site == CLOUD_SITE:
-            return self.cloud_cores
-        raise ConfigurationError(f"unknown site {site!r}")
+    def sites(self) -> tuple[tuple[str, int], ...]:
+        """``(site, cores)`` for each site, a site with no cores too."""
+        return ((LOCAL_SITE, self.local_cores), (CLOUD_SITE, self.cloud_cores))
 
     def label(self) -> str:
         """The ``(m, n)`` label used under the paper's figures."""

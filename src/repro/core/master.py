@@ -149,7 +149,7 @@ class MasterCore:
         self.slaves_revoked = 0
         self.slaves_added = 0
         self.jobs_reexecuted = 0
-        self.sync_partials = 0
+        self.sync_partial_merges = 0
 
     @property
     def run_over(self) -> bool:
@@ -338,7 +338,7 @@ class MasterCore:
             self.processing_end = now
             self.robjs.append(message)
             return []
-        self.sync_partials += 1
+        self.sync_partial_merges += 1
         self._fold(message.robj)
         detail = f"partial of {len(message.job_ids)} jobs"
         return [Emit("sync_merge", {"worker": slave, "detail": detail})]

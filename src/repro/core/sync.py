@@ -19,8 +19,9 @@ configured through one :class:`SyncSpec`:
   *committed*: a slave that dies afterwards only re-executes work since
   its last flush.
 
-The same :func:`build_sync_plan` drives the threaded runtime and both
-simulators, so topology behavior is modeled and executed identically.
+The plan itself is laid out by :func:`repro.core.layout.lay_out`, the
+same for the threaded runtime and the simulator, so topology behavior is
+modeled and executed identically.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from . import wire
 __all__ = [
     "TOPOLOGIES",
     "SyncSpec",
-    "SyncNode",
-    "build_sync_plan",
-    "plan_roots",
-    "crosses_site",
     "SyncCodec",
     "UploadReceipts",
 ]
@@ -100,68 +97,6 @@ class SyncSpec:
         run it: ``watermark`` when streaming, else ``0`` (no partial
         before the final hand-over)."""
         return self.watermark if self.stream else 0
-
-
-@dataclass(frozen=True)
-class SyncNode:
-    """One cluster's place in the aggregation plan."""
-
-    name: str
-    parent: str | None  # None = uploads directly to the head
-    children: tuple[str, ...] = ()
-
-
-def build_sync_plan(
-    clusters: list[str] | tuple[str, ...],
-    topology: str,
-    *,
-    fanout: int = 2,
-) -> dict[str, SyncNode]:
-    """Lay the clusters out as an aggregation graph.
-
-    The first cluster in ``clusters`` must be the one co-located with the
-    head (the runtime and both simulators order them that way), so in a
-    tree the final WAN-free hop to the head is made by the head-site
-    master, which skips the codec on it. ``tree`` uses heap indexing (the
-    parent of node ``i`` is ``(i-1)//fanout``); ``fanout=1`` is a chain.
-    """
-    if not clusters:
-        raise ConfigurationError("sync plan needs at least one cluster")
-    if len(set(clusters)) != len(clusters):
-        raise ConfigurationError(f"duplicate cluster names: {list(clusters)}")
-    if topology not in TOPOLOGIES:
-        raise ConfigurationError(f"unknown sync topology {topology!r}")
-    names = list(clusters)
-    if topology == "star" or len(names) == 1:
-        return {name: SyncNode(name=name, parent=None) for name in names}
-    parents: dict[str, str | None] = {}
-    children: dict[str, list[str]] = {name: [] for name in names}
-    for i, name in enumerate(names):
-        if i == 0:
-            parents[name] = None
-        else:
-            parent = names[(i - 1) // fanout]
-            parents[name] = parent
-            children[parent].append(name)
-    return {
-        name: SyncNode(
-            name=name, parent=parents[name], children=tuple(children[name])
-        )
-        for name in names
-    }
-
-
-def plan_roots(plan: dict[str, SyncNode]) -> list[str]:
-    """Clusters that upload directly to the head, in plan order."""
-    return [name for name, node in plan.items() if node.parent is None]
-
-
-def crosses_site(node: SyncNode, site: str, head_site: str) -> bool:
-    """Whether ``node``'s upload (its cluster runs on ``site``) crosses a
-    site boundary, and so goes through the codec: every hop but a plan
-    root's on the head's own site, which costs no WAN bytes and hands its
-    object to the head as it is."""
-    return node.parent is not None or site != head_site
 
 
 @dataclass

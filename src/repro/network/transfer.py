@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..core.sync import build_sync_plan
+from ..core.layout import lay_out
+from ..core.sync import SyncSpec
 from ..errors import ConfigurationError
 from .topology import Link
 
@@ -58,7 +59,7 @@ def sync_aggregation_time(
     """Closed-form end-of-pass sync estimate for ``clusters`` masters
     shipping ``nbytes`` reduction objects over one shared ``link``.
 
-    The aggregation plan (:func:`repro.core.sync.build_sync_plan`) is
+    The aggregation plan (:func:`repro.core.layout.lay_out`) is
     walked level by level, deepest first: every cluster at a level ships
     concurrently (sharing the link fairly), then each receiving parent
     merges its arrivals serially at ``merge_seconds`` apiece. Under
@@ -77,26 +78,21 @@ def sync_aggregation_time(
         raise ConfigurationError("cluster count must be positive")
     if merge_seconds < 0:
         raise ConfigurationError("merge time must be non-negative")
-    plan = build_sync_plan(
-        [f"c{i}" for i in range(clusters)], topology, fanout=fanout
+    layout = lay_out(
+        [(f"c{i}", 1) for i in range(clusters)], "c0",
+        SyncSpec(topology=topology, fanout=fanout),
     )
-    depth: dict[str, int] = {}
-
-    def walk(name: str) -> int:
-        if name not in depth:
-            parent = plan[name].parent
-            depth[name] = 1 if parent is None else walk(parent) + 1
-        return depth[name]
-
-    levels: dict[int, list[str]] = {}
-    for name in plan:
-        levels.setdefault(walk(name), []).append(name)
+    levels: dict[int, list] = {}
+    depth: dict[str | None, int] = {None: 0}
+    for slot in layout.slots:  # a parent before its children
+        depth[slot.name] = depth[slot.parent] + 1
+        levels.setdefault(depth[slot.name], []).append(slot)
     total = 0.0
     for d in sorted(levels, reverse=True):
         senders = levels[d]
         total += transfer_time(link, nbytes, concurrent_flows=len(senders))
         # Parents merge their arrivals serially; parallel across parents
         # (``None`` = the head node itself).
-        fan_in = Counter(plan[name].parent for name in senders)
+        fan_in = Counter(slot.parent for slot in senders)
         total += max(fan_in.values()) * merge_seconds
     return total

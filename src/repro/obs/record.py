@@ -1,5 +1,6 @@
 """The per-pass record every engine reports, its per-cluster entry, and
-the one function that builds those entries for either engine.
+the one collector that fills both from the head and master cores, in
+either engine.
 
 :class:`RunTelemetry` is what the serial oracle, the simulator and the
 runtime return: a dataclass of scalars plus ``clusters``, a dict of
@@ -19,13 +20,18 @@ from typing import Mapping, Sequence
 
 from ..errors import DataFormatError
 
-__all__ = ["ClusterReport", "RunTelemetry", "cluster_reports"]
+__all__ = ["ClusterReport", "RunTelemetry", "cluster_reports", "pass_record"]
 
 _CASTS = {"int": int, "float": float}
 #: The numbers that, with ``clusters``, describe one pass: the span every
 #: cluster's bar sums to and its global-reduction phase. A fold keeps the
 #: last pass's; every other number is a counter and is summed.
 _PER_PASS = ("makespan", "global_reduction")
+#: The master cores' counters a pass reports, summed over its clusters.
+_MASTER_COUNTERS = (
+    "slaves_failed", "slaves_revoked", "slaves_added", "jobs_reexecuted",
+    "sync_partial_merges",
+)
 
 
 @dataclass
@@ -89,6 +95,29 @@ def cluster_reports(
     return clusters
 
 
+def pass_record(
+    head, masters: Sequence, crews: Mapping[str, Sequence], scheduler, *,
+    span: float, origin: float = 0.0,
+) -> dict:
+    """What one pass's :class:`RunTelemetry` takes from its head and
+    master cores, in either engine: ``clusters`` (:func:`cluster_reports`,
+    each upload stamped where it landed — at the head for a plan root, at
+    its parent master otherwise) and the master cores' counters, summed.
+    ``head.core`` is the pass's ``HeadCore``; the rest is as for
+    :func:`cluster_reports`."""
+    arrivals = dict(head.core.arrivals)
+    for master in masters:
+        arrivals.update(master.core.arrivals)
+    record: dict = {
+        name: sum(getattr(master.core, name) for master in masters)
+        for name in _MASTER_COUNTERS
+    }
+    record["clusters"] = cluster_reports(
+        masters, crews, scheduler, arrivals, span=span, origin=origin
+    )
+    return record
+
+
 @dataclass
 class RunTelemetry:
     """One pass's account — or, folded, a whole run's — in any engine.
@@ -99,17 +128,18 @@ class RunTelemetry:
     * every engine: ``makespan`` (wall-clock seconds in the serial oracle
       and the runtime, virtual seconds in the simulator),
       ``faults_injected``, ``cache_hits`` and ``cache_misses``;
-    * the simulator and the runtime: ``clusters`` (built by
-      :func:`cluster_reports`), ``global_reduction`` (Table II: the
+    * the simulator and the runtime: ``global_reduction`` (Table II: the
       simulator models the ship of the combined objects plus the head's
-      final merge, the runtime times the head's merges) and the elastic
-      ledger ``slaves_added``/``slaves_revoked``/``dollars_spent``;
+      final merge, the runtime times the head's merges), ``dollars_spent``
+      and what :func:`pass_record` reads off the head and master cores:
+      ``clusters``, ``slaves_failed``, ``slaves_revoked``,
+      ``slaves_added``, ``jobs_reexecuted`` and ``sync_partial_merges``;
     * the simulator only: ``experiment``, ``app`` and ``events_processed``;
     * the serial oracle and the runtime: the reader's and the cache's
       other counters, which :func:`~repro.runtime.telemetry.read_ledger`
       copies out of the components;
-    * the runtime only: the ``sync_*`` counters, ``slaves_failed``,
-      ``jobs_reexecuted``, ``prefetches`` and, for a traced run, ``spans``.
+    * the runtime only: the other ``sync_*`` counters, ``prefetches`` and,
+      for a traced run, ``spans``.
 
     Per-job durations are the trace's (:func:`repro.obs.spans.build_spans`).
     """
@@ -147,7 +177,8 @@ class RunTelemetry:
     bytes_saved: int = 0
     prefetches: int = 0
     #: Global-reduction sync accounting (see :mod:`repro.core.sync`):
-    #: filled by the runtime on every pass (serial mode ships nothing).
+    #: filled by the runtime on every pass (serial mode ships nothing;
+    #: the simulator counts only ``sync_partial_merges``).
     #: ``sync_uploads``/``sync_bytes_*`` count the uploads that cross a
     #: site boundary, the only ones the codec encodes: the head-site
     #: master hands its object to the head as it is, so a one-site

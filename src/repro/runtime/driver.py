@@ -9,10 +9,12 @@ that message them. The simulator
 (:class:`repro.sim.multisite.MultiSiteSimulation`) steps the same head
 and master cores (:mod:`repro.core.head`, :mod:`repro.core.master`) with
 modeled costs, global reduction included; only its slaves are models of
-their own. Both engines burst the cluster
-:func:`~repro.scale.controller.burst_site` names, through one
+their own. Both engines lay a pass out with one
+:func:`~repro.core.layout.lay_out`, burst its burst cluster through one
 :class:`~repro.scale.burst.FleetManager` (here a bought slave attaches at
-once), and bind one :func:`~repro.obs.live.run_probe`.
+once), bind one :func:`~repro.obs.live.run_probe` and fill the record's
+clusters and master counters with one
+:func:`~repro.obs.record.pass_record`.
 """
 
 from __future__ import annotations
@@ -28,25 +30,19 @@ from ..config import LOCAL_SITE, ComputeSpec, MiddlewareTuning
 from ..core.api import GeneralizedReductionApp
 from ..core.head import HeadCore
 from ..core.index import DataIndex
+from ..core.layout import lay_out
 from ..core.messages import JobReply
 from ..core.scheduler import HeadScheduler
-from ..core.sync import (
-    SyncCodec,
-    SyncSpec,
-    build_sync_plan,
-    crosses_site,
-    plan_roots,
-)
+from ..core.sync import SyncCodec, SyncSpec
 from ..data.dataset import DatasetReader
 from ..errors import ConfigurationError, RuntimeTimeoutError
 from ..obs.events import EventLog
 from ..obs.live import RunMonitor, run_probe
-from ..obs.record import RunTelemetry, cluster_reports
+from ..obs.record import RunTelemetry, pass_record
 from ..obs.spans import span_summary
 from ..options import ScaleOptions
 from ..resilience.retry import RetryPolicy
 from ..scale.burst import FleetManager
-from ..scale.controller import burst_site
 from ..storage.base import StorageService
 from .corebudget import slave_cores
 from .crew import SlaveCrew, current as current_crew
@@ -259,29 +255,17 @@ class CloudBurstingRuntime:
         scheduler = HeadScheduler(
             self.index.jobs(), self.tuning, seed=self.seed, trace=trace
         )
-        sites = self.compute.active_sites
-        cluster_names = [f"{site}-cluster" for site in sites]
-        for name, site in zip(cluster_names, sites):
-            scheduler.register_cluster(name, site)
-
         spec = self.sync
         codec = self._sync_codec
-        plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
+        layout = lay_out(self.compute.sites, LOCAL_SITE, spec, self.scale)
+        for slot in layout.slots:
+            scheduler.register_cluster(slot.name, slot.site)
         head = HeadNode(
             HeadCore(
-                scheduler, cluster_names, roots=tuple(plan_roots(plan)),
+                scheduler, layout.names, roots=layout.roots,
                 codec=codec, stream=spec.stream,
             ),
             trace=trace,
-        )
-        # Elastic bursting acts on the burst site's cluster; without one
-        # it is off.
-        bursting = burst_site(sites, LOCAL_SITE)
-        scale = self.scale if bursting is not None else None
-        autoscaling = scale is not None and scale.autoscale
-        revocation = scale.revocation_spec if scale is not None else None
-        dynamic_headroom = (
-            scale.id_headroom(self.compute.cores_at(bursting)) if autoscaling else 0
         )
 
         # The worker pool forks before any crew thread of this runtime
@@ -291,10 +275,7 @@ class CloudBurstingRuntime:
             # One shared-memory segment per slave is sized to the largest
             # chunk it can ever be handed. Autoscaling pre-sizes the pool
             # so mid-run attaches find their worker process already forked.
-            pool = self._worker_pool(
-                sum(self.compute.cores_at(site) for site in sites)
-                + dynamic_headroom
-            )
+            pool = self._worker_pool(layout.spares.stop)
         crew = self._slave_crew()
         reader = DatasetReader(
             self.index,
@@ -328,46 +309,40 @@ class CloudBurstingRuntime:
                 process_slave=pool.slaves[slave_id] if pool is not None else None,
             )
 
-        masters: list[MasterNode] = []
-        masters_by_name: dict[str, MasterNode] = {}
+        masters: dict[str, MasterNode] = {}
         slaves: list[SlaveWorker] = []
-        for name, site in zip(cluster_names, sites):
-            cores = self.compute.cores_at(site)
-            node = plan[name]
-            # Heap indexing guarantees a parent's index precedes its
-            # children's, so the parent master already exists here.
+        for slot in layout.slots:
+            # A parent's slot precedes its children's, so the parent
+            # master already exists here.
             parent_inbox = (
-                head.inbox
-                if node.parent is None
-                else masters_by_name[node.parent].inbox
+                head.inbox if slot.parent is None else masters[slot.parent].inbox
             )
-            master = MasterNode(
-                name, site, head.inbox, cores, self.tuning,
-                parent_inbox=parent_inbox, codec=codec, children=node.children,
-                stream=spec.stream,
-                cross_site=crosses_site(node, site, head_site=LOCAL_SITE),
-                trace=trace,
-                revocation=revocation if site == bursting else None,
+            master = masters[slot.name] = MasterNode(
+                slot.name, slot.site, head.inbox, slot.cores, self.tuning,
+                parent_inbox=parent_inbox, codec=codec, children=slot.children,
+                stream=spec.stream, cross_site=slot.cross_site, trace=trace,
+                revocation=slot.revocation,
             )
-            masters.append(master)
-            masters_by_name[name] = master
-            for _ in range(cores):
-                slaves.append(make_slave(len(slaves), name, site, master.inbox))
+            slaves += [
+                make_slave(sid, slot.name, slot.site, master.inbox)
+                for sid in slot.slave_ids
+            ]
 
         monitor = self.monitor
         fleet: FleetManager | None = None
         workers = slaves  # every slave the pass may start
-        if autoscaling:
+        burst = layout.burst  # elastic bursting acts on its cluster only
+        if burst is not None and self.scale.autoscale:
             # Bought slaves attach at once; their worker processes were
             # forked with the pool.
-            burst_master = masters_by_name[f"{bursting}-cluster"]
+            burst_master = masters[burst.name]
             fleet = FleetManager(
-                scale,
+                self.scale,
                 burst_master,
                 lambda sid: make_slave(
-                    sid, burst_master.name, bursting, burst_master.inbox
+                    sid, burst.name, burst.site, burst_master.inbox
                 ),
-                len(slaves),
+                layout.spares,
                 monitor,
                 deliver=burst_master.inbox.post,
             )
@@ -377,7 +352,8 @@ class CloudBurstingRuntime:
             monitor.bind(
                 run_probe(
                     len(self.index.jobs()), scheduler,
-                    [m.core for m in masters], [s.core for s in workers],
+                    [m.core for m in masters.values()],
+                    [s.core for s in workers],
                     reader=reader, codec=codec, cache=self.cache,
                 )
             )
@@ -391,7 +367,9 @@ class CloudBurstingRuntime:
         try:
             result = head.join(timeout=self.join_timeout)
         except RuntimeTimeoutError:
-            alive_masters = [m.name for m in masters if not m.core.finished]
+            alive_masters = [
+                m.name for m in masters.values() if not m.core.finished
+            ]
             alive_slaves = [
                 f"{s.slave_id} ({s.cluster})" for s in workers if s.is_alive()
             ]
@@ -405,7 +383,7 @@ class CloudBurstingRuntime:
         except BaseException:
             # A master died and the head failed the run: release the
             # other masters, so their slaves drain what they hold and end.
-            for master in masters:
+            for master in masters.values():
                 master.inbox.post(JobReply(None))
             raise
         finally:
@@ -422,30 +400,22 @@ class CloudBurstingRuntime:
         # -- collect ---------------------------------------------------------
         wall = time.perf_counter() - started
         after = read_ledger(reader, self.stores, self.cache, codec)
+        crews: dict[str, list] = {name: [] for name in masters}
+        for slave in started_slaves:
+            crews[slave.cluster].append(slave.core)
         telemetry = RunTelemetry(
             makespan=wall,
             global_reduction=head.global_reduction_seconds,
+            prefetches=sum(s.prefetches for s in started_slaves),
+            # Stamps are perf_counter readings.
+            **pass_record(
+                head, masters.values(), crews, scheduler,
+                span=wall, origin=started,
+            ),
             **{name: after[name] - before[name] for name in after},
-        )
-        # Stamps are perf_counter readings. A cluster uploads to the head
-        # or, in a tree, to its parent master.
-        arrivals = dict(head.core.arrivals)
-        crews: dict[str, list] = {master.name: [] for master in masters}
-        for master in masters:
-            arrivals.update(master.core.arrivals)
-            telemetry.slaves_failed += master.core.slaves_failed
-            telemetry.slaves_revoked += master.core.slaves_revoked
-            telemetry.slaves_added += master.core.slaves_added
-            telemetry.jobs_reexecuted += master.core.jobs_reexecuted
-        for slave in started_slaves:
-            crews[slave.cluster].append(slave.core)
-        telemetry.clusters = cluster_reports(
-            masters, crews, scheduler, arrivals, span=wall, origin=started
         )
         if fleet is not None:
             telemetry.dollars_spent = fleet.close(monitor.last.time)
-        telemetry.prefetches = sum(s.prefetches for s in started_slaves)
-        telemetry.sync_partial_merges = sum(m.core.sync_partials for m in masters)
         telemetry.validate()
 
         if trace is not None:

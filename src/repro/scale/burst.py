@@ -31,10 +31,10 @@ class FleetManager:
 
     ``master`` is the burst cluster's master shell (its ``core``, ``name``
     and ``emit``); ``deliver`` takes a message to it now. At construction
-    the manager pre-builds ``scale.id_headroom`` spare slaves with
-    ``make_slave(id)``, ids from ``first_id`` in order: dead ids are never
-    reused, so these are every id a scale-up may claim, and an add past
-    them is skipped. ``join(slave)`` is how a bought slave joins; by
+    the manager pre-builds one spare slave with ``make_slave(id)`` for
+    each of ``ids``, the pass layout's spare ids, in order: dead ids are
+    never reused, so these are every id a scale-up may claim, and an add
+    past them is skipped. ``join(slave)`` is how a bought slave joins; by
     default a :class:`~repro.core.messages.SlaveAttach` delivered at once.
     The manager subscribes to ``monitor``, or to a private one at
     ``scale.interval`` when none was given (:attr:`private`).
@@ -45,7 +45,7 @@ class FleetManager:
         scale: ScaleOptions,
         master,
         make_slave: Callable[[int], object],
-        first_id: int,
+        ids: range,
         monitor: RunMonitor | None,
         *,
         deliver: Callable[[object], None],
@@ -55,14 +55,11 @@ class FleetManager:
         self.master = master
         self.deliver = deliver
         self.join = join or (lambda slave: deliver(SlaveAttach((slave,))))
-        crew = master.core.active  # the static crew, before any churn
-        self.spares = tuple(
-            make_slave(first_id + i) for i in range(scale.id_headroom(crew))
-        )
+        self.spares = tuple(make_slave(slave_id) for slave_id in ids)
         self._bought = 0
-        # The crew plus every slave bought, less every retirement asked
-        # for; ``fleet`` also takes off the core's revocations.
-        self._ordered = crew
+        # The static crew plus every slave bought, less every retirement
+        # asked for; ``fleet`` also takes off the core's revocations.
+        self._ordered = master.core.active
         self.private = monitor is None
         self.monitor = monitor if monitor is not None else RunMonitor(scale.interval)
         self.monitor.subscribe(self.on_sample)

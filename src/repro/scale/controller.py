@@ -29,11 +29,10 @@ Control law (walked in ``docs/SCALING.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..errors import ConfigurationError
 
-__all__ = ["ScaleDecision", "Autoscaler", "burst_site"]
+__all__ = ["ScaleDecision", "Autoscaler"]
 
 #: Projection pad on scale-up affordability: the ETA is a run-average
 #: estimate, so commit new spend only when it fits with room to spare.
@@ -41,13 +40,6 @@ SAFETY = 1.25
 
 #: Fraction of the budget at which the controller sheds to the floor.
 HIGH_WATER = 0.9
-
-
-def burst_site(active_sites: Iterable[str], head_site: str) -> str | None:
-    """The site whose cluster bursts — grows, shrinks and is revoked — in
-    both engines: the first active site that is not the head's, or
-    ``None`` when the head's site is the only active one."""
-    return next((site for site in active_sites if site != head_site), None)
 
 
 @dataclass(frozen=True)

@@ -55,21 +55,15 @@ from ..config import DatasetSpec, MiddlewareTuning
 from ..core.index import DataIndex, place_prefixes
 from ..core.job import Job
 from ..core.head import HeadCore
+from ..core.layout import lay_out
 from ..core.messages import JobReply, JobRequest, SlaveAttach
 from ..core.scheduler import HeadScheduler
-from ..core.sync import (
-    SyncCodec,
-    SyncSpec,
-    build_sync_plan,
-    crosses_site,
-    plan_roots,
-)
+from ..core.sync import SyncCodec, SyncSpec
 from ..cluster.variability import LOCAL_VARIABILITY, VariabilityModel
 from ..errors import ConfigurationError, SimulationError
 from ..obs.live import RunMonitor, run_probe
-from ..obs.record import RunTelemetry, cluster_reports
+from ..obs.record import RunTelemetry, pass_record
 from ..scale.burst import FleetManager
-from ..scale.controller import burst_site
 from ..units import MB
 from .computemodel import ComputeModel
 from .engine import Environment, Event
@@ -323,7 +317,7 @@ class MultiSiteSimulation:
         self.cache = cache
         #: Global-reduction sync plan (:class:`~repro.core.sync.SyncSpec`),
         #: run through the runtime's head and master cores over the same
-        #: :func:`build_sync_plan`; ``None`` is the default spec.
+        #: :func:`~repro.core.layout.lay_out`; ``None`` is the default spec.
         #: Encoded uploads are charged ``robj_bytes * sim_ratio`` on the
         #: wire (merge cost stays dense: decoding restores the full object).
         self.sync = sync or SyncSpec()
@@ -338,9 +332,9 @@ class MultiSiteSimulation:
             faults.latency_rate or faults.slow_rate
         ) else faults
         #: Elastic bursting (:mod:`repro.scale`), as the runtime does it:
-        #: the burst site (:func:`~repro.scale.controller.burst_site`: the
-        #: first active site that is not the head's) has its master core
-        #: roll the seeded spot die, and with ``autoscale`` on gains the
+        #: the layout's burst cluster (the first active site's that is not
+        #: the head's) has its master core roll the seeded spot die, and
+        #: with ``autoscale`` on gains the
         #: runtime's :class:`~repro.scale.burst.FleetManager`, whose bought
         #: slaves join after ``provision_seconds`` of virtual time. With no
         #: such site, or a disabled spec, none of the machinery is built.
@@ -450,7 +444,7 @@ class MultiSiteSimulation:
 
         return fetch
 
-    def _fleet(self, env, master, make_slave, first_id, procs, joined):
+    def _fleet(self, env, master, make_slave, ids, procs, joined):
         """The burst cluster's :class:`~repro.scale.burst.FleetManager`:
         a bought slave joins ``provision_seconds`` of virtual time after
         the decision (into ``joined``), unless the run ended meanwhile.
@@ -491,7 +485,7 @@ class MultiSiteSimulation:
             fleet.close(env.now)
 
         fleet = FleetManager(
-            self.scale, master, make_slave, first_id, self.monitor,
+            self.scale, master, make_slave, ids, self.monitor,
             deliver=master.step,
             join=lambda slave: env.process(
                 provision(slave), name=f"provision:{slave.slave_id}"
@@ -554,26 +548,20 @@ class MultiSiteSimulation:
                 )
             return robj_links[key]
 
-        active_sites = [s for s in config.sites if s.cores > 0]
-        multi_cluster = len(active_sites) > 1
-        robj_bytes = self.profile.robj_bytes
-
-        # The runtime's head and master cores run the global reduction:
-        # who ships when, what covers what, and the merge order. Plan
-        # order puts the head-site cluster first (when it has cores) so
-        # the plan root is the head-site master and the final hop to the
-        # head stays off the WAN, as in the runtime driver.
+        # The runtime's head and master cores run the global reduction
+        # (who ships when, what covers what, and the merge order) over the
+        # runtime's layout.
         spec = self.sync
-        cluster_names = [
-            f"{s.name}-cluster"
-            for s in sorted(active_sites, key=lambda s: s.name != head_site)
-        ]
-        plan = build_sync_plan(cluster_names, spec.topology, fanout=spec.fanout)
+        layout = lay_out(
+            ((s.name, s.cores) for s in config.sites), head_site, spec, self.scale
+        )
+        multi_cluster = len(layout.slots) > 1
+        robj_bytes = self.profile.robj_bytes
         codec = SyncCodec(spec)
         head = self.head = SimHead(
             env,
             HeadCore(
-                scheduler, cluster_names, roots=tuple(plan_roots(plan)),
+                scheduler, layout.names, roots=layout.roots,
                 codec=codec, stream=spec.stream,
             ),
             merge_seconds=compute.merge_seconds(robj_bytes),
@@ -582,7 +570,7 @@ class MultiSiteSimulation:
         if trace is not None:
             scheduler.trace = head  # steal events, stamped at ``env.now``
         wire_bytes = robj_bytes * spec.sim_ratio
-        intra_bandwidth = {s.name: s.intra_bandwidth for s in active_sites}
+        sites = {s.name: s for s in config.sites}
 
         def uplink(master: SimMaster) -> Event | None:
             """The hop ``master``'s object rides up the plan: to its parent
@@ -596,18 +584,11 @@ class MultiSiteSimulation:
             if not multi_cluster:
                 return None
             return env.timeout(
-                config.lan_latency + robj_bytes / intra_bandwidth[master.site]
+                config.lan_latency + robj_bytes / sites[master.site].intra_bandwidth
             )
 
         masters: dict[str, SimMaster] = {}
         slaves: dict[str, list[SimSlave]] = {}
-
-        # Elastic bursting acts on the burst site's cluster.
-        bursting = (
-            burst_site((s.name for s in active_sites), head_site)
-            if self.scale is not None
-            else None
-        )
         fleet: FleetManager | None = None
         joined: list[SimSlave] = []  # the bought slaves that joined
 
@@ -618,29 +599,28 @@ class MultiSiteSimulation:
             (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
         )
 
-        worker_id = 0
-        for site in active_sites:
-            name = f"{site.name}-cluster"
-            scheduler.register_cluster(name, site.name)
-            masters[name] = master = SimMaster(
-                head, name, site.name,
+        for slot in layout.slots:
+            site = sites[slot.site]
+            scheduler.register_cluster(slot.name, slot.site)
+            masters[slot.name] = master = SimMaster(
+                head, slot.name, slot.site,
                 control_rtt=2 * (
-                    config.lan_latency if site.name == head_site
+                    config.lan_latency if slot.site == head_site
                     else config.control_latency
                 ),
-                cores=site.cores,
+                cores=slot.cores,
                 tuning=config.tuning,
-                children=plan[name].children,
+                children=slot.children,
                 codec=codec,
                 combine_seconds=lambda n, site=site: compute.combine_seconds(
                     robj_bytes, n, site.intra_bandwidth
                 ),
                 uplink=uplink,
-                cross_site=crosses_site(plan[name], site.name, head_site),
-                revocation=(
-                    self.scale.revocation_spec if site.name == bursting else None
-                ),
+                cross_site=slot.cross_site,
+                revocation=slot.revocation,
             )
+            if slot.parent is not None:  # built before its children
+                master.parent = masters[slot.parent]
 
             def make_slave(wid, master=master):
                 return SimSlave(
@@ -648,19 +628,14 @@ class MultiSiteSimulation:
                     retrieval_threads=config.tuning.retrieval_threads,
                 )
 
-            crew = slaves[name] = [
-                make_slave(worker_id + i) for i in range(site.cores)
-            ]
-            worker_id += site.cores
+            crew = slaves[slot.name] = [make_slave(wid) for wid in slot.slave_ids]
             procs = [
                 env.process(s.run(), name=f"slave:{s.slave_id}") for s in crew
             ]
-            if site.name == bursting and self.scale.autoscale:
-                fleet = self._fleet(env, master, make_slave, worker_id, procs, joined)
-                worker_id += len(fleet.spares)
-        for name, node in plan.items():
-            if node.parent is not None:
-                masters[name].parent = masters[node.parent]
+            if slot is layout.burst and self.scale.autoscale:
+                fleet = self._fleet(
+                    env, master, make_slave, layout.spares, procs, joined
+                )
 
         if self.static_assignment:
             # Deal the whole pool out round-robin before time starts. Each
@@ -722,15 +697,13 @@ class MultiSiteSimulation:
             # Fold the bought slaves into the burst site's crew so the
             # report's jobs-processed invariant and per-cluster means
             # account for every worker that actually ran.
-            slaves[f"{bursting}-cluster"] += joined
-        # A cluster's upload arrival is stamped where it lands: at its
-        # parent master, or at the head.
-        arrivals = {name: m.parent.core.arrivals[name] for name, m in masters.items()}
-        clusters = cluster_reports(
-            masters.values(),
+            slaves[layout.burst.name] += joined
+        record = pass_record(
+            head, masters.values(),
             {name: [s.core for s in crew] for name, crew in slaves.items()},
-            scheduler, arrivals, span=makespan,
+            scheduler, span=makespan,
         )
+        clusters = record["clusters"]
         for name, cluster in clusters.items():
             stats = scheduler.clusters[name]
             # A revoked slave's jobs ran twice: once into its lost object.
@@ -749,17 +722,15 @@ class MultiSiteSimulation:
             # large) plus the head's own merge after the last root lands.
             # A cluster's wait at the head barrier is its idle time.
             global_reduction=max(
-                arrivals[m.name] - m.combine_done for m in masters.values()
+                c.robj_arrival - c.combine_done for c in clusters.values()
             ) + makespan - max(head.core.arrivals.values()),
-            clusters=clusters,
             events_processed=env.events_processed,
             faults_injected=self.faults_injected,
-            slaves_added=sum(m.core.slaves_added for m in masters.values()),
             dollars_spent=(
                 fleet.controller.dollars_spent if fleet is not None else 0.0
             ),
+            **record,
         )
-        report.slaves_revoked = sum(m.core.slaves_revoked for m in masters.values())
         if cache is not None:
             report.cache_hits = cache.stats.hits - cache_before[0]
             report.cache_misses = cache.stats.misses - cache_before[1]

@@ -134,7 +134,7 @@ class SimMaster:
             codec=codec, stream=codec.spec.stream, revocation=revocation,
         )
         #: Where the combined object goes: the parent master in the sync
-        #: plan, or the head (set once every master exists).
+        #: plan (set by the engine), or the head.
         self.parent: Any = head
         #: When the combine finished; the core keeps the other stamps.
         self.combine_done = 0.0

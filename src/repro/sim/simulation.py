@@ -50,6 +50,7 @@ def two_site_config(
             seed=model.seed ^ (config.seed * salt) ^ (config.seed * JITTER_SALT),
         )
 
+    cores = dict(config.compute.sites)
     return MultiSiteConfig(
         name=config.name,
         app=config.app,
@@ -57,7 +58,7 @@ def two_site_config(
         sites=(
             SiteSpec(
                 name=LOCAL_SITE,
-                cores=config.compute.local_cores,
+                cores=cores[LOCAL_SITE],
                 data_files=config.local_files,
                 storage=cal.disk_to_local,
                 variability=jitter(cal.local_variability, 2654435761),
@@ -65,7 +66,7 @@ def two_site_config(
             ),
             SiteSpec(
                 name=CLOUD_SITE,
-                cores=config.compute.cloud_cores,
+                cores=cores[CLOUD_SITE],
                 data_files=config.cloud_files,
                 storage=cal.s3_to_cloud,
                 object_store=True,

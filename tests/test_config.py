@@ -14,6 +14,8 @@ from repro.config import (
     PlacementSpec,
     halved,
 )
+from repro.core.layout import lay_out
+from repro.core.sync import SyncSpec
 from repro.errors import ConfigurationError
 from repro.units import GB, MB
 
@@ -61,18 +63,21 @@ def test_placement_split():
 def test_compute_spec():
     spec = ComputeSpec(local_cores=16, cloud_cores=22)
     assert spec.total_cores == 38
-    assert spec.active_sites == (LOCAL_SITE, CLOUD_SITE)
-    assert spec.cores_at(LOCAL_SITE) == 16
+    assert spec.sites == ((LOCAL_SITE, 16), (CLOUD_SITE, 22))
     assert spec.label() == "(16,22)"
     with pytest.raises(ConfigurationError):
         ComputeSpec(local_cores=0, cloud_cores=0)
-    with pytest.raises(ConfigurationError):
-        spec.cores_at("mars")
 
 
 def test_compute_single_site():
-    assert ComputeSpec(local_cores=4, cloud_cores=0).active_sites == (LOCAL_SITE,)
-    assert ComputeSpec(local_cores=0, cloud_cores=4).active_sites == (CLOUD_SITE,)
+    # A site with no cores is still listed; a pass lays out no cluster
+    # there.
+    for spec, site in (
+        (ComputeSpec(4, 0), LOCAL_SITE), (ComputeSpec(0, 4), CLOUD_SITE)
+    ):
+        assert dict(spec.sites)[site] == 4
+        layout = lay_out(spec.sites, LOCAL_SITE, SyncSpec())
+        assert [slot.site for slot in layout.slots] == [site]
 
 
 def test_halved():

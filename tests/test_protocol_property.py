@@ -47,7 +47,8 @@ from repro.core.messages import (
 from repro.core.reduction import DictReduction, merge_all
 from repro.core.scheduler import HeadScheduler
 from repro.core.slave import Fetched, HandOver, Reduce, Reduced, Request, SlaveCore
-from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan, plan_roots
+from repro.core.layout import lay_out
+from repro.core.sync import SyncCodec, SyncSpec
 from repro.scale.revocation import RevocationSpec
 
 from conftest import small_spec
@@ -107,9 +108,12 @@ class Network:
             watermark=max(watermark, 1),
         )
         self.codec = SyncCodec(spec)
-        self.plan = build_sync_plan(list(CLUSTERS), topology, fanout=1)
+        layout = lay_out(
+            [(site, 1) for site in CLUSTERS.values()], LOCAL_SITE, spec
+        )
+        self.plan = {slot.name: slot for slot in layout.slots}
         self.head = HeadCore(
-            scheduler, list(CLUSTERS), roots=tuple(plan_roots(self.plan)),
+            scheduler, list(CLUSTERS), roots=layout.roots,
             codec=self.codec, stream=spec.stream,
         )
         die = RevocationSpec(rate=revoke, seed=seed) if revoke else None
@@ -362,5 +366,5 @@ def test_a_revoked_slaves_later_partial_is_dropped():
     assert core.step(SlaveJobDone(0, pair.in_flight)) == []
     assert core.step(SlaveReduction(0, late, partial=True, job_ids=lost)) == []
     assert core.step(SlaveReduction(0, late)) == []
-    assert core.sync_partials == 1  # the flush before the revocation only
+    assert core.sync_partial_merges == 1  # the flush before the revocation only
     pair.survivor_drains()

@@ -17,7 +17,7 @@ from repro.core.messages import (
 )
 from repro.core.reduction import ScalarReduction
 from repro.core.scheduler import HeadScheduler
-from repro.core.sync import SyncCodec, SyncSpec, build_sync_plan
+from repro.core.sync import SyncCodec, SyncSpec
 from repro.errors import RuntimeProtocolError, RuntimeTimeoutError
 from repro.runtime.head import HeadNode
 from repro.runtime.master import MasterNode
@@ -124,11 +124,10 @@ def test_master_validation():
 def test_tree_master_rejects_a_second_upload_from_one_child():
     """A tree master takes one upload per child, as the head takes one
     per root: a repeat names its sender instead of being merged twice."""
-    plan = build_sync_plan(["a", "b", "c"], "tree")
     head_inbox = Mailbox("head")
     master = MasterNode(
         "a", LOCAL_SITE, head_inbox, num_slaves=1,
-        parent_inbox=head_inbox, codec=CODEC, children=plan["a"].children,
+        parent_inbox=head_inbox, codec=CODEC, children=("b", "c"),
     )
     assert master.core.receipts.senders == ("b", "c")
     master.step(upload("b", ScalarReduction("sum", 1.0)))  # on this thread

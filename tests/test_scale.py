@@ -28,8 +28,10 @@ from repro.config import (
 )
 from repro.core.api import run_serial
 from repro.core.job import JobGroup
+from repro.core.layout import lay_out
 from repro.core.master import Emit, MasterCore, Post
 from repro.core.messages import JobReply, SlaveDetach, SlaveJobRequest
+from repro.core.sync import SyncSpec
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import ConfigurationError, WorkerFailure
 from repro.obs.events import EventLog
@@ -37,7 +39,6 @@ from repro.obs.live import RunMonitor
 from repro.options import ScaleOptions
 from repro.runtime.driver import CloudBurstingRuntime
 from repro.scale import Autoscaler, RevocationSpec, ScaleDecision
-from repro.scale.controller import burst_site
 from repro.storage.objectstore import ObjectStore
 
 DATASET = DatasetSpec(
@@ -631,12 +632,21 @@ def test_simulated_provision_lag_holds_without_a_revocation_rate():
 
 
 def test_burst_site_is_the_first_active_site_off_the_head():
+    def burst_site(sites, head_site):
+        layout = lay_out(
+            [(site, 1) for site in sites] + [("idle", 0)], head_site,
+            SyncSpec(), ScaleOptions(revocation="rate=0.1"),
+        )
+        return layout.burst.site if layout.burst is not None else None
+
     assert burst_site(["aws", "campus", "azure"], "campus") == "aws"
     assert burst_site(["campus", "aws", "azure"], "campus") == "aws"
     # An inactive head is simply not in the list: still the first other.
     assert burst_site(["aws", "azure"], "campus") == "aws"
     assert burst_site(["campus"], "campus") is None
-    assert burst_site([], "campus") is None
+    # With no active site at all there is no pass to lay out.
+    with pytest.raises(ConfigurationError):
+        burst_site([], "campus")
 
 
 #: Chosen so that every slave id 0-3 survives its first hand-out and is

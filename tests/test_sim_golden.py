@@ -15,7 +15,13 @@ the comparison is ``==`` — not ``approx`` — down to ``events_processed``.
 Its values were generated at the commit *before* the two-site simulator
 became a configuration of the N-site engine; the file was rewritten once
 since, only to add the fields the record gained when the simulator began
-returning ``RunTelemetry`` (no value moved). Regenerate it only for a
+returning ``RunTelemetry`` (no value moved). It was regenerated a second
+time when both engines began filling the record's master-core counters
+from one collector (``obs.record.pass_record``): 34 of 106 keys moved,
+each in one field and nothing else — ``sync_partial_merges`` (0 before)
+in the 27 ``two-site/*/*/ring+stream+sparse`` keys and
+``jobs_reexecuted`` (0 before) in the 7 ``autoscale/*/budget+revoke``
+keys other than ``(4,4)``, whose spot die revokes nobody. Regenerate it only for a
 deliberate model change, and say so in the PR: list, per key, the fields
 that differ between the committed file and the current engine, then
 rewrite the file (CI prints the ``--diff`` when the suite fails)::

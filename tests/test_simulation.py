@@ -76,7 +76,7 @@ def test_single_cluster_baselines_have_no_idle_or_transfer():
 def test_a_lone_root_pays_its_upload_only_off_the_head_site():
     # The head sits on the local site: a lone local root hands its object
     # over where it is, a lone cloud root ships it across the WAN, as the
-    # runtime's ``crosses_site`` rule counts it.
+    # layout's ``cross_site`` rule, the runtime's too, counts it.
     local = two_site(env_config("knn", "env-local", scale=SCALE)).run()
     cluster = local.cluster("local-cluster")
     assert cluster.robj_arrival == cluster.combine_done

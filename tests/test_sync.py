@@ -40,13 +40,8 @@ from repro.core.reduction import (
     ScalarReduction,
 )
 from repro.core.scheduler import HeadScheduler
-from repro.core.sync import (
-    SyncCodec,
-    SyncSpec,
-    UploadReceipts,
-    build_sync_plan,
-    plan_roots,
-)
+from repro.core.layout import lay_out
+from repro.core.sync import SyncCodec, SyncSpec, UploadReceipts
 from repro.data.dataset import DatasetReader, build_dataset
 from repro.errors import ConfigurationError, RuntimeProtocolError
 from repro.network.topology import Link
@@ -80,51 +75,62 @@ def layout(topology: str) -> dict:
 # -- plan shapes -------------------------------------------------------------
 
 
+def plan(sites: list[str], **spec) -> tuple[dict, tuple[str, ...]]:
+    """The sync plan :func:`lay_out` gives one-core ``sites``, the first
+    of them the head's: its slots by site, and its roots."""
+    head = sites[0] if sites else "head"
+    layout = lay_out([(site, 1) for site in sites], head, SyncSpec(**spec))
+    return {slot.site: slot for slot in layout.slots}, layout.roots
+
+
+def clusters(*sites: str) -> tuple[str, ...]:
+    return tuple(f"{site}-cluster" for site in sites)
+
+
 def test_star_plan_everyone_uploads_to_head():
-    plan = build_sync_plan(["a", "b", "c", "d"], "star")
-    assert plan_roots(plan) == ["a", "b", "c", "d"]
-    assert all(node.children == () for node in plan.values())
+    slots, roots = plan(["a", "b", "c", "d"])
+    assert roots == clusters("a", "b", "c", "d")
+    assert all(slot.children == () for slot in slots.values())
 
 
 def test_tree_plan_uses_heap_indexing():
-    names = [f"c{i}" for i in range(7)]
-    plan = build_sync_plan(names, "tree", fanout=2)
-    assert plan_roots(plan) == ["c0"]
-    assert plan["c0"].children == ("c1", "c2")
-    assert plan["c1"].children == ("c3", "c4")
-    assert plan["c2"].children == ("c5", "c6")
-    # A parent always precedes its children in cluster order, so the
-    # runtime can build masters in index order and wire parent inboxes.
-    order = {name: i for i, name in enumerate(names)}
-    for node in plan.values():
-        if node.parent is not None:
-            assert order[node.parent] < order[node.name]
+    slots, roots = plan([f"c{i}" for i in range(7)], topology="tree", fanout=2)
+    assert roots == clusters("c0")
+    assert slots["c0"].children == clusters("c1", "c2")
+    assert slots["c1"].children == clusters("c3", "c4")
+    assert slots["c2"].children == clusters("c5", "c6")
+    # A parent always precedes its children in plan order, so the
+    # engines can build masters in slot order and wire parent inboxes.
+    order = {slot.name: i for i, slot in enumerate(slots.values())}
+    for slot in slots.values():
+        if slot.parent is not None:
+            assert order[slot.parent] < order[slot.name]
 
 
 def test_tree_plan_respects_fanout():
-    plan = build_sync_plan([f"c{i}" for i in range(5)], "tree", fanout=4)
-    assert plan["c0"].children == ("c1", "c2", "c3", "c4")
+    slots, _ = plan([f"c{i}" for i in range(5)], topology="tree", fanout=4)
+    assert slots["c0"].children == clusters("c1", "c2", "c3", "c4")
 
 
 def test_ring_plan_is_a_chain():
-    plan = build_sync_plan(["a", "b", "c"], "tree", fanout=1)
-    assert plan["c"].parent == "b" and plan["b"].parent == "a"
-    assert plan["a"].parent is None
+    slots, _ = plan(["a", "b", "c"], topology="tree", fanout=1)
+    assert slots["c"].parent == "b-cluster" and slots["b"].parent == "a-cluster"
+    assert slots["a"].parent is None
 
 
 def test_single_cluster_plans_degenerate_to_star():
     for topology in ("star", "tree", "ring"):
-        plan = build_sync_plan(["only"], **layout(topology))
-        assert plan_roots(plan) == ["only"]
+        _, roots = plan(["only"], **layout(topology))
+        assert roots == clusters("only")
 
 
 def test_plan_rejects_bad_inputs():
     with pytest.raises(ConfigurationError, match="at least one"):
-        build_sync_plan([], "star")
+        plan([])
     with pytest.raises(ConfigurationError, match="duplicate"):
-        build_sync_plan(["a", "a"], "tree")
+        plan(["a", "a"], topology="tree")
     with pytest.raises(ConfigurationError, match="topology"):
-        build_sync_plan(["a"], "mesh")
+        plan(["a"], topology="mesh")
 
 
 # -- spec validation ---------------------------------------------------------
