@@ -92,8 +92,10 @@ def collect_figure3(*, scale: float, seed: int) -> dict:
 
 def collect_cache(*, scale: float, seed: int) -> dict:
     """Two kmeans passes over one chunk cache: pass 2 pays no WAN reads."""
-    config = env_config("kmeans", "env-33/67", scale=scale, seed=seed)
-    sim = MultiSiteSimulation(two_site_config(config), cache=ChunkCache(1 << 34))
+    dataset, config = env_config("kmeans", "env-33/67", scale=scale, seed=seed)
+    sim = MultiSiteSimulation(
+        two_site_config("kmeans", dataset, config), cache=ChunkCache(1 << 34)
+    )
     first = sim.run()
     second = sim.run()
     assert second.cache_hits > 0, "second pass never hit the cache"

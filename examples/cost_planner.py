@@ -39,7 +39,7 @@ def main() -> None:
     for env, cost in run.bills().items():
         wait = (
             QUEUE_WAIT_S
-            if run.configs[env].compute.local_cores > DEDICATED_LOCAL_CORES
+            if run.configs[env][1].compute.local_cores > DEDICATED_LOCAL_CORES
             else 0.0
         )
         options.append((env, run.reports[env].makespan + wait, cost))

@@ -73,15 +73,7 @@ def run_simulator() -> None:
     print()
     print("=== 2. Simulator: the paper's env-33/67 at full 120 GB scale ===")
     # The paper's env-33/67: a third of the 120 GB local, 16 + 16 cores.
-    env = env_config("knn", "env-33/67")
-    report = repro.run(
-        "knn",
-        env.dataset,
-        repro.RunConfig(
-            mode="simulate", name=env.name,
-            placement=env.placement, compute=env.compute,
-        ),
-    ).telemetry
+    report = repro.run("knn", *env_config("knn", "env-33/67")).telemetry
     print(f"makespan: {report.makespan:.1f} simulated seconds")
     print(f"global reduction: {report.global_reduction * 1000:.1f} ms")
     for name, cluster in report.clusters.items():

@@ -16,6 +16,7 @@ Run:  python examples/trace_timeline.py [--runtime]
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 import repro
 from repro.bench.configs import env_config
@@ -26,15 +27,8 @@ def simulated_trace():
     trace = EventLog()
     # Scale down to 1/20 of the paper's data so the chart stays readable
     # (the job structure — 960 chunks, 32 files — is unchanged).
-    env = env_config("knn", "env-33/67", scale=0.05)
-    report = repro.run(
-        "knn",
-        env.dataset,
-        repro.RunConfig(
-            mode="simulate", name=env.name, placement=env.placement,
-            compute=env.compute, trace=trace,
-        ),
-    ).telemetry
+    dataset, config = env_config("knn", "env-33/67", scale=0.05)
+    report = repro.run("knn", dataset, replace(config, trace=trace)).telemetry
     header = (f"env-33/67 knn (scaled): makespan {report.makespan:.1f} s, "
               f"{len(trace)} trace events")
     local_cores = 16

@@ -23,18 +23,18 @@ The scalability experiments place **all** data in S3 and sweep
 Datasets are the paper's shape — 120 GB, 32 files, 960 jobs — with the
 record size taken from each application's cost profile. ``scale`` shrinks
 chunk sizes for smoke tests without changing the job structure.
+
+A configuration is what :func:`repro.run` takes beside the app: a
+``(dataset, RunConfig)`` pair in simulate mode, named after its env::
+
+    report = repro.run("knn", *env_config("knn", "env-33/67")).telemetry
 """
 
 from __future__ import annotations
 
 from ..apps.base import get_profile
-from ..config import (
-    ComputeSpec,
-    DatasetSpec,
-    ExperimentConfig,
-    MiddlewareTuning,
-    PlacementSpec,
-)
+from ..config import ComputeSpec, DatasetSpec, MiddlewareTuning, PlacementSpec
+from ..facade import RunConfig
 from ..units import GB, MB
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "HYBRID_ENVS",
     "SCALABILITY_LADDER",
     "paper_dataset",
+    "PaperConfig",
     "env_config",
     "figure3_configs",
     "figure4_configs",
@@ -50,6 +51,9 @@ __all__ = [
 ENV_NAMES = ("env-local", "env-cloud", "env-50/50", "env-33/67", "env-17/83")
 HYBRID_ENVS = ("env-50/50", "env-33/67", "env-17/83")
 SCALABILITY_LADDER = (4, 8, 16, 32)
+
+#: One paper configuration: its dataset and a simulate-mode run config.
+PaperConfig = tuple[DatasetSpec, RunConfig]
 
 #: data fraction hosted locally, per environment
 _LOCAL_FRACTION = {
@@ -89,6 +93,26 @@ def paper_dataset(app: str, *, scale: float = 1.0) -> DatasetSpec:
     return spec
 
 
+def _paper_config(
+    app: str,
+    name: str,
+    placement: PlacementSpec,
+    compute: ComputeSpec,
+    *,
+    scale: float,
+    tuning: MiddlewareTuning | None = None,
+    seed: int,
+) -> PaperConfig:
+    return paper_dataset(app, scale=scale), RunConfig(
+        mode="simulate",
+        name=name,
+        placement=placement,
+        compute=compute,
+        tuning=tuning or MiddlewareTuning(),
+        seed=seed,
+    )
+
+
 def env_config(
     app: str,
     env: str,
@@ -96,24 +120,20 @@ def env_config(
     scale: float = 1.0,
     tuning: MiddlewareTuning | None = None,
     seed: int = 2011,
-) -> ExperimentConfig:
-    """Build one of the paper's env-* configurations for ``app``."""
+) -> PaperConfig:
+    """One of the paper's env-* configurations for ``app``, as
+    ``(dataset, RunConfig)``."""
     if env not in _LOCAL_FRACTION:
         raise KeyError(f"unknown environment {env!r}; expected one of {ENV_NAMES}")
-    return ExperimentConfig(
-        name=env,
-        app=app,
-        dataset=paper_dataset(app, scale=scale),
-        placement=PlacementSpec(local_fraction=_LOCAL_FRACTION[env]),
-        compute=_cores(app, env),
-        tuning=tuning or MiddlewareTuning(),
-        seed=seed,
+    return _paper_config(
+        app, env, PlacementSpec(local_fraction=_LOCAL_FRACTION[env]),
+        _cores(app, env), scale=scale, tuning=tuning, seed=seed,
     )
 
 
 def figure3_configs(
     app: str, *, scale: float = 1.0, seed: int = 2011
-) -> dict[str, ExperimentConfig]:
+) -> dict[str, PaperConfig]:
     """All five environments of Figure 3 for one application."""
     return {env: env_config(app, env, scale=scale, seed=seed) for env in ENV_NAMES}
 
@@ -124,17 +144,12 @@ def figure4_configs(
     ladder: tuple[int, ...] = SCALABILITY_LADDER,
     scale: float = 1.0,
     seed: int = 2011,
-) -> dict[str, ExperimentConfig]:
+) -> dict[str, PaperConfig]:
     """The scalability sweep of Figure 4: all data in S3, (m, m) cores."""
-    out: dict[str, ExperimentConfig] = {}
-    for m in ladder:
-        name = f"({m},{m})"
-        out[name] = ExperimentConfig(
-            name=name,
-            app=app,
-            dataset=paper_dataset(app, scale=scale),
-            placement=PlacementSpec(local_fraction=0.0),
-            compute=ComputeSpec(local_cores=m, cloud_cores=m),
-            seed=seed,
+    return {
+        f"({m},{m})": _paper_config(
+            app, f"({m},{m})", PlacementSpec(local_fraction=0.0),
+            ComputeSpec(local_cores=m, cloud_cores=m), scale=scale, seed=seed,
         )
-    return out
+        for m in ladder
+    }

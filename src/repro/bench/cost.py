@@ -25,8 +25,9 @@ import math
 from dataclasses import dataclass
 
 from ..apps.base import get_profile
-from ..config import CLOUD_SITE, LOCAL_SITE, ExperimentConfig
+from ..config import CLOUD_SITE, LOCAL_SITE, DatasetSpec
 from ..errors import ConfigurationError
+from ..facade import RunConfig
 from ..obs.record import RunTelemetry
 from ..units import GB
 
@@ -86,19 +87,19 @@ class CostBreakdown:
         )
 
 
-def _egress_bytes(config: ExperimentConfig, report: RunTelemetry) -> int:
+def _egress_bytes(app: str, dataset: DatasetSpec, report: RunTelemetry) -> int:
     """Bytes leaving AWS: chunks the campus cluster stole from S3 plus the
     EC2 cluster's reduction object (when the run spans both sites)."""
     out = 0
     for cluster in report.clusters.values():
         if cluster.site == LOCAL_SITE:
-            out += cluster.jobs_stolen * config.dataset.chunk_bytes
+            out += cluster.jobs_stolen * dataset.chunk_bytes
     if len(report.clusters) > 1:
-        out += get_profile(config.app).robj_bytes
+        out += get_profile(app).robj_bytes
     return out
 
 
-def _s3_requests(config: ExperimentConfig, report: RunTelemetry) -> int:
+def _s3_requests(config: RunConfig, report: RunTelemetry) -> int:
     """GET count: every S3-hosted chunk is fetched with one ranged GET per
     retrieval connection."""
     connections = config.tuning.retrieval_threads
@@ -113,18 +114,21 @@ def _s3_requests(config: ExperimentConfig, report: RunTelemetry) -> int:
 
 
 def price_run(
-    config: ExperimentConfig,
+    app: str,
+    dataset: DatasetSpec,
+    config: RunConfig,
     report: RunTelemetry,
     pricing: PricingModel = AWS_2011,
 ) -> CostBreakdown:
-    """Price one simulated run under ``pricing``."""
+    """Price one simulated run of ``app`` over ``dataset`` with ``config``
+    under ``pricing``."""
     hours = report.makespan / 3600.0
     cloud_cores = config.compute.cloud_cores
     instances = math.ceil(cloud_cores / pricing.ec2_cores_per_instance)
     billed_hours = math.ceil(hours) if cloud_cores else 0
     ec2 = instances * billed_hours * pricing.ec2_instance_hour
 
-    egress_gb = _egress_bytes(config, report) / GB
+    egress_gb = _egress_bytes(app, dataset, report) / GB
     egress = egress_gb * pricing.s3_egress_per_gb
 
     requests = _s3_requests(config, report) / 10_000 * pricing.s3_get_per_10k

@@ -1,7 +1,8 @@
 """Experiment runners: one per paper artifact, each for one application.
 
-Each runner executes the discrete-event simulator over the relevant
-configurations and returns a structured result that
+Each runner simulates the relevant configurations through
+:func:`repro.run` (a configuration is a ``(dataset, RunConfig)`` pair)
+and returns a structured result that
 :mod:`repro.bench.artifacts` renders and grades. ``scale`` < 1 shrinks
 chunk sizes (same 960-job structure) for smoke tests; a simulated
 configuration takes about half a second at any scale.
@@ -9,19 +10,13 @@ configuration takes about half a second at any scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..apps.base import AppProfile, get_profile
 from ..cluster.variability import VariabilityModel
-from ..config import (
-    CLOUD_SITE,
-    LOCAL_SITE,
-    ComputeSpec,
-    ExperimentConfig,
-    MiddlewareTuning,
-    PlacementSpec,
-)
+from ..config import CLOUD_SITE, LOCAL_SITE, MiddlewareTuning, PlacementSpec
 from ..errors import ConfigurationError
+from ..facade import run
 from ..obs.record import RunTelemetry
 from ..sim.calibration import PAPER_CALIBRATION
 from ..sim.multisite import MultiSiteSimulation
@@ -29,10 +24,10 @@ from ..sim.simulation import two_site_config
 from .cost import CostBreakdown, price_run
 from .configs import (
     HYBRID_ENVS,
+    PaperConfig,
     env_config,
     figure3_configs,
     figure4_configs,
-    paper_dataset,
 )
 
 __all__ = [
@@ -68,7 +63,7 @@ class Figure3Run:
 
     app: str
     reports: dict[str, RunTelemetry] = field(default_factory=dict)
-    configs: dict[str, ExperimentConfig] = field(default_factory=dict)
+    configs: dict[str, PaperConfig] = field(default_factory=dict)
 
     @property
     def baseline(self) -> RunTelemetry:
@@ -84,7 +79,7 @@ class Figure3Run:
 
     def bills(self) -> dict[str, CostBreakdown]:
         """Each environment's run priced under the 2011 AWS tariff."""
-        return {env: price_run(self.configs[env], report)
+        return {env: price_run(self.app, *self.configs[env], report)
                 for env, report in self.reports.items()}
 
 
@@ -104,25 +99,26 @@ class Figure4Run:
         return [(prev / cur - 1.0) * 100.0 for prev, cur in zip(m, m[1:])]
 
 
+def _simulate(app: str, config: PaperConfig) -> RunTelemetry:
+    return run(app, *config).telemetry
+
+
 def run_figure3(app: str, *, scale: float = 1.0, seed: int = 2011) -> Figure3Run:
     """Simulate the five env-* configurations for one application."""
     configs = figure3_configs(app, scale=scale, seed=seed)
     return Figure3Run(
         app,
-        {
-            env: MultiSiteSimulation(two_site_config(config)).run()
-            for env, config in configs.items()
-        },
+        {env: _simulate(app, config) for env, config in configs.items()},
         configs,
     )
 
 
 def run_figure4(app: str, *, scale: float = 1.0, seed: int = 2011) -> Figure4Run:
     """Simulate the scalability ladder (all data in S3) for one app."""
-    run = Figure4Run(app=app)
-    for name, config in figure4_configs(app, scale=scale, seed=seed).items():
-        run.reports[name] = MultiSiteSimulation(two_site_config(config)).run()
-    return run
+    configs = figure4_configs(app, scale=scale, seed=seed)
+    return Figure4Run(
+        app, {name: _simulate(app, config) for name, config in configs.items()}
+    )
 
 
 # -- table extraction ---------------------------------------------------------
@@ -195,22 +191,18 @@ def run_skew_sweep(
 
     The paper samples three skews (50/50, 33/67, 17/83); this sweep fills
     in the curve between fully-local and fully-cloud data under the same
-    halved (16, 16) / (16, 22) compute split, exposing where the bursting
+    hybrid (16, 16) / (16, 22) compute split, exposing where the bursting
     penalty ramps.
     """
-    cloud_half = 22 if app == "kmeans" else 16
-    out: dict[float, RunTelemetry] = {}
-    for fraction in SKEW_FRACTIONS:
-        config = ExperimentConfig(
-            name=f"skew-{fraction:.2f}",
-            app=app,
-            dataset=paper_dataset(app, scale=scale),
+    # Every hybrid env has that split; only the placement moves.
+    dataset, hybrid = env_config(app, "env-50/50", scale=scale, seed=seed)
+    return {
+        fraction: run(app, dataset, replace(
+            hybrid, name=f"skew-{fraction:.2f}",
             placement=PlacementSpec(local_fraction=fraction),
-            compute=ComputeSpec(local_cores=16, cloud_cores=cloud_half),
-            seed=seed,
-        )
-        out[fraction] = MultiSiteSimulation(two_site_config(config)).run()
-    return out
+        )).telemetry
+        for fraction in SKEW_FRACTIONS
+    }
 
 
 def run_iterative_projection(
@@ -232,8 +224,9 @@ def run_iterative_projection(
     for i in range(ITERATIONS):
         pass_seed = seed + 7919 * i
         for env, passes in ((ITERATIVE_ENV, hybrid_passes), ("env-local", base_passes)):
-            config = env_config(app, env, scale=scale, seed=pass_seed)
-            passes.append(MultiSiteSimulation(two_site_config(config)).run())
+            passes.append(
+                _simulate(app, env_config(app, env, scale=scale, seed=pass_seed))
+            )
     hybrid_total = sum(r.makespan for r in hybrid_passes)
     base_total = sum(r.makespan for r in base_passes)
     robj_total = sum(r.global_reduction for r in hybrid_passes)
@@ -262,14 +255,12 @@ def run_stealing_ablation(
     """
     out: dict[str, tuple[RunTelemetry, RunTelemetry]] = {}
     for env in HYBRID_ENVS:
-        with_cfg = env_config(app, env, scale=scale, seed=seed)
-        without_cfg = env_config(
-            app, env, scale=scale, seed=seed,
-            tuning=MiddlewareTuning(allow_stealing=False),
-        )
-        out[env] = (
-            MultiSiteSimulation(two_site_config(with_cfg)).run(),
-            MultiSiteSimulation(two_site_config(without_cfg)).run(),
+        out[env] = tuple(
+            _simulate(app, env_config(
+                app, env, scale=scale, seed=seed,
+                tuning=MiddlewareTuning(allow_stealing=allow),
+            ))
+            for allow in (True, False)
         )
     return out
 
@@ -294,7 +285,7 @@ def run_scheduling_ablation(
     out: dict[str, RunTelemetry] = {}
     for label, tuning in variants.items():
         config = env_config(app, "env-17/83", scale=scale, tuning=tuning, seed=seed)
-        out[label] = MultiSiteSimulation(two_site_config(config)).run()
+        out[label] = _simulate(app, config)
     return out
 
 
@@ -304,17 +295,13 @@ def run_retrieval_ablation(
     """Sweep per-slave retrieval connections on env-cloud (Section III-B's
     multi-threaded retrieval): per-connection caps make extra connections
     pay until the site trunk saturates."""
-    out: dict[int, RunTelemetry] = {}
-    for n in RETRIEVAL_THREADS:
-        config = env_config(
-            app,
-            "env-cloud",
-            scale=scale,
-            tuning=MiddlewareTuning(retrieval_threads=n),
-            seed=seed,
-        )
-        out[n] = MultiSiteSimulation(two_site_config(config)).run()
-    return out
+    return {
+        n: _simulate(app, env_config(
+            app, "env-cloud", scale=scale,
+            tuning=MiddlewareTuning(retrieval_threads=n), seed=seed,
+        ))
+        for n in RETRIEVAL_THREADS
+    }
 
 
 def run_robj_ablation(
@@ -338,10 +325,11 @@ def run_robj_ablation(
             record_bytes=base.record_bytes,
             description=base.description,
         )
-        config = env_config(app, "env-50/50", scale=scale, seed=seed)
-        out[mb] = MultiSiteSimulation(
-            two_site_config(config, profile=profile), profile=profile
-        ).run()
+        sites = two_site_config(
+            app, *env_config(app, "env-50/50", scale=scale, seed=seed),
+            profile=profile,
+        )
+        out[mb] = MultiSiteSimulation(sites, profile=profile).run()
     return out
 
 
@@ -360,7 +348,7 @@ def run_loadbalance_ablation(
 
     def pair(env: str, calibration) -> tuple[RunTelemetry, RunTelemetry]:
         sites = two_site_config(
-            env_config(app, env, scale=scale, seed=seed), calibration
+            app, *env_config(app, env, scale=scale, seed=seed), calibration
         )
         return (
             MultiSiteSimulation(sites).run(),

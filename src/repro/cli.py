@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING
+from dataclasses import MISSING, replace
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
@@ -36,7 +36,7 @@ from .apps.base import get_profile
 from .bench.artifacts import ARTIFACTS, evaluate_claims, render_scorecard
 from .bench.configs import ENV_NAMES, env_config
 from .bench.reporting import render_table
-from .config import CLOUD_SITE, LOCAL_SITE, ComputeSpec, DatasetSpec, PlacementSpec
+from .config import ComputeSpec, DatasetSpec, PlacementSpec
 from .core.index import DataIndex
 from .core.sync import TOPOLOGIES, SyncSpec
 from .core.wire import COMPRESSIONS, ENCODINGS
@@ -48,7 +48,6 @@ from .resilience import RetryPolicy
 from .runtime.driver import SLAVE_MODES
 from .service import JobService, ServiceJournal, TenantSpec
 from .sim.multisite import MultiSiteSimulation, load_multisite_config
-from .sim.simulation import two_site_config
 from .storage.localfs import LocalStorage
 from .units import fmt_seconds
 
@@ -384,13 +383,23 @@ def _cluster_table(report, label: str, idle: bool = False) -> str:
     return render_table(headers + (("idle",) if idle else ()), rows)
 
 
+def _describe(app: str, dataset: DatasetSpec, config: RunConfig) -> str:
+    """One line naming a paper configuration, e.g. for a report header."""
+    pct_local = config.placement.local_fraction * 100.0
+    return (
+        f"{config.name}: app={app} data={pct_local:.0f}%local/"
+        f"{100 - pct_local:.0f}%cloud cores={config.compute.label()} "
+        f"jobs={dataset.num_chunks}"
+    )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    config = env_config(args.app, args.env, scale=args.scale, seed=args.seed)
-    report = MultiSiteSimulation(two_site_config(config)).run()
+    dataset, config = env_config(args.app, args.env, scale=args.scale, seed=args.seed)
+    report = facade.run(args.app, dataset, config).telemetry
     if args.json:
         print(report.to_json())
         return
-    print(config.describe())
+    print(_describe(args.app, dataset, config))
     print(f"makespan: {fmt_seconds(report.makespan)} s")
     print(f"global reduction: {fmt_seconds(report.global_reduction)} s")
     print(_cluster_table(report, "cluster", idle=True))
@@ -436,13 +445,10 @@ def _dataset(app: str, args: argparse.Namespace, files=4, chunks_per_file=4):
 def _cmd_generate(args: argparse.Namespace) -> None:
     bundle, spec = _dataset(args.app, args, args.files, args.chunks_per_file)
     out = Path(args.out)
-    stores = {
-        LOCAL_SITE: LocalStorage(out / "local"),
-        CLOUD_SITE: LocalStorage(out / "cloud"),
-    }
+    placement = PlacementSpec(args.local_fraction).sites(spec.num_files)
+    stores = {site: LocalStorage(out / site) for site, _ in placement}
     index = build_dataset(
-        spec, PlacementSpec(args.local_fraction), bundle.schema,
-        bundle.block_fn, stores,
+        spec, placement, bundle.schema, bundle.block_fn, stores
     )
     index.save(out / "index.json")
     (out / _DATASET_META).write_text(
@@ -471,10 +477,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     meta = json.loads(meta_path.read_text())
     bundle = make_bundle(meta["app"], meta["units"], seed=meta["seed"])
     index = DataIndex.load(root / "index.json")
-    stores = {
-        LOCAL_SITE: LocalStorage(root / "local"),
-        CLOUD_SITE: LocalStorage(root / "cloud"),
-    }
+    stores = {site: LocalStorage(root / site) for site in {e.site for e in index.files}}
     result = facade.execute_runtime(bundle, index, stores, config)
     value, t = result.value, result.telemetry
     print(f"app: {meta['app']}  wall: {result.wall_seconds:.3f}s"
@@ -560,9 +563,11 @@ def _cmd_trace(args: argparse.Namespace) -> None:
             "trace needs an environment (or --runtime for a real run)"
         )
     trace = obs.EventLog()
-    config = env_config(args.app, args.env, scale=args.scale, seed=args.seed)
-    report = MultiSiteSimulation(two_site_config(config), trace=trace).run()
-    print(f"{config.describe()}\nmakespan {fmt_seconds(report.makespan)} s, "
+    dataset, config = env_config(args.app, args.env, scale=args.scale, seed=args.seed)
+    config = replace(config, trace=trace)
+    report = facade.run(args.app, dataset, config).telemetry
+    print(f"{_describe(args.app, dataset, config)}\n"
+          f"makespan {fmt_seconds(report.makespan)} s, "
           f"{len(trace)} trace events\n")
     print(obs.render_report(
         trace, report.makespan, width=args.width,

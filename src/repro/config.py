@@ -8,17 +8,21 @@ The configuration layer mirrors the knobs the paper exposes:
   (Section IV-B's ``env-*`` configurations) — :class:`PlacementSpec`;
 * the compute split between the two sites — :class:`ComputeSpec`;
 * middleware tunables (job-group size, pool low-water mark, retrieval
-  threads) — :class:`MiddlewareTuning`;
-* the whole experiment — :class:`ExperimentConfig`.
+  threads) — :class:`MiddlewareTuning`.
+
+A whole run is these specs on a :class:`repro.RunConfig` beside its
+dataset. :class:`ComputeSpec` and :class:`PlacementSpec` are the paper's
+two-site spelling of a site list: each reads as ``(site, count)`` pairs,
+the head's site first, which is what the runtime, the dataset builder and
+the simulator's N-site configuration take.
 
 All specs are frozen dataclasses validated in ``__post_init__`` so that an
-invalid experiment fails at construction, not mid-run.
+invalid run fails at construction, not mid-run.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .units import GB, MB
@@ -30,14 +34,13 @@ __all__ = [
     "PlacementSpec",
     "ComputeSpec",
     "MiddlewareTuning",
-    "ExperimentConfig",
     "DEFAULT_UNITS_PER_GROUP",
 ]
 
 #: Canonical site names. The paper has exactly two sites: the campus
-#: cluster ("local") and AWS ("cloud" = EC2 compute + S3 storage). The
-#: architecture generalizes to more sites; these two are the ones every
-#: experiment uses.
+#: cluster ("local", the head's) and AWS ("cloud" = EC2 compute + S3
+#: storage), the two sites :class:`ComputeSpec` and :class:`PlacementSpec`
+#: name. The runtime and the simulator take any site list.
 LOCAL_SITE = "local"
 CLOUD_SITE = "cloud"
 
@@ -156,14 +159,12 @@ class PlacementSpec:
             f"local_fraction must be in [0, 1], got {self.local_fraction}",
         )
 
-    def local_files(self, num_files: int) -> int:
-        """Number of files placed locally (rounded to nearest whole file)."""
-        return int(round(self.local_fraction * num_files))
-
-    def split(self, num_files: int) -> tuple[int, int]:
-        """Return ``(local_file_count, cloud_file_count)``."""
-        local = self.local_files(num_files)
-        return local, num_files - local
+    def sites(self, num_files: int) -> tuple[tuple[str, int], ...]:
+        """``(site, files)`` for each site, the head's (local) first: the
+        local count is rounded to the nearest whole file, the cloud holds
+        the rest."""
+        local = int(round(self.local_fraction * num_files))
+        return ((LOCAL_SITE, local), (CLOUD_SITE, num_files - local))
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,8 @@ class ComputeSpec:
 
     @property
     def sites(self) -> tuple[tuple[str, int], ...]:
-        """``(site, cores)`` for each site, a site with no cores too."""
+        """``(site, cores)`` for each site, the head's (local) first, a
+        site with no cores too."""
         return ((LOCAL_SITE, self.local_cores), (CLOUD_SITE, self.cloud_cores))
 
     def label(self) -> str:
@@ -250,61 +252,3 @@ class MiddlewareTuning:
         _require(self.pool_low_water >= 0, "pool_low_water must be >= 0")
         _require(self.retrieval_threads > 0, "retrieval_threads must be positive")
         _require(self.units_per_group > 0, "units_per_group must be positive")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A complete cloud-bursting experiment.
-
-    ``name`` follows the paper's labels (``env-local``, ``env-cloud``,
-    ``env-50/50``...). ``app`` is an application key registered in
-    :mod:`repro.apps`.
-    """
-
-    name: str
-    app: str
-    dataset: DatasetSpec
-    placement: PlacementSpec
-    compute: ComputeSpec
-    tuning: MiddlewareTuning = field(default_factory=MiddlewareTuning)
-    seed: int = 2011
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "experiment name must be non-empty")
-        _require(bool(self.app), "application key must be non-empty")
-        # A site with zero compute but all the data is legal (the paper's
-        # env-cloud stores nothing locally); a site with compute but no
-        # storage anywhere is not.
-        local_files, cloud_files = self.placement.split(self.dataset.num_files)
-        _require(
-            local_files + cloud_files == self.dataset.num_files,
-            "placement must cover every file",
-        )
-
-    @property
-    def local_files(self) -> int:
-        return self.placement.local_files(self.dataset.num_files)
-
-    @property
-    def cloud_files(self) -> int:
-        return self.dataset.num_files - self.local_files
-
-    def with_tuning(self, **changes: object) -> "ExperimentConfig":
-        """Return a copy with some tuning knobs replaced (ablation helper)."""
-        return replace(self, tuning=replace(self.tuning, **changes))
-
-    def describe(self) -> str:
-        """One-line human description, e.g. for bench harness output."""
-        pct_local = self.placement.local_fraction * 100.0
-        return (
-            f"{self.name}: app={self.app} data={pct_local:.0f}%local/"
-            f"{100 - pct_local:.0f}%cloud cores={self.compute.label()} "
-            f"jobs={self.dataset.num_chunks}"
-        )
-
-
-def halved(compute: ComputeSpec) -> ComputeSpec:
-    """Half the aggregate cores, split evenly — the paper's hybrid setup."""
-    total = compute.total_cores
-    half = math.ceil(total / 2)
-    return ComputeSpec(local_cores=half, cloud_cores=total - half)

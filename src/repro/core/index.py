@@ -9,8 +9,8 @@ pool."
 :class:`DataIndex` is the in-memory form; it serializes to/from JSON so it
 can be written next to the dataset (the runtime does exactly that) and it
 can also be synthesized directly from a :class:`~repro.config.DatasetSpec`
-plus a :class:`~repro.config.PlacementSpec` (what the simulator does, since
-it never materializes bytes).
+plus ``(site, files)`` placement pairs (what the simulator does, since it
+never materializes bytes).
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from ..config import CLOUD_SITE, LOCAL_SITE, DatasetSpec, PlacementSpec
-from ..errors import IndexError_
+from ..config import DatasetSpec, PlacementSpec
+from ..errors import ConfigurationError, IndexError_
 from .job import Job
 
-__all__ = ["FileEntry", "DataIndex", "build_index", "place_prefixes"]
+__all__ = ["FileEntry", "DataIndex", "build_index"]
 
 _INDEX_FORMAT_VERSION = 1
 
@@ -189,32 +189,22 @@ class DataIndex:
 
 def build_index(
     dataset: DatasetSpec,
-    placement: PlacementSpec,
+    placement: PlacementSpec | Iterable[tuple[str, int]],
     *,
     path_prefix: str = "data/part",
 ) -> DataIndex:
     """Synthesize an index from a dataset shape and a placement.
 
-    The first ``local_fraction * num_files`` files are placed at the local
-    site, the rest in the cloud object store — matching the paper's setup
-    where a contiguous prefix of the data stays on the campus storage node.
+    ``placement`` is ``(site, files)`` pairs (a
+    :class:`~repro.config.PlacementSpec` reads as its two): each site, in
+    order, hosts the next ``files`` files — the paper's setup, where a
+    contiguous prefix of the data stays on the campus storage node. The
+    counts must add up to ``dataset.num_files``.
     """
-    local, cloud = placement.split(dataset.num_files)
-    return place_prefixes(
-        dataset, ((LOCAL_SITE, local), (CLOUD_SITE, cloud)), path_prefix=path_prefix
-    )
-
-
-def place_prefixes(
-    dataset: DatasetSpec,
-    sites: Iterable[tuple[str, int]],
-    *,
-    path_prefix: str = "data/part",
-) -> DataIndex:
-    """Prefix placement: each ``(site, count)`` of ``sites``, in order, hosts
-    the next ``count`` files (the simulator's N-site layout)."""
+    if isinstance(placement, PlacementSpec):
+        placement = placement.sites(dataset.num_files)
     files: list[FileEntry] = []
-    for site, count in sites:
+    for site, count in placement:
         for file_id in range(len(files), len(files) + count):
             files.append(
                 FileEntry(
@@ -226,4 +216,8 @@ def place_prefixes(
                     units_per_chunk=dataset.units_per_chunk,
                 )
             )
+    if len(files) != dataset.num_files:
+        raise ConfigurationError(
+            f"placement holds {len(files)} files, the dataset {dataset.num_files}"
+        )
     return DataIndex(files=files)

@@ -30,7 +30,7 @@ class Job:
     offset: int  # byte offset of the chunk within the file
     nbytes: int  # chunk size in bytes
     num_units: int  # data units inside the chunk
-    site: str  # site hosting the file (LOCAL_SITE / CLOUD_SITE)
+    site: str  # site hosting the file, as the index placed it
 
     def __post_init__(self) -> None:
         if self.job_id < 0 or self.file_id < 0 or self.chunk_index < 0:

@@ -1,8 +1,7 @@
 """Dataset builder and reader: materialize bytes into the storage layer.
 
 The builder streams generator blocks into ``num_files`` blobs, splitting
-them between the local storage node and the cloud object store according to
-a placement, and emits the :class:`~repro.core.index.DataIndex` the head
+them between the sites' stores according to a placement, and emits the :class:`~repro.core.index.DataIndex` the head
 node consumes. The reader is the slave-side counterpart: given a job and
 the index, fetch the chunk's bytes from whichever site hosts it.
 """
@@ -17,7 +16,7 @@ from contextlib import closing
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -50,7 +49,7 @@ BlockFn = Callable[[int, int, int], np.ndarray]
 
 def build_dataset(
     spec: DatasetSpec,
-    placement: PlacementSpec,
+    placement: PlacementSpec | Iterable[tuple[str, int]],
     schema: RecordSchema,
     make_block: BlockFn,
     stores: Mapping[str, StorageService],
@@ -59,9 +58,11 @@ def build_dataset(
 ) -> DataIndex:
     """Generate and store a dataset; returns its index.
 
-    ``stores`` maps site name to the storage service for that site. The
-    files and their placement are :func:`~repro.core.index.build_index`'s;
-    the builder fills in each file's checksum.
+    ``placement`` is ``(site, files)`` pairs or a
+    :class:`~repro.config.PlacementSpec`, and ``stores`` maps site name to
+    the storage service for that site. The files and their placement are
+    :func:`~repro.core.index.build_index`'s; the builder fills in each
+    file's checksum.
 
     Blocks are generated and encoded on a pool of one thread per core this
     process may use, with at most one block per thread in flight ahead of

@@ -36,15 +36,7 @@ from typing import Any, Callable, Mapping
 
 from .apps import AppBundle, make_bundle
 from .cache import ChunkCache
-from .config import (
-    CLOUD_SITE,
-    LOCAL_SITE,
-    ComputeSpec,
-    DatasetSpec,
-    ExperimentConfig,
-    MiddlewareTuning,
-    PlacementSpec,
-)
+from .config import ComputeSpec, DatasetSpec, MiddlewareTuning, PlacementSpec
 from .core.api import iterate_passes, run_serial
 from .core.index import DataIndex
 from .core.sync import SyncSpec
@@ -82,8 +74,11 @@ class RunConfig:
     * ``mode`` — ``"serial"`` (single-threaded oracle), ``"simulate"``
       (discrete-event model of the paper's testbed), or ``"runtime"``
       (real threads over real bytes);
-    * ``placement`` / ``compute`` / ``tuning`` / ``seed`` — the same specs
-      :class:`~repro.config.ExperimentConfig` takes;
+    * ``placement`` / ``compute`` — the paper's two sites (local, the
+      head's, and cloud): the runtime reads them as its site list, the
+      simulator as :func:`~repro.sim.simulation.two_site_config`'s
+      testbed; ``tuning`` / ``seed`` / ``name`` — the middleware knobs,
+      the run's seed and its label;
     * ``trace`` — the observability hook (an event log) threaded through
       to whichever engine runs;
     * ``slave_mode`` — the runtime's slave substrate: ``"thread"`` (the
@@ -335,12 +330,12 @@ def _build_stores(
     a pre-built bundle is opaque and always builds)."""
 
     def build() -> tuple[DataIndex, dict[str, StorageService]]:
+        placement = config.placement.sites(dataset.num_files)
         stores: dict[str, StorageService] = {
-            LOCAL_SITE: ObjectStore(),
-            CLOUD_SITE: ObjectStore(),
+            site: ObjectStore() for site, _ in placement
         }
         index = build_dataset(
-            dataset, config.placement, bundle.schema, bundle.block_fn, stores
+            dataset, placement, bundle.schema, bundle.block_fn, stores
         )
         return index, stores
 
@@ -404,10 +399,10 @@ def _run_serial(
         cache=cache,
     )
     # The cache only engages for cross-site reads; the serial oracle has no
-    # home site, so give it one whenever a cache is configured — cloud-placed
-    # chunks then count as remote and get cached like the runtime's local
-    # cluster would cache them.
-    from_site = LOCAL_SITE if cache is not None else None
+    # home site, so give it the head's whenever a cache is configured —
+    # chunks placed elsewhere then count as remote and get cached like the
+    # runtime's head-site cluster would cache them.
+    from_site = config.compute.sites[0][0] if cache is not None else None
 
     def run_pass() -> Any:
         return run_serial(
@@ -434,15 +429,6 @@ def _run_simulate(
     app: str | AppBundle, dataset: DatasetSpec, config: RunConfig
 ) -> RunResult:
     key = app if isinstance(app, str) else app.profile.key
-    experiment = ExperimentConfig(
-        name=config.name,
-        app=key,
-        dataset=dataset,
-        placement=config.placement,
-        compute=config.compute,
-        tuning=config.tuning,
-        seed=config.seed,
-    )
     profile = None if isinstance(app, str) else app.profile
     # The simulator models costs, not bytes: an iterative run is N passes
     # over the same placement with the chunk cache carried across passes
@@ -451,7 +437,7 @@ def _run_simulate(
     # records the cache's events itself, in virtual time.
     monitor = _make_monitor(config)
     sim = MultiSiteSimulation(
-        two_site_config(experiment, profile=profile),
+        two_site_config(key, dataset, config, profile=profile),
         profile=profile,
         trace=config.trace,
         cache=ChunkCache(config.cache.bytes) if config.cache.bytes > 0 else None,

@@ -23,10 +23,10 @@ import time
 import weakref
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..cache import ChunkCache
-from ..config import LOCAL_SITE, ComputeSpec, MiddlewareTuning
+from ..config import ComputeSpec, MiddlewareTuning
 from ..core.api import GeneralizedReductionApp
 from ..core.head import HeadCore
 from ..core.index import DataIndex
@@ -70,6 +70,12 @@ class RuntimeResult:
 class CloudBurstingRuntime:
     """Executable middleware over in-process clusters.
 
+    ``compute`` is the site list: ``(site, cores)`` pairs, the head's site
+    first (a :class:`~repro.config.ComputeSpec` reads as its two, or a
+    :class:`~repro.sim.multisite.MultiSiteConfig` gives its own as
+    ``config.compute``). Each site with cores runs one cluster; ``stores``
+    holds a store for each site the index places files at.
+
     The constructor owns what outlives a pass — stores, cache, the sync
     codec and its delta baselines, the monitor — and so do two things
     built on the first pass and re-armed on every later one: the slave
@@ -86,7 +92,7 @@ class CloudBurstingRuntime:
         app: GeneralizedReductionApp,
         index: DataIndex,
         stores: Mapping[str, StorageService],
-        compute: ComputeSpec,
+        compute: ComputeSpec | Iterable[tuple[str, int]],
         *,
         tuning: MiddlewareTuning | None = None,
         seed: int = 2011,
@@ -101,7 +107,12 @@ class CloudBurstingRuntime:
         scale: ScaleOptions | None = None,
         slave_mode: str = "thread",
     ) -> None:
-        if compute.total_cores <= 0:
+        #: ``(site, cores)`` per site, the head's site first.
+        self.sites = (
+            compute.sites if isinstance(compute, ComputeSpec) else tuple(compute)
+        )
+        self._total_cores = sum(cores for _, cores in self.sites)
+        if self._total_cores <= 0:
             raise ConfigurationError("need at least one core")
         if join_timeout <= 0:
             raise ConfigurationError("join_timeout must be positive")
@@ -112,7 +123,6 @@ class CloudBurstingRuntime:
         self.app = app
         self.index = index
         self.stores = stores
-        self.compute = compute
         self.tuning = tuning or MiddlewareTuning()
         self.seed = seed
         self.fault_hook = fault_hook
@@ -181,7 +191,7 @@ class CloudBurstingRuntime:
                 return self._run()
             # One core's worth of BLAS threads per slave while the slaves
             # compute, the previous size back on any exit.
-            with slave_cores(self.compute.total_cores):
+            with slave_cores(self._total_cores):
                 return self._run()
         except BaseException:
             self.close()
@@ -219,7 +229,7 @@ class CloudBurstingRuntime:
             # share of the BLAS threads; the parent keeps that share until
             # close(). Resizing the parent's OpenBLAS restarts its threads,
             # which then spin on the workers' cores.
-            stack.enter_context(slave_cores(self.compute.total_cores))
+            stack.enter_context(slave_cores(self._total_cores))
             pool = stack.enter_context(
                 ProcessSlavePool(
                     self.app,
@@ -257,7 +267,7 @@ class CloudBurstingRuntime:
         )
         spec = self.sync
         codec = self._sync_codec
-        layout = lay_out(self.compute.sites, LOCAL_SITE, spec, self.scale)
+        layout = lay_out(self.sites, self.sites[0][0], spec, self.scale)
         for slot in layout.slots:
             scheduler.register_cluster(slot.name, slot.site)
         head = HeadNode(

@@ -17,6 +17,9 @@ Configuration pieces:
 * :class:`CrossPath` — the network path a slave at ``dst`` uses to fetch
   chunks stored at ``src``;
 * :class:`MultiSiteConfig` — sites + paths + dataset shape + head site.
+  Its ``compute`` and ``placement`` pairs, the head's site first, are
+  the site list the executable runtime and ``build_dataset`` take too,
+  so any configuration also runs for real.
 
 A run instantiates one head, one master plus one slave per active core
 at each site, runs the job pool dry, performs the two-level reduction,
@@ -52,7 +55,7 @@ if TYPE_CHECKING:
     from ..options import ScaleOptions
     from ..resilience.faults import FaultSpec
 from ..config import DatasetSpec, MiddlewareTuning
-from ..core.index import DataIndex, place_prefixes
+from ..core.index import DataIndex, build_index
 from ..core.job import Job
 from ..core.head import HeadCore
 from ..core.layout import lay_out
@@ -191,9 +194,40 @@ class MultiSiteConfig:
     def head(self) -> str:
         return self.head_site or self.sites[0].name
 
+    @property
+    def compute(self) -> tuple[tuple[str, int], ...]:
+        """``(site, cores)`` per site, the head's first and the rest in
+        declaration order: the site list the runtime takes."""
+        return tuple((s.name, s.cores) for s in self._head_first())
+
+    @property
+    def placement(self) -> tuple[tuple[str, int], ...]:
+        """``(site, files)`` per site in :attr:`compute`'s order: the
+        placement ``build_dataset`` and :meth:`build_index` take."""
+        return tuple((s.name, s.data_files) for s in self._head_first())
+
+    def _head_first(self) -> list[SiteSpec]:
+        return sorted(self.sites, key=lambda site: site.name != self.head)
+
     def build_index(self) -> DataIndex:
-        """Prefix placement across sites in declaration order."""
-        return place_prefixes(self.dataset, [(s.name, s.data_files) for s in self.sites])
+        """Prefix placement across the sites, in :attr:`placement` order."""
+        return build_index(self.dataset, self.placement)
+
+
+#: The keys :func:`load_multisite_config` reads, per object.
+_TOP_KEYS = {
+    "name", "app", "head_site", "seed", "dataset", "sites", "cross_paths",
+    "control_latency", "robj_flow_rate", "head_ingress_bandwidth",
+}
+_SITE_KEYS = {
+    "name", "cores", "data_files", "storage", "compute_slowdown",
+    "intra_bandwidth",
+}
+_CROSS_KEYS = {"src", "dst", "path"}
+_PATH_KEYS = {
+    "bandwidth", "per_connection_cap", "request_latency",
+    "file_service_cap", "seek_time", "random_penalty",
+}
 
 
 def load_multisite_config(text: str) -> MultiSiteConfig:
@@ -231,19 +265,21 @@ def load_multisite_config(text: str) -> MultiSiteConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"multisite config is not valid JSON: {exc}") from exc
 
-    def build_path(name: str, fields: dict) -> StorePath:
-        allowed = {
-            "bandwidth", "per_connection_cap", "request_latency",
-            "file_service_cap", "seek_time", "random_penalty",
-        }
+    def known(where: str, fields: dict, allowed: set[str]) -> None:
         unknown = set(fields) - allowed
         if unknown:
-            raise ConfigurationError(
-                f"path {name!r}: unknown keys {sorted(unknown)}"
-            )
+            raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
+
+    def build_path(name: str, fields: dict) -> StorePath:
+        known(f"path {name!r}", fields, _PATH_KEYS)
         return StorePath(name=name, **fields)
 
     try:
+        known("multisite config", doc, _TOP_KEYS)
+        for s in doc["sites"]:
+            known(f"site {s['name']!r}", s, _SITE_KEYS)
+        for c in doc.get("cross_paths", ()):
+            known(f"cross path {c['src']!r} -> {c['dst']!r}", c, _CROSS_KEYS)
         dataset = DatasetSpec(**doc["dataset"])
         sites = tuple(
             SiteSpec(
@@ -552,9 +588,7 @@ class MultiSiteSimulation:
         # (who ships when, what covers what, and the merge order) over the
         # runtime's layout.
         spec = self.sync
-        layout = lay_out(
-            ((s.name, s.cores) for s in config.sites), head_site, spec, self.scale
-        )
+        layout = lay_out(config.compute, head_site, spec, self.scale)
         multi_cluster = len(layout.slots) > 1
         robj_bytes = self.profile.robj_bytes
         codec = SyncCodec(spec)

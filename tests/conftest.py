@@ -45,10 +45,14 @@ def bench_module(name: str):
             sys.modules["conftest"] = ours
 
 
-def two_site(config, calibration=PAPER_CALIBRATION, **options) -> MultiSiteSimulation:
-    """A simulation of the paper's campus + AWS testbed for ``config``
-    (an :class:`~repro.config.ExperimentConfig`)."""
-    return MultiSiteSimulation(two_site_config(config, calibration), **options)
+def two_site(
+    app, dataset, config, calibration=PAPER_CALIBRATION, **options
+) -> MultiSiteSimulation:
+    """A simulation of the paper's campus + AWS testbed for ``app`` over
+    ``dataset`` with ``config`` (a :class:`~repro.RunConfig`)."""
+    return MultiSiteSimulation(
+        two_site_config(app, dataset, config, calibration), **options
+    )
 
 
 def middleware_threads() -> list[str]:

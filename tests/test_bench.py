@@ -53,20 +53,30 @@ def test_paper_dataset_shapes():
     assert small.total_bytes < paper_dataset("knn").total_bytes
 
 
+def cores(app, env):
+    _, config = env_config(app, env)
+    return config.compute.label()
+
+
 def test_env_configs_match_paper_cores():
-    assert env_config("knn", "env-local").compute.label() == "(32,0)"
-    assert env_config("knn", "env-cloud").compute.label() == "(0,32)"
-    assert env_config("kmeans", "env-cloud").compute.label() == "(0,44)"
-    assert env_config("kmeans", "env-50/50").compute.label() == "(16,22)"
-    assert env_config("pagerank", "env-17/83").compute.label() == "(16,16)"
+    assert cores("knn", "env-local") == "(32,0)"
+    assert cores("knn", "env-cloud") == "(0,32)"
+    assert cores("kmeans", "env-cloud") == "(0,44)"
+    assert cores("kmeans", "env-50/50") == "(16,22)"
+    assert cores("pagerank", "env-17/83") == "(16,16)"
     with pytest.raises(KeyError):
         env_config("knn", "env-99/1")
 
 
 def test_env_config_placements():
-    assert env_config("knn", "env-local").placement.local_fraction == 1.0
-    assert env_config("knn", "env-cloud").placement.local_fraction == 0.0
-    assert env_config("knn", "env-33/67").local_files == 11
+    def placement(env):
+        dataset, config = env_config("knn", env)
+        assert (config.mode, config.name) == ("simulate", env)
+        return config.placement.sites(dataset.num_files)
+
+    assert placement("env-local") == (("local", 32), ("cloud", 0))
+    assert placement("env-cloud") == (("local", 0), ("cloud", 32))
+    assert placement("env-33/67") == (("local", 11), ("cloud", 21))
 
 
 def test_figure_config_factories():
@@ -74,7 +84,7 @@ def test_figure_config_factories():
     assert set(f3) == set(ENV_NAMES)
     f4 = figure4_configs("knn", scale=SCALE)
     assert set(f4) == {"(4,4)", "(8,8)", "(16,16)", "(32,32)"}
-    for config in f4.values():
+    for _, config in f4.values():
         assert config.placement.local_fraction == 0.0
 
 

@@ -9,10 +9,8 @@ from repro.config import (
     LOCAL_SITE,
     ComputeSpec,
     DatasetSpec,
-    ExperimentConfig,
     MiddlewareTuning,
     PlacementSpec,
-    halved,
 )
 from repro.core.layout import lay_out
 from repro.core.sync import SyncSpec
@@ -53,9 +51,9 @@ def test_dataset_scaled_preserves_structure():
 
 def test_placement_split():
     spec = PlacementSpec(local_fraction=1.0 / 3.0)
-    assert spec.split(32) == (11, 21)
-    assert PlacementSpec(0.0).split(10) == (0, 10)
-    assert PlacementSpec(1.0).split(10) == (10, 0)
+    assert spec.sites(32) == ((LOCAL_SITE, 11), (CLOUD_SITE, 21))
+    assert PlacementSpec(0.0).sites(10) == ((LOCAL_SITE, 0), (CLOUD_SITE, 10))
+    assert PlacementSpec(1.0).sites(10) == ((LOCAL_SITE, 10), (CLOUD_SITE, 0))
     with pytest.raises(ConfigurationError):
         PlacementSpec(local_fraction=1.5)
 
@@ -80,11 +78,6 @@ def test_compute_single_site():
         assert [slot.site for slot in layout.slots] == [site]
 
 
-def test_halved():
-    assert halved(ComputeSpec(32, 0)).total_cores == 32
-    assert halved(ComputeSpec(32, 0)).local_cores == 16
-
-
 def test_tuning_validation():
     MiddlewareTuning()  # defaults valid
     with pytest.raises(ConfigurationError):
@@ -95,32 +88,3 @@ def test_tuning_validation():
         MiddlewareTuning(units_per_group=-1)
     with pytest.raises(ConfigurationError):
         MiddlewareTuning(pool_low_water=-1)
-
-
-def test_experiment_config():
-    cfg = ExperimentConfig(
-        name="env-test",
-        app="knn",
-        dataset=DatasetSpec(total_bytes=1024, num_files=4, chunk_bytes=64,
-                            record_bytes=4),
-        placement=PlacementSpec(local_fraction=0.5),
-        compute=ComputeSpec(local_cores=2, cloud_cores=2),
-    )
-    assert cfg.local_files == 2
-    assert cfg.cloud_files == 2
-    assert "env-test" in cfg.describe()
-    ablated = cfg.with_tuning(retrieval_threads=9)
-    assert ablated.tuning.retrieval_threads == 9
-    assert cfg.tuning.retrieval_threads == 4  # original untouched
-
-
-def test_experiment_config_requires_names():
-    spec = DatasetSpec(total_bytes=1024, num_files=4, chunk_bytes=64, record_bytes=4)
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(name="", app="knn", dataset=spec,
-                         placement=PlacementSpec(0.5),
-                         compute=ComputeSpec(1, 1))
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(name="x", app="", dataset=spec,
-                         placement=PlacementSpec(0.5),
-                         compute=ComputeSpec(1, 1))

@@ -13,10 +13,15 @@ from conftest import two_site
 SCALE = 0.03
 
 
+def knn(env):
+    """``(app, dataset, config)`` of a scaled knn env."""
+    return ("knn", *env_config("knn", env, scale=SCALE))
+
+
 @pytest.fixture(scope="module")
 def hybrid():
-    config = env_config("knn", "env-17/83", scale=SCALE)
-    return config, two_site(config).run()
+    run = knn("env-17/83")
+    return run, two_site(*run).run()
 
 
 def test_pricing_validation():
@@ -27,8 +32,8 @@ def test_pricing_validation():
 
 
 def test_local_run_is_cloud_free():
-    config = env_config("knn", "env-local", scale=SCALE)
-    cost = price_run(config, two_site(config).run())
+    run = knn("env-local")
+    cost = price_run(*run, two_site(*run).run())
     assert cost.ec2_compute == 0.0
     assert cost.s3_egress == 0.0
     assert cost.s3_requests == 0.0
@@ -38,8 +43,8 @@ def test_local_run_is_cloud_free():
 
 
 def test_cloud_run_has_no_egress_but_pays_compute():
-    config = env_config("knn", "env-cloud", scale=SCALE)
-    cost = price_run(config, two_site(config).run())
+    run = knn("env-cloud")
+    cost = price_run(*run, two_site(*run).run())
     # S3 -> EC2 is free; nothing leaves AWS in a single-cluster cloud run.
     assert cost.s3_egress == 0.0
     assert cost.ec2_compute > 0.0
@@ -48,11 +53,12 @@ def test_cloud_run_has_no_egress_but_pays_compute():
 
 
 def test_hybrid_pays_for_stolen_chunks_and_robj(hybrid):
-    config, report = hybrid
-    cost = price_run(config, report)
+    run, report = hybrid
+    cost = price_run(*run, report)
     stolen = report.cluster("local-cluster").jobs_stolen
     assert stolen > 0
-    expected_bytes = stolen * config.dataset.chunk_bytes + 16 * 1024
+    _, dataset, _ = run
+    expected_bytes = stolen * dataset.chunk_bytes + 16 * 1024
     assert cost.s3_egress == pytest.approx(
         expected_bytes / 1024**3 * AWS_2011.s3_egress_per_gb, rel=1e-6
     )
@@ -60,9 +66,9 @@ def test_hybrid_pays_for_stolen_chunks_and_robj(hybrid):
 
 
 def test_instance_hour_rounding(hybrid):
-    config, report = hybrid
+    run, report = hybrid
     # 16 cloud cores = 8 m1.large instances; short scaled run bills 1 hour.
-    cost = price_run(config, report)
+    cost = price_run(*run, report)
     assert cost.ec2_compute == pytest.approx(8 * 0.34)
 
 
@@ -76,10 +82,10 @@ def test_breakdown_render_and_totals():
 
 
 def test_custom_tariff_scales_linearly(hybrid):
-    config, report = hybrid
-    base = price_run(config, report)
+    run, report = hybrid
+    base = price_run(*run, report)
     doubled = price_run(
-        config,
+        *run,
         report,
         PricingModel(ec2_instance_hour=0.68, s3_egress_per_gb=0.30,
                      s3_get_per_10k=0.02, local_core_hour=0.06),

@@ -17,7 +17,6 @@ import repro
 from repro.config import (
     ComputeSpec,
     DatasetSpec,
-    ExperimentConfig,
     MiddlewareTuning,
     PlacementSpec,
 )
@@ -105,21 +104,20 @@ def test_random_configs_preserve_invariants(
     if local_cores + cloud_cores == 0:
         local_cores = 1
     chunk_bytes = 64 * 1024
-    config = ExperimentConfig(
+    dataset = DatasetSpec(
+        total_bytes=files * chunks * chunk_bytes,
+        num_files=files,
+        chunk_bytes=chunk_bytes,
+        record_bytes=4,
+    )
+    config = repro.RunConfig(
         name="fuzz",
-        app="knn",
-        dataset=DatasetSpec(
-            total_bytes=files * chunks * chunk_bytes,
-            num_files=files,
-            chunk_bytes=chunk_bytes,
-            record_bytes=4,
-        ),
         placement=PlacementSpec(local_fraction=fraction),
         compute=ComputeSpec(local_cores=local_cores, cloud_cores=cloud_cores),
         tuning=MiddlewareTuning(job_group_size=3, pool_low_water=1),
         seed=seed,
     )
-    report = two_site(config).run()
+    report = two_site("knn", dataset, config).run()
     report.validate()
     assert report.total_jobs == files * chunks
     for cluster in report.clusters.values():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.config import CLOUD_SITE, LOCAL_SITE, DatasetSpec, PlacementSpec
 from repro.core.index import DataIndex, FileEntry, build_index
-from repro.errors import IndexError_
+from repro.errors import ConfigurationError, IndexError_
 
 from conftest import small_spec
 
@@ -21,6 +21,15 @@ def test_build_index_prefix_placement():
     assert len(index.files_at(CLOUD_SITE)) == 4
     # Prefix: local files come first.
     assert all(e.site == LOCAL_SITE for e in index.files[:4])
+
+
+def test_build_index_takes_site_pairs_that_cover_the_dataset():
+    spec = small_spec(record_bytes=4, files=4)
+    index = build_index(spec, (("campus", 1), ("aws", 2), ("azure", 1)))
+    assert [e.site for e in index.files] == ["campus", "aws", "aws", "azure"]
+    for short_or_long in ((("campus", 1), ("aws", 1)), (("campus", 5),)):
+        with pytest.raises(ConfigurationError, match="placement holds"):
+            build_index(spec, short_or_long)
 
 
 def test_jobs_enumerate_every_chunk_once():
@@ -106,4 +115,4 @@ def test_index_job_count_invariant(files, chunks, fraction):
     by_site = {LOCAL_SITE: 0, CLOUD_SITE: 0}
     for entry in index.files:
         by_site[entry.site] += 1
-    assert by_site[LOCAL_SITE] == PlacementSpec(fraction).local_files(files)
+    assert tuple(by_site.items()) == PlacementSpec(fraction).sites(files)

@@ -11,13 +11,11 @@ import repro
 from repro.apps import make_bundle
 from repro.cache import ChunkCache
 from repro.clock import FakeClock
-from repro.apps.base import get_profile
 from repro.config import (
     CLOUD_SITE,
     LOCAL_SITE,
     ComputeSpec,
     DatasetSpec,
-    ExperimentConfig,
     PlacementSpec,
 )
 from repro.data.dataset import build_dataset
@@ -25,7 +23,6 @@ from repro.errors import ConfigurationError, TraceError
 from repro.obs import EventLog, RunMonitor, RunSample
 from repro.options import ScaleOptions
 from repro.runtime.driver import CloudBurstingRuntime
-from repro.sim.calibration import PAPER_CALIBRATION
 from repro.sim.multisite import MultiSiteSimulation
 from repro.sim.simulation import two_site_config
 from repro.storage.objectstore import ObjectStore
@@ -371,14 +368,12 @@ def test_closing_sample_reads_every_worker_idle(mode, revocation):
 
 
 def test_simulate_sync_bytes_are_the_codecs_wire_bytes():
-    experiment = ExperimentConfig(
-        name="adhoc", app="kmeans", dataset=SIM_DATASET, placement=PLACEMENT,
-        compute=ComputeSpec(local_cores=2, cloud_cores=2),
+    config = repro.RunConfig(
+        placement=PLACEMENT, compute=ComputeSpec(local_cores=2, cloud_cores=2),
     )
     monitor = RunMonitor(0.5)
     sim = MultiSiteSimulation(
-        two_site_config(experiment, PAPER_CALIBRATION, get_profile("kmeans")),
-        monitor=monitor,
+        two_site_config("kmeans", SIM_DATASET, config), monitor=monitor
     )
     report = sim.run()
     wire = sim.head.core.receipts.codec.stats.wire_bytes

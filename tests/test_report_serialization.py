@@ -24,7 +24,7 @@ SCALE = 0.03
 
 @pytest.fixture(scope="module")
 def report():
-    return two_site(env_config("knn", "env-33/67", scale=SCALE)).run()
+    return two_site("knn", *env_config("knn", "env-33/67", scale=SCALE)).run()
 
 
 def test_json_roundtrip(report):

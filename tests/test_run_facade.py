@@ -14,12 +14,12 @@ import pytest
 import repro
 from repro import ResilienceOptions, RunConfig, RunResult, run
 from repro.apps import make_bundle
+from repro.bench.configs import figure3_configs, figure4_configs
 from repro.config import (
     CLOUD_SITE,
     LOCAL_SITE,
     ComputeSpec,
     DatasetSpec,
-    ExperimentConfig,
     MiddlewareTuning,
     PlacementSpec,
 )
@@ -90,27 +90,31 @@ def test_facade_serial_matches_run_serial():
 
 def test_facade_simulate_matches_simulate():
     dataset = DatasetSpec.paper(record_bytes=8).scaled(1e-5)
-    legacy = MultiSiteSimulation(
-        two_site_config(
-            ExperimentConfig(
-                name="env-test", app="kmeans", dataset=dataset,
-                placement=PlacementSpec(0.5),
-                compute=ComputeSpec(local_cores=8, cloud_cores=8),
-                seed=SEED,
-            )
-        )
-    ).run()
-    result = run(
-        "kmeans", dataset,
-        RunConfig(
-            mode="simulate", name="env-test",
-            compute=ComputeSpec(local_cores=8, cloud_cores=8),
-        ),
+    config = RunConfig(
+        mode="simulate", name="env-test", seed=SEED,
+        compute=ComputeSpec(local_cores=8, cloud_cores=8),
     )
+    legacy = MultiSiteSimulation(two_site_config("kmeans", dataset, config)).run()
+    result = run("kmeans", dataset, config)
     assert result.mode == "simulate"
     assert result.value is None
     assert result.telemetry.to_dict() == legacy.to_dict()
     assert result.wall_seconds == legacy.makespan
+
+
+#: The paper's nine kmeans configurations: Figure 3's envs (built by
+#: ``env_config``), Figure 4's ladder.
+PAPER_CONFIGS = {
+    **figure3_configs("kmeans", scale=0.02), **figure4_configs("kmeans", scale=0.02)
+}
+
+
+@pytest.mark.parametrize("env", PAPER_CONFIGS)
+def test_a_paper_config_simulates_the_same_through_either_door(env):
+    dataset, config = PAPER_CONFIGS[env]
+    direct = MultiSiteSimulation(two_site_config("kmeans", dataset, config)).run()
+    facade = run("kmeans", dataset, config)
+    assert facade.telemetry.to_json() == direct.to_json()
 
 
 def test_facade_accepts_prebuilt_bundle():

@@ -39,15 +39,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import RunConfig
 from repro.apps.base import get_profile
-from repro.bench.configs import figure3_configs, figure4_configs
+from repro.bench.configs import PaperConfig, figure3_configs, figure4_configs
 from repro.cache import ChunkCache
-from repro.config import (
-    ComputeSpec,
-    DatasetSpec,
-    ExperimentConfig,
-    PlacementSpec,
-)
+from repro.config import ComputeSpec, DatasetSpec, PlacementSpec
 from repro.core.sync import SyncSpec
 from repro.obs import EventLog
 from repro.options import ScaleOptions
@@ -73,31 +69,29 @@ SYNC_SPECS = {
 }
 
 
-def _envs(app: str) -> dict[str, ExperimentConfig]:
+def _envs(app: str) -> dict[str, PaperConfig]:
     return {**figure3_configs(app, scale=SCALE), **figure4_configs(app, scale=SCALE)}
 
 
-def _small_hybrid() -> ExperimentConfig:
-    """32 jobs, most of them in the cloud, so the trace has steals."""
-    return ExperimentConfig(
+def _small_hybrid() -> PaperConfig:
+    """32 knn jobs, most of them in the cloud, so the trace has steals."""
+    return DatasetSpec(
+        total_bytes=8 * 4 * MB, num_files=8, chunk_bytes=1 * MB, record_bytes=4
+    ), RunConfig(
         name="small-hybrid",
-        app="knn",
-        dataset=DatasetSpec(
-            total_bytes=8 * 4 * MB, num_files=8, chunk_bytes=1 * MB, record_bytes=4
-        ),
         placement=PlacementSpec(local_fraction=0.25),
         compute=ComputeSpec(local_cores=3, cloud_cores=2),
     )
 
 
-def _traced(config: ExperimentConfig, **kwargs) -> list:
+def _traced(config: PaperConfig, **kwargs) -> list:
     trace = EventLog()
-    two_site(config, trace=trace, **kwargs).run()
+    two_site("knn", *config, trace=trace, **kwargs).run()
     return [[e.time, e.kind, e.worker, e.cluster] for e in trace.events]
 
 
 def _cached_passes() -> list:
-    sim = two_site(_envs("knn")["env-33/67"], cache=ChunkCache(1 << 34))
+    sim = two_site("knn", *_envs("knn")["env-33/67"], cache=ChunkCache(1 << 34))
     return [sim.run().to_dict() for _ in range(2)]
 
 
@@ -116,12 +110,12 @@ def _cases() -> dict:
         for env, config in _envs(app).items():
             for label, spec in SYNC_SPECS.items():
                 cases[f"two-site/{app}/{env}/{label}"] = (
-                    lambda config=config, spec=spec: two_site(
-                        config, sync=spec
+                    lambda app=app, config=config, spec=spec: two_site(
+                        app, *config, sync=spec
                     ).run().to_dict()
                 )
     for env, config in _envs("kmeans").items():
-        cloud = config.compute.cloud_cores
+        cloud = config[1].compute.cloud_cores
         if cloud == 0:
             continue
         scales = {
@@ -136,26 +130,26 @@ def _cases() -> dict:
         for label, scale in scales.items():
             cases[f"autoscale/{env}/{label}"] = (
                 lambda config=config, scale=scale: two_site(
-                    config, scale=scale
+                    "kmeans", *config, scale=scale
                 ).run().to_dict()
             )
     hybrid = _envs("knn")["env-33/67"]
     # A scale spec on a run with no cloud cores is a silent no-op: no
     # active site other than the head's, so no site bursts.
     cases["autoscale/env-local/no-cloud-cores"] = lambda: two_site(
-        _envs("kmeans")["env-local"],
+        "kmeans", *_envs("kmeans")["env-local"],
         scale=ScaleOptions(autoscale=True, deadline=100.0),
     ).run().to_dict()
     cases["cached/2-pass"] = _cached_passes
     cases["faults/latency+slow"] = lambda: two_site(
-        hybrid,
+        "knn", *hybrid,
         faults=FaultSpec(
             latency_rate=0.1, latency_seconds=0.5,
             slow_rate=0.05, slow_bandwidth=1 * MB, seed=11,
         ),
     ).run().to_dict()
     cases["static-assignment"] = lambda: two_site(
-        hybrid, static_assignment=True
+        "knn", *hybrid, static_assignment=True
     ).run().to_dict()
     cases["trace/default"] = lambda: _traced(_small_hybrid())
     cases["trace/ring+stream"] = lambda: _traced(

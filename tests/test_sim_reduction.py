@@ -68,10 +68,12 @@ def test_attached_and_revoked_slaves_still_fold_every_unit():
         autoscale=True, budget=0.05, max_slaves=12, interval=0.5,
         revocation=f"rate={REVOKE_RATE},seed=7,provision=1",
     )
-    config = env_config("kmeans", "env-33/67", scale=0.05)
+    dataset, config = env_config("kmeans", "env-33/67", scale=0.05)
     trace = EventLog()
     sim = MultiSiteSimulation(
-        two_site_config(config, PAPER_CALIBRATION, get_profile("kmeans")),
+        two_site_config(
+            "kmeans", dataset, config, PAPER_CALIBRATION, get_profile("kmeans")
+        ),
         scale=scale, trace=trace,
     )
     report = sim.run()

@@ -14,7 +14,7 @@ SCALE = 0.03
 
 def run(env, static, app="knn", seed=2011):
     config = env_config(app, env, scale=SCALE, seed=seed)
-    return two_site(config, static_assignment=static).run()
+    return two_site(app, *config, static_assignment=static).run()
 
 
 def test_static_processes_every_job():

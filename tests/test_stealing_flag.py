@@ -46,7 +46,7 @@ def test_simulation_without_stealing_still_completes():
         "knn", "env-33/67", scale=SCALE,
         tuning=MiddlewareTuning(allow_stealing=False),
     )
-    report = two_site(config).run()
+    report = two_site("knn", *config).run()
     assert report.total_jobs == 960
     assert report.total_stolen == 0
     # The data-poor cluster finishes early and idles.
@@ -56,8 +56,8 @@ def test_simulation_without_stealing_still_completes():
 
 
 def test_no_stealing_is_slower_under_skew():
-    base = two_site(env_config("knn", "env-17/83", scale=SCALE)).run()
-    frozen = two_site(env_config(
+    base = two_site("knn", *env_config("knn", "env-17/83", scale=SCALE)).run()
+    frozen = two_site("knn", *env_config(
         "knn", "env-17/83", scale=SCALE,
         tuning=MiddlewareTuning(allow_stealing=False),
     )).run()

@@ -25,7 +25,6 @@ from repro.config import (
     LOCAL_SITE,
     ComputeSpec,
     DatasetSpec,
-    ExperimentConfig,
     MiddlewareTuning,
     PlacementSpec,
 )
@@ -55,7 +54,6 @@ from repro.sim.multisite import (
     MultiSiteSimulation,
     SiteSpec,
 )
-from repro.sim.calibration import PAPER_CALIBRATION
 from repro.sim.simulation import two_site_config
 from repro.sim.storagemodel import StorePath
 from repro.storage.objectstore import ObjectStore
@@ -677,15 +675,13 @@ def test_only_cross_site_uploads_are_encoded_in_both_engines(cores, topology):
     encoded = {e.cluster for e in log.of_kind("sync_upload")}
     assert encoded == clusters - {f"{LOCAL_SITE}-cluster"}
 
-    config = ExperimentConfig(
-        name="cross-site", app="wordcount",
-        dataset=dataset_spec(2048, bundle.schema.record_bytes),
-        placement=PlacementSpec(0.5),
+    config = repro.RunConfig(
+        name="cross-site", placement=PlacementSpec(0.5),
         compute=ComputeSpec(local_cores=cores[0], cloud_cores=cores[1]),
     )
+    dataset = dataset_spec(2048, bundle.schema.record_bytes)
     sim = MultiSiteSimulation(
-        two_site_config(config, PAPER_CALIBRATION, get_profile("wordcount")),
-        sync=sync,
+        two_site_config("wordcount", dataset, config), sync=sync
     )
     sim.run()
     assert sim.head.core.receipts.codec.stats.uploads == expected
@@ -820,8 +816,8 @@ def test_both_engines_flush_a_partial_every_watermark_jobs(mode):
 
 def test_sim_default_spec_is_byte_identical_to_legacy():
     config = env_config("pagerank", "env-50/50", scale=0.05)
-    legacy = two_site(config).run()
-    default = two_site(config, sync=SyncSpec()).run()
+    legacy = two_site("pagerank", *config).run()
+    default = two_site("pagerank", *config, sync=SyncSpec()).run()
     assert default.makespan == legacy.makespan
     assert default.events_processed == legacy.events_processed
 
@@ -830,18 +826,18 @@ def test_sim_default_spec_is_byte_identical_to_legacy():
 def test_sim_topologies_keep_invariants(topology):
     config = env_config("pagerank", "env-50/50", scale=0.05)
     report = two_site(
-        config, sync=SyncSpec(**layout(topology), stream=True)
+        "pagerank", *config, sync=SyncSpec(**layout(topology), stream=True)
     ).run()
     report.validate()
-    assert report.total_jobs == two_site(config).run().total_jobs
+    assert report.total_jobs == two_site("pagerank", *config).run().total_jobs
 
 
 def test_sim_ratio_cuts_modeled_sync_time():
     config = env_config("pagerank", "env-50/50", scale=0.05)
     chain = layout("ring")
-    dense = two_site(config, sync=SyncSpec(**chain)).run()
+    dense = two_site("pagerank", *config, sync=SyncSpec(**chain)).run()
     thin = two_site(
-        config, sync=SyncSpec(**chain, sim_ratio=0.01)
+        "pagerank", *config, sync=SyncSpec(**chain, sim_ratio=0.01)
     ).run()
     assert thin.makespan < dense.makespan
 

@@ -18,7 +18,7 @@ SCALE = 0.03
 def traced_run():
     trace = EventLog()
     config = env_config("knn", "env-50/50", scale=SCALE)
-    report = two_site(config, trace=trace).run()
+    report = two_site("knn", *config, trace=trace).run()
     return trace, report
 
 
@@ -174,8 +174,8 @@ def test_utilization_with_zero_interval_worker():
 
 def test_disabled_trace_changes_nothing():
     config = env_config("knn", "env-50/50", scale=SCALE)
-    plain = two_site(config).run()
-    traced = two_site(config, trace=EventLog()).run()
+    plain = two_site("knn", *config).run()
+    traced = two_site("knn", *config, trace=EventLog()).run()
     assert plain.makespan == traced.makespan
     assert plain.events_processed == traced.events_processed
 
@@ -185,7 +185,7 @@ def test_simulated_cache_events_are_stamped_in_virtual_time():
     of a pass lies inside it, one per hit or miss the report counts."""
     trace = EventLog()
     sim = two_site(
-        env_config("knn", "env-50/50", scale=SCALE), trace=trace,
+        "knn", *env_config("knn", "env-50/50", scale=SCALE), trace=trace,
         cache=ChunkCache(1 << 34),
     )
     seen = 0

@@ -99,11 +99,8 @@ def test_step3_run_with_bursting(tutorial_dataset):
 
 
 def test_step4_simulate_at_testbed_scale():
-    env = repro.env_config("histogram", "env-33/67", scale=0.02)
-    report = repro.run(
-        "histogram", env.dataset,
-        repro.RunConfig(mode="simulate", placement=env.placement, compute=env.compute),
-    ).telemetry
+    dataset, config = repro.env_config("histogram", "env-33/67", scale=0.02)
+    report = repro.run("histogram", dataset, config).telemetry
     assert report.total_jobs == 960
     assert report.makespan > 0
     report.validate()
